@@ -26,7 +26,7 @@ import numpy as np
 from .bipartization import (OctResult, brute_force_oct, min_oct_exact,
                             oct_anneal, oct_genetic, oct_greedy)
 from .errors import OrderViolation
-from .orders import (IdPair, OrderRelation, Pair, cover_relation, inc_id_pairs,
+from .orders import (IdPair, OrderRelation, Pair, cover_relation,
                      transitive_closure)
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .sat import Backend
@@ -117,7 +117,7 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     from TigGraph to OctResult (removal must be inclusion-minimal).
     """
     run, name = _strategy_for(strategy, seed, backend, k_search)
-    max_passes = len(inc_id_pairs(o)) // 2 + 1
+    max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1
     current = o
     inserted: set[IdPair] = set()
     per_pass: list[frozenset[IdPair]] = []
@@ -141,8 +141,7 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
 
 
 def _check_trace(o: OrderRelation, t: ExtensionTrace) -> None:
-    inc = set(inc_id_pairs(o))
-    if not t.inserted <= inc:
+    if not all(o.incomparable_ids(a, b) for a, b in t.inserted):
         raise OrderViolation("inserted pairs must be incomparable in the input")
     if t.inserted & {(b, a) for a, b in t.inserted}:
         raise OrderViolation("inserted pairs contain a pair and its reverse")
@@ -178,12 +177,12 @@ def weak_dominance_stats(d: GridDrawing, o: OrderRelation | None = None) -> Domi
     o = o or d.order
     if o.ground != d.order.ground:
         raise ValueError("report requested against a different ground set")
-    false_pairs = []
-    for a, b in sorted(inc_id_pairs(o)):
-        la, lb = o.ground.label(a), o.ground.label(b)
-        (a1, a2), (b1, b2) = d.coords[la], d.coords[lb]
-        if a1 < b1 and a2 < b2:
-            false_pairs.append((la, lb))
+    lab = o.ground.label
+    grid_pos = np.array([d.coords[label] for label in o.ground])
+    c1, c2 = grid_pos[:, 0], grid_pos[:, 1]
+    below = (c1[:, None] < c1[None, :]) & (c2[:, None] < c2[None, :])
+    false_ids = np.argwhere(below & ~(o.matrix | o.matrix.T))  # sorted by (a, b)
+    false_pairs = [(lab(int(a)), lab(int(b))) for a, b in false_ids]
     closure_added = int(d.trace.extended.matrix.sum() - o.matrix.sum())
     return DominanceReport(len(false_pairs), tuple(false_pairs),
                            len(d.trace.inserted), closure_added)

@@ -14,7 +14,7 @@ shared endpoint.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -52,45 +52,43 @@ def transitive_orientation(g: SimpleGraph) -> frozenset[Arc] | None:
     """
     if g.n == 0 or g.m == 0:
         return frozenset()
-    remaining = np.array(g.adjacency)  # writable copy, symmetric
+    # neighbours along edges not yet in a settled class
+    remaining = [set(g.neighbors(v)) for v in range(g.n)]
     arcs: list[Arc] = []
 
     for seed in g.edges:
-        if not remaining[seed]:
+        s, t = seed
+        if t not in remaining[s]:
             continue
-        cls: dict[tuple[int, int], Arc] = {seed: seed}
+        # the class so far, as the arcs leaving and entering each vertex
+        out: defaultdict[int, set[int]] = defaultdict(set)
+        into: defaultdict[int, set[int]] = defaultdict(set)
+        out[s].add(t)
+        into[t].add(s)
         queue: deque[Arc] = deque([seed])
-
-        def force(x: int, y: int) -> bool:
-            key = (x, y) if x < y else (y, x)
-            prev = cls.get(key)
-            if prev is None:
-                cls[key] = (x, y)
-                queue.append((x, y))
-                return True
-            return prev == (x, y)
-
-        ok = True
-        while queue and ok:
+        while queue:
             a, b = queue.popleft()
-            for c in g.neighbors(a):
-                # a->b and edge {a,c} with b,c non-adjacent: both must leave a
-                if c != b and remaining[a, c] and not remaining[b, c]:
-                    if not force(a, c):
-                        ok = False
-                        break
-            if not ok:
-                break
-            for c in g.neighbors(b):
-                if c != a and remaining[b, c] and not remaining[a, c]:
-                    if not force(c, b):
-                        ok = False
-                        break
-        if not ok:
-            return None
-        for key, arc in cls.items():
-            arcs.append(arc)
-            remaining[key[0], key[1]] = remaining[key[1], key[0]] = False
+            # a->b and edge {a,c} with b,c non-adjacent: both must leave a;
+            # edge {c,b} with a,c non-adjacent: both must enter b
+            leave = remaining[a] - remaining[b]
+            leave.discard(b)
+            enter = remaining[b] - remaining[a]
+            enter.discard(a)
+            if not (leave.isdisjoint(into[a]) and enter.isdisjoint(out[b])):
+                return None
+            for c in leave - out[a]:
+                out[a].add(c)
+                into[c].add(a)
+                queue.append((a, c))
+            for c in enter - into[b]:
+                out[c].add(b)
+                into[b].add(c)
+                queue.append((c, b))
+        for x, heads in out.items():
+            arcs.extend((x, y) for y in heads)
+            remaining[x] -= heads
+        for y, tails in into.items():
+            remaining[y] -= tails
 
     result = frozenset(arcs)
     return result if verify_orientation(g, result) else None

@@ -8,6 +8,8 @@ screen coordinates keeps greater elements higher.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
@@ -38,26 +40,55 @@ class CanvasSpec:
             raise ValueError(f"unknown label mode {self.label_mode!r}")
 
 
+def _integer_plane(d: GridDrawing) -> dict[str, tuple[int, int]]:
+    """The plane scaled by the common denominator of all its coordinates.
+
+    Scaling every point by one positive factor keeps the collinearity test
+    exact: cross products stay zero or non-zero, and dot products and
+    squared lengths scale alike.
+    """
+    scale = math.lcm(*(c.denominator for p in d.plane.values() for c in p))
+    return {label: (x.numerator * (scale // x.denominator),
+                    y.numerator * (scale // y.denominator))
+            for label, (x, y) in d.plane.items()}
+
+
 def detect_collinear(d: GridDrawing) -> list[Conflict]:
     """Elements sitting on the open segment of a non-incident cover edge.
 
     Exact test: with u, v the edge endpoints and w the point, w is on the
     open segment iff cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.
+    It runs on integers (the plane scaled by its common denominator), and
+    each edge is tested only against the elements whose height lies strictly
+    between its endpoints' heights: no other point of a non-horizontal edge
+    can be on its open segment.  A horizontal edge is tested against the
+    elements at its height; a zero-length edge has no open segment.
     """
+    pts = _integer_plane(d)
+    by_height = sorted(d.order.ground, key=lambda label: pts[label][1])
+    heights = [pts[label][1] for label in by_height]
     conflicts: list[Conflict] = []
-    for label in d.order.ground:
-        wx, wy = d.plane[label]
-        for a, b in d.cover_edges:
+    for a, b in d.cover_edges:
+        ux, uy = pts[a]
+        vx, vy = pts[b]
+        ex, ey = vx - ux, vy - uy
+        if ey:
+            low, high = min(uy, vy), max(uy, vy)
+            band = by_height[bisect_right(heights, low):bisect_left(heights, high)]
+        elif ex:
+            band = by_height[bisect_left(heights, uy):bisect_right(heights, uy)]
+        else:
+            continue
+        length = ex * ex + ey * ey
+        for label in band:
             if label == a or label == b:
                 continue
-            ux, uy = d.plane[a]
-            vx, vy = d.plane[b]
-            ex, ey = vx - ux, vy - uy
+            wx, wy = pts[label]
             px, py = wx - ux, wy - uy
             if ex * py - ey * px != 0:
                 continue
             t = ex * px + ey * py
-            if 0 < t < ex * ex + ey * ey:
+            if 0 < t < length:
                 conflicts.append((label, (a, b)))
     conflicts.sort()
     return conflicts
@@ -72,12 +103,12 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None,
     its original x; y never changes, so edges keep rising.  Raises
     Unresolvable if conflicts survive `max_rounds` rounds.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     if conflicts is None:
         conflicts = detect_collinear(d)
     if not conflicts:
         return d
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     base = dict(d.plane)
     plane = dict(d.plane)
     attempts: dict[str, int] = {}
@@ -103,14 +134,11 @@ def _screen_geometry(d: GridDrawing, spec: CanvasSpec):
     min_y, max_y = min(ys), max(ys)
     width = float(max_x - min_x) * spec.scale + 2 * spec.margin
     height = float(max_y - min_y) * spec.scale + 2 * spec.margin
-
-    def place(label: str) -> tuple[float, float]:
-        x, y = d.plane[label]
-        sx = float(x - min_x) * spec.scale + spec.margin
-        sy = float(max_y - y) * spec.scale + spec.margin
-        return sx, sy
-
-    return width, height, place
+    # one screen point per element, looked up once per edge end and label
+    screen = {label: (float(x - min_x) * spec.scale + spec.margin,
+                      float(max_y - y) * spec.scale + spec.margin)
+              for label, (x, y) in d.plane.items()}
+    return width, height, screen.__getitem__
 
 
 def emit_svg(d: GridDrawing, spec: CanvasSpec | None = None) -> bytes:

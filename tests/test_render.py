@@ -5,13 +5,26 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.engine import compute_coordinates, perturbed_labels, with_plane
 from orddraw.errors import Unresolvable
-from orddraw.orders import boolean_lattice, build_order, chain, grid
+from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
 from orddraw.render import (CanvasSpec, detect_collinear, emit_dot, emit_svg,
                             emit_tikz, perturb)
-from oracles import collinear_points, random_order
+from oracles import collinear_points, random_order, strict_pairs
+
+
+def oracle_conflicts(d):
+    """Every (element, edge) pair tested with the parametric oracle."""
+    return sorted((label, (a, b)) for a, b in d.cover_edges for label in d.order.ground
+                  if label not in (a, b)
+                  and collinear_points(d.plane[a], d.plane[b], d.plane[label]))
+
+
+def comparabilities(o):
+    lab = o.ground.label
+    return tuple((lab(i), lab(j)) for i, j in strict_pairs(o))
 
 
 def chain_drawing():
@@ -64,15 +77,88 @@ class TestDetectCollinear:
         for _ in range(20):
             o = random_order(rng, rng.randint(2, 7))
             d = compute_coordinates(o)
-            got = set(detect_collinear(d))
-            want = set()
-            for label in o.ground:
-                for a, b in d.cover_edges:
-                    if label in (a, b):
-                        continue
-                    if collinear_points(d.plane[a], d.plane[b], d.plane[label]):
-                        want.add((label, (a, b)))
-            assert got == want
+            assert detect_collinear(d) == oracle_conflicts(d)
+
+    def test_agrees_with_oracle_after_perturb(self):
+        # every comparability as an edge puts points on long segments, so
+        # perturb has work to do and leaves Fraction planes (multiples of
+        # epsilon off the grid); a point then put halfway between a moved
+        # point and another sits on their edge, at a finer denominator
+        rng = random.Random(167)
+        checked = 0
+        for _ in range(40):
+            o = random_order(rng, rng.randint(4, 9))
+            d = compute_coordinates(o, strategy="greedy")
+            eps = rng.choice([Fraction(3, 20), Fraction(1, 7), Fraction(2, 9)])
+            fixed = perturb(replace(d, cover_edges=comparabilities(o)), epsilon=eps)
+            assert detect_collinear(fixed) == oracle_conflicts(fixed) == []
+            moved = perturbed_labels(fixed)
+            if not moved:
+                continue
+            m = moved[0]
+            u, w = [label for label in o.ground if label != m][:2]
+            (mx, my), (ux, uy) = fixed.plane[m], fixed.plane[u]
+            halfway = with_plane(fixed, {**fixed.plane, w: ((mx + ux) / 2, (my + uy) / 2)})
+            pairs = tuple((a, b) for a in o.ground for b in o.ground if a != b)
+            every_pair = replace(halfway, cover_edges=pairs)
+            conflicts = detect_collinear(every_pair)
+            assert conflicts == oracle_conflicts(every_pair)
+            assert (w, (m, u)) in conflicts
+            checked += 1
+        assert checked > 10, "the suite should exercise real perturbations"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_agrees_with_oracle_on_nudged_planes(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        o = random_order(random.Random(seed), data.draw(st.integers(2, 8)))
+        d = compute_coordinates(o, strategy="greedy")
+        labels = list(o.ground)
+        offsets = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+        plane = dict(d.plane)
+        for label in data.draw(st.lists(st.sampled_from(labels), max_size=len(labels))):
+            x, y = plane[label]
+            plane[label] = (x + data.draw(offsets), y + data.draw(offsets))
+        edges = list(d.cover_edges) + data.draw(st.lists(
+            st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+            min_size=1, max_size=12))
+        # put some points exactly on (or at the ends of) an edge's line,
+        # and level some with another point so edges turn horizontal
+        for label, (a, b), t in data.draw(st.lists(st.tuples(
+                st.sampled_from(labels), st.sampled_from(edges),
+                st.fractions(min_value=-1, max_value=2, max_denominator=9)), max_size=4)):
+            (ux, uy), (vx, vy) = plane[a], plane[b]
+            plane[label] = (ux + t * (vx - ux), uy + t * (vy - uy))
+        for label, other in data.draw(st.lists(st.tuples(
+                st.sampled_from(labels), st.sampled_from(labels)), max_size=3)):
+            plane[label] = (plane[label][0], plane[other][1])
+        nudged = replace(with_plane(d, plane), cover_edges=tuple(edges))
+        assert detect_collinear(nudged) == oracle_conflicts(nudged)
+
+    def test_doctored_horizontal_edge(self):
+        # an antichain is drawn on one horizontal line: x4 ... x1 left to right
+        d = compute_coordinates(antichain(4))
+        assert len({y for _, y in d.plane.values()}) == 1
+        for edge in (("x1", "x4"), ("x4", "x1"), ("x2", "x3")):
+            doctored = replace(d, cover_edges=(edge,))
+            assert detect_collinear(doctored) == oracle_conflicts(doctored)
+        doctored = replace(d, cover_edges=(("x1", "x4"),))
+        assert detect_collinear(doctored) == [("x2", ("x1", "x4")), ("x3", ("x1", "x4"))]
+        # a point just off the line, or level but beyond an end, is clear
+        shifted = with_plane(doctored, {**d.plane, "x2": (d.plane["x2"][0], Fraction(1, 3)),
+                                        "x3": (d.plane["x1"][0] + 1, d.plane["x1"][1])})
+        assert detect_collinear(shifted) == oracle_conflicts(shifted) == []
+
+    def test_doctored_zero_length_edge(self):
+        d = forced_conflict()  # x2 sits mid-edge x1-x3
+        # x3 moved onto x1: the edge x1-x3 has no open segment, so nothing
+        # sits on it, neither x2 where it was nor x2 on the same spot
+        for x2 in (d.plane["x2"], d.plane["x1"]):
+            zero = with_plane(d, {**d.plane, "x3": d.plane["x1"], "x2": x2})
+            assert detect_collinear(zero) == oracle_conflicts(zero) == []
+        # a loop edge is zero-length too; the real edge x1-x3 still catches x2
+        loop = replace(d, cover_edges=(("x1", "x3"), ("x2", "x2")))
+        assert detect_collinear(loop) == oracle_conflicts(loop) == [("x2", ("x1", "x3"))]
 
     def test_conflicts_are_sorted(self):
         conflicts = detect_collinear(forced_conflict())
@@ -108,6 +194,8 @@ class TestPerturb:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             perturb(forced_conflict(), epsilon=Fraction(0))
+        with pytest.raises(ValueError):
+            perturb(chain_drawing(), epsilon=Fraction(0))
 
     def test_round_budget_is_enforced(self):
         with pytest.raises(Unresolvable):
