@@ -1,12 +1,16 @@
 """Vertex bipartization (minimum odd cycle transversal).
 
-The exact route reduces "can k removals make g bipartite" to CNF: vertex i
-(0-based) gets side variables i+1 and n+i+1 and a removal variable 2n+i+1;
-every vertex must take a role, adjacent vertices may not share a side, and
-a sequential counter bounds the removal variables by k.  Growing k from
-zero gives the minimum.  Greedy, annealing and genetic heuristics trade
-optimality for speed; each one repairs its answer to validity and peels it
-to inclusion-minimality, which the drawing engine relies on.
+The exact route first proves the minimum size k combinatorially: odd
+cycles never cross a bridge, so the graph splits into the components left
+after its bridges are removed, and each of those is searched by branching
+on the vertices of an odd cycle, from a lower bound of vertex-disjoint odd
+cycles upwards.  One CNF call at that k then picks the removal set: vertex
+i (0-based) gets side variables i+1 and n+i+1 and a removal variable
+2n+i+1; every vertex must take a role, adjacent vertices may not share a
+side, and a sequential counter bounds the removal variables by k.  Greedy,
+annealing and genetic heuristics trade optimality for speed; each one
+repairs its answer to validity and peels it to inclusion-minimality, which
+the drawing engine relies on.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import TooLarge
-from .graphs import (SimpleGraph, conflict_edge_count, forced_coloring,
-                     is_bipartite_without, odd_cycle_census)
+from .errors import BackendFailure, TooLarge
+from .graphs import (SimpleGraph, bridges, conflict_edge_count,
+                     forced_coloring, is_bipartite_without, odd_cycle_census,
+                     two_coloring)
 from .sat import Backend, CnfInstance, Model, sinz_at_most_k, solve_cnf
 
 
@@ -87,48 +92,118 @@ def decode_partition(n: int, model: Model) \
     return p1, p2, removed
 
 
-def min_oct_exact(g: SimpleGraph, search: str = "linear",
-                  backend: Backend | None = None) -> OctResult:
-    """Minimum odd cycle transversal via the CNF reduction.
+def _bridge_blocks(g: SimpleGraph) -> list[SimpleGraph]:
+    """The non-bipartite components of g minus its bridges, each relabelled
+    to 0..b-1 in ascending vertex order (so neighbour order is kept).
 
-    `search` is "linear" (k = 1, 2, ... until satisfiable) or "binary"
-    (bisect below a greedy upper bound).  A bipartite input short-circuits
-    with the empty set and no solver call.
+    Every cycle avoids the bridges, so g minus a vertex set is bipartite
+    exactly when every block minus it is, and the minimum odd cycle
+    transversal of g is the sum of the blocks' minima.
     """
-    if search not in ("linear", "binary"):
-        raise ValueError(f"unknown search mode {search!r}")
+    cut = bridges(g)
+    rest = SimpleGraph(g.n, [e for e in g.edges if e not in cut])
+    seen = [False] * g.n
+    blocks = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        found = [root]
+        for u in found:  # grows while it is walked: a breadth-first search
+            for w in rest.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    found.append(w)
+        local = {v: i for i, v in enumerate(sorted(found))}
+        h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
+                                     for w in rest.neighbors(u) if u < w])
+        if not is_bipartite_without(h):
+            blocks.append(h)
+    return blocks
+
+
+def _disjoint_odd_cycles(g: SimpleGraph, removed: frozenset[int],
+                         limit: int) -> list[tuple[int, ...]]:
+    """Vertex-disjoint odd cycles of g minus `removed`, found greedily, at
+    most limit + 1 of them.  Every transversal needs one vertex of each, so
+    their count bounds the minimum from below; the first is the cycle that
+    two_coloring reports for g minus `removed`."""
+    gone = set(removed)
+    cycles: list[tuple[int, ...]] = []
+    while len(cycles) <= limit:
+        cycle = two_coloring(g, gone)[1]
+        if cycle is None:
+            break
+        cycles.append(cycle)
+        gone.update(cycle)
+    return cycles
+
+
+def _block_minimum(g: SimpleGraph) -> tuple[int, int, int]:
+    """(minimum transversal size, disjoint-cycle lower bound, search nodes)
+    of one block, by iterative deepening on k from the lower bound.
+
+    A node removes a vertex set and branches on the vertices of one odd
+    cycle of the rest, since every transversal contains one of them.  A
+    node fails when more disjoint odd cycles remain than its budget, and
+    the sets that failed at the current k are not searched again.
+    """
+    lower = len(_disjoint_odd_cycles(g, frozenset(), g.n))
+    nodes = 0
+    k = lower
+    while True:
+        failed: set[frozenset[int]] = set()
+
+        def fixable(removed: frozenset[int], budget: int) -> bool:
+            nonlocal nodes
+            if removed in failed:
+                return False
+            nodes += 1
+            cycles = _disjoint_odd_cycles(g, removed, budget)
+            if not cycles:
+                return True
+            if len(cycles) <= budget:
+                for v in cycles[0]:
+                    if fixable(removed | {v}, budget - 1):
+                        return True
+            failed.add(removed)
+            return False
+
+        if fixable(frozenset(), k):
+            return k, lower, nodes
+        k += 1
+
+
+def min_oct_size(g: SimpleGraph) -> tuple[int, int, int]:
+    """(minimum odd cycle transversal size, lower bound, search nodes) of g,
+    summed over its bridge blocks; no SAT call."""
+    k = lower = nodes = 0
+    for h in _bridge_blocks(g):
+        bk, bl, bn = _block_minimum(h)
+        k, lower, nodes = k + bk, lower + bl, nodes + bn
+    return k, lower, nodes
+
+
+def min_oct_exact(g: SimpleGraph, backend: Backend | None = None) -> OctResult:
+    """Minimum odd cycle transversal: the size from min_oct_size, the set
+    from one solve of the CNF reduction at that size.
+
+    A fresh deterministic solver on the same CNF returns the same model as
+    any earlier solve of it, so the removal set is the one a search that
+    grows k from 1 would stop at.  A bipartite input short-circuits with
+    the empty set and no solver call.
+    """
     if is_bipartite_without(g):
-        return OctResult(frozenset(), "sat", True, {"k": 0, "solver_calls": 0})
-    calls = 0
-
-    def sat_at(k: int) -> Model | None:
-        nonlocal calls
-        calls += 1
-        return solve_cnf(encode_oct(g, k), backend)
-
-    if search == "linear":
-        k = 1
-        model = sat_at(k)
-        while model is None:
-            k += 1
-            model = sat_at(k)
-    else:
-        hi = len(oct_greedy(g).removed)  # any valid removal bounds the optimum
-        lo, model = 1, None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            attempt = sat_at(mid)
-            if attempt is None:
-                lo = mid + 1
-            else:
-                hi, model = mid, attempt
-        k = hi
-        if model is None:
-            model = sat_at(k)
-            assert model is not None, "greedy upper bound was not satisfiable"
+        return OctResult(frozenset(), "sat", True, {
+            "k": 0, "solver_calls": 0, "lower_bound": 0, "branch_nodes": 0})
+    k, lower, nodes = min_oct_size(g)
+    model = solve_cnf(encode_oct(g, k), backend)
+    if model is None:
+        raise BackendFailure(f"no removal set of the proven minimum size {k}")
     removed = decode_removed(g.n, model)
-    assert len(removed) == k, "decoded removal disagrees with the search"
-    return _checked(g, removed, "sat", True, {"k": k, "solver_calls": calls})
+    assert len(removed) == k, "decoded removal disagrees with the proven minimum"
+    return _checked(g, removed, "sat", True, {
+        "k": k, "solver_calls": 1, "lower_bound": lower, "branch_nodes": nodes})
 
 
 def brute_force_oct(g: SimpleGraph, max_vertices: int = 20) -> OctResult:

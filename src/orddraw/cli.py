@@ -39,7 +39,6 @@ class RunConfig:
     solver: str = "sat"          # sat | greedy | anneal | genetic | brute
     sat_backend: str = "builtin"  # builtin | external
     solver_cmd: str | None = None
-    k_search: str = "linear"     # linear | binary
     seed: int = 0
     perturb: bool = True
     summary_json: str | None = None
@@ -101,7 +100,7 @@ def cmd_draw(cfg: RunConfig) -> int:
     started = time.perf_counter()
     order = _load_order(cfg)
     drawing = compute_coordinates(order, strategy=cfg.solver, seed=cfg.seed,
-                                  backend=_backend(cfg), k_search=cfg.k_search)
+                                  backend=_backend(cfg))
     if cfg.verbose:
         for i, removed in enumerate(drawing.trace.per_pass_removed, start=1):
             names = " ".join(sorted(
@@ -195,8 +194,6 @@ def _parser() -> argparse.ArgumentParser:
                       default="builtin")
     draw.add_argument("--solver-cmd",
                       help=f"external SAT solver command (or ${SOLVER_ENV})")
-    draw.add_argument("--k-search", choices=("linear", "binary"),
-                      default="linear", help="how the SAT strategy finds the minimum k")
     draw.add_argument("--seed", type=int, default=0,
                       help="seed for randomized strategies")
     draw.add_argument("--no-perturb", action="store_true",
@@ -225,7 +222,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         solver=getattr(ns, "solver", "sat"),
         sat_backend=getattr(ns, "sat_backend", "builtin"),
         solver_cmd=getattr(ns, "solver_cmd", None),
-        k_search=getattr(ns, "k_search", "linear"),
         seed=getattr(ns, "seed", 0),
         perturb=not getattr(ns, "no_perturb", False),
         summary_json=getattr(ns, "summary_json", None),

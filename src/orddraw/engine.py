@@ -73,11 +73,11 @@ class DominanceReport:
 
 
 def _strategy_for(name_or_fn: str | Strategy, seed: int,
-                  backend: Backend | None, k_search: str) -> tuple[Strategy, str]:
+                  backend: Backend | None) -> tuple[Strategy, str]:
     if callable(name_or_fn):
         return name_or_fn, getattr(name_or_fn, "__name__", "custom")
     table: dict[str, Strategy] = {
-        "sat": lambda tg: min_oct_exact(tg.graph, search=k_search, backend=backend),
+        "sat": lambda tg: min_oct_exact(tg.graph, backend=backend),
         "greedy": lambda tg: oct_greedy(tg.graph, seed=seed),
         "anneal": lambda tg: oct_anneal(tg.graph, seed=seed),
         "genetic": lambda tg: oct_genetic(tg.graph, seed=seed),
@@ -106,8 +106,7 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]) -> Ord
 
 
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
-                            seed: int = 0, backend: Backend | None = None,
-                            k_search: str = "linear") -> ExtensionTrace:
+                            seed: int = 0, backend: Backend | None = None) -> ExtensionTrace:
     """Insert incomparable pairs until the order has dimension at most 2.
 
     Each pass bipartizes the current incompatibility graph and inserts the
@@ -116,7 +115,7 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     "sat" (exact minimum), "greedy", "anneal", "genetic", or any callable
     from TigGraph to OctResult (removal must be inclusion-minimal).
     """
-    run, name = _strategy_for(strategy, seed, backend, k_search)
+    run, name = _strategy_for(strategy, seed, backend)
     max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1
     current = o
     inserted: set[IdPair] = set()
@@ -148,15 +147,14 @@ def _check_trace(o: OrderRelation, t: ExtensionTrace) -> None:
 
 
 def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
-                        seed: int = 0, backend: Backend | None = None,
-                        k_search: str = "linear") -> GridDrawing:
+                        seed: int = 0, backend: Backend | None = None) -> GridDrawing:
     """Grid and plane coordinates realizing all original comparabilities.
 
     Element x gets grid coordinates (rank in L1, rank in L2) for the
     realizer (L1, L2) of the extended order, so x strictly dominates y in
     the grid exactly when x is above y in the extension.
     """
-    trace = two_dimension_extension(o, strategy, seed, backend, k_search)
+    trace = two_dimension_extension(o, strategy, seed, backend)
     l1, l2 = realizer_from_conjugate(trace.extended, trace.conjugate)
     coords: dict[str, tuple[int, int]] = {}
     plane: dict[str, tuple[Fraction, Fraction]] = {}

@@ -114,21 +114,26 @@ def assignment_satisfies(clauses: Iterable[Iterable[int]], model: Sequence[int])
 
 
 class CdclSolver:
-    """Deterministic conflict-driven solver for small instances."""
+    """Deterministic conflict-driven solver for small instances.
+
+    Values and watch lists are indexed by literal: -v wraps to slot
+    2*nv+1-v at the end of a list of 2*nv+1 slots, so no abs() is needed
+    on the hot paths.  val[lit] is +1 when lit is true, -1 when it is
+    false and 0 when its variable is unassigned.
+    """
 
     def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
         self.nv = num_vars
-        self.assign = [0] * (num_vars + 1)  # 0 unknown, +1 true, -1 false
+        slots = 2 * num_vars + 1
+        self.val = [0] * slots
         self.level = [0] * (num_vars + 1)
         self.reason: list[list[int] | None] = [None] * (num_vars + 1)
         self.trail: list[int] = []
+        self.trail_lim: list[int] = []  # trail length at each decision
         self.qhead = 0
         self.dl = 0
         self.search_head = 1
-        self.watches: dict[int, list[list[int]]] = {}
-        for v in range(1, num_vars + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
+        self.watches: list[list[list[int]]] = [[] for _ in range(slots)]
         self.units: list[int] = []
         self.ok = True
         for cl in clauses:
@@ -150,99 +155,111 @@ class CdclSolver:
         self.watches[lits[0]].append(lits)
         self.watches[lits[1]].append(lits)
 
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
-        var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
+        var = lit if lit > 0 else -lit
+        self.val[lit] = 1
+        self.val[-lit] = -1
         self.level[var] = self.dl
         self.reason[var] = reason
         self.trail.append(lit)
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            wl = self.watches[neg]
-            i = 0
-            while i < len(wl):
+        val, watches, trail = self.val, self.watches, self.trail
+        level, reason, dl = self.level, self.reason, self.dl
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            wl = watches[neg]
+            i, end = 0, len(wl)
+            while i < end:
                 cl = wl[i]
-                if cl[0] == neg:
-                    cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                if self._value(first) == 1:
+                if first == neg:
+                    first = cl[0] = cl[1]
+                    cl[1] = neg
+                if val[first] == 1:
                     i += 1
                     continue
                 for j in range(2, len(cl)):
-                    if self._value(cl[j]) != -1:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        self.watches[cl[1]].append(cl)
-                        wl[i] = wl[-1]
+                    if val[cl[j]] != -1:
+                        cl[1], cl[j] = cl[j], neg
+                        watches[cl[1]].append(cl)
+                        end -= 1
+                        wl[i] = wl[end]
                         wl.pop()
                         break
                 else:
-                    if self._value(first) == -1:
+                    if val[first] == -1:
+                        self.qhead = qhead
                         return cl
-                    self._enqueue(first, cl)
+                    # _enqueue(first, cl), inlined
+                    val[first] = 1
+                    val[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = dl
+                    reason[var] = cl
+                    trail.append(first)
                     i += 1
+        self.qhead = qhead
         return None
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        level, trail, reason, dl = self.level, self.trail, self.reason, self.dl
         learnt: list[int] = [0]
         seen = [False] * (self.nv + 1)
         path = 0
         p = 0
-        index = len(self.trail)
+        index = len(trail)
         confl: list[int] = conflict
         while True:
-            start = 0 if p == 0 else 1
-            for q in confl[start:]:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+            for q in (confl if p == 0 else confl[1:]):
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    if self.level[v] >= self.dl:
+                    if level[v] >= dl:
                         path += 1
                     else:
                         learnt.append(q)
             while True:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                v = p if p > 0 else -p
+                if seen[v]:
                     break
-            seen[abs(p)] = False
+            seen[v] = False
             path -= 1
             if path <= 0:
                 break
-            confl = self.reason[abs(p)]  # type: ignore[assignment]
+            confl = reason[v]  # type: ignore[assignment]
         learnt[0] = -p
         if len(learnt) == 1:
             return learnt, 0
         # watch the highest-level tail literal so the clause asserts on backjump
-        hi = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        hi = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
         learnt[1], learnt[hi] = learnt[hi], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _backjump(self, bl: int) -> None:
-        while self.trail and self.level[abs(self.trail[-1])] > bl:
-            lit = self.trail.pop()
-            var = abs(lit)
-            self.assign[var] = 0
-            self.reason[var] = None
-        self.qhead = len(self.trail)
+        val, reason, trail = self.val, self.reason, self.trail
+        start = self.trail_lim[bl]
+        for lit in trail[start:]:
+            val[lit] = val[-lit] = 0
+            reason[lit if lit > 0 else -lit] = None
+        del trail[start:]
+        del self.trail_lim[bl:]
+        self.qhead = start
         self.dl = bl
         self.search_head = 1
 
     def solve(self) -> Model | None:
         if not self.ok:
             return None
+        val, nv = self.val, self.nv
         for u in self.units:
-            val = self._value(u)
-            if val == -1:
+            if val[u] == -1:
                 return None
-            if val == 0:
+            if val[u] == 0:
                 self._enqueue(u, None)
         while True:
             conflict = self._propagate()
@@ -259,12 +276,13 @@ class CdclSolver:
                     self._enqueue(learnt[0], None)
                 continue
             var = self.search_head
-            while var <= self.nv and self.assign[var] != 0:
+            while var <= nv and val[var] != 0:
                 var += 1
             self.search_head = var
-            if var > self.nv:
-                return [v if self.assign[v] > 0 else -v for v in range(1, self.nv + 1)]
+            if var > nv:
+                return [v if val[v] > 0 else -v for v in range(1, nv + 1)]
             self.dl += 1
+            self.trail_lim.append(len(self.trail))
             self._enqueue(var, None)  # branch: lowest variable, true first
 
 

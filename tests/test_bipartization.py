@@ -9,8 +9,8 @@ from orddraw.graphs import SimpleGraph, is_bipartite_without
 from orddraw.bipartization import (AnnealParams, GeneticParams, OctResult,
                                    brute_force_oct, decode_partition,
                                    decode_removed, encode_oct, min_oct_exact,
-                                   oct_anneal, oct_genetic, oct_greedy,
-                                   peel_to_minimal)
+                                   min_oct_size, oct_anneal, oct_genetic,
+                                   oct_greedy, peel_to_minimal)
 from orddraw.sat import solve_cnf
 
 
@@ -26,6 +26,52 @@ def random_graph(rng, n, p):
 
 def two_triangles():
     return SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def union(parts, links=(), shared=False):
+    """Disjoint union of graphs, then each link (i, a, j, b) joins vertex a
+    of part i to vertex b of part j: by a bridge edge, or with shared=True
+    by merging the two vertices into one."""
+    offset, total = [], 0
+    for h in parts:
+        offset.append(total)
+        total += h.n
+    ident = list(range(total))
+    extra = []
+    for i, a, j, b in links:
+        if shared:
+            ident[offset[j] + b] = ident[offset[i] + a]
+        else:
+            extra.append((offset[i] + a, offset[j] + b))
+    keep = sorted(set(ident))
+    rename = {v: k for k, v in enumerate(keep)}
+    edges = [(rename[ident[o + u]], rename[ident[o + v]])
+             for h, o in zip(parts, offset) for u, v in h.edges]
+    edges += [(rename[ident[u]], rename[ident[v]]) for u, v in extra]
+    return SimpleGraph(len(keep), edges)
+
+
+def complete_graph(k):
+    return SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def chain_links(count, a, b):
+    return [(i, a, i + 1, b) for i in range(count - 1)]
+
+
+# (graph, minimum odd cycle transversal size): families on which branching
+# without the bridge split or the disjoint-cycle bound takes a minute or more
+FAMILIES = {
+    "8 disjoint C11": (union([cycle_graph(11)] * 8), 8),
+    "8 C11 joined by bridges": (union([cycle_graph(11)] * 8, chain_links(8, 5, 0)), 8),
+    "8 K4 joined by bridges": (union([complete_graph(4)] * 8, chain_links(8, 3, 0)), 16),
+    "6 K5 joined by bridges": (union([complete_graph(5)] * 6, chain_links(6, 4, 0)), 18),
+    # consecutive K4s share one vertex: removing the m - 1 shared vertices and
+    # one more vertex in each end block is optimal, m + 1 in all
+    "8 K4 cactus": (union([complete_graph(4)] * 8, chain_links(8, 3, 0), shared=True), 9),
+    # consecutive C5s share one vertex, which hits two cycles at most
+    "9 C5 cactus": (union([cycle_graph(5)] * 9, chain_links(9, 2, 0), shared=True), 5),
+}
 
 
 class TestEncoding:
@@ -107,21 +153,51 @@ class TestExactSearch:
         k4 = SimpleGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert len(min_oct_exact(k4).removed) == 2
 
-    def test_linear_and_binary_agree_with_brute_force(self):
+    def test_agrees_with_brute_force(self):
         rng = random.Random(89)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.7]))
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.2, 0.3, 0.5, 0.7]))
             want = len(brute_force_oct(g).removed)
-            lin = min_oct_exact(g, search="linear")
-            binr = min_oct_exact(g, search="binary")
-            assert len(lin.removed) == want
-            assert len(binr.removed) == want
-            assert is_bipartite_without(g, lin.removed)
-            assert is_bipartite_without(g, binr.removed)
+            k, lower, _ = min_oct_size(g)
+            res = min_oct_exact(g)
+            assert k == want and lower <= want
+            assert len(res.removed) == want
+            assert is_bipartite_without(g, res.removed)
 
-    def test_unknown_search_mode(self):
-        with pytest.raises(ValueError):
-            min_oct_exact(cycle_graph(3), search="magic")
+    def test_returns_the_model_of_the_cnf_at_the_minimum(self):
+        rng = random.Random(113)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(3, 11), rng.choice([0.3, 0.5]))
+            k = len(brute_force_oct(g).removed)
+            if k == 0:
+                continue
+            want = decode_removed(g.n, solve_cnf(encode_oct(g, k)))
+            assert min_oct_exact(g).removed == want
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_known_minima_of_hard_families(self, name):
+        g, want = FAMILIES[name]
+        k, lower, nodes = min_oct_size(g)
+        assert k == want and lower <= want
+        # without the bridge split the bridged K4 and K5 chains need over a
+        # million search nodes; with it every family needs at most 108
+        assert nodes <= 200
+        res = min_oct_exact(g)
+        assert len(res.removed) == want and is_bipartite_without(g, res.removed)
+
+    def test_stats_count_one_solver_call(self):
+        calls = []
+
+        def backend(cnf):
+            calls.append(cnf)
+            return solve_cnf(cnf)
+
+        g = union([complete_graph(4), cycle_graph(5)], [(0, 0, 1, 0)])
+        res = min_oct_exact(g, backend=backend)
+        assert len(calls) == 1
+        assert res.stats["k"] == 3 and res.stats["solver_calls"] == 1
+        assert res.stats["lower_bound"] == 2  # one triangle of K4, the C5
+        assert res.stats["branch_nodes"] >= 1
 
     def test_results_are_deterministic(self):
         g = random_graph(random.Random(97), 9, 0.5)

@@ -112,10 +112,6 @@ class TestDraw:
                          "--seed", "7"]) == 0
             assert "inserted=" in capsys.readouterr().out
 
-    def test_binary_k_search(self, s3_file, capsys):
-        assert main(["draw", "-i", s3_file, "--k-search", "binary"]) == 0
-        assert "inserted=1" in capsys.readouterr().out
-
     def test_cxt_input(self, cxt_file, capsys):
         assert main(["draw", "-i", cxt_file]) == 0
         assert "n=4 inc=2 passes=0 inserted=0" in capsys.readouterr().out

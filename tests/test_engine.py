@@ -100,10 +100,6 @@ class TestExtensionLoop:
             checked += 1
         assert checked >= 80
 
-    def test_binary_search_mode(self):
-        tr = two_dimension_extension(standard_example(3), k_search="binary")
-        assert len(tr.inserted) == 1
-
     def test_callable_strategy_and_name(self):
         from orddraw.bipartization import brute_force_oct
 

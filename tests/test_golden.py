@@ -1,8 +1,10 @@
 """Golden bytes: SVG and JSON output of fixed inputs must not change.
 
 The digests were recorded before the integer collinearity detector and the
-set-based orientation replaced their predecessors; any refactor of render,
-orientation or the engine that moves a byte of these drawings fails here.
+set-based orientation replaced their predecessors, and the exact-path ones
+(`*_sat`) before the branch search replaced the growing-k SAT loop; any
+refactor of render, orientation, bipartization, the SAT solver or the
+engine that moves a byte of these drawings fails here.
 """
 
 import hashlib
@@ -40,6 +42,13 @@ CASES = {
     "intersect_linear_100": lambda: compute_coordinates(random_two_dimensional(100, 4099)),
     "boolean_lattice_3_sat": lambda: compute_coordinates(boolean_lattice(3), strategy="sat"),
     "standard_example_4_sat": lambda: compute_coordinates(standard_example(4), strategy="sat"),
+    # k = 4: a growing-k search proves k = 1, 2, 3 unsatisfiable first
+    "standard_example_6_sat": lambda: compute_coordinates(standard_example(6), strategy="sat"),
+    # one pass, k = 3 on a tig of 68 vertices and 156 edges
+    "random_order_12_sat":
+        lambda: compute_coordinates(random_order(random.Random(18), 12, 0.3), strategy="sat"),
+    # k = 11 on a tig of 110 vertices: the headline exact input
+    "boolean_lattice_4_sat": lambda: compute_coordinates(boolean_lattice(4), strategy="sat"),
     "doctored_chain_perturbed": doctored_chain,
     # greedy's extension puts x1 on the cover edge x9-x8, so perturb moves it
     "random_order_10_greedy_perturbed":
@@ -49,6 +58,8 @@ CASES = {
 GOLDEN = {
     "boolean_lattice_3_sat":
         "ae55a684fcdac2536f4305db1040f36076997d6c738ce2647a7ec6c8394d161e",
+    "boolean_lattice_4_sat":
+        "f957ff93491542ad64e382aee325cfab761e9208b32007dc29aa9ec963c5bffc",
     "doctored_chain_perturbed":
         "1a9b3cbd724fba4114c29149651aa2d3dbcad1943cbd5a749dba680bfd6b18a3",
     "grid_10x10":
@@ -57,8 +68,12 @@ GOLDEN = {
         "bd99632c828870ea1576cc654f6655269b27772adbcdb0e4fa300fad23923d1f",
     "random_order_10_greedy_perturbed":
         "9d252e819b20c2302ead34d849442cded8add92a35225c1a482b099c372d7f1b",
+    "random_order_12_sat":
+        "b653b1bfee700329810d066164ba05f0599070862e54753d869294da79817ad2",
     "standard_example_4_sat":
         "1383a3162c0d2338fc93105d20220c3c6698f6c5cc45ab2ce6078774d7a66bab",
+    "standard_example_6_sat":
+        "5364929fd10f65ce1f6431f11a5cd2ef652cc13ae99bd9ea612244dde8c2cc2c",
 }
 
 

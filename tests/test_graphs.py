@@ -2,11 +2,12 @@
 
 import random
 
+import networkx as nx
 import pytest
 
-from orddraw.graphs import (SimpleGraph, conflict_edge_count, forced_coloring,
-                            is_bipartite_without, odd_cycle_census,
-                            two_coloring)
+from orddraw.graphs import (SimpleGraph, bridges, conflict_edge_count,
+                            forced_coloring, is_bipartite_without,
+                            odd_cycle_census, two_coloring)
 
 
 def cycle_graph(k):
@@ -39,6 +40,36 @@ class TestSimpleGraph:
         g = SimpleGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = False
+
+    def test_neighbors_and_adjacency_match_the_edges(self):
+        rng = random.Random(19)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(0, 12), 0.4)
+            adj = g.adjacency
+            for u in range(g.n):
+                assert g.neighbors(u) == tuple(
+                    w for w in range(g.n) if (min(u, w), max(u, w)) in g.edges)
+                for w in range(g.n):
+                    assert adj[u, w] == g.adjacent(u, w) == (w in g.neighbors(u))
+
+
+class TestBridges:
+    def test_match_networkx(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(0, 25)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.4]))
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(g.edges)
+            want = {(min(u, v), max(u, v)) for u, v in nx.bridges(ref)}
+            assert bridges(g) == want
+
+    def test_path_of_triangles(self):
+        # two triangles joined by the bridge 2-3
+        g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+        assert bridges(g) == {(2, 3)}
+        assert bridges(cycle_graph(5)) == set()
 
 
 class TestTwoColoring:
