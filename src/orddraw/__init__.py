@@ -4,8 +4,8 @@ The package takes a finite order, inserts as few extra comparabilities as
 possible until the result has order dimension at most two, and places the
 elements by their ranks in the resulting realizer.  Along the way it
 exposes the pieces individually: order and lattice construction, transitive
-orientation, the incompatibility graph, SAT-based minimum odd cycle
-transversals, and SVG/TikZ rendering.
+orientation, the incompatibility graph, exact and heuristic minimum odd
+cycle transversals with a CNF export, and SVG/TikZ rendering.
 """
 
 from .bipartization import (AnnealParams, GeneticParams, OctResult,

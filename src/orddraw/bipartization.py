@@ -1,16 +1,16 @@
 """Vertex bipartization (minimum odd cycle transversal).
 
-The exact route first proves the minimum size k combinatorially: odd
-cycles never cross a bridge, so the graph splits into the components left
-after its bridges are removed, and each of those is searched by branching
-on the vertices of an odd cycle, from a lower bound of vertex-disjoint odd
-cycles upwards.  One CNF call at that k then picks the removal set: vertex
+The exact route is combinatorial: odd cycles never cross a bridge, so the
+graph splits into the components left after its bridges are removed, and
+each of those is searched by branching on the vertices of an odd cycle,
+from a lower bound of vertex-disjoint odd cycles upwards.  The search
+lists minimum removal sets in a fixed order and the caller may pick among
+them.  The CNF reduction is kept for export to external solvers: vertex
 i (0-based) gets side variables i+1 and n+i+1 and a removal variable
 2n+i+1; every vertex must take a role, adjacent vertices may not share a
 side, and a sequential counter bounds the removal variables by k.  Greedy,
 annealing and genetic heuristics trade optimality for speed; each one
-repairs its answer to validity and peels it to inclusion-minimality, which
-the drawing engine relies on.
+repairs its answer to validity and peels it to inclusion-minimality.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Callable, Iterator
 
-from .errors import BackendFailure, TooLarge
+from .errors import TooLarge
 from .graphs import (SimpleGraph, bridges, conflict_edge_count,
                      forced_coloring, is_bipartite_without, odd_cycle_census,
                      two_coloring)
-from .sat import Backend, CnfInstance, Model, sinz_at_most_k, solve_cnf
+from .sat import CnfInstance, Model, sinz_at_most_k
+from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,14 @@ def decode_partition(n: int, model: Model) \
     return p1, p2, removed
 
 
-def _bridge_blocks(g: SimpleGraph) -> list[SimpleGraph]:
+def _bridge_blocks(g: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:
     """The non-bipartite components of g minus its bridges, each relabelled
-    to 0..b-1 in ascending vertex order (so neighbour order is kept).
+    to 0..b-1 in ascending vertex order (so neighbour order is kept), with
+    the vertices of g that the local labels stand for.
 
     Every cycle avoids the bridges, so g minus a vertex set is bipartite
     exactly when every block minus it is, and the minimum odd cycle
-    transversal of g is the sum of the blocks' minima.
+    transversals of g are the unions of one minimum transversal per block.
     """
     cut = bridges(g)
     rest = SimpleGraph(g.n, [e for e in g.edges if e not in cut])
@@ -114,11 +117,12 @@ def _bridge_blocks(g: SimpleGraph) -> list[SimpleGraph]:
                 if not seen[w]:
                     seen[w] = True
                     found.append(w)
-        local = {v: i for i, v in enumerate(sorted(found))}
+        vertices = tuple(sorted(found))
+        local = {v: i for i, v in enumerate(vertices)}
         h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
                                      for w in rest.neighbors(u) if u < w])
         if not is_bipartite_without(h):
-            blocks.append(h)
+            blocks.append((h, vertices))
     return blocks
 
 
@@ -139,71 +143,121 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: frozenset[int],
     return cycles
 
 
-def _block_minimum(g: SimpleGraph) -> tuple[int, int, int]:
-    """(minimum transversal size, disjoint-cycle lower bound, search nodes)
-    of one block, by iterative deepening on k from the lower bound.
+def _lazy_product(sources: list[Iterator[frozenset[int]]]) \
+        -> Iterator[tuple[frozenset[int], ...]]:
+    """The tuples of itertools.product(*sources), in its order (the last
+    source varies fastest), drawing each source only as far as needed."""
+    drawn: list[list[frozenset[int]]] = [[] for _ in sources]
 
-    A node removes a vertex set and branches on the vertices of one odd
-    cycle of the rest, since every transversal contains one of them.  A
-    node fails when more disjoint odd cycles remain than its budget, and
-    the sets that failed at the current k are not searched again.
-    """
-    lower = len(_disjoint_odd_cycles(g, frozenset(), g.n))
-    nodes = 0
-    k = lower
-    while True:
-        failed: set[frozenset[int]] = set()
-
-        def fixable(removed: frozenset[int], budget: int) -> bool:
-            nonlocal nodes
-            if removed in failed:
+    def has(i: int, j: int) -> bool:
+        if j == len(drawn[i]):
+            item = next(sources[i], None)
+            if item is None:
                 return False
-            nodes += 1
-            cycles = _disjoint_odd_cycles(g, removed, budget)
-            if not cycles:
-                return True
-            if len(cycles) <= budget:
-                for v in cycles[0]:
-                    if fixable(removed | {v}, budget - 1):
-                        return True
-            failed.add(removed)
-            return False
+            drawn[i].append(item)
+        return True
 
-        if fixable(frozenset(), k):
-            return k, lower, nodes
-        k += 1
+    if not all(has(i, 0) for i in range(len(sources))):
+        return
+    at = [0] * len(sources)
+    while True:
+        yield tuple(d[j] for d, j in zip(drawn, at))
+        i = len(sources) - 1
+        while i >= 0 and not has(i, at[i] + 1):
+            at[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        at[i] += 1
+
+
+# A transversal search lists at most this many sets.
+MAX_TRANSVERSALS = 64
+
+
+class TransversalSearch:
+    """Distinct minimum odd cycle transversals of g, lazily, at most
+    MAX_TRANSVERSALS of them; no SAT call.
+
+    Each bridge block is searched by iterative deepening on k from its
+    lower bound of greedily found vertex-disjoint odd cycles.  A node
+    removes a vertex set and branches on the vertices of one odd cycle of
+    the rest, since every transversal contains one of them; it fails when
+    more disjoint odd cycles remain than its budget.  A node already
+    searched at the current k is not searched again: before the first set
+    this skips exactly the nodes that failed, and after it a repeat could
+    only yield sets already yielded.  The first k that yields anything is
+    the block's minimum, and the block's sets come in depth-first order.
+    The sets of g are unions of one set per block, in product order.
+
+    After the first set, `k` is the minimum size; `lower_bound` sums the
+    blocks' disjoint-cycle bounds and `branch_nodes` counts the nodes
+    searched so far; they accumulate, so iterate a search once.  A
+    bipartite graph yields the empty set alone.
+    """
+
+    def __init__(self, g: SimpleGraph):
+        self.g = g
+        self.k = self.lower_bound = self.branch_nodes = 0
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        per_block = [self._block(h, vertices) for h, vertices in _bridge_blocks(self.g)]
+        for parts in islice(_lazy_product(per_block), MAX_TRANSVERSALS):
+            yield frozenset().union(*parts)
+
+    def _block(self, g: SimpleGraph, vertices: tuple[int, ...]) -> Iterator[frozenset[int]]:
+        lower = len(_disjoint_odd_cycles(g, frozenset(), g.n))
+        self.lower_bound += lower
+        k = lower
+        while True:
+            searched: set[frozenset[int]] = set()
+
+            def search(removed: frozenset[int], budget: int) -> Iterator[frozenset[int]]:
+                searched.add(removed)
+                self.branch_nodes += 1
+                cycles = _disjoint_odd_cycles(g, removed, budget)
+                if not cycles:
+                    yield frozenset(vertices[v] for v in removed)
+                elif len(cycles) <= budget:
+                    for v in cycles[0]:
+                        child = removed | {v}
+                        if child not in searched:
+                            yield from search(child, budget - 1)
+
+            found = search(frozenset(), k)
+            first = next(found, None)
+            if first is not None:
+                self.k += k
+                yield first
+                yield from found
+                return
+            k += 1
 
 
 def min_oct_size(g: SimpleGraph) -> tuple[int, int, int]:
     """(minimum odd cycle transversal size, lower bound, search nodes) of g,
-    summed over its bridge blocks; no SAT call."""
-    k = lower = nodes = 0
-    for h in _bridge_blocks(g):
-        bk, bl, bn = _block_minimum(h)
-        k, lower, nodes = k + bk, lower + bl, nodes + bn
-    return k, lower, nodes
+    read off the first set of the transversal search."""
+    search = TransversalSearch(g)
+    next(iter(search))
+    return search.k, search.lower_bound, search.branch_nodes
 
 
-def min_oct_exact(g: SimpleGraph, backend: Backend | None = None) -> OctResult:
-    """Minimum odd cycle transversal: the size from min_oct_size, the set
-    from one solve of the CNF reduction at that size.
-
-    A fresh deterministic solver on the same CNF returns the same model as
-    any earlier solve of it, so the removal set is the one a search that
-    grows k from 1 would stop at.  A bipartite input short-circuits with
-    the empty set and no solver call.
-    """
-    if is_bipartite_without(g):
-        return OctResult(frozenset(), "sat", True, {
-            "k": 0, "solver_calls": 0, "lower_bound": 0, "branch_nodes": 0})
-    k, lower, nodes = min_oct_size(g)
-    model = solve_cnf(encode_oct(g, k), backend)
-    if model is None:
-        raise BackendFailure(f"no removal set of the proven minimum size {k}")
-    removed = decode_removed(g.n, model)
-    assert len(removed) == k, "decoded removal disagrees with the proven minimum"
+def min_oct_exact(g: SimpleGraph,
+                  accept: Callable[[frozenset[int]], bool] | None = None) -> OctResult:
+    """Minimum odd cycle transversal: the first set of the transversal
+    search that `accept` takes, or its first set if `accept` is None or
+    takes none of them.  Stats count the sets examined."""
+    search = TransversalSearch(g)
+    examined: list[frozenset[int]] = []
+    for removed in search:
+        examined.append(removed)
+        if accept is None or accept(removed):
+            break
+    else:
+        removed = examined[0]
     return _checked(g, removed, "sat", True, {
-        "k": k, "solver_calls": 1, "lower_bound": lower, "branch_nodes": nodes})
+        "k": search.k, "lower_bound": search.lower_bound,
+        "branch_nodes": search.branch_nodes, "examined": len(examined)})
 
 
 def brute_force_oct(g: SimpleGraph, max_vertices: int = 20) -> OctResult:

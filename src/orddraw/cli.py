@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -13,16 +12,13 @@ from pathlib import Path
 from .bipartization import encode_oct
 from .engine import (GridDrawing, compute_coordinates, drawing_to_json,
                      perturbed_labels, weak_dominance_stats)
-from .errors import (BackendFailure, CycleError, EdgeMismatch, ParseError,
-                     OrderViolation, TooLarge, UnknownLabel, Unresolvable)
+from .errors import (CycleError, EdgeMismatch, ParseError, OrderViolation,
+                     TooLarge, UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
 from .orders import OrderRelation, inc_id_pairs
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
-from .sat import ExternalSolver
 from .tig import build_tig
-
-SOLVER_ENV = "ORDDRAW_SAT_CMD"
 
 _INPUT_ERRORS = (ParseError, CycleError, UnknownLabel, TooLarge,
                  OSError, UnicodeDecodeError, ValueError)
@@ -37,8 +33,6 @@ class RunConfig:
     input_format: str = "auto"   # order | cxt | auto
     output_path: str | None = None
     solver: str = "sat"          # sat | greedy | anneal | genetic | brute
-    sat_backend: str = "builtin"  # builtin | external
-    solver_cmd: str | None = None
     seed: int = 0
     perturb: bool = True
     summary_json: str | None = None
@@ -59,16 +53,6 @@ def _load_order(cfg: RunConfig) -> OrderRelation:
     if fmt == "cxt":
         return concept_lattice(parse_cxt(text))
     return parse_order_text(text)
-
-
-def _backend(cfg: RunConfig):
-    if cfg.sat_backend != "external":
-        return None
-    command = cfg.solver_cmd or os.environ.get(SOLVER_ENV)
-    if not command:
-        raise BackendFailure(
-            f"external backend needs --solver-cmd or ${SOLVER_ENV}")
-    return ExternalSolver(command)
 
 
 def _write_bytes(path: str | None, data: bytes) -> None:
@@ -99,8 +83,7 @@ def _emit_drawing(d: GridDrawing, path: str) -> None:
 def cmd_draw(cfg: RunConfig) -> int:
     started = time.perf_counter()
     order = _load_order(cfg)
-    drawing = compute_coordinates(order, strategy=cfg.solver, seed=cfg.seed,
-                                  backend=_backend(cfg))
+    drawing = compute_coordinates(order, strategy=cfg.solver, seed=cfg.seed)
     if cfg.verbose:
         for i, removed in enumerate(drawing.trace.per_pass_removed, start=1):
             names = " ".join(sorted(
@@ -190,10 +173,6 @@ def _parser() -> argparse.ArgumentParser:
     draw.add_argument("--solver",
                       choices=("sat", "greedy", "anneal", "genetic", "brute"),
                       default="sat", help="bipartization strategy")
-    draw.add_argument("--sat-backend", choices=("builtin", "external"),
-                      default="builtin")
-    draw.add_argument("--solver-cmd",
-                      help=f"external SAT solver command (or ${SOLVER_ENV})")
     draw.add_argument("--seed", type=int, default=0,
                       help="seed for randomized strategies")
     draw.add_argument("--no-perturb", action="store_true",
@@ -220,8 +199,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         input_format=ns.input_format,
         output_path=getattr(ns, "output", None),
         solver=getattr(ns, "solver", "sat"),
-        sat_backend=getattr(ns, "sat_backend", "builtin"),
-        solver_cmd=getattr(ns, "solver_cmd", None),
         seed=getattr(ns, "seed", 0),
         perturb=not getattr(ns, "no_perturb", False),
         summary_json=getattr(ns, "summary_json", None),
@@ -243,9 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INVARIANT_ERRORS as exc:
         print(f"orddraw: internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except BackendFailure as exc:
-        print(f"orddraw: solver backend failed: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"orddraw: {exc}", file=sys.stderr)
         return 1

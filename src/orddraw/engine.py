@@ -2,11 +2,14 @@
 
 Until a conjugate order exists, each pass builds the incompatibility graph
 of the current (possibly already extended) order, removes a vertex set that
-makes it bipartite, and inserts the reversed removed pairs.  Removal sets
-are inclusion-minimal, which guarantees that every intermediate relation
-really is an order; this is validated defensively anyway.  New
-incompatibilities can appear after an insertion, so more than one pass may
-be needed; the trace records how many were.
+makes it bipartite, and inserts the reversed removed pairs.  Even an
+inclusion-minimal (or minimum) removal set can reverse into pairs whose
+union with the order is not transitively closed; the insertion rejects
+such a set with OrderViolation instead of closing it.  The exact strategy
+therefore prefers, among the minimum sets its search lists, one whose
+reversal is closed and leaves an order with a conjugate, so it finishes
+in one pass.  New incompatibilities can appear after an insertion, so
+more than one pass may be needed; the trace records how many were.
 
 Coordinates come from the realizer of the extended order: each element's
 position in the two linear extensions.  The plane embedding maps grid
@@ -29,7 +32,6 @@ from .errors import OrderViolation
 from .orders import (IdPair, OrderRelation, Pair, cover_relation,
                      transitive_closure)
 from .orientation import compute_conjugate_order, realizer_from_conjugate
-from .sat import Backend
 from .tig import TigGraph, build_tig
 
 Strategy = Callable[[TigGraph], OctResult]
@@ -72,12 +74,11 @@ class DominanceReport:
     closure_added: int
 
 
-def _strategy_for(name_or_fn: str | Strategy, seed: int,
-                  backend: Backend | None) -> tuple[Strategy, str]:
+def _strategy_for(name_or_fn: str | Strategy, seed: int) -> tuple[Strategy, str]:
     if callable(name_or_fn):
         return name_or_fn, getattr(name_or_fn, "__name__", "custom")
     table: dict[str, Strategy] = {
-        "sat": lambda tg: min_oct_exact(tg.graph, backend=backend),
+        "sat": lambda tg: min_oct_exact(tg.graph, accept=_ends_in_this_pass(tg)),
         "greedy": lambda tg: oct_greedy(tg.graph, seed=seed),
         "anneal": lambda tg: oct_anneal(tg.graph, seed=seed),
         "genetic": lambda tg: oct_genetic(tg.graph, seed=seed),
@@ -88,11 +89,25 @@ def _strategy_for(name_or_fn: str | Strategy, seed: int,
     return table[name_or_fn], name_or_fn
 
 
+def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
+    """Accepts a removal set of tg whose reversal, inserted into tg.order,
+    passes _insert_checked and leaves an order with a conjugate."""
+    def accept(removed: frozenset[int]) -> bool:
+        reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
+        try:
+            extended = _insert_checked(tg.order, reversal)
+        except OrderViolation:
+            return False
+        return compute_conjugate_order(extended) is not None
+    return accept
+
+
 def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]) -> OrderRelation:
     """Add pairs and verify the result is literally an order already.
 
-    With inclusion-minimal removal sets the union needs no further closure;
-    anything else indicates a broken strategy and raises OrderViolation.
+    Inclusion-minimality of the removal set does not make the union
+    transitively closed, and this function does not close it: a union that
+    breaks antisymmetry or misses a transitive pair raises OrderViolation.
     """
     m = current.matrix.copy()
     for a, b in new_pairs:
@@ -106,16 +121,18 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]) -> Ord
 
 
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
-                            seed: int = 0, backend: Backend | None = None) -> ExtensionTrace:
+                            seed: int = 0) -> ExtensionTrace:
     """Insert incomparable pairs until the order has dimension at most 2.
 
     Each pass bipartizes the current incompatibility graph and inserts the
-    reversals of the removed vertices.  The returned trace carries the
-    final extended order and its conjugate.  `strategy` is one of
-    "sat" (exact minimum), "greedy", "anneal", "genetic", or any callable
-    from TigGraph to OctResult (removal must be inclusion-minimal).
+    reversals of the removed vertices; a reversal that is not transitively
+    closed raises OrderViolation (see _insert_checked).  The returned trace
+    carries the final extended order and its conjugate.  `strategy` is one
+    of "sat" (exact minimum, preferring a set that ends the loop in this
+    pass), "greedy", "anneal", "genetic", or any callable from TigGraph to
+    OctResult.
     """
-    run, name = _strategy_for(strategy, seed, backend)
+    run, name = _strategy_for(strategy, seed)
     max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1
     current = o
     inserted: set[IdPair] = set()
@@ -147,14 +164,14 @@ def _check_trace(o: OrderRelation, t: ExtensionTrace) -> None:
 
 
 def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
-                        seed: int = 0, backend: Backend | None = None) -> GridDrawing:
+                        seed: int = 0) -> GridDrawing:
     """Grid and plane coordinates realizing all original comparabilities.
 
     Element x gets grid coordinates (rank in L1, rank in L2) for the
     realizer (L1, L2) of the extended order, so x strictly dominates y in
     the grid exactly when x is above y in the extension.
     """
-    trace = two_dimension_extension(o, strategy, seed, backend)
+    trace = two_dimension_extension(o, strategy, seed)
     l1, l2 = realizer_from_conjugate(trace.extended, trace.conjugate)
     coords: dict[str, tuple[int, int]] = {}
     plane: dict[str, tuple[Fraction, Fraction]] = {}

@@ -1,12 +1,14 @@
 """Tests for the odd-cycle-transversal strategies and their CNF encoding."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, is_bipartite_without
-from orddraw.bipartization import (AnnealParams, GeneticParams, OctResult,
+from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
+                                   GeneticParams, OctResult, TransversalSearch,
                                    brute_force_oct, decode_partition,
                                    decode_removed, encode_oct, min_oct_exact,
                                    min_oct_size, oct_anneal, oct_genetic,
@@ -136,15 +138,11 @@ class TestEncoding:
 
 class TestExactSearch:
     def test_bipartite_short_circuit(self):
-        calls = []
-
-        def backend(cnf):
-            calls.append(cnf)
-            raise AssertionError("no solver call expected")
-
-        res = min_oct_exact(cycle_graph(8), backend=backend)
+        res = min_oct_exact(cycle_graph(8))
         assert res.removed == frozenset()
-        assert res.optimal and res.stats["solver_calls"] == 0
+        assert res.optimal
+        assert res.stats == {"k": 0, "lower_bound": 0, "branch_nodes": 0,
+                             "examined": 1}
 
     def test_known_minima(self):
         assert len(min_oct_exact(cycle_graph(5)).removed) == 1
@@ -164,15 +162,24 @@ class TestExactSearch:
             assert len(res.removed) == want
             assert is_bipartite_without(g, res.removed)
 
-    def test_returns_the_model_of_the_cnf_at_the_minimum(self):
+    def test_without_a_predicate_returns_the_first_listed_set(self):
         rng = random.Random(113)
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 11), rng.choice([0.3, 0.5]))
-            k = len(brute_force_oct(g).removed)
-            if k == 0:
-                continue
-            want = decode_removed(g.n, solve_cnf(encode_oct(g, k)))
-            assert min_oct_exact(g).removed == want
+            res = min_oct_exact(g)
+            assert res.removed == next(iter(TransversalSearch(g)))
+            assert res.stats["examined"] == 1
+
+    def test_predicate_picks_the_first_set_it_accepts(self):
+        g = union([cycle_graph(3)] * 3)
+        listed = list(TransversalSearch(g))
+        assert len(listed) == 27
+        wanted = listed[10]
+        res = min_oct_exact(g, accept=lambda removed: removed == wanted)
+        assert res.removed == wanted and res.stats["examined"] == 11
+        # a predicate that accepts nothing leaves the first set
+        res = min_oct_exact(g, accept=lambda removed: False)
+        assert res.removed == listed[0] and res.stats["examined"] == 27
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_known_minima_of_hard_families(self, name):
@@ -185,23 +192,50 @@ class TestExactSearch:
         res = min_oct_exact(g)
         assert len(res.removed) == want and is_bipartite_without(g, res.removed)
 
-    def test_stats_count_one_solver_call(self):
-        calls = []
-
-        def backend(cnf):
-            calls.append(cnf)
-            return solve_cnf(cnf)
-
+    def test_stats_report_the_search(self):
         g = union([complete_graph(4), cycle_graph(5)], [(0, 0, 1, 0)])
-        res = min_oct_exact(g, backend=backend)
-        assert len(calls) == 1
-        assert res.stats["k"] == 3 and res.stats["solver_calls"] == 1
+        res = min_oct_exact(g)
+        assert set(res.stats) == {"k", "lower_bound", "branch_nodes", "examined"}
+        assert res.stats["k"] == 3
         assert res.stats["lower_bound"] == 2  # one triangle of K4, the C5
         assert res.stats["branch_nodes"] >= 1
+        assert res.stats["examined"] == 1
 
     def test_results_are_deterministic(self):
         g = random_graph(random.Random(97), 9, 0.5)
         assert min_oct_exact(g).removed == min_oct_exact(g).removed
+
+
+class TestTransversalSearch:
+    def test_lists_distinct_minimum_sets(self):
+        rng = random.Random(151)
+        complete = 0
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(3, 10), rng.choice([0.2, 0.3, 0.5, 0.7]))
+            k = len(brute_force_oct(g).removed)
+            listed = list(TransversalSearch(g))
+            assert len(set(listed)) == len(listed) <= MAX_TRANSVERSALS
+            assert all(len(s) == k and is_bipartite_without(g, s) for s in listed)
+            if len(listed) < MAX_TRANSVERSALS:
+                every = {frozenset(c) for c in combinations(range(g.n), k)
+                         if is_bipartite_without(g, c)}
+                assert set(listed) == every
+                complete += 1
+        assert complete >= 100
+
+    def test_blocks_combine_in_product_order(self):
+        triangle = list(TransversalSearch(cycle_graph(3)))
+        assert len(triangle) == 3 and set(triangle) == {frozenset([v]) for v in range(3)}
+        g = union([cycle_graph(3)] * 2, [(0, 2, 1, 0)])  # joined by a bridge
+        want = [a | {v + 3 for v in b} for a in triangle for b in triangle]
+        assert list(TransversalSearch(g)) == want and len(want) == 9
+
+    def test_stops_at_the_cap(self):
+        g = union([cycle_graph(3)] * 4)  # 81 minimum transversals
+        search = TransversalSearch(g)
+        listed = list(search)
+        assert len(set(listed)) == MAX_TRANSVERSALS
+        assert search.k == 4 and search.lower_bound == 4
 
 
 class TestBruteForce:

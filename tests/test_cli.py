@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import sys
 
 import pytest
 
-from orddraw.cli import SOLVER_ENV, main
+from orddraw.bipartization import OctResult, decode_removed
+from orddraw.cli import main
+from orddraw.engine import compute_coordinates
+from orddraw.ingest import parse_order_text
+from orddraw.sat import ExternalSolver, parse_dimacs
 
 S3_TEXT = """\
 # classic three-dimensional example
@@ -140,17 +145,16 @@ class TestDrawErrors:
         assert main(["draw", "-i", str(bad)]) == 1
         assert "cycle" in capsys.readouterr().err
 
-    def test_missing_external_command(self, s3_file, capsys, monkeypatch):
-        monkeypatch.delenv(SOLVER_ENV, raising=False)
-        assert main(["draw", "-i", s3_file, "--sat-backend", "external"]) == 2
-        assert "solver backend failed" in capsys.readouterr().err
-
-    def test_broken_external_solver(self, s3_file, tmp_path, capsys):
-        liar = tmp_path / "liar.sh"
-        liar.write_text("#!/bin/sh\necho garbage\n")
-        liar.chmod(0o755)
-        assert main(["draw", "-i", s3_file, "--sat-backend", "external",
-                     "--solver-cmd", str(liar)]) == 2
+    def test_external_solver_flags_are_usage_errors(self, s3_file, capsys,
+                                                    monkeypatch):
+        for flags in (["--sat-backend", "external"], ["--solver-cmd", "true"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["draw", "-i", s3_file, *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        # the variable that used to name the solver command is ignored
+        monkeypatch.setenv("ORDDRAW_SAT_CMD", "/no/such/solver")
+        assert main(["draw", "-i", s3_file]) == 0
 
     def test_invariant_violations_exit_3(self, s3_file, capsys, monkeypatch):
         from orddraw.errors import OrderViolation
@@ -216,27 +220,23 @@ print('v ' + ' '.join(map(str, out)) + ' 0')
 raise SystemExit(10)
 """
 
-    def test_script_backend_draws(self, s3_file, tmp_path, capsys):
-        # a genuine external solver: a small DPLL script speaking the
-        # competition output dialect
+    def test_script_backend_draws(self, s3_file, tmp_path):
+        # a genuine external solver, a small DPLL script speaking the
+        # competition output dialect, solves the instance `orddraw cnf`
+        # exports; its removal set then drives a drawing as a strategy
         solver = tmp_path / "solves.py"
         solver.write_text(self.DPLL)
-        import sys as _sys
-        cmd = f"{_sys.executable} {solver}"
-        assert main(["draw", "-i", s3_file, "--sat-backend", "external",
-                     "--solver-cmd", cmd]) == 0
-        assert "inserted=1" in capsys.readouterr().out
+        instance = tmp_path / "s3.cnf"
+        assert main(["cnf", "-i", s3_file, "-k", "1", "-o", str(instance)]) == 0
+        cnf = parse_dimacs(instance.read_text())
+        model = ExternalSolver(f"{sys.executable} {solver}")(cnf)
+        assert model is not None
 
-    def test_env_variable_supplies_the_command(self, s3_file, tmp_path,
-                                               capsys, monkeypatch):
-        script = tmp_path / "fromenv.sh"
-        script.write_text("#!/bin/sh\necho 's SATISFIABLE'\necho 'v 0'\n")
-        script.chmod(0o755)
-        monkeypatch.setenv(SOLVER_ENV, str(script))
-        # all-false is rarely a model, so expect a backend failure, which
-        # proves the env command was picked up and executed
-        code = main(["draw", "-i", s3_file, "--sat-backend", "external"])
-        assert code == 2
+        def external(tg):
+            return OctResult(decode_removed(tg.graph.n, model), "external", True)
+
+        d = compute_coordinates(parse_order_text(S3_TEXT), strategy=external)
+        assert d.trace.passes == 1 and len(d.trace.inserted) == 1
 
 
 class TestCnf:

@@ -6,17 +6,64 @@ from fractions import Fraction
 
 import pytest
 
-from orddraw.bipartization import OctResult
-from orddraw.engine import (compute_coordinates, drawing_to_json,
-                            perturbed_labels, two_dimension_extension,
-                            weak_dominance_stats, with_plane)
+from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
+from orddraw.engine import (_insert_checked, compute_coordinates,
+                            drawing_to_json, perturbed_labels,
+                            two_dimension_extension, weak_dominance_stats,
+                            with_plane)
 from orddraw.errors import OrderViolation
+from orddraw.ingest import parse_order_text
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, intersect_linear,
                             standard_example)
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
+from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_min_extension,
                      multipass_order, random_order, scripted_then_exact)
+
+
+# random_order(n=10)#13 of the benchmark's exact corpus at seed 32
+CLOSURE_GAP_ORDER = """\
+elements: x0 x1 x2 x3 x4 x5 x6 x7 x8 x9
+x1 < x0
+x2 < x1
+x2 < x6
+x2 < x8
+x3 < x4
+x3 < x6
+x4 < x0
+x4 < x7
+x5 < x0
+x5 < x7
+x7 < x9
+x8 < x9
+"""
+
+# random_order(n=15)#18 of the same corpus at seed 1007: the first of the 4
+# minimum sets of its tig leaves an order that needs a second pass
+SECOND_PASS_ORDER = """\
+elements: x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14
+x0 < x1
+x10 < x14
+x10 < x8
+x11 < x8
+x11 < x9
+x12 < x10
+x12 < x4
+x13 < x1
+x13 < x11
+x2 < x13
+x3 < x10
+x3 < x7
+x4 < x11
+x4 < x6
+x5 < x13
+x5 < x4
+x6 < x0
+x7 < x1
+x7 < x11
+x9 < x14
+"""
 
 
 def random_height1(rng, lo, hi, p):
@@ -130,6 +177,33 @@ class TestMultiPass:
         tr = two_dimension_extension(multipass_order())
         assert tr.passes == 1
         assert len(tr.inserted) == 2
+
+    def test_exact_strategy_prefers_a_closed_reversal(self):
+        # one of the 9 minimum sets (k = 3) of this order's tig reverses into
+        # pairs that are not transitively closed, and a CNF solver picked it
+        o = parse_order_text(CLOSURE_GAP_ORDER)
+        tg = build_tig(o)
+        gaps = 0
+        for removed in TransversalSearch(tg.graph):
+            try:
+                _insert_checked(o, frozenset((b, a) for a, b in
+                                             (tg.vertices[v] for v in removed)))
+            except OrderViolation:
+                gaps += 1
+        assert gaps == 1
+        tr = two_dimension_extension(o, strategy="sat")
+        assert tr.passes == 1 and len(tr.inserted) == 3
+        assert weak_dominance_stats(compute_coordinates(o)).count == 3
+        assert_valid_trace(o, tr)
+
+    def test_exact_strategy_skips_a_set_that_needs_another_pass(self):
+        o = parse_order_text(SECOND_PASS_ORDER)
+        first = two_dimension_extension(
+            o, strategy=lambda tg: min_oct_exact(tg.graph))
+        assert [len(r) for r in first.per_pass_removed] == [3, 1]
+        tr = two_dimension_extension(o, strategy="sat")
+        assert tr.passes == 1 and len(tr.inserted) == 3
+        assert_valid_trace(o, tr)
 
 
 class TestDefensiveChecks:
