@@ -41,7 +41,8 @@ class OctResult:
 
 def _checked(g: SimpleGraph, removed: frozenset[int], method: str,
              optimal: bool, stats: dict) -> OctResult:
-    assert is_bipartite_without(g, removed), f"{method} produced a non-solution"
+    if not is_bipartite_without(g, removed):  # an explicit raise survives python -O
+        raise AssertionError(f"{method} produced a non-solution")
     return OctResult(removed, method, optimal, stats)
 
 
@@ -275,16 +276,55 @@ def brute_force_oct(g: SimpleGraph, max_vertices: int = 20) -> OctResult:
 
 
 def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
-    """Drop vertices from a valid removal set until it is inclusion-minimal."""
+    """Drop vertices from a valid removal set until it is inclusion-minimal.
+
+    One ascending pass returns each vertex whose return leaves the rest
+    bipartite.  A vertex the pass keeps stays needed: the set only shrinks
+    afterwards, so the graph it would rejoin only grows and keeps its odd
+    cycle; a second pass would drop nothing.  The kept graph is held as a
+    union-find in which each vertex stores its colour relative to its
+    parent.  A vertex may return when, within each component, its kept
+    neighbours all have one colour; it then joins those components with the
+    other colour, so each check costs its degree rather than a two-colouring
+    of the graph.  A set whose rest is not bipartite comes back unchanged.
+    """
+    removed = frozenset(removed)
+    parent = list(range(g.n))
+    parity = [0] * g.n  # colour relative to the parent
+
+    def find(v: int) -> tuple[int, int]:
+        """(root, colour relative to the root) of v, compressing its path."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        colour = 0
+        for x in reversed(path):
+            colour ^= parity[x]
+            parity[x], parent[x] = colour, v
+        return v, colour
+
+    for u, w in g.edges:
+        if u in removed or w in removed:
+            continue
+        (ru, cu), (rw, cw) = find(u), find(w)
+        if ru == rw:
+            if cu == cw:
+                return removed
+        else:
+            parent[ru], parity[ru] = rw, cu ^ cw ^ 1
     cur = set(removed)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(cur):
-            rest = cur - {v}
-            if is_bipartite_without(g, rest):
-                cur = rest
-                changed = True
+    for v in sorted(removed):
+        sides: dict[int, int] = {}  # root -> colour of v's neighbours there
+        for w in g.neighbors(v):
+            if w not in cur:
+                root, colour = find(w)
+                if sides.setdefault(root, colour) != colour:
+                    break
+        else:
+            cur.discard(v)
+            for root, colour in sides.items():
+                parent[root], parity[root] = v, colour ^ 1
     return frozenset(cur)
 
 
@@ -307,6 +347,10 @@ def oct_greedy(g: SimpleGraph, seed: int = 0) -> OctResult:
     return _checked(g, final, "greedy", False, {"iterations": iterations})
 
 
+# The labels an annealing move may give a vertex, by its current label.
+_OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
+
+
 @dataclass(frozen=True)
 class AnnealParams:
     t0: float = 1.0
@@ -319,9 +363,12 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     """Simulated annealing over (side, side, removed) vertex labelings.
 
     Energy counts removals plus a heavy penalty per monochromatic edge, so
-    low energy means a clean two-coloring with few removals.  The final
-    state is repaired and peeled, so the result is always valid and
-    inclusion-minimal, just not necessarily optimal.
+    low energy means a clean two-coloring with few removals.  Each vertex
+    keeps the count of its neighbours under each label; a step reads its
+    energy change off those counts, and only an accepted move updates them,
+    over the moved vertex's neighbours.  The final state is repaired and
+    peeled, so the result is always valid and inclusion-minimal, just not
+    necessarily optimal.
     """
     p = params or AnnealParams()
     rng = random.Random(seed)
@@ -330,23 +377,28 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
         return OctResult(frozenset(), "anneal", g.m == 0, {"steps": 0})
     weight = n + 1
     labels = [rng.randrange(3) for _ in range(n)]  # 0/1 sides, 2 removed
-
-    def vertex_cost(v: int, lab: int) -> int:
-        if lab == 2:
-            return 0
-        return sum(1 for w in g.neighbors(v) if labels[w] == lab)
+    same = [[0, 0, 0] for _ in range(n)]  # same[v][label]: neighbours of v under label
+    for v in range(n):
+        for w in g.neighbors(v):
+            same[v][labels[w]] += 1
 
     temp = p.t0
     accepted = 0
     for _ in range(p.steps):
         v = rng.randrange(n)
         old = labels[v]
-        new = rng.choice([l for l in (0, 1, 2) if l != old])
-        delta = weight * (vertex_cost(v, new) - vertex_cost(v, old))
+        new = rng.choice(_OTHER_LABELS[old])
+        counts = same[v]
+        # a removed vertex (label 2) costs nothing
+        delta = weight * ((counts[new] if new != 2 else 0) - (counts[old] if old != 2 else 0))
         delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
         if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
             labels[v] = new
             accepted += 1
+            for w in g.neighbors(v):
+                counts = same[w]
+                counts[old] -= 1
+                counts[new] += 1
         temp *= p.alpha
     removed = _repair(g, {v for v in range(n) if labels[v] == 2})
     final = peel_to_minimal(g, frozenset(removed))

@@ -294,8 +294,9 @@ def solve_cnf(cnf: CnfInstance, backend: Backend | None = None) -> Model | None:
     """
     if backend is None:
         model = CdclSolver(cnf.num_vars, cnf.clauses).solve()
-        if model is not None:
-            assert assignment_satisfies(cnf.clauses, model)
+        # an explicit raise, not an assert, so the check survives python -O
+        if model is not None and not assignment_satisfies(cnf.clauses, model):
+            raise AssertionError("the built-in solver's model does not satisfy the formula")
         return model
     model = backend(cnf)
     if model is not None and not assignment_satisfies(cnf.clauses, model):

@@ -278,3 +278,56 @@ def order_from_downsets(down: tuple[int, ...], n: int) -> OrderRelation:
             if down[i] >> j & 1:
                 m[j, i] = True
     return OrderRelation(GroundSet([f"e{i}" for i in range(n)]), m)
+
+
+def peel_to_minimal_by_bfs(g, removed):
+    """Inclusion-minimal peel by rounds of full two-colourings: drop each
+    vertex, in ascending order, whose return leaves the rest bipartite, and
+    repeat until a round drops nothing."""
+    from orddraw.graphs import is_bipartite_without
+    cur = set(removed)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(cur):
+            rest = cur - {v}
+            if is_bipartite_without(g, rest):
+                cur = rest
+                changed = True
+    return frozenset(cur)
+
+
+def anneal_by_recount(g, seed=0, params=None):
+    """(removed, accepted) of the annealing strategy, recounting each
+    vertex's same-label neighbours on every step and peeling by rounds of
+    two-colourings; the reference for oct_anneal."""
+    import math
+    from orddraw.bipartization import AnnealParams, _repair
+    from orddraw.graphs import is_bipartite_without
+    p = params or AnnealParams()
+    rng = random.Random(seed)
+    n = g.n
+    if n == 0 or is_bipartite_without(g):
+        return frozenset(), 0
+    weight = n + 1
+    labels = [rng.randrange(3) for _ in range(n)]
+
+    def vertex_cost(v, lab):
+        if lab == 2:
+            return 0
+        return sum(1 for w in g.neighbors(v) if labels[w] == lab)
+
+    temp = p.t0
+    accepted = 0
+    for _ in range(p.steps):
+        v = rng.randrange(n)
+        old = labels[v]
+        new = rng.choice([l for l in (0, 1, 2) if l != old])
+        delta = weight * (vertex_cost(v, new) - vertex_cost(v, old))
+        delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
+        if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
+            labels[v] = new
+            accepted += 1
+        temp *= p.alpha
+    removed = _repair(g, {v for v in range(n) if labels[v] == 2})
+    return peel_to_minimal_by_bfs(g, removed), accepted

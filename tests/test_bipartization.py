@@ -1,7 +1,11 @@
 """Tests for the odd-cycle-transversal strategies and their CNF encoding."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +16,11 @@ from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
                                    brute_force_oct, decode_partition,
                                    decode_removed, encode_oct, min_oct_exact,
                                    min_oct_size, oct_anneal, oct_genetic,
-                                   oct_greedy, peel_to_minimal)
+                                   oct_greedy, peel_to_minimal, _repair)
 from orddraw.sat import solve_cnf
+from oracles import anneal_by_recount, peel_to_minimal_by_bfs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def cycle_graph(k):
@@ -261,6 +268,31 @@ class TestPeeling:
         g = cycle_graph(5)
         assert peel_to_minimal(g, frozenset([2])) == frozenset([2])
 
+    def test_matches_the_bfs_rounds(self):
+        """One union-find pass peels exactly as rounds of two-colourings do,
+        for repaired sets, for arbitrary sets and for sets whose rest is not
+        bipartite (which both return unchanged)."""
+        rng = random.Random(163)
+        invalid = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
+            start = {v for v in range(g.n) if rng.random() < rng.choice([0.1, 0.3, 0.6])}
+            repaired = frozenset(_repair(g, set(start)))
+            assert peel_to_minimal(g, repaired) == peel_to_minimal_by_bfs(g, repaired)
+            arbitrary = frozenset(start)
+            peeled = peel_to_minimal(g, arbitrary)
+            assert peeled == peel_to_minimal_by_bfs(g, arbitrary)
+            if not is_bipartite_without(g, arbitrary):
+                invalid += 1
+                assert peeled == arbitrary
+        assert invalid >= 100
+
+    def test_long_odd_cycle_keeps_its_last_vertex(self):
+        # an odd cycle of 2001 vertices with every vertex removed: each
+        # return joins the path grown so far, and the last one closes it
+        g = cycle_graph(2001)
+        assert peel_to_minimal(g, frozenset(range(g.n))) == frozenset([g.n - 1])
+
 
 class TestHeuristics:
     @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal, oct_genetic])
@@ -304,7 +336,54 @@ class TestHeuristics:
         assert all(v >= 0 for v in slack.values())
         assert slack["greedy"] <= 5
 
+    def test_anneal_matches_the_recounting_loop(self):
+        """Incremental neighbour-label counts make the same moves, so the
+        removed set and the accepted count equal the recounting loop's."""
+        rng = random.Random(167)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(3, 30), rng.choice([0.1, 0.3, 0.5, 0.8]))
+            seed = rng.randrange(1000)
+            params = AnnealParams(steps=rng.choice([50, 300, 1000]))
+            res = oct_anneal(g, seed=seed, params=params)
+            removed, accepted = anneal_by_recount(g, seed=seed, params=params)
+            assert res.removed == removed
+            assert res.stats.get("accepted", 0) == accepted
+
     def test_greedy_stats_report_iterations(self):
         res = oct_greedy(two_triangles())
         assert res.method == "greedy"
         assert res.stats["iterations"] >= len(res.removed)
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a Python snippet under python -O, with assert statements off."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestChecksUnderOptimize:
+    def test_invalid_removal_set_exits_3(self, tmp_path):
+        path = tmp_path / "s3.order"
+        path.write_text("a1 < b2\na1 < b3\na2 < b1\na2 < b3\na3 < b1\na3 < b2\n")
+        script = (
+            "import sys\n"
+            "import orddraw.bipartization as b\n"
+            "from orddraw.cli import main\n"
+            "b.peel_to_minimal = lambda g, removed: frozenset()\n"
+            f"sys.exit(main(['draw', '-i', {str(path)!r}, '--solver', 'greedy']))\n")
+        done = run_optimized(script)
+        assert done.returncode == 3, done.stderr
+        assert "greedy produced a non-solution" in done.stderr
+
+    def test_wrong_solver_model_raises(self):
+        script = (
+            "from orddraw import sat\n"
+            "sat.CdclSolver.solve = lambda self: [-1, -2]\n"
+            "try:\n"
+            "    sat.solve_cnf(sat.CnfInstance(2, ((1, 2),), {}))\n"
+            "except AssertionError as exc:\n"
+            "    print('caught:', exc)\n")
+        done = run_optimized(script)
+        assert done.returncode == 0, done.stderr
+        assert "caught: " in done.stdout

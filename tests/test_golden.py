@@ -4,7 +4,12 @@ The digests were recorded before the integer collinearity detector and the
 set-based orientation replaced their predecessors, and the exact-path ones
 (`*_sat`) before the branch search replaced the growing-k SAT loop; only
 `random_order_12_sat` was re-recorded since, when the removal set stopped
-coming from a SAT call (see its case).  Any refactor of render,
+coming from a SAT call (see its case).  The strategies pinned are `sat`
+(the `*_sat` cases), `greedy`, `anneal` and `genetic` (one case each, or
+two for anneal, named after the strategy), plus the two-dimensional path,
+which calls no strategy.  The anneal and genetic digests were recorded
+before the union-find peel and the incremental anneal counts replaced the
+BFS-per-candidate peel and the recounting loop.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 """
@@ -50,6 +55,8 @@ CASES = {
     # the branch search replaced the SAT call: it inserts another minimum
     # set, x10 < x1, x3 < x1, x7 < x5 instead of x10 < x1, x10 < x7,
     # x11 < x3, still with 3 false comparabilities
+    "random_order_12_genetic":
+        "c242998ac91e896527ee6afdf080def11e68e886a11beffcc8df4859438bb1bb",
     "random_order_12_sat":
         lambda: compute_coordinates(random_order(random.Random(18), 12, 0.3), strategy="sat"),
     # k = 11 on a tig of 110 vertices: the headline exact input
@@ -58,6 +65,14 @@ CASES = {
     # greedy's extension puts x1 on the cover edge x9-x8, so perturb moves it
     "random_order_10_greedy_perturbed":
         lambda: compute_coordinates(random_order(random.Random(134), 10), strategy="greedy"),
+    # dense orders that draw in one pass; anneal removes 8 and 14 tig vertices
+    "random_order_30_anneal":
+        lambda: compute_coordinates(random_order(random.Random(0), 30, 0.45), strategy="anneal"),
+    "random_order_30b_anneal":
+        lambda: compute_coordinates(random_order(random.Random(2), 30, 0.45), strategy="anneal"),
+    # one pass, 2 tig vertices removed
+    "random_order_12_genetic":
+        lambda: compute_coordinates(random_order(random.Random(5), 12, 0.3), strategy="genetic"),
 }
 
 GOLDEN = {
@@ -73,6 +88,12 @@ GOLDEN = {
         "bd99632c828870ea1576cc654f6655269b27772adbcdb0e4fa300fad23923d1f",
     "random_order_10_greedy_perturbed":
         "9d252e819b20c2302ead34d849442cded8add92a35225c1a482b099c372d7f1b",
+    "random_order_30_anneal":
+        "e018f2522c23f6fa7f99771827b9a11ec983cd1c9b52b234bd578f1801e54ea5",
+    "random_order_30b_anneal":
+        "2ce086def39cf8c935890322a69c199655e6932d0898a0f4ede13987e96816d6",
+    "random_order_12_genetic":
+        "c242998ac91e896527ee6afdf080def11e68e886a11beffcc8df4859438bb1bb",
     "random_order_12_sat":
         "f9d2dc488055a1bbe38ab992d059b9d71a29de8ebfccf2bf3f8440f6947c3142",
     "standard_example_4_sat":
