@@ -366,9 +366,11 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     low energy means a clean two-coloring with few removals.  Each vertex
     keeps the count of its neighbours under each label; a step reads its
     energy change off those counts, and only an accepted move updates them,
-    over the moved vertex's neighbours.  The final state is repaired and
-    peeled, so the result is always valid and inclusion-minimal, just not
-    necessarily optimal.
+    over the moved vertex's neighbours.  The vertex and the new label of a
+    move are drawn inline with the getrandbits rejection draws that
+    randrange and choice make, so the random stream is theirs.  The final
+    state is repaired and peeled, so the result is always valid and
+    inclusion-minimal, just not necessarily optimal.
     """
     p = params or AnnealParams()
     rng = random.Random(seed)
@@ -378,24 +380,34 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     weight = n + 1
     labels = [rng.randrange(3) for _ in range(n)]  # 0/1 sides, 2 removed
     same = [[0, 0, 0] for _ in range(n)]  # same[v][label]: neighbours of v under label
+    nbrs = [g.neighbors(v) for v in range(n)]
     for v in range(n):
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             same[v][labels[w]] += 1
 
+    getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
+    bits = n.bit_length()
     temp = p.t0
     accepted = 0
     for _ in range(p.steps):
-        v = rng.randrange(n)
+        # rng.randrange(n), then rng.choice of a pair, as CPython draws them:
+        # fresh k-bit draws until one falls below the bound
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        pick = getrandbits(2)
+        while pick >= 2:
+            pick = getrandbits(2)
         old = labels[v]
-        new = rng.choice(_OTHER_LABELS[old])
+        new = _OTHER_LABELS[old][pick]
         counts = same[v]
         # a removed vertex (label 2) costs nothing
         delta = weight * ((counts[new] if new != 2 else 0) - (counts[old] if old != 2 else 0))
         delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
-        if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
+        if delta <= 0 or (temp > 1e-12 and uniform() < exp(-delta / temp)):
             labels[v] = new
             accepted += 1
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 counts = same[w]
                 counts[old] -= 1
                 counts[new] += 1

@@ -100,13 +100,14 @@ def cmd_draw(cfg: RunConfig) -> int:
         _emit_drawing(drawing, cfg.output_path)
     report = weak_dominance_stats(drawing)
     elapsed = time.perf_counter() - started
-    print(f"n={order.n} inc={len(inc_id_pairs(order))} "
+    inc = len(inc_id_pairs(order))
+    print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "
           f"false_comparabilities={report.count} time={elapsed:.3f}s")
     if cfg.summary_json:
         summary = {
             "n": order.n,
-            "incomparable_pairs": len(inc_id_pairs(order)),
+            "incomparable_pairs": inc,
             "passes": drawing.trace.passes,
             "inserted": len(drawing.trace.inserted),
             "inserted_pairs": [list(p) for p in drawing.trace.inserted_labels()],

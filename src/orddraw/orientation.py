@@ -27,16 +27,12 @@ Arc = tuple[int, int]
 
 def comparability_graph(o: OrderRelation) -> SimpleGraph:
     strict = o.matrix & ~np.eye(o.n, dtype=bool)
-    both = strict | strict.T
-    edges = [(int(i), int(j)) for i, j in np.argwhere(np.triu(both))]
-    return SimpleGraph(o.n, edges)
+    return SimpleGraph.from_matrix(strict | strict.T)
 
 
 def cocomparability_graph(o: OrderRelation) -> SimpleGraph:
     """One edge per incomparable (unordered) pair."""
-    inc = ~(o.matrix | o.matrix.T)
-    edges = [(int(i), int(j)) for i, j in np.argwhere(np.triu(inc))]
-    return SimpleGraph(o.n, edges)
+    return SimpleGraph.from_matrix(~(o.matrix | o.matrix.T))
 
 
 def transitive_orientation(g: SimpleGraph) -> frozenset[Arc] | None:

@@ -280,6 +280,23 @@ def order_from_downsets(down: tuple[int, ...], n: int) -> OrderRelation:
     return OrderRelation(GroundSet([f"e{i}" for i in range(n)]), m)
 
 
+def build_tig_by_edge_list(o: OrderRelation):
+    """Incompatibility graph of o from one np.ix_ gather and a Python list
+    of its upper-triangle edges; the reference for build_tig."""
+    from orddraw.graphs import SimpleGraph
+    from orddraw.orders import inc_id_pairs
+    from orddraw.tig import TigGraph
+    verts = tuple(inc_id_pairs(o))
+    if not verts:
+        return TigGraph(o, (), SimpleGraph(0))
+    firsts = np.fromiter((a for a, _ in verts), dtype=np.intp, count=len(verts))
+    seconds = np.fromiter((b for _, b in verts), dtype=np.intp, count=len(verts))
+    reach = o.matrix[np.ix_(seconds, firsts)]
+    adjacency = reach & reach.T
+    edges = [(int(i), int(j)) for i, j in np.argwhere(np.triu(adjacency, 1))]
+    return TigGraph(o, verts, SimpleGraph(len(verts), edges))
+
+
 def peel_to_minimal_by_bfs(g, removed):
     """Inclusion-minimal peel by rounds of full two-colourings: drop each
     vertex, in ascending order, whose return leaves the rest bipartite, and

@@ -340,14 +340,36 @@ class TestHeuristics:
         """Incremental neighbour-label counts make the same moves, so the
         removed set and the accepted count equal the recounting loop's."""
         rng = random.Random(167)
-        for _ in range(200):
-            g = random_graph(rng, rng.randint(3, 30), rng.choice([0.1, 0.3, 0.5, 0.8]))
+        for i in range(200):
+            if i % 5:
+                g = random_graph(rng, rng.randint(3, 30), rng.choice([0.1, 0.3, 0.5, 0.8]))
+            else:  # larger graphs draw vertices with more bits per draw
+                g = random_graph(rng, rng.randint(31, 200), rng.choice([0.02, 0.05, 0.1]))
             seed = rng.randrange(1000)
             params = AnnealParams(steps=rng.choice([50, 300, 1000]))
             res = oct_anneal(g, seed=seed, params=params)
             removed, accepted = anneal_by_recount(g, seed=seed, params=params)
             assert res.removed == removed
             assert res.stats.get("accepted", 0) == accepted
+
+    def test_bit_draws_match_randrange_and_choice(self):
+        """oct_anneal draws its vertex and its new label inline, as CPython's
+        randrange(n) and choice(pair) do; a change to those fails here."""
+
+        def draw_below(rng, n):
+            bits = n.bit_length()
+            r = rng.getrandbits(bits)
+            while r >= n:
+                r = rng.getrandbits(bits)
+            return r
+
+        for seed in (0, 1, 167, 2 ** 40 + 3):
+            mine, ref = random.Random(seed), random.Random(seed)
+            for n in range(1, 2049):
+                assert draw_below(mine, n) == ref.randrange(n)
+                pair = (n, -n)
+                assert pair[draw_below(mine, 2)] == ref.choice(pair)
+            assert mine.random() == ref.random()
 
     def test_greedy_stats_report_iterations(self):
         res = oct_greedy(two_triangles())

@@ -6,10 +6,12 @@ set-based orientation replaced their predecessors, and the exact-path ones
 `random_order_12_sat` was re-recorded since, when the removal set stopped
 coming from a SAT call (see its case).  The strategies pinned are `sat`
 (the `*_sat` cases), `greedy`, `anneal` and `genetic` (one case each, or
-two for anneal, named after the strategy), plus the two-dimensional path,
+three for anneal, named after the strategy), plus the two-dimensional path,
 which calls no strategy.  The anneal and genetic digests were recorded
 before the union-find peel and the incremental anneal counts replaced the
-BFS-per-candidate peel and the recounting loop.  Any refactor of render,
+BFS-per-candidate peel and the recounting loop, and
+`grid_8x8_lattice_flipped_anneal` before the tig and the comparability
+graphs were built straight from their matrices.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 """
@@ -21,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 from orddraw.engine import compute_coordinates, drawing_to_json
+from orddraw.ingest import FormalContext, concept_lattice
 from orddraw.orders import (GroundSet, boolean_lattice, chain, grid,
                             intersect_linear, linear_from_sequence,
                             standard_example)
@@ -39,6 +42,19 @@ def random_two_dimensional(n: int, seed: int):
     return intersect_linear(extensions)
 
 
+def flipped_grid_lattice(rows: int, cols: int, seed: int):
+    """Concept lattice of the context (X, X, <=) of grid(rows, cols) with
+    one to three incidence cells flipped by a seeded draw."""
+    o = grid(rows, cols)
+    incidence = [list(row) for row in o.matrix]
+    rng = random.Random(seed)
+    for _ in range(rng.choice([1, 2, 3])):
+        i, j = rng.randrange(o.n), rng.randrange(o.n)
+        incidence[i][j] = not incidence[i][j]
+    names = tuple(f"e{i}" for i in range(o.n))
+    return concept_lattice(FormalContext(names, names, incidence))
+
+
 def doctored_chain():
     """chain(3) with the single cover edge x1-x3, so x2 sits on it."""
     return replace(compute_coordinates(chain(3)), cover_edges=(("x1", "x3"),))
@@ -55,8 +71,6 @@ CASES = {
     # the branch search replaced the SAT call: it inserts another minimum
     # set, x10 < x1, x3 < x1, x7 < x5 instead of x10 < x1, x10 < x7,
     # x11 < x3, still with 3 false comparabilities
-    "random_order_12_genetic":
-        "c242998ac91e896527ee6afdf080def11e68e886a11beffcc8df4859438bb1bb",
     "random_order_12_sat":
         lambda: compute_coordinates(random_order(random.Random(18), 12, 0.3), strategy="sat"),
     # k = 11 on a tig of 110 vertices: the headline exact input
@@ -70,6 +84,10 @@ CASES = {
         lambda: compute_coordinates(random_order(random.Random(0), 30, 0.45), strategy="anneal"),
     "random_order_30b_anneal":
         lambda: compute_coordinates(random_order(random.Random(2), 30, 0.45), strategy="anneal"),
+    # 66 concepts, a tig of 1752 vertices: the only case large enough to pin
+    # the neighbour order of a big tig; two passes remove 90 and 62 vertices
+    "grid_8x8_lattice_flipped_anneal":
+        lambda: compute_coordinates(flipped_grid_lattice(8, 8, 14), strategy="anneal"),
     # one pass, 2 tig vertices removed
     "random_order_12_genetic":
         lambda: compute_coordinates(random_order(random.Random(5), 12, 0.3), strategy="genetic"),
@@ -82,6 +100,8 @@ GOLDEN = {
         "f957ff93491542ad64e382aee325cfab761e9208b32007dc29aa9ec963c5bffc",
     "doctored_chain_perturbed":
         "1a9b3cbd724fba4114c29149651aa2d3dbcad1943cbd5a749dba680bfd6b18a3",
+    "grid_8x8_lattice_flipped_anneal":
+        "d77770a23a0bcb255eac12e94da27b580bea21908278e892f63f53ff795f1ae1",
     "grid_10x10":
         "dd964e6ad3602293117172e8324de5a68d074baade6e331b2c90517c62ac47a8",
     "intersect_linear_100":

@@ -3,7 +3,9 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.graphs import (SimpleGraph, bridges, conflict_edge_count,
                             forced_coloring, is_bipartite_without,
@@ -51,6 +53,52 @@ class TestSimpleGraph:
                     w for w in range(g.n) if (min(u, w), max(u, w)) in g.edges)
                 for w in range(g.n):
                     assert adj[u, w] == g.adjacent(u, w) == (w in g.neighbors(u))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric boolean matrices with a false diagonal, n <= 60."""
+    n = draw(st.integers(0, 60))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+class TestFromMatrix:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices())
+    def test_matches_the_edge_list_constructor(self, adj):
+        n = len(adj)
+        g = SimpleGraph.from_matrix(adj)
+        ref = SimpleGraph(n, [(int(u), int(v)) for u, v in np.argwhere(adj)])
+        assert g.n == ref.n == n
+        assert g.edges == ref.edges
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+        for u in range(n):
+            assert g.neighbors(u) == ref.neighbors(u)
+            for w in range(n):
+                assert g.adjacent(u, w) == ref.adjacent(u, w) == bool(adj[u, w])
+
+    def test_empty_and_edgeless(self):
+        assert SimpleGraph.from_matrix(np.zeros((0, 0), dtype=bool)).n == 0
+        g = SimpleGraph.from_matrix(np.zeros((4, 4), dtype=bool))
+        assert (g.n, g.edges) == (4, ())
+        assert all(g.neighbors(u) == () for u in range(4))
+
+    def test_rejects_malformed_matrices(self):
+        asymmetric = np.zeros((3, 3), dtype=bool)
+        asymmetric[0, 1] = True
+        with pytest.raises(ValueError, match="not symmetric"):
+            SimpleGraph.from_matrix(asymmetric)
+        with pytest.raises(ValueError, match="not square"):
+            SimpleGraph.from_matrix(np.zeros((2, 3), dtype=bool))
+        with pytest.raises(ValueError, match="not square"):
+            SimpleGraph.from_matrix(np.zeros(4, dtype=bool))
+        loop = np.zeros((3, 3), dtype=bool)
+        loop[2, 2] = True
+        with pytest.raises(ValueError, match="loop at vertex 2"):
+            SimpleGraph.from_matrix(loop)
 
 
 class TestBridges:

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from orddraw.errors import NotIncomparable
+from orddraw.ingest import FormalContext, concept_lattice
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, standard_example)
 from orddraw.tig import (Bipartition, bipartite_check, build_tig, enforces,
                          incompatible, to_dot)
-from oracles import has_cycle_with, random_order
+from oracles import build_tig_by_edge_list, has_cycle_with, random_order
 
 
 class TestPairPredicates:
@@ -123,6 +124,23 @@ class TestBuildTig:
                 for j in range(i + 1, len(g.vertices)):
                     q = g.vertices[j]
                     assert g.graph.adjacent(i, j) == incompatible(p, q, o)
+
+    def test_matches_the_edge_list_build(self):
+        rng = random.Random(173)
+        for i in range(200):
+            if i % 2:
+                o = random_order(rng, rng.randint(1, 24))
+            else:
+                g, m = rng.randint(1, 10), rng.randint(1, 8)
+                density = rng.choice([0.2, 0.4, 0.6])
+                rows = [[rng.random() < density for _ in range(m)] for _ in range(g)]
+                o = concept_lattice(FormalContext(
+                    tuple(f"g{j}" for j in range(g)), tuple(f"m{j}" for j in range(m)), rows))
+            tg, ref = build_tig(o), build_tig_by_edge_list(o)
+            assert tg.vertices == ref.vertices
+            assert tg.graph.edges == ref.graph.edges
+            assert [tg.graph.neighbors(v) for v in range(len(tg.vertices))] \
+                == [ref.graph.neighbors(v) for v in range(len(ref.vertices))]
 
     def test_vertex_name_uses_labels(self):
         g = build_tig(antichain(2))
