@@ -69,6 +69,21 @@ def transitive_closure(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def is_linear_order(m: np.ndarray) -> bool:
+    """True iff the square boolean relation m is a reflexive linear order.
+
+    Total (m | m.T all true, the diagonal included) with exactly
+    n + n(n-1)/2 true entries is antisymmetric as well, a tournament off
+    the diagonal; a tournament is transitive iff its score sequence is
+    0..n-1.  Both counts come from the column sums (each 1 + the number of
+    elements below): sorted, they must be exactly 1..n.  O(n^2) work and no
+    closure.
+    """
+    n = m.shape[0]
+    return bool((m | m.T).all()
+                and (np.sort(m.sum(axis=0)) == np.arange(1, n + 1)).all())
+
+
 class OrderRelation:
     """A reflexive, antisymmetric, transitive relation on a GroundSet.
 
@@ -116,7 +131,7 @@ class OrderRelation:
         return i != j and not self._leq[i, j] and not self._leq[j, i]
 
     def is_linear(self) -> bool:
-        return bool((self._leq | self._leq.T).all())
+        return is_linear_order(self._leq)
 
     def strict_pair_count(self) -> int:
         """Number of pairs a < b with a != b."""
@@ -243,8 +258,8 @@ class LinearExtension:
     __slots__ = ("order", "ranks")
 
     def __init__(self, order: OrderRelation):
-        if not order.is_linear():
-            raise NotLinear("relation is not total")
+        if not is_linear_order(order.matrix):
+            raise NotLinear("relation is not a linear order")
         self.order = order
         # rank = number of strictly smaller elements
         self.ranks: tuple[int, ...] = tuple(int(c) - 1 for c in order.matrix.sum(axis=0))

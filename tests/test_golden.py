@@ -11,7 +11,9 @@ which calls no strategy.  The anneal and genetic digests were recorded
 before the union-find peel and the incremental anneal counts replaced the
 BFS-per-candidate peel and the recounting loop, and
 `grid_8x8_lattice_flipped_anneal` before the tig and the comparability
-graphs were built straight from their matrices.  Any refactor of render,
+graphs were built straight from their matrices, and
+`blocked_two_dimensional_120_sat` before orientation moved to integer
+bitsets with one linear-order check.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 """
@@ -28,7 +30,7 @@ from orddraw.orders import (GroundSet, boolean_lattice, chain, grid,
                             intersect_linear, linear_from_sequence,
                             standard_example)
 from orddraw.render import emit_svg, perturb
-from oracles import random_order
+from oracles import blocked_two_dimensional, random_order
 
 
 def random_two_dimensional(n: int, seed: int):
@@ -63,6 +65,10 @@ def doctored_chain():
 CASES = {
     "grid_10x10": lambda: compute_coordinates(grid(10, 10)),
     "intersect_linear_100": lambda: compute_coordinates(random_two_dimensional(100, 4099)),
+    # 120 elements and 51 implication classes; two-dimensional, so `sat` is
+    # never called: the case pins the orientation of a many-class graph
+    "blocked_two_dimensional_120_sat":
+        lambda: compute_coordinates(blocked_two_dimensional(20, 6, 3), strategy="sat"),
     "boolean_lattice_3_sat": lambda: compute_coordinates(boolean_lattice(3), strategy="sat"),
     "standard_example_4_sat": lambda: compute_coordinates(standard_example(4), strategy="sat"),
     # k = 4: a growing-k search proves k = 1, 2, 3 unsatisfiable first
@@ -94,6 +100,8 @@ CASES = {
 }
 
 GOLDEN = {
+    "blocked_two_dimensional_120_sat":
+        "8daa0bba63336a18b1e4d573db15205123d5da9b711a8d8d0de92f04a6db24b2",
     "boolean_lattice_3_sat":
         "ae55a684fcdac2536f4305db1040f36076997d6c738ce2647a7ec6c8394d161e",
     "boolean_lattice_4_sat":

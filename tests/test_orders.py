@@ -11,9 +11,10 @@ from orddraw.orders import (GroundSet, LinearExtension, OrderRelation,
                             all_linear_extensions, antichain, boolean_lattice,
                             build_order, chain, cover_relation, grid,
                             inc_id_pairs, incomparable_pairs,
-                            intersect_linear, linear_from_sequence,
-                            standard_example, transitive_closure)
-from oracles import random_order
+                            intersect_linear, is_linear_order,
+                            linear_from_sequence, standard_example,
+                            transitive_closure)
+from oracles import literally_an_order, random_order
 
 
 def naive_closure(matrix):
@@ -182,6 +183,33 @@ class TestLinearExtensions:
     def test_not_linear_raises(self):
         with pytest.raises(NotLinear):
             LinearExtension(antichain(2))
+
+    def test_total_but_intransitive_relation_raises(self):
+        m = np.eye(3, dtype=bool)
+        m[0, 1] = m[1, 2] = m[2, 0] = True
+        with pytest.raises(NotLinear):
+            LinearExtension(OrderRelation(GroundSet(["a", "b", "c"]), m))
+
+    def test_linear_order_check_matches_the_definition(self):
+        rng = random.Random(61)
+        yes = 0
+        for _ in range(1500):
+            n = rng.randint(1, 6)
+            m = np.eye(n, dtype=bool)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i, j] = rng.random() < 0.5
+                    m[j, i] = not m[i, j]
+            # a random tournament; one or two flipped cells can leave a pair
+            # out, double one or clear the diagonal, and two can keep the
+            # number of true cells
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                i, j = rng.randrange(n), rng.randrange(n)
+                m[i, j] = not m[i, j]
+            expect = bool((m | m.T).all()) and literally_an_order(m)
+            assert is_linear_order(m) == expect, m
+            yes += expect
+        assert 300 < yes < 1000
 
     def test_ranks_and_sequence(self):
         ext = LinearExtension(chain(3))

@@ -8,11 +8,17 @@ from orddraw.errors import EdgeMismatch, GroundMismatch, NotLinear
 from orddraw.graphs import SimpleGraph
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, intersect_linear, standard_example)
+import numpy as np
+
+from orddraw import orientation
+from orddraw.orders import OrderRelation
 from orddraw.orientation import (cocomparability_graph, comparability_graph,
                                  compute_conjugate_order,
                                  realizer_from_conjugate,
                                  transitive_orientation, verify_orientation)
-from oracles import brute_orientation_exists, random_order
+from oracles import (blocked_two_dimensional, brute_orientation_exists,
+                     random_order, strict_pairs,
+                     transitive_orientation_by_sets)
 
 
 def cycle_graph(k):
@@ -73,6 +79,41 @@ class TestTransitiveOrientation:
                 assert verify_orientation(g, arcs)
         assert yes > 50 and no > 20, "suite should exercise both outcomes"
 
+    def test_matches_the_set_loop_on_random_graphs(self):
+        rng = random.Random(53)
+        yes = no = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            p = rng.uniform(0.25, 0.75)
+            g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+            expect = transitive_orientation_by_sets(g)
+            assert transitive_orientation(g) == expect, g.edges
+            yes += expect is not None
+            no += expect is None
+        assert yes > 100 and no > 100, "suite should exercise both outcomes"
+
+    def test_matches_the_set_loop_on_cocomparability_graphs(self):
+        rng = random.Random(59)
+        orders = [random_order(rng, rng.randint(2, 120), rng.uniform(0.05, 0.9))
+                  for _ in range(12)]
+        # size-1 runs are plain random permutations
+        orders += [blocked_two_dimensional(rng.randint(2, 120), 1, seed)
+                   for seed in range(12)]
+        orders += [blocked_two_dimensional(blocks, size, seed)
+                   for seed, (blocks, size) in enumerate([(20, 6), (40, 3), (12, 10), (4, 30)])]
+        yes = 0
+        for o in orders:
+            expect = transitive_orientation_by_sets(cocomparability_graph(o))
+            assert transitive_orientation(cocomparability_graph(o)) == expect
+            conj = compute_conjugate_order(o)
+            if expect is None:
+                assert conj is None
+            else:
+                assert frozenset(strict_pairs(conj)) == expect
+                yes += 1
+        assert yes >= 16
+
     def test_verify_rejects_malformed_arc_sets(self):
         g = SimpleGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(EdgeMismatch):
@@ -119,9 +160,44 @@ class TestConjugate:
         from oracles import brute_two_realizer
         rng = random.Random(41)
         for _ in range(150):
-            o = random_order(rng, rng.randint(1, 6))
+            o = random_order(rng, rng.randint(1, 8))
             assert (compute_conjugate_order(o) is not None) \
                 == brute_two_realizer(o)
+
+    @staticmethod
+    def _edit_first_arc(monkeypatch, edit):
+        """Make the forcing core hand back its result with edit(succ, x, y)
+        applied to its first arc x -> y."""
+        real = orientation._force_classes
+
+        def core(adj):
+            succ = real(adj)
+            x = next(v for v, mask in enumerate(succ) if mask)
+            edit(succ, x, (succ[x] & -succ[x]).bit_length() - 1)
+            return succ
+        monkeypatch.setattr(orientation, "_force_classes", core)
+
+    def test_a_flipped_arc_is_rejected(self, monkeypatch):
+        assert compute_conjugate_order(grid(3, 4)) is not None
+
+        def flip(succ, x, y):
+            succ[x] ^= 1 << y
+            succ[y] |= 1 << x
+        self._edit_first_arc(monkeypatch, flip)
+        assert compute_conjugate_order(grid(3, 4)) is None
+
+    @pytest.mark.parametrize("succ", [[0b010, 0b100, 0], [0, 0b001, 0b010]])
+    def test_an_intransitive_orientation_is_rejected(self, monkeypatch, succ):
+        # x0 < x2 and x1 incomparable to both: the path x0 -> x1 -> x2 (or
+        # its reverse) makes one union linear and the other cyclic
+        monkeypatch.setattr(orientation, "_force_classes", lambda adj: list(succ))
+        assert compute_conjugate_order(build_order(["x0", "x1", "x2"], [("x0", "x2")])) is None
+
+    def test_a_dropped_arc_is_rejected(self, monkeypatch):
+        def drop(succ, x, y):
+            succ[x] ^= 1 << y
+        self._edit_first_arc(monkeypatch, drop)
+        assert compute_conjugate_order(grid(3, 4)) is None
 
 
 class TestRealizer:
@@ -141,10 +217,23 @@ class TestRealizer:
     def test_non_conjugate_is_rejected(self):
         o = boolean_lattice(2)
         import numpy as np
-        from orddraw.orders import GroundSet, OrderRelation
+        from orddraw.orders import OrderRelation
         trivial = OrderRelation(o.ground, np.eye(o.n, dtype=bool))
         with pytest.raises(NotLinear):
             realizer_from_conjugate(o, trivial)
+
+    @pytest.mark.parametrize("pairs, arcs", [
+        ([], [(0, 1), (1, 2), (2, 0)]),  # a 3-cycle on an antichain
+        ([("x0", "x1")], [(2, 0), (2, 1), (0, 1)]),  # orders the comparable pair
+        ([("x0", "x1")], [(2, 0)]),  # misses the incomparable pair {x1, x2}
+    ])
+    def test_a_relation_that_is_no_conjugate_is_rejected(self, pairs, arcs):
+        o = build_order(["x0", "x1", "x2"], pairs)
+        m = np.eye(3, dtype=bool)
+        for x, y in arcs:
+            m[x, y] = True
+        with pytest.raises(NotLinear):
+            realizer_from_conjugate(o, OrderRelation(o.ground, m))
 
     def test_ground_mismatch(self):
         other = build_order(["p", "q"], [("p", "q")])
