@@ -32,14 +32,14 @@ from .orientation import (cocomparability_graph, comparability_graph,
                           transitive_orientation, verify_orientation)
 from .render import (CanvasSpec, detect_collinear, emit_dot, emit_svg,
                      emit_tikz, perturb)
-from .sat import CdclSolver, CnfInstance, ExternalSolver, parse_dimacs, solve_cnf
+from .sat import CnfInstance, ExternalSolver, parse_dimacs, solve_cnf
 from .tig import Bipartition, TigGraph, bipartite_check, build_tig, enforces, incompatible
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnealParams", "BackendFailure", "Bipartition", "CanvasSpec",
-    "CdclSolver", "CnfInstance", "CycleError", "DominanceReport",
+    "CnfInstance", "CycleError", "DominanceReport",
     "EdgeMismatch", "ExtensionTrace", "ExternalSolver", "FormalContext",
     "GeneticParams", "GridDrawing", "GroundMismatch", "GroundSet",
     "LinearExtension", "NotIncomparable", "NotLinear", "OctResult",

@@ -1,11 +1,11 @@
 """CNF instances, the sequential at-most-k counter, DIMACS io, and solving.
 
-The built-in solver is a small deterministic CDCL (two watched literals,
-first-UIP learning, no restarts) that always branches on the lowest
-unassigned variable and tries true first, so identical inputs yield
-identical models.  External DIMACS solvers can be plugged in through
-ExternalSolver, which normalizes both the competition output dialect
-("s SATISFIABLE" + "v" lines) and the bare "SAT"/"UNSAT" one.
+The package has no SAT solver of its own: the exact bipartization is a
+branch search, and CNF is only exported (`orddraw cnf`).  External DIMACS
+solvers are run through ExternalSolver, which normalizes both the
+competition output dialect ("s SATISFIABLE" + "v" lines) and the bare
+"SAT"/"UNSAT" one; solve_cnf runs any such backend and rejects a model
+that does not satisfy the formula.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {raw!r}")
             num_vars, declared = int(parts[2]), int(parts[3])
+            if num_vars < 0 or declared < 0:
+                raise ValueError(f"negative count: {raw!r}")
             continue
         for tok in line.split():
             lit = int(tok)
@@ -66,8 +68,12 @@ def parse_dimacs(text: str) -> CnfInstance:
         clauses.append(tuple(current))
     if num_vars is None:
         raise ValueError("missing problem line")
-    if declared is not None and declared != len(clauses):
+    if declared != len(clauses):
         raise ValueError(f"declared {declared} clauses, found {len(clauses)}")
+    for cl in clauses:
+        for lit in cl:
+            if abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range 1..{num_vars}")
     return CnfInstance(num_vars, tuple(clauses))
 
 
@@ -113,192 +119,14 @@ def assignment_satisfies(clauses: Iterable[Iterable[int]], model: Sequence[int])
     return all(any(lit in true for lit in cl) for cl in clauses)
 
 
-class CdclSolver:
-    """Deterministic conflict-driven solver for small instances.
+def solve_cnf(cnf: CnfInstance, backend: Backend) -> Model | None:
+    """Run `backend` on `cnf` and return its model only if it satisfies it.
 
-    Values and watch lists are indexed by literal: -v wraps to slot
-    2*nv+1-v at the end of a list of 2*nv+1 slots, so no abs() is needed
-    on the hot paths.  val[lit] is +1 when lit is true, -1 when it is
-    false and 0 when its variable is unassigned.
+    `backend` is any callable mapping a CnfInstance to a model (signed
+    literals, ascending variables) or None for unsatisfiable.
     """
-
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
-        self.nv = num_vars
-        slots = 2 * num_vars + 1
-        self.val = [0] * slots
-        self.level = [0] * (num_vars + 1)
-        self.reason: list[list[int] | None] = [None] * (num_vars + 1)
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []  # trail length at each decision
-        self.qhead = 0
-        self.dl = 0
-        self.search_head = 1
-        self.watches: list[list[list[int]]] = [[] for _ in range(slots)]
-        self.units: list[int] = []
-        self.ok = True
-        for cl in clauses:
-            self._add_clause(cl)
-
-    def _add_clause(self, lits_in: Iterable[int]) -> None:
-        lits = sorted(set(lits_in), key=lambda l: (abs(l), l))
-        for lit in lits:
-            if not 1 <= abs(lit) <= self.nv:
-                raise ValueError(f"literal {lit} out of range")
-        if any(-l in lits for l in lits):  # tautology
-            return
-        if not lits:
-            self.ok = False
-            return
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return
-        self.watches[lits[0]].append(lits)
-        self.watches[lits[1]].append(lits)
-
-    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
-        var = lit if lit > 0 else -lit
-        self.val[lit] = 1
-        self.val[-lit] = -1
-        self.level[var] = self.dl
-        self.reason[var] = reason
-        self.trail.append(lit)
-
-    def _propagate(self) -> list[int] | None:
-        val, watches, trail = self.val, self.watches, self.trail
-        level, reason, dl = self.level, self.reason, self.dl
-        qhead = self.qhead
-        while qhead < len(trail):
-            neg = -trail[qhead]
-            qhead += 1
-            wl = watches[neg]
-            i, end = 0, len(wl)
-            while i < end:
-                cl = wl[i]
-                first = cl[0]
-                if first == neg:
-                    first = cl[0] = cl[1]
-                    cl[1] = neg
-                if val[first] == 1:
-                    i += 1
-                    continue
-                for j in range(2, len(cl)):
-                    if val[cl[j]] != -1:
-                        cl[1], cl[j] = cl[j], neg
-                        watches[cl[1]].append(cl)
-                        end -= 1
-                        wl[i] = wl[end]
-                        wl.pop()
-                        break
-                else:
-                    if val[first] == -1:
-                        self.qhead = qhead
-                        return cl
-                    # _enqueue(first, cl), inlined
-                    val[first] = 1
-                    val[-first] = -1
-                    var = first if first > 0 else -first
-                    level[var] = dl
-                    reason[var] = cl
-                    trail.append(first)
-                    i += 1
-        self.qhead = qhead
-        return None
-
-    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        level, trail, reason, dl = self.level, self.trail, self.reason, self.dl
-        learnt: list[int] = [0]
-        seen = [False] * (self.nv + 1)
-        path = 0
-        p = 0
-        index = len(trail)
-        confl: list[int] = conflict
-        while True:
-            for q in (confl if p == 0 else confl[1:]):
-                v = q if q > 0 else -q
-                if not seen[v] and level[v] > 0:
-                    seen[v] = True
-                    if level[v] >= dl:
-                        path += 1
-                    else:
-                        learnt.append(q)
-            while True:
-                index -= 1
-                p = trail[index]
-                v = p if p > 0 else -p
-                if seen[v]:
-                    break
-            seen[v] = False
-            path -= 1
-            if path <= 0:
-                break
-            confl = reason[v]  # type: ignore[assignment]
-        learnt[0] = -p
-        if len(learnt) == 1:
-            return learnt, 0
-        # watch the highest-level tail literal so the clause asserts on backjump
-        hi = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
-        learnt[1], learnt[hi] = learnt[hi], learnt[1]
-        return learnt, level[abs(learnt[1])]
-
-    def _backjump(self, bl: int) -> None:
-        val, reason, trail = self.val, self.reason, self.trail
-        start = self.trail_lim[bl]
-        for lit in trail[start:]:
-            val[lit] = val[-lit] = 0
-            reason[lit if lit > 0 else -lit] = None
-        del trail[start:]
-        del self.trail_lim[bl:]
-        self.qhead = start
-        self.dl = bl
-        self.search_head = 1
-
-    def solve(self) -> Model | None:
-        if not self.ok:
-            return None
-        val, nv = self.val, self.nv
-        for u in self.units:
-            if val[u] == -1:
-                return None
-            if val[u] == 0:
-                self._enqueue(u, None)
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                if self.dl == 0:
-                    return None
-                learnt, back = self._analyze(conflict)
-                self._backjump(back)
-                if len(learnt) > 1:
-                    self.watches[learnt[0]].append(learnt)
-                    self.watches[learnt[1]].append(learnt)
-                    self._enqueue(learnt[0], learnt)
-                else:
-                    self._enqueue(learnt[0], None)
-                continue
-            var = self.search_head
-            while var <= nv and val[var] != 0:
-                var += 1
-            self.search_head = var
-            if var > nv:
-                return [v if val[v] > 0 else -v for v in range(1, nv + 1)]
-            self.dl += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(var, None)  # branch: lowest variable, true first
-
-
-def solve_cnf(cnf: CnfInstance, backend: Backend | None = None) -> Model | None:
-    """A satisfying model (signed literals, ascending variables) or None.
-
-    `backend` is any callable mapping a CnfInstance to a model or None;
-    by default the built-in CDCL solver runs in process.
-    """
-    if backend is None:
-        model = CdclSolver(cnf.num_vars, cnf.clauses).solve()
-        # an explicit raise, not an assert, so the check survives python -O
-        if model is not None and not assignment_satisfies(cnf.clauses, model):
-            raise AssertionError("the built-in solver's model does not satisfy the formula")
-        return model
     model = backend(cnf)
+    # an explicit raise, not an assert, so the check survives python -O
     if model is not None and not assignment_satisfies(cnf.clauses, model):
         raise BackendFailure("backend model does not satisfy the formula")
     return model
@@ -310,7 +138,7 @@ class ExternalSolver:
     The CNF path is appended to the command line.  Exit codes 0, 10 and 20
     are all treated as normal termination (10/20 is the solver-competition
     convention).  Variables missing from the reported model default to
-    false; the model is re-checked against the formula before use.
+    false.  The model is returned unchecked; solve_cnf checks it.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float | None = None):

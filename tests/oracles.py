@@ -420,3 +420,24 @@ def transitive_orientation_by_sets(g):
         for y, tails in into.items():
             remaining[y] -= tails
     return frozenset(arcs)
+
+
+def solve_by_milp(cnf):
+    """A model of `cnf` (signed literals, ascending variables) or None,
+    decided by scipy's integer program solver: one row per clause over
+    binary variables, the clause's positive literals minus its negative
+    ones summing to at least 1 - (number of negative literals)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    nv = cnf.num_vars
+    rows = np.zeros((len(cnf.clauses), nv))
+    lower = np.zeros(len(rows))
+    for r, cl in enumerate(cnf.clauses):
+        for lit in cl:
+            rows[r, abs(lit) - 1] += 1 if lit > 0 else -1
+        lower[r] = 1 - sum(lit < 0 for lit in cl)
+    res = milp(np.zeros(nv), integrality=np.ones(nv), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(rows, lower, np.inf))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return [v if res.x[v - 1] > 0.5 else -v for v in range(1, nv + 1)]

@@ -17,8 +17,7 @@ from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
                                    decode_removed, encode_oct, min_oct_exact,
                                    min_oct_size, oct_anneal, oct_genetic,
                                    oct_greedy, peel_to_minimal, _repair)
-from orddraw.sat import solve_cnf
-from oracles import anneal_by_recount, peel_to_minimal_by_bfs
+from oracles import anneal_by_recount, peel_to_minimal_by_bfs, solve_by_milp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -118,8 +117,8 @@ class TestEncoding:
     def test_satisfiability_thresholds(self):
         # odd cycle: k = 0 unsatisfiable, k = 1 satisfiable
         g = cycle_graph(5)
-        assert solve_cnf(encode_oct(g, 0)) is None
-        model = solve_cnf(encode_oct(g, 1))
+        assert solve_by_milp(encode_oct(g, 0)) is None
+        model = solve_by_milp(encode_oct(g, 1))
         assert model is not None
         removed = decode_removed(g.n, model)
         assert len(removed) <= 1
@@ -127,7 +126,7 @@ class TestEncoding:
 
     def test_decode_partition_roles(self):
         g = two_triangles()
-        model = solve_cnf(encode_oct(g, 2))
+        model = solve_by_milp(encode_oct(g, 2))
         p1, p2, removed = decode_partition(g.n, model)
         assert p1 | p2 | removed == set(range(g.n))
         assert not (p1 & p2 or p1 & removed or p2 & removed)
@@ -138,9 +137,22 @@ class TestEncoding:
 
     def test_bipartite_graph_k0_satisfiable(self):
         g = cycle_graph(6)
-        model = solve_cnf(encode_oct(g, 0))
+        model = solve_by_milp(encode_oct(g, 0))
         assert model is not None
         assert decode_removed(g.n, model) == frozenset()
+
+    def test_threshold_is_the_brute_force_minimum(self):
+        # the encoding is unsatisfiable one below the minimum and satisfied
+        # at it by a set that bipartizes the graph
+        rng = random.Random(29)
+        for _ in range(16):
+            g = random_graph(rng, rng.randint(3, 8), 0.5)
+            k = len(brute_force_oct(g).removed)
+            if k:
+                assert solve_by_milp(encode_oct(g, k - 1)) is None
+            model = solve_by_milp(encode_oct(g, k))
+            removed = decode_removed(g.n, model)
+            assert len(removed) <= k and is_bipartite_without(g, removed)
 
 
 class TestExactSearch:
@@ -401,10 +413,10 @@ class TestChecksUnderOptimize:
     def test_wrong_solver_model_raises(self):
         script = (
             "from orddraw import sat\n"
-            "sat.CdclSolver.solve = lambda self: [-1, -2]\n"
+            "from orddraw.errors import BackendFailure\n"
             "try:\n"
-            "    sat.solve_cnf(sat.CnfInstance(2, ((1, 2),), {}))\n"
-            "except AssertionError as exc:\n"
+            "    sat.solve_cnf(sat.CnfInstance(2, ((1, 2),)), lambda cnf: [-1, -2])\n"
+            "except BackendFailure as exc:\n"
             "    print('caught:', exc)\n")
         done = run_optimized(script)
         assert done.returncode == 0, done.stderr

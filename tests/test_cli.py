@@ -9,7 +9,7 @@ from orddraw.bipartization import OctResult, decode_removed
 from orddraw.cli import main
 from orddraw.engine import compute_coordinates
 from orddraw.ingest import parse_order_text
-from orddraw.sat import ExternalSolver, parse_dimacs
+from orddraw.sat import ExternalSolver, parse_dimacs, solve_cnf
 
 S3_TEXT = """\
 # classic three-dimensional example
@@ -229,7 +229,7 @@ raise SystemExit(10)
         instance = tmp_path / "s3.cnf"
         assert main(["cnf", "-i", s3_file, "-k", "1", "-o", str(instance)]) == 0
         cnf = parse_dimacs(instance.read_text())
-        model = ExternalSolver(f"{sys.executable} {solver}")(cnf)
+        model = solve_cnf(cnf, ExternalSolver(f"{sys.executable} {solver}"))
         assert model is not None
 
         def external(tg):

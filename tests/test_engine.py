@@ -180,7 +180,7 @@ class TestMultiPass:
 
     def test_exact_strategy_prefers_a_closed_reversal(self):
         # one of the 9 minimum sets (k = 3) of this order's tig reverses into
-        # pairs that are not transitively closed, and a CNF solver picked it
+        # pairs that are not transitively closed; the engine must pass it by
         o = parse_order_text(CLOSURE_GAP_ORDER)
         tg = build_tig(o)
         gaps = 0
