@@ -121,7 +121,7 @@ class TestSinzEncoding:
                     assert ok == want, (n, k, bits)
 
     def test_semantics_via_solver(self):
-        for n in range(2, 6):
+        for n in range(2, 7):
             for k in range(1, 4):
                 vs = list(range(1, n + 1))
                 base = sinz_at_most_k(vs, k, n + 1)
