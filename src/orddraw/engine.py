@@ -4,12 +4,14 @@ Until a conjugate order exists, each pass builds the incompatibility graph
 of the current (possibly already extended) order, removes a vertex set that
 makes it bipartite, and inserts the reversed removed pairs.  Even an
 inclusion-minimal (or minimum) removal set can reverse into pairs whose
-union with the order is not transitively closed; the insertion rejects
-such a set with OrderViolation instead of closing it.  The exact strategy
-therefore prefers, among the minimum sets its search lists, one whose
-reversal is closed and leaves an order with a conjugate, so it finishes
-in one pass.  New incompatibilities can appear after an insertion, so
-more than one pass may be needed; the trace records how many were.
+union with the order is not transitively closed; the insertion closes the
+union, records the pairs the closure added apart from the inserted ones,
+and raises OrderViolation only if the closure has a cycle.  The exact
+strategy prefers, among the minimum sets its search lists, one whose
+reversal is already closed and leaves an order with a conjugate, so it
+finishes in one pass with nothing added by closure.  New incompatibilities
+can appear after an insertion, so more than one pass may be needed; the
+trace records how many were.
 
 Coordinates come from the realizer of the extended order: each element's
 position in the two linear extensions.  The plane embedding maps grid
@@ -19,9 +21,9 @@ to the point (c2 - c1, c1 + c2), so "greater" always means "higher".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -39,9 +41,15 @@ Strategy = Callable[[TigGraph], OctResult]
 
 @dataclass(frozen=True)
 class ExtensionTrace:
-    """Everything the extension loop did."""
+    """Everything the extension loop did.
+
+    `inserted` holds the reversed removed pairs of every pass and
+    `closure_added` the pairs that closing those insertions added on top;
+    the two are disjoint, and the extended order is the input plus both.
+    """
 
     inserted: frozenset[IdPair]
+    closure_added: frozenset[IdPair]
     passes: int
     per_pass_removed: tuple[frozenset[IdPair], ...]
     extended: OrderRelation
@@ -91,43 +99,47 @@ def _strategy_for(name_or_fn: str | Strategy, seed: int) -> tuple[Strategy, str]
 
 def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
     """Accepts a removal set of tg whose reversal, inserted into tg.order,
-    passes _insert_checked and leaves an order with a conjugate."""
+    is already transitively closed and leaves an order with a conjugate."""
     def accept(removed: frozenset[int]) -> bool:
         reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
         try:
-            extended = _insert_checked(tg.order, reversal)
+            extended, added = _insert_checked(tg.order, reversal)
         except OrderViolation:
             return False
-        return compute_conjugate_order(extended) is not None
+        return not added and compute_conjugate_order(extended) is not None
     return accept
 
 
-def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]) -> OrderRelation:
-    """Add pairs and verify the result is literally an order already.
+def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
+                    ) -> tuple[OrderRelation, frozenset[IdPair]]:
+    """Add pairs, close the union, and return it with the pairs closure added.
 
     Inclusion-minimality of the removal set does not make the union
-    transitively closed, and this function does not close it: a union that
-    breaks antisymmetry or misses a transitive pair raises OrderViolation.
+    transitively closed, so the union is closed here; the second result
+    holds the pairs in the closure that are neither in `current` nor in
+    `new_pairs`.  A closure that breaks antisymmetry (the pairs close a
+    cycle) raises OrderViolation.
     """
     m = current.matrix.copy()
     for a, b in new_pairs:
         m[a, b] = True
-    eye = np.eye(current.n, dtype=bool)
-    if ((m & m.T) & ~eye).any():
-        raise OrderViolation("inserted pairs break antisymmetry")
-    if (transitive_closure(m) != m).any():
-        raise OrderViolation("inserted pairs are not transitively complete")
-    return OrderRelation(current.ground, m, current.generator_pairs)
+    closed = transitive_closure(m)
+    # the diagonal is the only symmetric part of an order
+    if np.count_nonzero(closed & closed.T) != current.n:
+        raise OrderViolation("inserted pairs break antisymmetry after closure")
+    added = frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
+    return OrderRelation(current.ground, closed, current.generator_pairs), added
 
 
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
                             seed: int = 0) -> ExtensionTrace:
     """Insert incomparable pairs until the order has dimension at most 2.
 
-    Each pass bipartizes the current incompatibility graph and inserts the
-    reversals of the removed vertices; a reversal that is not transitively
-    closed raises OrderViolation (see _insert_checked).  The returned trace
-    carries the final extended order and its conjugate.  `strategy` is one
+    Each pass bipartizes the current incompatibility graph, inserts the
+    reversals of the removed vertices and closes the union; a union whose
+    closure has a cycle raises OrderViolation (see _insert_checked).  The
+    returned trace carries the inserted and the closure-added pairs, the
+    final extended order and its conjugate.  `strategy` is one
     of "sat" (exact minimum, preferring a set that ends the loop in this
     pass), "greedy", "anneal", "genetic", or any callable from TigGraph to
     OctResult.
@@ -136,12 +148,14 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1
     current = o
     inserted: set[IdPair] = set()
+    closure_added: set[IdPair] = set()
     per_pass: list[frozenset[IdPair]] = []
     while True:
         conj = compute_conjugate_order(current)
         if conj is not None:
-            trace = ExtensionTrace(frozenset(inserted), len(per_pass),
-                                   tuple(per_pass), current, conj, name)
+            trace = ExtensionTrace(frozenset(inserted), frozenset(closure_added),
+                                   len(per_pass), tuple(per_pass), current, conj,
+                                   name)
             _check_trace(o, trace)
             return trace
         if len(per_pass) >= max_passes:
@@ -151,8 +165,9 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
         if not removed_pairs:
             raise OrderViolation("strategy removed nothing although no conjugate exists")
         new_pairs = frozenset((b, a) for a, b in removed_pairs)
-        current = _insert_checked(current, new_pairs)
+        current, added = _insert_checked(current, new_pairs)
         inserted |= new_pairs
+        closure_added |= added
         per_pass.append(removed_pairs)
 
 
@@ -205,34 +220,52 @@ def weak_dominance_stats(d: GridDrawing, o: OrderRelation | None = None) -> Domi
 
 def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
     """Elements whose plane point no longer sits on the exact embedding."""
-    moved = []
-    for label, (c1, c2) in d.coords.items():
-        if d.plane[label] != (Fraction(c2 - c1), Fraction(c1 + c2)):
-            moved.append(label)
-    return tuple(sorted(moved))
+    # a Fraction compares equal to an int without building a Fraction for it
+    return tuple(sorted(label for label, (c1, c2) in d.coords.items()
+                        if d.plane[label] != (c2 - c1, c1 + c2)))
 
 
 def with_plane(d: GridDrawing, plane: dict[str, tuple[Fraction, Fraction]]) -> GridDrawing:
     return replace(d, plane=dict(plane))
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """Encoded items as the JSON array json.dumps(indent=2) lays out when
+    the array's own line starts at `pad`."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
+
+
 def drawing_to_json(d: GridDrawing) -> str:
-    """Stable JSON dump of a drawing (schema documented in the README)."""
+    """Stable JSON dump of a drawing (schema documented in the README).
+
+    The schema is fixed, so the text is written directly: byte for byte
+    what json.dumps(doc, indent=2) + "\n" writes (strings escaped to ASCII,
+    numbers by repr), without the pure-Python encoder that indent selects.
+    """
     report = weak_dominance_stats(d)
-    doc = {
-        "elements": [
-            {
-                "label": label,
-                "grid": list(d.coords[label]),
-                "plane": [float(d.plane[label][0]), float(d.plane[label][1])],
-            }
-            for label in d.order.ground
-        ],
-        "cover_edges": [list(e) for e in d.cover_edges],
-        "inserted_pairs": [list(e) for e in d.trace.inserted_labels()],
-        "passes": d.trace.passes,
-        "strategy": d.trace.strategy,
-        "false_comparabilities": report.count,
-        "perturbed": list(perturbed_labels(d)),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    text = encode_basestring_ascii
+    elements = []
+    for label in d.order.ground:
+        c1, c2 = d.coords[label]
+        x, y = d.plane[label]
+        elements.append(
+            f'{{\n      "label": {text(label)},\n'
+            f'      "grid": [\n        {c1!r},\n        {c2!r}\n      ],\n'
+            f'      "plane": [\n        {float(x)!r},\n        {float(y)!r}\n      ]\n'
+            '    }')
+
+    def pairs(ps: tuple[Pair, ...]) -> str:
+        return _json_list([f"[\n      {text(a)},\n      {text(b)}\n    ]"
+                           for a, b in ps], "  ")
+
+    return ("{\n"
+            f'  "elements": {_json_list(elements, "  ")},\n'
+            f'  "cover_edges": {pairs(d.cover_edges)},\n'
+            f'  "inserted_pairs": {pairs(d.trace.inserted_labels())},\n'
+            f'  "passes": {d.trace.passes!r},\n'
+            f'  "strategy": {text(d.trace.strategy)},\n'
+            f'  "false_comparabilities": {report.count!r},\n'
+            f'  "perturbed": {_json_list([text(p) for p in perturbed_labels(d)], "  ")}\n'
+            "}\n")

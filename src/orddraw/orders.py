@@ -59,14 +59,27 @@ class GroundSet:
 
 
 def transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation (Warshall)."""
+    """Reflexive-transitive closure of a boolean relation.
+
+    Squares the reflexive relation, (f @ f) > 0 on float32 copies, until
+    the number of true entries stops growing: after k squarings every path
+    of up to 2^k arcs is closed, so about log2(n) BLAS products suffice.
+    Each entry of f @ f counts the paths of two arcs, at most n < 2^24, so
+    float32 holds it exactly.  The temporaries are a float32 copy and its
+    float32 product, about 9 n^2 bytes with the boolean result.
+    """
     m = np.array(matrix, dtype=bool)
-    n = m.shape[0]
-    m |= np.eye(n, dtype=bool)
-    for k in range(n):
-        # one Warshall sweep: anything reaching k reaches everything k reaches
-        m |= np.outer(m[:, k], m[k, :])
-    return m
+    np.fill_diagonal(m, True)
+    count = np.count_nonzero(m)
+    while True:
+        f = m.astype(np.float32)
+        m = (f @ f) > 0
+        # a reflexive relation only grows when squared, so equal counts
+        # mean an equal relation
+        grown = np.count_nonzero(m)
+        if grown == count:
+            return m
+        count = grown
 
 
 def is_linear_order(m: np.ndarray) -> bool:
@@ -233,11 +246,12 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
     """Pairs a < b with nothing strictly between (the diagram edges)."""
-    strict = o.matrix & ~np.eye(o.n, dtype=bool)
-    via = (strict.astype(np.int32) @ strict.astype(np.int32)) > 0
-    cov = strict & ~via
-    lab = o.ground.label
-    return frozenset((lab(int(i)), lab(int(j))) for i, j in np.argwhere(cov))
+    strict = o.matrix.astype(np.float32)
+    np.fill_diagonal(strict, 0)
+    # one BLAS product counts the elements strictly between each pair
+    cov = (strict > 0) & ((strict @ strict) == 0)
+    lab = o.ground.labels
+    return frozenset((lab[i], lab[j]) for i, j in np.argwhere(cov).tolist())
 
 
 def incomparable_pairs(o: OrderRelation) -> frozenset[Pair]:

@@ -1,7 +1,8 @@
 """SVG, TikZ, and graphviz output for grid drawings.
 
 All geometry is done on the exact rational plane coordinates carried by the
-drawing; floats only appear in the emitted text.  Cover edges rise strictly
+drawing, scaled to integers over their common denominator; floats only
+appear in the emitted text.  Cover edges rise strictly
 (an extension never reverses a comparability), so flipping the y axis for
 screen coordinates keeps greater elements higher.
 """
@@ -40,8 +41,9 @@ class CanvasSpec:
             raise ValueError(f"unknown label mode {self.label_mode!r}")
 
 
-def _integer_plane(d: GridDrawing) -> dict[str, tuple[int, int]]:
-    """The plane scaled by the common denominator of all its coordinates.
+def _integer_plane(d: GridDrawing) -> tuple[dict[str, tuple[int, int]], int]:
+    """The plane scaled by the common denominator of all its coordinates,
+    and that denominator.
 
     Scaling every point by one positive factor keeps the collinearity test
     exact: cross products stay zero or non-zero, and dot products and
@@ -50,7 +52,7 @@ def _integer_plane(d: GridDrawing) -> dict[str, tuple[int, int]]:
     scale = math.lcm(*(c.denominator for p in d.plane.values() for c in p))
     return {label: (x.numerator * (scale // x.denominator),
                     y.numerator * (scale // y.denominator))
-            for label, (x, y) in d.plane.items()}
+            for label, (x, y) in d.plane.items()}, scale
 
 
 def detect_collinear(d: GridDrawing) -> list[Conflict]:
@@ -64,7 +66,7 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
     can be on its open segment.  A horizontal edge is tested against the
     elements at its height; a zero-length edge has no open segment.
     """
-    pts = _integer_plane(d)
+    pts, _ = _integer_plane(d)
     by_height = sorted(d.order.ground, key=lambda label: pts[label][1])
     heights = [pts[label][1] for label in by_height]
     conflicts: list[Conflict] = []
@@ -128,16 +130,19 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None,
 
 
 def _screen_geometry(d: GridDrawing, spec: CanvasSpec):
-    xs = [p[0] for p in d.plane.values()]
-    ys = [p[1] for p in d.plane.values()]
+    # int true division is correctly rounded, so (X - min X) / D is the
+    # float of the rational x - min x, as float(Fraction) gives it
+    pts, denom = _integer_plane(d)
+    xs = [p[0] for p in pts.values()]
+    ys = [p[1] for p in pts.values()]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    width = float(max_x - min_x) * spec.scale + 2 * spec.margin
-    height = float(max_y - min_y) * spec.scale + 2 * spec.margin
+    width = (max_x - min_x) / denom * spec.scale + 2 * spec.margin
+    height = (max_y - min_y) / denom * spec.scale + 2 * spec.margin
     # one screen point per element, looked up once per edge end and label
-    screen = {label: (float(x - min_x) * spec.scale + spec.margin,
-                      float(max_y - y) * spec.scale + spec.margin)
-              for label, (x, y) in d.plane.items()}
+    screen = {label: ((x - min_x) / denom * spec.scale + spec.margin,
+                      (max_y - y) / denom * spec.scale + spec.margin)
+              for label, (x, y) in pts.items()}
     return width, height, screen.__getitem__
 
 

@@ -10,6 +10,7 @@ that does not satisfy the formula.
 
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 import tempfile
@@ -22,6 +23,8 @@ from .errors import BackendFailure
 Clause = tuple[int, ...]
 Model = list[int]
 Backend = Callable[["CnfInstance"], "Model | None"]
+
+_LITERAL = re.compile(r"-?\d")
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,11 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF; clauses may span lines, comments start with c."""
+    """Parse DIMACS CNF; clauses may span lines, comments start with c.
+
+    Exactly one problem line is allowed, and it must come before the first
+    clause literal.
+    """
     num_vars = None
     declared = None
     clauses: list[Clause] = []
@@ -53,10 +60,14 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {raw!r}")
+            if num_vars is not None:
+                raise ValueError(f"second problem line: {raw!r}")
             num_vars, declared = int(parts[2]), int(parts[3])
             if num_vars < 0 or declared < 0:
                 raise ValueError(f"negative count: {raw!r}")
             continue
+        if num_vars is None:
+            raise ValueError(f"clause before the problem line: {raw!r}")
         for tok in line.split():
             lit = int(tok)
             if lit == 0:
@@ -185,18 +196,26 @@ class ExternalSolver:
             if upper in ("UNSAT", "UNSATISFIABLE"):
                 verdict = False
                 continue
+            # a value line starts with "v" or, in the bare dialect, with a
+            # literal; any other line is banner noise
             if line.startswith(("v", "V")):
                 line = line[1:]
+            elif not _LITERAL.match(line):
+                continue
             try:
-                lits.extend(int(t) for t in line.split())
+                values_on_line = [int(t) for t in line.split()]
             except ValueError:
-                continue  # banner noise
+                raise BackendFailure(f"non-integer token in value line {raw!r}") from None
+            if any(abs(lit) > num_vars for lit in values_on_line):
+                raise BackendFailure(
+                    f"literal out of range 1..{num_vars} in value line {raw!r}")
+            lits.extend(values_on_line)
         if verdict is None:
             raise BackendFailure("solver output carries no SAT/UNSAT verdict")
         if not verdict:
             return None
         values: dict[int, bool] = {}
         for lit in lits:
-            if lit != 0 and abs(lit) <= num_vars:
+            if lit != 0:
                 values[abs(lit)] = lit > 0
         return [v if values.get(v, False) else -v for v in range(1, num_vars + 1)]

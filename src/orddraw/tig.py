@@ -15,9 +15,10 @@ build_tig applies the second test to all pairs at once: two gathers from
 the <= matrix give reach[i, j] (second of i <= first of j), reach AND its
 transpose is the adjacency matrix, and SimpleGraph.from_matrix indexes it
 with no Python object per edge until the edge tuples.  That allocates
-about 3 |inc|^2 bytes; the matrix stays because it tests every pair in a
-few vectorised passes, and a sparse build that bounds the memory is still
-open.
+about 2 |inc|^2 bytes (the gather and the adjacency matrix; from_matrix
+checks symmetry on the edge list); the matrix stays because it tests every
+pair in a few vectorised passes, and a sparse build that bounds the memory
+is still open.
 """
 
 from __future__ import annotations

@@ -5,14 +5,47 @@ paths, so the two can disagree only when one of them is wrong.
 """
 
 import itertools
+import json
 import random
 from collections import defaultdict, deque
 
 import numpy as np
 
 from orddraw.orders import (GroundSet, OrderRelation, all_linear_extensions,
-                            intersect_linear, linear_from_sequence,
-                            transitive_closure)
+                            intersect_linear, linear_from_sequence)
+
+
+def warshall_closure(matrix) -> np.ndarray:
+    """Reflexive-transitive closure by Warshall's n outer-product sweeps."""
+    m = np.array(matrix, dtype=bool)
+    n = m.shape[0]
+    m |= np.eye(n, dtype=bool)
+    for k in range(n):
+        # anything reaching k reaches everything k reaches
+        m |= np.outer(m[:, k], m[k, :])
+    return m
+
+
+def drawing_to_json_by_dumps(d) -> str:
+    """The drawing document built as a dict and written by json.dumps."""
+    from orddraw.engine import perturbed_labels, weak_dominance_stats
+    doc = {
+        "elements": [
+            {
+                "label": label,
+                "grid": list(d.coords[label]),
+                "plane": [float(d.plane[label][0]), float(d.plane[label][1])],
+            }
+            for label in d.order.ground
+        ],
+        "cover_edges": [list(e) for e in d.cover_edges],
+        "inserted_pairs": [list(e) for e in d.trace.inserted_labels()],
+        "passes": d.trace.passes,
+        "strategy": d.trace.strategy,
+        "false_comparabilities": weak_dominance_stats(d).count,
+        "perturbed": list(perturbed_labels(d)),
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_order(rng: random.Random, n: int, density: float | None = None) -> OrderRelation:
@@ -27,7 +60,7 @@ def random_order(rng: random.Random, n: int, density: float | None = None) -> Or
             if rng.random() < density:
                 m[perm[i], perm[j]] = True
     return OrderRelation(GroundSet([f"x{i}" for i in range(n)]),
-                         transitive_closure(m))
+                         warshall_closure(m))
 
 
 def blocked_two_dimensional(blocks: int, size: int, seed: int):
@@ -105,7 +138,7 @@ def literally_an_order(matrix: np.ndarray) -> bool:
         return False
     if ((matrix & matrix.T) & ~eye).any():
         return False
-    return bool((transitive_closure(matrix) == matrix).all())
+    return bool((warshall_closure(matrix) == matrix).all())
 
 
 def brute_min_extension(o: OrderRelation, dim2_test) -> int:
@@ -441,3 +474,17 @@ def solve_by_milp(cnf):
         return None
     assert res.status == 0, res.message
     return [v if res.x[v - 1] > 0.5 else -v for v in range(1, nv + 1)]
+
+
+def screen_geometry_by_fractions(d, spec):
+    """SVG width, height and screen point per label, each float taken of
+    the exact rational distance to the plane's left or top edge."""
+    xs = [p[0] for p in d.plane.values()]
+    ys = [p[1] for p in d.plane.values()]
+    min_x, max_y = min(xs), max(ys)
+    width = float(max(xs) - min_x) * spec.scale + 2 * spec.margin
+    height = float(max_y - min(ys)) * spec.scale + 2 * spec.margin
+    screen = {label: (float(x - min_x) * spec.scale + spec.margin,
+                      float(max_y - y) * spec.scale + spec.margin)
+              for label, (x, y) in d.plane.items()}
+    return width, height, screen

@@ -4,7 +4,9 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
 from orddraw.engine import (_insert_checked, compute_coordinates,
@@ -19,7 +21,9 @@ from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_min_extension,
-                     multipass_order, random_order, scripted_then_exact)
+                     drawing_to_json_by_dumps, literally_an_order,
+                     multipass_order, random_order, scripted_then_exact,
+                     warshall_closure)
 
 
 # random_order(n=10)#13 of the benchmark's exact corpus at seed 32
@@ -79,6 +83,14 @@ def assert_valid_trace(o, tr):
     assert not tr.inserted & {(b, a) for a, b in tr.inserted}
     assert tr.passes == len(tr.per_pass_removed)
     assert sum(len(s) for s in tr.per_pass_removed) == len(tr.inserted)
+    # the extension is the closure of the input plus the inserted pairs,
+    # and closure_added is exactly what that closure put on top
+    union = o.matrix.copy()
+    for a, b in tr.inserted:
+        union[a, b] = True
+    assert (warshall_closure(union) == tr.extended.matrix).all()
+    assert tr.closure_added == {tuple(p) for p in
+                                np.argwhere(tr.extended.matrix & ~union).tolist()}
     # the extension contains the original and is exactly realized
     assert (o.matrix <= tr.extended.matrix).all()
     l1, l2 = realizer_from_conjugate(tr.extended, tr.conjugate)
@@ -181,18 +193,20 @@ class TestMultiPass:
     def test_exact_strategy_prefers_a_closed_reversal(self):
         # one of the 9 minimum sets (k = 3) of this order's tig reverses into
         # pairs that are not transitively closed; the engine must pass it by
+        # although the insertion would close it
         o = parse_order_text(CLOSURE_GAP_ORDER)
         tg = build_tig(o)
         gaps = 0
         for removed in TransversalSearch(tg.graph):
-            try:
-                _insert_checked(o, frozenset((b, a) for a, b in
-                                             (tg.vertices[v] for v in removed)))
-            except OrderViolation:
-                gaps += 1
+            union = o.matrix.copy()
+            for v in removed:
+                a, b = tg.vertices[v]
+                union[b, a] = True
+            gaps += not literally_an_order(union)
         assert gaps == 1
         tr = two_dimension_extension(o, strategy="sat")
         assert tr.passes == 1 and len(tr.inserted) == 3
+        assert tr.closure_added == frozenset()
         assert weak_dominance_stats(compute_coordinates(o)).count == 3
         assert_valid_trace(o, tr)
 
@@ -204,6 +218,25 @@ class TestMultiPass:
         tr = two_dimension_extension(o, strategy="sat")
         assert tr.passes == 1 and len(tr.inserted) == 3
         assert_valid_trace(o, tr)
+
+
+class TestBooleanLattice5:
+    # B5 used to raise OrderViolation with both heuristics: their removal
+    # sets reverse into unions that are not transitively closed
+    @pytest.mark.parametrize("strategy, removed, false_count", [
+        ("anneal", [93, 39, 2], 138),
+        ("greedy", [117, 7], 128),
+    ])
+    def test_heuristics_draw_it(self, strategy, removed, false_count):
+        o = boolean_lattice(5)
+        d = compute_coordinates(o, strategy=strategy)
+        tr = d.trace
+        assert [len(r) for r in tr.per_pass_removed] == removed
+        assert tr.closure_added
+        assert_valid_trace(o, tr)
+        rep = weak_dominance_stats(d)
+        assert rep.count == false_count \
+            == len(tr.inserted) + len(tr.closure_added)
 
 
 class TestDefensiveChecks:
@@ -222,16 +255,40 @@ class TestDefensiveChecks:
         with pytest.raises(OrderViolation, match="antisymmetry"):
             two_dimension_extension(standard_example(3), strategy=both_directions)
 
-    def test_closure_gap_is_rejected(self):
+    def test_closure_gap_is_closed(self):
         # inserting a1 < a2 alone forces a1 < b1 transitively, so a
-        # strategy removing only (a2, a1) hands back a non-closed union
+        # strategy removing only (a2, a1) hands back a non-closed union;
+        # the insertion closes it and records the forced pair apart
         def gap(tg):
             gid = tg.order.ground.id
             return OctResult(frozenset([tg.index[(gid("a2"), gid("a1"))]]),
                              "evil", False, {})
 
-        with pytest.raises(OrderViolation, match="transitively complete"):
-            two_dimension_extension(standard_example(3), strategy=gap)
+        o = standard_example(3)
+        tr = two_dimension_extension(o, strategy=gap)
+        assert tr.passes == 1
+        assert tr.inserted_labels() == (("a1", "a2"),)
+        lab = o.ground.label
+        assert {(lab(a), lab(b)) for a, b in tr.closure_added} == {("a1", "b1")}
+        assert tr.extended.lt("a1", "b1")
+        assert_valid_trace(o, tr)
+
+    def test_cycle_after_closure_is_rejected(self):
+        # a1 < a2 and a2 < a3 are each fine, but with a3 < a1 they close a
+        # cycle that no pair of them makes alone
+        o = standard_example(3)
+        gid = o.ground.id
+        pairs = frozenset({(gid("a1"), gid("a2")), (gid("a2"), gid("a3")),
+                           (gid("a3"), gid("a1"))})
+        with pytest.raises(OrderViolation, match="antisymmetry after closure"):
+            _insert_checked(o, pairs)
+
+    def test_closed_insertion_adds_nothing(self):
+        o = standard_example(3)
+        gid = o.ground.id
+        extended, added = _insert_checked(o, frozenset({(gid("a1"), gid("b1"))}))
+        assert added == frozenset()
+        assert extended.lt("a1", "b1")
 
 
 class TestCoordinates:
@@ -333,3 +390,27 @@ class TestJson:
         assert len(doc["inserted_pairs"]) == 1
         assert all(len(e["grid"]) == 2 and len(e["plane"]) == 2
                    for e in doc["elements"])
+
+    def test_empty_lists_are_written_as_empty_arrays(self):
+        d = compute_coordinates(grid(2, 2))
+        text = drawing_to_json(d)
+        assert '"inserted_pairs": [],' in text and '"perturbed": []\n' in text
+        assert text == drawing_to_json_by_dumps(d)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.text(st.sampled_from('ab"\\{},é☃\x01\n '), min_size=1, max_size=5),
+                    min_size=1, max_size=8, unique=True),
+           st.integers(0, 2 ** 32 - 1), st.lists(st.integers(-3, 3), max_size=8))
+    def test_writer_matches_json_dumps(self, labels, seed, steps):
+        # labels with quotes, backslashes, control and non-ASCII characters
+        # and set braces; points moved by multiples of 3/20 (repr 1.15, ...)
+        rng = random.Random(seed)
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                 if rng.random() < 0.4]
+        d = compute_coordinates(build_order(labels, pairs))
+        plane = dict(d.plane)
+        for label, k in zip(labels, steps):
+            x, y = plane[label]
+            plane[label] = (x + Fraction(3 * k, 20), y)
+        for drawing in (d, with_plane(d, plane)):
+            assert drawing_to_json(drawing) == drawing_to_json_by_dumps(drawing)

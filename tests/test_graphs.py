@@ -80,6 +80,20 @@ class TestFromMatrix:
             for w in range(n):
                 assert g.adjacent(u, w) == ref.adjacent(u, w) == bool(adj[u, w])
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices().filter(lambda adj: len(adj) >= 2), st.data())
+    def test_rejects_every_one_sided_arc(self, adj, data):
+        # flipping one off-diagonal entry leaves one arc without its
+        # reverse, whatever the edge count
+        n = len(adj)
+        u = data.draw(st.integers(0, n - 1))
+        v = data.draw(st.integers(0, n - 2))
+        v += v >= u
+        adj = adj.copy()
+        adj[u, v] = not adj[u, v]
+        with pytest.raises(ValueError, match="not symmetric"):
+            SimpleGraph.from_matrix(adj)
+
     def test_empty_and_edgeless(self):
         assert SimpleGraph.from_matrix(np.zeros((0, 0), dtype=bool)).n == 0
         g = SimpleGraph.from_matrix(np.zeros((4, 4), dtype=bool))

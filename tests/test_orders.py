@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import (CycleError, GroundMismatch, NotLinear,
                             UnknownLabel)
@@ -14,7 +15,23 @@ from orddraw.orders import (GroundSet, LinearExtension, OrderRelation,
                             intersect_linear, is_linear_order,
                             linear_from_sequence, standard_example,
                             transitive_closure)
-from oracles import literally_an_order, random_order
+from oracles import literally_an_order, random_order, warshall_closure
+
+
+@st.composite
+def boolean_relations(draw, max_n=40):
+    """Random square boolean relations, cycles and loops allowed, n >= 0."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.15, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random((n, n)) < density
+
+
+@st.composite
+def random_orders(draw, max_n=25):
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))
+    return random_order(random.Random(draw(st.integers(0, 2 ** 32 - 1))), n, density)
 
 
 def naive_closure(matrix):
@@ -66,6 +83,25 @@ class TestClosure:
                     if i != j and rng.random() < 0.3:
                         raw[i, j] = True
             assert (transitive_closure(raw) == naive_closure(raw)).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(boolean_relations())
+    def test_matches_warshall(self, raw):
+        before = raw.copy()
+        got = transitive_closure(raw)
+        assert got.dtype == bool and got.shape == raw.shape
+        assert (got == warshall_closure(raw)).all()
+        assert (raw == before).all()
+
+    def test_small_and_cyclic_relations(self):
+        assert transitive_closure(np.zeros((0, 0), dtype=bool)).shape == (0, 0)
+        assert transitive_closure(np.zeros((1, 1), dtype=bool)).tolist() == [[True]]
+        # a directed 5-cycle closes to the full relation
+        ring = np.roll(np.eye(5, dtype=bool), 1, axis=1)
+        assert transitive_closure(ring).all()
+        # a long chain needs log2(n) squarings to close
+        path = np.eye(64, k=1, dtype=bool)
+        assert (transitive_closure(path) == np.triu(np.ones((64, 64), dtype=bool))).all()
 
     def test_idempotent(self):
         rng = random.Random(12)
@@ -170,6 +206,17 @@ class TestCovers:
         assert cover_relation(boolean_lattice(0)) == frozenset()
         for n in range(1, 5):
             assert len(cover_relation(boolean_lattice(n))) == n * 2 ** (n - 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(random_orders())
+    def test_matches_the_definition(self, o):
+        # a < b with no c such that a < c < b
+        n = o.n
+        want = {(o.ground.label(a), o.ground.label(b))
+                for a in range(n) for b in range(n)
+                if o.lt_ids(a, b)
+                and not any(o.lt_ids(a, c) and o.lt_ids(c, b) for c in range(n))}
+        assert cover_relation(o) == want
 
     def test_covers_regenerate_the_order(self):
         rng = random.Random(15)

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from orddraw.engine import compute_coordinates, perturbed_labels, with_plane
 from orddraw.errors import Unresolvable
 from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
-from orddraw.render import (CanvasSpec, detect_collinear, emit_dot, emit_svg,
-                            emit_tikz, perturb)
-from oracles import collinear_points, random_order, strict_pairs
+from orddraw.render import (CanvasSpec, _screen_geometry, detect_collinear,
+                            emit_dot, emit_svg, emit_tikz, perturb)
+from oracles import (collinear_points, random_order,
+                     screen_geometry_by_fractions, strict_pairs)
 
 
 def oracle_conflicts(d):
@@ -238,6 +239,23 @@ class TestSvg:
         ys = [float(c.split('cy="')[1].split('"')[0]) for c in circles]
         # ground order x1 < x2 < x3; screen y decreases upward
         assert ys[0] > ys[1] > ys[2]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_screen_points_match_the_rational_plane(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        d = compute_coordinates(random_order(random.Random(seed),
+                                             data.draw(st.integers(1, 8))))
+        offsets = st.fractions(min_value=-3, max_value=3, max_denominator=97)
+        plane = {label: (x + data.draw(offsets), y + data.draw(offsets))
+                 for label, (x, y) in d.plane.items()}
+        moved = with_plane(d, plane)
+        spec = CanvasSpec(scale=data.draw(st.sampled_from([48.0, 7.3, 100.0])),
+                          margin=data.draw(st.sampled_from([40.0, 0.0, 2.5])))
+        width, height, place = _screen_geometry(moved, spec)
+        want_w, want_h, want = screen_geometry_by_fractions(moved, spec)
+        assert (width, height) == (want_w, want_h)
+        assert {label: place(label) for label in want} == want
 
     def test_byte_determinism(self):
         a = emit_svg(compute_coordinates(boolean_lattice(3)))

@@ -48,6 +48,14 @@ class TestDimacs:
         with pytest.raises(ValueError):
             parse_dimacs("1 0\n")
 
+    def test_second_problem_line(self):
+        with pytest.raises(ValueError, match="second problem line"):
+            parse_dimacs("p cnf 1 1\np cnf 3 1\n3 0\n")
+
+    def test_clause_before_problem_line(self):
+        with pytest.raises(ValueError, match="before the problem line"):
+            parse_dimacs("1 2 0\np cnf 2 1\n")
+
     def test_declared_count_mismatch(self):
         with pytest.raises(ValueError):
             parse_dimacs("p cnf 2 3\n1 0\n2 0\n")
@@ -223,6 +231,22 @@ class TestExternalSolver:
     def test_empty_command_rejected(self):
         with pytest.raises(ValueError):
             ExternalSolver("")
+
+    def test_non_integer_token_in_value_line(self):
+        with pytest.raises(BackendFailure, match="non-integer token"):
+            ExternalSolver._parse("s SATISFIABLE\nv 1 x 2 0\n", 2)
+        with pytest.raises(BackendFailure, match="non-integer token"):
+            ExternalSolver._parse("SAT\n1 x 2 0\n", 2)
+
+    def test_out_of_range_literal_in_value_line(self):
+        with pytest.raises(BackendFailure, match="out of range"):
+            ExternalSolver._parse("s SATISFIABLE\nv 1 7 0\n", 2)
+        with pytest.raises(BackendFailure, match="out of range"):
+            ExternalSolver._parse("SAT\n-3 0\n", 2)
+
+    def test_banner_lines_are_skipped(self):
+        out = "solver 1.0 starting\nSAT\n--- done ---\n1 -2 0\n"
+        assert ExternalSolver._parse(out, 2) == [1, -2]
 
     def test_lying_external_model_is_caught(self, tmp_path):
         cmd = script(tmp_path, "liar.sh", 'echo "SAT"\necho "-1 0"\n')
