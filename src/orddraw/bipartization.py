@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .errors import TooLarge
 from .graphs import (SimpleGraph, bridges, conflict_edge_count,
@@ -283,14 +286,34 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     afterwards, so the graph it would rejoin only grows and keeps its odd
     cycle; a second pass would drop nothing.  The kept graph is held as a
     union-find in which each vertex stores its colour relative to its
-    parent.  A vertex may return when, within each component, its kept
+    parent, seeded by one breadth-first search over the neighbour lists that
+    hangs every kept vertex straight off its component's root with its
+    colour.  A vertex may return when, within each component, its kept
     neighbours all have one colour; it then joins those components with the
     other colour, so each check costs its degree rather than a two-colouring
     of the graph.  A set whose rest is not bipartite comes back unchanged.
     """
     removed = frozenset(removed)
     parent = list(range(g.n))
-    parity = [0] * g.n  # colour relative to the parent
+    # colour relative to the parent, read only below a root: None until the
+    # search reaches a kept vertex, 2 for a removed one
+    parity: list[int | None] = [None] * g.n
+    for v in removed:
+        parity[v] = 2
+    for root in range(g.n):
+        if parity[root] is not None:
+            continue
+        parity[root] = 0
+        found = [root]
+        for u in found:  # grows while it is walked: a breadth-first search
+            colour = parity[u]
+            for w in g.neighbors(u):
+                side = parity[w]
+                if side is None:
+                    parent[w], parity[w] = root, colour ^ 1
+                    found.append(w)
+                elif side == colour:
+                    return removed  # a monochromatic kept edge
 
     def find(v: int) -> tuple[int, int]:
         """(root, colour relative to the root) of v, compressing its path."""
@@ -304,15 +327,6 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
             parity[x], parent[x] = colour, v
         return v, colour
 
-    for u, w in g.edges:
-        if u in removed or w in removed:
-            continue
-        (ru, cu), (rw, cw) = find(u), find(w)
-        if ru == rw:
-            if cu == cw:
-                return removed
-        else:
-            parent[ru], parity[ru] = rw, cu ^ cw ^ 1
     cur = set(removed)
     for v in sorted(removed):
         sides: dict[int, int] = {}  # root -> colour of v's neighbours there
@@ -358,18 +372,53 @@ class AnnealParams:
     steps: int = 10_000
 
 
+@lru_cache(maxsize=32)
+def _cold_steps(p: AnnealParams) -> tuple[int, int]:
+    """(hot, quiet) for the schedule of p, by replaying its temperatures.
+
+    With a factor in [0, 1] the temperature never rises: from step `hot`
+    on, exp(-1/temp) is 0.0, and from step `quiet` on, temp <= 1e-12.  A
+    factor outside [0, 1] may warm the schedule again, so every step of it
+    counts as hot.  The replay costs about as much as 500 annealing steps,
+    so it is kept per schedule.
+    """
+    if not 0.0 <= p.alpha <= 1.0:
+        return p.steps, p.steps
+    temp, step = p.t0, 0
+    while step < p.steps and temp > 1e-12 and math.exp(-1.0 / temp) > 0.0:
+        temp *= p.alpha
+        step += 1
+    hot = step
+    while step < p.steps and temp > 1e-12:
+        temp *= p.alpha
+        step += 1
+    return hot, step
+
+
 def oct_anneal(g: SimpleGraph, seed: int = 0,
                params: AnnealParams | None = None) -> OctResult:
     """Simulated annealing over (side, side, removed) vertex labelings.
 
     Energy counts removals plus a heavy penalty per monochromatic edge, so
     low energy means a clean two-coloring with few removals.  Each vertex
-    keeps the count of its neighbours under each label; a step reads its
-    energy change off those counts, and only an accepted move updates them,
-    over the moved vertex's neighbours.  The vertex and the new label of a
-    move are drawn inline with the getrandbits rejection draws that
-    randrange and choice make, so the random stream is theirs.  The final
-    state is repaired and peeled, so the result is always valid and
+    keeps the count of its neighbours under each label (one bincount over
+    the edge arrays); a step reads its energy change off those counts, and
+    only an accepted move updates them, over the moved vertex's neighbours.
+    The initial labels, and the vertex and the new label of a move, are
+    drawn inline with the getrandbits rejection draws that randrange and
+    choice make, so the random stream is theirs.
+
+    An uphill move raises the energy by an integer delta >= 1, so once
+    exp(-1/temp) underflows to 0.0 its acceptance test uniform() <
+    exp(-delta/temp) fails whatever uniform() returns, and it keeps failing
+    while the temperature falls.  From that step on (`_cold_steps`) the
+    loop accepts exactly the moves with delta <= 0, which it reads off the
+    counts with no exp; it still calls uniform() on each rejection while
+    temp > 1e-12, as the hot loop does, so the stream and the moves are
+    those of the hot loop run to the end.
+
+    The final state is repaired, unless its kept vertices are already
+    properly coloured, and peeled, so the result is always valid and
     inclusion-minimal, just not necessarily optimal.
     """
     p = params or AnnealParams()
@@ -378,18 +427,25 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     if n == 0 or is_bipartite_without(g):
         return OctResult(frozenset(), "anneal", g.m == 0, {"steps": 0})
     weight = n + 1
-    labels = [rng.randrange(3) for _ in range(n)]  # 0/1 sides, 2 removed
-    same = [[0, 0, 0] for _ in range(n)]  # same[v][label]: neighbours of v under label
-    nbrs = [g.neighbors(v) for v in range(n)]
-    for v in range(n):
-        for w in nbrs[v]:
-            same[v][labels[w]] += 1
-
     getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
+    labels = []  # 0/1 sides, 2 removed; each drawn as randrange(3) draws it
+    for _ in range(n):
+        label = getrandbits(2)
+        while label == 3:
+            label = getrandbits(2)
+        labels.append(label)
+    # same[label][v]: the neighbours of v under label
+    us, vs = g.edge_arrays()
+    at = np.array(labels, dtype=np.intp)
+    same = np.bincount(np.concatenate([at[vs] * n + us, at[us] * n + vs]),
+                       minlength=3 * n).reshape(3, n).tolist()
+    nbrs = [g.neighbors(v) for v in range(n)]
+
     bits = n.bit_length()
+    hot, quiet = _cold_steps(p)
     temp = p.t0
     accepted = 0
-    for _ in range(p.steps):
+    for _ in range(hot):
         # rng.randrange(n), then rng.choice of a pair, as CPython draws them:
         # fresh k-bit draws until one falls below the bound
         v = getrandbits(bits)
@@ -400,19 +456,48 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
             pick = getrandbits(2)
         old = labels[v]
         new = _OTHER_LABELS[old][pick]
-        counts = same[v]
         # a removed vertex (label 2) costs nothing
-        delta = weight * ((counts[new] if new != 2 else 0) - (counts[old] if old != 2 else 0))
+        delta = weight * ((same[new][v] if new != 2 else 0) - (same[old][v] if old != 2 else 0))
         delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
         if delta <= 0 or (temp > 1e-12 and uniform() < exp(-delta / temp)):
             labels[v] = new
             accepted += 1
+            leave, join = same[old], same[new]
             for w in nbrs[v]:
-                counts = same[w]
-                counts[old] -= 1
-                counts[new] += 1
+                leave[w] -= 1
+                join[w] += 1
         temp *= p.alpha
-    removed = _repair(g, {v for v in range(n) if labels[v] == 2})
+    for draws, count in ((True, quiet - hot), (False, p.steps - quiet)):
+        for _ in range(count):
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
+            pick = getrandbits(2)
+            while pick >= 2:
+                pick = getrandbits(2)
+            old = labels[v]
+            new = _OTHER_LABELS[old][pick]
+            # delta <= 0: the weight exceeds the +-1 of a removal, so only
+            # the conflict counts decide, and a tie decides for a side swap
+            # and for a return but against a removal
+            if new == 2:
+                downhill = same[old][v] > 0
+            elif old == 2:
+                downhill = same[new][v] == 0
+            else:
+                downhill = same[new][v] <= same[old][v]
+            if downhill:
+                labels[v] = new
+                accepted += 1
+                leave, join = same[old], same[new]
+                for w in nbrs[v]:
+                    leave[w] -= 1
+                    join[w] += 1
+            elif draws:
+                uniform()
+    removed = {v for v in range(n) if labels[v] == 2}
+    if any(label != 2 and same[label][v] for v, label in enumerate(labels)):
+        removed = _repair(g, removed)
     final = peel_to_minimal(g, frozenset(removed))
     return _checked(g, final, "anneal", False,
                     {"steps": p.steps, "accepted": accepted})

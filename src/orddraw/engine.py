@@ -74,7 +74,11 @@ class GridDrawing:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """False comparabilities a drawing shows for originally incomparable pairs."""
+    """False comparabilities a drawing shows for originally incomparable pairs.
+
+    `inserted` and `closure_added` count the trace's two kinds of added
+    pairs; against the drawn order they sum to `count`.
+    """
 
     count: int
     pairs: tuple[Pair, ...]
@@ -213,9 +217,8 @@ def weak_dominance_stats(d: GridDrawing, o: OrderRelation | None = None) -> Domi
     below = (c1[:, None] < c1[None, :]) & (c2[:, None] < c2[None, :])
     false_ids = np.argwhere(below & ~(o.matrix | o.matrix.T))  # sorted by (a, b)
     false_pairs = [(lab(int(a)), lab(int(b))) for a, b in false_ids]
-    closure_added = int(d.trace.extended.matrix.sum() - o.matrix.sum())
     return DominanceReport(len(false_pairs), tuple(false_pairs),
-                           len(d.trace.inserted), closure_added)
+                           len(d.trace.inserted), len(d.trace.closure_added))
 
 
 def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:

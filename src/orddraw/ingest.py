@@ -122,7 +122,9 @@ def parse_cxt(text: str) -> FormalContext:
 
     objects = tuple(take_name("object") for _ in range(n_objects))
     attributes = tuple(take_name("attribute") for _ in range(n_attributes))
-    rows = np.zeros((n_objects, n_attributes), dtype=bool)
+    # the table is built from rows already read, so the counts alone cannot
+    # make it allocate more than the text holds
+    rows = []
     for i in range(n_objects):
         if pos >= len(lines):
             raise ParseError(len(lines), f"missing incidence row for {objects[i]!r}")
@@ -131,12 +133,12 @@ def parse_cxt(text: str) -> FormalContext:
         if len(row) != n_attributes:
             raise ParseError(pos, f"row for {objects[i]!r} has {len(row)} cells, "
                                   f"expected {n_attributes}")
-        for j, cell in enumerate(row):
-            if cell in "Xx":
-                rows[i, j] = True
-            elif cell != ".":
+        for cell in row:
+            if cell not in "Xx.":
                 raise ParseError(pos, f"unexpected cell {cell!r}")
-    return FormalContext(objects, attributes, rows)
+        rows.append([cell in "Xx" for cell in row])
+    incidence = np.array(rows, dtype=bool).reshape(n_objects, n_attributes)
+    return FormalContext(objects, attributes, incidence)
 
 
 def _extent_label(ctx: FormalContext, extent_mask: int) -> str:

@@ -260,10 +260,16 @@ def incomparable_pairs(o: OrderRelation) -> frozenset[Pair]:
     return frozenset((lab(i), lab(j)) for i, j in inc_id_pairs(o))
 
 
+def inc_id_arrays(o: OrderRelation) -> tuple[np.ndarray, np.ndarray]:
+    """First and second ids of the incomparable ordered pairs, in
+    lexicographic order."""
+    return np.nonzero(~(o.matrix | o.matrix.T))
+
+
 def inc_id_pairs(o: OrderRelation) -> list[IdPair]:
     """Incomparable ordered id pairs in lexicographic order."""
-    comp = o.matrix | o.matrix.T
-    return [(int(i), int(j)) for i, j in np.argwhere(~comp)]
+    firsts, seconds = inc_id_arrays(o)
+    return list(zip(firsts.tolist(), seconds.tolist()))
 
 
 class LinearExtension:

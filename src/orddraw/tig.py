@@ -14,9 +14,11 @@ is what the drawing engine exploits.
 build_tig applies the second test to all pairs at once: two gathers from
 the <= matrix give reach[i, j] (second of i <= first of j), reach AND its
 transpose is the adjacency matrix, and SimpleGraph.from_matrix indexes it
-with no Python object per edge until the edge tuples.  That allocates
-about 2 |inc|^2 bytes (the gather and the adjacency matrix; from_matrix
-checks symmetry on the edge list); the matrix stays because it tests every
+into neighbour lists and two arrays of edge ends.  The vertex pairs come
+from one tolist() of each id array, and no Python object is made per edge
+unless a caller reads the graph's `edges`.  That allocates about
+2 |inc|^2 bytes (the gather and the adjacency matrix; from_matrix checks
+symmetry on the sorted arc list); the matrix stays because it tests every
 pair in a few vectorised passes, and a sparse build that bounds the memory
 is still open.
 """
@@ -26,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import NotIncomparable
 from .graphs import SimpleGraph, two_coloring
-from .orders import OrderRelation, inc_id_pairs
+from .orders import OrderRelation, inc_id_arrays
 
 IncPair = tuple[int, int]
 
@@ -92,8 +92,8 @@ def incompatible(p: IncPair, q: IncPair, o: OrderRelation) -> bool:
 
 def build_tig(o: OrderRelation) -> TigGraph:
     """Incompatibility graph of o; quadratic in the incomparable pair count."""
-    verts = tuple(inc_id_pairs(o))
-    firsts, seconds = np.array(verts, dtype=np.intp).reshape(-1, 2).T
+    firsts, seconds = inc_id_arrays(o)
+    verts = tuple(zip(firsts.tolist(), seconds.tolist()))
     # reach[i, j] == (second of vertex i <= first of vertex j); two plain
     # takes gather it about 8x faster than one np.ix_ index
     reach = o.matrix[seconds][:, firsts]

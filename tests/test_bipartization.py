@@ -1,5 +1,6 @@
 """Tests for the odd-cycle-transversal strategies and their CNF encoding."""
 
+import math
 import os
 import random
 import subprocess
@@ -7,7 +8,9 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, is_bipartite_without
@@ -16,7 +19,8 @@ from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
                                    brute_force_oct, decode_partition,
                                    decode_removed, encode_oct, min_oct_exact,
                                    min_oct_size, oct_anneal, oct_genetic,
-                                   oct_greedy, peel_to_minimal, _repair)
+                                   oct_greedy, peel_to_minimal, _cold_steps,
+                                   _repair)
 from oracles import anneal_by_recount, peel_to_minimal_by_bfs, solve_by_milp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -299,6 +303,21 @@ class TestPeeling:
                 assert peeled == arbitrary
         assert invalid >= 100
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.sampled_from([0.05, 0.15, 0.3, 0.6]),
+           st.sampled_from([0.1, 0.3, 0.6, 0.9]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_bfs_rounds_on_any_set(self, n, density, share, seed):
+        """The BFS-seeded union-find peels as rounds of two-colourings do,
+        also from sets whose rest is not bipartite, which come back whole."""
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        g = SimpleGraph.from_matrix(upper | upper.T)
+        removed = frozenset(np.flatnonzero(rng.random(n) < share).tolist())
+        peeled = peel_to_minimal(g, removed)
+        assert peeled == peel_to_minimal_by_bfs(g, removed)
+        if not is_bipartite_without(g, removed):
+            assert peeled == removed
+
     def test_long_odd_cycle_keeps_its_last_vertex(self):
         # an odd cycle of 2001 vertices with every vertex removed: each
         # return joins the path grown so far, and the last one closes it
@@ -363,6 +382,39 @@ class TestHeuristics:
             removed, accepted = anneal_by_recount(g, seed=seed, params=params)
             assert res.removed == removed
             assert res.stats.get("accepted", 0) == accepted
+
+    @pytest.mark.parametrize("params", [
+        AnnealParams(steps=1_400),  # past the hot phase, drawing on rejections
+        AnnealParams(steps=6_000),  # past both boundaries
+        AnnealParams(t0=1e-13, steps=2_000),  # no hot phase, no draws
+        AnnealParams(alpha=1.0, steps=2_000),  # no cold phase
+        AnnealParams(alpha=0.9, steps=2_000),  # early boundaries
+        AnnealParams(t0=1e-3, alpha=1.01, steps=1_500),  # warms up: all hot
+    ], ids=repr)
+    def test_anneal_matches_the_recounting_loop_across_phases(self, params):
+        """The cold loop accepts and draws as the recounting loop does, on
+        either side of each schedule boundary."""
+        rng = random.Random(173)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(3, 40), rng.choice([0.1, 0.3, 0.6]))
+            seed = rng.randrange(1000)
+            res = oct_anneal(g, seed=seed, params=params)
+            removed, accepted = anneal_by_recount(g, seed=seed, params=params)
+            assert res.removed == removed
+            assert res.stats.get("accepted", 0) == accepted
+
+    def test_schedule_boundaries(self):
+        # the defaults cool past both boundaries well before the last step
+        assert _cold_steps(AnnealParams()) == (1_320, 5_513)
+        assert _cold_steps(AnnealParams(alpha=1.0)) == (10_000, 10_000)
+        assert _cold_steps(AnnealParams(t0=1e-13)) == (0, 0)
+        assert _cold_steps(AnnealParams(t0=1e-3, alpha=1.01)) == (10_000, 10_000)
+        hot, quiet = _cold_steps(AnnealParams(alpha=0.9))
+        temps = [1.0]
+        for _ in range(quiet):
+            temps.append(temps[-1] * 0.9)
+        assert math.exp(-1 / temps[hot - 1]) > 0.0 == math.exp(-1 / temps[hot])
+        assert temps[quiet - 1] > 1e-12 >= temps[quiet]
 
     def test_bit_draws_match_randrange_and_choice(self):
         """oct_anneal draws its vertex and its new label inline, as CPython's

@@ -237,6 +237,9 @@ class TestBooleanLattice5:
         rep = weak_dominance_stats(d)
         assert rep.count == false_count \
             == len(tr.inserted) + len(tr.closure_added)
+        assert (rep.inserted, rep.closure_added) \
+            == (len(tr.inserted), len(tr.closure_added))
+        assert rep.inserted + rep.closure_added == rep.count
 
 
 class TestDefensiveChecks:
@@ -344,8 +347,9 @@ class TestDominanceReport:
             o = random_height1(rng, rng.randint(2, 4), rng.randint(2, 4), 0.4)
             d = compute_coordinates(o)
             rep = weak_dominance_stats(d)
-            assert rep.count == rep.inserted == rep.closure_added \
-                == len(d.trace.inserted)
+            assert rep.inserted == len(d.trace.inserted)
+            assert rep.closure_added == len(d.trace.closure_added)
+            assert rep.count == rep.inserted + rep.closure_added
             assert set(rep.pairs) == set(d.trace.inserted_labels())
 
     def test_no_false_comparabilities_for_two_dimensional_input(self):

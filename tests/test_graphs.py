@@ -81,6 +81,21 @@ class TestFromMatrix:
                 assert g.adjacent(u, w) == ref.adjacent(u, w) == bool(adj[u, w])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices())
+    def test_edges_m_and_adjacency_agree_before_and_after_the_lazy_build(self, adj):
+        n = len(adj)
+        edges = tuple((int(u), int(v)) for u, v in np.argwhere(np.triu(adj, 1)))
+        for g in (SimpleGraph(n, edges), SimpleGraph.from_matrix(adj)):
+            # m, adjacency and the edge arrays come before the first read of
+            # edges, which builds the tuples, and must not change after it
+            for _ in range(2):
+                assert g.m == len(edges)
+                assert np.array_equal(g.adjacency, adj)
+                us, vs = g.edge_arrays()
+                assert list(zip(us.tolist(), vs.tolist())) == list(edges)
+                assert g.edges == edges
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(symmetric_matrices().filter(lambda adj: len(adj) >= 2), st.data())
     def test_rejects_every_one_sided_arc(self, adj, data):
         # flipping one off-diagonal entry leaves one arc without its
@@ -217,6 +232,21 @@ class TestOddCycleCensus:
                 # removing all counted vertices kills every witnessed cycle
                 assert conflict_edge_count(
                     g, forced_coloring(g, removed=census)[0]) == 0
+
+    def test_matches_a_walk_over_the_edge_tuples(self):
+        # one BFS-tree cycle per monochromatic kept edge, read off `edges`
+        from orddraw.graphs import _tree_cycle
+        rng = random.Random(31)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 25), rng.choice([0.1, 0.3, 0.6]))
+            removed = {v for v in range(g.n) if rng.random() < 0.2}
+            color, parent, depth = forced_coloring(g, removed)
+            ref: dict[int, int] = {}
+            for u, v in g.edges:
+                if u not in removed and v not in removed and color[u] == color[v]:
+                    for x in _tree_cycle(parent, depth, u, v):
+                        ref[x] = ref.get(x, 0) + 1
+            assert odd_cycle_census(g, removed) == (ref or None)
 
 
 class TestConflictEdgeCount:

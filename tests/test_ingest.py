@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import CycleError, ParseError, TooLarge, UnknownLabel
 from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
@@ -58,6 +59,20 @@ class TestOrderText:
         with pytest.raises(CycleError):
             parse_order_text("a < b\nb < a\n")
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(["a", "b", "c", "é", "{a,b}", "<", "<<", "elements:",
+                                  "#", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
+                                  "\x85", "\u2028", "\x00"]),
+                 max_size=40).map("".join)))
+    def test_fuzzed_text_raises_only_the_documented_errors(self, text):
+        try:
+            o = parse_order_text(text)
+        except (ParseError, CycleError):
+            return
+        assert o.n >= 1
+
     def test_round_trip_through_serialization(self):
         rng = random.Random(151)
         for _ in range(25):
@@ -83,6 +98,28 @@ attr_2
 X.
 .X
 """
+
+
+@st.composite
+def cxt_like_texts(draw):
+    """Contexts with up to 4 objects and attributes, then up to 3 lines
+    dropped, doubled or replaced, joined by one line break style."""
+    g, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    lines = ["B", "", str(g), str(m)]
+    lines += [draw(st.text(max_size=4)) for _ in range(g + m)]
+    lines += ["".join(draw(st.lists(st.sampled_from("Xx.o "), min_size=m, max_size=m)))
+              for _ in range(g)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(st.text(st.sampled_from("B0123-+ Xx.\r"), max_size=5))
+    brk = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
 
 
 class TestCxt:
@@ -117,6 +154,21 @@ class TestCxt:
     def test_truncated_file(self):
         with pytest.raises(ParseError):
             parse_cxt("B\n2\n2\nonly_object\n")
+
+    def test_counts_past_the_text_allocate_nothing(self):
+        # 10^5 x 10^5 cells would take 9.3 GiB; the first row is too short
+        text = "B\n100000\n100000\n" + "\n" * 200_000 + "X\n"
+        with pytest.raises(ParseError, match="cells"):
+            parse_cxt(text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.text(max_size=80), cxt_like_texts()))
+    def test_fuzzed_text_raises_only_parse_errors(self, text):
+        try:
+            ctx = parse_cxt(text)
+        except ParseError:
+            return
+        assert ctx.incidence.shape == (len(ctx.objects), len(ctx.attributes))
 
     def test_incidence_shape_validated(self):
         with pytest.raises(ValueError):
