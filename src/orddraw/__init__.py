@@ -4,13 +4,13 @@ The package takes a finite order, inserts as few extra comparabilities as
 possible until the result has order dimension at most two, and places the
 elements by their ranks in the resulting realizer.  Along the way it
 exposes the pieces individually: order and lattice construction, transitive
-orientation, the incompatibility graph, exact and heuristic minimum odd
-cycle transversals with a CNF export, and SVG/TikZ rendering.
+orientation, the incompatibility graph, exact minimum odd cycle
+transversals with greedy and annealing heuristics and a CNF export, and
+SVG/TikZ/DOT rendering.
 """
 
-from .bipartization import (AnnealParams, GeneticParams, OctResult,
-                            brute_force_oct, encode_oct, min_oct_exact,
-                            oct_anneal, oct_genetic, oct_greedy,
+from .bipartization import (AnnealParams, OctResult, encode_oct,
+                            min_oct_exact, oct_anneal, oct_greedy,
                             peel_to_minimal)
 from .engine import (DominanceReport, ExtensionTrace, GridDrawing,
                      compute_coordinates, drawing_to_json,
@@ -33,20 +33,20 @@ from .orientation import (cocomparability_graph, comparability_graph,
 from .render import (CanvasSpec, detect_collinear, emit_dot, emit_svg,
                      emit_tikz, perturb)
 from .sat import CnfInstance, ExternalSolver, parse_dimacs, solve_cnf
-from .tig import Bipartition, TigGraph, bipartite_check, build_tig, enforces, incompatible
+from .tig import TigGraph, build_tig, enforces, incompatible
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealParams", "BackendFailure", "Bipartition", "CanvasSpec",
+    "AnnealParams", "BackendFailure", "CanvasSpec",
     "CnfInstance", "CycleError", "DominanceReport",
     "EdgeMismatch", "ExtensionTrace", "ExternalSolver", "FormalContext",
-    "GeneticParams", "GridDrawing", "GroundMismatch", "GroundSet",
+    "GridDrawing", "GroundMismatch", "GroundSet",
     "LinearExtension", "NotIncomparable", "NotLinear", "OctResult",
     "OrderDrawError", "OrderRelation", "OrderViolation", "ParseError",
     "SimpleGraph", "TigGraph", "TooLarge", "UnknownLabel", "Unresolvable",
-    "all_linear_extensions", "antichain", "bipartite_check",
-    "boolean_lattice", "brute_force_oct", "build_order", "build_tig",
+    "all_linear_extensions", "antichain",
+    "boolean_lattice", "build_order", "build_tig",
     "chain", "cocomparability_graph", "comparability_graph",
     "compute_conjugate_order",
     "compute_coordinates", "concept_lattice", "cover_relation",
@@ -54,7 +54,7 @@ __all__ = [
     "emit_tikz",
     "encode_oct", "enforces", "grid", "incomparable_pairs", "incompatible",
     "intersect_linear", "is_bipartite_without", "linear_from_sequence",
-    "min_oct_exact", "oct_anneal", "oct_genetic", "oct_greedy",
+    "min_oct_exact", "oct_anneal", "oct_greedy",
     "parse_cxt", "parse_dimacs", "parse_order_text", "peel_to_minimal",
     "perturb", "realizer_from_conjugate", "serialize_order", "solve_cnf",
     "standard_example", "transitive_orientation", "two_coloring",

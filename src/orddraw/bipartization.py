@@ -8,8 +8,8 @@ lists minimum removal sets in a fixed order and the caller may pick among
 them.  The CNF reduction is kept for export to external solvers: vertex
 i (0-based) gets side variables i+1 and n+i+1 and a removal variable
 2n+i+1; every vertex must take a role, adjacent vertices may not share a
-side, and a sequential counter bounds the removal variables by k.  Greedy,
-annealing and genetic heuristics trade optimality for speed; each one
+side, and a sequential counter bounds the removal variables by k.  The
+greedy and annealing heuristics trade optimality for speed; each one
 repairs its answer to validity and peels it to inclusion-minimality.
 """
 
@@ -19,15 +19,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import TooLarge
-from .graphs import (SimpleGraph, bridges, conflict_edge_count,
-                     forced_coloring, is_bipartite_without, odd_cycle_census,
-                     two_coloring)
+from .graphs import (SimpleGraph, bridges, is_bipartite_without,
+                     odd_cycle_census, two_coloring)
 from .sat import CnfInstance, Model, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
@@ -264,20 +262,6 @@ def min_oct_exact(g: SimpleGraph,
         "branch_nodes": search.branch_nodes, "examined": len(examined)})
 
 
-def brute_force_oct(g: SimpleGraph, max_vertices: int = 20) -> OctResult:
-    """Smallest removal set by subset enumeration (oracle for tests)."""
-    if g.n > max_vertices:
-        raise TooLarge(f"{g.n} vertices exceeds the brute-force bound {max_vertices}")
-    tested = 0
-    for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
-            tested += 1
-            if is_bipartite_without(g, subset):
-                return OctResult(frozenset(subset), "brute", True,
-                                 {"subsets_tested": tested})
-    raise AssertionError("unreachable: removing every vertex is bipartite")
-
-
 def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     """Drop vertices from a valid removal set until it is inclusion-minimal.
 
@@ -501,54 +485,3 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     final = peel_to_minimal(g, frozenset(removed))
     return _checked(g, final, "anneal", False,
                     {"steps": p.steps, "accepted": accepted})
-
-
-@dataclass(frozen=True)
-class GeneticParams:
-    population: int = 50
-    mutation_rate: float = 0.05
-    generations: int = 200
-
-
-def oct_genetic(g: SimpleGraph, seed: int = 0,
-                params: GeneticParams | None = None) -> OctResult:
-    """Evolve removal bitstrings; fitness favors bipartite survivors.
-
-    Tournament selection with two elites, uniform crossover, per-gene
-    mutation.  The best individual is repaired and peeled before returning.
-    """
-    p = params or GeneticParams()
-    rng = random.Random(seed)
-    n = g.n
-    if n == 0 or is_bipartite_without(g):
-        return OctResult(frozenset(), "genetic", g.m == 0, {"generations": 0})
-    weight = n + 1
-
-    def fitness(genes: tuple[bool, ...]) -> int:
-        gone = {i for i in range(n) if genes[i]}
-        colors, _, _ = forced_coloring(g, gone)
-        return weight * conflict_edge_count(g, colors) + len(gone)
-
-    pop = [tuple(rng.random() < 0.3 for _ in range(n)) for _ in range(p.population)]
-    scores = [fitness(ind) for ind in pop]
-
-    def tournament() -> tuple[bool, ...]:
-        picks = [rng.randrange(len(pop)) for _ in range(3)]
-        return pop[min(picks, key=lambda i: scores[i])]
-
-    for _ in range(p.generations):
-        ranked = sorted(range(len(pop)), key=lambda i: (scores[i], i))
-        nxt = [pop[ranked[0]], pop[ranked[1]]]  # elitism
-        while len(nxt) < p.population:
-            mother, father = tournament(), tournament()
-            child = tuple(
-                (mother[i] if rng.random() < 0.5 else father[i]) != (rng.random() < p.mutation_rate)
-                for i in range(n))
-            nxt.append(child)
-        pop = nxt
-        scores = [fitness(ind) for ind in pop]
-
-    best = pop[min(range(len(pop)), key=lambda i: (scores[i], i))]
-    removed = _repair(g, {i for i in range(n) if best[i]})
-    final = peel_to_minimal(g, frozenset(removed))
-    return _checked(g, final, "genetic", False, {"generations": p.generations})

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bipartization import encode_oct
-from .engine import (GridDrawing, compute_coordinates, drawing_to_json,
-                     perturbed_labels, weak_dominance_stats)
+from .engine import (STRATEGIES, GridDrawing, compute_coordinates,
+                     drawing_to_json, perturbed_labels, weak_dominance_stats)
 from .errors import (CycleError, EdgeMismatch, ParseError, OrderViolation,
                      TooLarge, UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
@@ -32,7 +32,7 @@ class RunConfig:
     input_path: str
     input_format: str = "auto"   # order | cxt | auto
     output_path: str | None = None
-    solver: str = "sat"          # sat | greedy | anneal | genetic | brute
+    solver: str = "sat"          # a name in engine.STRATEGIES
     seed: int = 0
     perturb: bool = True
     summary_json: str | None = None
@@ -171,9 +171,8 @@ def _parser() -> argparse.ArgumentParser:
     draw.add_argument("-o", "--output",
                       help="output file; format from extension "
                            "(.svg .tikz .tex .json .dot)")
-    draw.add_argument("--solver",
-                      choices=("sat", "greedy", "anneal", "genetic", "brute"),
-                      default="sat", help="bipartization strategy")
+    draw.add_argument("--solver", choices=tuple(STRATEGIES), default="sat",
+                      help="bipartization strategy")
     draw.add_argument("--seed", type=int, default=0,
                       help="seed for randomized strategies")
     draw.add_argument("--no-perturb", action="store_true",

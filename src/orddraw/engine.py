@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
 
-from .bipartization import (OctResult, brute_force_oct, min_oct_exact,
-                            oct_anneal, oct_genetic, oct_greedy)
+from .bipartization import OctResult, min_oct_exact, oct_anneal, oct_greedy
 from .errors import OrderViolation
 from .orders import (IdPair, OrderRelation, Pair, cover_relation,
                      transitive_closure)
@@ -86,19 +86,21 @@ class DominanceReport:
     closure_added: int
 
 
+# The named strategies, called with the tig and the seed: the one list of
+# names that `two_dimension_extension` and `orddraw draw --solver` accept.
+STRATEGIES: dict[str, Callable[[TigGraph, int], OctResult]] = {
+    "sat": lambda tg, seed: min_oct_exact(tg.graph, accept=_ends_in_this_pass(tg)),
+    "greedy": lambda tg, seed: oct_greedy(tg.graph, seed=seed),
+    "anneal": lambda tg, seed: oct_anneal(tg.graph, seed=seed),
+}
+
+
 def _strategy_for(name_or_fn: str | Strategy, seed: int) -> tuple[Strategy, str]:
     if callable(name_or_fn):
         return name_or_fn, getattr(name_or_fn, "__name__", "custom")
-    table: dict[str, Strategy] = {
-        "sat": lambda tg: min_oct_exact(tg.graph, accept=_ends_in_this_pass(tg)),
-        "greedy": lambda tg: oct_greedy(tg.graph, seed=seed),
-        "anneal": lambda tg: oct_anneal(tg.graph, seed=seed),
-        "genetic": lambda tg: oct_genetic(tg.graph, seed=seed),
-        "brute": lambda tg: brute_force_oct(tg.graph),
-    }
-    if name_or_fn not in table:
+    if name_or_fn not in STRATEGIES:
         raise ValueError(f"unknown strategy {name_or_fn!r}")
-    return table[name_or_fn], name_or_fn
+    return partial(STRATEGIES[name_or_fn], seed=seed), name_or_fn
 
 
 def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
@@ -143,10 +145,9 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     reversals of the removed vertices and closes the union; a union whose
     closure has a cycle raises OrderViolation (see _insert_checked).  The
     returned trace carries the inserted and the closure-added pairs, the
-    final extended order and its conjugate.  `strategy` is one
-    of "sat" (exact minimum, preferring a set that ends the loop in this
-    pass), "greedy", "anneal", "genetic", or any callable from TigGraph to
-    OctResult.
+    final extended order and its conjugate.  `strategy` is a name in
+    STRATEGIES ("sat" is the exact minimum, preferring a set that ends the
+    loop in this pass) or any callable from TigGraph to OctResult.
     """
     run, name = _strategy_for(strategy, seed)
     max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1

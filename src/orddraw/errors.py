@@ -41,7 +41,7 @@ class BackendFailure(OrderDrawError):
 
 
 class TooLarge(OrderDrawError):
-    """Input exceeds a configured brute-force or enumeration bound."""
+    """Input exceeds a configured enumeration bound."""
 
 
 class OrderViolation(OrderDrawError):

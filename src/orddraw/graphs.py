@@ -1,15 +1,17 @@
 """Undirected simple graphs and the two-coloring primitive.
 
-Vertices are 0..n-1.  The coloring routine is shared by the incompatibility
-graph check and by all bipartization strategies, and reports an odd closed
-walk whenever two-coloring fails.
+Vertices are 0..n-1.  One breadth-first colouring, which pushes past
+monochromatic edges and yields each one it meets, serves both
+`two_coloring` (the first such edge closes an odd walk, the witness of
+non-bipartiteness) and `odd_cycle_census` (every such edge counts its
+BFS-tree cycle); the bipartization strategies build on those two.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -156,6 +158,40 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[in
     return tuple(pu + pv[-2::-1])
 
 
+def _colour_conflicts(g: SimpleGraph, removed: Iterable[int], color: list[int | None],
+                      parent: list[int], depth: list[int]) -> Iterator[tuple[int, int]]:
+    """BFS 2-colouring of g minus `removed` into the caller's lists.
+
+    Run to the end, it gives every kept vertex a 0/1 colour from its BFS
+    tree even when the graph is not bipartite; removed vertices stay None.
+    Yields each monochromatic edge (u, w) when the search meets it, from
+    u's side: both ends have their final colour, parent and depth then, so
+    the tree cycle of the edge is fixed.  A monochromatic edge is met once
+    from each end.
+    """
+    gone = set(removed)
+    nbrs = g._nbrs
+    for start in range(g.n):
+        if start in gone or color[start] is not None:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            cu = color[u]
+            for w in nbrs[u]:
+                if w in gone:
+                    continue
+                cw = color[w]
+                if cw is None:
+                    color[w] = 1 - cu
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                elif cw == cu:
+                    yield u, w
+
+
 def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
         -> tuple[list[int | None] | None, tuple[int, ...] | None]:
     """BFS 2-coloring of g minus `removed`.
@@ -164,27 +200,11 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     for removed vertices; or (None, cycle) where cycle is an odd closed
     walk (vertex tuple, no repeated endpoint) witnessing non-bipartiteness.
     """
-    gone = set(removed)
     color: list[int | None] = [None] * g.n
     parent = [-1] * g.n
     depth = [0] * g.n
-    for start in range(g.n):
-        if start in gone or color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in gone:
-                    continue
-                if color[w] is None:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None, _tree_cycle(parent, depth, u, w)
+    for u, w in _colour_conflicts(g, removed, color, parent, depth):
+        return None, _tree_cycle(parent, depth, u, w)
     return color, None
 
 
@@ -192,60 +212,20 @@ def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
     return two_coloring(g, removed)[1] is None
 
 
-def forced_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
-        -> tuple[list[int | None], list[int], list[int]]:
-    """BFS coloring that pushes past conflicts.
-
-    Every kept vertex receives a 0/1 color from its BFS tree even when the
-    graph is not bipartite; monochromatic edges are left for the caller.
-    Returns (colors, parent, depth); removed vertices stay None.
-    """
-    gone = set(removed)
-    color: list[int | None] = [None] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for start in range(g.n):
-        if start in gone or color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in gone or color[w] is not None:
-                    continue
-                color[w] = 1 - color[u]
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return color, parent, depth
-
-
 def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
         -> dict[int, int] | None:
     """Count, per vertex, the BFS odd-cycle witnesses it lies on.
 
-    Every monochromatic edge under the forced coloring contributes one
-    BFS-tree cycle.  Returns None when the remainder is bipartite.
+    Every monochromatic edge under the BFS colouring that pushes past
+    conflicts contributes one BFS-tree cycle.  Returns None when the
+    remainder is bipartite.
     """
-    color, parent, depth = forced_coloring(g, removed)
+    color: list[int | None] = [None] * g.n
+    parent = [-1] * g.n
+    depth = [0] * g.n
     counts: dict[int, int] = {}
-    for u in range(g.n):
-        cu = color[u]
-        if cu is None:
-            continue
-        # each edge once, from its lower end; a removed vertex has no colour
-        for v in g.neighbors(u):
-            if v > u and color[v] == cu:
-                for x in _tree_cycle(parent, depth, u, v):
-                    counts[x] = counts.get(x, 0) + 1
+    for u, w in _colour_conflicts(g, removed, color, parent, depth):
+        if u < w:  # each edge once
+            for x in _tree_cycle(parent, depth, u, w):
+                counts[x] = counts.get(x, 0) + 1
     return counts or None
-
-
-def conflict_edge_count(g: SimpleGraph, labels: Sequence[int | None]) -> int:
-    """Edges whose endpoints carry the same 0/1 label (None = removed)."""
-    bad = 0
-    for u, v in g.edges:
-        if labels[u] is not None and labels[u] == labels[v]:
-            bad += 1
-    return bad

@@ -221,6 +221,12 @@ def emit_tikz(d: GridDrawing, spec: CanvasSpec | None = None) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+def _dot_escape(s: str) -> str:
+    """A DOT string body: backslashes first, so none escapes a quote or
+    starts an escape such as \\N (the node name) in a label."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def emit_dot(d: GridDrawing) -> bytes:
     """Graphviz digraph of the cover relation with pinned positions."""
     ids = {label: f"n{i}" for i, label in enumerate(d.order.ground)}
@@ -228,7 +234,7 @@ def emit_dot(d: GridDrawing) -> bytes:
     for label in d.order.ground:
         x, y = d.plane[label]
         out.append('  %s [label="%s", pos="%.3f,%.3f!"];'
-                   % (ids[label], label.replace('"', r'\"'), float(x), float(y)))
+                   % (ids[label], _dot_escape(label), float(x), float(y)))
     for a, b in d.cover_edges:
         out.append(f"  {ids[a]} -> {ids[b]};")
     out.append("}")

@@ -25,26 +25,11 @@ is still open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 from .errors import NotIncomparable
-from .graphs import SimpleGraph, two_coloring
+from .graphs import SimpleGraph
 from .orders import OrderRelation, inc_id_arrays
 
 IncPair = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Either a two-part split of the vertices or an odd-cycle witness."""
-
-    parts: tuple[frozenset[IncPair], frozenset[IncPair]] | None
-    odd_cycle: tuple[IncPair, ...] | None
-
-    @property
-    def is_bipartite(self) -> bool:
-        return self.parts is not None
 
 
 class TigGraph:
@@ -62,10 +47,6 @@ class TigGraph:
         self.vertices = vertices
         self.index = {p: i for i, p in enumerate(vertices)}
         self.graph = graph
-
-    def vertex_name(self, vi: int) -> str:
-        a, b = self.vertices[vi]
-        return f"{self.order.ground.label(a)},{self.order.ground.label(b)}"
 
     def __repr__(self) -> str:
         return f"TigGraph({len(self.vertices)} pairs, {self.graph.m} conflicts)"
@@ -98,31 +79,3 @@ def build_tig(o: OrderRelation) -> TigGraph:
     # takes gather it about 8x faster than one np.ix_ index
     reach = o.matrix[seconds][:, firsts]
     return TigGraph(o, verts, SimpleGraph.from_matrix(reach & reach.T))
-
-
-def bipartite_check(g: TigGraph, removed: Iterable[IncPair] = ()) -> Bipartition:
-    """Two-color g minus `removed` or produce an odd closed walk."""
-    removed_idx = set()
-    for p in removed:
-        vi = g.index.get(tuple(p))
-        if vi is None:
-            raise ValueError(f"{p} is not a vertex of the incompatibility graph")
-        removed_idx.add(vi)
-    colors, cycle = two_coloring(g.graph, removed_idx)
-    if cycle is not None:
-        return Bipartition(None, tuple(g.vertices[v] for v in cycle))
-    assert colors is not None
-    p1 = frozenset(g.vertices[v] for v in range(len(g.vertices)) if colors[v] == 0)
-    p2 = frozenset(g.vertices[v] for v in range(len(g.vertices)) if colors[v] == 1)
-    return Bipartition((p1, p2), None)
-
-
-def to_dot(g: TigGraph) -> str:
-    """Graphviz text for eyeballing small incompatibility graphs."""
-    lines = ["graph tig {"]
-    for vi in range(len(g.vertices)):
-        lines.append(f'  "{g.vertex_name(vi)}";')
-    for u, v in g.graph.edges:
-        lines.append(f'  "{g.vertex_name(u)}" -- "{g.vertex_name(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

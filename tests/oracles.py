@@ -362,6 +362,75 @@ def build_tig_by_edge_list(o: OrderRelation):
     return TigGraph(o, verts, SimpleGraph(len(verts), edges))
 
 
+def brute_force_oct(g, max_vertices=20):
+    """Smallest removal set by subset enumeration; the reference for the
+    exact search.  Raises TooLarge above `max_vertices` vertices."""
+    from orddraw.bipartization import OctResult
+    from orddraw.errors import TooLarge
+    from orddraw.graphs import is_bipartite_without
+    if g.n > max_vertices:
+        raise TooLarge(f"{g.n} vertices exceeds the brute-force bound {max_vertices}")
+    tested = 0
+    for size in range(g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            tested += 1
+            if is_bipartite_without(g, subset):
+                return OctResult(frozenset(subset), "brute", True,
+                                 {"subsets_tested": tested})
+    raise AssertionError("unreachable: removing every vertex is bipartite")
+
+
+def forced_coloring(g, removed=(), visits=None):
+    """(colors, parent, depth) of a BFS colouring of g minus `removed` that
+    pushes past conflicts: every kept vertex gets a 0/1 colour from its BFS
+    tree, removed vertices stay None, monochromatic edges are left as they
+    fall.  A `visits` list receives the vertices in dequeue order."""
+    gone = set(removed)
+    color = [None] * g.n
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    for start in range(g.n):
+        if start in gone or color[start] is not None:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            if visits is not None:
+                visits.append(u)
+            for w in g.neighbors(u):
+                if w in gone or color[w] is not None:
+                    continue
+                color[w] = 1 - color[u]
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    return color, parent, depth
+
+
+def odd_cycle_census_after_coloring(g, removed=()):
+    """The odd-cycle census read off a finished forced_coloring: for each
+    monochromatic kept edge, from its lower end in ascending order, count
+    every vertex of its BFS-tree cycle; None when there is no such edge.
+    The reference for odd_cycle_census."""
+    from orddraw.graphs import _tree_cycle
+    color, parent, depth = forced_coloring(g, removed)
+    counts = {}
+    for u in range(g.n):
+        if color[u] is None:
+            continue
+        for v in g.neighbors(u):
+            if v > u and color[v] == color[u]:
+                for x in _tree_cycle(parent, depth, u, v):
+                    counts[x] = counts.get(x, 0) + 1
+    return counts or None
+
+
+def monochromatic_edges(g, colors):
+    """Edges whose ends carry the same 0/1 colour (None = removed)."""
+    return sum(1 for u, v in g.edges if colors[u] is not None and colors[u] == colors[v])
+
+
 def peel_to_minimal_by_bfs(g, removed):
     """Inclusion-minimal peel by rounds of full two-colourings: drop each
     vertex, in ascending order, whose return leaves the rest bipartite, and

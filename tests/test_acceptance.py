@@ -12,20 +12,20 @@ from dataclasses import replace
 
 import pytest
 
-from orddraw.bipartization import brute_force_oct, encode_oct, min_oct_exact
+from orddraw.bipartization import encode_oct, min_oct_exact
 from orddraw.engine import (compute_coordinates, drawing_to_json,
                             two_dimension_extension)
-from orddraw.graphs import SimpleGraph
+from orddraw.graphs import SimpleGraph, is_bipartite_without
 from orddraw.orders import (boolean_lattice, build_order, grid, inc_id_pairs,
                             intersect_linear, standard_example)
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, emit_svg, perturb
-from orddraw.tig import bipartite_check, build_tig, incompatible
-from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_min_extension,
-                     brute_two_realizer, has_cycle_with, multipass_order,
-                     naturally_labeled_posets, order_from_downsets,
-                     poset_canonical_form, poset_is_lattice, random_order,
-                     scripted_then_exact)
+from orddraw.tig import build_tig, incompatible
+from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
+                     brute_min_extension, brute_two_realizer, has_cycle_with,
+                     multipass_order, naturally_labeled_posets,
+                     order_from_downsets, poset_canonical_form,
+                     poset_is_lattice, random_order, scripted_then_exact)
 
 
 def report(number):
@@ -117,7 +117,7 @@ def test_criterion_4_dimension_characterizations_agree():
     suite = order_suite(1000)
     for o in suite:
         conj = dim2(o)
-        bip = bipartite_check(build_tig(o)).is_bipartite
+        bip = is_bipartite_without(build_tig(o).graph)
         brute = brute_two_realizer(o)
         assert conj == bip == brute, o
 

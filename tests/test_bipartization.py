@@ -15,13 +15,12 @@ from hypothesis import given, settings, strategies as st
 from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, is_bipartite_without
 from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
-                                   GeneticParams, OctResult, TransversalSearch,
-                                   brute_force_oct, decode_partition,
+                                   TransversalSearch, decode_partition,
                                    decode_removed, encode_oct, min_oct_exact,
-                                   min_oct_size, oct_anneal, oct_genetic,
-                                   oct_greedy, peel_to_minimal, _cold_steps,
-                                   _repair)
-from oracles import anneal_by_recount, peel_to_minimal_by_bfs, solve_by_milp
+                                   min_oct_size, oct_anneal, oct_greedy,
+                                   peel_to_minimal, _cold_steps, _repair)
+from oracles import (anneal_by_recount, brute_force_oct,
+                     peel_to_minimal_by_bfs, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -262,6 +261,8 @@ class TestTransversalSearch:
 
 
 class TestBruteForce:
+    """The subset-enumeration oracle that the exact search is checked against."""
+
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             brute_force_oct(SimpleGraph(21), max_vertices=20)
@@ -326,7 +327,7 @@ class TestPeeling:
 
 
 class TestHeuristics:
-    @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal, oct_genetic])
+    @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal])
     def test_valid_and_inclusion_minimal(self, strategy):
         rng = random.Random(101)
         for _ in range(12):
@@ -337,7 +338,7 @@ class TestHeuristics:
             for v in res.removed:
                 assert not is_bipartite_without(g, res.removed - {v})
 
-    @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal, oct_genetic])
+    @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal])
     def test_bipartite_input_yields_empty(self, strategy):
         res = strategy(cycle_graph(6), seed=0)
         assert res.removed == frozenset()
@@ -347,22 +348,17 @@ class TestHeuristics:
         fast = AnnealParams(steps=2000)
         assert oct_anneal(g, seed=5, params=fast).removed \
             == oct_anneal(g, seed=5, params=fast).removed
-        small = GeneticParams(population=12, generations=25)
-        assert oct_genetic(g, seed=5, params=small).removed \
-            == oct_genetic(g, seed=5, params=small).removed
         assert oct_greedy(g).removed == oct_greedy(g).removed
 
     def test_heuristics_close_to_optimal_on_small_graphs(self):
         rng = random.Random(107)
-        slack = {"greedy": 0, "anneal": 0, "genetic": 0}
+        slack = {"greedy": 0, "anneal": 0}
         fast = AnnealParams(steps=3000)
-        small = GeneticParams(population=20, generations=40)
         for _ in range(10):
             g = random_graph(rng, rng.randint(4, 8), 0.5)
             best = len(brute_force_oct(g).removed)
             slack["greedy"] += len(oct_greedy(g).removed) - best
             slack["anneal"] += len(oct_anneal(g, seed=3, params=fast).removed) - best
-            slack["genetic"] += len(oct_genetic(g, seed=3, params=small).removed) - best
         # heuristics may be suboptimal, never invalid; keep them honest
         assert all(v >= 0 for v in slack.values())
         assert slack["greedy"] <= 5

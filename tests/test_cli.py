@@ -7,7 +7,7 @@ import pytest
 
 from orddraw.bipartization import OctResult, decode_removed
 from orddraw.cli import main
-from orddraw.engine import compute_coordinates
+from orddraw.engine import STRATEGIES, compute_coordinates
 from orddraw.ingest import parse_order_text
 from orddraw.sat import ExternalSolver, parse_dimacs, solve_cnf
 
@@ -112,7 +112,7 @@ class TestDraw:
         assert "n=4 inc=2 passes=0" in capsys.readouterr().out
 
     def test_heuristic_solvers_run(self, s3_file, capsys):
-        for solver in ("greedy", "anneal", "genetic", "brute"):
+        for solver in sorted(STRATEGIES.keys() - {"sat"}):
             assert main(["draw", "-i", s3_file, "--solver", solver,
                          "--seed", "7"]) == 0
             assert "inserted=" in capsys.readouterr().out
@@ -155,6 +155,13 @@ class TestDrawErrors:
         # the variable that used to name the solver command is ignored
         monkeypatch.setenv("ORDDRAW_SAT_CMD", "/no/such/solver")
         assert main(["draw", "-i", s3_file]) == 0
+
+    def test_removed_solvers_are_usage_errors(self, s3_file, capsys):
+        for solver in ("genetic", "brute"):
+            with pytest.raises(SystemExit) as exc:
+                main(["draw", "-i", s3_file, "--solver", solver])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_invariant_violations_exit_3(self, s3_file, capsys, monkeypatch):
         from orddraw.errors import OrderViolation

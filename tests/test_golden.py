@@ -5,11 +5,11 @@ set-based orientation replaced their predecessors, and the exact-path ones
 (`*_sat`) before the branch search replaced the growing-k SAT loop; only
 `random_order_12_sat` was re-recorded since, when the removal set stopped
 coming from a SAT call (see its case).  The strategies pinned are `sat`
-(the `*_sat` cases), `greedy`, `anneal` and `genetic` (one case each, or
-three for anneal, named after the strategy), plus the two-dimensional path,
-which calls no strategy.  The anneal and genetic digests were recorded
-before the union-find peel and the incremental anneal counts replaced the
-BFS-per-candidate peel and the recounting loop, and
+(the `*_sat` cases), `greedy` (one case) and `anneal` (three), named after
+the strategy, plus the two-dimensional path, which calls no strategy.  The
+anneal digests were recorded before the union-find peel and the
+incremental anneal counts replaced the BFS-per-candidate peel and the
+recounting loop, and
 `grid_8x8_lattice_flipped_anneal` before the tig and the comparability
 graphs were built straight from their matrices, and
 `blocked_two_dimensional_120_sat` before orientation moved to integer
@@ -94,9 +94,6 @@ CASES = {
     # the neighbour order of a big tig; two passes remove 90 and 62 vertices
     "grid_8x8_lattice_flipped_anneal":
         lambda: compute_coordinates(flipped_grid_lattice(8, 8, 14), strategy="anneal"),
-    # one pass, 2 tig vertices removed
-    "random_order_12_genetic":
-        lambda: compute_coordinates(random_order(random.Random(5), 12, 0.3), strategy="genetic"),
 }
 
 GOLDEN = {
@@ -120,8 +117,6 @@ GOLDEN = {
         "e018f2522c23f6fa7f99771827b9a11ec983cd1c9b52b234bd578f1801e54ea5",
     "random_order_30b_anneal":
         "2ce086def39cf8c935890322a69c199655e6932d0898a0f4ede13987e96816d6",
-    "random_order_12_genetic":
-        "c242998ac91e896527ee6afdf080def11e68e886a11beffcc8df4859438bb1bb",
     "random_order_12_sat":
         "f9d2dc488055a1bbe38ab992d059b9d71a29de8ebfccf2bf3f8440f6947c3142",
     "standard_example_4_sat":

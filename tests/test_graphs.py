@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.graphs import (SimpleGraph, bridges, conflict_edge_count,
-                            forced_coloring, is_bipartite_without,
-                            odd_cycle_census, two_coloring)
+from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
+                            bridges, is_bipartite_without, odd_cycle_census,
+                            two_coloring)
+from oracles import (forced_coloring, monochromatic_edges,
+                     odd_cycle_census_after_coloring)
 
 
 def cycle_graph(k):
@@ -194,18 +196,64 @@ class TestTwoColoring:
 
 
 class TestForcedColoring:
+    """The pushing-past-conflicts colouring, kept as the tests' oracle."""
+
     def test_colors_every_kept_vertex(self):
         g = cycle_graph(7)
         colors, parent, depth = forced_coloring(g)
         assert all(c in (0, 1) for c in colors)
         # exactly one monochromatic (conflict) edge on an odd cycle
-        assert conflict_edge_count(g, colors) == 1
+        assert monochromatic_edges(g, colors) == 1
 
     def test_removed_stay_uncolored(self):
         g = cycle_graph(5)
         colors, _, _ = forced_coloring(g, removed=[2])
         assert colors[2] is None
-        assert conflict_edge_count(g, colors) == 0
+        assert monochromatic_edges(g, colors) == 0
+
+
+def random_removed(rng, g):
+    share = rng.choice([0.0, 0.1, 0.3])
+    return {v for v in range(g.n) if rng.random() < share}
+
+
+class TestColourConflicts:
+    def test_yields_each_monochromatic_edge_from_both_ends(self):
+        rng = random.Random(37)
+        met_some = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
+            removed = random_removed(rng, g)
+            color, parent, depth = [None] * g.n, [-1] * g.n, [0] * g.n
+            met = list(_colour_conflicts(g, removed, color, parent, depth))
+            assert (color, parent, depth) == forced_coloring(g, removed)
+            mono = [(u, v) for u, v in g.edges
+                    if color[u] is not None and color[u] == color[v]]
+            assert sorted(met) == sorted(mono + [(v, u) for u, v in mono])
+            met_some += bool(met)
+        assert met_some > 100
+
+    def test_matches_the_oracles_on_random_graphs(self):
+        """two_coloring stops at the first monochromatic edge of the BFS
+        (dequeue order, then neighbour order) and returns its tree cycle;
+        the census equals the one read off a finished forced colouring."""
+        rng = random.Random(41)
+        odd = 0
+        for _ in range(1500):
+            g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
+            removed = random_removed(rng, g)
+            assert odd_cycle_census(g, removed) == odd_cycle_census_after_coloring(g, removed)
+            visits = []
+            ref, parent, depth = forced_coloring(g, removed, visits)
+            first = next(((u, w) for u in visits for w in g.neighbors(u)
+                          if w not in removed and ref[w] == ref[u]), None)
+            colors, cycle = two_coloring(g, removed)
+            if first is None:
+                assert (colors, cycle) == (ref, None)
+            else:
+                odd += 1
+                assert (colors, cycle) == (None, _tree_cycle(parent, depth, *first))
+        assert odd > 500
 
 
 class TestOddCycleCensus:
@@ -230,12 +278,11 @@ class TestOddCycleCensus:
             else:
                 assert not is_bipartite_without(g)
                 # removing all counted vertices kills every witnessed cycle
-                assert conflict_edge_count(
+                assert monochromatic_edges(
                     g, forced_coloring(g, removed=census)[0]) == 0
 
     def test_matches_a_walk_over_the_edge_tuples(self):
         # one BFS-tree cycle per monochromatic kept edge, read off `edges`
-        from orddraw.graphs import _tree_cycle
         rng = random.Random(31)
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 25), rng.choice([0.1, 0.3, 0.6]))
@@ -247,11 +294,3 @@ class TestOddCycleCensus:
                     for x in _tree_cycle(parent, depth, u, v):
                         ref[x] = ref.get(x, 0) + 1
             assert odd_cycle_census(g, removed) == (ref or None)
-
-
-class TestConflictEdgeCount:
-    def test_counts_monochromatic_edges(self):
-        g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
-        assert conflict_edge_count(g, [0, 0, 0, 0]) == 3
-        assert conflict_edge_count(g, [0, 1, 0, 1]) == 0
-        assert conflict_edge_count(g, [0, None, 0, 1]) == 0

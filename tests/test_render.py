@@ -1,6 +1,7 @@
 """Tests for collinearity handling and the SVG/TikZ/graphviz emitters."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw.engine import compute_coordinates, perturbed_labels, with_plane
 from orddraw.errors import Unresolvable
+from orddraw.ingest import parse_order_text
 from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
 from orddraw.render import (CanvasSpec, _screen_geometry, detect_collinear,
                             emit_dot, emit_svg, emit_tikz, perturb)
@@ -304,6 +306,18 @@ class TestDot:
         o = build_order(['say"hi"', "x"], [('say"hi"', "x")])
         text = emit_dot(compute_coordinates(o)).decode()
         assert r'say\"hi\"' in text
+
+    def test_backslash_escaping(self):
+        # a bare backslash would escape the closing quote, and \N would
+        # show the node id instead of the label
+        o = parse_order_text('a\\ < b\nx\\N < b\nsay"hi\\" < b\n')
+        text = emit_dot(compute_coordinates(o)).decode()
+        assert r'label="a\\"' in text and r'label="x\\N"' in text
+        assert r'label="say\"hi\\\""' in text
+        # every label ends at its own closing quote and reads back exactly
+        bodies = re.findall(r'label="((?:[^"\\]|\\.)*)", pos=', text)
+        assert sorted(re.sub(r"\\(.)", r"\1", b) for b in bodies) \
+            == sorted(o.ground)
 
 
 class TestPipelineIntegration:

@@ -8,8 +8,8 @@ from orddraw.errors import NotIncomparable
 from orddraw.ingest import FormalContext, concept_lattice
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, standard_example)
-from orddraw.tig import (Bipartition, bipartite_check, build_tig, enforces,
-                         incompatible, to_dot)
+from orddraw.graphs import is_bipartite_without, two_coloring
+from orddraw.tig import build_tig, enforces, incompatible
 from oracles import build_tig_by_edge_list, has_cycle_with, random_order
 
 
@@ -142,32 +142,34 @@ class TestBuildTig:
             assert [tg.graph.neighbors(v) for v in range(len(tg.vertices))] \
                 == [ref.graph.neighbors(v) for v in range(len(ref.vertices))]
 
-    def test_vertex_name_uses_labels(self):
-        g = build_tig(antichain(2))
-        assert g.vertex_name(0) == "x1,x2"
+
+def sides(tg):
+    """The two colour classes of a bipartite tig, as vertex pairs."""
+    colors, cycle = two_coloring(tg.graph)
+    assert cycle is None
+    return tuple(frozenset(p for p, c in zip(tg.vertices, colors) if c == side)
+                 for side in (0, 1))
 
 
 class TestBipartiteCheck:
     def test_two_dimensional_orders_are_bipartite(self):
         for o in (boolean_lattice(2), grid(3, 3), antichain(4), chain(3)):
-            res = bipartite_check(build_tig(o))
-            assert res.is_bipartite
-            parts = res.parts
-            assert parts[0] | parts[1] == set(build_tig(o).vertices)
+            tg = build_tig(o)
+            parts = sides(tg)
+            assert parts[0] | parts[1] == set(tg.vertices)
             assert not parts[0] & parts[1]
 
     def test_split_separates_reverses(self):
         # each pair and its reverse are incompatible, so they split
-        res = bipartite_check(build_tig(grid(2, 4)))
-        p1, p2 = res.parts
+        p1, p2 = sides(build_tig(grid(2, 4)))
         for a, b in p1:
             assert (b, a) in p2
 
     def test_standard_example_odd_cycle(self):
         g = build_tig(standard_example(3))
-        res = bipartite_check(g)
-        assert not res.is_bipartite
-        cyc = res.odd_cycle
+        colors, cycle = two_coloring(g.graph)
+        assert colors is None
+        cyc = [g.vertices[v] for v in cycle]
         assert len(cyc) % 2 == 1
         o = g.order
         for p, q in zip(cyc, cyc[1:] + cyc[:1]):
@@ -177,23 +179,4 @@ class TestBipartiteCheck:
         g = build_tig(standard_example(3))
         # removing one vertex from every odd cycle makes it bipartite;
         # find such a vertex by trying all
-        hit = None
-        for p in g.vertices:
-            if bipartite_check(g, removed=[p]).is_bipartite:
-                hit = p
-                break
-        assert hit is not None
-
-    def test_removal_of_non_vertex_rejected(self):
-        g = build_tig(antichain(2))
-        with pytest.raises(ValueError):
-            bipartite_check(g, removed=[(5, 6)])
-
-
-class TestDot:
-    def test_dot_output_shape(self):
-        g = build_tig(standard_example(3))
-        text = to_dot(g)
-        assert text.startswith("graph tig {")
-        assert text.count(" -- ") == g.graph.m
-        assert '"a1,b1"' in text
+        assert any(is_bipartite_without(g.graph, [g.index[p]]) for p in g.vertices)
