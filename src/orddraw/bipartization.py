@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -236,14 +235,6 @@ class TransversalSearch:
             k += 1
 
 
-def min_oct_size(g: SimpleGraph) -> tuple[int, int, int]:
-    """(minimum odd cycle transversal size, lower bound, search nodes) of g,
-    read off the first set of the transversal search."""
-    search = TransversalSearch(g)
-    next(iter(search))
-    return search.k, search.lower_bound, search.branch_nodes
-
-
 def min_oct_exact(g: SimpleGraph,
                   accept: Callable[[frozenset[int]], bool] | None = None) -> OctResult:
     """Minimum odd cycle transversal: the first set of the transversal
@@ -337,7 +328,7 @@ def _repair(g: SimpleGraph, removed: set[int]) -> set[int]:
         removed.add(pick)
 
 
-def oct_greedy(g: SimpleGraph, seed: int = 0) -> OctResult:
+def oct_greedy(g: SimpleGraph) -> OctResult:
     """Repeatedly remove the vertex on the most odd-cycle witnesses."""
     removed = _repair(g, set())
     iterations = len(removed)
@@ -349,38 +340,34 @@ def oct_greedy(g: SimpleGraph, seed: int = 0) -> OctResult:
 _OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
 
 
-@dataclass(frozen=True)
-class AnnealParams:
-    t0: float = 1.0
-    alpha: float = 0.995
-    steps: int = 10_000
+# The annealing schedule: the temperature starts at _T0 and is multiplied
+# by _ALPHA after each of the _STEPS moves.
+_T0 = 1.0
+_ALPHA = 0.995
+_STEPS = 10_000
 
 
-@lru_cache(maxsize=32)
-def _cold_steps(p: AnnealParams) -> tuple[int, int]:
-    """(hot, quiet) for the schedule of p, by replaying its temperatures.
+def _cold_steps() -> tuple[int, int]:
+    """(hot, quiet) for the schedule, by replaying its temperatures.
 
-    With a factor in [0, 1] the temperature never rises: from step `hot`
-    on, exp(-1/temp) is 0.0, and from step `quiet` on, temp <= 1e-12.  A
-    factor outside [0, 1] may warm the schedule again, so every step of it
-    counts as hot.  The replay costs about as much as 500 annealing steps,
-    so it is kept per schedule.
+    The temperature never rises: from step `hot` on, exp(-1/temp) is 0.0,
+    and from step `quiet` on, temp <= 1e-12.
     """
-    if not 0.0 <= p.alpha <= 1.0:
-        return p.steps, p.steps
-    temp, step = p.t0, 0
-    while step < p.steps and temp > 1e-12 and math.exp(-1.0 / temp) > 0.0:
-        temp *= p.alpha
+    temp, step = _T0, 0
+    while step < _STEPS and temp > 1e-12 and math.exp(-1.0 / temp) > 0.0:
+        temp *= _ALPHA
         step += 1
     hot = step
-    while step < p.steps and temp > 1e-12:
-        temp *= p.alpha
+    while step < _STEPS and temp > 1e-12:
+        temp *= _ALPHA
         step += 1
     return hot, step
 
 
-def oct_anneal(g: SimpleGraph, seed: int = 0,
-               params: AnnealParams | None = None) -> OctResult:
+_HOT, _QUIET = _cold_steps()
+
+
+def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
     """Simulated annealing over (side, side, removed) vertex labelings.
 
     Energy counts removals plus a heavy penalty per monochromatic edge, so
@@ -395,7 +382,7 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     An uphill move raises the energy by an integer delta >= 1, so once
     exp(-1/temp) underflows to 0.0 its acceptance test uniform() <
     exp(-delta/temp) fails whatever uniform() returns, and it keeps failing
-    while the temperature falls.  From that step on (`_cold_steps`) the
+    while the temperature falls.  From that step on (`_HOT`) the
     loop accepts exactly the moves with delta <= 0, which it reads off the
     counts with no exp; it still calls uniform() on each rejection while
     temp > 1e-12, as the hot loop does, so the stream and the moves are
@@ -405,7 +392,6 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     properly coloured, and peeled, so the result is always valid and
     inclusion-minimal, just not necessarily optimal.
     """
-    p = params or AnnealParams()
     rng = random.Random(seed)
     n = g.n
     if n == 0 or is_bipartite_without(g):
@@ -426,10 +412,9 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
     nbrs = [g.neighbors(v) for v in range(n)]
 
     bits = n.bit_length()
-    hot, quiet = _cold_steps(p)
-    temp = p.t0
+    temp = _T0
     accepted = 0
-    for _ in range(hot):
+    for _ in range(_HOT):
         # rng.randrange(n), then rng.choice of a pair, as CPython draws them:
         # fresh k-bit draws until one falls below the bound
         v = getrandbits(bits)
@@ -450,8 +435,8 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
             for w in nbrs[v]:
                 leave[w] -= 1
                 join[w] += 1
-        temp *= p.alpha
-    for draws, count in ((True, quiet - hot), (False, p.steps - quiet)):
+        temp *= _ALPHA
+    for draws, count in ((True, _QUIET - _HOT), (False, _STEPS - _QUIET)):
         for _ in range(count):
             v = getrandbits(bits)
             while v >= n:
@@ -484,4 +469,4 @@ def oct_anneal(g: SimpleGraph, seed: int = 0,
         removed = _repair(g, removed)
     final = peel_to_minimal(g, frozenset(removed))
     return _checked(g, final, "anneal", False,
-                    {"steps": p.steps, "accepted": accepted})
+                    {"steps": _STEPS, "accepted": accepted})

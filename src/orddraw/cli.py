@@ -12,8 +12,8 @@ from pathlib import Path
 from .bipartization import encode_oct
 from .engine import (STRATEGIES, GridDrawing, compute_coordinates,
                      drawing_to_json, perturbed_labels, weak_dominance_stats)
-from .errors import (CycleError, EdgeMismatch, ParseError, OrderViolation,
-                     TooLarge, UnknownLabel, Unresolvable)
+from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
+                     UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
 from .orders import OrderRelation, inc_id_pairs
 from .orientation import compute_conjugate_order, realizer_from_conjugate
@@ -22,7 +22,7 @@ from .tig import build_tig
 
 _INPUT_ERRORS = (ParseError, CycleError, UnknownLabel, TooLarge,
                  OSError, UnicodeDecodeError, ValueError)
-_INVARIANT_ERRORS = (OrderViolation, Unresolvable, EdgeMismatch, AssertionError)
+_INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
 @dataclass
@@ -64,11 +64,11 @@ def _write_bytes(path: str | None, data: bytes) -> None:
 
 
 _EMITTERS = {
-    ".svg": lambda d: emit_svg(d),
-    ".tikz": lambda d: emit_tikz(d),
-    ".tex": lambda d: emit_tikz(d),
+    ".svg": emit_svg,
+    ".tikz": emit_tikz,
+    ".tex": emit_tikz,
     ".json": lambda d: drawing_to_json(d).encode("utf-8"),
-    ".dot": lambda d: emit_dot(d),
+    ".dot": emit_dot,
 }
 
 
@@ -101,9 +101,11 @@ def cmd_draw(cfg: RunConfig) -> int:
     report = weak_dominance_stats(drawing)
     elapsed = time.perf_counter() - started
     inc = len(inc_id_pairs(order))
+    # with the summary on stdout the line goes to stderr, so stdout is JSON
     print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "
-          f"false_comparabilities={report.count} time={elapsed:.3f}s")
+          f"false_comparabilities={report.count} time={elapsed:.3f}s",
+          file=sys.stderr if cfg.summary_json == "-" else sys.stdout)
     if cfg.summary_json:
         summary = {
             "n": order.n,

@@ -90,7 +90,7 @@ class DominanceReport:
 # names that `two_dimension_extension` and `orddraw draw --solver` accept.
 STRATEGIES: dict[str, Callable[[TigGraph, int], OctResult]] = {
     "sat": lambda tg, seed: min_oct_exact(tg.graph, accept=_ends_in_this_pass(tg)),
-    "greedy": lambda tg, seed: oct_greedy(tg.graph, seed=seed),
+    "greedy": lambda tg, seed: oct_greedy(tg.graph),
     "anneal": lambda tg, seed: oct_anneal(tg.graph, seed=seed),
 }
 
@@ -134,7 +134,7 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
     if np.count_nonzero(closed & closed.T) != current.n:
         raise OrderViolation("inserted pairs break antisymmetry after closure")
     added = frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
-    return OrderRelation(current.ground, closed, current.generator_pairs), added
+    return OrderRelation(current.ground, closed), added
 
 
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
@@ -203,15 +203,14 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     return GridDrawing(o, coords, plane, covers, trace)
 
 
-def weak_dominance_stats(d: GridDrawing, o: OrderRelation | None = None) -> DominanceReport:
-    """Count incomparable pairs that the grid nevertheless orders.
+def weak_dominance_stats(d: GridDrawing) -> DominanceReport:
+    """Count incomparable pairs of the drawn order that the grid nevertheless
+    orders.
 
     These are exactly the comparabilities the extension added, so the count
     equals |extended| - |original| in ordered-pair terms.
     """
-    o = o or d.order
-    if o.ground != d.order.ground:
-        raise ValueError("report requested against a different ground set")
+    o = d.order
     lab = o.ground.label
     grid_pos = np.array([d.coords[label] for label in o.ground])
     c1, c2 = grid_pos[:, 0], grid_pos[:, 1]

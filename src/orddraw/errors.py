@@ -28,14 +28,6 @@ class NotLinear(OrderDrawError):
     """A relation expected to be a linear order is not."""
 
 
-class NotIncomparable(OrderDrawError):
-    """An operation on incomparable pairs got a comparable (or equal) pair."""
-
-
-class EdgeMismatch(OrderDrawError):
-    """A candidate orientation does not cover the edge set exactly."""
-
-
 class BackendFailure(OrderDrawError):
     """An external SAT process crashed or produced unusable output."""
 

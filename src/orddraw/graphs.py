@@ -9,7 +9,6 @@ BFS-tree cycle); the bipartization strategies build on those two.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -86,23 +85,9 @@ class SimpleGraph:
         """The two ends of each edge as arrays, in the order of `edges`."""
         return self._lower
 
-    def adjacent(self, u: int, v: int) -> bool:
-        nbrs = self._nbrs[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbours of u in ascending order."""
         return self._nbrs[u]
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Read-only dense boolean adjacency matrix, built on each access."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        us, vs = self._lower
-        adj[us, vs] = adj[vs, us] = True
-        adj.setflags(write=False)
-        return adj
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.n} vertices, {self.m} edges)"

@@ -53,7 +53,16 @@ def parse_order_text(text: str) -> OrderRelation:
 
 
 def serialize_order(o: OrderRelation) -> str:
-    """Inverse of parse_order_text, using the cover relation."""
+    """Inverse of parse_order_text, using the cover relation.
+
+    Raises ValueError, naming the first such label, if a label cannot be
+    read back: one that is empty, holds whitespace or `#`, is `<`, or
+    starts with `elements:`.
+    """
+    for label in o.ground:
+        if (not label or label == "<" or label.startswith("elements:")
+                or "#" in label or any(ch.isspace() for ch in label)):
+            raise ValueError(f"label {label!r} cannot be written as order text")
     lines = ["elements: " + " ".join(o.ground)]
     lines.extend(f"{a} < {b}" for a, b in sorted(cover_relation(o)))
     return "\n".join(lines) + "\n"

@@ -105,15 +105,13 @@ class OrderRelation:
     from generator pairs.
     """
 
-    __slots__ = ("ground", "generator_pairs", "_leq")
+    __slots__ = ("ground", "_leq")
 
-    def __init__(self, ground: GroundSet, leq: np.ndarray,
-                 generator_pairs: Sequence[Pair] = ()):
+    def __init__(self, ground: GroundSet, leq: np.ndarray):
         self.ground = ground
         m = np.array(leq, dtype=bool)
         m.setflags(write=False)
         self._leq = m
-        self.generator_pairs: tuple[Pair, ...] = tuple(generator_pairs)
 
     @property
     def n(self) -> int:
@@ -149,21 +147,6 @@ class OrderRelation:
     def strict_pair_count(self) -> int:
         """Number of pairs a < b with a != b."""
         return int(self._leq.sum()) - self.n
-
-    def extend(self, pairs: Iterable[Pair]) -> OrderRelation:
-        """Closure of this order plus extra label pairs; CycleError if cyclic."""
-        idx = self.ground.id
-        return self.extend_ids([(idx(a), idx(b)) for a, b in pairs])
-
-    def extend_ids(self, pairs: Iterable[IdPair]) -> OrderRelation:
-        pairs = list(pairs)
-        m = self._leq.copy()
-        for i, j in pairs:
-            m[i, j] = True
-        closed = transitive_closure(m)
-        _raise_on_cycle(closed, m, self.ground)
-        extra = tuple((self.ground.label(i), self.ground.label(j)) for i, j in pairs)
-        return OrderRelation(self.ground, closed, self.generator_pairs + extra)
 
     def validate(self) -> None:
         """Raise ValueError unless reflexive, antisymmetric and closed."""
@@ -235,13 +218,11 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     ground = GroundSet(labels)
     n = len(ground)
     m = np.eye(n, dtype=bool)
-    norm: list[Pair] = []
     for a, b in pairs:
         m[ground.id(a), ground.id(b)] = True
-        norm.append((a, b))
     closed = transitive_closure(m)
     _raise_on_cycle(closed, m, ground)
-    return OrderRelation(ground, closed, norm)
+    return OrderRelation(ground, closed)
 
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
@@ -324,36 +305,6 @@ def intersect_linear(extensions: Iterable[LinearExtension]) -> OrderRelation:
             raise GroundMismatch("extensions on different ground sets")
         m &= e.order.matrix
     return OrderRelation(ground, m)
-
-
-def all_linear_extensions(o: OrderRelation, limit: int | None = None) -> Iterator[LinearExtension]:
-    """Yield every linear extension (deterministic backtracking order).
-
-    Intended for small orders; the count is factorial in the worst case.
-    `limit` truncates the enumeration when given.
-    """
-    n = o.n
-    strict = o.matrix & ~np.eye(n, dtype=bool)
-    pred_mask = [int(sum(1 << int(i) for i in np.flatnonzero(strict[:, j]))) for j in range(n)]
-    seq: list[int] = []
-    emitted = 0
-
-    def walk(placed: int) -> Iterator[LinearExtension]:
-        nonlocal emitted
-        if len(seq) == n:
-            emitted += 1
-            yield linear_from_sequence(o.ground, seq)
-            return
-        for v in range(n):
-            if placed >> v & 1 or (pred_mask[v] & ~placed):
-                continue
-            seq.append(v)
-            yield from walk(placed | (1 << v))
-            seq.pop()
-            if limit is not None and emitted >= limit:
-                return
-
-    yield from walk(0)
 
 
 # ---------------------------------------------------------------------------

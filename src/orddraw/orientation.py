@@ -36,27 +36,13 @@ accepts exactly the conjugates:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 import numpy as np
 
-from .errors import EdgeMismatch, GroundMismatch
-from .graphs import SimpleGraph
+from .errors import GroundMismatch
 from .orders import LinearExtension, OrderRelation, is_linear_order
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
-
-Arc = tuple[int, int]
-
-
-def comparability_graph(o: OrderRelation) -> SimpleGraph:
-    strict = o.matrix & ~np.eye(o.n, dtype=bool)
-    return SimpleGraph.from_matrix(strict | strict.T)
-
-
-def cocomparability_graph(o: OrderRelation) -> SimpleGraph:
-    """One edge per incomparable (unordered) pair."""
-    return SimpleGraph.from_matrix(~(o.matrix | o.matrix.T))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -125,60 +111,6 @@ def _force_classes(adj: list[int]) -> list[int] | None:
                 rem[a] &= ~out[a]
                 rem[b] &= ~into[b]
     return out
-
-
-def transitive_orientation(g: SimpleGraph) -> frozenset[Arc] | None:
-    """A transitive orientation of g, or None if none exists.
-
-    Forces one implication class at a time (see the module docstring).
-    The result is checked with verify_orientation before being returned,
-    so a successful return value is always a genuine strict order on the
-    edge set.
-    """
-    if g.m == 0:
-        return frozenset()
-    succ = _force_classes(_row_masks(g.adjacency))
-    if succ is None:
-        return None
-    result = frozenset((x, y) for x in range(g.n) for y in _bits(succ[x]))
-    return result if verify_orientation(g, result) else None
-
-
-def verify_orientation(g: SimpleGraph, arcs: frozenset[Arc]) -> bool:
-    """True iff arcs form an acyclic, transitively closed orientation of g.
-
-    Raises EdgeMismatch when the arcs do not cover the edge set exactly
-    once (that is a malformed input, not merely a failed property).
-    """
-    if len(arcs) != g.m:
-        raise EdgeMismatch(f"{len(arcs)} arcs for {g.m} edges")
-    for x, y in arcs:
-        if x == y or not g.adjacent(x, y):
-            raise EdgeMismatch(f"arc ({x}, {y}) is not an edge")
-        if (y, x) in arcs:
-            raise EdgeMismatch(f"edge ({x}, {y}) oriented both ways")
-
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    indeg = [0] * g.n
-    for x, y in arcs:
-        out[x].append(y)
-        indeg[y] += 1
-    for a in range(g.n):
-        for b in out[a]:
-            for c in out[b]:
-                if (a, c) not in arcs:
-                    return False
-    # acyclicity (implied by the above plus single orientation, but cheap)
-    queue = deque(v for v in range(g.n) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == g.n
 
 
 def compute_conjugate_order(o: OrderRelation) -> OrderRelation | None:

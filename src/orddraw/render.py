@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
@@ -22,23 +21,15 @@ from .orders import Pair
 Conflict = tuple[str, Pair]
 
 
-@dataclass(frozen=True)
-class CanvasSpec:
-    """Sizing knobs for the emitters."""
+# Canvas geometry in SVG user units: one grid step is _SCALE, the drawing
+# keeps a _MARGIN on every side, and each label sits right of its node.
+_SCALE = 48.0
+_MARGIN = 40.0
+_NODE_RADIUS = 5.0
+_FONT_SIZE = 12.0
 
-    scale: float = 48.0
-    margin: float = 40.0
-    node_radius: float = 5.0
-    font_size: float = 12.0
-    label_mode: str = "right"  # right | above | none
-
-    def __post_init__(self):
-        if self.scale <= 0 or self.node_radius <= 0:
-            raise ValueError("scale and node radius must be positive")
-        if self.margin < 0 or self.font_size <= 0:
-            raise ValueError("margin must be non-negative, font size positive")
-        if self.label_mode not in ("right", "above", "none"):
-            raise ValueError(f"unknown label mode {self.label_mode!r}")
+_EPSILON = Fraction(3, 20)
+_MAX_ROUNDS = 20
 
 
 def _integer_plane(d: GridDrawing) -> tuple[dict[str, tuple[int, int]], int]:
@@ -96,17 +87,13 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
     return conflicts
 
 
-def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None,
-            epsilon: Fraction = Fraction(3, 20),
-            max_rounds: int = 20) -> GridDrawing:
+def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDrawing:
     """Nudge conflicting points horizontally until no point lies on an edge.
 
     Each offending point is tried at x + eps, x - eps, x + 2*eps, ... from
-    its original x; y never changes, so edges keep rising.  Raises
-    Unresolvable if conflicts survive `max_rounds` rounds.
+    its original x, with eps = _EPSILON; y never changes, so edges keep
+    rising.  Raises Unresolvable if conflicts survive _MAX_ROUNDS rounds.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if conflicts is None:
         conflicts = detect_collinear(d)
     if not conflicts:
@@ -115,21 +102,21 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None,
     plane = dict(d.plane)
     attempts: dict[str, int] = {}
     current = d
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         for label in sorted({lab for lab, _ in conflicts}):
             k = attempts.get(label, 0) + 1
             attempts[label] = k
-            step = epsilon * ((k + 1) // 2) * (1 if k % 2 else -1)
+            step = _EPSILON * ((k + 1) // 2) * (1 if k % 2 else -1)
             x, y = base[label]
             plane[label] = (x + step, y)
         current = with_plane(d, plane)
         conflicts = detect_collinear(current)
         if not conflicts:
             return current
-    raise Unresolvable(f"collinear points remain after {max_rounds} rounds")
+    raise Unresolvable(f"collinear points remain after {_MAX_ROUNDS} rounds")
 
 
-def _screen_geometry(d: GridDrawing, spec: CanvasSpec):
+def _screen_geometry(d: GridDrawing):
     # int true division is correctly rounded, so (X - min X) / D is the
     # float of the rational x - min x, as float(Fraction) gives it
     pts, denom = _integer_plane(d)
@@ -137,19 +124,18 @@ def _screen_geometry(d: GridDrawing, spec: CanvasSpec):
     ys = [p[1] for p in pts.values()]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    width = (max_x - min_x) / denom * spec.scale + 2 * spec.margin
-    height = (max_y - min_y) / denom * spec.scale + 2 * spec.margin
+    width = (max_x - min_x) / denom * _SCALE + 2 * _MARGIN
+    height = (max_y - min_y) / denom * _SCALE + 2 * _MARGIN
     # one screen point per element, looked up once per edge end and label
-    screen = {label: ((x - min_x) / denom * spec.scale + spec.margin,
-                      (max_y - y) / denom * spec.scale + spec.margin)
+    screen = {label: ((x - min_x) / denom * _SCALE + _MARGIN,
+                      (max_y - y) / denom * _SCALE + _MARGIN)
               for label, (x, y) in pts.items()}
     return width, height, screen.__getitem__
 
 
-def emit_svg(d: GridDrawing, spec: CanvasSpec | None = None) -> bytes:
+def emit_svg(d: GridDrawing) -> bytes:
     """Render as SVG: cover edges as lines below labelled node circles."""
-    spec = spec or CanvasSpec()
-    width, height, place = _screen_geometry(d, spec)
+    width, height, place = _screen_geometry(d)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
@@ -164,20 +150,15 @@ def emit_svg(d: GridDrawing, spec: CanvasSpec | None = None) -> bytes:
     out.append('<g fill="#1f5fbf" stroke="#0b2f66" stroke-width="1">')
     for label in d.order.ground:
         cx, cy = place(label)
-        out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{spec.node_radius:.2f}"/>')
+        out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_NODE_RADIUS:.2f}"/>')
     out.append("</g>")
-    if spec.label_mode != "none":
-        out.append(f'<g font-family="sans-serif" font-size="{spec.font_size:.2f}" '
-                   'fill="#111111">')
-        for label in d.order.ground:
-            cx, cy = place(label)
-            if spec.label_mode == "right":
-                tx, ty = cx + spec.node_radius + 3.0, cy + spec.font_size * 0.35
-            else:
-                tx, ty = cx, cy - spec.node_radius - 4.0
-            anchor = ' text-anchor="middle"' if spec.label_mode == "above" else ""
-            out.append(f'<text x="{tx:.2f}" y="{ty:.2f}"{anchor}>{escape(label)}</text>')
-        out.append("</g>")
+    out.append(f'<g font-family="sans-serif" font-size="{_FONT_SIZE:.2f}" '
+               'fill="#111111">')
+    for label in d.order.ground:
+        cx, cy = place(label)
+        tx, ty = cx + _NODE_RADIUS + 3.0, cy + _FONT_SIZE * 0.35
+        out.append(f'<text x="{tx:.2f}" y="{ty:.2f}">{escape(label)}</text>')
+    out.append("</g>")
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
 
@@ -194,28 +175,25 @@ def _tex_escape(s: str) -> str:
     return "".join(_TEX_SPECIALS.get(ch, ch) for ch in s)
 
 
-def emit_tikz(d: GridDrawing, spec: CanvasSpec | None = None) -> bytes:
-    """Render as a standalone TikZ picture (edges behind nodes)."""
-    spec = spec or CanvasSpec()
-    unit = spec.scale / 48.0  # default spec => 1cm per grid step
+def emit_tikz(d: GridDrawing) -> bytes:
+    """Render as a standalone TikZ picture (edges behind nodes), one
+    centimetre per grid step."""
     ids = {label: f"n{i}" for i, label in enumerate(d.order.ground)}
     out = [
         r"\documentclass[tikz,border=4pt]{standalone}",
         r"\begin{document}",
-        r"\begin{tikzpicture}[x=%.3fcm,y=%.3fcm]" % (unit, unit),
+        r"\begin{tikzpicture}[x=1.000cm,y=1.000cm]",
     ]
     for a, b in d.cover_edges:
         ax, ay = d.plane[a]
         bx, by = d.plane[b]
         out.append(r"\draw[thick] (%.3f,%.3f) -- (%.3f,%.3f);"
                    % (float(ax), float(ay), float(bx), float(by)))
-    label_pos = {"right": "right", "above": "above", "none": None}[spec.label_mode]
     for label in d.order.ground:
         x, y = d.plane[label]
-        tag = f",label={label_pos}:{{{_tex_escape(label)}}}" if label_pos else ""
-        out.append(r"\node[circle,fill=blue!60,draw=blue!80!black,inner sep=1.6pt%s]"
-                   r" (%s) at (%.3f,%.3f) {};"
-                   % (tag, ids[label], float(x), float(y)))
+        out.append(r"\node[circle,fill=blue!60,draw=blue!80!black,inner sep=1.6pt,"
+                   r"label=right:{%s}] (%s) at (%.3f,%.3f) {};"
+                   % (_tex_escape(label), ids[label], float(x), float(y)))
     out.append(r"\end{tikzpicture}")
     out.append(r"\end{document}")
     return ("\n".join(out) + "\n").encode("utf-8")

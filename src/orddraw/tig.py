@@ -25,7 +25,6 @@ is still open.
 
 from __future__ import annotations
 
-from .errors import NotIncomparable
 from .graphs import SimpleGraph
 from .orders import OrderRelation, inc_id_arrays
 
@@ -50,25 +49,6 @@ class TigGraph:
 
     def __repr__(self) -> str:
         return f"TigGraph({len(self.vertices)} pairs, {self.graph.m} conflicts)"
-
-
-def _require_incomparable(o: OrderRelation, p: IncPair) -> None:
-    if not o.incomparable_ids(p[0], p[1]):
-        raise NotIncomparable(f"pair {p} is not incomparable")
-
-
-def enforces(p: IncPair, q: IncPair, o: OrderRelation) -> bool:
-    """True iff inserting p forces q, i.e. q lies in the closure of <= + p."""
-    _require_incomparable(o, p)
-    _require_incomparable(o, q)
-    return o.le_ids(q[0], p[0]) and o.le_ids(p[1], q[1])
-
-
-def incompatible(p: IncPair, q: IncPair, o: OrderRelation) -> bool:
-    """True iff inserting both p and q would create a cycle."""
-    _require_incomparable(o, p)
-    _require_incomparable(o, q)
-    return o.le_ids(q[1], p[0]) and o.le_ids(p[1], q[0])
 
 
 def build_tig(o: OrderRelation) -> TigGraph:

@@ -11,8 +11,8 @@ from collections import defaultdict, deque
 
 import numpy as np
 
-from orddraw.orders import (GroundSet, OrderRelation, all_linear_extensions,
-                            intersect_linear, linear_from_sequence)
+from orddraw.orders import (GroundSet, OrderRelation, intersect_linear,
+                            linear_from_sequence)
 
 
 def warshall_closure(matrix) -> np.ndarray:
@@ -89,6 +89,36 @@ def strict_pairs(o: OrderRelation) -> list[tuple[int, int]]:
             if i != j and o.matrix[i, j]]
 
 
+def all_linear_extensions(o: OrderRelation, limit: int | None = None):
+    """Yield every linear extension (deterministic backtracking order).
+
+    Intended for small orders; the count is factorial in the worst case.
+    `limit` truncates the enumeration when given.
+    """
+    n = o.n
+    strict = o.matrix & ~np.eye(n, dtype=bool)
+    pred_mask = [int(sum(1 << int(i) for i in np.flatnonzero(strict[:, j]))) for j in range(n)]
+    seq: list[int] = []
+    emitted = 0
+
+    def walk(placed: int):
+        nonlocal emitted
+        if len(seq) == n:
+            emitted += 1
+            yield linear_from_sequence(o.ground, seq)
+            return
+        for v in range(n):
+            if placed >> v & 1 or (pred_mask[v] & ~placed):
+                continue
+            seq.append(v)
+            yield from walk(placed | (1 << v))
+            seq.pop()
+            if limit is not None and emitted >= limit:
+                return
+
+    yield from walk(0)
+
+
 def brute_two_realizer(o: OrderRelation) -> bool:
     """Does any pair of linear extensions intersect to exactly o?
 
@@ -114,6 +144,14 @@ def brute_two_realizer(o: OrderRelation) -> bool:
                     mask |= 1 << (i * n + j)
         masks.add(mask)
     return any(target | (inc & ~m) in masks for m in masks)
+
+
+def incompatible(p: tuple[int, int], q: tuple[int, int], o: OrderRelation) -> bool:
+    """The four-lookup incompatibility rule of two incomparable pairs (see
+    the tig module docstring): inserting both closes a cycle iff
+    q[1] <= p[0] and p[1] <= q[0]; the definition build_tig is checked
+    against."""
+    return bool(o.matrix[q[1], p[0]] and o.matrix[p[1], q[0]])
 
 
 def has_cycle_with(o: OrderRelation, p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -448,14 +486,14 @@ def peel_to_minimal_by_bfs(g, removed):
     return frozenset(cur)
 
 
-def anneal_by_recount(g, seed=0, params=None):
-    """(removed, accepted) of the annealing strategy, recounting each
-    vertex's same-label neighbours on every step and peeling by rounds of
-    two-colourings; the reference for oct_anneal."""
+def anneal_by_recount(g, seed=0):
+    """(removed, accepted) of the annealing strategy under the schedule in
+    orddraw.bipartization, recounting each vertex's same-label neighbours
+    on every step and peeling by rounds of two-colourings; the reference
+    for oct_anneal."""
     import math
-    from orddraw.bipartization import AnnealParams, _repair
+    from orddraw import bipartization
     from orddraw.graphs import is_bipartite_without
-    p = params or AnnealParams()
     rng = random.Random(seed)
     n = g.n
     if n == 0 or is_bipartite_without(g):
@@ -468,9 +506,9 @@ def anneal_by_recount(g, seed=0, params=None):
             return 0
         return sum(1 for w in g.neighbors(v) if labels[w] == lab)
 
-    temp = p.t0
+    temp = bipartization._T0
     accepted = 0
-    for _ in range(p.steps):
+    for _ in range(bipartization._STEPS):
         v = rng.randrange(n)
         old = labels[v]
         new = rng.choice([l for l in (0, 1, 2) if l != old])
@@ -479,8 +517,8 @@ def anneal_by_recount(g, seed=0, params=None):
         if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
             labels[v] = new
             accepted += 1
-        temp *= p.alpha
-    removed = _repair(g, {v for v in range(n) if labels[v] == 2})
+        temp *= bipartization._ALPHA
+    removed = bipartization._repair(g, {v for v in range(n) if labels[v] == 2})
     return peel_to_minimal_by_bfs(g, removed), accepted
 
 
@@ -545,15 +583,16 @@ def solve_by_milp(cnf):
     return [v if res.x[v - 1] > 0.5 else -v for v in range(1, nv + 1)]
 
 
-def screen_geometry_by_fractions(d, spec):
-    """SVG width, height and screen point per label, each float taken of
-    the exact rational distance to the plane's left or top edge."""
+def screen_geometry_by_fractions(d, scale, margin):
+    """SVG width, height and screen point per label at `scale` units per
+    grid step inside `margin`, each float taken of the exact rational
+    distance to the plane's left or top edge."""
     xs = [p[0] for p in d.plane.values()]
     ys = [p[1] for p in d.plane.values()]
     min_x, max_y = min(xs), max(ys)
-    width = float(max(xs) - min_x) * spec.scale + 2 * spec.margin
-    height = float(max_y - min(ys)) * spec.scale + 2 * spec.margin
-    screen = {label: (float(x - min_x) * spec.scale + spec.margin,
-                      float(max_y - y) * spec.scale + spec.margin)
+    width = float(max(xs) - min_x) * scale + 2 * margin
+    height = float(max_y - min(ys)) * scale + 2 * margin
+    screen = {label: (float(x - min_x) * scale + margin,
+                      float(max_y - y) * scale + margin)
               for label, (x, y) in d.plane.items()}
     return width, height, screen

@@ -14,15 +14,34 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, is_bipartite_without
-from orddraw.bipartization import (MAX_TRANSVERSALS, AnnealParams,
-                                   TransversalSearch, decode_partition,
-                                   decode_removed, encode_oct, min_oct_exact,
-                                   min_oct_size, oct_anneal, oct_greedy,
-                                   peel_to_minimal, _cold_steps, _repair)
+from orddraw import bipartization
+from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
+                                   decode_partition, decode_removed,
+                                   encode_oct, min_oct_exact, oct_anneal,
+                                   oct_greedy, peel_to_minimal, _cold_steps,
+                                   _repair)
 from oracles import (anneal_by_recount, brute_force_oct,
                      peel_to_minimal_by_bfs, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def min_oct_size(g):
+    """(minimum size, lower bound, search nodes), read off the first set of
+    the transversal search."""
+    search = TransversalSearch(g)
+    next(iter(search))
+    return search.k, search.lower_bound, search.branch_nodes
+
+
+def set_schedule(monkeypatch, **schedule):
+    """Give oct_anneal and the recounting oracle another annealing
+    schedule: a new t0, alpha or steps, and the boundaries that follow."""
+    for name, value in schedule.items():
+        monkeypatch.setattr(bipartization, "_" + name.upper(), value)
+    hot, quiet = _cold_steps()
+    monkeypatch.setattr(bipartization, "_HOT", hot)
+    monkeypatch.setattr(bipartization, "_QUIET", quiet)
 
 
 def cycle_graph(k):
@@ -327,12 +346,13 @@ class TestPeeling:
 
 
 class TestHeuristics:
-    @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal])
+    @pytest.mark.parametrize("strategy", [oct_greedy, lambda g: oct_anneal(g, seed=11)],
+                             ids=["oct_greedy", "oct_anneal"])
     def test_valid_and_inclusion_minimal(self, strategy):
         rng = random.Random(101)
         for _ in range(12):
             g = random_graph(rng, rng.randint(3, 10), 0.4)
-            res = strategy(g, seed=11)
+            res = strategy(g)
             assert is_bipartite_without(g, res.removed)
             assert not res.optimal or res.removed == frozenset()
             for v in res.removed:
@@ -340,30 +360,27 @@ class TestHeuristics:
 
     @pytest.mark.parametrize("strategy", [oct_greedy, oct_anneal])
     def test_bipartite_input_yields_empty(self, strategy):
-        res = strategy(cycle_graph(6), seed=0)
+        res = strategy(cycle_graph(6))
         assert res.removed == frozenset()
 
     def test_same_seed_same_answer(self):
         g = random_graph(random.Random(103), 10, 0.4)
-        fast = AnnealParams(steps=2000)
-        assert oct_anneal(g, seed=5, params=fast).removed \
-            == oct_anneal(g, seed=5, params=fast).removed
+        assert oct_anneal(g, seed=5).removed == oct_anneal(g, seed=5).removed
         assert oct_greedy(g).removed == oct_greedy(g).removed
 
     def test_heuristics_close_to_optimal_on_small_graphs(self):
         rng = random.Random(107)
         slack = {"greedy": 0, "anneal": 0}
-        fast = AnnealParams(steps=3000)
         for _ in range(10):
             g = random_graph(rng, rng.randint(4, 8), 0.5)
             best = len(brute_force_oct(g).removed)
             slack["greedy"] += len(oct_greedy(g).removed) - best
-            slack["anneal"] += len(oct_anneal(g, seed=3, params=fast).removed) - best
+            slack["anneal"] += len(oct_anneal(g, seed=3).removed) - best
         # heuristics may be suboptimal, never invalid; keep them honest
         assert all(v >= 0 for v in slack.values())
         assert slack["greedy"] <= 5
 
-    def test_anneal_matches_the_recounting_loop(self):
+    def test_anneal_matches_the_recounting_loop(self, monkeypatch):
         """Incremental neighbour-label counts make the same moves, so the
         removed set and the accepted count equal the recounting loop's."""
         rng = random.Random(167)
@@ -373,39 +390,41 @@ class TestHeuristics:
             else:  # larger graphs draw vertices with more bits per draw
                 g = random_graph(rng, rng.randint(31, 200), rng.choice([0.02, 0.05, 0.1]))
             seed = rng.randrange(1000)
-            params = AnnealParams(steps=rng.choice([50, 300, 1000]))
-            res = oct_anneal(g, seed=seed, params=params)
-            removed, accepted = anneal_by_recount(g, seed=seed, params=params)
+            set_schedule(monkeypatch, steps=rng.choice([50, 300, 1000]))
+            res = oct_anneal(g, seed=seed)
+            removed, accepted = anneal_by_recount(g, seed=seed)
             assert res.removed == removed
             assert res.stats.get("accepted", 0) == accepted
 
-    @pytest.mark.parametrize("params", [
-        AnnealParams(steps=1_400),  # past the hot phase, drawing on rejections
-        AnnealParams(steps=6_000),  # past both boundaries
-        AnnealParams(t0=1e-13, steps=2_000),  # no hot phase, no draws
-        AnnealParams(alpha=1.0, steps=2_000),  # no cold phase
-        AnnealParams(alpha=0.9, steps=2_000),  # early boundaries
-        AnnealParams(t0=1e-3, alpha=1.01, steps=1_500),  # warms up: all hot
-    ], ids=repr)
-    def test_anneal_matches_the_recounting_loop_across_phases(self, params):
+    @pytest.mark.parametrize("schedule", [
+        dict(steps=1_400),  # past the hot phase, drawing on rejections
+        dict(steps=6_000),  # past both boundaries
+        dict(t0=1e-13, steps=2_000),  # no hot phase, no draws
+        dict(alpha=1.0, steps=2_000),  # no cold phase
+        dict(alpha=0.9, steps=2_000),  # early boundaries
+    ], ids=lambda schedule: "Anneal(" + ", ".join(f"{k}={v!r}" for k, v in schedule.items()) + ")")
+    def test_anneal_matches_the_recounting_loop_across_phases(self, monkeypatch, schedule):
         """The cold loop accepts and draws as the recounting loop does, on
         either side of each schedule boundary."""
+        set_schedule(monkeypatch, **schedule)
         rng = random.Random(173)
         for _ in range(12):
             g = random_graph(rng, rng.randint(3, 40), rng.choice([0.1, 0.3, 0.6]))
             seed = rng.randrange(1000)
-            res = oct_anneal(g, seed=seed, params=params)
-            removed, accepted = anneal_by_recount(g, seed=seed, params=params)
+            res = oct_anneal(g, seed=seed)
+            removed, accepted = anneal_by_recount(g, seed=seed)
             assert res.removed == removed
             assert res.stats.get("accepted", 0) == accepted
 
-    def test_schedule_boundaries(self):
-        # the defaults cool past both boundaries well before the last step
-        assert _cold_steps(AnnealParams()) == (1_320, 5_513)
-        assert _cold_steps(AnnealParams(alpha=1.0)) == (10_000, 10_000)
-        assert _cold_steps(AnnealParams(t0=1e-13)) == (0, 0)
-        assert _cold_steps(AnnealParams(t0=1e-3, alpha=1.01)) == (10_000, 10_000)
-        hot, quiet = _cold_steps(AnnealParams(alpha=0.9))
+    def test_schedule_boundaries(self, monkeypatch):
+        # the schedule cools past both boundaries well before the last step
+        assert (bipartization._HOT, bipartization._QUIET) == _cold_steps() == (1_320, 5_513)
+        set_schedule(monkeypatch, alpha=1.0)
+        assert _cold_steps() == (10_000, 10_000)
+        set_schedule(monkeypatch, t0=1e-13, alpha=0.995)
+        assert _cold_steps() == (0, 0)
+        set_schedule(monkeypatch, t0=1.0, alpha=0.9)
+        hot, quiet = _cold_steps()
         temps = [1.0]
         for _ in range(quiet):
             temps.append(temps[-1] * 0.9)

@@ -100,6 +100,22 @@ class TestDraw:
         assert main(["draw", "-i", s3_file, "--summary-json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_summary_json_on_stdout_is_the_whole_of_stdout(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("a < b\nc < d\n"))
+        assert main(["draw", "-i", "-", "--summary-json", "-"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["n"] == 4 and doc["incomparable_pairs"] == 8
+        assert "n=4 inc=8" in err and "time=" in err
+
+    def test_summary_json_on_stdout_matches_the_file(self, s3_file, tmp_path, capsysbinary):
+        target = tmp_path / "summary.json"
+        assert main(["draw", "-i", s3_file, "--summary-json", str(target)]) == 0
+        capsysbinary.readouterr()
+        assert main(["draw", "-i", s3_file, "--summary-json", "-"]) == 0
+        assert capsysbinary.readouterr().out == target.read_bytes()
+
     def test_verbose_reports_passes(self, s3_file, capsys):
         assert main(["draw", "-i", s3_file, "-v"]) == 0
         err = capsys.readouterr().err

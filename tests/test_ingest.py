@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from orddraw.errors import CycleError, ParseError, TooLarge, UnknownLabel
 from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, serialize_order)
-from orddraw.orders import boolean_lattice, cover_relation
+from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
+                            grid, standard_example)
 from oracles import random_order
 
 
@@ -81,8 +82,42 @@ class TestOrderText:
             assert list(again.ground) == list(o.ground)
             assert (again.matrix == o.matrix).all()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_serialization_round_trips_every_label_it_accepts(self, data):
+        labels = data.draw(st.lists(st.one_of(
+            st.text(max_size=6),
+            st.sampled_from(["x3", "{1,2}", "2,3", "a1", "<", "elements:", "elements:x",
+                             "a b", "x#1", "", "\u2028", "<<"])), min_size=1, max_size=6,
+            unique=True))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                                   max_size=8))
+        # pairs that go up the label list never close a cycle
+        o = build_order(labels, [(a, b) for a, b in pairs if labels.index(a) < labels.index(b)])
+        try:
+            text = serialize_order(o)
+        except ValueError as exc:
+            bad = [lab for lab in labels if not lab or lab == "<" or "#" in lab
+                   or lab.startswith("elements:") or any(ch.isspace() for ch in lab)]
+            assert bad and repr(bad[0]) in str(exc)
+            return
+        assert parse_order_text(text) == o
+
+    @pytest.mark.parametrize("labels, bad", [
+        (["a b", "c"], "a b"), (["x#1"], "x#1"), (["ok", "elements:"], "elements:"),
+        (["ok", "<"], "<"), (["ok", ""], ""), (["a\u2028b"], "a\u2028b")])
+    def test_unwritable_labels_are_rejected(self, labels, bad):
+        with pytest.raises(ValueError) as info:
+            serialize_order(build_order(labels, []))
+        assert repr(bad) in str(info.value)
+
+    @pytest.mark.parametrize("o", [chain(5), standard_example(4), boolean_lattice(3), grid(3, 4)],
+                             ids=["chain", "standard_example", "boolean_lattice", "grid"])
+    def test_generated_families_round_trip(self, o):
+        # labels like x3, a1, {1,2} and 2,3, as the benchmark corpora write them
+        assert parse_order_text(serialize_order(o)) == o
+
     def test_serialized_form_is_covers_only(self):
-        from orddraw.orders import chain
         text = serialize_order(chain(3))
         assert text == "elements: x1 x2 x3\nx1 < x2\nx2 < x3\n"
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from orddraw.errors import (CycleError, GroundMismatch, NotLinear,
                             UnknownLabel)
 from orddraw.orders import (GroundSet, LinearExtension, OrderRelation,
-                            all_linear_extensions, antichain, boolean_lattice,
-                            build_order, chain, cover_relation, grid,
-                            inc_id_pairs, incomparable_pairs,
-                            intersect_linear, is_linear_order,
-                            linear_from_sequence, standard_example,
-                            transitive_closure)
-from oracles import literally_an_order, random_order, warshall_closure
+                            antichain, boolean_lattice, build_order, chain,
+                            cover_relation, grid, inc_id_pairs,
+                            incomparable_pairs, intersect_linear,
+                            is_linear_order, linear_from_sequence,
+                            standard_example, transitive_closure)
+from oracles import (all_linear_extensions, literally_an_order, random_order,
+                     warshall_closure)
 
 
 @st.composite
@@ -138,10 +138,6 @@ class TestBuildOrder:
         with pytest.raises(ValueError):
             build_order([], [])
 
-    def test_generator_pairs_preserved(self):
-        o = build_order("abc", [("a", "b"), ("b", "c")])
-        assert o.generator_pairs == (("a", "b"), ("b", "c"))
-
     def test_validate_accepts_all_constructions(self):
         rng = random.Random(13)
         for _ in range(30):
@@ -184,17 +180,6 @@ class TestQueries:
         ids = inc_id_pairs(o)
         assert ids == sorted(ids)
         assert len(ids) == len(incomparable_pairs(o))
-
-    def test_extend_adds_and_closes(self):
-        o = build_order("abcd", [("a", "b"), ("c", "d")])
-        e = o.extend([("b", "c")])
-        assert e.lt("a", "d")
-        assert not o.lt("a", "d"), "extend must not mutate the original"
-
-    def test_extend_rejects_created_cycle(self):
-        o = build_order("abc", [("a", "b"), ("b", "c")])
-        with pytest.raises(CycleError):
-            o.extend([("c", "a")])
 
 
 class TestCovers:

@@ -1,7 +1,9 @@
 """The package's public surface: `orddraw.__all__` against what `__init__`
-imports, so a stale export or a forgotten one fails here."""
+imports, so a stale export or a forgotten one fails here, and the README's
+library example against the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import orddraw
@@ -27,5 +29,22 @@ def test_every_public_import_is_exported():
 
 def test_retired_names_are_gone():
     for name in ("oct_genetic", "GeneticParams", "brute_force_oct",
-                 "Bipartition", "bipartite_check"):
+                 "Bipartition", "bipartite_check",
+                 "AnnealParams", "CanvasSpec", "EdgeMismatch", "NotIncomparable",
+                 "all_linear_extensions", "cocomparability_graph",
+                 "comparability_graph", "enforces", "incompatible",
+                 "transitive_orientation", "verify_orientation"):
         assert not hasattr(orddraw, name), name
+
+
+def test_readme_quick_tour_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```",
+                     readme.read_text(encoding="utf-8"), re.S)
+    assert tour, "README has no library quick tour block"
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(tour.group(1), "README quick tour", "exec"), scope)
+    assert (tmp_path / "diamond.svg").read_bytes().startswith(b"<?xml")
+    # the comment on the trace line
+    assert scope["trace"].passes == 1 and len(scope["trace"].inserted) == 1

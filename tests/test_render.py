@@ -12,8 +12,9 @@ from orddraw.engine import compute_coordinates, perturbed_labels, with_plane
 from orddraw.errors import Unresolvable
 from orddraw.ingest import parse_order_text
 from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
-from orddraw.render import (CanvasSpec, _screen_geometry, detect_collinear,
-                            emit_dot, emit_svg, emit_tikz, perturb)
+from orddraw import render
+from orddraw.render import (_screen_geometry, detect_collinear, emit_dot,
+                            emit_svg, emit_tikz, perturb)
 from oracles import (collinear_points, random_order,
                      screen_geometry_by_fractions, strict_pairs)
 
@@ -45,23 +46,6 @@ def forced_conflict():
     return replace(d, cover_edges=(("x1", "x3"),))
 
 
-class TestCanvasSpec:
-    def test_defaults_are_valid(self):
-        CanvasSpec()
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            CanvasSpec(scale=0)
-        with pytest.raises(ValueError):
-            CanvasSpec(node_radius=-1)
-        with pytest.raises(ValueError):
-            CanvasSpec(margin=-0.5)
-        with pytest.raises(ValueError):
-            CanvasSpec(font_size=0)
-        with pytest.raises(ValueError):
-            CanvasSpec(label_mode="inside")
-
-
 class TestDetectCollinear:
     def test_chain_has_no_conflicts(self):
         assert detect_collinear(chain_drawing()) == []
@@ -82,10 +66,10 @@ class TestDetectCollinear:
             d = compute_coordinates(o)
             assert detect_collinear(d) == oracle_conflicts(d)
 
-    def test_agrees_with_oracle_after_perturb(self):
+    def test_agrees_with_oracle_after_perturb(self, monkeypatch):
         # every comparability as an edge puts points on long segments, so
         # perturb has work to do and leaves Fraction planes (multiples of
-        # epsilon off the grid); a point then put halfway between a moved
+        # its step off the grid); a point then put halfway between a moved
         # point and another sits on their edge, at a finer denominator
         rng = random.Random(167)
         checked = 0
@@ -93,7 +77,8 @@ class TestDetectCollinear:
             o = random_order(rng, rng.randint(4, 9))
             d = compute_coordinates(o, strategy="greedy")
             eps = rng.choice([Fraction(3, 20), Fraction(1, 7), Fraction(2, 9)])
-            fixed = perturb(replace(d, cover_edges=comparabilities(o)), epsilon=eps)
+            monkeypatch.setattr(render, "_EPSILON", eps)
+            fixed = perturb(replace(d, cover_edges=comparabilities(o)))
             assert detect_collinear(fixed) == oracle_conflicts(fixed) == []
             moved = perturbed_labels(fixed)
             if not moved:
@@ -194,15 +179,15 @@ class TestPerturb:
             fixed = perturb(d)
             assert detect_collinear(fixed) == []
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            perturb(forced_conflict(), epsilon=Fraction(0))
-        with pytest.raises(ValueError):
-            perturb(chain_drawing(), epsilon=Fraction(0))
-
-    def test_round_budget_is_enforced(self):
+    def test_round_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(render, "_MAX_ROUNDS", 0)
         with pytest.raises(Unresolvable):
-            perturb(forced_conflict(), max_rounds=0)
+            perturb(forced_conflict())
+
+    def test_nudges_step_by_three_twentieths(self):
+        d = forced_conflict()
+        (x, y), (fx, fy) = d.plane["x2"], perturb(d).plane["x2"]
+        assert fy == y and fx - x in (Fraction(3, 20), Fraction(-3, 20))
 
     def test_unmoved_points_keep_exact_coordinates(self):
         d = forced_conflict()
@@ -221,12 +206,16 @@ class TestSvg:
         assert text.count("<text ") == d.order.n
         assert text.rstrip().endswith("</svg>")
 
-    def test_label_modes(self):
-        d = compute_coordinates(chain(2))
-        none = emit_svg(d, CanvasSpec(label_mode="none")).decode()
-        assert "<text" not in none
-        above = emit_svg(d, CanvasSpec(label_mode="above")).decode()
-        assert 'text-anchor="middle"' in above
+    def test_labels_sit_right_of_their_nodes(self):
+        d = compute_coordinates(boolean_lattice(2))
+        text = emit_svg(d).decode()
+        circles = re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)" r="5.00"/>', text)
+        labels = re.findall(r'<text x="([\d.]+)" y="([\d.]+)">', text)
+        assert len(circles) == len(labels) == d.order.n
+        for (cx, cy), (tx, ty) in zip(circles, labels):
+            assert float(tx) - float(cx) == pytest.approx(8.0, abs=0.01)
+            assert float(ty) - float(cy) == pytest.approx(4.2, abs=0.01)
+        assert "text-anchor" not in text
 
     def test_labels_are_xml_escaped(self):
         o = build_order(["a<b&c", "plain"], [("a<b&c", "plain")])
@@ -252,10 +241,13 @@ class TestSvg:
         plane = {label: (x + data.draw(offsets), y + data.draw(offsets))
                  for label, (x, y) in d.plane.items()}
         moved = with_plane(d, plane)
-        spec = CanvasSpec(scale=data.draw(st.sampled_from([48.0, 7.3, 100.0])),
-                          margin=data.draw(st.sampled_from([40.0, 0.0, 2.5])))
-        width, height, place = _screen_geometry(moved, spec)
-        want_w, want_h, want = screen_geometry_by_fractions(moved, spec)
+        scale = data.draw(st.sampled_from([48.0, 7.3, 100.0]))
+        margin = data.draw(st.sampled_from([40.0, 0.0, 2.5]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(render, "_SCALE", scale)
+            mp.setattr(render, "_MARGIN", margin)
+            width, height, place = _screen_geometry(moved)
+        want_w, want_h, want = screen_geometry_by_fractions(moved, scale, margin)
         assert (width, height) == (want_w, want_h)
         assert {label: place(label) for label in want} == want
 
@@ -272,25 +264,22 @@ class TestTikz:
         assert text.startswith(r"\documentclass[tikz,border=4pt]{standalone}")
         assert text.count(r"\draw[thick]") == len(d.cover_edges)
         assert text.count(r"\node[circle") == d.order.n
+        assert text.count("label=right:") == d.order.n
+        assert "[x=1.000cm,y=1.000cm]" in text
         assert text.rstrip().endswith(r"\end{document}")
+
+    def test_one_centimetre_per_grid_step(self):
+        d = compute_coordinates(grid(2, 3))
+        text = emit_tikz(d).decode()
+        for i, label in enumerate(d.order.ground):
+            x, y = d.plane[label]
+            assert f"(n{i}) at ({float(x):.3f},{float(y):.3f})" in text
 
     def test_tex_escaping(self):
         o = build_order(["a_1", "b%x"], [("a_1", "b%x")])
         text = emit_tikz(compute_coordinates(o)).decode()
         assert r"a\_1" in text
         assert r"b\%x" in text
-
-    def test_label_none_omits_labels(self):
-        d = compute_coordinates(chain(2))
-        text = emit_tikz(d, CanvasSpec(label_mode="none")).decode()
-        assert "label=" not in text
-
-    def test_scale_changes_unit(self):
-        d = compute_coordinates(chain(2))
-        default = emit_tikz(d).decode()
-        doubled = emit_tikz(d, CanvasSpec(scale=96.0)).decode()
-        assert "x=1.000cm" in default
-        assert "x=2.000cm" in doubled
 
 
 class TestDot:
