@@ -5,8 +5,9 @@ possible until the result has order dimension at most two, and places the
 elements by their ranks in the resulting realizer.  Along the way it
 exposes the pieces individually: order and lattice construction, conjugate
 orders and realizers, the incompatibility graph, exact minimum odd cycle
-transversals with greedy and annealing heuristics and a CNF export, and
-SVG/TikZ/DOT rendering.
+transversals with greedy and annealing heuristics, the bipartization CNF
+(exported for a solver the user runs, with solve_cnf to check a model),
+and SVG/TikZ/DOT rendering.
 """
 
 from .bipartization import (OctResult, encode_oct, min_oct_exact,
@@ -26,14 +27,14 @@ from .orders import (GroundSet, LinearExtension, OrderRelation, antichain,
                      linear_from_sequence, standard_example)
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
-from .sat import CnfInstance, ExternalSolver, parse_dimacs, solve_cnf
+from .sat import CnfInstance, solve_cnf
 from .tig import TigGraph, build_tig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackendFailure", "CnfInstance", "CycleError", "DominanceReport",
-    "ExtensionTrace", "ExternalSolver", "FormalContext",
+    "ExtensionTrace", "FormalContext",
     "GridDrawing", "GroundMismatch", "GroundSet",
     "LinearExtension", "NotLinear", "OctResult",
     "OrderDrawError", "OrderRelation", "OrderViolation", "ParseError",
@@ -45,7 +46,7 @@ __all__ = [
     "emit_tikz", "encode_oct", "grid", "incomparable_pairs",
     "intersect_linear", "is_bipartite_without", "linear_from_sequence",
     "min_oct_exact", "oct_anneal", "oct_greedy",
-    "parse_cxt", "parse_dimacs", "parse_order_text", "peel_to_minimal",
+    "parse_cxt", "parse_order_text", "peel_to_minimal",
     "perturb", "realizer_from_conjugate", "serialize_order", "solve_cnf",
     "standard_example", "two_coloring",
     "two_dimension_extension", "weak_dominance_stats",

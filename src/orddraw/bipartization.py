@@ -5,12 +5,10 @@ graph splits into the components left after its bridges are removed, and
 each of those is searched by branching on the vertices of an odd cycle,
 from a lower bound of vertex-disjoint odd cycles upwards.  The search
 lists minimum removal sets in a fixed order and the caller may pick among
-them.  The CNF reduction is kept for export to external solvers: vertex
-i (0-based) gets side variables i+1 and n+i+1 and a removal variable
-2n+i+1; every vertex must take a role, adjacent vertices may not share a
-side, and a sequential counter bounds the removal variables by k.  The
-greedy and annealing heuristics trade optimality for speed; each one
-repairs its answer to validity and peels it to inclusion-minimality.
+them.  The CNF reduction (encode_oct) is only exported, by `orddraw cnf`,
+for a solver the user runs.  The greedy and annealing heuristics trade
+optimality for speed; each one repairs its answer to validity and peels
+it to inclusion-minimality.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .graphs import (SimpleGraph, bridges, is_bipartite_without,
                      odd_cycle_census, two_coloring)
-from .sat import CnfInstance, Model, sinz_at_most_k
+from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
 
@@ -49,6 +47,12 @@ def _checked(g: SimpleGraph, removed: frozenset[int], method: str,
 def encode_oct(g: SimpleGraph, k: int) -> CnfInstance:
     """CNF satisfiable iff removing at most k vertices makes g bipartite.
 
+    Vertex i (0-based) gets side variables i+1 and n+i+1 and a removal
+    variable 2n+i+1, and the counter's register (i, j) is 3n+(i-1)k+j;
+    every vertex must take a role, adjacent vertices may not share a side,
+    and the counter bounds the removal variables by k.  A model's removal
+    set is the vertices whose removal variable is true.
+
     Sizes for n >= 2, k >= 1 are exactly (n-1)(k+3)+3 variables and
     2m + 2nk + 2n - 3k - 1 clauses.  With k = 0 the counter is replaced by
     one negating unit per removal variable, keeping the semantics exact.
@@ -68,31 +72,7 @@ def encode_oct(g: SimpleGraph, k: int) -> CnfInstance:
     counter = sinz_at_most_k([gone(i) for i in range(n)], k, 3 * n + 1)
     clauses.extend(tuple(cl) for cl in counter)
     num_aux = (n - 1) * k if (k >= 1 and n >= 2) else 0
-    var_map: dict = {}
-    for i in range(n):
-        var_map[("side1", i)] = side1(i)
-        var_map[("side2", i)] = side2(i)
-        var_map[("removed", i)] = gone(i)
-    for i in range(1, n):
-        for j in range(1, k + 1):
-            var_map[("counter", i, j)] = 3 * n + (i - 1) * k + j
-    return CnfInstance(3 * n + num_aux, tuple(clauses), var_map)
-
-
-def decode_removed(n: int, model: Model) -> frozenset[int]:
-    """Vertices whose removal variable (2n+i+1) is true in the model."""
-    true = set(model)
-    return frozenset(i for i in range(n) if 2 * n + i + 1 in true)
-
-
-def decode_partition(n: int, model: Model) \
-        -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Disjoint (side1, side2, removed) covering all vertices."""
-    true = set(model)
-    removed = decode_removed(n, model)
-    p1 = frozenset(i for i in range(n) if i not in removed and i + 1 in true)
-    p2 = frozenset(i for i in range(n) if i not in removed and i not in p1)
-    return p1, p2, removed
+    return CnfInstance(3 * n + num_aux, tuple(clauses))
 
 
 def _bridge_blocks(g: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bipartization import encode_oct
@@ -25,31 +24,17 @@ _INPUT_ERRORS = (ParseError, CycleError, UnknownLabel, TooLarge,
 _INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
-@dataclass
-class RunConfig:
-    """Everything a single command invocation needs."""
-
-    input_path: str
-    input_format: str = "auto"   # order | cxt | auto
-    output_path: str | None = None
-    solver: str = "sat"          # a name in engine.STRATEGIES
-    seed: int = 0
-    perturb: bool = True
-    summary_json: str | None = None
-    verbose: bool = False
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_order(cfg: RunConfig) -> OrderRelation:
-    fmt = cfg.input_format
+def _load_order(ns: argparse.Namespace) -> OrderRelation:
+    fmt = ns.input_format
     if fmt == "auto":
-        fmt = "cxt" if cfg.input_path.lower().endswith(".cxt") else "order"
-    text = _read_text(cfg.input_path)
+        fmt = "cxt" if ns.input.lower().endswith(".cxt") else "order"
+    text = _read_text(ns.input)
     if fmt == "cxt":
         return concept_lattice(parse_cxt(text))
     return parse_order_text(text)
@@ -80,24 +65,24 @@ def _emit_drawing(d: GridDrawing, path: str) -> None:
     _write_bytes(path, _EMITTERS[ext](d))
 
 
-def cmd_draw(cfg: RunConfig) -> int:
+def cmd_draw(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
-    order = _load_order(cfg)
-    drawing = compute_coordinates(order, strategy=cfg.solver, seed=cfg.seed)
-    if cfg.verbose:
+    order = _load_order(ns)
+    drawing = compute_coordinates(order, strategy=ns.solver, seed=ns.seed)
+    if ns.verbose:
         for i, removed in enumerate(drawing.trace.per_pass_removed, start=1):
             names = " ".join(sorted(
                 f"{order.ground.label(a)},{order.ground.label(b)}" for a, b in removed))
             print(f"pass {i}: removed {len(removed)} tig vertices: {names}",
                   file=sys.stderr)
     conflicts = detect_collinear(drawing)
-    if conflicts and cfg.perturb:
+    if conflicts and not ns.no_perturb:
         drawing = perturb(drawing, conflicts)
-        if cfg.verbose:
+        if ns.verbose:
             print(f"perturbation moved {len(perturbed_labels(drawing))} points "
                   f"to clear {len(conflicts)} conflicts", file=sys.stderr)
-    if cfg.output_path:
-        _emit_drawing(drawing, cfg.output_path)
+    if ns.output:
+        _emit_drawing(drawing, ns.output)
     report = weak_dominance_stats(drawing)
     elapsed = time.perf_counter() - started
     inc = len(inc_id_pairs(order))
@@ -105,8 +90,8 @@ def cmd_draw(cfg: RunConfig) -> int:
     print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "
           f"false_comparabilities={report.count} time={elapsed:.3f}s",
-          file=sys.stderr if cfg.summary_json == "-" else sys.stdout)
-    if cfg.summary_json:
+          file=sys.stderr if ns.summary_json == "-" else sys.stdout)
+    if ns.summary_json:
         summary = {
             "n": order.n,
             "incomparable_pairs": inc,
@@ -115,23 +100,25 @@ def cmd_draw(cfg: RunConfig) -> int:
             "inserted_pairs": [list(p) for p in drawing.trace.inserted_labels()],
             "false_comparabilities": report.count,
             "strategy": drawing.trace.strategy,
-            "seed": cfg.seed,
+            "seed": ns.seed,
             "perturbed": list(perturbed_labels(drawing)),
         }
         payload = (json.dumps(summary, indent=2) + "\n").encode("utf-8")
-        _write_bytes(cfg.summary_json, payload)
+        _write_bytes(ns.summary_json, payload)
     return 0
 
 
-def cmd_cnf(cfg: RunConfig, k: int) -> int:
-    order = _load_order(cfg)
+def cmd_cnf(ns: argparse.Namespace) -> int:
+    if ns.k < 0:
+        raise ValueError("k must be non-negative")
+    order = _load_order(ns)
     tg = build_tig(order)
-    cnf = encode_oct(tg.graph, k)
-    stats = (f"tig: n={tg.graph.n} m={tg.graph.m} k={k} "
+    cnf = encode_oct(tg.graph, ns.k)
+    stats = (f"tig: n={tg.graph.n} m={tg.graph.m} k={ns.k} "
              f"vars={cnf.num_vars} clauses={len(cnf.clauses)}")
     dimacs = cnf.to_dimacs().encode("ascii")
-    if cfg.output_path:
-        _write_bytes(cfg.output_path, dimacs)
+    if ns.output:
+        _write_bytes(ns.output, dimacs)
         print(stats)
     else:
         print(stats, file=sys.stderr)
@@ -139,14 +126,14 @@ def cmd_cnf(cfg: RunConfig, k: int) -> int:
     return 0
 
 
-def cmd_dim(cfg: RunConfig, show_realizer: bool) -> int:
-    order = _load_order(cfg)
+def cmd_dim(ns: argparse.Namespace) -> int:
+    order = _load_order(ns)
     conj = compute_conjugate_order(order)
     if conj is None:
         print("dim<=2: no")
         return 0
     print("dim<=2: yes")
-    if show_realizer:
+    if ns.realizer:
         l1, l2 = realizer_from_conjugate(order, conj)
         print("L1: " + " ".join(l1.sequence()))
         print("L2: " + " ".join(l2.sequence()))
@@ -195,30 +182,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input_path=ns.input,
-        input_format=ns.input_format,
-        output_path=getattr(ns, "output", None),
-        solver=getattr(ns, "solver", "sat"),
-        seed=getattr(ns, "seed", 0),
-        perturb=not getattr(ns, "no_perturb", False),
-        summary_json=getattr(ns, "summary_json", None),
-        verbose=ns.verbose,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
-    cfg = _config(ns)
+    commands = {"draw": cmd_draw, "cnf": cmd_cnf, "dim": cmd_dim}
     try:
-        if ns.command == "draw":
-            return cmd_draw(cfg)
-        if ns.command == "cnf":
-            if ns.k < 0:
-                raise ValueError("k must be non-negative")
-            return cmd_cnf(cfg, ns.k)
-        return cmd_dim(cfg, ns.realizer)
+        return commands[ns.command](ns)
     except _INVARIANT_ERRORS as exc:
         print(f"orddraw: internal invariant violated: {exc}", file=sys.stderr)
         return 3

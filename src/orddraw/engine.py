@@ -5,8 +5,9 @@ of the current (possibly already extended) order, removes a vertex set that
 makes it bipartite, and inserts the reversed removed pairs.  Even an
 inclusion-minimal (or minimum) removal set can reverse into pairs whose
 union with the order is not transitively closed; the insertion closes the
-union, records the pairs the closure added apart from the inserted ones,
-and raises OrderViolation only if the closure has a cycle.  The exact
+union and records the pairs the closure added apart from the inserted
+ones.  If the closure has a cycle, the pass inserts the reversed pairs one
+at a time instead and skips each one that would close a cycle.  The exact
 strategy prefers, among the minimum sets its search lists, one whose
 reversal is already closed and leaves an order with a conjugate, so it
 finishes in one pass with nothing added by closure.  New incompatibilities
@@ -43,9 +44,10 @@ Strategy = Callable[[TigGraph], OctResult]
 class ExtensionTrace:
     """Everything the extension loop did.
 
-    `inserted` holds the reversed removed pairs of every pass and
-    `closure_added` the pairs that closing those insertions added on top;
-    the two are disjoint, and the extended order is the input plus both.
+    `inserted` holds the reversed removed pairs of every pass (less any
+    that a one-at-a-time insertion skipped) and `closure_added` the pairs
+    that closing those insertions added on top; the two are disjoint, and
+    the extended order is the input plus both.
     """
 
     inserted: frozenset[IdPair]
@@ -137,15 +139,39 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
     return OrderRelation(current.ground, closed), added
 
 
+def _insert_one_by_one(current: OrderRelation, new_pairs: frozenset[IdPair]
+                       ) -> tuple[OrderRelation, frozenset[IdPair], frozenset[IdPair]]:
+    """Insert the pairs one at a time in sorted order, closing after each,
+    for a set whose union closes a cycle; returns the order, the pairs that
+    went in and the pairs closure added.
+
+    A pair that earlier insertions already imply is in the closure-added
+    pairs, and a pair whose reverse they imply would close a cycle and is
+    skipped.  Every pair reverses an incomparable pair of `current`, so
+    the first one goes in and the order grows.
+    """
+    kept: set[IdPair] = set()
+    added: set[IdPair] = set()
+    for a, b in sorted(new_pairs):
+        if current.matrix[a, b] or current.matrix[b, a]:
+            continue
+        current, more = _insert_checked(current, frozenset([(a, b)]))
+        kept.add((a, b))
+        added |= more
+    return current, frozenset(kept), frozenset(added)
+
+
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
                             seed: int = 0) -> ExtensionTrace:
     """Insert incomparable pairs until the order has dimension at most 2.
 
     Each pass bipartizes the current incompatibility graph, inserts the
-    reversals of the removed vertices and closes the union; a union whose
-    closure has a cycle raises OrderViolation (see _insert_checked).  The
-    returned trace carries the inserted and the closure-added pairs, the
-    final extended order and its conjugate.  `strategy` is a name in
+    reversals of the removed vertices and closes the union; when that
+    closure has a cycle, the reversals go in one at a time and those that
+    would close one are skipped (see _insert_one_by_one), unless the
+    removal set holds a pair and its reverse, which raises OrderViolation.
+    The returned trace carries the inserted and the closure-added pairs,
+    the final extended order and its conjugate.  `strategy` is a name in
     STRATEGIES ("sat" is the exact minimum, preferring a set that ends the
     loop in this pass) or any callable from TigGraph to OctResult.
     """
@@ -170,7 +196,12 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
         if not removed_pairs:
             raise OrderViolation("strategy removed nothing although no conjugate exists")
         new_pairs = frozenset((b, a) for a, b in removed_pairs)
-        current, added = _insert_checked(current, new_pairs)
+        try:
+            current, added = _insert_checked(current, new_pairs)
+        except OrderViolation:
+            if any((b, a) in new_pairs for a, b in new_pairs):
+                raise  # the strategy removed a pair and its reverse
+            current, new_pairs, added = _insert_one_by_one(current, new_pairs)
         inserted |= new_pairs
         closure_added |= added
         per_pass.append(removed_pairs)

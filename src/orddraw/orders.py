@@ -129,9 +129,6 @@ class OrderRelation:
         i, j = self.ground.id(a), self.ground.id(b)
         return i != j and bool(self._leq[i, j])
 
-    def le_ids(self, i: int, j: int) -> bool:
-        return bool(self._leq[i, j])
-
     def lt_ids(self, i: int, j: int) -> bool:
         return i != j and bool(self._leq[i, j])
 
@@ -264,9 +261,6 @@ class LinearExtension:
         self.order = order
         # rank = number of strictly smaller elements
         self.ranks: tuple[int, ...] = tuple(int(c) - 1 for c in order.matrix.sum(axis=0))
-
-    def position_of(self, i: int) -> int:
-        return self.ranks[i]
 
     def sequence(self) -> tuple[str, ...]:
         """Labels from bottom to top."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .engine import GridDrawing, with_plane
 from .errors import Unresolvable
@@ -157,10 +156,17 @@ def emit_svg(d: GridDrawing) -> bytes:
     for label in d.order.ground:
         cx, cy = place(label)
         tx, ty = cx + _NODE_RADIUS + 3.0, cy + _FONT_SIZE * 0.35
-        out.append(f'<text x="{tx:.2f}" y="{ty:.2f}">{escape(label)}</text>')
+        out.append(f'<text x="{tx:.2f}" y="{ty:.2f}">{_xml_escape(label)}</text>')
     out.append("</g>")
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def _xml_escape(s: str) -> str:
+    """XML character data: `&` first, so no other escape is escaped again.
+    (The same bytes as xml.sax.saxutils.escape, whose import pulls in
+    urllib.)"""
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 _TEX_SPECIALS = {

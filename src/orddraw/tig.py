@@ -32,19 +32,15 @@ IncPair = tuple[int, int]
 
 
 class TigGraph:
-    """Incompatibility graph of an order.
+    """Incompatibility graph of an order; vertex i is the incomparable id
+    pair vertices[i], in lexicographic order."""
 
-    Vertices are kept in lexicographic id-pair order so that downstream
-    CNF variable numbering is reproducible.
-    """
-
-    __slots__ = ("order", "vertices", "index", "graph")
+    __slots__ = ("order", "vertices", "graph")
 
     def __init__(self, order: OrderRelation, vertices: tuple[IncPair, ...],
                  graph: SimpleGraph):
         self.order = order
         self.vertices = vertices
-        self.index = {p: i for i, p in enumerate(vertices)}
         self.graph = graph
 
     def __repr__(self) -> str:

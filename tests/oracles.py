@@ -366,7 +366,7 @@ def scripted_then_exact(removal_labels):
         calls.append(len(tg.vertices))
         if len(calls) == 1:
             gid = tg.order.ground.id
-            removed = frozenset(tg.index[(gid(a), gid(b))]
+            removed = frozenset(tg.vertices.index((gid(a), gid(b)))
                                 for a, b in removal_labels)
             return OctResult(removed, "scripted", False, {})
         return min_oct_exact(tg.graph)
@@ -581,6 +581,13 @@ def solve_by_milp(cnf):
         return None
     assert res.status == 0, res.message
     return [v if res.x[v - 1] > 0.5 else -v for v in range(1, nv + 1)]
+
+
+def removal_set(n, model):
+    """The vertices of an n-vertex graph that a model of encode_oct's CNF
+    removes: those whose removal variable 2n+i+1 is true.  The model lists
+    one signed literal per variable, in ascending order."""
+    return frozenset(i for i in range(n) if model[2 * n + i] > 0)
 
 
 def screen_geometry_by_fractions(d, scale, margin):

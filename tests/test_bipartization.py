@@ -16,12 +16,11 @@ from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, is_bipartite_without
 from orddraw import bipartization
 from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
-                                   decode_partition, decode_removed,
                                    encode_oct, min_oct_exact, oct_anneal,
                                    oct_greedy, peel_to_minimal, _cold_steps,
                                    _repair)
 from oracles import (anneal_by_recount, brute_force_oct,
-                     peel_to_minimal_by_bfs, solve_by_milp)
+                     peel_to_minimal_by_bfs, removal_set, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,14 +122,14 @@ class TestEncoding:
         assert len(cnf.clauses) == g.n + 2 * g.m + g.n
 
     def test_variable_numbering(self):
+        # the documented numbering: sides i+1 and n+i+1, removal 2n+i+1,
+        # counter register (i, j) at 3n+(i-1)k+j
         g = SimpleGraph(3, [(0, 1)])
         cnf = encode_oct(g, 1)
-        assert cnf.var_map[("side1", 0)] == 1
-        assert cnf.var_map[("side2", 0)] == 4
-        assert cnf.var_map[("removed", 2)] == 9
-        assert cnf.var_map[("counter", 1, 1)] == 10
-        assert (1, 4, 7) in cnf.clauses
-        assert (-1, -2) in cnf.clauses and (-4, -5) in cnf.clauses
+        assert cnf.clauses[:3] == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
+        assert cnf.clauses[3:5] == ((-1, -2), (-4, -5))
+        assert cnf.clauses[5] == (-7, 10)  # the first removal sets register (1, 1)
+        assert cnf.num_vars == 11
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -142,16 +141,20 @@ class TestEncoding:
         assert solve_by_milp(encode_oct(g, 0)) is None
         model = solve_by_milp(encode_oct(g, 1))
         assert model is not None
-        removed = decode_removed(g.n, model)
+        removed = removal_set(g.n, model)
         assert len(removed) <= 1
         assert is_bipartite_without(g, removed)
 
     def test_decode_partition_roles(self):
         g = two_triangles()
         model = solve_by_milp(encode_oct(g, 2))
-        p1, p2, removed = decode_partition(g.n, model)
+        true = set(model)
+        removed = removal_set(g.n, model)
+        p1 = frozenset(i for i in range(g.n) if i not in removed and i + 1 in true)
+        p2 = frozenset(range(g.n)) - p1 - removed
         assert p1 | p2 | removed == set(range(g.n))
         assert not (p1 & p2 or p1 & removed or p2 & removed)
+        assert all(g.n + i + 1 in true for i in p2)  # the second side variable
         for u, v in g.edges:
             if u in removed or v in removed:
                 continue
@@ -161,7 +164,7 @@ class TestEncoding:
         g = cycle_graph(6)
         model = solve_by_milp(encode_oct(g, 0))
         assert model is not None
-        assert decode_removed(g.n, model) == frozenset()
+        assert removal_set(g.n, model) == frozenset()
 
     def test_threshold_is_the_brute_force_minimum(self):
         # the encoding is unsatisfiable one below the minimum and satisfied
@@ -173,7 +176,7 @@ class TestEncoding:
             if k:
                 assert solve_by_milp(encode_oct(g, k - 1)) is None
             model = solve_by_milp(encode_oct(g, k))
-            removed = decode_removed(g.n, model)
+            removed = removal_set(g.n, model)
             assert len(removed) <= k and is_bipartite_without(g, removed)
 
 

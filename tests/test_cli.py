@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from orddraw.bipartization import OctResult, decode_removed
+from orddraw.bipartization import OctResult, encode_oct
 from orddraw.cli import main
 from orddraw.engine import STRATEGIES, compute_coordinates
 from orddraw.ingest import parse_order_text
-from orddraw.sat import ExternalSolver, parse_dimacs, solve_cnf
+from orddraw.sat import solve_cnf
+from orddraw.tig import build_tig
+from oracles import removal_set, solve_by_milp
 
 S3_TEXT = """\
 # classic three-dimensional example
@@ -190,76 +195,21 @@ class TestDrawErrors:
         assert "internal invariant violated" in capsys.readouterr().err
 
 
-class TestExternalSolverEndToEnd:
-    DPLL = """\
-import sys
-
-tokens = open(sys.argv[1]).read().split()
-i = tokens.index('cnf')
-nv = int(tokens[i + 1])
-lits = [int(t) for t in tokens[i + 3:]]
-clauses, cur = [], []
-for l in lits:
-    if l == 0:
-        clauses.append(tuple(cur))
-        cur = []
-    else:
-        cur.append(l)
-
-
-def solve(clauses, assigned):
-    while True:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        assigned[abs(unit)] = unit > 0
-        nxt = []
-        for c in clauses:
-            if unit in c:
-                continue
-            if -unit in c:
-                c = tuple(l for l in c if l != -unit)
-                if not c:
-                    return None
-            nxt.append(c)
-        clauses = nxt
-    if not clauses:
-        return assigned
-    v = abs(clauses[0][0])
-    for lit in (v, -v):
-        got = solve(clauses + [(lit,)], dict(assigned))
-        if got is not None:
-            return got
-    return None
-
-
-model = solve(clauses, {})
-if model is None:
-    print('s UNSATISFIABLE')
-    raise SystemExit(20)
-out = [v if model.get(v, False) else -v for v in range(1, nv + 1)]
-print('s SATISFIABLE')
-print('v ' + ' '.join(map(str, out)) + ' 0')
-raise SystemExit(10)
-"""
-
-    def test_script_backend_draws(self, s3_file, tmp_path):
-        # a genuine external solver, a small DPLL script speaking the
-        # competition output dialect, solves the instance `orddraw cnf`
-        # exports; its removal set then drives a drawing as a strategy
-        solver = tmp_path / "solves.py"
-        solver.write_text(self.DPLL)
-        instance = tmp_path / "s3.cnf"
-        assert main(["cnf", "-i", s3_file, "-k", "1", "-o", str(instance)]) == 0
-        cnf = parse_dimacs(instance.read_text())
-        model = solve_cnf(cnf, ExternalSolver(f"{sys.executable} {solver}"))
+class TestInProcessBackend:
+    def test_milp_backend_draws(self):
+        # a backend callable decides the instance `orddraw cnf` exports, and
+        # solve_cnf checks its model; the model's removal set then drives a
+        # drawing as a strategy
+        o = parse_order_text(S3_TEXT)
+        model = solve_cnf(encode_oct(build_tig(o).graph, 1), solve_by_milp)
         assert model is not None
 
-        def external(tg):
-            return OctResult(decode_removed(tg.graph.n, model), "external", True)
+        def milp(tg):
+            return OctResult(removal_set(tg.graph.n, model), "milp", True)
 
-        d = compute_coordinates(parse_order_text(S3_TEXT), strategy=external)
+        d = compute_coordinates(o, strategy=milp)
         assert d.trace.passes == 1 and len(d.trace.inserted) == 1
+        assert d.trace.strategy == "milp"
 
 
 class TestCnf:
@@ -283,8 +233,29 @@ class TestCnf:
             assert f"vars={(n - 1) * (k + 3) + 3}" in err
             assert f"clauses={2 * m + 2 * n * k + 2 * n - 3 * k - 1}" in err
 
+    def test_writes_the_encoding_byte_for_byte(self, s3_file, tmp_path, capsys):
+        graph = build_tig(parse_order_text(S3_TEXT)).graph
+        for k in (0, 1, 2, 3):
+            target = tmp_path / f"k{k}.cnf"
+            assert main(["cnf", "-i", s3_file, "-k", str(k), "-o", str(target)]) == 0
+            assert target.read_bytes() == encode_oct(graph, k).to_dimacs().encode("ascii")
+
     def test_negative_k_rejected(self, s3_file, capsys):
         assert main(["cnf", "-i", s3_file, "-k", "-1"]) == 1
+        assert "k must be non-negative" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_leaves_subprocess_and_urllib_out(self):
+        # a fresh interpreter, since this one has imported them already
+        script = ("import sys, orddraw.cli\n"
+                  "print(sorted({'subprocess', 'shlex', 'urllib.request',"
+                  " 'xml.sax.saxutils'} & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestDim:

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
-from orddraw.engine import (STRATEGIES, _insert_checked, compute_coordinates,
-                            drawing_to_json, perturbed_labels,
-                            two_dimension_extension, weak_dominance_stats,
-                            with_plane)
+from orddraw.bipartization import (OctResult, TransversalSearch, min_oct_exact,
+                                   oct_anneal)
+from orddraw.engine import (STRATEGIES, _insert_checked, _insert_one_by_one,
+                            compute_coordinates, drawing_to_json,
+                            perturbed_labels, two_dimension_extension,
+                            weak_dominance_stats, with_plane)
 from orddraw.errors import OrderViolation
-from orddraw.ingest import parse_order_text
+from orddraw.ingest import concept_lattice, parse_cxt, parse_order_text
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, intersect_linear,
                             standard_example)
@@ -77,12 +78,21 @@ def random_height1(rng, lo, hi, p):
     return build_order(lows + ups, pairs)
 
 
-def assert_valid_trace(o, tr):
+def assert_valid_trace(o, tr, left_out=0):
+    """`left_out` counts the reversed removed pairs that a one-at-a-time
+    insertion did not insert."""
     inc = set(inc_id_pairs(o))
     assert tr.inserted <= inc
     assert not tr.inserted & {(b, a) for a, b in tr.inserted}
     assert tr.passes == len(tr.per_pass_removed)
-    assert sum(len(s) for s in tr.per_pass_removed) == len(tr.inserted)
+    reversals = {(b, a) for s in tr.per_pass_removed for a, b in s}
+    assert sum(len(s) for s in tr.per_pass_removed) == len(reversals)
+    assert tr.inserted <= reversals
+    assert len(reversals - tr.inserted) == left_out
+    # a pair left out was implied by the pairs inserted before it, or its
+    # reverse was, so that inserting it would have closed a cycle
+    assert all(p in tr.closure_added or p[::-1] in tr.closure_added
+               for p in reversals - tr.inserted)
     # the extension is the closure of the input plus the inserted pairs,
     # and closure_added is exactly what that closure put on top
     union = o.matrix.copy()
@@ -238,6 +248,88 @@ class TestBooleanLattice5:
         assert rep.inserted + rep.closure_added == rep.count
 
 
+# context(14x10)#46 of the benchmark's heuristic corpus at corpus seed 1007,
+# a 41-concept lattice
+CYCLE_CLOSING_CXT = """\
+B
+14
+10
+g0
+g1
+g2
+g3
+g4
+g5
+g6
+g7
+g8
+g9
+g10
+g11
+g12
+g13
+m0
+m1
+m2
+m3
+m4
+m5
+m6
+m7
+m8
+m9
+...X....X.
+.X.X.X.XX.
+.X..XX.XX.
+..XX..X.X.
+.......X..
+..X..X....
+X.X......X
+.XX.....X.
+X...X....X
+.X..XXXX..
+X.XX..X...
+XX........
+XXXXX..X.X
+.XX..X.X.X
+"""
+
+
+class TestCycleClosingReversal:
+    def test_anneal_inserts_the_pairs_one_at_a_time(self):
+        # anneal's first removal set reverses into pairs whose union closes
+        # a cycle; this input used to raise OrderViolation
+        o = concept_lattice(parse_cxt(CYCLE_CLOSING_CXT))
+        tg = build_tig(o)
+        removed = oct_anneal(tg.graph, seed=1007).removed
+        with pytest.raises(OrderViolation, match="antisymmetry after closure"):
+            _insert_checked(o, frozenset(tg.vertices[v][::-1] for v in removed))
+        d = compute_coordinates(o, strategy="anneal", seed=1007)
+        tr = d.trace
+        assert o.n == 41
+        assert [len(r) for r in tr.per_pass_removed] == [258, 49]
+        assert_valid_trace(o, tr, left_out=258 + 49 - 181)
+        assert len(tr.inserted) == 181
+        assert weak_dominance_stats(d).count \
+            == len(tr.inserted) + len(tr.closure_added) == 389
+
+    def test_implied_and_cycle_closing_pairs_are_not_inserted(self):
+        # a1 < a3, a2 < a1 and a3 < a2 close a cycle; in sorted order the
+        # first two go in, their closure adds a2 < a3, and a3 < a2 is skipped
+        o = standard_example(3)
+        gid = o.ground.id
+        a1, a2, a3 = gid("a1"), gid("a2"), gid("a3")
+        extended, kept, added = _insert_one_by_one(
+            o, frozenset({(a1, a3), (a2, a1), (a3, a2)}))
+        assert kept == {(a1, a3), (a2, a1)}
+        assert (a2, a3) in added and not kept & added
+        assert extended.lt("a2", "a3") and not extended.lt("a3", "a2")
+        # a pair that earlier insertions imply is counted as closure-added
+        _, kept, added = _insert_one_by_one(
+            o, frozenset({(a1, a3), (a2, a1), (a2, a3)}))
+        assert kept == {(a1, a3), (a2, a1)} and (a2, a3) in added
+
+
 class TestDefensiveChecks:
     def test_lazy_strategy_is_rejected(self):
         lazy = lambda tg: OctResult(frozenset(), "lazy", False, {})
@@ -247,8 +339,8 @@ class TestDefensiveChecks:
     def test_antisymmetry_break_is_rejected(self):
         def both_directions(tg):
             gid = tg.order.ground.id
-            verts = {tg.index[(gid("a1"), gid("b1"))],
-                     tg.index[(gid("b1"), gid("a1"))]}
+            verts = {tg.vertices.index((gid("a1"), gid("b1"))),
+                     tg.vertices.index((gid("b1"), gid("a1")))}
             return OctResult(frozenset(verts), "evil", False, {})
 
         with pytest.raises(OrderViolation, match="antisymmetry"):
@@ -260,8 +352,8 @@ class TestDefensiveChecks:
         # the insertion closes it and records the forced pair apart
         def gap(tg):
             gid = tg.order.ground.id
-            return OctResult(frozenset([tg.index[(gid("a2"), gid("a1"))]]),
-                             "evil", False, {})
+            v = tg.vertices.index((gid("a2"), gid("a1")))
+            return OctResult(frozenset([v]), "evil", False, {})
 
         o = standard_example(3)
         tr = two_dimension_extension(o, strategy=gap)

@@ -247,7 +247,6 @@ class TestLinearExtensions:
         ext = LinearExtension(chain(3))
         assert ext.ranks == (0, 1, 2)
         assert ext.sequence() == ("x1", "x2", "x3")
-        assert ext.position_of(2) == 2
 
     def test_linear_from_sequence_labels_and_ids(self):
         g = GroundSet(["a", "b", "c"])

@@ -33,8 +33,18 @@ def test_retired_names_are_gone():
                  "AnnealParams", "CanvasSpec", "EdgeMismatch", "NotIncomparable",
                  "all_linear_extensions", "cocomparability_graph",
                  "comparability_graph", "enforces", "incompatible",
-                 "transitive_orientation", "verify_orientation"):
+                 "transitive_orientation", "verify_orientation",
+                 "ExternalSolver", "parse_dimacs"):
         assert not hasattr(orddraw, name), name
+    from orddraw import bipartization, cli, orders, sat, tig
+    for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
+                        (sat.CnfInstance(0, ()), "var_map"),
+                        (bipartization, "decode_removed"),
+                        (bipartization, "decode_partition"), (cli, "RunConfig"),
+                        (orders.OrderRelation, "le_ids"),
+                        (orders.LinearExtension, "position_of"),
+                        (tig.TigGraph, "index")):
+        assert not hasattr(owner, name), name
 
 
 def test_readme_quick_tour_runs(tmp_path, monkeypatch):

@@ -223,6 +223,12 @@ class TestSvg:
         assert "a&lt;b&amp;c" in text
         assert "a<b&c" not in text
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet=st.sampled_from("&<>;amplgt\"' x\u00e9")) | st.text())
+    def test_xml_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape  # the reference, only here
+        assert render._xml_escape(text) == escape(text)
+
     def test_greater_elements_are_drawn_higher(self):
         d = compute_coordinates(chain(3))
         text = emit_svg(d).decode()
