@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .graphs import (SimpleGraph, bridges, is_bipartite_without,
                      odd_cycle_census, two_coloring)
+from .orders import bits
 from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
@@ -84,8 +83,11 @@ def _bridge_blocks(g: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:
     exactly when every block minus it is, and the minimum odd cycle
     transversals of g are the unions of one minimum transversal per block.
     """
-    cut = bridges(g)
-    rest = SimpleGraph(g.n, [e for e in g.edges if e not in cut])
+    masks = list(g.masks)
+    for u, v in bridges(g):
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+    rest = SimpleGraph.from_masks(masks)
     seen = [False] * g.n
     blocks = []
     for root in range(g.n):
@@ -107,20 +109,25 @@ def _bridge_blocks(g: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:
     return blocks
 
 
-def _disjoint_odd_cycles(g: SimpleGraph, removed: frozenset[int],
-                         limit: int) -> list[tuple[int, ...]]:
+def _disjoint_odd_cycles(g: SimpleGraph, removed: frozenset[int], limit: int,
+                         known: dict[frozenset[int], tuple[int, ...] | None]
+                         ) -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus `removed`, found greedily, at
     most limit + 1 of them.  Every transversal needs one vertex of each, so
     their count bounds the minimum from below; the first is the cycle that
-    two_coloring reports for g minus `removed`."""
-    gone = set(removed)
+    two_coloring reports for g minus `removed`.  `known` maps each vertex
+    set already tried to two_coloring's cycle for g minus it: the search
+    meets the same sets again, at other nodes and at each larger k."""
+    gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
-        cycle = two_coloring(g, gone)[1]
+        if gone not in known:
+            known[gone] = two_coloring(g, gone)[1]
+        cycle = known[gone]
         if cycle is None:
             break
         cycles.append(cycle)
-        gone.update(cycle)
+        gone = gone.union(cycle)
     return cycles
 
 
@@ -187,7 +194,8 @@ class TransversalSearch:
             yield frozenset().union(*parts)
 
     def _block(self, g: SimpleGraph, vertices: tuple[int, ...]) -> Iterator[frozenset[int]]:
-        lower = len(_disjoint_odd_cycles(g, frozenset(), g.n))
+        known: dict[frozenset[int], tuple[int, ...] | None] = {}
+        lower = len(_disjoint_odd_cycles(g, frozenset(), g.n, known))
         self.lower_bound += lower
         k = lower
         while True:
@@ -196,7 +204,7 @@ class TransversalSearch:
             def search(removed: frozenset[int], budget: int) -> Iterator[frozenset[int]]:
                 searched.add(removed)
                 self.branch_nodes += 1
-                cycles = _disjoint_odd_cycles(g, removed, budget)
+                cycles = _disjoint_odd_cycles(g, removed, budget, known)
                 if not cycles:
                     yield frozenset(vertices[v] for v in removed)
                 elif len(cycles) <= budget:
@@ -241,7 +249,7 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     afterwards, so the graph it would rejoin only grows and keeps its odd
     cycle; a second pass would drop nothing.  The kept graph is held as a
     union-find in which each vertex stores its colour relative to its
-    parent, seeded by one breadth-first search over the neighbour lists that
+    parent, seeded by one breadth-first search over the neighbour masks that
     hangs every kept vertex straight off its component's root with its
     colour.  A vertex may return when, within each component, its kept
     neighbours all have one colour; it then joins those components with the
@@ -249,26 +257,34 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     of the graph.  A set whose rest is not bipartite comes back unchanged.
     """
     removed = frozenset(removed)
+    masks = g.masks
     parent = list(range(g.n))
-    # colour relative to the parent, read only below a root: None until the
-    # search reaches a kept vertex, 2 for a removed one
-    parity: list[int | None] = [None] * g.n
+    # colour relative to the parent, read only below a root
+    parity = [0] * g.n
+    gone = 0
     for v in removed:
-        parity[v] = 2
-    for root in range(g.n):
-        if parity[root] is not None:
-            continue
-        parity[root] = 0
+        gone |= 1 << v
+    unseen = ((1 << g.n) - 1) & ~gone
+    colours = [0, 0]  # the kept vertices by colour relative to their root
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << root
+        colours[0] |= 1 << root
         found = [root]
         for u in found:  # grows while it is walked: a breadth-first search
             colour = parity[u]
-            for w in g.neighbors(u):
-                side = parity[w]
-                if side is None:
+            if masks[u] & colours[colour]:
+                return removed  # a monochromatic kept edge
+            new = masks[u] & unseen
+            if new:
+                unseen ^= new
+                colours[colour ^ 1] |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
                     parent[w], parity[w] = root, colour ^ 1
                     found.append(w)
-                elif side == colour:
-                    return removed  # a monochromatic kept edge
 
     def find(v: int) -> tuple[int, int]:
         """(root, colour relative to the root) of v, compressing its path."""
@@ -282,19 +298,20 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
             parity[x], parent[x] = colour, v
         return v, colour
 
-    cur = set(removed)
     for v in sorted(removed):
         sides: dict[int, int] = {}  # root -> colour of v's neighbours there
-        for w in g.neighbors(v):
-            if w not in cur:
-                root, colour = find(w)
-                if sides.setdefault(root, colour) != colour:
-                    break
+        kept = masks[v] & ~gone
+        while kept:
+            low = kept & -kept
+            kept ^= low
+            root, colour = find(low.bit_length() - 1)
+            if sides.setdefault(root, colour) != colour:
+                break
         else:
-            cur.discard(v)
+            gone ^= 1 << v
             for root, colour in sides.items():
                 parent[root], parity[root] = v, colour ^ 1
-    return frozenset(cur)
+    return frozenset(bits(gone))
 
 
 def _repair(g: SimpleGraph, removed: set[int]) -> set[int]:
@@ -351,10 +368,10 @@ def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
     """Simulated annealing over (side, side, removed) vertex labelings.
 
     Energy counts removals plus a heavy penalty per monochromatic edge, so
-    low energy means a clean two-coloring with few removals.  Each vertex
-    keeps the count of its neighbours under each label (one bincount over
-    the edge arrays); a step reads its energy change off those counts, and
-    only an accepted move updates them, over the moved vertex's neighbours.
+    low energy means a clean two-coloring with few removals.  The vertices
+    under each label are kept as three masks: a step reads its energy
+    change off the popcounts of the moved vertex's neighbour mask ANDed
+    with them, and an accepted move updates two of them.
     The initial labels, and the vertex and the new label of a move, are
     drawn inline with the getrandbits rejection draws that randrange and
     choice make, so the random stream is theirs.
@@ -384,68 +401,67 @@ def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
         while label == 3:
             label = getrandbits(2)
         labels.append(label)
-    # same[label][v]: the neighbours of v under label
-    us, vs = g.edge_arrays()
-    at = np.array(labels, dtype=np.intp)
-    same = np.bincount(np.concatenate([at[vs] * n + us, at[us] * n + vs]),
-                       minlength=3 * n).reshape(3, n).tolist()
-    nbrs = [g.neighbors(v) for v in range(n)]
+    # under[label]: the vertices under label, so (masks[v] & under[label])
+    # holds v's neighbours under it
+    under = [0, 0, 0]
+    for v, label in enumerate(labels):
+        under[label] |= 1 << v
+    masks = g.masks
 
-    bits = n.bit_length()
+    width = n.bit_length()
     temp = _T0
     accepted = 0
     for _ in range(_HOT):
         # rng.randrange(n), then rng.choice of a pair, as CPython draws them:
         # fresh k-bit draws until one falls below the bound
-        v = getrandbits(bits)
+        v = getrandbits(width)
         while v >= n:
-            v = getrandbits(bits)
+            v = getrandbits(width)
         pick = getrandbits(2)
         while pick >= 2:
             pick = getrandbits(2)
         old = labels[v]
         new = _OTHER_LABELS[old][pick]
+        nbrs = masks[v]
         # a removed vertex (label 2) costs nothing
-        delta = weight * ((same[new][v] if new != 2 else 0) - (same[old][v] if old != 2 else 0))
+        delta = weight * (((nbrs & under[new]).bit_count() if new != 2 else 0)
+                          - ((nbrs & under[old]).bit_count() if old != 2 else 0))
         delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
         if delta <= 0 or (temp > 1e-12 and uniform() < exp(-delta / temp)):
             labels[v] = new
             accepted += 1
-            leave, join = same[old], same[new]
-            for w in nbrs[v]:
-                leave[w] -= 1
-                join[w] += 1
+            under[old] ^= 1 << v
+            under[new] |= 1 << v
         temp *= _ALPHA
     for draws, count in ((True, _QUIET - _HOT), (False, _STEPS - _QUIET)):
         for _ in range(count):
-            v = getrandbits(bits)
+            v = getrandbits(width)
             while v >= n:
-                v = getrandbits(bits)
+                v = getrandbits(width)
             pick = getrandbits(2)
             while pick >= 2:
                 pick = getrandbits(2)
             old = labels[v]
             new = _OTHER_LABELS[old][pick]
+            nbrs = masks[v]
             # delta <= 0: the weight exceeds the +-1 of a removal, so only
             # the conflict counts decide, and a tie decides for a side swap
             # and for a return but against a removal
             if new == 2:
-                downhill = same[old][v] > 0
+                downhill = nbrs & under[old] != 0
             elif old == 2:
-                downhill = same[new][v] == 0
+                downhill = nbrs & under[new] == 0
             else:
-                downhill = same[new][v] <= same[old][v]
+                downhill = (nbrs & under[new]).bit_count() <= (nbrs & under[old]).bit_count()
             if downhill:
                 labels[v] = new
                 accepted += 1
-                leave, join = same[old], same[new]
-                for w in nbrs[v]:
-                    leave[w] -= 1
-                    join[w] += 1
+                under[old] ^= 1 << v
+                under[new] |= 1 << v
             elif draws:
                 uniform()
     removed = {v for v in range(n) if labels[v] == 2}
-    if any(label != 2 and same[label][v] for v, label in enumerate(labels)):
+    if any(label != 2 and masks[v] & under[label] for v, label in enumerate(labels)):
         removed = _repair(g, removed)
     final = peel_to_minimal(g, frozenset(removed))
     return _checked(g, final, "anneal", False,

@@ -25,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-import numpy as np
-
 from .bipartization import OctResult, min_oct_exact, oct_anneal, oct_greedy
 from .errors import OrderViolation
-from .orders import (IdPair, OrderRelation, Pair, cover_relation,
-                     transitive_closure)
+from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
+                     incomparable_masks)
+from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .tig import TigGraph, build_tig
 
@@ -127,16 +127,33 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
     holds the pairs in the closure that are neither in `current` nor in
     `new_pairs`.  A closure that breaks antisymmetry (the pairs close a
     cycle) raises OrderViolation.
+
+    The pairs go into the closed order by their first element: adding
+    pairs (a, b1), (a, b2), ... to a closed order relates every x <= a to
+    every y above some bi, one OR per element on each side, and the result
+    is closed again.  That closes a cycle exactly when some bi <= a already
+    holds, and the order of insertion does not change the final closure.
     """
-    m = current.matrix.copy()
+    heads: dict[int, int] = {}
     for a, b in new_pairs:
-        m[a, b] = True
-    closed = transitive_closure(m)
-    # the diagonal is the only symmetric part of an order
-    if np.count_nonzero(closed & closed.T) != current.n:
-        raise OrderViolation("inserted pairs break antisymmetry after closure")
-    added = frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
-    return OrderRelation(current.ground, closed), added
+        heads[a] = heads.get(a, 0) | 1 << b
+    up, down = list(current.up), list(current.down)
+    for a, ends in heads.items():
+        if ends & down[a]:
+            raise OrderViolation("inserted pairs break antisymmetry after closure")
+        above = 0
+        for b in bits(ends):
+            above |= up[b]
+        above &= ~up[a]  # what is above a already is above everything below it
+        if above:
+            below = down[a]
+            for x in bits(below):
+                up[x] |= above
+            for y in bits(above):
+                down[y] |= below
+    added = {(x, y) for x, (old, new) in enumerate(zip(current.up, up)) if new != old
+             for y in bits(new & ~old)}
+    return OrderRelation(current.ground, up, down), frozenset(added - new_pairs)
 
 
 def _insert_one_by_one(current: OrderRelation, new_pairs: frozenset[IdPair]
@@ -153,7 +170,7 @@ def _insert_one_by_one(current: OrderRelation, new_pairs: frozenset[IdPair]
     kept: set[IdPair] = set()
     added: set[IdPair] = set()
     for a, b in sorted(new_pairs):
-        if current.matrix[a, b] or current.matrix[b, a]:
+        if not current.incomparable_ids(a, b):
             continue
         current, more = _insert_checked(current, frozenset([(a, b)]))
         kept.add((a, b))
@@ -176,7 +193,7 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     loop in this pass) or any callable from TigGraph to OctResult.
     """
     run, name = _strategy_for(strategy, seed)
-    max_passes = int(np.count_nonzero(~(o.matrix | o.matrix.T))) // 2 + 1
+    max_passes = sum(mask.bit_count() for mask in incomparable_masks(o)) // 2 + 1
     current = o
     inserted: set[IdPair] = set()
     closure_added: set[IdPair] = set()
@@ -234,6 +251,20 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     return GridDrawing(o, coords, plane, covers, trace)
 
 
+def _greater(values: list[int]) -> list[int]:
+    """Per index i, the mask of the indices j with values[j] > values[i]."""
+    greater = [0] * len(values)
+    acc = 0
+    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__,
+                                  reverse=True), key=values.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            greater[i] = acc
+        for i in tied:
+            acc |= 1 << i
+    return greater
+
+
 def weak_dominance_stats(d: GridDrawing) -> DominanceReport:
     """Count incomparable pairs of the drawn order that the grid nevertheless
     orders.
@@ -243,11 +274,12 @@ def weak_dominance_stats(d: GridDrawing) -> DominanceReport:
     """
     o = d.order
     lab = o.ground.label
-    grid_pos = np.array([d.coords[label] for label in o.ground])
-    c1, c2 = grid_pos[:, 0], grid_pos[:, 1]
-    below = (c1[:, None] < c1[None, :]) & (c2[:, None] < c2[None, :])
-    false_ids = np.argwhere(below & ~(o.matrix | o.matrix.T))  # sorted by (a, b)
-    false_pairs = [(lab(int(a)), lab(int(b))) for a, b in false_ids]
+    grid_pos = [d.coords[label] for label in o.ground]
+    above1 = _greater([c1 for c1, _ in grid_pos])
+    above2 = _greater([c2 for _, c2 in grid_pos])
+    false_pairs = [(lab(a), lab(b))
+                   for a, (inc, x, y) in enumerate(zip(incomparable_masks(o), above1, above2))
+                   for b in bits(inc & x & y)]  # sorted by (a, b)
     return DominanceReport(len(false_pairs), tuple(false_pairs),
                            len(d.trace.inserted), len(d.trace.closure_added))
 

@@ -29,11 +29,11 @@ class NotLinear(OrderDrawError):
 
 
 class BackendFailure(OrderDrawError):
-    """An external SAT process crashed or produced unusable output."""
+    """A SAT backend's model does not satisfy the formula `solve_cnf` gave it."""
 
 
 class TooLarge(OrderDrawError):
-    """Input exceeds a configured enumeration bound."""
+    """Input exceeds a documented size bound (concepts, tig vertices)."""
 
 
 class OrderViolation(OrderDrawError):

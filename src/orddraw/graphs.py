@@ -1,6 +1,7 @@
 """Undirected simple graphs and the two-coloring primitive.
 
-Vertices are 0..n-1.  One breadth-first colouring, which pushes past
+Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
+over them.  One breadth-first colouring, which pushes past
 monochromatic edges and yields each one it meets, serves both
 `two_coloring` (the first such edge closes an odd walk, the witness of
 non-bipartiteness) and `odd_cycle_census` (every such edge counts its
@@ -9,85 +10,69 @@ BFS-tree cycle); the bipartization strategies build on those two.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
-import numpy as np
+from .orders import bits
 
 
 class SimpleGraph:
-    """Immutable undirected graph without loops or parallel edges."""
+    """Immutable undirected graph without loops or parallel edges.
 
-    __slots__ = ("n", "m", "_nbrs", "_lower", "_edges")
+    `masks[u]` has bit v set when u and v are adjacent; the neighbour
+    tuples and the edge tuples are read off these masks.
+    """
+
+    __slots__ = ("n", "m", "masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        norm = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            norm.add((u, v) if u < v else (v, u))
-        ends = np.array(sorted(norm), dtype=np.intp).reshape(-1, 2)
-        arcs = np.concatenate([ends, ends[:, ::-1]])
-        arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]  # by tail, then head
-        self._index(n, arcs[:, 0], arcs[:, 1])
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._set(masks)
 
     @classmethod
-    def from_matrix(cls, adj: np.ndarray) -> SimpleGraph:
-        """The graph of a square, symmetric boolean matrix with a false
-        diagonal; no Python object is made per edge until `edges`."""
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency matrix of shape {adj.shape} is not square")
-        if adj.diagonal().any():
-            raise ValueError(f"loop at vertex {int(np.argmax(adj.diagonal()))}")
-        # flat indices come in row-major order, so the arcs come sorted by
-        # tail and then head; one flat scan is about 4x faster than np.nonzero
-        n = adj.shape[0]
-        flat = np.flatnonzero(adj)
-        tails, heads = divmod(flat, n)
-        # symmetric iff the reversed arcs are the same set: an O(E log E)
-        # test with no second n x n temporary
-        if not np.array_equal(np.sort(heads * n + tails), flat):
-            raise ValueError("adjacency matrix is not symmetric")
+    def from_masks(cls, masks: Iterable[int]) -> SimpleGraph:
+        """The graph whose vertex u has the neighbours in masks[u].
+
+        The masks must be symmetric (v in masks[u] iff u in masks[v]); that
+        is the caller's to keep, since checking it costs a pass over every
+        edge.  A loop or a neighbour out of range raises ValueError.
+        """
+        masks = list(masks)
+        n = len(masks)
+        for u, mask in enumerate(masks):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"neighbour mask of vertex {u} out of range")
+            if mask >> u & 1:
+                raise ValueError(f"loop at vertex {u}")
         g = cls.__new__(cls)
-        g._index(n, tails, heads)
+        g._set(masks)
         return g
 
-    def _index(self, n: int, tails: np.ndarray, heads: np.ndarray) -> None:
-        """Set every field from both arcs of each edge, sorted by tail and
-        then head.  The edge tuples wait for the first read of `edges`."""
-        self.n = n
-        lower = tails < heads
-        self._lower = (tails[lower], heads[lower])
-        for ends in self._lower:
-            ends.setflags(write=False)
-        self.m = len(self._lower[0])
+    def _set(self, masks: list[int]) -> None:
+        self.n = len(masks)
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.m = sum(mask.bit_count() for mask in masks) // 2
         self._edges: tuple[tuple[int, int], ...] | None = None
-        cut = np.searchsorted(tails, np.arange(n + 1)).tolist()
-        # one tolist() allocates the neighbour ints in adjacency order; BFS
-        # walks read them about 10 % faster than ints shared with the edges
-        heads = heads.tolist()
-        self._nbrs = tuple(tuple(heads[i:j]) for i, j in zip(cut, cut[1:]))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (u, v) with u < v, sorted; built on the first read."""
         if self._edges is None:
-            us, vs = self._lower
-            self._edges = tuple(zip(us.tolist(), vs.tolist()))
+            self._edges = tuple((u, v) for u, mask in enumerate(self.masks)
+                                for v in bits(mask & ~((2 << u) - 1)))
         return self._edges
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two ends of each edge as arrays, in the order of `edges`."""
-        return self._lower
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbours of u in ascending order."""
-        return self._nbrs[u]
+        return tuple(bits(self.masks[u]))
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.n} vertices, {self.m} edges)"
@@ -152,29 +137,43 @@ def _colour_conflicts(g: SimpleGraph, removed: Iterable[int], color: list[int | 
     Yields each monochromatic edge (u, w) when the search meets it, from
     u's side: both ends have their final colour, parent and depth then, so
     the tree cycle of the edge is fixed.  A monochromatic edge is met once
-    from each end.
+    from each end.  The search keeps the uncoloured kept vertices and each
+    colour class as masks, so a vertex costs two ANDs with its neighbour
+    mask and a step per newly coloured neighbour, not a step per edge.
     """
-    gone = set(removed)
-    nbrs = g._nbrs
-    for start in range(g.n):
-        if start in gone or color[start] is not None:
-            continue
+    masks = g.masks
+    gone = 0
+    for v in removed:
+        gone |= 1 << v
+    unseen = ((1 << g.n) - 1) & ~gone
+    sides = [0, 0]  # the vertices coloured 0 and 1
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << start
         color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        sides[0] |= 1 << start
+        queue = [start]
+        for u in queue:  # grows while it is walked: a breadth-first search
             cu = color[u]
-            for w in nbrs[u]:
-                if w in gone:
-                    continue
-                cw = color[w]
-                if cw is None:
+            nbrs = masks[u]
+            clash = nbrs & sides[cu]
+            while clash:
+                low = clash & -clash
+                clash ^= low
+                yield u, low.bit_length() - 1
+            new = nbrs & unseen
+            if new:
+                unseen ^= new
+                sides[1 - cu] |= new
+                du = depth[u] + 1
+                while new:
+                    low = new & -new
+                    w = low.bit_length() - 1
+                    new ^= low
                     color[w] = 1 - cu
                     parent[w] = u
-                    depth[w] = depth[u] + 1
+                    depth[w] = du
                     queue.append(w)
-                elif cw == cu:
-                    yield u, w
 
 
 def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable
 
 from .errors import ParseError, TooLarge
 from .orders import GroundSet, OrderRelation, build_order, cover_relation
@@ -70,18 +69,23 @@ def serialize_order(o: OrderRelation) -> str:
 
 @dataclass(frozen=True)
 class FormalContext:
-    """A cross table: which objects have which attributes."""
+    """A cross table: which objects have which attributes.
+
+    `incidence` is given as one row of truthy cells per object and kept as
+    a tuple of tuples of bools; incidence[i][j] means object i has
+    attribute j.
+    """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: np.ndarray
+    incidence: Iterable[Iterable[object]]
 
     def __post_init__(self):
-        m = np.array(self.incidence, dtype=bool)
-        if m.shape != (len(self.objects), len(self.attributes)):
+        rows = tuple(tuple(bool(cell) for cell in row) for row in self.incidence)
+        if (len(rows) != len(self.objects)
+                or any(len(row) != len(self.attributes) for row in rows)):
             raise ValueError("incidence shape does not match object/attribute counts")
-        m.setflags(write=False)
-        object.__setattr__(self, "incidence", m)
+        object.__setattr__(self, "incidence", rows)
 
 
 def parse_cxt(text: str) -> FormalContext:
@@ -146,8 +150,7 @@ def parse_cxt(text: str) -> FormalContext:
             if cell not in "Xx.":
                 raise ParseError(pos, f"unexpected cell {cell!r}")
         rows.append([cell in "Xx" for cell in row])
-    incidence = np.array(rows, dtype=bool).reshape(n_objects, n_attributes)
-    return FormalContext(objects, attributes, incidence)
+    return FormalContext(objects, attributes, rows)
 
 
 def _extent_label(ctx: FormalContext, extent_mask: int) -> str:
@@ -163,8 +166,7 @@ def concept_lattice(ctx: FormalContext, max_concepts: int = 2 ** 14) -> OrderRel
     Labels are the sorted extents, e.g. ``{apple,pear}``.
     """
     n_obj, n_att = len(ctx.objects), len(ctx.attributes)
-    obj_rows = [int(sum(1 << j for j in range(n_att) if ctx.incidence[i, j]))
-                for i in range(n_obj)]
+    obj_rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
     full_att = (1 << n_att) - 1
 
     def extent_of(att_mask: int) -> int:
@@ -206,10 +208,15 @@ def concept_lattice(ctx: FormalContext, max_concepts: int = 2 ** 14) -> OrderRel
     concepts.sort(key=lambda c: (bin(c[0]).count("1"), c[0]))
     labels = [_extent_label(ctx, ext) for ext, _ in concepts]
     ground = GroundSet(labels)
-    m = np.zeros((len(concepts), len(concepts)), dtype=bool)
-    for i, (ext_i, _) in enumerate(concepts):
-        for j, (ext_j, _) in enumerate(concepts):
-            m[i, j] = ext_i & ext_j == ext_i
-    order = OrderRelation(ground, m)
+    extents = [ext for ext, _ in concepts]
+    up = [0] * len(extents)
+    down = [0] * len(extents)
+    for i, ext_i in enumerate(extents):
+        # sorted by size, so only later extents can contain ext_i
+        for j in range(i, len(extents)):
+            if ext_i & extents[j] == ext_i:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    order = OrderRelation(ground, up, down)
     order.validate()
     return order

@@ -1,5 +1,10 @@
-"""Finite ordered sets on a dense boolean incidence matrix.
+"""Finite ordered sets on integer bitsets.
 
+An order on n elements is two tuples of Python ints: `up[i]` has bit j set
+when i <= j (the elements above i, i included) and `down[j]` has bit i set
+when i <= j (the elements below j).  Both are always transitively closed,
+so the set operations of the pipeline (incomparable pairs, inserting a
+pair, the conjugate test) are a few word operations per element.
 Construction always applies the reflexive-transitive closure to the given
 generator pairs and rejects cycles, so every `OrderRelation` in the system
 is a genuine order.  Elements are referred to by string label at the API
@@ -12,12 +17,30 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import CycleError, GroundMismatch, NotLinear, UnknownLabel
 
 Pair = tuple[str, str]
 IdPair = tuple[int, int]
+
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative mask, lowest first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """Column masks of a square relation given by its row masks."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bits(row):
+            cols[j] |= bit
+    return cols
 
 
 class GroundSet:
@@ -58,114 +81,141 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-def transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation.
+def transitive_closure(rows: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation given by row masks (bit j
+    of rows[i]: i relates to j), as row masks.
 
-    Squares the reflexive relation, (f @ f) > 0 on float32 copies, until
-    the number of true entries stops growing: after k squarings every path
-    of up to 2^k arcs is closed, so about log2(n) BLAS products suffice.
-    Each entry of f @ f counts the paths of two arcs, at most n < 2^24, so
-    float32 holds it exactly.  The temporaries are a float32 copy and its
-    float32 product, about 9 n^2 bytes with the boolean result.
+    An acyclic relation is closed in one sweep against a topological order
+    (Kahn's algorithm): each row is its own bit ORed with the closed rows of
+    its successors, about one OR per generator pair.  A relation with a
+    cycle falls back to Warshall's n^2 sweep, which closes any relation.
     """
-    m = np.array(matrix, dtype=bool)
-    np.fill_diagonal(m, True)
-    count = np.count_nonzero(m)
-    while True:
-        f = m.astype(np.float32)
-        m = (f @ f) > 0
-        # a reflexive relation only grows when squared, so equal counts
-        # mean an equal relation
-        grown = np.count_nonzero(m)
-        if grown == count:
-            return m
-        count = grown
+    n = len(rows)
+    succ = [bits(row & ~(1 << i)) for i, row in enumerate(rows)]
+    indegree = [0] * n
+    for heads in succ:
+        for w in heads:
+            indegree[w] += 1
+    order = [v for v in range(n) if not indegree[v]]
+    for v in order:  # grows while it is walked
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    closed = [0] * n
+    if len(order) == n:
+        for v in reversed(order):
+            row = 1 << v
+            for w in succ[v]:
+                row |= closed[w]
+            closed[v] = row
+        return closed
+    closed = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(n):
+        bit, row_k = 1 << k, closed[k]
+        for i in range(n):
+            if closed[i] & bit:
+                closed[i] |= row_k
+    return closed
 
 
-def is_linear_order(m: np.ndarray) -> bool:
-    """True iff the square boolean relation m is a reflexive linear order.
+def is_linear_order(rows: Sequence[int]) -> bool:
+    """True iff the square relation with row masks `rows` is a reflexive
+    linear order.
 
-    Total (m | m.T all true, the diagonal included) with exactly
-    n + n(n-1)/2 true entries is antisymmetric as well, a tournament off
-    the diagonal; a tournament is transitive iff its score sequence is
-    0..n-1.  Both counts come from the column sums (each 1 + the number of
-    elements below): sorted, they must be exactly 1..n.  O(n^2) work and no
-    closure.
+    Sorted by size, the rows of a linear order are nested: each is the
+    row before it plus its own bit, starting from the top element's own
+    bit.  Checking that takes O(n log n) work and no closure.
     """
-    n = m.shape[0]
-    return bool((m | m.T).all()
-                and (np.sort(m.sum(axis=0)) == np.arange(1, n + 1)).all())
+    above = 0
+    for i in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+        above |= 1 << i
+        if rows[i] != above:
+            return False
+    return True
 
 
 class OrderRelation:
     """A reflexive, antisymmetric, transitive relation on a GroundSet.
 
-    Instances are immutable; the incidence matrix is dense boolean and
-    always transitively closed.  Use :func:`build_order` to construct one
-    from generator pairs.
+    Instances are immutable and always transitively closed: `up[i]` is the
+    mask of the elements j with i <= j, `down[j]` the mask of the i with
+    i <= j.  `down` is the transpose of `up`; a caller that has it passes it
+    in, otherwise it is computed on first use.  Use :func:`build_order` to
+    construct an order from generator pairs.
     """
 
-    __slots__ = ("ground", "_leq")
+    __slots__ = ("ground", "up", "_down")
 
-    def __init__(self, ground: GroundSet, leq: np.ndarray):
+    def __init__(self, ground: GroundSet, up: Iterable[int],
+                 down: Iterable[int] | None = None):
         self.ground = ground
-        m = np.array(leq, dtype=bool)
-        m.setflags(write=False)
-        self._leq = m
+        self.up: tuple[int, ...] = tuple(up)
+        self._down = None if down is None else tuple(down)
 
     @property
     def n(self) -> int:
         return len(self.ground)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """Read-only boolean incidence; matrix[i, j] means i <= j."""
-        return self._leq
+    def down(self) -> tuple[int, ...]:
+        """down[j] has bit i set when i <= j."""
+        if self._down is None:
+            self._down = tuple(transpose(self.up))
+        return self._down
+
+    @property
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        """The incidence as rows of booleans; matrix[i][j] means i <= j."""
+        n = self.n
+        return tuple(tuple(row >> j & 1 == 1 for j in range(n)) for row in self.up)
 
     def le(self, a: str, b: str) -> bool:
-        return bool(self._leq[self.ground.id(a), self.ground.id(b)])
+        return self.up[self.ground.id(a)] >> self.ground.id(b) & 1 == 1
 
     def lt(self, a: str, b: str) -> bool:
-        i, j = self.ground.id(a), self.ground.id(b)
-        return i != j and bool(self._leq[i, j])
+        return self.lt_ids(self.ground.id(a), self.ground.id(b))
 
     def lt_ids(self, i: int, j: int) -> bool:
-        return i != j and bool(self._leq[i, j])
+        return i != j and self.up[i] >> j & 1 == 1
 
     def incomparable(self, a: str, b: str) -> bool:
         return self.incomparable_ids(self.ground.id(a), self.ground.id(b))
 
     def incomparable_ids(self, i: int, j: int) -> bool:
-        return i != j and not self._leq[i, j] and not self._leq[j, i]
+        return i != j and not (self.up[i] >> j & 1 or self.up[j] >> i & 1)
 
     def is_linear(self) -> bool:
-        return is_linear_order(self._leq)
+        return is_linear_order(self.up)
 
     def strict_pair_count(self) -> int:
         """Number of pairs a < b with a != b."""
-        return int(self._leq.sum()) - self.n
+        return sum(row.bit_count() for row in self.up) - self.n
 
     def validate(self) -> None:
         """Raise ValueError unless reflexive, antisymmetric and closed."""
-        m = self._leq
         n = self.n
-        if m.shape != (n, n):
+        up = self.up
+        if len(up) != n or any(row >> n for row in up):
             raise ValueError("incidence shape does not match ground set")
-        if not m.diagonal().all():
+        down = tuple(transpose(up))
+        if self._down is not None and self._down != down:
+            raise ValueError("down masks are not the transpose of the up masks")
+        if not all(row >> i & 1 for i, row in enumerate(up)):
             raise ValueError("relation is not reflexive")
-        eye = np.eye(n, dtype=bool)
-        if ((m & m.T) & ~eye).any():
+        # the diagonal is the only symmetric part of an order
+        if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
             raise ValueError("relation is not antisymmetric")
-        if (transitive_closure(m) != m).any():
+        # closed iff everything above an element above i is above i
+        if any(up[j] & ~row for row in up for j in bits(row)):
             raise ValueError("relation is not transitively closed")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, OrderRelation)
-                and self.ground == other.ground
-                and bool((self._leq == other._leq).all()))
+                and self.ground == other.ground and self.up == other.up)
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._leq.tobytes()))
+        return hash((self.ground, self.up))
 
     def __repr__(self) -> str:
         return f"OrderRelation({self.n} elements, {self.strict_pair_count()} strict pairs)"
@@ -189,18 +239,6 @@ def _bfs_path(adj: list[list[int]], src: int, dst: int) -> list[int]:
     raise AssertionError("no path despite closure hit")
 
 
-def _raise_on_cycle(closed: np.ndarray, generators: np.ndarray, ground: GroundSet) -> None:
-    n = closed.shape[0]
-    eye = np.eye(n, dtype=bool)
-    bad = closed & closed.T & ~eye
-    if not bad.any():
-        return
-    i, j = (int(x) for x in np.argwhere(bad)[0])
-    adj = [[int(w) for w in np.flatnonzero(generators[v]) if w != v] for v in range(n)]
-    walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
-    raise CycleError([ground.label(v) for v in walk])
-
-
 def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     """Order generated by `pairs` over `labels`.
 
@@ -214,22 +252,50 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
         raise ValueError("ground set must not be empty")
     ground = GroundSet(labels)
     n = len(ground)
-    m = np.eye(n, dtype=bool)
+    generators, reversed_generators = [0] * n, [0] * n
     for a, b in pairs:
-        m[ground.id(a), ground.id(b)] = True
-    closed = transitive_closure(m)
-    _raise_on_cycle(closed, m, ground)
-    return OrderRelation(ground, closed)
+        i, j = ground.id(a), ground.id(b)
+        generators[i] |= 1 << j
+        reversed_generators[j] |= 1 << i
+    up = transitive_closure(generators)
+    down = transitive_closure(reversed_generators)
+    for i, (u, d) in enumerate(zip(up, down)):
+        cyclic = u & d & ~(1 << i)
+        if cyclic:  # i and j reach each other: report the first such pair
+            j = bits(cyclic)[0]
+            adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
+            walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
+            raise CycleError([ground.label(v) for v in walk])
+    return OrderRelation(ground, up, down)
 
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
-    """Pairs a < b with nothing strictly between (the diagram edges)."""
-    strict = o.matrix.astype(np.float32)
-    np.fill_diagonal(strict, 0)
-    # one BLAS product counts the elements strictly between each pair
-    cov = (strict > 0) & ((strict @ strict) == 0)
+    """Pairs a < b with nothing strictly between (the diagram edges).
+
+    The covers of a are the elements strictly above it that lie strictly
+    above no other such element.  Those are collected as `beyond`, the OR
+    of the strict up-sets of the elements above a; an element already in
+    `beyond` adds nothing to it, since its up-set lies inside the one that
+    put it there, so it is skipped.
+    """
     lab = o.ground.labels
-    return frozenset((lab[i], lab[j]) for i, j in np.argwhere(cov).tolist())
+    strict = [row & ~(1 << i) for i, row in enumerate(o.up)]
+    covers = []
+    for a, above in enumerate(strict):
+        beyond = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            beyond |= strict[low.bit_length() - 1]
+            rest &= ~(beyond | low)
+        covers.extend((lab[a], lab[b]) for b in bits(above & ~beyond))
+    return frozenset(covers)
+
+
+def incomparable_masks(o: OrderRelation) -> list[int]:
+    """Per element a, the mask of the elements incomparable to it."""
+    full = (1 << o.n) - 1
+    return [full & ~(u | d) for u, d in zip(o.up, o.down)]
 
 
 def incomparable_pairs(o: OrderRelation) -> frozenset[Pair]:
@@ -238,16 +304,9 @@ def incomparable_pairs(o: OrderRelation) -> frozenset[Pair]:
     return frozenset((lab(i), lab(j)) for i, j in inc_id_pairs(o))
 
 
-def inc_id_arrays(o: OrderRelation) -> tuple[np.ndarray, np.ndarray]:
-    """First and second ids of the incomparable ordered pairs, in
-    lexicographic order."""
-    return np.nonzero(~(o.matrix | o.matrix.T))
-
-
 def inc_id_pairs(o: OrderRelation) -> list[IdPair]:
     """Incomparable ordered id pairs in lexicographic order."""
-    firsts, seconds = inc_id_arrays(o)
-    return list(zip(firsts.tolist(), seconds.tolist()))
+    return [(a, b) for a, mask in enumerate(incomparable_masks(o)) for b in bits(mask)]
 
 
 class LinearExtension:
@@ -256,11 +315,12 @@ class LinearExtension:
     __slots__ = ("order", "ranks")
 
     def __init__(self, order: OrderRelation):
-        if not is_linear_order(order.matrix):
+        if not order.is_linear():
             raise NotLinear("relation is not a linear order")
         self.order = order
         # rank = number of strictly smaller elements
-        self.ranks: tuple[int, ...] = tuple(int(c) - 1 for c in order.matrix.sum(axis=0))
+        n = order.n
+        self.ranks: tuple[int, ...] = tuple(n - row.bit_count() for row in order.up)
 
     def sequence(self) -> tuple[str, ...]:
         """Labels from bottom to top."""
@@ -280,11 +340,14 @@ def linear_from_sequence(ground: GroundSet,
     ids = [ground.id(x) if isinstance(x, str) else x for x in seq]
     if sorted(ids) != list(range(len(ground))):
         raise ValueError("sequence must mention every element exactly once")
-    ranks = np.empty(len(ids), dtype=int)
-    for pos, i in enumerate(ids):
-        ranks[i] = pos
-    m = ranks[:, None] <= ranks[None, :]
-    return LinearExtension(OrderRelation(ground, m))
+    up, down = [0] * len(ids), [0] * len(ids)
+    above = below = 0
+    for i, j in zip(ids, reversed(ids)):
+        below |= 1 << i
+        down[i] = below
+        above |= 1 << j
+        up[j] = above
+    return LinearExtension(OrderRelation(ground, up, down))
 
 
 def intersect_linear(extensions: Iterable[LinearExtension]) -> OrderRelation:
@@ -293,12 +356,13 @@ def intersect_linear(extensions: Iterable[LinearExtension]) -> OrderRelation:
     if not exts:
         raise ValueError("need at least one linear extension")
     ground = exts[0].order.ground
-    m = exts[0].order.matrix.copy()
+    up, down = list(exts[0].order.up), list(exts[0].order.down)
     for e in exts[1:]:
         if e.order.ground != ground:
             raise GroundMismatch("extensions on different ground sets")
-        m &= e.order.matrix
-    return OrderRelation(ground, m)
+        up = [a & b for a, b in zip(up, e.order.up)]
+        down = [a & b for a, b in zip(down, e.order.down)]
+    return OrderRelation(ground, up, down)
 
 
 # ---------------------------------------------------------------------------

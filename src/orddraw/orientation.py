@@ -21,8 +21,9 @@ the edges not yet in a class at each vertex, and the arcs forced so far
 leaving and entering it, so one forcing step is a few word operations.
 
 The conjugate found for an order is checked once, by `is_linear_order` on
-both unions L1 = <= | C and L2 = <= | C^T (O(n^2), no closure).  That check
-accepts exactly the conjugates:
+both unions L1 = <= | C and L2 = <= | C^T (the latter through its
+transpose >= | C, whose rows are the order's down masks ORed with C's
+rows; O(n log n), no closure).  That check accepts exactly the conjugates:
 
 - If L1 and L2 are linear, C relates no comparable pair x < y: (x, y) in C
   puts both (x, y) and (y, x) in L2, and (y, x) in C puts both in L1.  An
@@ -36,45 +37,17 @@ accepts exactly the conjugates:
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
 from .errors import GroundMismatch
-from .orders import LinearExtension, OrderRelation, is_linear_order
+from .orders import (LinearExtension, OrderRelation, bits, incomparable_masks,
+                     is_linear_order)
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _row_masks(adj: np.ndarray) -> list[int]:
-    """Row i of a square boolean matrix as an int with bit j = adj[i, j]."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
-            for i in range(adj.shape[0])]
-
-
-def _mask_matrix(masks: list[int]) -> np.ndarray:
-    """The boolean matrix whose row i has the bits of masks[i]."""
-    n = len(masks)
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
-
-
-def _force_classes(adj: list[int]) -> list[int] | None:
-    """Successor masks (bit y of entry x: arc x -> y) of the orientation
-    that forces every implication class of the graph with neighbour masks
-    `adj`, or None when some class forces an edge both ways."""
+def _force_classes(adj: list[int]) -> tuple[list[int], list[int]] | None:
+    """Successor and predecessor masks (bit y of out[x] and bit x of
+    into[y]: arc x -> y) of the orientation that forces every implication
+    class of the graph with neighbour masks `adj`, or None when some class
+    forces an edge both ways."""
     n = len(adj)
     rem = list(adj)  # edges not yet in a settled class
     out = [0] * n  # the arcs forced so far, leaving and entering each vertex
@@ -98,19 +71,19 @@ def _force_classes(adj: list[int]) -> list[int] | None:
                 new = leave & ~out[a]
                 if new:
                     out[a] |= new
-                    for c in _bits(new):
+                    for c in bits(new):
                         into[c] |= 1 << a
                         queue.append((a, c))
                 new = enter & ~into[b]
                 if new:
                     into[b] |= new
-                    for c in _bits(new):
+                    for c in bits(new):
                         out[c] |= 1 << b
                         queue.append((c, b))
             for a, b in queue:  # settle the class
                 rem[a] &= ~out[a]
                 rem[b] &= ~into[b]
-    return out
+    return out, into
 
 
 def compute_conjugate_order(o: OrderRelation) -> OrderRelation | None:
@@ -121,14 +94,16 @@ def compute_conjugate_order(o: OrderRelation) -> OrderRelation | None:
     The result is returned only if both unions with o are linear orders,
     which holds exactly for conjugates (see the module docstring).
     """
-    m = o.matrix
-    succ = _force_classes(_row_masks(~(m | m.T)))
-    if succ is None:
+    forced = _force_classes(incomparable_masks(o))
+    if forced is None:
         return None
-    conj = _mask_matrix(succ) | np.eye(o.n, dtype=bool)
-    if not (is_linear_order(m | conj) and is_linear_order(m | conj.T)):
+    up = [arcs | 1 << i for i, arcs in enumerate(forced[0])]
+    # L2 = <= | C^T is linear iff its transpose >= | C is: that one's rows
+    # are o's down masks ORed with C's rows
+    if not (is_linear_order([a | c for a, c in zip(o.up, up)])
+            and is_linear_order([b | c for b, c in zip(o.down, up)])):
         return None
-    return OrderRelation(o.ground, conj)
+    return OrderRelation(o.ground, up, [arcs | 1 << i for i, arcs in enumerate(forced[1])])
 
 
 def realizer_from_conjugate(o: OrderRelation, conj: OrderRelation) \
@@ -140,5 +115,5 @@ def realizer_from_conjugate(o: OrderRelation, conj: OrderRelation) \
     """
     if o.ground != conj.ground:
         raise GroundMismatch("order and conjugate on different ground sets")
-    return (LinearExtension(OrderRelation(o.ground, o.matrix | conj.matrix)),
-            LinearExtension(OrderRelation(o.ground, o.matrix | conj.matrix.T)))
+    return (LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.up)])),
+            LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.down)])))

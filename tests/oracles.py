@@ -15,6 +15,108 @@ from orddraw.orders import (GroundSet, OrderRelation, intersect_linear,
                             linear_from_sequence)
 
 
+def dense(o: OrderRelation) -> np.ndarray:
+    """The boolean incidence matrix of o; dense(o)[i, j] means i <= j."""
+    return np.array(o.matrix, dtype=bool).reshape(o.n, o.n)
+
+
+def row_masks(matrix) -> list[int]:
+    """Row i of a square boolean matrix as an int with bit j = matrix[i, j]."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in np.asarray(matrix, dtype=bool)]
+
+
+def order_from_matrix(ground: GroundSet, matrix) -> OrderRelation:
+    """The OrderRelation whose incidence is the given (closed) boolean matrix."""
+    return OrderRelation(ground, row_masks(matrix))
+
+
+def blas_closure(matrix) -> np.ndarray:
+    """Reflexive-transitive closure by repeated float32 BLAS squaring,
+    (f @ f) > 0, until the count of true entries stops growing; the dense
+    closure the bitset `transitive_closure` replaced."""
+    m = np.array(matrix, dtype=bool)
+    np.fill_diagonal(m, True)
+    count = np.count_nonzero(m)
+    while True:
+        f = m.astype(np.float32)
+        m = (f @ f) > 0
+        grown = np.count_nonzero(m)
+        if grown == count:
+            return m
+        count = grown
+
+
+def cover_relation_by_blas(o: OrderRelation) -> frozenset:
+    """Cover pairs from one float32 product counting the elements strictly
+    between each pair; the dense cover relation the bitset one replaced."""
+    strict = dense(o).astype(np.float32)
+    np.fill_diagonal(strict, 0)
+    cov = (strict > 0) & ((strict @ strict) == 0)
+    lab = o.ground.labels
+    return frozenset((lab[i], lab[j]) for i, j in np.argwhere(cov).tolist())
+
+
+def dense_tig(o: OrderRelation):
+    """(vertices, adjacency matrix) of the incompatibility graph of o from
+    two gathers of the <= matrix, reach[i, j] = second of i <= first of j,
+    ANDed with its transpose; the dense build the bitset build_tig replaced."""
+    m = dense(o)
+    firsts, seconds = np.nonzero(~(m | m.T))
+    reach = m[seconds][:, firsts]
+    return tuple(zip(firsts.tolist(), seconds.tolist())), reach & reach.T
+
+
+def dense_is_linear_order(m) -> bool:
+    """Total, and column sums exactly 1..n (a tournament is transitive iff
+    its scores are 0..n-1)."""
+    m = np.asarray(m, dtype=bool)
+    n = m.shape[0]
+    return bool((m | m.T).all()
+                and (np.sort(m.sum(axis=0)) == np.arange(1, n + 1)).all())
+
+
+def dense_conjugate(o: OrderRelation):
+    """compute_conjugate_order on boolean matrices: the orientation that
+    forces every implication class of the incomparability graph, kept only
+    if both unions with <= are linear; None otherwise."""
+    from orddraw.orientation import _force_classes
+    m = dense(o)
+    forced = _force_classes(row_masks(~(m | m.T)))
+    if forced is None:
+        return None
+    conj = np.array([[bool(row >> j & 1) for j in range(o.n)] for row in forced[0]],
+                    dtype=bool).reshape(o.n, o.n) | np.eye(o.n, dtype=bool)
+    if not (dense_is_linear_order(m | conj) and dense_is_linear_order(m | conj.T)):
+        return None
+    return order_from_matrix(o.ground, conj)
+
+
+def dense_insert(current: OrderRelation, new_pairs):
+    """(closed matrix, closure-added pairs) of current plus new_pairs by one
+    BLAS closure of the union, or None when it breaks antisymmetry; the
+    dense insertion the bitset `_insert_checked` replaced."""
+    m = dense(current)
+    for a, b in new_pairs:
+        m[a, b] = True
+    closed = blas_closure(m)
+    if np.count_nonzero(closed & closed.T) != current.n:
+        return None
+    return closed, frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
+
+
+def dense_false_pairs(d) -> list:
+    """The false comparabilities of a drawing by one grid-dominance matrix
+    ANDed with the incomparability matrix; the reference for
+    weak_dominance_stats."""
+    o = d.order
+    grid_pos = np.array([d.coords[label] for label in o.ground]).reshape(o.n, 2)
+    c1, c2 = grid_pos[:, 0], grid_pos[:, 1]
+    below = (c1[:, None] < c1[None, :]) & (c2[:, None] < c2[None, :])
+    m = dense(o)
+    return [(o.ground.label(int(a)), o.ground.label(int(b)))
+            for a, b in np.argwhere(below & ~(m | m.T))]
+
+
 def warshall_closure(matrix) -> np.ndarray:
     """Reflexive-transitive closure by Warshall's n outer-product sweeps."""
     m = np.array(matrix, dtype=bool)
@@ -59,8 +161,8 @@ def random_order(rng: random.Random, n: int, density: float | None = None) -> Or
         for j in range(i + 1, n):
             if rng.random() < density:
                 m[perm[i], perm[j]] = True
-    return OrderRelation(GroundSet([f"x{i}" for i in range(n)]),
-                         warshall_closure(m))
+    return order_from_matrix(GroundSet([f"x{i}" for i in range(n)]),
+                             warshall_closure(m))
 
 
 def blocked_two_dimensional(blocks: int, size: int, seed: int):
@@ -85,8 +187,9 @@ def blocked_two_dimensional(blocks: int, size: int, seed: int):
 
 
 def strict_pairs(o: OrderRelation) -> list[tuple[int, int]]:
+    m = o.matrix
     return [(i, j) for i in range(o.n) for j in range(o.n)
-            if i != j and o.matrix[i, j]]
+            if i != j and m[i][j]]
 
 
 def all_linear_extensions(o: OrderRelation, limit: int | None = None):
@@ -96,7 +199,7 @@ def all_linear_extensions(o: OrderRelation, limit: int | None = None):
     `limit` truncates the enumeration when given.
     """
     n = o.n
-    strict = o.matrix & ~np.eye(n, dtype=bool)
+    strict = dense(o) & ~np.eye(n, dtype=bool)
     pred_mask = [int(sum(1 << int(i) for i in np.flatnonzero(strict[:, j]))) for j in range(n)]
     seq: list[int] = []
     emitted = 0
@@ -127,12 +230,13 @@ def brute_two_realizer(o: OrderRelation) -> bool:
     lookup per extension stands in for the search over all pairs.
     """
     n = o.n
+    m = dense(o)
     target = inc = 0
     for i in range(n):
         for j in range(n):
-            if i != j and o.matrix[i, j]:
+            if i != j and m[i, j]:
                 target |= 1 << (i * n + j)
-            elif not o.matrix[i, j] and not o.matrix[j, i]:
+            elif not m[i, j] and not m[j, i]:
                 inc |= 1 << (i * n + j)
     masks = set()
     for ext in all_linear_extensions(o):
@@ -151,7 +255,7 @@ def incompatible(p: tuple[int, int], q: tuple[int, int], o: OrderRelation) -> bo
     the tig module docstring): inserting both closes a cycle iff
     q[1] <= p[0] and p[1] <= q[0]; the definition build_tig is checked
     against."""
-    return bool(o.matrix[q[1], p[0]] and o.matrix[p[1], q[0]])
+    return o.up[q[1]] >> p[0] & 1 == 1 and o.up[p[1]] >> q[0] & 1 == 1
 
 
 def has_cycle_with(o: OrderRelation, p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -182,16 +286,17 @@ def literally_an_order(matrix: np.ndarray) -> bool:
 def brute_min_extension(o: OrderRelation, dim2_test) -> int:
     """Smallest |C|, C a set of incomparable pairs with (X, <= u C) an order
     of dimension <= 2.  `dim2_test` maps OrderRelation -> bool."""
+    base = dense(o)
     inc = [(i, j) for i in range(o.n) for j in range(o.n)
-           if i != j and not o.matrix[i, j] and not o.matrix[j, i]]
+           if i != j and not base[i, j] and not base[j, i]]
     for size in range(len(inc) + 1):
         for combo in itertools.combinations(inc, size):
-            m = o.matrix.copy()
+            m = base.copy()
             for a, b in combo:
                 m[a, b] = True
             if not literally_an_order(m):
                 continue
-            if dim2_test(OrderRelation(o.ground, m)):
+            if dim2_test(order_from_matrix(o.ground, m)):
                 return size
     raise AssertionError("some extension must reach dimension <= 2")
 
@@ -380,22 +485,16 @@ def order_from_downsets(down: tuple[int, ...], n: int) -> OrderRelation:
         for j in range(n):
             if down[i] >> j & 1:
                 m[j, i] = True
-    return OrderRelation(GroundSet([f"e{i}" for i in range(n)]), m)
+    return order_from_matrix(GroundSet([f"e{i}" for i in range(n)]), m)
 
 
 def build_tig_by_edge_list(o: OrderRelation):
-    """Incompatibility graph of o from one np.ix_ gather and a Python list
-    of its upper-triangle edges; the reference for build_tig."""
+    """Incompatibility graph of o from the dense adjacency of `dense_tig`
+    and a Python list of its upper-triangle edges; the reference for
+    build_tig."""
     from orddraw.graphs import SimpleGraph
-    from orddraw.orders import inc_id_pairs
     from orddraw.tig import TigGraph
-    verts = tuple(inc_id_pairs(o))
-    if not verts:
-        return TigGraph(o, (), SimpleGraph(0))
-    firsts = np.fromiter((a for a, _ in verts), dtype=np.intp, count=len(verts))
-    seconds = np.fromiter((b for _, b in verts), dtype=np.intp, count=len(verts))
-    reach = o.matrix[np.ix_(seconds, firsts)]
-    adjacency = reach & reach.T
+    verts, adjacency = dense_tig(o)
     edges = [(int(i), int(j)) for i, j in np.argwhere(np.triu(adjacency, 1))]
     return TigGraph(o, verts, SimpleGraph(len(verts), edges))
 

@@ -20,7 +20,8 @@ from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
                                    oct_greedy, peel_to_minimal, _cold_steps,
                                    _repair)
 from oracles import (anneal_by_recount, brute_force_oct,
-                     peel_to_minimal_by_bfs, removal_set, solve_by_milp)
+                     peel_to_minimal_by_bfs, removal_set, row_masks,
+                     solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -334,7 +335,7 @@ class TestPeeling:
         also from sets whose rest is not bipartite, which come back whole."""
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
-        g = SimpleGraph.from_matrix(upper | upper.T)
+        g = SimpleGraph.from_masks(row_masks(upper | upper.T))
         removed = frozenset(np.flatnonzero(rng.random(n) < share).tolist())
         peeled = peel_to_minimal(g, removed)
         assert peeled == peel_to_minimal_by_bfs(g, removed)

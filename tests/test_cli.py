@@ -257,6 +257,32 @@ class TestImport:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_draw_and_dim_leave_numpy_out(self, tmp_path):
+        # every command runs to the end in one fresh interpreter: draw of an
+        # .order input under sat and under anneal, draw of a .cxt input
+        # (concept lattice), and dim; none of them may load numpy
+        order = tmp_path / "s3.order"
+        order.write_text(S3_TEXT)
+        cxt = tmp_path / "pair.cxt"
+        cxt.write_text(CXT_TEXT)
+        runs = [["draw", "-i", str(order), "-o", str(tmp_path / "sat.svg"), "--solver", "sat"],
+                ["draw", "-i", str(order), "-o", str(tmp_path / "anneal.json"),
+                 "--solver", "anneal", "--summary-json", str(tmp_path / "summary.json")],
+                ["draw", "-i", str(cxt), "-o", str(tmp_path / "lattice.svg")],
+                ["dim", "-i", str(order), "--realizer"]]
+        script = ("import json, sys\n"
+                  "from orddraw.cli import main\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  "print(json.dumps([codes, 'numpy' in sys.modules]), file=sys.stderr)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stderr.splitlines()[-1]) == [[0, 0, 0, 0], False]
+        assert b"<svg" in (tmp_path / "sat.svg").read_bytes()
+        assert json.loads((tmp_path / "summary.json").read_text())["strategy"] == "anneal"
+        assert b"<svg" in (tmp_path / "lattice.svg").read_bytes()
+
 
 class TestDim:
     def test_no_for_standard_example(self, s3_file, capsys):

@@ -22,7 +22,7 @@ from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
-                     brute_min_extension, drawing_to_json_by_dumps,
+                     brute_min_extension, dense, drawing_to_json_by_dumps,
                      literally_an_order, multipass_order, random_order,
                      scripted_then_exact, warshall_closure)
 
@@ -95,14 +95,15 @@ def assert_valid_trace(o, tr, left_out=0):
                for p in reversals - tr.inserted)
     # the extension is the closure of the input plus the inserted pairs,
     # and closure_added is exactly what that closure put on top
-    union = o.matrix.copy()
+    union = dense(o)
     for a, b in tr.inserted:
         union[a, b] = True
-    assert (warshall_closure(union) == tr.extended.matrix).all()
+    extended = dense(tr.extended)
+    assert (warshall_closure(union) == extended).all()
     assert tr.closure_added == {tuple(p) for p in
-                                np.argwhere(tr.extended.matrix & ~union).tolist()}
+                                np.argwhere(extended & ~union).tolist()}
     # the extension contains the original and is exactly realized
-    assert (o.matrix <= tr.extended.matrix).all()
+    assert (dense(o) <= extended).all()
     l1, l2 = realizer_from_conjugate(tr.extended, tr.conjugate)
     assert intersect_linear([l1, l2]) == tr.extended
 
@@ -204,7 +205,7 @@ class TestMultiPass:
         tg = build_tig(o)
         gaps = 0
         for removed in TransversalSearch(tg.graph):
-            union = o.matrix.copy()
+            union = dense(o)
             for v in removed:
                 a, b = tg.vertices[v]
                 union[b, a] = True

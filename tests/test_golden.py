@@ -13,7 +13,10 @@ recounting loop, and
 `grid_8x8_lattice_flipped_anneal` before the tig and the comparability
 graphs were built straight from their matrices, and
 `blocked_two_dimensional_120_sat` before orientation moved to integer
-bitsets with one linear-order check.  Any refactor of render,
+bitsets with one linear-order check.  `intersect_linear_150` and
+`random_order_130_anneal` were recorded while orders, the closure and the
+tig still ran on numpy matrices and float32 BLAS products, before they
+moved to integer bitsets.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 """
@@ -94,6 +97,13 @@ CASES = {
     # the neighbour order of a big tig; two passes remove 90 and 62 vertices
     "grid_8x8_lattice_flipped_anneal":
         lambda: compute_coordinates(flipped_grid_lattice(8, 8, 14), strategy="anneal"),
+    # above n = 128, where the masks take more than two 64-bit words: a
+    # two-dimensional order of 150 elements, and a 130-element order with
+    # 1386 incomparable pairs that anneal extends in two passes (196
+    # inserted pairs)
+    "intersect_linear_150": lambda: compute_coordinates(random_two_dimensional(150, 8191)),
+    "random_order_130_anneal":
+        lambda: compute_coordinates(random_order(random.Random(1), 130, 0.3), strategy="anneal"),
 }
 
 GOLDEN = {
@@ -111,6 +121,8 @@ GOLDEN = {
         "dd964e6ad3602293117172e8324de5a68d074baade6e331b2c90517c62ac47a8",
     "intersect_linear_100":
         "bd99632c828870ea1576cc654f6655269b27772adbcdb0e4fa300fad23923d1f",
+    "intersect_linear_150":
+        "8d9428c4f35b60ec157d8ada6004d059eec1d9f065f8a30edae7d7dfbdb21bc6",
     "random_order_10_greedy_perturbed":
         "9d252e819b20c2302ead34d849442cded8add92a35225c1a482b099c372d7f1b",
     "random_order_30_anneal":
@@ -119,6 +131,8 @@ GOLDEN = {
         "2ce086def39cf8c935890322a69c199655e6932d0898a0f4ede13987e96816d6",
     "random_order_12_sat":
         "f9d2dc488055a1bbe38ab992d059b9d71a29de8ebfccf2bf3f8440f6947c3142",
+    "random_order_130_anneal":
+        "a6be0a42bb7709a2a1a1cf0dbbc414dd02112ced673550d6a05925d88a512212",
     "standard_example_4_sat":
         "1383a3162c0d2338fc93105d20220c3c6698f6c5cc45ab2ce6078774d7a66bab",
     "standard_example_6_sat":

@@ -80,7 +80,7 @@ class TestOrderText:
             o = random_order(rng, rng.randint(1, 8))
             again = parse_order_text(serialize_order(o))
             assert list(again.ground) == list(o.ground)
-            assert (again.matrix == o.matrix).all()
+            assert again.matrix == o.matrix
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -162,11 +162,11 @@ class TestCxt:
         ctx = parse_cxt(CXT_SQUARE)
         assert ctx.objects == ("obj_a", "obj_b")
         assert ctx.attributes == ("attr_1", "attr_2")
-        assert ctx.incidence.tolist() == [[True, False], [False, True]]
+        assert ctx.incidence == ((True, False), (False, True))
 
     def test_crlf_and_lowercase_cells(self):
         ctx = parse_cxt("B\r\n2\r\n1\r\na\r\nb\r\np\r\nx\r\n.\r\n")
-        assert ctx.incidence.tolist() == [[True], [False]]
+        assert ctx.incidence == ((True,), (False,))
 
     def test_header_must_be_b(self):
         with pytest.raises(ParseError) as err:
@@ -203,11 +203,16 @@ class TestCxt:
             ctx = parse_cxt(text)
         except ParseError:
             return
-        assert ctx.incidence.shape == (len(ctx.objects), len(ctx.attributes))
+        assert len(ctx.incidence) == len(ctx.objects)
+        assert all(len(row) == len(ctx.attributes) for row in ctx.incidence)
 
     def test_incidence_shape_validated(self):
         with pytest.raises(ValueError):
             FormalContext(("a",), ("p", "q"), np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValueError):  # a ragged table
+            FormalContext(("a", "b"), ("p", "q"), [[True, False], [True]])
+        ctx = FormalContext(("a",), ("p", "q"), np.array([[1, 0]]))
+        assert ctx.incidence == ((True, False),)
 
 
 def identity_context(n):
@@ -269,10 +274,10 @@ class TestConceptLattice:
             m = o.matrix
             for i in range(o.n):
                 for j in range(o.n):
-                    ups = [k for k in range(o.n) if m[i, k] and m[j, k]]
-                    downs = [k for k in range(o.n) if m[k, i] and m[k, j]]
-                    joins = [k for k in ups if all(m[k, u] for u in ups)]
-                    meets = [k for k in downs if all(m[d, k] for d in downs)]
+                    ups = [k for k in range(o.n) if m[i][k] and m[j][k]]
+                    downs = [k for k in range(o.n) if m[k][i] and m[k][j]]
+                    joins = [k for k in ups if all(m[k][u] for u in ups)]
+                    meets = [k for k in downs if all(m[d][k] for d in downs)]
                     assert len(joins) == 1 and len(meets) == 1
 
     def test_concept_count_guard(self):

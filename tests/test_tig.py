@@ -1,12 +1,18 @@
 """Tests for the incompatibility graph over incomparable pairs."""
 
 import random
+import tracemalloc
 
-from orddraw.ingest import FormalContext, concept_lattice
+import pytest
+
+from orddraw.cli import main
+from orddraw.errors import TooLarge
+from orddraw.ingest import FormalContext, concept_lattice, serialize_order
 from orddraw.orders import (antichain, boolean_lattice, chain,
                             grid, inc_id_pairs, standard_example)
 from orddraw.graphs import is_bipartite_without, two_coloring
-from orddraw.tig import build_tig
+from orddraw import tig
+from orddraw.tig import MAX_TIG_VERTICES, build_tig
 from oracles import (build_tig_by_edge_list, has_cycle_with, incompatible,
                      random_order)
 
@@ -51,7 +57,7 @@ class TestPairPredicates:
         rng = random.Random(67)
         for _ in range(40):
             o = random_order(rng, rng.randint(2, 6))
-            dual = OrderRelation(o.ground, o.matrix.T)
+            dual = OrderRelation(o.ground, o.down)
             pairs = inc_id_pairs(o)
             for p in pairs:
                 for q in pairs:
@@ -148,3 +154,36 @@ class TestBipartiteCheck:
         # find such a vertex by trying all
         assert any(is_bipartite_without(g.graph, [g.vertices.index(p)])
                    for p in g.vertices)
+
+
+class TestSizeBound:
+    def test_antichain_400_is_refused_before_any_mask_is_built(self):
+        # 400 * 399 = 159,600 incomparable pairs: the neighbour masks alone
+        # could take 159,600^2 / 8 bytes, about 3.2 GB; the refusal comes
+        # from the popcounts of 400 incomparability masks
+        o = antichain(400)
+        assert 400 * 399 > MAX_TIG_VERTICES
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="159600 incomparable pairs"):
+                build_tig(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # with the bound at 12, antichain(4) (12 pairs) builds its tig, a
+        # perfect matching of each pair with its reverse; antichain(5) does not
+        monkeypatch.setattr(tig, "MAX_TIG_VERTICES", 12)
+        tg = build_tig(antichain(4))
+        assert len(tg.vertices) == 12 and tg.graph.m == 6
+        with pytest.raises(TooLarge, match="20 incomparable pairs"):
+            build_tig(antichain(5))
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "wide.order"
+        path.write_text(serialize_order(antichain(400)))
+        assert main(["cnf", "-i", str(path), "-k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "159600 incomparable pairs" in err and str(MAX_TIG_VERTICES) in err
