@@ -14,7 +14,7 @@ from .engine import (STRATEGIES, GridDrawing, compute_coordinates,
 from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
                      UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
-from .orders import OrderRelation, inc_id_pairs
+from .orders import OrderRelation, incomparable_masks
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
 from .tig import build_tig
@@ -85,7 +85,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
         _emit_drawing(drawing, ns.output)
     report = weak_dominance_stats(drawing)
     elapsed = time.perf_counter() - started
-    inc = len(inc_id_pairs(order))
+    inc = sum(mask.bit_count() for mask in incomparable_masks(order))
     # with the summary on stdout the line goes to stderr, so stdout is JSON
     print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "

@@ -102,8 +102,8 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
             indegree[w] -= 1
             if not indegree[w]:
                 order.append(w)
-    closed = [0] * n
     if len(order) == n:
+        closed = [0] * n
         for v in reversed(order):
             row = 1 << v
             for w in succ[v]:
@@ -258,37 +258,50 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
         generators[i] |= 1 << j
         reversed_generators[j] |= 1 << i
     up = transitive_closure(generators)
-    down = transitive_closure(reversed_generators)
-    for i, (u, d) in enumerate(zip(up, down)):
-        cyclic = u & d & ~(1 << i)
-        if cyclic:  # i and j reach each other: report the first such pair
-            j = bits(cyclic)[0]
-            adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
-            walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
-            raise CycleError([ground.label(v) for v in walk])
+    # in a closed relation two elements reach each other exactly when their
+    # rows are equal, so n distinct rows mean no cycle
+    if len(set(up)) < n:
+        first: dict[int, int] = {}
+        mutual = [(first.setdefault(row, j), j) for j, row in enumerate(up)]
+        i, j = min((i, j) for i, j in mutual if i != j)  # the first such pair
+        adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
+        walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
+        raise CycleError([ground.label(v) for v in walk])
+    # sorted by the number of elements above, the elements come in a linear
+    # extension, so each one's predecessors are closed before it
+    down = [0] * n
+    for v in sorted(range(n), key=lambda v: up[v].bit_count(), reverse=True):
+        col = 1 << v
+        for u in bits(reversed_generators[v]):
+            col |= down[u]
+        down[v] = col
     return OrderRelation(ground, up, down)
 
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
     """Pairs a < b with nothing strictly between (the diagram edges).
 
-    The covers of a are the elements strictly above it that lie strictly
-    above no other such element.  Those are collected as `beyond`, the OR
-    of the strict up-sets of the elements above a; an element already in
-    `beyond` adds nothing to it, since its up-set lies inside the one that
-    put it there, so it is skipped.
+    The covers of a are the minimal elements of the set strictly above a.
+    From any element of that set, stepping to an element of it strictly
+    below, while there is one, ends at a minimal one: a cover.  Everything
+    above that cover is then not minimal and leaves the candidates, so
+    each step either descends or finds a new cover.
     """
     lab = o.ground.labels
-    strict = [row & ~(1 << i) for i, row in enumerate(o.up)]
+    up = o.up
+    strictly_below = [col & ~(1 << i) for i, col in enumerate(o.down)]
     covers = []
-    for a, above in enumerate(strict):
-        beyond = 0
+    for a, row in enumerate(up):
+        above = row & ~(1 << a)
         rest = above
         while rest:
-            low = rest & -rest
-            beyond |= strict[low.bit_length() - 1]
-            rest &= ~(beyond | low)
-        covers.extend((lab[a], lab[b]) for b in bits(above & ~beyond))
+            c = (rest & -rest).bit_length() - 1
+            lower = strictly_below[c] & above
+            while lower:
+                c = (lower & -lower).bit_length() - 1
+                lower = strictly_below[c] & above
+            covers.append((lab[a], lab[c]))
+            rest &= ~up[c]
     return frozenset(covers)
 
 
