@@ -2,10 +2,12 @@
 
 The exact route is combinatorial: odd cycles never cross a bridge, so the
 graph splits into the components left after its bridges are removed, and
-each of those is searched by branching on the vertices of an odd cycle,
-from a lower bound of vertex-disjoint odd cycles upwards.  The search
-lists minimum removal sets in a fixed order and the caller may pick among
-them.  The CNF reduction (encode_oct) is only exported, by `orddraw cnf`,
+each of those is searched in place, on vertex masks of the whole graph,
+by branching on the vertices of an odd cycle.  The search starts from the
+larger of two lower bounds, a greedy count of vertex-disjoint odd cycles
+and a greedy packing of vertex-disjoint cliques K_t (t >= 4, each needing
+t - 2 removals), and deepens from there.  It lists minimum removal sets
+in a fixed order and the caller may pick among them.  The CNF reduction (encode_oct) is only exported, by `orddraw cnf`,
 for a solver the user runs.  The greedy and annealing heuristics trade
 optimality for speed; each one repairs its answer to validity and peels
 it to inclusion-minimality.
@@ -20,8 +22,8 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .graphs import (SimpleGraph, bridges, is_bipartite_without,
-                     odd_cycle_census, two_coloring)
-from .orders import bits
+                     odd_cycle_census, two_coloring_mask)
+from .orders import bits, mask_of
 from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
@@ -74,68 +76,103 @@ def encode_oct(g: SimpleGraph, k: int) -> CnfInstance:
     return CnfInstance(3 * n + num_aux, tuple(clauses))
 
 
-def _bridge_blocks(g: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:
-    """The non-bipartite components of g minus its bridges, each relabelled
-    to 0..b-1 in ascending vertex order (so neighbour order is kept), with
-    the vertices of g that the local labels stand for.
+def _bridge_blocks(g: SimpleGraph) -> list[int]:
+    """The vertex masks of the non-bipartite components of g minus its
+    bridges, in the order of their lowest vertices.
 
     Every cycle avoids the bridges, so g minus a vertex set is bipartite
     exactly when every block minus it is, and the minimum odd cycle
     transversals of g are the unions of one minimum transversal per block.
+    No bridge joins two vertices of one block, so a block is g with every
+    vertex outside it removed.
     """
     masks = list(g.masks)
     for u, v in bridges(g):
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
-    rest = SimpleGraph.from_masks(masks)
-    seen = [False] * g.n
+    everything = unseen = (1 << g.n) - 1
     blocks = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        found = [root]
-        for u in found:  # grows while it is walked: a breadth-first search
-            for w in rest.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    found.append(w)
-        vertices = tuple(sorted(found))
-        local = {v: i for i, v in enumerate(vertices)}
-        h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
-                                     for w in rest.neighbors(u) if u < w])
-        if not is_bipartite_without(h):
-            blocks.append((h, vertices))
+    while unseen:
+        block = frontier = unseen & -unseen
+        while frontier:  # a breadth-first search, a layer at a time
+            reach = 0
+            for u in bits(frontier):
+                reach |= masks[u]
+            frontier = reach & ~block
+            block |= frontier
+        unseen ^= block
+        if block.bit_count() >= 3 and two_coloring_mask(g, everything ^ block)[1]:
+            blocks.append(block)
     return blocks
 
 
-def _disjoint_odd_cycles(g: SimpleGraph, removed: frozenset[int], limit: int,
-                         known: dict[frozenset[int], tuple[int, ...] | None]
+def _clique_bound(g: SimpleGraph, block: int) -> int:
+    """The sum of t - 2 over vertex-disjoint cliques K_t with t >= 4 in
+    the block, packed greedily.
+
+    A K_t minus fewer than t - 2 of its vertices keeps a triangle, so every
+    transversal of the block holds at least this many vertices.  Each free
+    vertex in ascending order roots a clique, which grows by the common
+    neighbour with the most neighbours among the common neighbours (the
+    lowest on ties) until none is left; a clique of four or more vertices
+    is kept and its vertices are no longer free.
+    """
+    masks = g.masks
+    bound = 0
+    free = block
+    for v in bits(block):
+        if not free >> v & 1:
+            continue
+        common = masks[v] & free
+        if common.bit_count() < 3:
+            continue
+        clique, size = 1 << v, 1
+        while common:
+            most = -1
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                inside = (masks[u] & common).bit_count()
+                if inside > most:
+                    most, w = inside, u
+            clique |= 1 << w
+            size += 1
+            common &= masks[w]
+        if size >= 4:
+            bound += size - 2
+            free ^= clique
+    return bound
+
+
+def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
+                         known: dict[int, tuple[int, ...] | None]
                          ) -> list[tuple[int, ...]]:
-    """Vertex-disjoint odd cycles of g minus `removed`, found greedily, at
-    most limit + 1 of them.  Every transversal needs one vertex of each, so
-    their count bounds the minimum from below; the first is the cycle that
-    two_coloring reports for g minus `removed`.  `known` maps each vertex
-    set already tried to two_coloring's cycle for g minus it: the search
-    meets the same sets again, at other nodes and at each larger k."""
+    """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
+    found greedily, at most limit + 1 of them.  Every transversal needs one
+    vertex of each, so their count bounds the minimum from below; the first
+    is the cycle that two_coloring reports for g minus `removed`.  `known`
+    maps each vertex mask already tried to two_coloring's cycle for g minus
+    it: the search meets the same sets again, at other nodes and at each
+    larger k."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
         if gone not in known:
-            known[gone] = two_coloring(g, gone)[1]
+            known[gone] = two_coloring_mask(g, gone)[1]
         cycle = known[gone]
         if cycle is None:
             break
         cycles.append(cycle)
-        gone = gone.union(cycle)
+        gone |= mask_of(cycle)
     return cycles
 
 
-def _lazy_product(sources: list[Iterator[frozenset[int]]]) \
-        -> Iterator[tuple[frozenset[int], ...]]:
+def _lazy_product(sources: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
     """The tuples of itertools.product(*sources), in its order (the last
     source varies fastest), drawing each source only as far as needed."""
-    drawn: list[list[frozenset[int]]] = [[] for _ in sources]
+    drawn: list[list[int]] = [[] for _ in sources]
 
     def has(i: int, j: int) -> bool:
         if j == len(drawn[i]):
@@ -167,8 +204,11 @@ class TransversalSearch:
     """Distinct minimum odd cycle transversals of g, lazily, at most
     MAX_TRANSVERSALS of them; no SAT call.
 
-    Each bridge block is searched by iterative deepening on k from its
-    lower bound of greedily found vertex-disjoint odd cycles.  A node
+    Each bridge block is searched in place, on g with the vertices outside
+    it removed, by iterative deepening on k from its lower bound: the
+    larger of its count of greedily found vertex-disjoint odd cycles and
+    its greedy clique packing bound.  No transversal is smaller than
+    either, so the rounds this skips would have found nothing.  A node
     removes a vertex set and branches on the vertices of one odd cycle of
     the rest, since every transversal contains one of them; it fails when
     more disjoint odd cycles remain than its budget.  A node already
@@ -176,12 +216,13 @@ class TransversalSearch:
     this skips exactly the nodes that failed, and after it a repeat could
     only yield sets already yielded.  The first k that yields anything is
     the block's minimum, and the block's sets come in depth-first order.
-    The sets of g are unions of one set per block, in product order.
+    Vertex sets are held as masks while the search runs.  The sets of g
+    are unions of one set per block, in product order.
 
     After the first set, `k` is the minimum size; `lower_bound` sums the
-    blocks' disjoint-cycle bounds and `branch_nodes` counts the nodes
-    searched so far; they accumulate, so iterate a search once.  A
-    bipartite graph yields the empty set alone.
+    blocks' starting bounds and `branch_nodes` counts the nodes searched
+    so far; they accumulate, so iterate a search once.  A bipartite graph
+    yields the empty set alone.
     """
 
     def __init__(self, g: SimpleGraph):
@@ -189,31 +230,37 @@ class TransversalSearch:
         self.k = self.lower_bound = self.branch_nodes = 0
 
     def __iter__(self) -> Iterator[frozenset[int]]:
-        per_block = [self._block(h, vertices) for h, vertices in _bridge_blocks(self.g)]
+        per_block = [self._block(block) for block in _bridge_blocks(self.g)]
         for parts in islice(_lazy_product(per_block), MAX_TRANSVERSALS):
-            yield frozenset().union(*parts)
+            union = 0
+            for part in parts:
+                union |= part
+            yield frozenset(bits(union))
 
-    def _block(self, g: SimpleGraph, vertices: tuple[int, ...]) -> Iterator[frozenset[int]]:
-        known: dict[frozenset[int], tuple[int, ...] | None] = {}
-        lower = len(_disjoint_odd_cycles(g, frozenset(), g.n, known))
+    def _block(self, block: int) -> Iterator[int]:
+        g = self.g
+        outside = ((1 << g.n) - 1) ^ block
+        known: dict[int, tuple[int, ...] | None] = {}
+        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known)),
+                    _clique_bound(g, block))
         self.lower_bound += lower
         k = lower
         while True:
-            searched: set[frozenset[int]] = set()
+            searched: set[int] = set()
 
-            def search(removed: frozenset[int], budget: int) -> Iterator[frozenset[int]]:
+            def search(removed: int, budget: int) -> Iterator[int]:
                 searched.add(removed)
                 self.branch_nodes += 1
                 cycles = _disjoint_odd_cycles(g, removed, budget, known)
                 if not cycles:
-                    yield frozenset(vertices[v] for v in removed)
+                    yield removed ^ outside
                 elif len(cycles) <= budget:
                     for v in cycles[0]:
-                        child = removed | {v}
+                        child = removed | 1 << v
                         if child not in searched:
                             yield from search(child, budget - 1)
 
-            found = search(frozenset(), k)
+            found = search(outside, k)
             first = next(found, None)
             if first is not None:
                 self.k += k
@@ -261,9 +308,7 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     parent = list(range(g.n))
     # colour relative to the parent, read only below a root
     parity = [0] * g.n
-    gone = 0
-    for v in removed:
-        gone |= 1 << v
+    gone = mask_of(removed)
     unseen = ((1 << g.n) - 1) & ~gone
     colours = [0, 0]  # the kept vertices by colour relative to their root
     while unseen:

@@ -9,8 +9,9 @@ import time
 from pathlib import Path
 
 from .bipartization import encode_oct
-from .engine import (STRATEGIES, GridDrawing, compute_coordinates,
-                     drawing_to_json, perturbed_labels, weak_dominance_stats)
+from .engine import (STRATEGIES, DominanceReport, GridDrawing,
+                     compute_coordinates, drawing_to_json, perturbed_labels,
+                     weak_dominance_stats)
 from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
                      UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
@@ -48,21 +49,23 @@ def _write_bytes(path: str | None, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
+# Each emitter takes the drawing and its weak_dominance_stats report, which
+# only the JSON writer reads: the summary line reports the same count.
 _EMITTERS = {
-    ".svg": emit_svg,
-    ".tikz": emit_tikz,
-    ".tex": emit_tikz,
-    ".json": lambda d: drawing_to_json(d).encode("utf-8"),
-    ".dot": emit_dot,
+    ".svg": lambda d, report: emit_svg(d),
+    ".tikz": lambda d, report: emit_tikz(d),
+    ".tex": lambda d, report: emit_tikz(d),
+    ".json": lambda d, report: drawing_to_json(d, report).encode("utf-8"),
+    ".dot": lambda d, report: emit_dot(d),
 }
 
 
-def _emit_drawing(d: GridDrawing, path: str) -> None:
+def _emit_drawing(d: GridDrawing, path: str, report: DominanceReport) -> None:
     ext = Path(path).suffix.lower()
     if ext not in _EMITTERS:
         known = " ".join(sorted(_EMITTERS))
         raise ValueError(f"cannot infer output format from {path!r} (known: {known})")
-    _write_bytes(path, _EMITTERS[ext](d))
+    _write_bytes(path, _EMITTERS[ext](d, report))
 
 
 def cmd_draw(ns: argparse.Namespace) -> int:
@@ -81,9 +84,9 @@ def cmd_draw(ns: argparse.Namespace) -> int:
         if ns.verbose:
             print(f"perturbation moved {len(perturbed_labels(drawing))} points "
                   f"to clear {len(conflicts)} conflicts", file=sys.stderr)
-    if ns.output:
-        _emit_drawing(drawing, ns.output)
     report = weak_dominance_stats(drawing)
+    if ns.output:
+        _emit_drawing(drawing, ns.output, report)
     elapsed = time.perf_counter() - started
     inc = sum(mask.bit_count() for mask in incomparable_masks(order))
     # with the summary on stdout the line goes to stderr, so stdout is JSON

@@ -32,7 +32,7 @@ from typing import Callable
 from .bipartization import OctResult, min_oct_exact, oct_anneal, oct_greedy
 from .errors import OrderViolation
 from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
-                     incomparable_masks)
+                     incomparable_masks, mask_of)
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .tig import TigGraph, build_tig
@@ -260,8 +260,7 @@ def _greater(values: list[int]) -> list[int]:
         tied = list(tied)
         for i in tied:
             greater[i] = acc
-        for i in tied:
-            acc |= 1 << i
+        acc |= mask_of(tied)
     return greater
 
 
@@ -303,14 +302,16 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
 
 
-def drawing_to_json(d: GridDrawing) -> str:
+def drawing_to_json(d: GridDrawing, report: DominanceReport | None = None) -> str:
     """Stable JSON dump of a drawing (schema documented in the README).
 
     The schema is fixed, so the text is written directly: byte for byte
     what json.dumps(doc, indent=2) + "\n" writes (strings escaped to ASCII,
     numbers by repr), without the pure-Python encoder that indent selects.
+    `report` is weak_dominance_stats(d), computed here when not given.
     """
-    report = weak_dominance_stats(d)
+    if report is None:
+        report = weak_dominance_stats(d)
     text = encode_basestring_ascii
     elements = []
     for label in d.order.ground:

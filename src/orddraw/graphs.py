@@ -6,13 +6,15 @@ monochromatic edges and yields each one it meets, serves both
 `two_coloring` (the first such edge closes an odd walk, the witness of
 non-bipartiteness) and `odd_cycle_census` (every such edge counts its
 BFS-tree cycle); the bipartization strategies build on those two.
+`two_coloring_mask` is `two_coloring` with the removed vertices given as
+a mask, for callers that keep their vertex sets as masks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .orders import bits
+from .orders import bits, mask_of
 
 
 class SimpleGraph:
@@ -128,9 +130,10 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[in
     return tuple(pu + pv[-2::-1])
 
 
-def _colour_conflicts(g: SimpleGraph, removed: Iterable[int], color: list[int | None],
+def _colour_conflicts(g: SimpleGraph, gone: int, color: list[int | None],
                       parent: list[int], depth: list[int]) -> Iterator[tuple[int, int]]:
-    """BFS 2-colouring of g minus `removed` into the caller's lists.
+    """BFS 2-colouring of g minus the vertices in the mask `gone` into the
+    caller's lists.
 
     Run to the end, it gives every kept vertex a 0/1 colour from its BFS
     tree even when the graph is not bipartite; removed vertices stay None.
@@ -142,9 +145,6 @@ def _colour_conflicts(g: SimpleGraph, removed: Iterable[int], color: list[int | 
     mask and a step per newly coloured neighbour, not a step per edge.
     """
     masks = g.masks
-    gone = 0
-    for v in removed:
-        gone |= 1 << v
     unseen = ((1 << g.n) - 1) & ~gone
     sides = [0, 0]  # the vertices coloured 0 and 1
     while unseen:
@@ -184,10 +184,16 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     for removed vertices; or (None, cycle) where cycle is an odd closed
     walk (vertex tuple, no repeated endpoint) witnessing non-bipartiteness.
     """
+    return two_coloring_mask(g, mask_of(removed))
+
+
+def two_coloring_mask(g: SimpleGraph, gone: int) \
+        -> tuple[list[int | None] | None, tuple[int, ...] | None]:
+    """two_coloring of g minus the vertices whose bits are set in `gone`."""
     color: list[int | None] = [None] * g.n
     parent = [-1] * g.n
     depth = [0] * g.n
-    for u, w in _colour_conflicts(g, removed, color, parent, depth):
+    for u, w in _colour_conflicts(g, gone, color, parent, depth):
         return None, _tree_cycle(parent, depth, u, w)
     return color, None
 
@@ -208,7 +214,7 @@ def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
     parent = [-1] * g.n
     depth = [0] * g.n
     counts: dict[int, int] = {}
-    for u, w in _colour_conflicts(g, removed, color, parent, depth):
+    for u, w in _colour_conflicts(g, mask_of(removed), color, parent, depth):
         if u < w:  # each edge once
             for x in _tree_cycle(parent, depth, u, w):
                 counts[x] = counts.get(x, 0) + 1

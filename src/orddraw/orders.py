@@ -33,6 +33,14 @@ def bits(mask: int) -> list[int]:
     return found
 
 
+def mask_of(positions: Iterable[int]) -> int:
+    """The mask with the given bits set; the inverse of bits."""
+    mask = 0
+    for i in positions:
+        mask |= 1 << i
+    return mask
+
+
 def transpose(rows: Sequence[int]) -> list[int]:
     """Column masks of a square relation given by its row masks."""
     cols = [0] * len(rows)

@@ -517,6 +517,75 @@ def brute_force_oct(g, max_vertices=20):
     raise AssertionError("unreachable: removing every vertex is bipartite")
 
 
+def reference_transversals(g):
+    """The sets TransversalSearch(g) lists, in its order, by the search it
+    replaced: each bridge block is relabelled to a graph of its own and
+    searched with frozenset keys from its disjoint-odd-cycle bound alone,
+    every block's sets are listed in full, and the first MAX_TRANSVERSALS
+    tuples of their itertools.product give the unions."""
+    from orddraw.bipartization import MAX_TRANSVERSALS
+    from orddraw.graphs import SimpleGraph, bridges, is_bipartite_without, two_coloring
+
+    cut = bridges(g)
+    rest = [[w for w in g.neighbors(u) if (min(u, w), max(u, w)) not in cut]
+            for u in range(g.n)]
+    seen = [False] * g.n
+    blocks = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        found = [root]
+        for u in found:
+            for w in rest[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    found.append(w)
+        vertices = tuple(sorted(found))
+        local = {v: i for i, v in enumerate(vertices)}
+        h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
+                                     for w in rest[u] if u < w])
+        if not is_bipartite_without(h):
+            blocks.append((h, vertices))
+
+    def disjoint_odd_cycles(h, removed, limit, known):
+        gone, cycles = removed, []
+        while len(cycles) <= limit:
+            if gone not in known:
+                known[gone] = two_coloring(h, gone)[1]
+            if known[gone] is None:
+                break
+            cycles.append(known[gone])
+            gone = gone.union(known[gone])
+        return cycles
+
+    def block_sets(h, vertices):
+        known = {}
+        k = len(disjoint_odd_cycles(h, frozenset(), h.n, known))
+        while True:
+            searched, sets = set(), []
+
+            def search(removed, budget):
+                searched.add(removed)
+                cycles = disjoint_odd_cycles(h, removed, budget, known)
+                if not cycles:
+                    sets.append(frozenset(vertices[v] for v in removed))
+                elif len(cycles) <= budget:
+                    for v in cycles[0]:
+                        child = removed | {v}
+                        if child not in searched:
+                            search(child, budget - 1)
+
+            search(frozenset(), k)
+            if sets:
+                return sets
+            k += 1
+
+    per_block = [block_sets(h, vertices) for h, vertices in blocks]
+    return [frozenset().union(*parts) for parts in
+            itertools.islice(itertools.product(*per_block), MAX_TRANSVERSALS)]
+
+
 def forced_coloring(g, removed=(), visits=None):
     """(colors, parent, depth) of a BFS colouring of g minus `removed` that
     pushes past conflicts: every kept vertex gets a 0/1 colour from its BFS

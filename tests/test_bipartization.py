@@ -19,9 +19,11 @@ from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
                                    encode_oct, min_oct_exact, oct_anneal,
                                    oct_greedy, peel_to_minimal, _cold_steps,
                                    _repair)
+from orddraw.orders import standard_example
+from orddraw.tig import build_tig
 from oracles import (anneal_by_recount, brute_force_oct,
-                     peel_to_minimal_by_bfs, removal_set, row_masks,
-                     solve_by_milp)
+                     peel_to_minimal_by_bfs, reference_transversals,
+                     removal_set, row_masks, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -242,7 +244,8 @@ class TestExactSearch:
         res = min_oct_exact(g)
         assert set(res.stats) == {"k", "lower_bound", "branch_nodes", "examined"}
         assert res.stats["k"] == 3
-        assert res.stats["lower_bound"] == 2  # one triangle of K4, the C5
+        # the K4 block's clique bound 2 beats its one disjoint triangle; the C5 adds 1
+        assert res.stats["lower_bound"] == 3
         assert res.stats["branch_nodes"] >= 1
         assert res.stats["examined"] == 1
 
@@ -281,6 +284,46 @@ class TestTransversalSearch:
         listed = list(search)
         assert len(set(listed)) == MAX_TRANSVERSALS
         assert search.k == 4 and search.lower_bound == 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 12), st.sampled_from([0.2, 0.3, 0.5, 0.7]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_lists_the_reference_sequence(self, n, density, seed):
+        g = random_graph(random.Random(seed), n, density)
+        assert list(TransversalSearch(g)) == reference_transversals(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["complete", "cycle"]), st.integers(3, 6)),
+                    min_size=1, max_size=5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_lists_the_reference_sequence_across_bridged_blocks(self, kinds, seed):
+        """Complete and cycle graphs joined in a chain by bridges between
+        drawn vertices: several blocks, so the product order shows, and
+        often more than MAX_TRANSVERSALS unions, so the cut shows too."""
+        rng = random.Random(seed)
+        parts = [complete_graph(size) if kind == "complete" else cycle_graph(size)
+                 for kind, size in kinds]
+        links = [(i, rng.randrange(parts[i].n), i + 1, rng.randrange(parts[i + 1].n))
+                 for i in range(len(parts) - 1)]
+        g = union(parts, links)
+        assert list(TransversalSearch(g)) == reference_transversals(g)
+
+
+class TestLowerBound:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10), st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_never_exceeds_the_minimum(self, n, density, seed):
+        g = random_graph(random.Random(seed), n, density)
+        k, lower, _ = min_oct_size(g)
+        assert lower <= len(brute_force_oct(g).removed) == k
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_meets_the_minimum_on_standard_examples(self, n):
+        """The tig of standard_example(n) holds a K_n, so the clique bound
+        starts the search at its minimum n - 2 and no round fails."""
+        stats = min_oct_exact(build_tig(standard_example(n)).graph).stats
+        assert stats["lower_bound"] == stats["k"] == n - 2
 
 
 class TestBruteForce:

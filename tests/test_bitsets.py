@@ -21,7 +21,7 @@ from orddraw.engine import (_insert_checked, _insert_one_by_one,
 from orddraw.errors import OrderViolation
 from orddraw.orders import (GroundSet, OrderRelation, bits, cover_relation,
                             inc_id_pairs, intersect_linear, linear_from_sequence,
-                            transitive_closure, transpose)
+                            mask_of, transitive_closure, transpose)
 from orddraw.orientation import compute_conjugate_order
 from orddraw.tig import build_tig
 from oracles import (blas_closure, cover_relation_by_blas, dense,
@@ -73,6 +73,7 @@ class TestMasks:
     def test_bits_and_transpose(self, raw):
         rows = row_masks(raw)
         assert [bits(row) for row in rows] == [np.flatnonzero(r).tolist() for r in raw]
+        assert [mask_of(np.flatnonzero(r).tolist()) for r in raw] == rows
         assert transpose(rows) == row_masks(raw.T)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orddraw import cli, engine
 from orddraw.bipartization import OctResult, encode_oct
 from orddraw.cli import main
 from orddraw.engine import STRATEGIES, compute_coordinates
@@ -74,6 +75,27 @@ class TestDraw:
         assert doc["passes"] == 1
         assert len(doc["elements"]) == 6
         assert doc["inserted_pairs"] in ([["a1", "b1"]], [["a2", "b2"]], [["a3", "b3"]])
+
+    def test_json_output_counts_false_comparabilities_once(self, s3_file, tmp_path,
+                                                           monkeypatch, capsys):
+        """The JSON file and the summary line share one weak_dominance_stats
+        report, and both still carry its count."""
+        calls = []
+        original = engine.weak_dominance_stats
+
+        def counted(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(cli, "weak_dominance_stats", counted)
+        monkeypatch.setattr(engine, "weak_dominance_stats", counted)
+        target = tmp_path / "diagram.json"
+        assert main(["draw", "-i", s3_file, "-o", str(target),
+                     "--summary-json", str(tmp_path / "summary.json")]) == 0
+        assert len(calls) == 1
+        assert json.loads(target.read_text())["false_comparabilities"] == 1
+        assert json.loads((tmp_path / "summary.json").read_text())["false_comparabilities"] == 1
+        assert "false_comparabilities=1" in capsys.readouterr().out
 
     def test_tikz_and_dot_outputs(self, diamond_file, tmp_path):
         for name in ("d.tikz", "d.tex", "d.dot"):

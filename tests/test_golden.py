@@ -16,7 +16,9 @@ graphs were built straight from their matrices, and
 bitsets with one linear-order check.  `intersect_linear_150` and
 `random_order_130_anneal` were recorded while orders, the closure and the
 tig still ran on numpy matrices and float32 BLAS products, before they
-moved to integer bitsets.  Any refactor of render,
+moved to integer bitsets, and `standard_example_10_sat` before the exact
+search started at a clique-packing bound and searched bridge blocks in
+place on masks.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 """
@@ -76,6 +78,10 @@ CASES = {
     "standard_example_4_sat": lambda: compute_coordinates(standard_example(4), strategy="sat"),
     # k = 4: a growing-k search proves k = 1, 2, 3 unsatisfiable first
     "standard_example_6_sat": lambda: compute_coordinates(standard_example(6), strategy="sat"),
+    # k = 8: the clique bound starts the search there, where the
+    # disjoint-cycle bound alone started at k = 3 and searched five rounds
+    # that found nothing
+    "standard_example_10_sat": lambda: compute_coordinates(standard_example(10), strategy="sat"),
     # one pass, k = 3 on a tig of 68 vertices and 156 edges; re-recorded when
     # the branch search replaced the SAT call: it inserts another minimum
     # set, x10 < x1, x3 < x1, x7 < x5 instead of x10 < x1, x10 < x7,
@@ -135,6 +141,8 @@ GOLDEN = {
         "a6be0a42bb7709a2a1a1cf0dbbc414dd02112ced673550d6a05925d88a512212",
     "standard_example_4_sat":
         "1383a3162c0d2338fc93105d20220c3c6698f6c5cc45ab2ce6078774d7a66bab",
+    "standard_example_10_sat":
+        "14218efbb5c9ed29fcde75a1eaea8e471c45ffa1c368de9f9f3da952c269af14",
     "standard_example_6_sat":
         "5364929fd10f65ce1f6431f11a5cd2ef652cc13ae99bd9ea612244dde8c2cc2c",
 }

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
                             bridges, is_bipartite_without, odd_cycle_census,
-                            two_coloring)
+                            two_coloring, two_coloring_mask)
 from oracles import (forced_coloring, monochromatic_edges,
                      odd_cycle_census_after_coloring, row_masks)
 
@@ -217,7 +217,8 @@ class TestColourConflicts:
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
             removed = random_removed(rng, g)
             color, parent, depth = [None] * g.n, [-1] * g.n, [0] * g.n
-            met = list(_colour_conflicts(g, removed, color, parent, depth))
+            gone = sum(1 << v for v in removed)
+            met = list(_colour_conflicts(g, gone, color, parent, depth))
             assert (color, parent, depth) == forced_coloring(g, removed)
             mono = [(u, v) for u, v in g.edges
                     if color[u] is not None and color[u] == color[v]]
@@ -227,7 +228,8 @@ class TestColourConflicts:
 
     def test_matches_the_oracles_on_random_graphs(self):
         """two_coloring stops at the first monochromatic edge of the BFS
-        (dequeue order, then neighbour order) and returns its tree cycle;
+        (dequeue order, then neighbour order) and returns its tree cycle,
+        as two_coloring_mask does given the removed vertices as a mask;
         the census equals the one read off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
@@ -240,6 +242,7 @@ class TestColourConflicts:
             first = next(((u, w) for u in visits for w in g.neighbors(u)
                           if w not in removed and ref[w] == ref[u]), None)
             colors, cycle = two_coloring(g, removed)
+            assert two_coloring_mask(g, sum(1 << v for v in removed)) == (colors, cycle)
             if first is None:
                 assert (colors, cycle) == (ref, None)
             else:
