@@ -1,16 +1,16 @@
 """Vertex bipartization (minimum odd cycle transversal).
 
-The exact route is combinatorial: odd cycles never cross a bridge, so the
-graph splits into the components left after its bridges are removed, and
-each of those is searched in place, on vertex masks of the whole graph,
-by branching on the vertices of an odd cycle.  The search starts from the
-larger of two lower bounds, a greedy count of vertex-disjoint odd cycles
-and a greedy packing of vertex-disjoint cliques K_t (t >= 4, each needing
-t - 2 removals), and deepens from there.  It lists minimum removal sets
-in a fixed order and the caller may pick among them.  The CNF reduction (encode_oct) is only exported, by `orddraw cnf`,
+The exact route is combinatorial: odd cycles never cross a bridge, so each
+odd block of `graphs.odd_blocks` is searched in place, on vertex masks of
+the whole graph, by branching on the vertices of an odd cycle.  The
+search starts from the larger of two lower bounds, a greedy count of
+vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
+cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
+there.  It lists minimum removal sets in a fixed order and the caller may
+pick among them.  `orddraw cnf` exports the CNF reduction (encode_oct)
 for a solver the user runs.  The greedy and annealing heuristics trade
-optimality for speed; each one repairs its answer to validity and peels
-it to inclusion-minimality.
+optimality for speed; each repairs its answer to validity and peels it to
+inclusion-minimality.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
-from .graphs import (SimpleGraph, bridges, is_bipartite_without,
-                     odd_cycle_census, two_coloring_mask)
+from .graphs import (SimpleGraph, _colour_conflicts, is_bipartite_without,
+                     odd_blocks, odd_cycle_census, two_coloring_mask)
 from .orders import bits, mask_of
 from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
@@ -74,36 +74,6 @@ def encode_oct(g: SimpleGraph, k: int) -> CnfInstance:
     clauses.extend(tuple(cl) for cl in counter)
     num_aux = (n - 1) * k if (k >= 1 and n >= 2) else 0
     return CnfInstance(3 * n + num_aux, tuple(clauses))
-
-
-def _bridge_blocks(g: SimpleGraph) -> list[int]:
-    """The vertex masks of the non-bipartite components of g minus its
-    bridges, in the order of their lowest vertices.
-
-    Every cycle avoids the bridges, so g minus a vertex set is bipartite
-    exactly when every block minus it is, and the minimum odd cycle
-    transversals of g are the unions of one minimum transversal per block.
-    No bridge joins two vertices of one block, so a block is g with every
-    vertex outside it removed.
-    """
-    masks = list(g.masks)
-    for u, v in bridges(g):
-        masks[u] ^= 1 << v
-        masks[v] ^= 1 << u
-    everything = unseen = (1 << g.n) - 1
-    blocks = []
-    while unseen:
-        block = frontier = unseen & -unseen
-        while frontier:  # a breadth-first search, a layer at a time
-            reach = 0
-            for u in bits(frontier):
-                reach |= masks[u]
-            frontier = reach & ~block
-            block |= frontier
-        unseen ^= block
-        if block.bit_count() >= 3 and two_coloring_mask(g, everything ^ block)[1]:
-            blocks.append(block)
-    return blocks
 
 
 def _clique_bound(g: SimpleGraph, block: int) -> int:
@@ -171,29 +141,33 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
 
 def _lazy_product(sources: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
     """The tuples of itertools.product(*sources), in its order (the last
-    source varies fastest), drawing each source only as far as needed."""
-    drawn: list[list[int]] = [[] for _ in sources]
+    source varies fastest), drawing each source only as far as needed.
+    A run of sources is its first half's product times its second's, so
+    the generators nest only log2(len(sources)) deep."""
+    drawn: list[list[int | None]] = [[] for _ in sources]
 
-    def has(i: int, j: int) -> bool:
+    def item(i: int, j: int) -> int | None:
+        """Item j of source i, drawn on the first request; None past its end."""
         if j == len(drawn[i]):
-            item = next(sources[i], None)
-            if item is None:
-                return False
-            drawn[i].append(item)
-        return True
+            drawn[i].append(next(sources[i], None))
+        return drawn[i][j]
 
-    if not all(has(i, 0) for i in range(len(sources))):
-        return
-    at = [0] * len(sources)
-    while True:
-        yield tuple(d[j] for d, j in zip(drawn, at))
-        i = len(sources) - 1
-        while i >= 0 and not has(i, at[i] + 1):
-            at[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        at[i] += 1
+    def product(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            for head in product(lo, mid):
+                for tail in product(mid, hi):
+                    yield head + tail
+        elif hi > lo:
+            j = 0
+            while (head := item(lo, j)) is not None:
+                yield (head,)
+                j += 1
+        else:
+            yield ()
+
+    if all(item(i, 0) is not None for i in range(len(sources))):
+        yield from product(0, len(sources))
 
 
 # A transversal search lists at most this many sets.
@@ -230,12 +204,9 @@ class TransversalSearch:
         self.k = self.lower_bound = self.branch_nodes = 0
 
     def __iter__(self) -> Iterator[frozenset[int]]:
-        per_block = [self._block(block) for block in _bridge_blocks(self.g)]
+        per_block = [self._block(block) for block in odd_blocks(self.g)]
         for parts in islice(_lazy_product(per_block), MAX_TRANSVERSALS):
-            union = 0
-            for part in parts:
-                union |= part
-            yield frozenset(bits(union))
+            yield frozenset(bits(sum(parts)))  # disjoint blocks: sum is union
 
     def _block(self, block: int) -> Iterator[int]:
         g = self.g
@@ -296,45 +267,26 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     afterwards, so the graph it would rejoin only grows and keeps its odd
     cycle; a second pass would drop nothing.  The kept graph is held as a
     union-find in which each vertex stores its colour relative to its
-    parent, seeded by one breadth-first search over the neighbour masks that
-    hangs every kept vertex straight off its component's root with its
-    colour.  A vertex may return when, within each component, its kept
-    neighbours all have one colour; it then joins those components with the
-    other colour, so each check costs its degree rather than a two-colouring
-    of the graph.  A set whose rest is not bipartite comes back unchanged.
+    parent.  It starts as the forest of the breadth-first colouring that
+    `two_coloring` runs: a root has parent -1, and every other kept vertex
+    hangs off its BFS parent with the other colour.  A vertex may return
+    when, within each component, its kept neighbours all have one colour;
+    it then joins those components with the other colour, so each check
+    costs its degree rather than a two-colouring of the graph.  A set
+    whose rest is not bipartite comes back unchanged.
     """
     removed = frozenset(removed)
     masks = g.masks
-    parent = list(range(g.n))
-    # colour relative to the parent, read only below a root
-    parity = [0] * g.n
     gone = mask_of(removed)
-    unseen = ((1 << g.n) - 1) & ~gone
-    colours = [0, 0]  # the kept vertices by colour relative to their root
-    while unseen:
-        root = (unseen & -unseen).bit_length() - 1
-        unseen ^= 1 << root
-        colours[0] |= 1 << root
-        found = [root]
-        for u in found:  # grows while it is walked: a breadth-first search
-            colour = parity[u]
-            if masks[u] & colours[colour]:
-                return removed  # a monochromatic kept edge
-            new = masks[u] & unseen
-            if new:
-                unseen ^= new
-                colours[colour ^ 1] |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    w = low.bit_length() - 1
-                    parent[w], parity[w] = root, colour ^ 1
-                    found.append(w)
+    parent = [-1] * g.n
+    for _ in _colour_conflicts(g, gone, [None] * g.n, parent, [0] * g.n):
+        return removed  # a monochromatic kept edge
+    parity = [1] * g.n  # colour relative to the parent, read only below a root
 
     def find(v: int) -> tuple[int, int]:
         """(root, colour relative to the root) of v, compressing its path."""
         path = []
-        while parent[v] != v:
+        while parent[v] >= 0:
             path.append(v)
             v = parent[v]
         colour = 0

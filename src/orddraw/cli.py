@@ -116,6 +116,8 @@ def cmd_cnf(ns: argparse.Namespace) -> int:
         raise ValueError("k must be non-negative")
     order = _load_order(ns)
     tg = build_tig(order)
+    if ns.k > tg.graph.n:  # removing every vertex already needs only k = n
+        raise ValueError(f"k must be at most the tig's vertex count {tg.graph.n}")
     cnf = encode_oct(tg.graph, ns.k)
     stats = (f"tig: n={tg.graph.n} m={tg.graph.m} k={ns.k} "
              f"vars={cnf.num_vars} clauses={len(cnf.clauses)}")
@@ -155,11 +157,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--input-format", choices=("order", "cxt", "auto"),
                        default="auto",
                        help="input kind; auto picks cxt for .cxt files")
-        p.add_argument("-v", "--verbose", action="store_true",
-                       help="chatty progress on stderr")
 
     draw = sub.add_parser("draw", help="compute and export a diagram")
     common(draw)
+    draw.add_argument("-v", "--verbose", action="store_true",
+                      help="chatty progress on stderr")
     draw.add_argument("-o", "--output",
                       help="output file; format from extension "
                            "(.svg .tikz .tex .json .dot)")

@@ -1,13 +1,13 @@
-"""Undirected simple graphs and the two-coloring primitive.
+"""Undirected simple graphs, their two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
-over them.  One breadth-first colouring, which pushes past
-monochromatic edges and yields each one it meets, serves both
-`two_coloring` (the first such edge closes an odd walk, the witness of
-non-bipartiteness) and `odd_cycle_census` (every such edge counts its
-BFS-tree cycle); the bipartization strategies build on those two.
-`two_coloring_mask` is `two_coloring` with the removed vertices given as
-a mask, for callers that keep their vertex sets as masks.
+over them.  One breadth-first colouring, which pushes past monochromatic
+edges and yields each one it meets, serves `two_coloring` (the first such
+edge closes an odd walk), `odd_cycle_census` (each such edge counts its
+BFS-tree cycle) and `bipartization.peel_to_minimal`, which starts from
+its forest; `two_coloring_mask` takes the removed vertices as a mask.
+`odd_blocks` finds the non-bipartite blocks between the bridges in one
+depth-first search.
 """
 
 from __future__ import annotations
@@ -80,36 +80,58 @@ class SimpleGraph:
         return f"SimpleGraph({self.n} vertices, {self.m} edges)"
 
 
-def bridges(g: SimpleGraph) -> set[tuple[int, int]]:
-    """Edges (u < v) on no cycle, by an iterative Tarjan low-link pass."""
+def odd_blocks(g: SimpleGraph) -> list[int]:
+    """The vertex masks of the non-bipartite components of g minus its
+    bridges, in the order of their lowest vertices.
+
+    Every cycle avoids the bridges, so g minus a vertex set is bipartite
+    exactly when every block minus it is, and the minimum odd cycle
+    transversals of g are the unions of one minimum transversal per block.
+    No bridge joins two vertices of one block, so a block is g with every
+    vertex outside it removed.  One iterative Tarjan low-link search pops
+    each block off its stack of discovered vertices once low[u] == order[u]
+    at u's finish.  The depth parities colour the block's tree edges, so
+    the block is odd when one of its non-tree edges joins equal parities.
+    """
+    masks = g.masks
     order = [-1] * g.n  # discovery time
     low = [0] * g.n
-    found: set[tuple[int, int]] = set()
+    depth = [0] * g.n
+    stack: list[int] = []  # discovered vertices whose block is still open
+    odd = 0  # the ends of non-tree edges that join equal depth parities
+    blocks = []
     clock = 0
     for root in range(g.n):
         if order[root] >= 0:
             continue
         order[root] = low[root] = clock
         clock += 1
-        # frames: (vertex, parent, iterator over its neighbours)
-        stack = [(root, -1, iter(g.neighbors(root)))]
-        while stack:
-            u, parent, it = stack[-1]
+        stack.append(root)
+        frames = [(root, -1, iter(bits(masks[root])), 0)]  # (u, parent, neighbours, stack height)
+        while frames:
+            u, parent, it, at = frames[-1]
             for w in it:
                 if order[w] < 0:
                     order[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, u, iter(g.neighbors(w))))
+                    depth[w] = depth[u] + 1
+                    frames.append((w, u, iter(bits(masks[w])), len(stack)))
+                    stack.append(w)
                     break
                 if w != parent:
                     low[u] = min(low[u], order[w])
+                    if not (depth[u] ^ depth[w]) & 1:
+                        odd |= 1 << u
             else:
-                stack.pop()
+                frames.pop()
                 if parent >= 0:
                     low[parent] = min(low[parent], low[u])
-                    if low[u] > order[parent]:
-                        found.add((parent, u) if parent < u else (u, parent))
-    return found
+                if low[u] == order[u]:
+                    block = mask_of(stack[at:])
+                    del stack[at:]
+                    if block & odd:
+                        blocks.append(block)
+    return sorted(blocks, key=lambda block: block & -block)
 
 
 def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:

@@ -158,12 +158,16 @@ def _extent_label(ctx: FormalContext, extent_mask: int) -> str:
     return "{" + ",".join(sorted(names)) + "}"
 
 
-def concept_lattice(ctx: FormalContext, max_concepts: int = 2 ** 14) -> OrderRelation:
+MAX_CONCEPTS = 2 ** 14  # the most concepts concept_lattice builds
+
+
+def concept_lattice(ctx: FormalContext) -> OrderRelation:
     """The lattice of formal concepts of a context, ordered by extent.
 
     Concepts are enumerated by closing attribute sets (NextClosure); the
     result is the complete lattice of maximal object/attribute rectangles.
-    Labels are the sorted extents, e.g. ``{apple,pear}``.
+    Labels are the sorted extents, e.g. ``{apple,pear}``.  More than
+    MAX_CONCEPTS concepts raise TooLarge.
     """
     n_obj, n_att = len(ctx.objects), len(ctx.attributes)
     obj_rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
@@ -190,8 +194,8 @@ def concept_lattice(ctx: FormalContext, max_concepts: int = 2 ** 14) -> OrderRel
     intent = close(0)
     while True:
         concepts.append((extent_of(intent), intent))
-        if len(concepts) > max_concepts:
-            raise TooLarge(f"context has more than {max_concepts} concepts")
+        if len(concepts) > MAX_CONCEPTS:
+            raise TooLarge(f"context has more than {MAX_CONCEPTS} concepts")
         if intent == full_att:
             break
         # NextClosure: largest attribute i whose closure is a clean extension.

@@ -9,6 +9,7 @@ import json
 import random
 from collections import defaultdict, deque
 
+import networkx as nx
 import numpy as np
 
 from orddraw.orders import (GroundSet, OrderRelation, intersect_linear,
@@ -524,9 +525,12 @@ def reference_transversals(g):
     every block's sets are listed in full, and the first MAX_TRANSVERSALS
     tuples of their itertools.product give the unions."""
     from orddraw.bipartization import MAX_TRANSVERSALS
-    from orddraw.graphs import SimpleGraph, bridges, is_bipartite_without, two_coloring
+    from orddraw.graphs import SimpleGraph, is_bipartite_without, two_coloring
 
-    cut = bridges(g)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    cut = {(min(u, w), max(u, w)) for u, w in nx.bridges(ref)}
     rest = [[w for w in g.neighbors(u) if (min(u, w), max(u, w)) not in cut]
             for u in range(g.n)]
     seen = [False] * g.n

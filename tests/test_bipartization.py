@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +284,31 @@ class TestTransversalSearch:
         listed = list(search)
         assert len(set(listed)) == MAX_TRANSVERSALS
         assert search.k == 4 and search.lower_bound == 4
+
+    def test_thousands_of_blocks_stay_under_the_recursion_limit(self):
+        # the product of the blocks' searches nests about log2(1200) deep
+        search = TransversalSearch(union([cycle_graph(3)] * 1200))
+        assert len(next(iter(search))) == search.k == 1200
+
+    def test_product_draws_each_source_only_as_far_as_needed(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            lengths = [rng.randint(1, 4) for _ in range(rng.randint(0, 6))]
+            take = rng.randint(0, 40)
+            drawn = [0] * len(lengths)
+
+            def source(i):
+                for j in range(lengths[i]):
+                    drawn[i] += 1
+                    yield 10 * i + j
+
+            got = list(islice(bipartization._lazy_product(
+                [source(i) for i in range(len(lengths))]), take))
+            assert got == list(islice(product(
+                *[[10 * i + j for j in range(n)] for i, n in enumerate(lengths)]), take))
+            # each source up to the last item a listed tuple holds
+            assert drawn == [max((t[i] % 10 + 1 for t in got), default=0)
+                             for i in range(len(lengths))]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 12), st.sampled_from([0.2, 0.3, 0.5, 0.7]),

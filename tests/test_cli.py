@@ -266,6 +266,16 @@ class TestCnf:
         assert main(["cnf", "-i", s3_file, "-k", "-1"]) == 1
         assert "k must be non-negative" in capsys.readouterr().err
 
+    def test_k_above_the_tig_vertex_count_rejected(self, s3_file, tmp_path, capsys):
+        # the tig of S3 has 18 vertices: k = 19 is refused before any encoding
+        target = tmp_path / "k19.cnf"
+        assert main(["cnf", "-i", s3_file, "-k", "19", "-o", str(target)]) == 1
+        assert "k must be at most the tig's vertex count 18" in capsys.readouterr().err
+        assert not target.exists()
+        target = tmp_path / "k18.cnf"
+        assert main(["cnf", "-i", s3_file, "-k", "18", "-o", str(target)]) == 0
+        assert "k=18" in capsys.readouterr().out and target.read_text().startswith("p cnf ")
+
 
 class TestImport:
     def test_cli_import_leaves_subprocess_and_urllib_out(self):
@@ -310,6 +320,12 @@ class TestDim:
     def test_no_for_standard_example(self, s3_file, capsys):
         assert main(["dim", "-i", s3_file]) == 0
         assert capsys.readouterr().out == "dim<=2: no\n"
+
+    def test_verbose_is_a_draw_option_only(self, s3_file, capsys):
+        for command in ("dim", "cnf"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-i", s3_file, "-v"])
+            assert exc.value.code == 2
 
     def test_yes_with_realizer(self, diamond_file, capsys):
         assert main(["dim", "-i", diamond_file, "--realizer"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
-                            bridges, is_bipartite_without, odd_cycle_census,
+                            is_bipartite_without, odd_blocks, odd_cycle_census,
                             two_coloring, two_coloring_mask)
 from oracles import (forced_coloring, monochromatic_edges,
                      odd_cycle_census_after_coloring, row_masks)
@@ -124,23 +124,63 @@ class TestFromMatrix:
             SimpleGraph.from_masks([0, 0, 0b100])
 
 
-class TestBridges:
-    def test_match_networkx(self):
+def networkx_odd_blocks(g):
+    """odd_blocks by networkx: the non-bipartite components left after
+    removing nx.bridges, as vertex masks in the order of lowest vertex."""
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    ref.remove_edges_from(list(nx.bridges(ref)))
+    parts = [sorted(c) for c in nx.connected_components(ref)
+             if not nx.is_bipartite(ref.subgraph(c))]
+    return [sum(1 << v for v in part) for part in sorted(parts)]
+
+
+def bridged_chain(rng, parts):
+    """Disjoint copies of the given graphs, each joined to the previous one
+    by a bridge between random vertices, with the vertex ids shuffled."""
+    edges, total = [], 0
+    for h in parts:
+        if total:
+            edges.append((rng.randrange(total), total + rng.randrange(h.n)))
+        edges += [(total + u, total + v) for u, v in h.edges]
+        total += h.n
+    ids = list(range(total))
+    rng.shuffle(ids)
+    return SimpleGraph(total, [(ids[u], ids[v]) for u, v in edges])
+
+
+class TestOddBlocks:
+    def test_match_networkx_on_random_graphs(self):
         rng = random.Random(31)
         for _ in range(300):
             n = rng.randint(0, 25)
             g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.4]))
-            ref = nx.Graph()
-            ref.add_nodes_from(range(n))
-            ref.add_edges_from(g.edges)
-            want = {(min(u, v), max(u, v)) for u, v in nx.bridges(ref)}
-            assert bridges(g) == want
+            assert odd_blocks(g) == networkx_odd_blocks(g)
+
+    def test_match_networkx_on_bridged_cliques_and_cycles(self):
+        rng = random.Random(37)
+        families = ([SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+                     for k in range(3, 7)] + [cycle_graph(k) for k in range(3, 7)])
+        for _ in range(200):
+            parts = [rng.choice(families) for _ in range(rng.randint(1, 6))]
+            g = bridged_chain(rng, parts)
+            blocks = odd_blocks(g)
+            assert blocks == networkx_odd_blocks(g)
+            # each part is one block; all but C4 and C6 are odd
+            assert len(blocks) == sum(1 for h in parts if not is_bipartite_without(h))
 
     def test_path_of_triangles(self):
         # two triangles joined by the bridge 2-3
         g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
-        assert bridges(g) == {(2, 3)}
-        assert bridges(cycle_graph(5)) == set()
+        assert odd_blocks(g) == [0b000111, 0b111000]
+        assert odd_blocks(cycle_graph(5)) == [0b11111]
+
+    def test_even_cycles_give_none(self):
+        for k in (4, 6, 8, 10):
+            assert odd_blocks(cycle_graph(k)) == []
+        rng = random.Random(41)
+        assert odd_blocks(bridged_chain(rng, [cycle_graph(4), cycle_graph(6)] * 3)) == []
 
 
 class TestTwoColoring:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orddraw import ingest
 from orddraw.errors import CycleError, ParseError, TooLarge, UnknownLabel
 from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, serialize_order)
@@ -280,6 +281,7 @@ class TestConceptLattice:
                     meets = [k for k in downs if all(m[d][k] for d in downs)]
                     assert len(joins) == 1 and len(meets) == 1
 
-    def test_concept_count_guard(self):
-        with pytest.raises(TooLarge):
-            concept_lattice(contranominal_context(6), max_concepts=10)
+    def test_concept_count_guard(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_CONCEPTS", 10)
+        with pytest.raises(TooLarge, match="more than 10 concepts"):
+            concept_lattice(contranominal_context(6))

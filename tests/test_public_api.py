@@ -36,8 +36,9 @@ def test_retired_names_are_gone():
                  "transitive_orientation", "verify_orientation",
                  "ExternalSolver", "parse_dimacs"):
         assert not hasattr(orddraw, name), name
-    from orddraw import bipartization, cli, orders, sat, tig
+    from orddraw import bipartization, cli, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
+                        (graphs, "bridges"),
                         (sat.CnfInstance(0, ()), "var_map"),
                         (bipartization, "decode_removed"),
                         (bipartization, "decode_partition"), (cli, "RunConfig"),
