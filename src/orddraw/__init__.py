@@ -6,8 +6,8 @@ elements by their ranks in the resulting realizer.  Along the way it
 exposes the pieces individually: order and lattice construction, conjugate
 orders and realizers, the incompatibility graph, exact minimum odd cycle
 transversals with greedy and annealing heuristics, the bipartization CNF
-(exported for a solver the user runs, with solve_cnf to check a model),
-and SVG/TikZ/DOT rendering.
+(for a backend the caller runs, with solve_cnf to check its model), and
+SVG/TikZ/DOT rendering.
 """
 
 from .bipartization import (OctResult, encode_oct, min_oct_exact,

@@ -7,10 +7,10 @@ search starts from the larger of two lower bounds, a greedy count of
 vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
 cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
 there.  It lists minimum removal sets in a fixed order and the caller may
-pick among them.  `orddraw cnf` exports the CNF reduction (encode_oct)
-for a solver the user runs.  The greedy and annealing heuristics trade
-optimality for speed; each repairs its answer to validity and peels it to
-inclusion-minimality.
+pick among them.  encode_oct builds the CNF reduction for a backend that
+the caller runs through sat.solve_cnf.  The greedy and annealing
+heuristics trade optimality for speed; each repairs its answer to
+validity and peels it to inclusion-minimality.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line interface: draw diagrams, export CNF, test dimension."""
+"""Command-line interface: draw diagrams, test dimension."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-from .bipartization import encode_oct
 from .engine import (STRATEGIES, DominanceReport, GridDrawing,
                      compute_coordinates, drawing_to_json, perturbed_labels,
                      weak_dominance_stats)
@@ -18,7 +17,6 @@ from .ingest import concept_lattice, parse_cxt, parse_order_text
 from .orders import OrderRelation, incomparable_masks
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
-from .tig import build_tig
 
 _INPUT_ERRORS = (ParseError, CycleError, UnknownLabel, TooLarge,
                  OSError, UnicodeDecodeError, ValueError)
@@ -41,8 +39,8 @@ def _load_order(ns: argparse.Namespace) -> OrderRelation:
     return parse_order_text(text)
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
-    if path is None or path == "-":
+def _write_bytes(path: str, data: bytes) -> None:
+    if path == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
     else:
@@ -111,26 +109,6 @@ def cmd_draw(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cnf(ns: argparse.Namespace) -> int:
-    if ns.k < 0:
-        raise ValueError("k must be non-negative")
-    order = _load_order(ns)
-    tg = build_tig(order)
-    if ns.k > tg.graph.n:  # removing every vertex already needs only k = n
-        raise ValueError(f"k must be at most the tig's vertex count {tg.graph.n}")
-    cnf = encode_oct(tg.graph, ns.k)
-    stats = (f"tig: n={tg.graph.n} m={tg.graph.m} k={ns.k} "
-             f"vars={cnf.num_vars} clauses={len(cnf.clauses)}")
-    dimacs = cnf.to_dimacs().encode("ascii")
-    if ns.output:
-        _write_bytes(ns.output, dimacs)
-        print(stats)
-    else:
-        print(stats, file=sys.stderr)
-        _write_bytes(None, dimacs)
-    return 0
-
-
 def cmd_dim(ns: argparse.Namespace) -> int:
     order = _load_order(ns)
     conj = compute_conjugate_order(order)
@@ -174,12 +152,6 @@ def _parser() -> argparse.ArgumentParser:
     draw.add_argument("--summary-json",
                       help="write a machine-readable summary ('-' for stdout)")
 
-    cnf = sub.add_parser("cnf", help="export the bipartization SAT instance")
-    common(cnf)
-    cnf.add_argument("-o", "--output", help="DIMACS file (default: stdout)")
-    cnf.add_argument("-k", type=int, default=1,
-                     help="removal budget encoded in the instance")
-
     dim = sub.add_parser("dim", help="test whether the order has dimension <= 2")
     common(dim)
     dim.add_argument("--realizer", action="store_true",
@@ -189,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
-    commands = {"draw": cmd_draw, "cnf": cmd_cnf, "dim": cmd_dim}
+    commands = {"draw": cmd_draw, "dim": cmd_dim}
     try:
         return commands[ns.command](ns)
     except _INVARIANT_ERRORS as exc:

@@ -66,7 +66,7 @@ class SimpleGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges (u, v) with u < v, sorted; built on the first read."""
+        """Edges (u, v) with u < v, sorted; built when encode_oct first reads them."""
         if self._edges is None:
             self._edges = tuple((u, v) for u, mask in enumerate(self.masks)
                                 for v in bits(mask & ~((2 << u) - 1)))

@@ -166,8 +166,9 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
 
     Concepts are enumerated by closing attribute sets (NextClosure); the
     result is the complete lattice of maximal object/attribute rectangles.
-    Labels are the sorted extents, e.g. ``{apple,pear}``.  More than
-    MAX_CONCEPTS concepts raise TooLarge.
+    Labels are the sorted extents, e.g. ``{apple,pear}``; two concepts
+    whose labels coincide raise ValueError.  More than MAX_CONCEPTS
+    concepts raise TooLarge.
     """
     n_obj, n_att = len(ctx.objects), len(ctx.attributes)
     obj_rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
@@ -211,6 +212,12 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
 
     concepts.sort(key=lambda c: (bin(c[0]).count("1"), c[0]))
     labels = [_extent_label(ctx, ext) for ext, _ in concepts]
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"two concepts share the label {label!r}: "
+                             "object names repeat, contain ',' or are empty")
+        seen.add(label)
     ground = GroundSet(labels)
     extents = [ext for ext, _ in concepts]
     up = [0] * len(extents)

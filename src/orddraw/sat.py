@@ -1,10 +1,10 @@
-"""CNF instances, the sequential at-most-k counter, DIMACS export, and
-checked solving.
+"""CNF instances, the sequential at-most-k counter, and checked solving.
 
 The package has no SAT solver of its own: the exact bipartization is a
-branch search, and CNF is only exported (`orddraw cnf`) for whatever
-solver the user runs.  solve_cnf runs any backend callable in process and
-rejects a model that does not satisfy the formula.
+branch search, and the CNF reduction (bipartization.encode_oct) is a
+library API for a backend the caller supplies.  solve_cnf runs any
+backend callable in process and rejects a model that does not satisfy
+the formula.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ class CnfInstance:
 
     num_vars: int
     clauses: tuple[Clause, ...]
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for cl in self.clauses:
-            lines.append(" ".join(map(str, cl)) + " 0")
-        return "\n".join(lines) + "\n"
 
 
 def sinz_at_most_k(variables: Sequence[int], k: int, next_free: int) -> list[list[int]]:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +190,16 @@ class TestDrawErrors:
         assert main(["draw", "-i", str(bad)]) == 1
         assert "cycle" in capsys.readouterr().err
 
+    def test_colliding_concept_labels(self, tmp_path, capsys):
+        # a repeated object name, and a name holding the label separator
+        for text, label in (("B\n2\n2\na\na\nm0\nm1\nX.\n.X\n", "{a}"),
+                            ("B\n3\n2\na\nb\na,b\nm0\nm1\nX.\nX.\n.X\n", "{a,b}")):
+            bad = tmp_path / "colliding.cxt"
+            bad.write_text(text)
+            assert main(["draw", "-i", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert f"share the label {label!r}" in err and "object names repeat" in err
+
     def test_external_solver_flags_are_usage_errors(self, s3_file, capsys,
                                                     monkeypatch):
         for flags in (["--sat-backend", "external"], ["--solver-cmd", "true"]):
@@ -206,6 +218,12 @@ class TestDrawErrors:
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_cnf_command_is_a_usage_error(self, s3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cnf", "-i", s3_file, "-k", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'cnf'" in capsys.readouterr().err
+
     def test_invariant_violations_exit_3(self, s3_file, capsys, monkeypatch):
         from orddraw.errors import OrderViolation
 
@@ -219,7 +237,7 @@ class TestDrawErrors:
 
 class TestInProcessBackend:
     def test_milp_backend_draws(self):
-        # a backend callable decides the instance `orddraw cnf` exports, and
+        # a backend callable decides the instance encode_oct builds, and
         # solve_cnf checks its model; the model's removal set then drives a
         # drawing as a strategy
         o = parse_order_text(S3_TEXT)
@@ -232,49 +250,6 @@ class TestInProcessBackend:
         d = compute_coordinates(o, strategy=milp)
         assert d.trace.passes == 1 and len(d.trace.inserted) == 1
         assert d.trace.strategy == "milp"
-
-
-class TestCnf:
-    def test_stdout_dimacs_with_stats_on_stderr(self, s3_file, capsys):
-        assert main(["cnf", "-i", s3_file, "-k", "1"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("p cnf 71 116\n")
-        assert "tig: n=18 m=24 k=1 vars=71 clauses=116" in captured.err
-
-    def test_file_output_with_stats_on_stdout(self, s3_file, tmp_path, capsys):
-        target = tmp_path / "instance.cnf"
-        assert main(["cnf", "-i", s3_file, "-k", "2", "-o", str(target)]) == 0
-        assert target.read_text().startswith("p cnf ")
-        assert "k=2" in capsys.readouterr().out
-
-    def test_sizes_match_the_advertised_formulas(self, s3_file, capsys):
-        for k in (1, 2, 3):
-            main(["cnf", "-i", s3_file, "-k", str(k)])
-            err = capsys.readouterr().err
-            n, m = 18, 24
-            assert f"vars={(n - 1) * (k + 3) + 3}" in err
-            assert f"clauses={2 * m + 2 * n * k + 2 * n - 3 * k - 1}" in err
-
-    def test_writes_the_encoding_byte_for_byte(self, s3_file, tmp_path, capsys):
-        graph = build_tig(parse_order_text(S3_TEXT)).graph
-        for k in (0, 1, 2, 3):
-            target = tmp_path / f"k{k}.cnf"
-            assert main(["cnf", "-i", s3_file, "-k", str(k), "-o", str(target)]) == 0
-            assert target.read_bytes() == encode_oct(graph, k).to_dimacs().encode("ascii")
-
-    def test_negative_k_rejected(self, s3_file, capsys):
-        assert main(["cnf", "-i", s3_file, "-k", "-1"]) == 1
-        assert "k must be non-negative" in capsys.readouterr().err
-
-    def test_k_above_the_tig_vertex_count_rejected(self, s3_file, tmp_path, capsys):
-        # the tig of S3 has 18 vertices: k = 19 is refused before any encoding
-        target = tmp_path / "k19.cnf"
-        assert main(["cnf", "-i", s3_file, "-k", "19", "-o", str(target)]) == 1
-        assert "k must be at most the tig's vertex count 18" in capsys.readouterr().err
-        assert not target.exists()
-        target = tmp_path / "k18.cnf"
-        assert main(["cnf", "-i", s3_file, "-k", "18", "-o", str(target)]) == 0
-        assert "k=18" in capsys.readouterr().out and target.read_text().startswith("p cnf ")
 
 
 class TestImport:
@@ -322,10 +297,9 @@ class TestDim:
         assert capsys.readouterr().out == "dim<=2: no\n"
 
     def test_verbose_is_a_draw_option_only(self, s3_file, capsys):
-        for command in ("dim", "cnf"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "-i", s3_file, "-v"])
-            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "-i", s3_file, "-v"])
+        assert exc.value.code == 2
 
     def test_yes_with_realizer(self, diamond_file, capsys):
         assert main(["dim", "-i", diamond_file, "--realizer"]) == 0
@@ -334,3 +308,16 @@ class TestDim:
         assert out[1].startswith("L1: bot ")
         assert out[2].startswith("L2: bot ")
         assert set(out[1][4:].split()) == {"bot", "left", "right", "top"}
+
+
+class TestReadme:
+    def test_every_command_has_a_section(self):
+        # the "### `name`" sections under "## Command line" list exactly the
+        # registered subcommands
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"^## Command line\n(.*?)^## ", readme, re.S | re.M)
+        assert section, "README has no Command line section"
+        documented = re.findall(r"^### `([\w-]+)`$", section.group(1), re.M)
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(documented) == sorted(sub.choices)

@@ -281,6 +281,22 @@ class TestConceptLattice:
                     meets = [k for k in downs if all(m[d][k] for d in downs)]
                     assert len(joins) == 1 and len(meets) == 1
 
+    def test_colliding_labels_name_the_cause(self):
+        # objects a, a with rows X. and .X give two concepts labelled {a};
+        # objects a, b, "a,b": the extents {a, b} and {"a,b"} are both {a,b}
+        repeated = FormalContext(("a", "a"), ("p", "q"), [[True, False], [False, True]])
+        with pytest.raises(ValueError, match=r"share the label '\{a\}': object names repeat"):
+            concept_lattice(repeated)
+        comma = FormalContext(("a", "b", "a,b"), ("p", "q"),
+                              [[True, False], [True, False], [False, True]])
+        with pytest.raises(ValueError, match=r"share the label '\{a,b\}'.*contain ','"):
+            concept_lattice(comma)
+
+    def test_repeated_names_that_do_not_collide_still_draw(self):
+        # identical rows keep the two a's together in every extent
+        ctx = FormalContext(("a", "a"), ("p",), [[True], [True]])
+        assert list(concept_lattice(ctx).ground) == ["{a,a}"]
+
     def test_concept_count_guard(self, monkeypatch):
         monkeypatch.setattr(ingest, "MAX_CONCEPTS", 10)
         with pytest.raises(TooLarge, match="more than 10 concepts"):

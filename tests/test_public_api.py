@@ -38,8 +38,9 @@ def test_retired_names_are_gone():
         assert not hasattr(orddraw, name), name
     from orddraw import bipartization, cli, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
-                        (graphs, "bridges"),
+                        (graphs, "bridges"), (cli, "cmd_cnf"),
                         (sat.CnfInstance(0, ()), "var_map"),
+                        (sat.CnfInstance(0, ()), "to_dimacs"),
                         (bipartization, "decode_removed"),
                         (bipartization, "decode_partition"), (cli, "RunConfig"),
                         (orders.OrderRelation, "le_ids"),

@@ -1,4 +1,4 @@
-"""Tests for the CNF export, the cardinality encoding, and checked solving."""
+"""Tests for the cardinality encoding and checked solving."""
 
 import itertools
 import random
@@ -27,13 +27,6 @@ def random_cnf(rng, num_vars, num_clauses):
         vs = rng.sample(range(1, num_vars + 1), width)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return CnfInstance(num_vars, tuple(clauses))
-
-
-class TestDimacs:
-    def test_to_dimacs_text(self):
-        cnf = CnfInstance(3, ((1, -2), (2, 3), (-1, -3), (2,)))
-        assert cnf.to_dimacs() == "p cnf 3 4\n1 -2 0\n2 3 0\n-1 -3 0\n2 0\n"
-        assert CnfInstance(2, ()).to_dimacs() == "p cnf 2 0\n"
 
 
 class TestSinzEncoding:

@@ -182,8 +182,11 @@ class TestSizeBound:
             build_tig(antichain(5))
 
     def test_cli_exits_1(self, tmp_path, capsys):
+        # S_142 has no conjugate, so draw builds its tig: 2 * 142 * 141
+        # pairs within the a's and the b's, plus each a_i with b_i both ways
         path = tmp_path / "wide.order"
-        path.write_text(serialize_order(antichain(400)))
-        assert main(["cnf", "-i", str(path), "-k", "1"]) == 1
+        path.write_text(serialize_order(standard_example(142)))
+        assert main(["draw", "-i", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "159600 incomparable pairs" in err and str(MAX_TIG_VERTICES) in err
+        assert ("40328 incomparable pairs; the incompatibility graph takes "
+                f"at most {MAX_TIG_VERTICES}") in err
