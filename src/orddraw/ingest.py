@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError, TooLarge
-from .orders import GroundSet, OrderRelation, build_order, cover_relation
+from .orders import GroundSet, OrderRelation, bits, build_order, cover_relation
 
 
 def parse_order_text(text: str) -> OrderRelation:
@@ -154,8 +154,7 @@ def parse_cxt(text: str) -> FormalContext:
 
 
 def _extent_label(ctx: FormalContext, extent_mask: int) -> str:
-    names = [ctx.objects[i] for i in range(len(ctx.objects)) if extent_mask >> i & 1]
-    return "{" + ",".join(sorted(names)) + "}"
+    return "{" + ",".join(sorted(ctx.objects[i] for i in bits(extent_mask))) + "}"
 
 
 MAX_CONCEPTS = 2 ** 14  # the most concepts concept_lattice builds
@@ -164,54 +163,26 @@ MAX_CONCEPTS = 2 ** 14  # the most concepts concept_lattice builds
 def concept_lattice(ctx: FormalContext) -> OrderRelation:
     """The lattice of formal concepts of a context, ordered by extent.
 
-    Concepts are enumerated by closing attribute sets (NextClosure); the
-    result is the complete lattice of maximal object/attribute rectangles.
-    Labels are the sorted extents, e.g. ``{apple,pear}``; two concepts
-    whose labels coincide raise ValueError.  More than MAX_CONCEPTS
-    concepts raise TooLarge.
+    The intents of a context are exactly the intersections of its object
+    intents (the empty intersection being all attributes), so they are
+    listed by a fold over the object rows: each row is intersected with
+    every intent held so far.  The result is the complete lattice of
+    maximal object/attribute rectangles.  Labels are the sorted extents,
+    e.g. ``{apple,pear}``; two concepts whose labels coincide raise
+    ValueError.  More than MAX_CONCEPTS concepts raise TooLarge.  Every
+    intent held during the fold is an intent of the whole context, so the
+    check after each row raises only when the lattice is too large, and
+    the fold never holds more than twice MAX_CONCEPTS masks.
     """
-    n_obj, n_att = len(ctx.objects), len(ctx.attributes)
-    obj_rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
-    full_att = (1 << n_att) - 1
-
-    def extent_of(att_mask: int) -> int:
-        e = 0
-        for i in range(n_obj):
-            if obj_rows[i] & att_mask == att_mask:
-                e |= 1 << i
-        return e
-
-    def intent_of(ext_mask: int) -> int:
-        a = full_att
-        for i in range(n_obj):
-            if ext_mask >> i & 1:
-                a &= obj_rows[i]
-        return a
-
-    def close(att_mask: int) -> int:
-        return intent_of(extent_of(att_mask))
-
-    concepts: list[tuple[int, int]] = []  # (extent, intent)
-    intent = close(0)
-    while True:
-        concepts.append((extent_of(intent), intent))
-        if len(concepts) > MAX_CONCEPTS:
+    rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
+    intents = {(1 << len(ctx.attributes)) - 1}
+    for row in rows:
+        intents |= {row & intent for intent in intents}
+        if len(intents) > MAX_CONCEPTS:
             raise TooLarge(f"context has more than {MAX_CONCEPTS} concepts")
-        if intent == full_att:
-            break
-        # NextClosure: largest attribute i whose closure is a clean extension.
-        for i in range(n_att - 1, -1, -1):
-            if intent >> i & 1:
-                continue
-            candidate = close((intent & ((1 << i) - 1)) | 1 << i)
-            if candidate & ((1 << i) - 1) == intent & ((1 << i) - 1):
-                intent = candidate
-                break
-        else:  # pragma: no cover - full_att always closes the loop first
-            break
-
-    concepts.sort(key=lambda c: (bin(c[0]).count("1"), c[0]))
-    labels = [_extent_label(ctx, ext) for ext, _ in concepts]
+    extents = sorted((sum(1 << i for i, row in enumerate(rows) if row & intent == intent)
+                      for intent in intents), key=lambda ext: (bin(ext).count("1"), ext))
+    labels = [_extent_label(ctx, ext) for ext in extents]
     seen: set[str] = set()
     for label in labels:
         if label in seen:
@@ -219,7 +190,6 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
                              "object names repeat, contain ',' or are empty")
         seen.add(label)
     ground = GroundSet(labels)
-    extents = [ext for ext, _ in concepts]
     up = [0] * len(extents)
     down = [0] * len(extents)
     for i, ext_i in enumerate(extents):

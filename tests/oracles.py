@@ -166,6 +166,21 @@ def random_order(rng: random.Random, n: int, density: float | None = None) -> Or
                              warshall_closure(m))
 
 
+def brute_concepts(ctx) -> set[frozenset[int]]:
+    """Extents of the concepts of a FormalContext, as sets of object indices,
+    found by closing every subset A of its objects: A'' is the set of objects
+    having every attribute that all of A share."""
+    objects = range(len(ctx.objects))
+    attributes = range(len(ctx.attributes))
+    extents = set()
+    for size in range(len(ctx.objects) + 1):
+        for subset in itertools.combinations(objects, size):
+            shared = [m for m in attributes if all(ctx.incidence[g][m] for g in subset)]
+            extents.add(frozenset(g for g in objects
+                                  if all(ctx.incidence[g][m] for m in shared)))
+    return extents
+
+
 def blocked_two_dimensional(blocks: int, size: int, seed: int):
     """Intersection of two seeded linear orders that each list `blocks`
     runs of `size` consecutive ids, runs and ids within them shuffled: each

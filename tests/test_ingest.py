@@ -12,7 +12,7 @@ from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
-from oracles import random_order
+from oracles import brute_concepts, random_order
 
 
 class TestOrderText:
@@ -297,7 +297,41 @@ class TestConceptLattice:
         ctx = FormalContext(("a", "a"), ("p",), [[True], [True]])
         assert list(concept_lattice(ctx).ground) == ["{a,a}"]
 
-    def test_concept_count_guard(self, monkeypatch):
-        monkeypatch.setattr(ingest, "MAX_CONCEPTS", 10)
-        with pytest.raises(TooLarge, match="more than 10 concepts"):
-            concept_lattice(contranominal_context(6))
+    @pytest.mark.parametrize("n, cap, raises", [(6, 10, True), (3, 8, False), (3, 7, True)],
+                             ids=["64-concepts-cap-10", "8-concepts-cap-8", "8-concepts-cap-7"])
+    def test_concept_count_guard(self, monkeypatch, n, cap, raises):
+        # contranominal_context(n) has 2**n concepts; exactly cap of them still build
+        monkeypatch.setattr(ingest, "MAX_CONCEPTS", cap)
+        if raises:
+            with pytest.raises(TooLarge, match=f"more than {cap} concepts"):
+                concept_lattice(contranominal_context(n))
+        else:
+            assert concept_lattice(contranominal_context(n)).n == cap
+
+    def test_concepts_match_closing_every_object_subset(self):
+        rng = random.Random(163)
+        shapes = [(0, 0), (0, 4), (4, 0), (8, 8)]
+        shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(80)]
+        tables = []
+        for n_obj, n_att in shapes:
+            density = rng.random()
+            tables.append((n_att, [[rng.random() < density for _ in range(n_att)]
+                                   for _ in range(n_obj)]))
+        tables += [(5, [[False] * 5] * 6), (5, [[True] * 5] * 6),
+                   (8, [[False] * 8] * 8), (8, [[True] * 8] * 8)]
+        for _ in range(10):  # duplicate rows
+            base = [[rng.random() < 0.5 for _ in range(6)] for _ in range(3)]
+            tables.append((6, [list(rng.choice(base)) for _ in range(8)]))
+        for n_att, table in tables:
+            ctx = FormalContext(tuple(f"g{i}" for i in range(len(table))),
+                                tuple(f"m{j}" for j in range(n_att)), table)
+
+            def label(extent):
+                return "{" + ",".join(sorted(ctx.objects[g] for g in extent)) + "}"
+
+            extents = brute_concepts(ctx)
+            expected = {label(e): {label(f) for f in extents if e <= f} for e in extents}
+            o = concept_lattice(ctx)
+            got = {o.ground.label(i): {o.ground.label(j) for j in range(o.n) if o.up[i] >> j & 1}
+                   for i in range(o.n)}
+            assert got == expected
