@@ -5,13 +5,13 @@ possible until the result has order dimension at most two, and places the
 elements by their ranks in the resulting realizer.  Along the way it
 exposes the pieces individually: order and lattice construction, conjugate
 orders and realizers, the incompatibility graph, exact minimum odd cycle
-transversals with greedy and annealing heuristics, the bipartization CNF
+transversals and a local-search heuristic, the bipartization CNF
 (for a backend the caller runs, with solve_cnf to check its model), and
 SVG/TikZ/DOT rendering.
 """
 
 from .bipartization import (OctResult, encode_oct, min_oct_exact,
-                            oct_anneal, oct_greedy, peel_to_minimal)
+                            oct_anneal, peel_to_minimal)
 from .engine import (DominanceReport, ExtensionTrace, GridDrawing,
                      compute_coordinates, drawing_to_json,
                      two_dimension_extension, weak_dominance_stats)
@@ -45,7 +45,7 @@ __all__ = [
     "detect_collinear", "drawing_to_json", "emit_dot", "emit_svg",
     "emit_tikz", "encode_oct", "grid", "incomparable_pairs",
     "intersect_linear", "is_bipartite_without", "linear_from_sequence",
-    "min_oct_exact", "oct_anneal", "oct_greedy",
+    "min_oct_exact", "oct_anneal",
     "parse_cxt", "parse_order_text", "peel_to_minimal",
     "perturb", "realizer_from_conjugate", "serialize_order", "solve_cnf",
     "standard_example", "two_coloring",

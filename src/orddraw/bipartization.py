@@ -8,21 +8,22 @@ vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
 cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
 there.  It lists minimum removal sets in a fixed order and the caller may
 pick among them.  encode_oct builds the CNF reduction for a backend that
-the caller runs through sat.solve_cnf.  The greedy and annealing
-heuristics trade optimality for speed; each repairs its answer to
-validity and peels it to inclusion-minimality.
+the caller runs through sat.solve_cnf.  One heuristic, oct_anneal, trades
+optimality for speed: it improves a 2-colouring by local search, covers
+the edges left monochromatic and peels the cover to inclusion-minimality.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
 from .graphs import (SimpleGraph, _colour_conflicts, is_bipartite_without,
-                     odd_blocks, odd_cycle_census, two_coloring_mask)
+                     odd_blocks, two_coloring_mask)
+from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
 from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
@@ -311,155 +312,52 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     return frozenset(bits(gone))
 
 
-def _repair(g: SimpleGraph, removed: set[int]) -> set[int]:
-    """Grow a removal set until the rest of the graph is bipartite."""
-    while True:
-        census = odd_cycle_census(g, removed)
-        if census is None:
-            return removed
-        # most-hit vertex, lowest id on ties
-        pick = min(census, key=lambda v: (-census[v], v))
-        removed.add(pick)
-
-
-def oct_greedy(g: SimpleGraph) -> OctResult:
-    """Repeatedly remove the vertex on the most odd-cycle witnesses."""
-    removed = _repair(g, set())
-    iterations = len(removed)
-    final = peel_to_minimal(g, frozenset(removed))
-    return _checked(g, final, "greedy", False, {"iterations": iterations})
-
-
-# The labels an annealing move may give a vertex, by its current label.
-_OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
-
-
-# The annealing schedule: the temperature starts at _T0 and is multiplied
-# by _ALPHA after each of the _STEPS moves.
-_T0 = 1.0
-_ALPHA = 0.995
-_STEPS = 10_000
-
-
-def _cold_steps() -> tuple[int, int]:
-    """(hot, quiet) for the schedule, by replaying its temperatures.
-
-    The temperature never rises: from step `hot` on, exp(-1/temp) is 0.0,
-    and from step `quiet` on, temp <= 1e-12.
-    """
-    temp, step = _T0, 0
-    while step < _STEPS and temp > 1e-12 and math.exp(-1.0 / temp) > 0.0:
-        temp *= _ALPHA
-        step += 1
-    hot = step
-    while step < _STEPS and temp > 1e-12:
-        temp *= _ALPHA
-        step += 1
-    return hot, step
-
-
-_HOT, _QUIET = _cold_steps()
-
-
 def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
-    """Simulated annealing over (side, side, removed) vertex labelings.
+    """A small removal set, not always a minimum one: a vertex cover of the
+    monochromatic edges of a 2-colouring found by local search.
 
-    Energy counts removals plus a heavy penalty per monochromatic edge, so
-    low energy means a clean two-coloring with few removals.  The vertices
-    under each label are kept as three masks: a step reads its energy
-    change off the popcounts of the moved vertex's neighbour mask ANDed
-    with them, and an accepted move updates two of them.
-    The initial labels, and the vertex and the new label of a move, are
-    drawn inline with the getrandbits rejection draws that randrange and
-    choice make, so the random stream is theirs.
-
-    An uphill move raises the energy by an integer delta >= 1, so once
-    exp(-1/temp) underflows to 0.0 its acceptance test uniform() <
-    exp(-delta/temp) fails whatever uniform() returns, and it keeps failing
-    while the temperature falls.  From that step on (`_HOT`) the
-    loop accepts exactly the moves with delta <= 0, which it reads off the
-    counts with no exp; it still calls uniform() on each rejection while
-    temp > 1e-12, as the hot loop does, so the stream and the moves are
-    those of the hot loop run to the end.
-
-    The final state is repaired, unless its kept vertices are already
-    properly coloured, and peeled, so the result is always valid and
-    inclusion-minimal, just not necessarily optimal.
+    From the breadth-first colouring of `two_coloring`, sweeps in an order
+    shuffled by random.Random(seed) move each vertex with more neighbours on
+    its side than on the other, until a sweep moves none (each move loses
+    monochromatic edges, so the descent ends).  Then the vertex on the most
+    monochromatic edges left, the lowest on ties, is removed until none is
+    left, with the counts in a heap whose stale entries are refreshed when
+    they surface, and the cover is peeled.  The result is valid and
+    inclusion-minimal, and `optimal` only when it is empty.  No annealing
+    runs: the benchmark in perfbench/ selects and traces it by this name.
     """
-    rng = random.Random(seed)
-    n = g.n
-    if n == 0 or is_bipartite_without(g):
-        return OctResult(frozenset(), "anneal", g.m == 0, {"steps": 0})
-    weight = n + 1
-    getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
-    labels = []  # 0/1 sides, 2 removed; each drawn as randrange(3) draws it
-    for _ in range(n):
-        label = getrandbits(2)
-        while label == 3:
-            label = getrandbits(2)
-        labels.append(label)
-    # under[label]: the vertices under label, so (masks[v] & under[label])
-    # holds v's neighbours under it
-    under = [0, 0, 0]
-    for v, label in enumerate(labels):
-        under[label] |= 1 << v
-    masks = g.masks
-
-    width = n.bit_length()
-    temp = _T0
-    accepted = 0
-    for _ in range(_HOT):
-        # rng.randrange(n), then rng.choice of a pair, as CPython draws them:
-        # fresh k-bit draws until one falls below the bound
-        v = getrandbits(width)
-        while v >= n:
-            v = getrandbits(width)
-        pick = getrandbits(2)
-        while pick >= 2:
-            pick = getrandbits(2)
-        old = labels[v]
-        new = _OTHER_LABELS[old][pick]
-        nbrs = masks[v]
-        # a removed vertex (label 2) costs nothing
-        delta = weight * (((nbrs & under[new]).bit_count() if new != 2 else 0)
-                          - ((nbrs & under[old]).bit_count() if old != 2 else 0))
-        delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
-        if delta <= 0 or (temp > 1e-12 and uniform() < exp(-delta / temp)):
-            labels[v] = new
-            accepted += 1
-            under[old] ^= 1 << v
-            under[new] |= 1 << v
-        temp *= _ALPHA
-    for draws, count in ((True, _QUIET - _HOT), (False, _STEPS - _QUIET)):
-        for _ in range(count):
-            v = getrandbits(width)
-            while v >= n:
-                v = getrandbits(width)
-            pick = getrandbits(2)
-            while pick >= 2:
-                pick = getrandbits(2)
-            old = labels[v]
-            new = _OTHER_LABELS[old][pick]
+    n, masks = g.n, g.masks
+    color: list[int | None] = [None] * n
+    for _ in _colour_conflicts(g, 0, color, [-1] * n, [0] * n):
+        pass
+    ones = mask_of(v for v in range(n) if color[v])  # the vertices coloured 1
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    moved = True
+    while moved:
+        moved = False
+        for v in order:
             nbrs = masks[v]
-            # delta <= 0: the weight exceeds the +-1 of a removal, so only
-            # the conflict counts decide, and a tie decides for a side swap
-            # and for a return but against a removal
-            if new == 2:
-                downhill = nbrs & under[old] != 0
-            elif old == 2:
-                downhill = nbrs & under[new] == 0
-            else:
-                downhill = (nbrs & under[new]).bit_count() <= (nbrs & under[old]).bit_count()
-            if downhill:
-                labels[v] = new
-                accepted += 1
-                under[old] ^= 1 << v
-                under[new] |= 1 << v
-            elif draws:
-                uniform()
-    removed = {v for v in range(n) if labels[v] == 2}
-    if any(label != 2 and masks[v] & under[label] for v, label in enumerate(labels)):
-        removed = _repair(g, removed)
-    final = peel_to_minimal(g, frozenset(removed))
-    return _checked(g, final, "anneal", False,
-                    {"steps": _STEPS, "accepted": accepted})
+            same = nbrs & ones if ones >> v & 1 else nbrs & ~ones
+            if 2 * same.bit_count() > nbrs.bit_count():
+                ones ^= 1 << v
+                moved = True
+    conflicts = [mask & ones if ones >> v & 1 else mask & ~ones
+                 for v, mask in enumerate(masks)]
+    degree = [mask.bit_count() for mask in conflicts]
+    heap = [(-d, v) for v, d in enumerate(degree) if d]
+    heapq.heapify(heap)
+    cover = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if -d != degree[v]:
+            if degree[v]:  # stale: counts only fall, so push the current one
+                heapq.heappush(heap, (-degree[v], v))
+            continue
+        cover.append(v)
+        degree[v] = 0
+        for w in bits(conflicts[v]):
+            conflicts[w] ^= 1 << v
+            degree[w] -= 1
+    final = peel_to_minimal(g, frozenset(cover))
+    return _checked(g, final, "anneal", not final, {"covered": len(cover)})

@@ -29,7 +29,7 @@ from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from .bipartization import OctResult, min_oct_exact, oct_anneal, oct_greedy
+from .bipartization import OctResult, min_oct_exact, oct_anneal
 from .errors import OrderViolation
 from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
                      incomparable_masks, mask_of)
@@ -92,7 +92,6 @@ class DominanceReport:
 # names that `two_dimension_extension` and `orddraw draw --solver` accept.
 STRATEGIES: dict[str, Callable[[TigGraph, int], OctResult]] = {
     "sat": lambda tg, seed: min_oct_exact(tg.graph, accept=_ends_in_this_pass(tg)),
-    "greedy": lambda tg, seed: oct_greedy(tg.graph),
     "anneal": lambda tg, seed: oct_anneal(tg.graph, seed=seed),
 }
 

@@ -4,8 +4,9 @@ Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  One breadth-first colouring, which pushes past monochromatic
 edges and yields each one it meets, serves `two_coloring` (the first such
 edge closes an odd walk), `odd_cycle_census` (each such edge counts its
-BFS-tree cycle) and `bipartization.peel_to_minimal`, which starts from
-its forest; `two_coloring_mask` takes the removed vertices as a mask.
+BFS-tree cycle) and, in `bipartization`, the start of `oct_anneal`'s
+local search and the forest that `peel_to_minimal` starts from;
+`two_coloring_mask` takes the removed vertices as a mask.
 `odd_blocks` finds the non-bipartite blocks between the bridges in one
 depth-first search.
 """
@@ -227,6 +228,8 @@ def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
 def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
         -> dict[int, int] | None:
     """Count, per vertex, the BFS odd-cycle witnesses it lies on.
+
+    No strategy calls it; the benchmark's tracer hooks it in bipartization.
 
     Every monochromatic edge under the BFS colouring that pushes past
     conflicts contributes one BFS-tree cycle.  Returns None when the

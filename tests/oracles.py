@@ -673,40 +673,39 @@ def peel_to_minimal_by_bfs(g, removed):
     return frozenset(cur)
 
 
+def anneal_cover_by_recount(g, seed=0):
+    """The cover that oct_anneal peels, on plain lists: start from
+    forced_coloring, sweep the vertices in the order random.Random(seed)
+    shuffles, recounting a vertex's same-side and other-side neighbours
+    before each move, until a sweep moves none; then, until no
+    monochromatic edge is left, rescan every kept vertex's count of
+    same-side kept neighbours and remove the highest (lowest id on ties)."""
+    color = forced_coloring(g)[0]
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    moved = True
+    while moved:
+        moved = False
+        for v in order:
+            same = sum(1 for w in g.neighbors(v) if color[w] == color[v])
+            if same > len(g.neighbors(v)) - same:
+                color[v] = 1 - color[v]
+                moved = True
+    cover = set()
+    while True:
+        degree = {v: sum(1 for w in g.neighbors(v)
+                         if w not in cover and color[w] == color[v])
+                  for v in range(g.n) if v not in cover}
+        best = max(degree, key=lambda v: (degree[v], -v), default=None)
+        if best is None or degree[best] == 0:
+            return frozenset(cover)
+        cover.add(best)
+
+
 def anneal_by_recount(g, seed=0):
-    """(removed, accepted) of the annealing strategy under the schedule in
-    orddraw.bipartization, recounting each vertex's same-label neighbours
-    on every step and peeling by rounds of two-colourings; the reference
-    for oct_anneal."""
-    import math
-    from orddraw import bipartization
-    from orddraw.graphs import is_bipartite_without
-    rng = random.Random(seed)
-    n = g.n
-    if n == 0 or is_bipartite_without(g):
-        return frozenset(), 0
-    weight = n + 1
-    labels = [rng.randrange(3) for _ in range(n)]
-
-    def vertex_cost(v, lab):
-        if lab == 2:
-            return 0
-        return sum(1 for w in g.neighbors(v) if labels[w] == lab)
-
-    temp = bipartization._T0
-    accepted = 0
-    for _ in range(bipartization._STEPS):
-        v = rng.randrange(n)
-        old = labels[v]
-        new = rng.choice([l for l in (0, 1, 2) if l != old])
-        delta = weight * (vertex_cost(v, new) - vertex_cost(v, old))
-        delta += (1 if new == 2 else 0) - (1 if old == 2 else 0)
-        if delta <= 0 or (temp > 1e-12 and rng.random() < math.exp(-delta / temp)):
-            labels[v] = new
-            accepted += 1
-        temp *= bipartization._ALPHA
-    removed = bipartization._repair(g, {v for v in range(n) if labels[v] == 2})
-    return peel_to_minimal_by_bfs(g, removed), accepted
+    """The removal set of oct_anneal: anneal_cover_by_recount peeled by
+    rounds of two-colourings; the reference for oct_anneal."""
+    return peel_to_minimal_by_bfs(g, anneal_cover_by_recount(g, seed))
 
 
 def transitive_orientation_by_sets(g):

@@ -150,7 +150,7 @@ def test_criterion_6_every_extension_run_is_validated():
         if not dim2(o):
             suite.append(o)
     for o in suite:
-        for strategy in ("sat", "greedy"):
+        for strategy in ("sat", "anneal"):
             tr = two_dimension_extension(o, strategy=strategy, seed=1)
             assert_valid_trace(o, tr)
 
@@ -193,7 +193,7 @@ def test_criterion_8_reference_families():
     assert_valid_trace(b3, tr)
     # the four-dimensional cube is heuristic territory: validity only
     b4 = boolean_lattice(4)
-    tr4 = two_dimension_extension(b4, strategy="greedy")
+    tr4 = two_dimension_extension(b4, strategy="anneal")
     assert len(tr4.inserted) > 0
     assert_valid_trace(b4, tr4)
 

@@ -212,7 +212,7 @@ class TestDrawErrors:
         assert main(["draw", "-i", s3_file]) == 0
 
     def test_removed_solvers_are_usage_errors(self, s3_file, capsys):
-        for solver in ("genetic", "brute"):
+        for solver in ("genetic", "brute", "greedy"):
             with pytest.raises(SystemExit) as exc:
                 main(["draw", "-i", s3_file, "--solver", solver])
             assert exc.value.code == 2

@@ -5,18 +5,24 @@ set-based orientation replaced their predecessors, and the exact-path ones
 (`*_sat`) before the branch search replaced the growing-k SAT loop; only
 `random_order_12_sat` was re-recorded since, when the removal set stopped
 coming from a SAT call (see its case).  The strategies pinned are `sat`
-(the `*_sat` cases), `greedy` (one case) and `anneal` (three), named after
-the strategy, plus the two-dimensional path, which calls no strategy.  The
-anneal digests were recorded before the union-find peel and the
-incremental anneal counts replaced the BFS-per-candidate peel and the
-recounting loop, and
-`grid_8x8_lattice_flipped_anneal` before the tig and the comparability
-graphs were built straight from their matrices, and
-`blocked_two_dimensional_120_sat` before orientation moved to integer
-bitsets with one linear-order check.  `intersect_linear_150` and
-`random_order_130_anneal` were recorded while orders, the closure and the
-tig still ran on numpy matrices and float32 BLAS products, before they
-moved to integer bitsets, and `standard_example_10_sat` before the exact
+(the `*_sat` cases) and `anneal` (five), named after the strategy, plus
+the two-dimensional path, which calls no strategy.  The five `anneal`
+digests were recorded when the local search with a greedy conflict cover
+replaced the annealing schedule, the census repair and the `greedy`
+strategy; each case's false comparabilities (passes) went from the old
+heuristics' to the new one's as follows:
+
+- `random_order_30_anneal`: 8 (1) -> 5 (1);
+- `random_order_30b_anneal`: 14 (1) -> 6 (1);
+- `grid_8x8_lattice_flipped_anneal`: 152 (2) -> 32 (1);
+- `random_order_130_anneal`: 196 (2) -> 150 (2);
+- `random_order_10_anneal_perturbed`, formerly
+  `random_order_10_greedy_perturbed` under `greedy`: 1 (1) -> 1 (1).
+
+`blocked_two_dimensional_120_sat` was recorded before orientation moved
+to integer bitsets with one linear-order check, `intersect_linear_150`
+while orders, the closure and the tig still ran on numpy matrices and
+float32 BLAS products, and `standard_example_10_sat` before the exact
 search started at a clique-packing bound and searched bridge blocks in
 place on masks.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
@@ -91,21 +97,21 @@ CASES = {
     # k = 11 on a tig of 110 vertices: the headline exact input
     "boolean_lattice_4_sat": lambda: compute_coordinates(boolean_lattice(4), strategy="sat"),
     "doctored_chain_perturbed": doctored_chain,
-    # greedy's extension puts x1 on the cover edge x9-x8, so perturb moves it
-    "random_order_10_greedy_perturbed":
-        lambda: compute_coordinates(random_order(random.Random(134), 10), strategy="greedy"),
-    # dense orders that draw in one pass; anneal removes 8 and 14 tig vertices
+    # the extension puts x1 on a cover edge, so perturb moves it
+    "random_order_10_anneal_perturbed":
+        lambda: compute_coordinates(random_order(random.Random(134), 10), strategy="anneal"),
+    # dense orders that draw in one pass; anneal removes 5 and 6 tig vertices
     "random_order_30_anneal":
         lambda: compute_coordinates(random_order(random.Random(0), 30, 0.45), strategy="anneal"),
     "random_order_30b_anneal":
         lambda: compute_coordinates(random_order(random.Random(2), 30, 0.45), strategy="anneal"),
     # 66 concepts, a tig of 1752 vertices: the only case large enough to pin
-    # the neighbour order of a big tig; two passes remove 90 and 62 vertices
+    # the neighbour order of a big tig; one pass removes 32 vertices
     "grid_8x8_lattice_flipped_anneal":
         lambda: compute_coordinates(flipped_grid_lattice(8, 8, 14), strategy="anneal"),
     # above n = 128, where the masks take more than two 64-bit words: a
     # two-dimensional order of 150 elements, and a 130-element order with
-    # 1386 incomparable pairs that anneal extends in two passes (196
+    # 1386 incomparable pairs that anneal extends in two passes (150
     # inserted pairs)
     "intersect_linear_150": lambda: compute_coordinates(random_two_dimensional(150, 8191)),
     "random_order_130_anneal":
@@ -122,23 +128,23 @@ GOLDEN = {
     "doctored_chain_perturbed":
         "1a9b3cbd724fba4114c29149651aa2d3dbcad1943cbd5a749dba680bfd6b18a3",
     "grid_8x8_lattice_flipped_anneal":
-        "d77770a23a0bcb255eac12e94da27b580bea21908278e892f63f53ff795f1ae1",
+        "6dfe122f5d30d93ab468b5b8e74b826946468c09eae3e2a6cc213d7652297834",
     "grid_10x10":
         "dd964e6ad3602293117172e8324de5a68d074baade6e331b2c90517c62ac47a8",
     "intersect_linear_100":
         "bd99632c828870ea1576cc654f6655269b27772adbcdb0e4fa300fad23923d1f",
     "intersect_linear_150":
         "8d9428c4f35b60ec157d8ada6004d059eec1d9f065f8a30edae7d7dfbdb21bc6",
-    "random_order_10_greedy_perturbed":
-        "9d252e819b20c2302ead34d849442cded8add92a35225c1a482b099c372d7f1b",
+    "random_order_10_anneal_perturbed":
+        "adcf8feca9d90d80faf3640ccd56041a316bfa2df5a57a3484318c0650b55672",
     "random_order_30_anneal":
-        "e018f2522c23f6fa7f99771827b9a11ec983cd1c9b52b234bd578f1801e54ea5",
+        "67f8b8cec9d8ebb3e7f1df5630a2b2c7e41322053e5730b93172fb708e54cfc4",
     "random_order_30b_anneal":
-        "2ce086def39cf8c935890322a69c199655e6932d0898a0f4ede13987e96816d6",
+        "1fe71de0d4bef3cd1b7d3bf7c6fb0e194b3123986c94b03b362e5f3ba92cd7ce",
     "random_order_12_sat":
         "f9d2dc488055a1bbe38ab992d059b9d71a29de8ebfccf2bf3f8440f6947c3142",
     "random_order_130_anneal":
-        "a6be0a42bb7709a2a1a1cf0dbbc414dd02112ced673550d6a05925d88a512212",
+        "cc11f9dbf8e2f5632be74951609932020255ad4a635fffddcfe7fd4db3a9cd1a",
     "standard_example_4_sat":
         "1383a3162c0d2338fc93105d20220c3c6698f6c5cc45ab2ce6078774d7a66bab",
     "standard_example_10_sat":

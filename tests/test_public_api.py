@@ -34,7 +34,7 @@ def test_retired_names_are_gone():
                  "all_linear_extensions", "cocomparability_graph",
                  "comparability_graph", "enforces", "incompatible",
                  "transitive_orientation", "verify_orientation",
-                 "ExternalSolver", "parse_dimacs"):
+                 "ExternalSolver", "parse_dimacs", "oct_greedy"):
         assert not hasattr(orddraw, name), name
     from orddraw import bipartization, cli, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
@@ -47,6 +47,9 @@ def test_retired_names_are_gone():
                         (orders.LinearExtension, "position_of"),
                         (tig.TigGraph, "index")):
         assert not hasattr(owner, name), name
+    for name in ("oct_greedy", "_repair", "_cold_steps", "_OTHER_LABELS",
+                 "_T0", "_ALPHA", "_STEPS", "_HOT", "_QUIET"):
+        assert not hasattr(bipartization, name), name
 
 
 def test_readme_quick_tour_runs(tmp_path, monkeypatch):

@@ -75,7 +75,7 @@ class TestDetectCollinear:
         checked = 0
         for _ in range(40):
             o = random_order(rng, rng.randint(4, 9))
-            d = compute_coordinates(o, strategy="greedy")
+            d = compute_coordinates(o, strategy="anneal")
             eps = rng.choice([Fraction(3, 20), Fraction(1, 7), Fraction(2, 9)])
             monkeypatch.setattr(render, "_EPSILON", eps)
             fixed = perturb(replace(d, cover_edges=comparabilities(o)))
@@ -100,7 +100,7 @@ class TestDetectCollinear:
     def test_agrees_with_oracle_on_nudged_planes(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         o = random_order(random.Random(seed), data.draw(st.integers(2, 8)))
-        d = compute_coordinates(o, strategy="greedy")
+        d = compute_coordinates(o, strategy="anneal")
         labels = list(o.ground)
         offsets = st.fractions(min_value=-2, max_value=2, max_denominator=12)
         plane = dict(d.plane)
@@ -168,7 +168,7 @@ class TestPerturb:
             assert fixed.plane[label][1] == d.plane[label][1]
 
     def test_boolean_lattices_come_out_clean(self):
-        for n, strategy in ((2, "sat"), (3, "sat"), (4, "greedy")):
+        for n, strategy in ((2, "sat"), (3, "sat"), (4, "anneal")):
             d = compute_coordinates(boolean_lattice(n), strategy=strategy)
             fixed = perturb(d)
             assert detect_collinear(fixed) == []
