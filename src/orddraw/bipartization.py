@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
-from .graphs import (SimpleGraph, _colour_conflicts, is_bipartite_without,
-                     odd_blocks, two_coloring_mask)
+from .graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
+                     is_bipartite_without, odd_blocks)
 from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
 from .sat import CnfInstance, sinz_at_most_k
@@ -118,20 +118,24 @@ def _clique_bound(g: SimpleGraph, block: int) -> int:
 
 
 def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
-                         known: dict[int, tuple[int, ...] | None]
-                         ) -> list[tuple[int, ...]]:
+                         known: dict[int, tuple[int, ...] | None],
+                         lists: tuple[list, list, list]) -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
     is the cycle that two_coloring reports for g minus `removed`.  `known`
     maps each vertex mask already tried to two_coloring's cycle for g minus
     it: the search meets the same sets again, at other nodes and at each
-    larger k."""
+    larger k.  The colouring runs in `lists`, the colour, parent and depth
+    lists that the caller allocates once, so a call costs the vertices it
+    colours rather than three lists as long as g."""
+    color, parent, depth = lists
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
         if gone not in known:
-            known[gone] = two_coloring_mask(g, gone)[1]
+            known[gone] = next((_tree_cycle(parent, depth, u, w) for u, w
+                                in _colour_conflicts(g, gone, color, parent, depth)), None)
         cycle = known[gone]
         if cycle is None:
             break
@@ -203,6 +207,7 @@ class TransversalSearch:
     def __init__(self, g: SimpleGraph):
         self.g = g
         self.k = self.lower_bound = self.branch_nodes = 0
+        self._lists = ([None] * g.n, [-1] * g.n, [0] * g.n)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         per_block = [self._block(block) for block in odd_blocks(self.g)]
@@ -213,7 +218,7 @@ class TransversalSearch:
         g = self.g
         outside = ((1 << g.n) - 1) ^ block
         known: dict[int, tuple[int, ...] | None] = {}
-        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known)),
+        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known, self._lists)),
                     _clique_bound(g, block))
         self.lower_bound += lower
         k = lower
@@ -223,7 +228,7 @@ class TransversalSearch:
             def search(removed: int, budget: int) -> Iterator[int]:
                 searched.add(removed)
                 self.branch_nodes += 1
-                cycles = _disjoint_odd_cycles(g, removed, budget, known)
+                cycles = _disjoint_odd_cycles(g, removed, budget, known, self._lists)
                 if not cycles:
                     yield removed ^ outside
                 elif len(cycles) <= budget:

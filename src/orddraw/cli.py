@@ -8,9 +8,8 @@ import sys
 import time
 from pathlib import Path
 
-from .engine import (STRATEGIES, DominanceReport, GridDrawing,
-                     compute_coordinates, drawing_to_json, perturbed_labels,
-                     weak_dominance_stats)
+from .engine import (STRATEGIES, compute_coordinates, drawing_to_json,
+                     perturbed_labels, weak_dominance_stats)
 from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
                      UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
@@ -58,16 +57,14 @@ _EMITTERS = {
 }
 
 
-def _emit_drawing(d: GridDrawing, path: str, report: DominanceReport) -> None:
-    ext = Path(path).suffix.lower()
-    if ext not in _EMITTERS:
-        known = " ".join(sorted(_EMITTERS))
-        raise ValueError(f"cannot infer output format from {path!r} (known: {known})")
-    _write_bytes(path, _EMITTERS[ext](d, report))
-
-
 def cmd_draw(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if ns.output:  # a bad output name fails before any work
+        emit = _EMITTERS.get(Path(ns.output).suffix.lower())
+        if emit is None:
+            known = " ".join(sorted(_EMITTERS))
+            raise ValueError(f"cannot infer output format from {ns.output!r} "
+                             f"(known: {known})")
     order = _load_order(ns)
     drawing = compute_coordinates(order, strategy=ns.solver, seed=ns.seed)
     if ns.verbose:
@@ -84,7 +81,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
                   f"to clear {len(conflicts)} conflicts", file=sys.stderr)
     report = weak_dominance_stats(drawing)
     if ns.output:
-        _emit_drawing(drawing, ns.output, report)
+        _write_bytes(ns.output, emit(drawing, report))
     elapsed = time.perf_counter() - started
     inc = sum(mask.bit_count() for mask in incomparable_masks(order))
     # with the summary on stdout the line goes to stderr, so stdout is JSON

@@ -4,15 +4,15 @@ Until a conjugate order exists, each pass builds the incompatibility graph
 of the current (possibly already extended) order, removes a vertex set that
 makes it bipartite, and inserts the reversed removed pairs.  Even an
 inclusion-minimal (or minimum) removal set can reverse into pairs whose
-union with the order is not transitively closed; the insertion closes the
-union and records the pairs the closure added apart from the inserted
-ones.  If the closure has a cycle, the pass inserts the reversed pairs one
-at a time instead and skips each one that would close a cycle.  The exact
-strategy prefers, among the minimum sets its search lists, one whose
-reversal is already closed and leaves an order with a conjugate, so it
-finishes in one pass with nothing added by closure.  New incompatibilities
-can appear after an insertion, so more than one pass may be needed; the
-trace records how many were.
+union with the order is not transitively closed, or closes a cycle.  The
+insertion takes the pairs in sorted order, skips each one whose reverse
+already holds, closes the rest in and records the pairs the closure added
+apart from the inserted ones.  The exact strategy prefers, among the
+minimum sets its search lists, one whose reversal goes in whole, is
+already closed and leaves an order with a conjugate, so it finishes in
+one pass with nothing added by closure.  New incompatibilities can appear
+after an insertion, so more than one pass may be needed; the trace
+records how many were.
 
 Coordinates come from the realizer of the extended order: each element's
 position in the two linear extensions.  The plane embedding maps grid
@@ -44,10 +44,10 @@ Strategy = Callable[[TigGraph], OctResult]
 class ExtensionTrace:
     """Everything the extension loop did.
 
-    `inserted` holds the reversed removed pairs of every pass (less any
-    that a one-at-a-time insertion skipped) and `closure_added` the pairs
-    that closing those insertions added on top; the two are disjoint, and
-    the extended order is the input plus both.
+    `inserted` holds the reversed removed pairs of every pass, less those
+    the insertion skipped because their reverse held, and `closure_added`
+    the pairs that closing those insertions added on top; the two are
+    disjoint, and the extended order is the input plus both.
     """
 
     inserted: frozenset[IdPair]
@@ -105,43 +105,42 @@ def _strategy_for(name_or_fn: str | Strategy, seed: int) -> tuple[Strategy, str]
 
 
 def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
-    """Accepts a removal set of tg whose reversal, inserted into tg.order,
+    """Accepts a removal set of tg whose whole reversal goes into tg.order,
     is already transitively closed and leaves an order with a conjugate."""
     def accept(removed: frozenset[int]) -> bool:
         reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
-        try:
-            extended, added = _insert_checked(tg.order, reversal)
-        except OrderViolation:
-            return False
-        return not added and compute_conjugate_order(extended) is not None
+        extended, kept, added = _insert(tg.order, reversal)
+        return (kept == reversal and not added
+                and compute_conjugate_order(extended) is not None)
     return accept
 
 
-def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
-                    ) -> tuple[OrderRelation, frozenset[IdPair]]:
-    """Add pairs, close the union, and return it with the pairs closure added.
+def _insert(current: OrderRelation, pairs: frozenset[IdPair]
+            ) -> tuple[OrderRelation, frozenset[IdPair], frozenset[IdPair]]:
+    """Add pairs and close them in, skipping each pair whose reverse holds;
+    returns the order, the pairs that went in and the pairs closure added.
 
-    Inclusion-minimality of the removal set does not make the union
-    transitively closed, so the union is closed here; the second result
-    holds the pairs in the closure that are neither in `current` nor in
-    `new_pairs`.  A closure that breaks antisymmetry (the pairs close a
-    cycle) raises OrderViolation.
-
-    The pairs go into the closed order by their first element: adding
-    pairs (a, b1), (a, b2), ... to a closed order relates every x <= a to
-    every y above some bi, one OR per element on each side, and the result
-    is closed again.  That closes a cycle exactly when some bi <= a already
-    holds, and the order of insertion does not change the final closure.
+    The pairs go into the closed order by their first element, in sorted
+    order: adding pairs (a, b1), (a, b2), ... to a closed order relates
+    every x <= a to every y above some bi, one OR per element on each side,
+    and the result is closed again.  That closes a cycle exactly when some
+    bi <= a already holds, so those ends are dropped first; the others
+    cannot come to lie below a by the group's own pairs.  The result is
+    the one-at-a-time insertion of the pairs in sorted order, and when no
+    pair is skipped it is the closure of the union whatever the order.  A
+    pair that earlier ones imply counts as inserted; the closure-added
+    pairs are the new comparabilities beyond the inserted ones.
     """
     heads: dict[int, int] = {}
-    for a, b in new_pairs:
+    for a, b in pairs:
         heads[a] = heads.get(a, 0) | 1 << b
     up, down = list(current.up), list(current.down)
-    for a, ends in heads.items():
-        if ends & down[a]:
-            raise OrderViolation("inserted pairs break antisymmetry after closure")
+    kept: set[IdPair] = set()
+    for a in sorted(heads):
+        ends = heads[a] & ~down[a]
         above = 0
         for b in bits(ends):
+            kept.add((a, b))
             above |= up[b]
         above &= ~up[a]  # what is above a already is above everything below it
         if above:
@@ -152,44 +151,22 @@ def _insert_checked(current: OrderRelation, new_pairs: frozenset[IdPair]
                 down[y] |= below
     added = {(x, y) for x, (old, new) in enumerate(zip(current.up, up)) if new != old
              for y in bits(new & ~old)}
-    return OrderRelation(current.ground, up, down), frozenset(added - new_pairs)
-
-
-def _insert_one_by_one(current: OrderRelation, new_pairs: frozenset[IdPair]
-                       ) -> tuple[OrderRelation, frozenset[IdPair], frozenset[IdPair]]:
-    """Insert the pairs one at a time in sorted order, closing after each,
-    for a set whose union closes a cycle; returns the order, the pairs that
-    went in and the pairs closure added.
-
-    A pair that earlier insertions already imply is in the closure-added
-    pairs, and a pair whose reverse they imply would close a cycle and is
-    skipped.  Every pair reverses an incomparable pair of `current`, so
-    the first one goes in and the order grows.
-    """
-    kept: set[IdPair] = set()
-    added: set[IdPair] = set()
-    for a, b in sorted(new_pairs):
-        if not current.incomparable_ids(a, b):
-            continue
-        current, more = _insert_checked(current, frozenset([(a, b)]))
-        kept.add((a, b))
-        added |= more
-    return current, frozenset(kept), frozenset(added)
+    return OrderRelation(current.ground, up, down), frozenset(kept), frozenset(added - kept)
 
 
 def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
                             seed: int = 0) -> ExtensionTrace:
     """Insert incomparable pairs until the order has dimension at most 2.
 
-    Each pass bipartizes the current incompatibility graph, inserts the
-    reversals of the removed vertices and closes the union; when that
-    closure has a cycle, the reversals go in one at a time and those that
-    would close one are skipped (see _insert_one_by_one), unless the
-    removal set holds a pair and its reverse, which raises OrderViolation.
-    The returned trace carries the inserted and the closure-added pairs,
-    the final extended order and its conjugate.  `strategy` is a name in
-    STRATEGIES ("sat" is the exact minimum, preferring a set that ends the
-    loop in this pass) or any callable from TigGraph to OctResult.
+    Each pass bipartizes the current incompatibility graph and inserts the
+    reversals of the removed vertices in sorted order, closing them in and
+    skipping each one whose reverse already holds (see _insert), so a
+    removal set that closes a cycle or holds a pair and its reverse still
+    extends the order.  The returned trace carries the inserted and the
+    closure-added pairs, the final extended order and its conjugate.
+    `strategy` is a name in STRATEGIES ("sat" is the exact minimum,
+    preferring a set that ends the loop in this pass) or any callable from
+    TigGraph to OctResult.
     """
     run, name = _strategy_for(strategy, seed)
     max_passes = sum(mask.bit_count() for mask in incomparable_masks(o)) // 2 + 1
@@ -211,14 +188,8 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
         removed_pairs = frozenset(tg.vertices[v] for v in run(tg).removed)
         if not removed_pairs:
             raise OrderViolation("strategy removed nothing although no conjugate exists")
-        new_pairs = frozenset((b, a) for a, b in removed_pairs)
-        try:
-            current, added = _insert_checked(current, new_pairs)
-        except OrderViolation:
-            if any((b, a) in new_pairs for a, b in new_pairs):
-                raise  # the strategy removed a pair and its reverse
-            current, new_pairs, added = _insert_one_by_one(current, new_pairs)
-        inserted |= new_pairs
+        current, kept, added = _insert(current, frozenset((b, a) for a, b in removed_pairs))
+        inserted |= kept
         closure_added |= added
         per_pass.append(removed_pairs)
 

@@ -5,8 +5,9 @@ over them.  One breadth-first colouring, which pushes past monochromatic
 edges and yields each one it meets, serves `two_coloring` (the first such
 edge closes an odd walk), `odd_cycle_census` (each such edge counts its
 BFS-tree cycle) and, in `bipartization`, the start of `oct_anneal`'s
-local search and the forest that `peel_to_minimal` starts from;
-`two_coloring_mask` takes the removed vertices as a mask.
+local search and the forest that `peel_to_minimal` starts from, and the
+odd cycles of the exact search, which colours into lists it allocates once
+and reuses: a call reads only the entries it has written itself.
 `odd_blocks` finds the non-bipartite blocks between the bridges in one
 depth-first search.
 """
@@ -156,10 +157,12 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[in
 def _colour_conflicts(g: SimpleGraph, gone: int, color: list[int | None],
                       parent: list[int], depth: list[int]) -> Iterator[tuple[int, int]]:
     """BFS 2-colouring of g minus the vertices in the mask `gone` into the
-    caller's lists.
+    caller's lists, which may hold stale entries: only those of the
+    vertices coloured so far are read.
 
     Run to the end, it gives every kept vertex a 0/1 colour from its BFS
-    tree even when the graph is not bipartite; removed vertices stay None.
+    tree even when the graph is not bipartite; removed vertices' entries
+    are left as they were.
     Yields each monochromatic edge (u, w) when the search meets it, from
     u's side: both ends have their final colour, parent and depth then, so
     the tree cycle of the edge is fixed.  A monochromatic edge is met once
@@ -174,6 +177,7 @@ def _colour_conflicts(g: SimpleGraph, gone: int, color: list[int | None],
         start = (unseen & -unseen).bit_length() - 1
         unseen ^= 1 << start
         color[start] = 0
+        depth[start] = 0
         sides[0] |= 1 << start
         queue = [start]
         for u in queue:  # grows while it is walked: a breadth-first search
@@ -207,16 +211,10 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     for removed vertices; or (None, cycle) where cycle is an odd closed
     walk (vertex tuple, no repeated endpoint) witnessing non-bipartiteness.
     """
-    return two_coloring_mask(g, mask_of(removed))
-
-
-def two_coloring_mask(g: SimpleGraph, gone: int) \
-        -> tuple[list[int | None] | None, tuple[int, ...] | None]:
-    """two_coloring of g minus the vertices whose bits are set in `gone`."""
     color: list[int | None] = [None] * g.n
     parent = [-1] * g.n
     depth = [0] * g.n
-    for u, w in _colour_conflicts(g, gone, color, parent, depth):
+    for u, w in _colour_conflicts(g, mask_of(removed), color, parent, depth):
         return None, _tree_cycle(parent, depth, u, w)
     return color, None
 

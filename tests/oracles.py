@@ -93,16 +93,22 @@ def dense_conjugate(o: OrderRelation):
 
 
 def dense_insert(current: OrderRelation, new_pairs):
-    """(closed matrix, closure-added pairs) of current plus new_pairs by one
-    BLAS closure of the union, or None when it breaks antisymmetry; the
-    dense insertion the bitset `_insert_checked` replaced."""
+    """(closed matrix, inserted pairs, closure-added pairs) of current plus
+    new_pairs taken in sorted order: a pair whose reverse holds is skipped,
+    any other is set and the matrix closed by BLAS; the dense reference for
+    the bitset `engine._insert`."""
     m = dense(current)
-    for a, b in new_pairs:
+    kept = set()
+    for a, b in sorted(new_pairs):
+        if m[b, a]:
+            continue
         m[a, b] = True
-    closed = blas_closure(m)
-    if np.count_nonzero(closed & closed.T) != current.n:
-        return None
-    return closed, frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
+        m = blas_closure(m)
+        kept.add((a, b))
+    union = dense(current)
+    for a, b in kept:
+        union[a, b] = True
+    return m, frozenset(kept), frozenset(map(tuple, np.argwhere(m & ~union).tolist()))
 
 
 def dense_false_pairs(d) -> list:

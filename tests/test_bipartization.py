@@ -274,9 +274,9 @@ class TestTransversalSearch:
         assert search.k == 4 and search.lower_bound == 4
 
     def test_thousands_of_blocks_stay_under_the_recursion_limit(self):
-        # the product of the blocks' searches nests about log2(1200) deep
-        search = TransversalSearch(union([cycle_graph(3)] * 1200))
-        assert len(next(iter(search))) == search.k == 1200
+        # the product of the blocks' searches nests about log2(5000) deep
+        search = TransversalSearch(union([cycle_graph(3)] * 5000))
+        assert len(next(iter(search))) == search.k == 5000
 
     def test_product_draws_each_source_only_as_far_as_needed(self):
         rng = random.Random(7)

@@ -190,6 +190,17 @@ class TestDrawErrors:
         assert main(["draw", "-i", str(bad)]) == 1
         assert "cycle" in capsys.readouterr().err
 
+    def test_unknown_extension_fails_before_the_input_is_read(self, tmp_path, capsys):
+        # the input is cyclic, so reaching it would report the cycle instead
+        bad = tmp_path / "cyclic.order"
+        bad.write_text("a < b\nb < a\n")
+        target = tmp_path / "x.pdf"
+        assert main(["draw", "-i", str(bad), "-o", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot infer output format" in err and "x.pdf" in err
+        assert "cycle" not in err
+        assert not target.exists()
+
     def test_colliding_concept_labels(self, tmp_path, capsys):
         # a repeated object name, and a name holding the label separator
         for text, label in (("B\n2\n2\na\na\nm0\nm1\nX.\n.X\n", "{a}"),

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
-from orddraw.engine import (STRATEGIES, _insert_checked, _insert_one_by_one,
-                            compute_coordinates, drawing_to_json,
+from orddraw.engine import (STRATEGIES, _insert, compute_coordinates, drawing_to_json,
                             perturbed_labels, two_dimension_extension,
                             weak_dominance_stats, with_plane)
 from orddraw.errors import OrderViolation
@@ -78,8 +77,8 @@ def random_height1(rng, lo, hi, p):
 
 
 def assert_valid_trace(o, tr, left_out=0):
-    """`left_out` counts the reversed removed pairs that a one-at-a-time
-    insertion did not insert."""
+    """`left_out` counts the reversed removed pairs that the insertion
+    skipped because their reverse held."""
     inc = set(inc_id_pairs(o))
     assert tr.inserted <= inc
     assert not tr.inserted & {(b, a) for a, b in tr.inserted}
@@ -88,9 +87,9 @@ def assert_valid_trace(o, tr, left_out=0):
     assert sum(len(s) for s in tr.per_pass_removed) == len(reversals)
     assert tr.inserted <= reversals
     assert len(reversals - tr.inserted) == left_out
-    # a pair left out was implied by the pairs inserted before it, or its
-    # reverse was, so that inserting it would have closed a cycle
-    assert all(p in tr.closure_added or p[::-1] in tr.closure_added
+    # a pair left out would have closed a cycle: its reverse went in before
+    # it, or closure added that reverse
+    assert all(p[::-1] in tr.inserted | tr.closure_added
                for p in reversals - tr.inserted)
     # the extension is the closure of the input plus the inserted pairs,
     # and closure_added is exactly what that closure put on top
@@ -251,8 +250,6 @@ class TestCycleClosingReversal:
         o = standard_example(3)
         removed = (("a3", "a1"), ("a1", "a2"), ("a2", "a3"))
         gid = o.ground.id
-        with pytest.raises(OrderViolation, match="antisymmetry after closure"):
-            _insert_checked(o, frozenset((gid(b), gid(a)) for a, b in removed))
         run, _ = scripted_then_exact(removed)
         d = compute_coordinates(o, strategy=run)
         tr = d.trace
@@ -263,21 +260,44 @@ class TestCycleClosingReversal:
         assert weak_dominance_stats(d).count \
             == len(tr.inserted) + len(tr.closure_added) == 5
 
-    def test_implied_and_cycle_closing_pairs_are_not_inserted(self):
+    def test_cycle_closing_pairs_are_skipped_and_implied_ones_go_in(self):
         # a1 < a3, a2 < a1 and a3 < a2 close a cycle; in sorted order the
         # first two go in, their closure adds a2 < a3, and a3 < a2 is skipped
         o = standard_example(3)
         gid = o.ground.id
         a1, a2, a3 = gid("a1"), gid("a2"), gid("a3")
-        extended, kept, added = _insert_one_by_one(
-            o, frozenset({(a1, a3), (a2, a1), (a3, a2)}))
+        extended, kept, added = _insert(o, frozenset({(a1, a3), (a2, a1), (a3, a2)}))
         assert kept == {(a1, a3), (a2, a1)}
         assert (a2, a3) in added and not kept & added
         assert extended.lt("a2", "a3") and not extended.lt("a3", "a2")
-        # a pair that earlier insertions imply is counted as closure-added
-        _, kept, added = _insert_one_by_one(
-            o, frozenset({(a1, a3), (a2, a1), (a2, a3)}))
-        assert kept == {(a1, a3), (a2, a1)} and (a2, a3) in added
+        # a pair that earlier insertions imply counts as inserted
+        _, kept, added = _insert(o, frozenset({(a1, a3), (a2, a1), (a2, a3)}))
+        assert kept == {(a1, a3), (a2, a1), (a2, a3)} and not kept & added
+
+
+class TestArbitraryRemovalSets:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_any_removal_set_draws(self, seed):
+        # a strategy that removes a random non-empty vertex set, often with
+        # the reverses of some of its pairs: sets that close cycles or hold a
+        # pair and its reverse still extend the order until it draws
+        rng = random.Random(seed)
+        o = chain(1)
+        while compute_conjugate_order(o) is not None:
+            o = random_height1(rng, rng.randint(3, 6), rng.randint(3, 6), rng.choice([0.6, 0.7]))
+
+        def arbitrary(tg):
+            index = {pair: v for v, pair in enumerate(tg.vertices)}
+            chosen = set(rng.sample(range(len(index)), rng.randint(1, len(index))))
+            chosen |= {index[tg.vertices[v][::-1]] for v in chosen if rng.random() < 0.5}
+            return OctResult(frozenset(chosen), "arbitrary", False, {})
+
+        d = compute_coordinates(o, strategy=arbitrary)
+        tr = d.trace
+        reversals = {(b, a) for s in tr.per_pass_removed for a, b in s}
+        assert_valid_trace(o, tr, left_out=len(reversals - tr.inserted))
+        assert weak_dominance_stats(d).count == len(tr.inserted) + len(tr.closure_added)
 
 
 class TestDefensiveChecks:
@@ -287,14 +307,20 @@ class TestDefensiveChecks:
             two_dimension_extension(standard_example(3), strategy=lazy)
 
     def test_antisymmetry_break_is_rejected(self):
+        # the removal holds (a1, b1) and its reverse; in sorted order a1 < b1
+        # goes in, and b1 < a1, whose reverse now holds, is skipped
         def both_directions(tg):
             gid = tg.order.ground.id
             verts = {tg.vertices.index((gid("a1"), gid("b1"))),
                      tg.vertices.index((gid("b1"), gid("a1")))}
             return OctResult(frozenset(verts), "evil", False, {})
 
-        with pytest.raises(OrderViolation, match="antisymmetry"):
-            two_dimension_extension(standard_example(3), strategy=both_directions)
+        o = standard_example(3)
+        tr = two_dimension_extension(o, strategy=both_directions)
+        assert tr.passes == 1
+        assert tr.inserted_labels() == (("a1", "b1"),)
+        assert not tr.extended.lt("b1", "a1")
+        assert_valid_trace(o, tr, left_out=1)
 
     def test_closure_gap_is_closed(self):
         # inserting a1 < a2 alone forces a1 < b1 transitively, so a
@@ -316,19 +342,23 @@ class TestDefensiveChecks:
 
     def test_cycle_after_closure_is_rejected(self):
         # a1 < a2 and a2 < a3 are each fine, but with a3 < a1 they close a
-        # cycle that no pair of them makes alone
+        # cycle that no pair of them makes alone; a3 < a1 comes last in
+        # sorted order, when a1 < a3 already holds, and is skipped
         o = standard_example(3)
         gid = o.ground.id
-        pairs = frozenset({(gid("a1"), gid("a2")), (gid("a2"), gid("a3")),
-                           (gid("a3"), gid("a1"))})
-        with pytest.raises(OrderViolation, match="antisymmetry after closure"):
-            _insert_checked(o, pairs)
+        a1, a2, a3 = gid("a1"), gid("a2"), gid("a3")
+        extended, kept, added = _insert(o, frozenset({(a1, a2), (a2, a3), (a3, a1)}))
+        assert kept == {(a1, a2), (a2, a3)}
+        assert (a1, a3) in added
+        assert not extended.lt("a3", "a1")
+        extended.validate()
 
     def test_closed_insertion_adds_nothing(self):
         o = standard_example(3)
         gid = o.ground.id
-        extended, added = _insert_checked(o, frozenset({(gid("a1"), gid("b1"))}))
-        assert added == frozenset()
+        pair = (gid("a1"), gid("b1"))
+        extended, kept, added = _insert(o, frozenset({pair}))
+        assert kept == {pair} and added == frozenset()
         assert extended.lt("a1", "b1")
 
 

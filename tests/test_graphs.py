@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
                             is_bipartite_without, odd_blocks, odd_cycle_census,
-                            two_coloring, two_coloring_mask)
+                            two_coloring)
 from oracles import (forced_coloring, monochromatic_edges,
                      odd_cycle_census_after_coloring, row_masks)
 
@@ -269,10 +269,12 @@ class TestColourConflicts:
     def test_matches_the_oracles_on_random_graphs(self):
         """two_coloring stops at the first monochromatic edge of the BFS
         (dequeue order, then neighbour order) and returns its tree cycle,
-        as two_coloring_mask does given the removed vertices as a mask;
-        the census equals the one read off a finished forced colouring."""
+        also when the search colours into lists that earlier graphs left
+        behind, as the exact search does; the census equals the one read
+        off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
+        stale = ([None] * 40, [-1] * 40, [0] * 40)
         for _ in range(1500):
             g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
             removed = random_removed(rng, g)
@@ -282,7 +284,11 @@ class TestColourConflicts:
             first = next(((u, w) for u in visits for w in g.neighbors(u)
                           if w not in removed and ref[w] == ref[u]), None)
             colors, cycle = two_coloring(g, removed)
-            assert two_coloring_mask(g, sum(1 << v for v in removed)) == (colors, cycle)
+            met = list(_colour_conflicts(g, sum(1 << v for v in removed), *stale))
+            kept = [v for v in range(g.n) if v not in removed]
+            assert [stale[0][v] for v in kept] == [ref[v] for v in kept]
+            assert [stale[2][v] for v in kept] == [depth[v] for v in kept]
+            assert (_tree_cycle(*stale[1:], *met[0]) if met else None) == cycle
             if first is None:
                 assert (colors, cycle) == (ref, None)
             else:

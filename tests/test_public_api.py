@@ -36,9 +36,11 @@ def test_retired_names_are_gone():
                  "transitive_orientation", "verify_orientation",
                  "ExternalSolver", "parse_dimacs", "oct_greedy"):
         assert not hasattr(orddraw, name), name
-    from orddraw import bipartization, cli, graphs, orders, sat, tig
+    from orddraw import bipartization, cli, engine, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
-                        (graphs, "bridges"), (cli, "cmd_cnf"),
+                        (graphs, "bridges"), (graphs, "two_coloring_mask"),
+                        (cli, "cmd_cnf"), (engine, "_insert_checked"),
+                        (engine, "_insert_one_by_one"),
                         (sat.CnfInstance(0, ()), "var_map"),
                         (sat.CnfInstance(0, ()), "to_dimacs"),
                         (bipartization, "decode_removed"),
