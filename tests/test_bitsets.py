@@ -157,3 +157,48 @@ class TestInsertion:
         assert (kept, added) == (want_kept, want_added)
         assert not kept & added
         extended.validate()
+
+    @SETTINGS
+    @given(orders(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 20, 200]))
+    def test_insert_checked_matches_one_dense_closure(self, o, seed, size):
+        # pairs that all point up one linear extension of o close no cycle,
+        # so none is skipped and the result is one closure of the union
+        rank = {i: (bin(o.down[i]).count("1"), i) for i in range(o.n)}
+        pairs = [(a, b) for a, b in inc_id_pairs(o) if rank[a] < rank[b]]
+        chosen = frozenset(random.Random(seed).sample(pairs, min(size, len(pairs))))
+        extended, kept, added = _insert(o, chosen)
+        union = dense(o)
+        for a, b in chosen:
+            union[a, b] = True
+        closed = blas_closure(union)
+        assert dense(extended).tolist() == closed.tolist()
+        assert kept == chosen
+        assert added == frozenset(map(tuple, np.argwhere(closed & ~union).tolist()))
+        extended.validate()
+
+    @SETTINGS
+    @given(orders(), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 20, 60]))
+    def test_one_by_one_matches_dense_closures(self, o, seed, size):
+        # the batch is the single-pair insertions in sorted order, and each
+        # of those is one dense closure or, with its reverse holding, a skip
+        pairs = inc_id_pairs(o)
+        chosen = frozenset(random.Random(seed).sample(pairs, min(size, len(pairs))))
+        current, want_kept, step_added = o, set(), set()
+        for a, b in sorted(chosen):
+            m = dense(current)
+            current, kept, added = _insert(current, frozenset({(a, b)}))
+            if m[b, a]:
+                assert dense(current).tolist() == m.tolist()
+                assert not kept and not added
+                continue
+            m[a, b] = True
+            closed = blas_closure(m)
+            assert dense(current).tolist() == closed.tolist()
+            assert kept == {(a, b)}
+            assert added == frozenset(map(tuple, np.argwhere(closed & ~m).tolist()))
+            want_kept.add((a, b))
+            step_added |= added
+        extended, kept, added = _insert(o, chosen)
+        assert extended.up == current.up and extended.down == current.down
+        assert kept == want_kept and added == step_added - want_kept
+        extended.validate()
