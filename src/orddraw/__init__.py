@@ -7,14 +7,14 @@ exposes the pieces individually: order and lattice construction, conjugate
 orders and realizers, the incompatibility graph, exact minimum odd cycle
 transversals and a local-search heuristic, the bipartization CNF
 (for a backend the caller runs, with solve_cnf to check its model), and
-SVG/TikZ/DOT rendering.
+SVG/TikZ/DOT rendering.  A drawing's false comparabilities are its
+trace's inserted and closure-added pairs.
 """
 
 from .bipartization import (OctResult, encode_oct, min_oct_exact,
                             oct_anneal, peel_to_minimal)
-from .engine import (DominanceReport, ExtensionTrace, GridDrawing,
-                     compute_coordinates, drawing_to_json,
-                     two_dimension_extension, weak_dominance_stats)
+from .engine import (ExtensionTrace, GridDrawing, compute_coordinates,
+                     drawing_to_json, two_dimension_extension)
 from .errors import (BackendFailure, CycleError, GroundMismatch, NotLinear,
                      OrderDrawError, OrderViolation, ParseError, TooLarge,
                      UnknownLabel, Unresolvable)
@@ -33,7 +33,7 @@ from .tig import TigGraph, build_tig
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendFailure", "CnfInstance", "CycleError", "DominanceReport",
+    "BackendFailure", "CnfInstance", "CycleError",
     "ExtensionTrace", "FormalContext",
     "GridDrawing", "GroundMismatch", "GroundSet",
     "LinearExtension", "NotLinear", "OctResult",
@@ -49,5 +49,5 @@ __all__ = [
     "parse_cxt", "parse_order_text", "peel_to_minimal",
     "perturb", "realizer_from_conjugate", "serialize_order", "solve_cnf",
     "standard_example", "two_coloring",
-    "two_dimension_extension", "weak_dominance_stats",
+    "two_dimension_extension",
 ]

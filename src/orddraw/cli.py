@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from .engine import (STRATEGIES, compute_coordinates, drawing_to_json,
-                     perturbed_labels, weak_dominance_stats)
+                     perturbed_labels)
 from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
                      UnknownLabel, Unresolvable)
 from .ingest import concept_lattice, parse_cxt, parse_order_text
@@ -23,9 +23,9 @@ _INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The input text, less one leading byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _load_order(ns: argparse.Namespace) -> OrderRelation:
@@ -46,14 +46,12 @@ def _write_bytes(path: str, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-# Each emitter takes the drawing and its weak_dominance_stats report, which
-# only the JSON writer reads: the summary line reports the same count.
 _EMITTERS = {
-    ".svg": lambda d, report: emit_svg(d),
-    ".tikz": lambda d, report: emit_tikz(d),
-    ".tex": lambda d, report: emit_tikz(d),
-    ".json": lambda d, report: drawing_to_json(d, report).encode("utf-8"),
-    ".dot": lambda d, report: emit_dot(d),
+    ".svg": emit_svg,
+    ".tikz": emit_tikz,
+    ".tex": emit_tikz,
+    ".json": lambda d: drawing_to_json(d).encode("utf-8"),
+    ".dot": emit_dot,
 }
 
 
@@ -79,15 +77,15 @@ def cmd_draw(ns: argparse.Namespace) -> int:
         if ns.verbose:
             print(f"perturbation moved {len(perturbed_labels(drawing))} points "
                   f"to clear {len(conflicts)} conflicts", file=sys.stderr)
-    report = weak_dominance_stats(drawing)
     if ns.output:
-        _write_bytes(ns.output, emit(drawing, report))
+        _write_bytes(ns.output, emit(drawing))
     elapsed = time.perf_counter() - started
     inc = sum(mask.bit_count() for mask in incomparable_masks(order))
+    false_count = len(drawing.trace.inserted) + len(drawing.trace.closure_added)
     # with the summary on stdout the line goes to stderr, so stdout is JSON
     print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "
-          f"false_comparabilities={report.count} time={elapsed:.3f}s",
+          f"false_comparabilities={false_count} time={elapsed:.3f}s",
           file=sys.stderr if ns.summary_json == "-" else sys.stdout)
     if ns.summary_json:
         summary = {
@@ -96,7 +94,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
             "passes": drawing.trace.passes,
             "inserted": len(drawing.trace.inserted),
             "inserted_pairs": [list(p) for p in drawing.trace.inserted_labels()],
-            "false_comparabilities": report.count,
+            "false_comparabilities": false_count,
             "strategy": drawing.trace.strategy,
             "seed": ns.seed,
             "perturbed": list(perturbed_labels(drawing)),

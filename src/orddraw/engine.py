@@ -1,4 +1,4 @@
-"""The drawing pipeline: two-dimension extension, coordinates, dominance.
+"""The drawing pipeline: two-dimension extension, coordinates, JSON.
 
 Until a conjugate order exists, each pass builds the incompatibility graph
 of the current (possibly already extended) order, removes a vertex set that
@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .bipartization import OctResult, min_oct_exact, oct_anneal
 from .errors import OrderViolation
 from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
-                     incomparable_masks, mask_of)
+                     incomparable_masks)
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .tig import TigGraph, build_tig
@@ -48,6 +47,10 @@ class ExtensionTrace:
     the insertion skipped because their reverse held, and `closure_added`
     the pairs that closing those insertions added on top; the two are
     disjoint, and the extended order is the input plus both.
+
+    Together they are the drawing's false comparabilities, the incomparable
+    pairs that the grid orders: the grid holds each element's ranks in a
+    realizer of the extended order, so grid dominance is that order.
     """
 
     inserted: frozenset[IdPair]
@@ -72,20 +75,6 @@ class GridDrawing:
     plane: dict[str, tuple[Fraction, Fraction]]
     cover_edges: tuple[Pair, ...]
     trace: ExtensionTrace
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """False comparabilities a drawing shows for originally incomparable pairs.
-
-    `inserted` and `closure_added` count the trace's two kinds of added
-    pairs; against the drawn order they sum to `count`.
-    """
-
-    count: int
-    pairs: tuple[Pair, ...]
-    inserted: int
-    closure_added: int
 
 
 # The named strategies, called with the tig and the seed: the one list of
@@ -221,38 +210,6 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     return GridDrawing(o, coords, plane, covers, trace)
 
 
-def _greater(values: list[int]) -> list[int]:
-    """Per index i, the mask of the indices j with values[j] > values[i]."""
-    greater = [0] * len(values)
-    acc = 0
-    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__,
-                                  reverse=True), key=values.__getitem__):
-        tied = list(tied)
-        for i in tied:
-            greater[i] = acc
-        acc |= mask_of(tied)
-    return greater
-
-
-def weak_dominance_stats(d: GridDrawing) -> DominanceReport:
-    """Count incomparable pairs of the drawn order that the grid nevertheless
-    orders.
-
-    These are exactly the comparabilities the extension added, so the count
-    equals |extended| - |original| in ordered-pair terms.
-    """
-    o = d.order
-    lab = o.ground.label
-    grid_pos = [d.coords[label] for label in o.ground]
-    above1 = _greater([c1 for c1, _ in grid_pos])
-    above2 = _greater([c2 for _, c2 in grid_pos])
-    false_pairs = [(lab(a), lab(b))
-                   for a, (inc, x, y) in enumerate(zip(incomparable_masks(o), above1, above2))
-                   for b in bits(inc & x & y)]  # sorted by (a, b)
-    return DominanceReport(len(false_pairs), tuple(false_pairs),
-                           len(d.trace.inserted), len(d.trace.closure_added))
-
-
 def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
     """Elements whose plane point no longer sits on the exact embedding."""
     # a Fraction compares equal to an int without building a Fraction for it
@@ -272,17 +229,16 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
 
 
-def drawing_to_json(d: GridDrawing, report: DominanceReport | None = None) -> str:
+def drawing_to_json(d: GridDrawing) -> str:
     """Stable JSON dump of a drawing (schema documented in the README).
 
     The schema is fixed, so the text is written directly: byte for byte
     what json.dumps(doc, indent=2) + "\n" writes (strings escaped to ASCII,
     numbers by repr), without the pure-Python encoder that indent selects.
-    `report` is weak_dominance_stats(d), computed here when not given.
+    `false_comparabilities` counts the trace's added pairs (ExtensionTrace).
     """
-    if report is None:
-        report = weak_dominance_stats(d)
     text = encode_basestring_ascii
+    false_count = len(d.trace.inserted) + len(d.trace.closure_added)
     elements = []
     for label in d.order.ground:
         c1, c2 = d.coords[label]
@@ -303,6 +259,6 @@ def drawing_to_json(d: GridDrawing, report: DominanceReport | None = None) -> st
             f'  "inserted_pairs": {pairs(d.trace.inserted_labels())},\n'
             f'  "passes": {d.trace.passes!r},\n'
             f'  "strategy": {text(d.trace.strategy)},\n'
-            f'  "false_comparabilities": {report.count!r},\n'
+            f'  "false_comparabilities": {false_count!r},\n'
             f'  "perturbed": {_json_list([text(p) for p in perturbed_labels(d)], "  ")}\n'
             "}\n")

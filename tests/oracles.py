@@ -113,8 +113,8 @@ def dense_insert(current: OrderRelation, new_pairs):
 
 def dense_false_pairs(d) -> list:
     """The false comparabilities of a drawing by one grid-dominance matrix
-    ANDed with the incomparability matrix; the reference for
-    weak_dominance_stats."""
+    ANDed with the incomparability matrix; the reference for the extension
+    trace's inserted and closure-added pairs."""
     o = d.order
     grid_pos = np.array([d.coords[label] for label in o.ground]).reshape(o.n, 2)
     c1, c2 = grid_pos[:, 0], grid_pos[:, 1]
@@ -137,7 +137,7 @@ def warshall_closure(matrix) -> np.ndarray:
 
 def drawing_to_json_by_dumps(d) -> str:
     """The drawing document built as a dict and written by json.dumps."""
-    from orddraw.engine import perturbed_labels, weak_dominance_stats
+    from orddraw.engine import perturbed_labels
     doc = {
         "elements": [
             {
@@ -151,7 +151,7 @@ def drawing_to_json_by_dumps(d) -> str:
         "inserted_pairs": [list(e) for e in d.trace.inserted_labels()],
         "passes": d.trace.passes,
         "strategy": d.trace.strategy,
-        "false_comparabilities": weak_dominance_stats(d).count,
+        "false_comparabilities": len(dense_false_pairs(d)),
         "perturbed": list(perturbed_labels(d)),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -1,28 +1,27 @@
 """The integer-bitset pipeline against its dense numpy references.
 
 The orders, the closure, the cover relation, the incomparable pairs, the
-tig, the conjugate test, the dominance count and the extension loop's
-insertion all run on Python-int masks.  Each is checked here against the
-dense boolean-matrix version it replaced (kept in `oracles`), at sizes on
-both sides of the 64-bit word and of the n = 128 at which the BLAS products
-of the dense versions change speed.  No benchmark input has n >= 128, so
-these tests are the only check there.
+tig, the conjugate test and the extension loop's insertion all run on
+Python-int masks.  Each is checked here against the dense boolean-matrix
+version it replaced (kept in `oracles`), at sizes on both sides of the
+64-bit word and of the n = 128 at which the BLAS products of the dense
+versions change speed.  No benchmark input has n >= 128, so these tests
+are the only check there.
 """
 
 import random
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from orddraw.engine import _insert, compute_coordinates, weak_dominance_stats
-from orddraw.orders import (GroundSet, OrderRelation, bits, cover_relation,
+from orddraw.engine import _insert
+from orddraw.orders import (GroundSet, bits, cover_relation,
                             inc_id_pairs, intersect_linear, linear_from_sequence,
                             mask_of, transitive_closure, transpose)
 from orddraw.orientation import compute_conjugate_order
 from orddraw.tig import build_tig
 from oracles import (blas_closure, cover_relation_by_blas, dense,
-                     dense_conjugate, dense_false_pairs, dense_insert,
+                     dense_conjugate, dense_insert,
                      dense_tig, random_order, row_masks)
 
 SIZES = (1, 2, 63, 64, 65, 127, 128, 150)
@@ -122,25 +121,6 @@ class TestConjugate:
         if got is not None:
             assert got.up == want.up
             assert got.down == tuple(transpose(got.up))
-
-
-class TestDominance:
-    @SETTINGS
-    @given(two_dimensional(), st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_matches_the_dense_count(self, o, seed, ties):
-        # the drawing of o puts every pair of o in grid order; against a
-        # suborder (o cut by a third linear order) the extra pairs are false
-        # comparabilities, and coarse random coordinates add ties
-        rng = random.Random(seed)
-        third = linear_from_sequence(o.ground, rng.sample(range(o.n), o.n))
-        suborder = OrderRelation(o.ground, [a & b for a, b in zip(o.up, third.order.up)])
-        d = replace(compute_coordinates(o), order=suborder)
-        if ties:
-            d = replace(d, coords={label: (rng.randrange(4), rng.randrange(4))
-                                   for label in o.ground})
-        report = weak_dominance_stats(d)
-        assert list(report.pairs) == dense_false_pairs(d)
-        assert report.count == len(report.pairs)
 
 
 class TestInsertion:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from orddraw import cli, engine
+from orddraw import cli
 from orddraw.bipartization import OctResult, encode_oct
 from orddraw.cli import main
 from orddraw.engine import STRATEGIES, compute_coordinates
-from orddraw.ingest import parse_order_text
+from orddraw.ingest import parse_order_text, serialize_order
 from orddraw.sat import solve_cnf
 from orddraw.tig import build_tig
-from oracles import removal_set, solve_by_milp
+from oracles import dense_false_pairs, random_order, removal_set, solve_by_milp
 
 S3_TEXT = """\
 # classic three-dimensional example
@@ -70,34 +71,34 @@ class TestDraw:
         assert data.startswith(b'<?xml version="1.0"')
         assert data.count(b"<circle") == 6
 
-    def test_json_output(self, s3_file, tmp_path):
+    def test_json_output(self, s3_file, tmp_path, capsys):
         target = tmp_path / "diagram.json"
-        assert main(["draw", "-i", s3_file, "-o", str(target)]) == 0
+        assert main(["draw", "-i", s3_file, "-o", str(target),
+                     "--summary-json", str(tmp_path / "summary.json")]) == 0
         doc = json.loads(target.read_text())
         assert doc["passes"] == 1
         assert len(doc["elements"]) == 6
         assert doc["inserted_pairs"] in ([["a1", "b1"]], [["a2", "b2"]], [["a3", "b3"]])
-
-    def test_json_output_counts_false_comparabilities_once(self, s3_file, tmp_path,
-                                                           monkeypatch, capsys):
-        """The JSON file and the summary line share one weak_dominance_stats
-        report, and both still carry its count."""
-        calls = []
-        original = engine.weak_dominance_stats
-
-        def counted(d):
-            calls.append(d)
-            return original(d)
-
-        monkeypatch.setattr(cli, "weak_dominance_stats", counted)
-        monkeypatch.setattr(engine, "weak_dominance_stats", counted)
-        target = tmp_path / "diagram.json"
-        assert main(["draw", "-i", s3_file, "-o", str(target),
-                     "--summary-json", str(tmp_path / "summary.json")]) == 0
-        assert len(calls) == 1
-        assert json.loads(target.read_text())["false_comparabilities"] == 1
+        # the JSON file, the summary JSON and the summary line carry one count
+        assert doc["false_comparabilities"] == 1
         assert json.loads((tmp_path / "summary.json").read_text())["false_comparabilities"] == 1
         assert "false_comparabilities=1" in capsys.readouterr().out
+
+    def test_counts_take_in_closure_added_pairs(self, tmp_path, capsys):
+        # a random order that anneal extends in two passes, with pairs that
+        # closure adds on top of the inserted ones
+        rng = random.Random(3704)
+        o = random_order(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5))
+        path = tmp_path / "two_pass.order"
+        path.write_text(serialize_order(o))
+        target, summary = tmp_path / "diagram.json", tmp_path / "summary.json"
+        assert main(["draw", "-i", str(path), "--solver", "anneal", "-o", str(target),
+                     "--summary-json", str(summary)]) == 0
+        false = len(dense_false_pairs(compute_coordinates(o, strategy="anneal")))
+        doc = json.loads(summary.read_text())
+        assert json.loads(target.read_text())["false_comparabilities"] \
+            == doc["false_comparabilities"] == false > doc["inserted"]
+        assert f"false_comparabilities={false} " in capsys.readouterr().out
 
     def test_tikz_and_dot_outputs(self, diamond_file, tmp_path):
         for name in ("d.tikz", "d.tex", "d.dot"):
@@ -171,6 +172,26 @@ class TestDraw:
         path.write_text(CXT_TEXT)
         assert main(["draw", "-i", str(path), "--input-format", "cxt"]) == 0
         assert "n=4" in capsys.readouterr().out
+
+    # without the drop, the .cxt header fails to parse and the .order text
+    # draws with "\ufeffbot" as its first label
+    @pytest.mark.parametrize("name, text", [
+        ("diamond.order", "bot < left\nbot < right\nleft < top\nright < top\n"),
+        ("square.cxt", CXT_TEXT)], ids=["order", "cxt"])
+    def test_a_leading_byte_order_mark_is_dropped(self, name, text, tmp_path,
+                                                  capsys, monkeypatch):
+        import io
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        fmt = Path(name).suffix[1:]
+        for source in (str(path), "-"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+            out = tmp_path / "drawing.json"
+            assert main(["draw", "-i", source, "--input-format", fmt,
+                         "-o", str(out)]) == 0
+            assert "n=4 inc=2 passes=0" in capsys.readouterr().out
+            labels = [e["label"] for e in json.loads(out.read_text())["elements"]]
+            assert not any("\ufeff" in label for label in labels)
 
 
 class TestDrawErrors:

@@ -1,4 +1,5 @@
-"""Tests for the extension loop, coordinate assignment, and dominance stats."""
+"""Tests for the extension loop, coordinate assignment, false comparabilities
+and the JSON document."""
 
 import json
 import random
@@ -10,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
 from orddraw.engine import (STRATEGIES, _insert, compute_coordinates, drawing_to_json,
-                            perturbed_labels, two_dimension_extension,
-                            weak_dominance_stats, with_plane)
+                            perturbed_labels, two_dimension_extension, with_plane)
 from orddraw.errors import OrderViolation
 from orddraw.ingest import parse_order_text
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, intersect_linear,
                             standard_example)
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
+from orddraw.render import detect_collinear, perturb
 from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
-                     brute_min_extension, dense, drawing_to_json_by_dumps,
+                     brute_min_extension, dense, dense_false_pairs,
+                     drawing_to_json_by_dumps,
                      literally_an_order, multipass_order, random_order,
                      scripted_then_exact, warshall_closure)
 
@@ -74,6 +76,12 @@ def random_height1(rng, lo, hi, p):
     ups = [f"u{i}" for i in range(hi)]
     pairs = [(a, b) for a in lows for b in ups if rng.random() < p]
     return build_order(lows + ups, pairs)
+
+
+def trace_pairs(tr):
+    """The trace's inserted and closure-added pairs, by label."""
+    lab = tr.extended.ground.label
+    return {(lab(a), lab(b)) for a, b in tr.inserted | tr.closure_added}
 
 
 def assert_valid_trace(o, tr, left_out=0):
@@ -204,7 +212,7 @@ class TestMultiPass:
         tr = two_dimension_extension(o, strategy="sat")
         assert tr.passes == 1 and len(tr.inserted) == 3
         assert tr.closure_added == frozenset()
-        assert weak_dominance_stats(compute_coordinates(o)).count == 3
+        assert set(dense_false_pairs(compute_coordinates(o))) == trace_pairs(tr)
         assert_valid_trace(o, tr)
 
     def test_exact_strategy_skips_a_set_that_needs_another_pass(self):
@@ -227,9 +235,7 @@ class TestBooleanLattice5:
         assert [len(r) for r in tr.per_pass_removed] == [93]
         assert not tr.closure_added
         assert_valid_trace(o, tr)
-        rep = weak_dominance_stats(d)
-        assert rep.count == len(tr.inserted) == 93
-        assert (rep.inserted, rep.closure_added) == (93, 0)
+        assert len(tr.inserted) == 93
 
 
 class TestLargeInput:
@@ -239,7 +245,7 @@ class TestLargeInput:
         o = random_order(random.Random(1), 200, 0.1)
         d = compute_coordinates(o, strategy="anneal")
         assert_valid_trace(o, d.trace)
-        assert weak_dominance_stats(d).count <= 1_532
+        assert len(d.trace.inserted) + len(d.trace.closure_added) <= 1_532
 
 
 class TestCycleClosingReversal:
@@ -257,8 +263,7 @@ class TestCycleClosingReversal:
         assert_valid_trace(o, tr, left_out=1)
         assert tr.inserted_labels() == (("a1", "a3"), ("a2", "a1"))
         assert (gid("a2"), gid("a3")) in tr.closure_added
-        assert weak_dominance_stats(d).count \
-            == len(tr.inserted) + len(tr.closure_added) == 5
+        assert len(tr.inserted) + len(tr.closure_added) == 5
 
     def test_cycle_closing_pairs_are_skipped_and_implied_ones_go_in(self):
         # a1 < a3, a2 < a1 and a3 < a2 close a cycle; in sorted order the
@@ -297,7 +302,7 @@ class TestArbitraryRemovalSets:
         tr = d.trace
         reversals = {(b, a) for s in tr.per_pass_removed for a, b in s}
         assert_valid_trace(o, tr, left_out=len(reversals - tr.inserted))
-        assert weak_dominance_stats(d).count == len(tr.inserted) + len(tr.closure_added)
+        assert set(dense_false_pairs(d)) == trace_pairs(tr)
 
 
 class TestDefensiveChecks:
@@ -408,21 +413,39 @@ class TestCoordinates:
         assert not inserted & set(d.cover_edges)
 
 
-class TestDominanceReport:
-    def test_counts_match_insertions(self):
+class TestFalseComparabilities:
+    # the pairs the grid orders against the original order are the trace's
+    # inserted and closure-added pairs
+    def test_grid_orders_exactly_the_added_pairs(self):
         rng = random.Random(149)
         for _ in range(20):
             o = random_height1(rng, rng.randint(2, 4), rng.randint(2, 4), 0.4)
-            d = compute_coordinates(o)
-            rep = weak_dominance_stats(d)
-            assert rep.inserted == len(d.trace.inserted)
-            assert rep.closure_added == len(d.trace.closure_added)
-            assert rep.count == rep.inserted + rep.closure_added
-            assert set(rep.pairs) == set(d.trace.inserted_labels())
+            for strategy in STRATEGIES:
+                d = compute_coordinates(o, strategy=strategy)
+                assert set(dense_false_pairs(d)) == trace_pairs(d.trace)
+
+    def test_a_perturbed_drawing(self):
+        rng = random.Random(253)
+        o = random_order(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5))
+        d = compute_coordinates(o, strategy="anneal")
+        conflicts = detect_collinear(d)
+        assert conflicts and len(d.trace.inserted) == 3
+        fixed = perturb(d, conflicts)
+        assert perturbed_labels(fixed)
+        assert set(dense_false_pairs(fixed)) == trace_pairs(fixed.trace)
+
+    def test_a_multi_pass_anneal_drawing(self):
+        rng = random.Random(3704)
+        o = random_order(rng, rng.randint(5, 12), rng.uniform(0.1, 0.5))
+        d = compute_coordinates(o, strategy="anneal")
+        assert d.trace.passes == 2 and d.trace.closure_added
+        assert set(dense_false_pairs(d)) == trace_pairs(d.trace)
+        # the JSON count takes in the closure-added pairs
+        assert drawing_to_json(d) == drawing_to_json_by_dumps(d)
 
     def test_no_false_comparabilities_for_two_dimensional_input(self):
-        rep = weak_dominance_stats(compute_coordinates(grid(3, 3)))
-        assert rep.count == 0 and rep.pairs == ()
+        d = compute_coordinates(grid(3, 3))
+        assert dense_false_pairs(d) == [] and trace_pairs(d.trace) == set()
 
 
 class TestPlaneEdits:

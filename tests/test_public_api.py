@@ -34,13 +34,15 @@ def test_retired_names_are_gone():
                  "all_linear_extensions", "cocomparability_graph",
                  "comparability_graph", "enforces", "incompatible",
                  "transitive_orientation", "verify_orientation",
-                 "ExternalSolver", "parse_dimacs", "oct_greedy"):
+                 "ExternalSolver", "parse_dimacs", "oct_greedy",
+                 "weak_dominance_stats", "DominanceReport"):
         assert not hasattr(orddraw, name), name
     from orddraw import bipartization, cli, engine, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
                         (graphs, "bridges"), (graphs, "two_coloring_mask"),
                         (cli, "cmd_cnf"), (engine, "_insert_checked"),
-                        (engine, "_insert_one_by_one"),
+                        (engine, "_insert_one_by_one"), (engine, "_greater"),
+                        (engine, "weak_dominance_stats"), (engine, "DominanceReport"),
                         (sat.CnfInstance(0, ()), "var_map"),
                         (sat.CnfInstance(0, ()), "to_dimacs"),
                         (bipartization, "decode_removed"),
