@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
-from .graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
+from .graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_layers,
                      is_bipartite_without, odd_blocks)
 from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
@@ -273,21 +273,31 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     afterwards, so the graph it would rejoin only grows and keeps its odd
     cycle; a second pass would drop nothing.  The kept graph is held as a
     union-find in which each vertex stores its colour relative to its
-    parent.  It starts as the forest of the breadth-first colouring that
-    `two_coloring` runs: a root has parent -1, and every other kept vertex
-    hangs off its BFS parent with the other colour.  A vertex may return
-    when, within each component, its kept neighbours all have one colour;
-    it then joins those components with the other colour, so each check
-    costs its degree rather than a two-colouring of the graph.  A set
-    whose rest is not bipartite comes back unchanged.
+    parent.  It starts flat, from the layers of `bfs_layers`: a root (the
+    lowest kept vertex of its component) has parent -1, and every other
+    kept vertex hangs off its root with its layer's parity.  A vertex may
+    return when, within each component, its kept neighbours all have one
+    colour; it then joins those components with the other colour, so each
+    check costs its degree rather than a two-colouring of the graph.  The
+    colours relative to a component's root are fixed by the bipartite kept
+    graph, whatever the forest's shape, so every check, and the result,
+    depends only on the graph and the set.  A set whose rest is not
+    bipartite comes back unchanged.
     """
     removed = frozenset(removed)
     masks = g.masks
     gone = mask_of(removed)
     parent = [-1] * g.n
-    for _ in _colour_conflicts(g, gone, [None] * g.n, parent, [0] * g.n):
-        return removed  # a monochromatic kept edge
-    parity = [1] * g.n  # colour relative to the parent, read only below a root
+    parity = [0] * g.n  # colour relative to the parent, read only below a root
+    for depth, layer, clash in bfs_layers(g, gone):
+        if clash:
+            return removed  # a monochromatic kept edge
+        if not depth:
+            root = layer.bit_length() - 1
+            continue
+        for v in bits(layer):
+            parent[v] = root
+            parity[v] = depth & 1
 
     def find(v: int) -> tuple[int, int]:
         """(root, colour relative to the root) of v, compressing its path."""
@@ -321,33 +331,45 @@ def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
     """A small removal set, not always a minimum one: a vertex cover of the
     monochromatic edges of a 2-colouring found by local search.
 
-    From the breadth-first colouring of `two_coloring`, sweeps in an order
-    shuffled by random.Random(seed) move each vertex with more neighbours on
-    its side than on the other, until a sweep moves none (each move loses
-    monochromatic edges, so the descent ends).  Then the vertex on the most
-    monochromatic edges left, the lowest on ties, is removed until none is
-    left, with the counts in a heap whose stale entries are refreshed when
-    they surface, and the cover is peeled.  The result is valid and
-    inclusion-minimal, and `optimal` only when it is empty.  No annealing
-    runs: the benchmark in perfbench/ selects and traces it by this name.
+    It starts from the breadth-first colouring of `bfs_layers`, each vertex
+    coloured with its layer's parity, which is the colouring `two_coloring`
+    runs.  Sweeps in an order shuffled by random.Random(seed) move each
+    vertex with more neighbours on its side than on the other, until a
+    sweep moves none (each move loses monochromatic edges, so the descent
+    ends).  A sweep checks only the vertices that are due, those with a
+    neighbour moved since their last check (every vertex before the first
+    sweep): a vertex checked and left, or just moved, has fewer than half
+    its neighbours on its side until a neighbour moves, so a sweep over
+    every vertex would make the same moves in the same order.  Then the
+    vertex on the most monochromatic edges left, the lowest on ties, is
+    removed until none is left, with the counts in a heap whose stale
+    entries are refreshed when they surface, and the cover is peeled.  The
+    result is valid and inclusion-minimal, and `optimal` only when it is
+    empty.  No annealing runs: the benchmark in perfbench/ selects and
+    traces it by this name.
     """
     n, masks = g.n, g.masks
-    color: list[int | None] = [None] * n
-    for _ in _colour_conflicts(g, 0, color, [-1] * n, [0] * n):
-        pass
-    ones = mask_of(v for v in range(n) if color[v])  # the vertices coloured 1
+    ones = 0  # the vertices coloured 1
+    for depth, layer, _ in bfs_layers(g):
+        if depth & 1:
+            ones |= layer
+    zeros = ((1 << n) - 1) ^ ones
+    degrees = [mask.bit_count() for mask in masks]
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    moved = True
-    while moved:
-        moved = False
+    due = (1 << n) - 1
+    while due:
         for v in order:
-            nbrs = masks[v]
-            same = nbrs & ones if ones >> v & 1 else nbrs & ~ones
-            if 2 * same.bit_count() > nbrs.bit_count():
-                ones ^= 1 << v
-                moved = True
-    conflicts = [mask & ones if ones >> v & 1 else mask & ~ones
+            bit = 1 << v
+            if due & bit:
+                due ^= bit
+                nbrs = masks[v]
+                same = nbrs & (ones if ones & bit else zeros)
+                if 2 * same.bit_count() > degrees[v]:
+                    ones ^= bit
+                    zeros ^= bit
+                    due |= nbrs
+    conflicts = [mask & ones if ones >> v & 1 else mask & zeros
                  for v, mask in enumerate(masks)]
     degree = [mask.bit_count() for mask in conflicts]
     heap = [(-d, v) for v, d in enumerate(degree) if d]

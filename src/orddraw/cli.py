@@ -57,12 +57,15 @@ _EMITTERS = {
 
 def cmd_draw(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if ns.output:  # a bad output name fails before any work
+    if ns.output:  # a bad output name, or two outputs in one file, fail before any work
         emit = _EMITTERS.get(Path(ns.output).suffix.lower())
         if emit is None:
             known = " ".join(sorted(_EMITTERS))
             raise ValueError(f"cannot infer output format from {ns.output!r} "
                              f"(known: {known})")
+        if ns.summary_json and Path(ns.summary_json).resolve() == Path(ns.output).resolve():
+            raise ValueError(f"-o/--output {ns.output!r} and --summary-json "
+                             f"{ns.summary_json!r} name the same file")
     order = _load_order(ns)
     drawing = compute_coordinates(order, strategy=ns.solver, seed=ns.seed)
     if ns.verbose:

@@ -1,15 +1,22 @@
 """Undirected simple graphs, their two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
-over them.  One breadth-first colouring, which pushes past monochromatic
-edges and yields each one it meets, serves `two_coloring` (the first such
-edge closes an odd walk), `odd_cycle_census` (each such edge counts its
-BFS-tree cycle) and, in `bipartization`, the start of `oct_anneal`'s
-local search and the forest that `peel_to_minimal` starts from, and the
-odd cycles of the exact search, which colours into lists it allocates once
-and reuses: a call reads only the entries it has written itself.
-`odd_blocks` finds the non-bipartite blocks between the bridges in one
-depth-first search.
+over them.  Two breadth-first searches colour a graph minus a vertex set.
+`bfs_layers` only colours: it advances a whole layer per step, the OR of
+the layer's neighbour masks less the vertices already seen, and a vertex's
+colour is its layer's parity.  It serves `is_bipartite_without` and, in
+`bipartization`, the start of `oct_anneal`'s local search and the
+union-find that `peel_to_minimal` starts from.  `_colour_conflicts` visits
+one vertex per step, pushes past monochromatic edges and yields each one it
+meets with its queue-order parents in place, so the edge's tree cycle can
+be read off: it serves `two_coloring` (the first such edge closes an odd
+walk), `odd_cycle_census` (each such edge counts its BFS-tree cycle) and
+the odd cycles of the exact search, which colours into lists it allocates
+once and reuses: a call reads only the entries it has written itself.
+Both searches start each component at its lowest kept vertex, so a
+vertex's layer is its BFS depth in `_colour_conflicts` and the two give it
+the same colour.  `odd_blocks` finds the non-bipartite blocks between the
+bridges in one depth-first search.
 """
 
 from __future__ import annotations
@@ -219,8 +226,42 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     return color, None
 
 
+def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, bool]]:
+    """The breadth-first layers of g minus the vertices in the mask `gone`,
+    as (depth, layer mask, clash), component by component.
+
+    Each component starts at its lowest kept vertex, which alone is its
+    layer at depth 0; the next layer is the OR of the current layer's
+    neighbour masks less the vertices seen so far.  Colouring each vertex
+    with its layer's parity is the colouring `_colour_conflicts` gives,
+    since a vertex's layer is its distance from the start.  An edge joins
+    two vertices of one layer or of adjacent layers, so the colouring has a
+    monochromatic edge exactly when some layer's `clash` is true: the
+    layer meets its own neighbour masks.  A step costs an OR per vertex of
+    the layer, not a step per edge.
+    """
+    masks = g.masks
+    unseen = ((1 << g.n) - 1) & ~gone
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        depth = 0
+        while layer:
+            reach = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= masks[low.bit_length() - 1]
+            yield depth, layer, bool(reach & layer)
+            layer = reach & unseen
+            unseen ^= layer
+            depth += 1
+
+
 def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
-    return two_coloring(g, removed)[1] is None
+    """Whether g minus `removed` is bipartite: no BFS layer holds an edge."""
+    return not any(clash for _, _, clash in bfs_layers(g, mask_of(removed)))
 
 
 def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \

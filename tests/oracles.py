@@ -526,14 +526,13 @@ def brute_force_oct(g, max_vertices=20):
     exact search.  Raises TooLarge above `max_vertices` vertices."""
     from orddraw.bipartization import OctResult
     from orddraw.errors import TooLarge
-    from orddraw.graphs import is_bipartite_without
     if g.n > max_vertices:
         raise TooLarge(f"{g.n} vertices exceeds the brute-force bound {max_vertices}")
     tested = 0
     for size in range(g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             tested += 1
-            if is_bipartite_without(g, subset):
+            if bipartite_without(g, subset):
                 return OctResult(frozenset(subset), "brute", True,
                                  {"subsets_tested": tested})
     raise AssertionError("unreachable: removing every vertex is bipartite")
@@ -546,7 +545,7 @@ def reference_transversals(g):
     every block's sets are listed in full, and the first MAX_TRANSVERSALS
     tuples of their itertools.product give the unions."""
     from orddraw.bipartization import MAX_TRANSVERSALS
-    from orddraw.graphs import SimpleGraph, is_bipartite_without, two_coloring
+    from orddraw.graphs import SimpleGraph, two_coloring
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
@@ -570,7 +569,7 @@ def reference_transversals(g):
         local = {v: i for i, v in enumerate(vertices)}
         h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
                                      for w in rest[u] if u < w])
-        if not is_bipartite_without(h):
+        if not bipartite_without(h):
             blocks.append((h, vertices))
 
     def disjoint_odd_cycles(h, removed, limit, known):
@@ -662,18 +661,23 @@ def monochromatic_edges(g, colors):
     return sum(1 for u, v in g.edges if colors[u] is not None and colors[u] == colors[v])
 
 
+def bipartite_without(g, removed=()):
+    """Whether g minus `removed` is bipartite: its forced_coloring leaves no
+    kept edge monochromatic.  The reference for is_bipartite_without."""
+    return monochromatic_edges(g, forced_coloring(g, removed)[0]) == 0
+
+
 def peel_to_minimal_by_bfs(g, removed):
     """Inclusion-minimal peel by rounds of full two-colourings: drop each
     vertex, in ascending order, whose return leaves the rest bipartite, and
     repeat until a round drops nothing."""
-    from orddraw.graphs import is_bipartite_without
     cur = set(removed)
     changed = True
     while changed:
         changed = False
         for v in sorted(cur):
             rest = cur - {v}
-            if is_bipartite_without(g, rest):
+            if bipartite_without(g, rest):
                 cur = rest
                 changed = True
     return frozenset(cur)

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import TooLarge
-from orddraw.graphs import SimpleGraph, is_bipartite_without
+from orddraw.graphs import SimpleGraph
 from orddraw import bipartization
 from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
                                    encode_oct, min_oct_exact, oct_anneal,
                                    peel_to_minimal)
 from orddraw.orders import standard_example
 from orddraw.tig import build_tig
-from oracles import (anneal_by_recount, anneal_cover_by_recount, brute_force_oct,
-                     peel_to_minimal_by_bfs, reference_transversals,
+from oracles import (anneal_by_recount, anneal_cover_by_recount, bipartite_without,
+                     brute_force_oct, peel_to_minimal_by_bfs, reference_transversals,
                      removal_set, row_masks, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,7 +134,7 @@ class TestEncoding:
         assert model is not None
         removed = removal_set(g.n, model)
         assert len(removed) <= 1
-        assert is_bipartite_without(g, removed)
+        assert bipartite_without(g, removed)
 
     def test_decode_partition_roles(self):
         g = two_triangles()
@@ -168,7 +168,7 @@ class TestEncoding:
                 assert solve_by_milp(encode_oct(g, k - 1)) is None
             model = solve_by_milp(encode_oct(g, k))
             removed = removal_set(g.n, model)
-            assert len(removed) <= k and is_bipartite_without(g, removed)
+            assert len(removed) <= k and bipartite_without(g, removed)
 
 
 class TestExactSearch:
@@ -195,7 +195,7 @@ class TestExactSearch:
             res = min_oct_exact(g)
             assert k == want and lower <= want
             assert len(res.removed) == want
-            assert is_bipartite_without(g, res.removed)
+            assert bipartite_without(g, res.removed)
 
     def test_without_a_predicate_returns_the_first_listed_set(self):
         rng = random.Random(113)
@@ -225,7 +225,7 @@ class TestExactSearch:
         # million search nodes; with it every family needs at most 108
         assert nodes <= 200
         res = min_oct_exact(g)
-        assert len(res.removed) == want and is_bipartite_without(g, res.removed)
+        assert len(res.removed) == want and bipartite_without(g, res.removed)
 
     def test_stats_report_the_search(self):
         g = union([complete_graph(4), cycle_graph(5)], [(0, 0, 1, 0)])
@@ -251,10 +251,10 @@ class TestTransversalSearch:
             k = len(brute_force_oct(g).removed)
             listed = list(TransversalSearch(g))
             assert len(set(listed)) == len(listed) <= MAX_TRANSVERSALS
-            assert all(len(s) == k and is_bipartite_without(g, s) for s in listed)
+            assert all(len(s) == k and bipartite_without(g, s) for s in listed)
             if len(listed) < MAX_TRANSVERSALS:
                 every = {frozenset(c) for c in combinations(range(g.n), k)
-                         if is_bipartite_without(g, c)}
+                         if bipartite_without(g, c)}
                 assert set(listed) == every
                 complete += 1
         assert complete >= 100
@@ -356,9 +356,9 @@ class TestPeeling:
         g = cycle_graph(5)
         bloated = frozenset(range(5))
         lean = peel_to_minimal(g, bloated)
-        assert is_bipartite_without(g, lean)
+        assert bipartite_without(g, lean)
         for v in lean:
-            assert not is_bipartite_without(g, lean - {v})
+            assert not bipartite_without(g, lean - {v})
 
     def test_already_minimal_is_kept(self):
         g = cycle_graph(5)
@@ -379,7 +379,7 @@ class TestPeeling:
             arbitrary = frozenset(start)
             peeled = peel_to_minimal(g, arbitrary)
             assert peeled == peel_to_minimal_by_bfs(g, arbitrary)
-            if not is_bipartite_without(g, arbitrary):
+            if not bipartite_without(g, arbitrary):
                 invalid += 1
                 assert peeled == arbitrary
         assert invalid >= 100
@@ -396,7 +396,7 @@ class TestPeeling:
         removed = frozenset(np.flatnonzero(rng.random(n) < share).tolist())
         peeled = peel_to_minimal(g, removed)
         assert peeled == peel_to_minimal_by_bfs(g, removed)
-        if not is_bipartite_without(g, removed):
+        if not bipartite_without(g, removed):
             assert peeled == removed
 
     def test_long_odd_cycle_keeps_its_last_vertex(self):
@@ -414,10 +414,10 @@ class TestHeuristics:
         for _ in range(12):
             g = random_graph(rng, rng.randint(3, 10), 0.4)
             res = strategy(g)
-            assert is_bipartite_without(g, res.removed)
+            assert bipartite_without(g, res.removed)
             assert res.optimal == (res.removed == frozenset())
             for v in res.removed:
-                assert not is_bipartite_without(g, res.removed - {v})
+                assert not bipartite_without(g, res.removed - {v})
 
     @pytest.mark.parametrize("strategy", [oct_anneal])
     def test_bipartite_input_yields_empty(self, strategy):

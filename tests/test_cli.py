@@ -222,6 +222,24 @@ class TestDrawErrors:
         assert "cycle" not in err
         assert not target.exists()
 
+    def test_one_file_for_both_outputs_is_an_input_error(self, s3_file, tmp_path,
+                                                         capsys, monkeypatch):
+        # the summary would overwrite the drawing; each spelling of one path
+        # fails before the input is read, which for the cyclic input would
+        # report the cycle instead
+        cyclic = tmp_path / "cyclic.order"
+        cyclic.write_text("a < b\nb < a\n")
+        monkeypatch.chdir(tmp_path)
+        for source, summary in ((s3_file, "x.svg"), (str(cyclic), "x.svg"),
+                                (str(cyclic), str(tmp_path / "x.svg")),
+                                (str(cyclic), "./sub/../x.svg")):
+            assert main(["draw", "-i", source, "-o", "x.svg",
+                         "--summary-json", summary]) == 1
+            err = capsys.readouterr().err
+            assert "-o/--output" in err and "--summary-json" in err
+            assert "x.svg" in err and "cycle" not in err
+            assert not (tmp_path / "x.svg").exists()
+
     def test_colliding_concept_labels(self, tmp_path, capsys):
         # a repeated object name, and a name holding the label separator
         for text, label in (("B\n2\n2\na\na\nm0\nm1\nX.\n.X\n", "{a}"),

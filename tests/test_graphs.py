@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle,
+from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_layers,
                             is_bipartite_without, odd_blocks, odd_cycle_census,
                             two_coloring)
-from oracles import (forced_coloring, monochromatic_edges,
+from orddraw.orders import bits
+from oracles import (bipartite_without, forced_coloring, monochromatic_edges,
                      odd_cycle_census_after_coloring, row_masks)
 
 
@@ -168,7 +169,7 @@ class TestOddBlocks:
             blocks = odd_blocks(g)
             assert blocks == networkx_odd_blocks(g)
             # each part is one block; all but C4 and C6 are odd
-            assert len(blocks) == sum(1 for h in parts if not is_bipartite_without(h))
+            assert len(blocks) == sum(1 for h in parts if not bipartite_without(h))
 
     def test_path_of_triangles(self):
         # two triangles joined by the bridge 2-3
@@ -297,6 +298,72 @@ class TestColourConflicts:
         assert odd > 500
 
 
+def path_graph(k):
+    return SimpleGraph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+class TestBfsLayers:
+    """The layer-per-step colouring against the per-vertex BFS oracle."""
+
+    @staticmethod
+    def check(g, removed):
+        """Depths and colours equal forced_coloring's on every kept vertex,
+        the layers partition the kept vertices, each component starts at
+        its lowest kept vertex, the clash flags say whether that colouring
+        has a monochromatic edge, and is_bipartite_without agrees with
+        networkx on the kept subgraph.  Returns whether some layer clashed."""
+        ref, _, ref_depth = forced_coloring(g, removed)
+        colours, depth = [None] * g.n, [0] * g.n
+        clash = False
+        seen = 0
+        for d, layer, layer_clash in bfs_layers(g, sum(1 << v for v in removed)):
+            assert layer and not layer & seen
+            if d == 0:
+                kept_unseen = [v for v in range(g.n) if v not in removed and not seen >> v & 1]
+                assert layer == 1 << kept_unseen[0]
+            seen |= layer
+            for v in bits(layer):
+                colours[v], depth[v] = d & 1, d
+            clash |= layer_clash
+        assert colours == ref
+        assert [depth[v] for v in range(g.n) if v not in removed] \
+            == [ref_depth[v] for v in range(g.n) if v not in removed]
+        assert clash == (monochromatic_edges(g, ref) > 0)
+        kept = nx.Graph()
+        kept.add_nodes_from(v for v in range(g.n) if v not in removed)
+        kept.add_edges_from((u, v) for u, v in g.edges if u not in removed and v not in removed)
+        assert is_bipartite_without(g, removed) == nx.is_bipartite(kept) == (not clash)
+        return clash
+
+    def test_matches_the_oracles_on_random_graphs(self):
+        rng = random.Random(43)
+        clashes = 0
+        for _ in range(800):
+            g = random_graph(rng, rng.randint(0, 40), rng.choice([0.02, 0.05, 0.1, 0.2, 0.4, 0.7]))
+            clashes += self.check(g, random_removed(rng, g))
+        assert 200 < clashes < 700
+
+    def test_long_odd_cycle(self):
+        g = cycle_graph(2001)
+        assert self.check(g, set())
+        assert not self.check(g, {1000})
+        # the two ends of the last edge share the deepest layer
+        assert max(d for d, _, _ in bfs_layers(g)) == 1000
+
+    def test_long_path(self):
+        g = path_graph(3000)
+        assert not self.check(g, set())
+        assert not self.check(g, {0, 1500, 2999})
+        assert [layer for _, layer, _ in bfs_layers(g)] == [1 << v for v in range(3000)]
+
+    def test_empty_graphs(self):
+        assert list(bfs_layers(SimpleGraph(0))) == []
+        assert not self.check(SimpleGraph(0), set())
+        assert list(bfs_layers(SimpleGraph(4))) == [(0, 1 << v, False) for v in range(4)]
+        assert not self.check(SimpleGraph(4), {2})
+        assert list(bfs_layers(cycle_graph(5), 0b11111)) == []
+
+
 class TestOddCycleCensus:
     def test_none_for_bipartite(self):
         assert odd_cycle_census(cycle_graph(8)) is None
@@ -315,9 +382,9 @@ class TestOddCycleCensus:
             g = random_graph(rng, rng.randint(3, 8), 0.5)
             census = odd_cycle_census(g)
             if census is None:
-                assert is_bipartite_without(g)
+                assert bipartite_without(g)
             else:
-                assert not is_bipartite_without(g)
+                assert not bipartite_without(g)
                 # removing all counted vertices kills every witnessed cycle
                 assert monochromatic_edges(
                     g, forced_coloring(g, removed=census)[0]) == 0
