@@ -275,10 +275,13 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     union-find in which each vertex stores its colour relative to its
     parent.  It starts flat, from the layers of `bfs_layers`: a root (the
     lowest kept vertex of its component) has parent -1, and every other
-    kept vertex hangs off its root with its layer's parity.  A vertex may
-    return when, within each component, its kept neighbours all have one
-    colour; it then joins those components with the other colour, so each
-    check costs its degree rather than a two-colouring of the graph.  The
+    kept vertex next to the set hangs off its root with its layer's
+    parity.  The others are never read: a find starts at a kept neighbour
+    of a vertex of the set and climbs only to roots and to vertices of the
+    set that have returned.  A vertex may return when, within each
+    component, its kept neighbours all have one colour; it then joins those
+    components with the other colour, so each check costs its degree
+    rather than a two-colouring of the graph.  The
     colours relative to a component's root are fixed by the bipartite kept
     graph, whatever the forest's shape, so every check, and the result,
     depends only on the graph and the set.  A set whose rest is not
@@ -289,13 +292,16 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     gone = mask_of(removed)
     parent = [-1] * g.n
     parity = [0] * g.n  # colour relative to the parent, read only below a root
+    reached = 0  # the set's neighbours
+    for v in removed:
+        reached |= masks[v]
     for depth, layer, clash in bfs_layers(g, gone):
         if clash:
             return removed  # a monochromatic kept edge
         if not depth:
             root = layer.bit_length() - 1
             continue
-        for v in bits(layer):
+        for v in bits(layer & reached):
             parent[v] = root
             parity[v] = depth & 1
 
