@@ -4,12 +4,14 @@ Each run is the checkout's own `perfbench/run.py`, started in that checkout
 with the current interpreter:
 
     python tools/paired_bench.py PARENT CHANGE --workload heuristic \
-        --seed 1007 --pairs 10 [--seconds 20]
+        --seed 1007 --pairs 10
 
-A pair runs both sides back to back, the parent first in even pairs and the
+The benchmark is read from CHANGE's `BENCHMARK.json`: its `workloads` are
+the choices of `--workload`, every run lasts its `run_seconds`, and its
+`end_to_end` metrics are the ones compared.  A pair runs both sides back to back, the parent first in even pairs and the
 change first in odd ones, so a drift of the machine's speed does not favour
 one side.  The last stdout line of a run is its JSON result.  For each
-end-to-end metric of `BENCHMARK.json` (read from CHANGE) the script prints
+end-to-end metric the script prints
 each side's median and quartiles (`statistics.quantiles`, exclusive
 method), the change's median less the parent's as a share of the parent's
 median, the parent's interquartile range as the same share, and in how many
@@ -54,19 +56,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True, choices=("exact", "heuristic", "two_dim"))
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     ns = parser.parse_args(argv)
     if ns.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = json.loads((ns.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ns.change / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if ns.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}")
+    metrics = bench["end_to_end"]
     sides = ("parent", "change")
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     for i in range(ns.pairs):
         for side in (sides if i % 2 == 0 else sides[::-1]):
-            result = run_once(getattr(ns, side), ns.workload, ns.seed, ns.seconds)
+            result = run_once(getattr(ns, side), ns.workload, ns.seed, bench["run_seconds"])
             runs[side].append(result)
             shown = " ".join(f"{m['name']}={value(result, m['name']):.6g}" for m in metrics)
             print(f"pair {i + 1} {side}: {shown}", flush=True)
