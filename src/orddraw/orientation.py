@@ -19,6 +19,9 @@ its seed under forcing, so the order in which forced arcs are visited does
 not change it.  Every vertex set is a Python int with one bit per vertex:
 the edges not yet in a class at each vertex, and the arcs forced so far
 leaving and entering it, so one forcing step is a few word operations.
+A finished class is removed from the graph at each vertex it touches, in
+one mask operation per vertex: the arcs forced so far at that vertex are
+the class's own and those of classes already removed.
 
 The conjugate found for an order is checked once, by `is_linear_order` on
 both unions L1 = <= | C and L2 = <= | C^T (the latter through its
@@ -57,6 +60,7 @@ def _force_classes(adj: list[int]) -> tuple[list[int], list[int]] | None:
             t = s + (above & -above).bit_length()
             out[s] |= 1 << t
             into[t] |= 1 << s
+            touched = 1 << s | 1 << t  # the endpoints of the class's arcs
             queue = [(s, t)]
             for a, b in queue:  # walks the arcs appended below too
                 # a->b and edge {a,c} with b,c non-adjacent: both must leave a;
@@ -64,25 +68,30 @@ def _force_classes(adj: list[int]) -> tuple[list[int], list[int]] | None:
                 # holds b and enter holds a, which a->b already accounts for;
                 # arcs of settled classes lie outside rem, so out and into
                 # meet leave and enter only in the current class
-                leave = rem[a] & ~rem[b]
-                enter = rem[b] & ~rem[a]
+                ra, rb = rem[a], rem[b]
+                leave = ra & ~rb
+                enter = rb & ~ra
                 if leave & into[a] or enter & out[b]:
                     return None
                 new = leave & ~out[a]
                 if new:
                     out[a] |= new
+                    touched |= new
                     for c in bits(new):
                         into[c] |= 1 << a
                         queue.append((a, c))
                 new = enter & ~into[b]
                 if new:
                     into[b] |= new
+                    touched |= new
                     for c in bits(new):
                         out[c] |= 1 << b
                         queue.append((c, b))
-            for a, b in queue:  # settle the class
-                rem[a] &= ~out[a]
-                rem[b] &= ~into[b]
+            # settle the class at each of its vertices: the class's arcs at v
+            # are all in out[v] | into[v], and every other arc there belongs
+            # to a settled class, already gone from rem
+            for v in bits(touched):
+                rem[v] &= ~(out[v] | into[v])
     return out, into
 
 

@@ -48,15 +48,23 @@ def _integer_plane(d: GridDrawing) -> tuple[dict[str, tuple[int, int]], int]:
 def detect_collinear(d: GridDrawing) -> list[Conflict]:
     """Elements sitting on the open segment of a non-incident cover edge.
 
-    Exact test: with u, v the edge endpoints and w the point, w is on the
-    open segment iff cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.
-    It runs on integers (the plane scaled by its common denominator), and
-    each edge is tested only against the elements whose height lies strictly
-    between its endpoints' heights: no other point of a non-horizontal edge
-    can be on its open segment.  A horizontal edge is tested against the
-    elements at its height; a zero-length edge has no open segment.
+    Exact, on integers (the plane scaled by its common denominator).  With
+    u, v the edge endpoints, e = v - u and g = gcd(e_x, e_y), a lattice
+    point w is on the open segment iff w = u + k * (e / g) for an integer
+    1 <= k < g: e / g is primitive, so every lattice point of the line
+    through u and v is an integer step along it.  So each edge either
+    looks up those g - 1 points in a map from point to labels, or, when
+    fewer elements lie in its height band (perturbed planes have large
+    denominators), tests each of them: w is on the open segment iff
+    cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.  The band of a
+    non-horizontal edge is the elements strictly between its endpoints'
+    heights, of a horizontal one the elements at its height.  An edge costs
+    min(g - 1, band size) tests; a zero-length edge has no open segment.
     """
     pts, _ = _integer_plane(d)
+    at: dict[tuple[int, int], list[str]] = {}
+    for label, p in pts.items():
+        at.setdefault(p, []).append(label)
     by_height = sorted(d.order.ground, key=lambda label: pts[label][1])
     heights = [pts[label][1] for label in by_height]
     conflicts: list[Conflict] = []
@@ -64,15 +72,22 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
         ux, uy = pts[a]
         vx, vy = pts[b]
         ex, ey = vx - ux, vy - uy
+        g = math.gcd(ex, ey)
+        if g < 2:  # no lattice point on the open segment; g = 0: zero length
+            continue
         if ey:
-            low, high = min(uy, vy), max(uy, vy)
-            band = by_height[bisect_right(heights, low):bisect_left(heights, high)]
-        elif ex:
-            band = by_height[bisect_left(heights, uy):bisect_right(heights, uy)]
+            low = bisect_right(heights, min(uy, vy))
+            high = bisect_left(heights, max(uy, vy))
         else:
+            low, high = bisect_left(heights, uy), bisect_right(heights, uy)
+        if g - 1 <= high - low:
+            sx, sy = ex // g, ey // g
+            for k in range(1, g):
+                for label in at.get((ux + k * sx, uy + k * sy), ()):
+                    conflicts.append((label, (a, b)))
             continue
         length = ex * ex + ey * ey
-        for label in band:
+        for label in by_height[low:high]:
             if label == a or label == b:
                 continue
             wx, wy = pts[label]
@@ -133,8 +148,21 @@ def _screen_geometry(d: GridDrawing):
 
 
 def emit_svg(d: GridDrawing) -> bytes:
-    """Render as SVG: cover edges as lines below labelled node circles."""
+    """Render as SVG: cover edges as lines below labelled node circles.
+
+    Raises ValueError naming the first label that holds a character XML 1.0
+    cannot carry, not even as a character reference (a C0 control other
+    than tab, newline and carriage return, or U+FFFE, U+FFFF).
+    """
+    for label in d.order.ground:
+        if not _NOT_XML_CHARS.isdisjoint(label):
+            raise ValueError(f"label {label!r} holds a character that SVG (XML 1.0) "
+                             "cannot carry")
     width, height, place = _screen_geometry(d)
+    # each screen coordinate is formatted once, for its circle and for
+    # every edge end at it: one float always gives the same text
+    points = {label: place(label) for label in d.order.ground}
+    text = {label: (f"{x:.2f}", f"{y:.2f}") for label, (x, y) in points.items()}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
@@ -142,24 +170,28 @@ def emit_svg(d: GridDrawing) -> bytes:
         f'<g fill="none" stroke="#333333" stroke-width="1.5">',
     ]
     for a, b in d.cover_edges:
-        x1, y1 = place(a)
-        x2, y2 = place(b)
-        out.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>')
+        x1, y1 = text[a]
+        x2, y2 = text[b]
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     out.append("</g>")
     out.append('<g fill="#1f5fbf" stroke="#0b2f66" stroke-width="1">')
-    for label in d.order.ground:
-        cx, cy = place(label)
-        out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_NODE_RADIUS:.2f}"/>')
+    for cx, cy in text.values():
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="{_NODE_RADIUS:.2f}"/>')
     out.append("</g>")
     out.append(f'<g font-family="sans-serif" font-size="{_FONT_SIZE:.2f}" '
                'fill="#111111">')
-    for label in d.order.ground:
-        cx, cy = place(label)
+    for label, (cx, cy) in points.items():
         tx, ty = cx + _NODE_RADIUS + 3.0, cy + _FONT_SIZE * 0.35
         out.append(f'<text x="{tx:.2f}" y="{ty:.2f}">{_xml_escape(label)}</text>')
     out.append("</g>")
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+# the code points outside XML 1.0's Char production that a str can hold
+# and UTF-8 can encode
+_NOT_XML_CHARS = frozenset(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20),
+                                     0xFFFE, 0xFFFF]))
 
 
 def _xml_escape(s: str) -> str:

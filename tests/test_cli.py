@@ -250,6 +250,23 @@ class TestDrawErrors:
             err = capsys.readouterr().err
             assert f"share the label {label!r}" in err and "object names repeat" in err
 
+    @pytest.mark.parametrize("name, text, label", [
+        ("control.order", "a\x01 < b\n", "a\x01"),
+        ("control.cxt", "B\n2\n2\ng\x1f\nh\nm0\nm1\nX.\n.X\n", "{g\x1f}"),
+    ])
+    def test_a_label_xml_cannot_carry_is_an_input_error(self, name, text, label,
+                                                        tmp_path, capsys):
+        # XML 1.0 has no character reference for most C0 controls either,
+        # so no SVG can hold the label; the other formats still draw it
+        source = tmp_path / name
+        source.write_text(text)
+        target = tmp_path / "out.svg"
+        assert main(["draw", "-i", str(source), "-o", str(target)]) == 1
+        assert f"label {label!r}" in capsys.readouterr().err
+        assert not target.exists()
+        for other in ("out.json", "out.dot", "out.tikz"):
+            assert main(["draw", "-i", str(source), "-o", str(tmp_path / other)]) == 0
+
     def test_external_solver_flags_are_usage_errors(self, s3_file, capsys,
                                                     monkeypatch):
         for flags in (["--sat-backend", "external"], ["--solver-cmd", "true"]):

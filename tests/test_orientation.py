@@ -48,6 +48,41 @@ def cocomparability_graph(o):
     return SimpleGraph.from_masks(incomparable_masks(o))
 
 
+def lexicographic_sum(skeleton, parts):
+    """The order on the pairs (q, i), i an element of parts[q], with
+    (q, i) < (r, j) iff q < r in the skeleton, or q = r and i < j in
+    parts[q]: each part is a module of the sum."""
+    labels = [f"{q}.{i}" for q, part in enumerate(parts) for i in range(part.n)]
+    pairs = [(f"{q}.{i}", f"{r}.{j}") for q, r in strict_pairs(skeleton)
+             for i in range(parts[q].n) for j in range(parts[r].n)]
+    pairs += [(f"{q}.{i}", f"{q}.{j}") for q, part in enumerate(parts)
+              for i, j in strict_pairs(part)]
+    return build_order(labels, pairs)
+
+
+def random_sum(rng, depth):
+    """A series, parallel or lexicographic sum (over a small two-dimensional
+    skeleton) whose parts are chains, antichains, small two-dimensional
+    orders or, depth allowing, such sums again; now and then a part is the
+    three-dimensional standard example S3, and the sum has no transitive
+    orientation."""
+    skeleton = rng.choice([chain(2), antichain(2),
+                           blocked_two_dimensional(rng.randint(2, 5), 1, rng.randrange(10**6))])
+    parts = []
+    for _ in range(skeleton.n):
+        kind = rng.choices(["sum", "chain", "antichain", "2d", "s3"],
+                           [3 if depth > 1 else 0, 2, 2, 2, 0.3])[0]
+        if kind == "sum":
+            parts.append(random_sum(rng, depth - 1))
+        elif kind == "2d":
+            parts.append(blocked_two_dimensional(rng.randint(2, 6), 1, rng.randrange(10**6)))
+        elif kind == "s3":
+            parts.append(standard_example(3))
+        else:
+            parts.append((chain if kind == "chain" else antichain)(rng.randint(1, 4)))
+    return lexicographic_sum(skeleton, parts)
+
+
 class TestTransitiveOrientation:
     def test_known_graphs(self):
         assert transitive_orientation(cycle_graph(5)) is None
@@ -115,6 +150,20 @@ class TestTransitiveOrientation:
                 assert frozenset(strict_pairs(conj)) == expect
                 yes += 1
         assert yes >= 16
+
+    def test_matches_the_set_loop_on_sums_of_modules(self):
+        # the incomparabilities inside a module and those leaving it fall
+        # into different implication classes, so a sum has many classes
+        # and later ones start at vertices where earlier ones were settled
+        rng = random.Random(61)
+        yes = no = 0
+        for _ in range(60):
+            g = cocomparability_graph(random_sum(rng, 3))
+            expect = transitive_orientation_by_sets(g)
+            assert transitive_orientation(g) == expect
+            yes += expect is not None
+            no += expect is None
+        assert yes >= 40 and no >= 3, "suite should exercise both outcomes"
 
 
 class TestConjugate:

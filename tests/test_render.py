@@ -1,7 +1,10 @@
 """Tests for collinearity handling and the SVG/TikZ/graphviz emitters."""
 
+import contextlib
+import math
 import random
 import re
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
 from orddraw import render
 from orddraw.render import (_screen_geometry, detect_collinear, emit_dot,
                             emit_svg, emit_tikz, perturb)
-from oracles import (collinear_points, random_order,
+from oracles import (blocked_two_dimensional, collinear_points, random_order,
                      screen_geometry_by_fractions, strict_pairs)
 
 
@@ -24,6 +27,26 @@ def oracle_conflicts(d):
     return sorted((label, (a, b)) for a, b in d.cover_edges for label in d.order.ground
                   if label not in (a, b)
                   and collinear_points(d.plane[a], d.plane[b], d.plane[label]))
+
+
+@contextlib.contextmanager
+def failing_after(seconds):
+    """Raise TimeoutError inside the block once `seconds` have passed (where
+    the platform has interval timers), so a runaway loop fails, not hangs."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def comparabilities(o):
@@ -122,6 +145,70 @@ class TestDetectCollinear:
             plane[label] = (plane[label][0], plane[other][1])
         nudged = replace(with_plane(d, plane), cover_edges=tuple(edges))
         assert detect_collinear(nudged) == oracle_conflicts(nudged)
+
+    def test_agrees_with_oracle_on_every_comparability_of_2d_orders(self):
+        # a two-dimensional order sits at its realizer's integer grid
+        # points, so its long comparabilities pass through lattice points
+        # (g = gcd of the edge's steps >= 2) and some of those hold elements
+        found = long_found = 0
+        for seed in range(32):
+            o = blocked_two_dimensional(random.Random(seed).randint(4, 30), 1, seed)
+            d = compute_coordinates(o)
+            assert {c.denominator for p in d.plane.values() for c in p} == {1}
+            every = replace(d, cover_edges=comparabilities(o))
+            conflicts = detect_collinear(every)
+            assert conflicts == oracle_conflicts(every)
+            found += len(conflicts)
+            for _, (a, b) in conflicts:
+                (ux, uy), (vx, vy) = every.plane[a], every.plane[b]
+                long_found += math.gcd(int(vx - ux), int(vy - uy)) >= 3
+        assert found > 60 and long_found > 40, "the suite should hit lattice points"
+
+    def test_two_labels_at_one_point_are_both_reported(self):
+        d = compute_coordinates(chain(4))
+        plane = {"x1": (Fraction(0), Fraction(0)), "x4": (Fraction(4), Fraction(2)),
+                 "x2": (Fraction(2), Fraction(1)), "x3": (Fraction(2), Fraction(1))}
+        for edges in ((("x1", "x4"),), (("x4", "x1"),)):
+            doubled = replace(with_plane(d, plane), cover_edges=edges)
+            (edge,) = edges
+            assert detect_collinear(doubled) == oracle_conflicts(doubled) \
+                == [("x2", edge), ("x3", edge)]
+
+    def test_fine_plane_scans_the_height_band(self):
+        # one offset of 1/(10^30 + 57) makes the common denominator that
+        # large, so an edge between two grid points holds about 10^30
+        # lattice points and only the band scan can finish
+        o = blocked_two_dimensional(14, 1, 5)
+        d = compute_coordinates(o)
+        labels = list(o.ground)
+        plane = dict(d.plane)
+        fine = Fraction(1, 10**30 + 57)
+        for k, label in enumerate(labels[:3]):
+            x, y = plane[label]
+            plane[label] = (x + (k + 1) * fine, y)
+        edges = comparabilities(o)
+        # put two elements exactly on edges between grid points, a third of
+        # the way along, and one just beside such an edge
+        placed, used = [], set(labels[:3])
+        for a, b in edges:
+            if len(placed) == 3:
+                break
+            w = next((w for w in labels if w not in used | {a, b}), None)
+            if a in used or b in used or w is None:
+                continue
+            (ux, uy), (vx, vy) = plane[a], plane[b]
+            shift = fine if len(placed) == 2 else 0
+            plane[w] = (ux + (vx - ux) / 3 + shift, uy + (vy - uy) / 3)
+            placed.append((w, (a, b)))
+            used |= {a, b, w}
+        fined = replace(with_plane(d, plane), cover_edges=edges)
+        _, scale = render._integer_plane(fined)
+        assert scale >= 1000
+        with failing_after(20.0):
+            conflicts = detect_collinear(fined)
+        assert conflicts == oracle_conflicts(fined)
+        assert placed[0] in conflicts and placed[1] in conflicts
+        assert placed[2] not in conflicts
 
     def test_doctored_horizontal_edge(self):
         # an antichain is drawn on one horizontal line: x4 ... x1 left to right
@@ -222,6 +309,18 @@ class TestSvg:
         text = emit_svg(compute_coordinates(o)).decode()
         assert "a&lt;b&amp;c" in text
         assert "a<b&c" not in text
+
+    def test_labels_xml_cannot_carry_are_refused(self):
+        from xml.dom import minidom  # the well-formedness reference, only here
+        for code in [*range(0x20), 0x7F, 0x85, 0xD7FF, 0xE000, 0xFFFD, 0xFFFE, 0xFFFF,
+                     0x10000]:
+            label = f"a{chr(code)}b"
+            d = compute_coordinates(build_order([label, "plain"], [(label, "plain")]))
+            if code < 0x20 and code not in (0x09, 0x0A, 0x0D) or code in (0xFFFE, 0xFFFF):
+                with pytest.raises(ValueError, match=re.escape(repr(label))):
+                    emit_svg(d)
+            else:
+                minidom.parseString(emit_svg(d))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.text(alphabet=st.sampled_from("&<>;amplgt\"' x\u00e9")) | st.text())
