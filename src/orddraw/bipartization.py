@@ -6,7 +6,9 @@ the whole graph, by branching on the vertices of an odd cycle.  The
 search starts from the larger of two lower bounds, a greedy count of
 vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
 cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
-there.  It lists minimum removal sets in a fixed order and the caller may
+there.  A node's count stops one cycle past its budget, and that last
+step only asks whether an odd cycle is left, with no cycle worked out.
+It lists minimum removal sets in a fixed order and the caller may
 pick among them.  encode_oct builds the CNF reduction for a backend that
 the caller runs through sat.solve_cnf.  One heuristic, oct_anneal, trades
 optimality for speed: it improves a 2-colouring by local search, covers
@@ -119,24 +121,36 @@ def _clique_bound(g: SimpleGraph, block: int) -> int:
 
 def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
                          known: dict[int, tuple[int, ...] | None],
-                         lists: tuple[list, list, list]) -> list[tuple[int, ...]]:
+                         parent: list[int]) -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
-    is the cycle that two_coloring reports for g minus `removed`.  `known`
-    maps each vertex mask already tried to two_coloring's cycle for g minus
-    it: the search meets the same sets again, at other nodes and at each
-    larger k.  The colouring runs in `lists`, the colour, parent and depth
-    lists that the caller allocates once, so a call costs the vertices it
-    colours rather than three lists as long as g."""
-    color, parent, depth = lists
+    is the cycle that two_coloring reports for g minus `removed`, and each
+    later one is that cycle for g minus the cycles before it too.
+
+    The step that would find cycle limit + 1 is the last: only whether an
+    odd cycle is left matters there (the caller reads the count, and the
+    first cycle only when the count is at most `limit`), so it asks
+    `bfs_layers` whether a layer holds an edge and lists the empty tuple in
+    the cycle's place.  `known` maps each vertex mask already tried to
+    two_coloring's cycle for g minus it, None when none is left, or the
+    empty tuple when a last step found one: the search meets the same sets
+    again, at other nodes and at each larger k, and works a cycle out when
+    a step that is not the last first needs it.  The other steps colour
+    with `_colour_conflicts` into `parent`, a list the caller allocates
+    once, so a call costs the vertices it colours, not a list as long as g."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
-        if gone not in known:
-            known[gone] = next((_tree_cycle(parent, depth, u, w) for u, w
-                                in _colour_conflicts(g, gone, color, parent, depth)), None)
-        cycle = known[gone]
+        last = len(cycles) == limit
+        cycle = known.get(gone, False)  # False: not tried
+        if cycle is False or (cycle == () and not last):
+            if last:
+                cycle = () if any(clash for _, _, clash in bfs_layers(g, gone)) else None
+            else:
+                cycle = next((_tree_cycle(parent, u, w) for u, w
+                              in _colour_conflicts(g, gone, parent)), None)
+            known[gone] = cycle
         if cycle is None:
             break
         cycles.append(cycle)
@@ -190,7 +204,9 @@ class TransversalSearch:
     either, so the rounds this skips would have found nothing.  A node
     removes a vertex set and branches on the vertices of one odd cycle of
     the rest, since every transversal contains one of them; it fails when
-    more disjoint odd cycles remain than its budget.  A node already
+    more disjoint odd cycles remain than its budget; the count's last step
+    only tests whether an odd cycle is left (see _disjoint_odd_cycles).
+    A node already
     searched at the current k is not searched again: before the first set
     this skips exactly the nodes that failed, and after it a repeat could
     only yield sets already yielded.  The first k that yields anything is
@@ -207,7 +223,7 @@ class TransversalSearch:
     def __init__(self, g: SimpleGraph):
         self.g = g
         self.k = self.lower_bound = self.branch_nodes = 0
-        self._lists = ([None] * g.n, [-1] * g.n, [0] * g.n)
+        self._parent = [-1] * g.n
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         per_block = [self._block(block) for block in odd_blocks(self.g)]
@@ -218,7 +234,7 @@ class TransversalSearch:
         g = self.g
         outside = ((1 << g.n) - 1) ^ block
         known: dict[int, tuple[int, ...] | None] = {}
-        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known, self._lists)),
+        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known, self._parent)),
                     _clique_bound(g, block))
         self.lower_bound += lower
         k = lower
@@ -228,7 +244,7 @@ class TransversalSearch:
             def search(removed: int, budget: int) -> Iterator[int]:
                 searched.add(removed)
                 self.branch_nodes += 1
-                cycles = _disjoint_odd_cycles(g, removed, budget, known, self._lists)
+                cycles = _disjoint_odd_cycles(g, removed, budget, known, self._parent)
                 if not cycles:
                     yield removed ^ outside
                 elif len(cycles) <= budget:

@@ -95,12 +95,17 @@ def _strategy_for(name_or_fn: str | Strategy, seed: int) -> tuple[Strategy, str]
 
 def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
     """Accepts a removal set of tg whose whole reversal goes into tg.order,
-    is already transitively closed and leaves an order with a conjugate."""
+    is already transitively closed and leaves an order with a conjugate.
+    An accepted set is kept in tg.accepted with its insertion and that
+    conjugate, (removed, extended, kept, added, conjugate), so the pass
+    that inserts it does not work them out again."""
     def accept(removed: frozenset[int]) -> bool:
         reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
         extended, kept, added = _insert(tg.order, reversal)
-        return (kept == reversal and not added
-                and compute_conjugate_order(extended) is not None)
+        conj = None if kept != reversal or added else compute_conjugate_order(extended)
+        if conj is not None:
+            tg.accepted = (removed, extended, kept, added, conj)
+        return conj is not None
     return accept
 
 
@@ -163,24 +168,27 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
     inserted: set[IdPair] = set()
     closure_added: set[IdPair] = set()
     per_pass: list[frozenset[IdPair]] = []
-    while True:
-        conj = compute_conjugate_order(current)
-        if conj is not None:
-            trace = ExtensionTrace(frozenset(inserted), frozenset(closure_added),
-                                   len(per_pass), tuple(per_pass), current, conj,
-                                   name)
-            _check_trace(o, trace)
-            return trace
+    conj = compute_conjugate_order(current)
+    while conj is None:
         if len(per_pass) >= max_passes:
             raise OrderViolation(f"no two-dimension extension after {max_passes} passes")
         tg = build_tig(current)
-        removed_pairs = frozenset(tg.vertices[v] for v in run(tg).removed)
+        removed = run(tg).removed
+        removed_pairs = frozenset(tg.vertices[v] for v in removed)
         if not removed_pairs:
             raise OrderViolation("strategy removed nothing although no conjugate exists")
-        current, kept, added = _insert(current, frozenset((b, a) for a, b in removed_pairs))
+        if tg.accepted is not None and tg.accepted[0] == removed:
+            _, current, kept, added, conj = tg.accepted
+        else:
+            current, kept, added = _insert(current, frozenset((b, a) for a, b in removed_pairs))
+            conj = compute_conjugate_order(current)
         inserted |= kept
         closure_added |= added
         per_pass.append(removed_pairs)
+    trace = ExtensionTrace(frozenset(inserted), frozenset(closure_added),
+                           len(per_pass), tuple(per_pass), current, conj, name)
+    _check_trace(o, trace)
+    return trace
 
 
 def _check_trace(o: OrderRelation, t: ExtensionTrace) -> None:

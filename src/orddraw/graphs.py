@@ -1,22 +1,24 @@
 """Undirected simple graphs, their two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
-over them.  Two breadth-first searches colour a graph minus a vertex set.
-`bfs_layers` only colours: it advances a whole layer per step, the OR of
-the layer's neighbour masks less the vertices already seen, and a vertex's
-colour is its layer's parity.  It serves `is_bipartite_without` and, in
+over them.  Two breadth-first searches colour a graph minus a vertex set,
+each advancing a whole layer per step.  `bfs_layers` only colours: the
+next layer is the OR of the layer's neighbour masks less the vertices
+already seen, and a vertex's colour is its layer's parity.  It serves
+`is_bipartite_without`, the last steps of the exact search's cycle
+counts, which only ask whether an odd cycle is left, and, in
 `bipartization`, the start of `oct_anneal`'s local search and the
-union-find that `peel_to_minimal` starts from.  `_colour_conflicts` visits
-one vertex per step, pushes past monochromatic edges and yields each one it
-meets with its queue-order parents in place, so the edge's tree cycle can
-be read off: it serves `two_coloring` (the first such edge closes an odd
-walk), `odd_cycle_census` (each such edge counts its BFS-tree cycle) and
-the odd cycles of the exact search, which colours into lists it allocates
-once and reuses: a call reads only the entries it has written itself.
-Both searches start each component at its lowest kept vertex, so a
-vertex's layer is its BFS depth in `_colour_conflicts` and the two give it
-the same colour.  `odd_blocks` finds the non-bipartite blocks between the
-bridges in one depth-first search.
+union-find that `peel_to_minimal` starts from.  `_colour_conflicts` walks
+each layer vertex by vertex in queue order, writes only the BFS parents
+and yields each edge inside a layer as it meets it, so the edge's tree
+cycle can be read off: it serves `two_coloring` (the first such edge
+closes an odd walk), `odd_cycle_census` (each such edge counts its
+BFS-tree cycle) and the odd cycles of the exact search, which keeps one
+parent list and reuses it, since a call reads only the entries it has
+written itself.  Both searches start each component at its lowest kept
+vertex, so they walk the same layers.  `odd_blocks` finds the
+non-bipartite blocks between the bridges in one depth-first search on
+masks.
 """
 
 from __future__ import annotations
@@ -97,132 +99,152 @@ def odd_blocks(g: SimpleGraph) -> list[int]:
     exactly when every block minus it is, and the minimum odd cycle
     transversals of g are the unions of one minimum transversal per block.
     No bridge joins two vertices of one block, so a block is g with every
-    vertex outside it removed.  One iterative Tarjan low-link search pops
-    each block off its stack of discovered vertices once low[u] == order[u]
-    at u's finish.  The depth parities colour the block's tree edges, so
-    the block is odd when one of its non-tree edges joins equal parities.
+    vertex outside it removed.  One iterative Tarjan low-link search closes
+    each block once low[u] == order[u] at u's finish: the block is the
+    discovered vertices still open then less those open when u was found.
+    The search runs on masks, with no step per edge.  The next tree child
+    of u is the lowest undiscovered neighbour, the order of an ascending
+    neighbour walk.  A discovered neighbour of a vertex just found is an
+    ancestor, since an undirected depth-first search has no cross edges,
+    so only the edges into the path are walked, to set low[u].  The depth
+    parities colour the tree edges, so the block is odd when one of its
+    non-tree edges joins equal parities: u is marked when it has a
+    discovered neighbour of its own parity.
     """
     masks = g.masks
-    order = [-1] * g.n  # discovery time
+    order = [0] * g.n  # discovery time
     low = [0] * g.n
-    depth = [0] * g.n
-    stack: list[int] = []  # discovered vertices whose block is still open
-    odd = 0  # the ends of non-tree edges that join equal depth parities
+    before = [0] * g.n  # the open vertices when each vertex was found
+    unseen = (1 << g.n) - 1
+    sides = [0, 0]  # the discovered vertices of even and of odd depth
+    path = 0  # the vertices on the depth-first path
+    open_ = 0  # discovered vertices whose block is still open
+    odd = 0  # the vertices with a discovered neighbour of their depth parity
     blocks = []
     clock = 0
-    for root in range(g.n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = clock
-        clock += 1
-        stack.append(root)
-        frames = [(root, -1, iter(bits(masks[root])), 0)]  # (u, parent, neighbours, stack height)
-        while frames:
-            u, parent, it, at = frames[-1]
-            for w in it:
-                if order[w] < 0:
-                    order[w] = low[w] = clock
-                    clock += 1
-                    depth[w] = depth[u] + 1
-                    frames.append((w, u, iter(bits(masks[w])), len(stack)))
-                    stack.append(w)
-                    break
-                if w != parent:
-                    low[u] = min(low[u], order[w])
-                    if not (depth[u] ^ depth[w]) & 1:
-                        odd |= 1 << u
-            else:
-                frames.pop()
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[u])
+    while unseen:
+        bit = unseen & -unseen
+        u, above = bit.bit_length() - 1, 0  # above: the parent's bit
+        stack = []  # the path; a vertex's depth is its index
+        while True:
+            unseen ^= bit
+            order[u] = low[u] = clock
+            clock += 1
+            nbrs = masks[u]
+            parity = len(stack) & 1
+            if nbrs & sides[parity]:
+                odd |= bit
+            sides[parity] |= bit
+            back = nbrs & (path ^ above)  # the other ends of the edges into the path
+            while back:
+                end = back & -back
+                back ^= end
+                reached = order[end.bit_length() - 1]
+                if reached < low[u]:
+                    low[u] = reached
+            path |= bit
+            before[u] = open_
+            open_ |= bit
+            stack.append(u)
+            child = nbrs & unseen
+            while not child and stack:  # u finishes
+                stack.pop()
+                path ^= 1 << u
                 if low[u] == order[u]:
-                    block = mask_of(stack[at:])
-                    del stack[at:]
-                    if block & odd:
-                        blocks.append(block)
+                    if (open_ ^ before[u]) & odd:
+                        blocks.append(open_ ^ before[u])
+                    open_ = before[u]
+                if stack:
+                    parent = stack[-1]
+                    low[parent] = min(low[parent], low[u])
+                    u = parent
+                    child = masks[u] & unseen
+            if not child:
+                break
+            above = 1 << u
+            bit = child & -child
+            u = bit.bit_length() - 1
     return sorted(blocks, key=lambda block: block & -block)
 
 
-def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
-    """Closed walk through BFS-tree paths of u and v plus the edge (u, v)."""
-    pu, pv = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pv.append(b)
-    while a != b:
-        a, b = parent[a], parent[b]
-        pu.append(a)
-        pv.append(b)
-    # pu ends at the common ancestor; pv's copy of it is dropped
-    return tuple(pu + pv[-2::-1])
+def _tree_cycle(parent: list[int], u: int, w: int) -> tuple[int, ...]:
+    """The odd closed walk of a monochromatic BFS edge (u, w): both ends
+    lie in one layer, so it climbs from both in lockstep to their common
+    ancestor and comes back down w's side."""
+    up, down = [u], [w]
+    while u != w:
+        u, w = parent[u], parent[w]
+        up.append(u)
+        down.append(w)
+    # up ends at the common ancestor; down's copy of it is dropped
+    return tuple(up + down[-2::-1])
 
 
-def _colour_conflicts(g: SimpleGraph, gone: int, color: list[int | None],
-                      parent: list[int], depth: list[int]) -> Iterator[tuple[int, int]]:
-    """BFS 2-colouring of g minus the vertices in the mask `gone` into the
-    caller's lists, which may hold stale entries: only those of the
-    vertices coloured so far are read.
+def _colour_conflicts(g: SimpleGraph, gone: int, parent: list[int]) -> Iterator[tuple[int, int]]:
+    """The monochromatic edges of the BFS 2-colouring of g minus the
+    vertices in the mask `gone`, each as (u, w) from u's side, in the
+    order the per-vertex search meets them: by u in queue order, then w
+    ascending, so each edge comes once from each end.
 
-    Run to the end, it gives every kept vertex a 0/1 colour from its BFS
-    tree even when the graph is not bipartite; removed vertices' entries
-    are left as they were.
-    Yields each monochromatic edge (u, w) when the search meets it, from
-    u's side: both ends have their final colour, parent and depth then, so
-    the tree cycle of the edge is fixed.  A monochromatic edge is met once
-    from each end.  The search keeps the uncoloured kept vertices and each
-    colour class as masks, so a vertex costs two ANDs with its neighbour
-    mask and a step per newly coloured neighbour, not a step per edge.
+    The search walks one layer per step, its vertices in queue order; the
+    next layer is their undiscovered neighbours, each the child of the
+    first of them it is next to.  Under the colouring by layer parity only
+    a vertex's own layer shares its colour among its neighbours, and the
+    layer is complete before any of its vertices is walked, so u's
+    conflicts are its neighbour mask AND its layer's mask.  Only the
+    caller's `parent` list is written: when an edge is yielded, the
+    parents of both ends and of their ancestors are final, so its tree
+    cycle is fixed.  The list may hold stale entries, since only those of
+    the vertices reached so far are read.  A step costs two ANDs per
+    vertex of the layer and a step per newly reached vertex, not a step
+    per edge.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
-    sides = [0, 0]  # the vertices coloured 0 and 1
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        unseen ^= 1 << start
-        color[start] = 0
-        depth[start] = 0
-        sides[0] |= 1 << start
-        queue = [start]
-        for u in queue:  # grows while it is walked: a breadth-first search
-            cu = color[u]
-            nbrs = masks[u]
-            clash = nbrs & sides[cu]
-            while clash:
-                low = clash & -clash
-                clash ^= low
-                yield u, low.bit_length() - 1
-            new = nbrs & unseen
-            if new:
-                unseen ^= new
-                sides[1 - cu] |= new
-                du = depth[u] + 1
-                while new:
-                    low = new & -new
-                    w = low.bit_length() - 1
-                    new ^= low
-                    color[w] = 1 - cu
-                    parent[w] = u
-                    depth[w] = du
-                    queue.append(w)
+        layer = unseen & -unseen
+        unseen ^= layer
+        queue = [layer.bit_length() - 1]
+        while queue:
+            after, reach = [], 0
+            for u in queue:
+                nbrs = masks[u]
+                clash = nbrs & layer
+                while clash:
+                    low = clash & -clash
+                    clash ^= low
+                    yield u, low.bit_length() - 1
+                new = nbrs & unseen
+                if new:
+                    unseen ^= new
+                    reach |= new
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        w = low.bit_length() - 1
+                        parent[w] = u
+                        after.append(w)
+            queue, layer = after, reach
 
 
 def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
         -> tuple[list[int | None] | None, tuple[int, ...] | None]:
     """BFS 2-coloring of g minus `removed`.
 
-    Returns (colors, None) on success, where colors[v] is 0 or 1 and None
-    for removed vertices; or (None, cycle) where cycle is an odd closed
-    walk (vertex tuple, no repeated endpoint) witnessing non-bipartiteness.
+    Returns (colors, None) on success, where colors[v] is 0 or 1 (its BFS
+    layer's parity) and None for removed vertices; or (None, cycle) where
+    cycle is an odd closed walk (vertex tuple, no repeated endpoint)
+    witnessing non-bipartiteness: the tree cycle of the first monochromatic
+    edge the BFS meets.
     """
-    color: list[int | None] = [None] * g.n
+    gone = mask_of(removed)
     parent = [-1] * g.n
-    depth = [0] * g.n
-    for u, w in _colour_conflicts(g, mask_of(removed), color, parent, depth):
-        return None, _tree_cycle(parent, depth, u, w)
+    for u, w in _colour_conflicts(g, gone, parent):
+        return None, _tree_cycle(parent, u, w)
+    color: list[int | None] = [None] * g.n
+    for depth, layer, _ in bfs_layers(g, gone):
+        for v in bits(layer):
+            color[v] = depth & 1
     return color, None
 
 
@@ -274,12 +296,10 @@ def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
     conflicts contributes one BFS-tree cycle.  Returns None when the
     remainder is bipartite.
     """
-    color: list[int | None] = [None] * g.n
     parent = [-1] * g.n
-    depth = [0] * g.n
     counts: dict[int, int] = {}
-    for u, w in _colour_conflicts(g, mask_of(removed), color, parent, depth):
+    for u, w in _colour_conflicts(g, mask_of(removed), parent):
         if u < w:  # each edge once
-            for x in _tree_cycle(parent, depth, u, w):
+            for x in _tree_cycle(parent, u, w):
                 counts[x] = counts.get(x, 0) + 1
     return counts or None

@@ -93,7 +93,11 @@ def parse_cxt(text: str) -> FormalContext:
 
     The format is a `B` line, two counts (blank lines in between are
     tolerated), one line per object name, one per attribute name, then one
-    row of `X`/`.` per object.  `x` is accepted for `X`.
+    row of `X`/`.` per object.  `x` is accepted for `X`.  A line between
+    `B` and the counts that is not an integer is the context's name, and
+    is skipped.  A blank line after the counts is skipped when the file
+    holds exactly one line more than the names and rows need, as in the
+    common layout; otherwise it is a name, which may be empty.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -114,6 +118,10 @@ def parse_cxt(text: str) -> FormalContext:
         raise ParseError(lineno, f"expected header 'B', got {header.strip()!r}")
     lineno, raw = next_content()
     try:
+        int(raw)
+    except ValueError:  # the context's name
+        lineno, raw = next_content()
+    try:
         n_objects = int(raw.strip())
     except ValueError:
         raise ParseError(lineno, f"expected object count, got {raw.strip()!r}") from None
@@ -124,6 +132,9 @@ def parse_cxt(text: str) -> FormalContext:
         raise ParseError(lineno, f"expected attribute count, got {raw.strip()!r}") from None
     if n_objects < 0 or n_attributes < 0:
         raise ParseError(lineno, "counts must be non-negative")
+    if (len(lines) - pos == 2 * n_objects + n_attributes + 1
+            and not lines[pos].rstrip("\r").strip()):
+        pos += 1  # the blank line of the common layout
 
     def take_name(kind: str) -> str:
         nonlocal pos

@@ -545,7 +545,7 @@ def reference_transversals(g):
     every block's sets are listed in full, and the first MAX_TRANSVERSALS
     tuples of their itertools.product give the unions."""
     from orddraw.bipartization import MAX_TRANSVERSALS
-    from orddraw.graphs import SimpleGraph, two_coloring
+    from orddraw.graphs import SimpleGraph
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
@@ -576,7 +576,7 @@ def reference_transversals(g):
         gone, cycles = removed, []
         while len(cycles) <= limit:
             if gone not in known:
-                known[gone] = two_coloring(h, gone)[1]
+                known[gone] = first_odd_cycle(h, gone)
             if known[gone] is None:
                 break
             cycles.append(known[gone])
@@ -638,12 +638,59 @@ def forced_coloring(g, removed=(), visits=None):
     return color, parent, depth
 
 
+def tree_cycle(parent, depth, u, w):
+    """The closed walk of the BFS-tree paths of u and w plus the edge
+    (u, w): u's path up to their lowest common ancestor, then w's path
+    back down from below it."""
+    up, down = [u], [w]
+    while depth[up[-1]] > depth[down[-1]]:
+        up.append(parent[up[-1]])
+    while depth[down[-1]] > depth[up[-1]]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return tuple(up + down[-2::-1])
+
+
+def first_odd_cycle(g, removed=()):
+    """The odd closed walk a plain BFS 2-colouring of g minus `removed`
+    meets first, or None when that graph is bipartite.
+
+    Each component starts at its lowest kept vertex; a deque gives the
+    dequeue order, and each dequeued vertex u takes its neighbours in
+    ascending order.  The first neighbour already coloured like u closes
+    the walk, the tree cycle of that edge in the queue-order BFS tree.
+    """
+    gone = set(removed)
+    color = [None] * g.n
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    for start in range(g.n):
+        if start in gone or color[start] is not None:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w in gone:
+                    continue
+                if color[w] is None:
+                    color[w] = 1 - color[u]
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return tree_cycle(parent, depth, u, w)
+    return None
+
+
 def odd_cycle_census_after_coloring(g, removed=()):
     """The odd-cycle census read off a finished forced_coloring: for each
     monochromatic kept edge, from its lower end in ascending order, count
     every vertex of its BFS-tree cycle; None when there is no such edge.
     The reference for odd_cycle_census."""
-    from orddraw.graphs import _tree_cycle
     color, parent, depth = forced_coloring(g, removed)
     counts = {}
     for u in range(g.n):
@@ -651,7 +698,7 @@ def odd_cycle_census_after_coloring(g, removed=()):
             continue
         for v in g.neighbors(u):
             if v > u and color[v] == color[u]:
-                for x in _tree_cycle(parent, depth, u, v):
+                for x in tree_cycle(parent, depth, u, v):
                     counts[x] = counts.get(x, 0) + 1
     return counts or None
 

@@ -167,6 +167,19 @@ class TestDraw:
         assert main(["draw", "-i", cxt_file]) == 0
         assert "n=4 inc=2 passes=0 inserted=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, labels", [
+        ("B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n", ["{a,b}", "{a}", "{b}", "{}"]),
+        ("B\n\n1\n1\n\na\nx\nX\n", ["{a}"]),
+        ("B\nname\n2\n2\n\na\nb\nx\ny\nX.\n.X\n", ["{a,b}", "{a}", "{b}", "{}"]),
+    ], ids=["blank-name", "one-cell", "named"])
+    def test_cxt_in_the_common_layout(self, text, labels, tmp_path, capsys):
+        # a name line after B and a blank line after the counts
+        path = tmp_path / "t.cxt"
+        path.write_text(text)
+        out = tmp_path / "t.json"
+        assert main(["draw", "-i", str(path), "-o", str(out)]) == 0
+        assert sorted(e["label"] for e in json.loads(out.read_text())["elements"]) == labels
+
     def test_cxt_format_override(self, tmp_path, capsys):
         path = tmp_path / "context.txt"
         path.write_text(CXT_TEXT)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
-from orddraw.engine import (STRATEGIES, _insert, compute_coordinates, drawing_to_json,
-                            perturbed_labels, two_dimension_extension, with_plane)
+from orddraw import engine
+from orddraw.engine import (STRATEGIES, _ends_in_this_pass, _insert, compute_coordinates,
+                            drawing_to_json, perturbed_labels, two_dimension_extension,
+                            with_plane)
 from orddraw.errors import OrderViolation
 from orddraw.ingest import parse_order_text
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
@@ -172,6 +174,35 @@ class TestExtensionLoop:
         tr = two_dimension_extension(standard_example(3), strategy=tiny)
         assert tr.strategy == "tiny"
         assert len(tr.inserted) == 1
+
+    def test_an_accepted_extension_serves_only_its_own_set(self):
+        # a strategy that has one set accepted and returns another gets the
+        # other inserted, as a strategy that never asked on the pass's tig
+        def other_than_accepted(tg, ask):
+            accept = _ends_in_this_pass(tg if ask else build_tig(tg.order))
+            listed = list(TransversalSearch(tg.graph))
+            taken = next((s for s in listed if accept(s)), None)
+            return OctResult(next(s for s in listed if s != taken), "other", True)
+
+        for o in (standard_example(4), boolean_lattice(4)):
+            asked = two_dimension_extension(o, lambda tg: other_than_accepted(tg, True))
+            fresh = two_dimension_extension(o, lambda tg: other_than_accepted(tg, False))
+            assert asked.per_pass_removed == fresh.per_pass_removed
+            assert (asked.inserted, asked.closure_added, asked.extended, asked.conjugate) \
+                == (fresh.inserted, fresh.closure_added, fresh.extended, fresh.conjugate)
+            assert_valid_trace(o, asked)
+
+    def test_the_accepted_set_is_not_worked_out_again(self, monkeypatch):
+        # the input's conjugate test and the accepting one, whose extension
+        # and conjugate the pass takes over
+        real, calls = engine.compute_conjugate_order, []
+        monkeypatch.setattr(engine, "compute_conjugate_order",
+                            lambda o: calls.append(o) or real(o))
+        o = standard_example(4)
+        tr = two_dimension_extension(o)
+        assert tr.passes == 1 and len(calls) == 2
+        assert tr.conjugate == real(tr.extended)
+        assert_valid_trace(o, tr)
 
     def test_unknown_strategy_name(self):
         for name in ("psychic", "genetic", "brute"):

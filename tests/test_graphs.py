@@ -11,8 +11,9 @@ from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_lay
                             is_bipartite_without, odd_blocks, odd_cycle_census,
                             two_coloring)
 from orddraw.orders import bits
-from oracles import (bipartite_without, forced_coloring, monochromatic_edges,
-                     odd_cycle_census_after_coloring, row_masks)
+from oracles import (bipartite_without, first_odd_cycle, forced_coloring,
+                     monochromatic_edges, odd_cycle_census_after_coloring, row_masks,
+                     tree_cycle)
 
 
 def cycle_graph(k):
@@ -257,10 +258,10 @@ class TestColourConflicts:
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
             removed = random_removed(rng, g)
-            color, parent, depth = [None] * g.n, [-1] * g.n, [0] * g.n
-            gone = sum(1 << v for v in removed)
-            met = list(_colour_conflicts(g, gone, color, parent, depth))
-            assert (color, parent, depth) == forced_coloring(g, removed)
+            parent = [-1] * g.n
+            met = list(_colour_conflicts(g, sum(1 << v for v in removed), parent))
+            color, ref_parent, _ = forced_coloring(g, removed)
+            assert parent == ref_parent
             mono = [(u, v) for u, v in g.edges
                     if color[u] is not None and color[u] == color[v]]
             assert sorted(met) == sorted(mono + [(v, u) for u, v in mono])
@@ -270,12 +271,12 @@ class TestColourConflicts:
     def test_matches_the_oracles_on_random_graphs(self):
         """two_coloring stops at the first monochromatic edge of the BFS
         (dequeue order, then neighbour order) and returns its tree cycle,
-        also when the search colours into lists that earlier graphs left
-        behind, as the exact search does; the census equals the one read
-        off a finished forced colouring."""
+        also when the search writes into a parent list that earlier graphs
+        left behind, as the exact search does; the census equals the one
+        read off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
-        stale = ([None] * 40, [-1] * 40, [0] * 40)
+        stale = [-1] * 40
         for _ in range(1500):
             g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
             removed = random_removed(rng, g)
@@ -285,17 +286,70 @@ class TestColourConflicts:
             first = next(((u, w) for u in visits for w in g.neighbors(u)
                           if w not in removed and ref[w] == ref[u]), None)
             colors, cycle = two_coloring(g, removed)
-            met = list(_colour_conflicts(g, sum(1 << v for v in removed), *stale))
-            kept = [v for v in range(g.n) if v not in removed]
-            assert [stale[0][v] for v in kept] == [ref[v] for v in kept]
-            assert [stale[2][v] for v in kept] == [depth[v] for v in kept]
-            assert (_tree_cycle(*stale[1:], *met[0]) if met else None) == cycle
+            met = list(_colour_conflicts(g, sum(1 << v for v in removed), stale))
+            below = [v for v in range(g.n) if v not in removed and depth[v]]
+            assert [stale[v] for v in below] == [parent[v] for v in below]
+            assert met[:1] == ([first] if first else [])
+            assert (_tree_cycle(stale, *met[0]) if met else None) == cycle
             if first is None:
                 assert (colors, cycle) == (ref, None)
             else:
                 odd += 1
-                assert (colors, cycle) == (None, _tree_cycle(parent, depth, *first))
+                assert (colors, cycle) == (None, tree_cycle(parent, depth, *first))
         assert odd > 500
+
+
+class TestFirstOddCycle:
+    """The first conflict's tree cycle, as the exact search reads it,
+    against the deque BFS of the oracle."""
+
+    @staticmethod
+    def check(g, removed, parent):
+        cycle = next((_tree_cycle(parent, u, w) for u, w
+                      in _colour_conflicts(g, sum(1 << v for v in removed), parent)), None)
+        assert cycle == first_odd_cycle(g, removed)
+        assert cycle == two_coloring(g, removed)[1]
+        return cycle
+
+    def test_matches_the_oracle_on_random_graphs(self):
+        # one parent list for every graph, as the exact search keeps it
+        rng = random.Random(43)
+        parent = [rng.randrange(60) for _ in range(60)]
+        odd = 0
+        for _ in range(1500):
+            g = random_graph(rng, rng.randint(1, 60), rng.choice([0.02, 0.05, 0.1, 0.3, 0.6]))
+            odd += self.check(g, random_removed(rng, g), parent) is not None
+        assert 300 < odd < 1400
+
+    def test_disconnected_graphs(self):
+        # disjoint copies with shuffled ids: odd components come after
+        # bipartite ones, or lose a vertex to the removed set
+        rng = random.Random(47)
+        parent = [-1] * 60
+        odd = 0
+        for _ in range(300):
+            edges, total = [], 0
+            for _ in range(rng.randint(2, 6)):
+                h = rng.choice([cycle_graph(4), cycle_graph(5), path_graph(3),
+                                SimpleGraph(1), cycle_graph(7), random_graph(rng, 8, 0.3)])
+                edges += [(total + u, total + v) for u, v in h.edges]
+                total += h.n
+            ids = list(range(total))
+            rng.shuffle(ids)
+            g = SimpleGraph(total, [(ids[u], ids[v]) for u, v in edges])
+            odd += self.check(g, random_removed(rng, g), parent) is not None
+        assert 100 < odd < 290
+
+    def test_long_odd_cycle(self):
+        g = cycle_graph(2001)
+        cycle = self.check(g, (), [-1] * g.n)
+        assert sorted(cycle) == list(range(2001))
+        assert self.check(g, {1000}, [-1] * g.n) is None
+
+    def test_empty_graphs(self):
+        assert self.check(SimpleGraph(0), (), []) is None
+        assert self.check(SimpleGraph(5), (), [-1] * 5) is None
+        assert self.check(cycle_graph(3), {0, 1, 2}, [-1] * 3) is None
 
 
 def path_graph(k):
@@ -399,6 +453,6 @@ class TestOddCycleCensus:
             ref: dict[int, int] = {}
             for u, v in g.edges:
                 if u not in removed and v not in removed and color[u] == color[v]:
-                    for x in _tree_cycle(parent, depth, u, v):
+                    for x in tree_cycle(parent, depth, u, v):
                         ref[x] = ref.get(x, 0) + 1
             assert odd_cycle_census(g, removed) == (ref or None)

@@ -169,6 +169,26 @@ class TestCxt:
         ctx = parse_cxt("B\r\n2\r\n1\r\na\r\nb\r\np\r\nx\r\n.\r\n")
         assert ctx.incidence == ((True,), (False,))
 
+    # the common layout: a name line after `B` (often blank) and a blank
+    # line after the counts
+    @pytest.mark.parametrize("text, objects, attributes, incidence", [
+        ("B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n", ("a", "b"), ("x", "y"),
+         ((True, False), (False, True))),
+        ("B\n\n1\n1\n\na\nx\nX\n", ("a",), ("x",), ((True,),)),
+        ("B\nname\n2\n2\n\na\nb\nx\ny\nX.\n.X\n", ("a", "b"), ("x", "y"),
+         ((True, False), (False, True))),
+        ("B\r\nname\r\n1\r\n2\r\n\r\no\r\np\r\nq\r\n.X\r\n", ("o",), ("p", "q"),
+         ((False, True),)),
+    ], ids=["blank-name", "one-cell", "named", "named-crlf"])
+    def test_standard_layout(self, text, objects, attributes, incidence):
+        ctx = parse_cxt(text)
+        assert (ctx.objects, ctx.attributes, ctx.incidence) == (objects, attributes, incidence)
+
+    def test_a_blank_line_the_names_need_is_an_empty_name(self):
+        # one line fewer than the common layout: the blank line names the object
+        ctx = parse_cxt("B\n1\n1\n\nx\nX\n")
+        assert (ctx.objects, ctx.attributes, ctx.incidence) == (("",), ("x",), ((True,),))
+
     def test_header_must_be_b(self):
         with pytest.raises(ParseError) as err:
             parse_cxt("A\n1\n1\no\na\nX\n")
