@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -27,18 +26,23 @@ from .graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_layers,
                      is_bipartite_without, odd_blocks)
 from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
+from .records import Record
 from .sat import CnfInstance, sinz_at_most_k
 from .sat import solve_cnf  # noqa: F401  unused; perfbench/tracing.py hooks it here
 
 
-@dataclass(frozen=True)
-class OctResult:
-    """A vertex set whose removal leaves the graph bipartite."""
+class OctResult(Record):
+    """A vertex set whose removal leaves the graph bipartite.
 
-    removed: frozenset[int]
-    method: str
-    optimal: bool
-    stats: dict = field(default_factory=dict, compare=False)
+    `stats` defaults to a new empty dict, and equality ignores it.
+    """
+
+    __slots__ = ("removed", "method", "optimal", "stats")
+    _compared = ("removed", "method", "optimal")
+
+    def __init__(self, removed: frozenset[int], method: str, optimal: bool,
+                 stats: dict | None = None):
+        self._fill(removed, method, optimal, {} if stats is None else stats)
 
 
 def _checked(g: SimpleGraph, removed: frozenset[int], method: str,

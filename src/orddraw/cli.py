@@ -23,8 +23,16 @@ _INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
 def _read_text(path: str) -> str:
-    """The input text, less one leading byte-order mark."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    """The input text, less one leading byte-order mark.
+
+    Standard input is read as a file is, as UTF-8 with universal newlines,
+    whatever encoding the locale or PYTHONIOENCODING gives `sys.stdin`.
+    """
+    if path == "-":
+        text = sys.stdin.buffer.read().decode("utf-8")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    else:
+        text = Path(path).read_text(encoding="utf-8")
     return text.removeprefix("\ufeff")
 
 

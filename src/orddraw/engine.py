@@ -22,7 +22,6 @@ to the point (c2 - c1, c1 + c2), so "greater" always means "higher".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -34,13 +33,13 @@ from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
                      incomparable_masks)
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orientation import compute_conjugate_order, realizer_from_conjugate
+from .records import Record
 from .tig import TigGraph, build_tig
 
 Strategy = Callable[[TigGraph], OctResult]
 
 
-@dataclass(frozen=True)
-class ExtensionTrace:
+class ExtensionTrace(Record):
     """Everything the extension loop did.
 
     `inserted` holds the reversed removed pairs of every pass, less those
@@ -53,28 +52,32 @@ class ExtensionTrace:
     realizer of the extended order, so grid dominance is that order.
     """
 
-    inserted: frozenset[IdPair]
-    closure_added: frozenset[IdPair]
-    passes: int
-    per_pass_removed: tuple[frozenset[IdPair], ...]
-    extended: OrderRelation
-    conjugate: OrderRelation
-    strategy: str
+    __slots__ = ("inserted", "closure_added", "passes", "per_pass_removed",
+                 "extended", "conjugate", "strategy")
+
+    def __init__(self, inserted: frozenset[IdPair], closure_added: frozenset[IdPair],
+                 passes: int, per_pass_removed: tuple[frozenset[IdPair], ...],
+                 extended: OrderRelation, conjugate: OrderRelation, strategy: str):
+        self._fill(inserted, closure_added, passes, per_pass_removed,
+                   extended, conjugate, strategy)
 
     def inserted_labels(self) -> tuple[Pair, ...]:
         lab = self.extended.ground.label
         return tuple(sorted((lab(a), lab(b)) for a, b in self.inserted))
 
 
-@dataclass(frozen=True)
-class GridDrawing:
-    """Grid and plane coordinates for an order, plus the trace behind them."""
+class GridDrawing(Record):
+    """Grid and plane coordinates for an order, plus the trace behind them.
 
-    order: OrderRelation
-    coords: dict[str, tuple[int, int]]
-    plane: dict[str, tuple[Fraction, Fraction]]
-    cover_edges: tuple[Pair, ...]
-    trace: ExtensionTrace
+    `d.replace(cover_edges=...)` copies a drawing with fields changed.
+    """
+
+    __slots__ = ("order", "coords", "plane", "cover_edges", "trace")
+
+    def __init__(self, order: OrderRelation, coords: dict[str, tuple[int, int]],
+                 plane: dict[str, tuple[Fraction, Fraction]],
+                 cover_edges: tuple[Pair, ...], trace: ExtensionTrace):
+        self._fill(order, coords, plane, cover_edges, trace)
 
 
 # The named strategies, called with the tig and the seed: the one list of
@@ -226,7 +229,7 @@ def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
 
 
 def with_plane(d: GridDrawing, plane: dict[str, tuple[Fraction, Fraction]]) -> GridDrawing:
-    return replace(d, plane=dict(plane))
+    return d.replace(plane=dict(plane))
 
 
 def _json_list(items: list[str], pad: str) -> str:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError, TooLarge
 from .orders import GroundSet, OrderRelation, bits, build_order, cover_relation
+from .records import Record
 
 
 def parse_order_text(text: str) -> OrderRelation:
@@ -67,8 +67,7 @@ def serialize_order(o: OrderRelation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(Record):
     """A cross table: which objects have which attributes.
 
     `incidence` is given as one row of truthy cells per object and kept as
@@ -76,16 +75,15 @@ class FormalContext:
     attribute j.
     """
 
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    incidence: Iterable[Iterable[object]]
+    __slots__ = ("objects", "attributes", "incidence")
 
-    def __post_init__(self):
-        rows = tuple(tuple(bool(cell) for cell in row) for row in self.incidence)
-        if (len(rows) != len(self.objects)
-                or any(len(row) != len(self.attributes) for row in rows)):
+    def __init__(self, objects: tuple[str, ...], attributes: tuple[str, ...],
+                 incidence: Iterable[Iterable[object]]):
+        rows = tuple(tuple(bool(cell) for cell in row) for row in incidence)
+        if (len(rows) != len(objects)
+                or any(len(row) != len(attributes) for row in rows)):
             raise ValueError("incidence shape does not match object/attribute counts")
-        object.__setattr__(self, "incidence", rows)
+        self._fill(objects, attributes, rows)
 
 
 def parse_cxt(text: str) -> FormalContext:

@@ -9,22 +9,23 @@ the formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BackendFailure
+from .records import Record
 
 Clause = tuple[int, ...]
 Model = list[int]
 Backend = Callable[["CnfInstance"], "Model | None"]
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(Record):
     """A CNF formula over variables 1..num_vars."""
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: tuple[Clause, ...]):
+        self._fill(num_vars, clauses)
 
 
 def sinz_at_most_k(variables: Sequence[int], k: int, next_free: int) -> list[list[int]]:

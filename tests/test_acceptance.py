@@ -8,7 +8,6 @@ excluded from default runs.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -172,8 +171,8 @@ def test_criterion_7_upward_dominance_survives_perturbation():
                     assert d.plane[a][1] < d.plane[b][1], \
                         "comparable elements must stay strictly upward"
     # a doctored collinear drawing keeps the guarantees after repair, too
-    doctored = replace(compute_coordinates(build_order("abc", [("a", "b"), ("b", "c")])),
-                       cover_edges=(("a", "c"),))
+    chain = compute_coordinates(build_order("abc", [("a", "b"), ("b", "c")]))
+    doctored = chain.replace(cover_edges=(("a", "c"),))
     fixed = perturb(doctored)
     assert detect_collinear(fixed) == []
     assert fixed.plane["a"][1] < fixed.plane["b"][1] < fixed.plane["c"][1]

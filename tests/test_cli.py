@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import argparse
+import io
 import json
 import os
 import random
@@ -34,6 +35,11 @@ a3 < b2
 DIAMOND_TEXT = "elements: bot left right top\nbot < left\nbot < right\nleft < top\nright < top\n"
 
 CXT_TEXT = "B\n2\n2\ng0\ng1\nm0\nm1\nX.\n.X\n"
+
+
+def fake_stdin(monkeypatch, text: str) -> None:
+    """Standard input holding text as UTF-8 bytes."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
 
 
 @pytest.fixture
@@ -131,8 +137,7 @@ class TestDraw:
         assert a.read_bytes() == b.read_bytes()
 
     def test_summary_json_on_stdout_is_the_whole_of_stdout(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("a < b\nc < d\n"))
+        fake_stdin(monkeypatch, "a < b\nc < d\n")
         assert main(["draw", "-i", "-", "--summary-json", "-"]) == 0
         out, err = capsys.readouterr()
         doc = json.loads(out)
@@ -152,8 +157,7 @@ class TestDraw:
         assert "pass 1: removed 1 tig vertices" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO(DIAMOND_TEXT))
+        fake_stdin(monkeypatch, DIAMOND_TEXT)
         assert main(["draw", "-i", "-"]) == 0
         assert "n=4 inc=2 passes=0" in capsys.readouterr().out
 
@@ -193,18 +197,45 @@ class TestDraw:
         ("square.cxt", CXT_TEXT)], ids=["order", "cxt"])
     def test_a_leading_byte_order_mark_is_dropped(self, name, text, tmp_path,
                                                   capsys, monkeypatch):
-        import io
         path = tmp_path / name
         path.write_text("\ufeff" + text, encoding="utf-8")
         fmt = Path(name).suffix[1:]
         for source in (str(path), "-"):
-            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+            fake_stdin(monkeypatch, "\ufeff" + text)
             out = tmp_path / "drawing.json"
             assert main(["draw", "-i", source, "--input-format", fmt,
                          "-o", str(out)]) == 0
             assert "n=4 inc=2 passes=0" in capsys.readouterr().out
             labels = [e["label"] for e in json.loads(out.read_text())["elements"]]
             assert not any("\ufeff" in label for label in labels)
+
+    @pytest.mark.parametrize("fmt, text, labels", [
+        ("order", "elements: café b\r\ncafé < b\r\n", ["b", "café"]),
+        ("cxt", "B\r1\r1\rcafé\rm\rX\r", ["{café}"]),
+    ], ids=["crlf-order", "cr-cxt"])
+    def test_stdin_is_read_as_utf8_whatever_the_locale(self, fmt, text, labels, tmp_path):
+        # the same bytes through -i - and through a file, in a child whose
+        # sys.stdin decodes latin-1: both read UTF-8 with universal newlines
+        data = text.encode("utf-8")
+        path = tmp_path / f"café.{fmt}"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONIOENCODING="latin-1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        outputs = []
+        for source, stdin in ((str(path), b""), ("-", data)):
+            out = tmp_path / f"drawing{len(outputs)}.json"
+            done = subprocess.run([sys.executable, "-m", "orddraw.cli", "draw", "-i", source,
+                                   "--input-format", fmt, "-o", str(out)],
+                                  input=stdin, env=env, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert sorted(e["label"] for e in json.loads(outputs[1])["elements"]) == labels
+
+    def test_invalid_utf8_on_stdin_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a < \xff\n")))
+        assert main(["draw", "-i", "-"]) == 1
+        assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 class TestDrawErrors:
@@ -335,9 +366,11 @@ class TestInProcessBackend:
 class TestImport:
     def test_cli_import_leaves_subprocess_and_urllib_out(self):
         # a fresh interpreter, since this one has imported them already
-        script = ("import sys, orddraw.cli\n"
+        # nor dataclasses, whose import loads inspect, dis and ast
+        script = ("import sys, orddraw, orddraw.cli\n"
                   "print(sorted({'subprocess', 'shlex', 'urllib.request',"
-                  " 'xml.sax.saxutils'} & set(sys.modules)))\n")
+                  " 'xml.sax.saxutils', 'dataclasses', 'inspect', 'dis', 'ast'}"
+                  " & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)

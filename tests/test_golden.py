@@ -31,7 +31,6 @@ drawings fails here.
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -70,7 +69,7 @@ def flipped_grid_lattice(rows: int, cols: int, seed: int):
 
 def doctored_chain():
     """chain(3) with the single cover edge x1-x3, so x2 sits on it."""
-    return replace(compute_coordinates(chain(3)), cover_edges=(("x1", "x3"),))
+    return compute_coordinates(chain(3)).replace(cover_edges=(("x1", "x3"),))
 
 
 CASES = {

@@ -5,7 +5,6 @@ import math
 import random
 import re
 import signal
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -66,7 +65,7 @@ def forced_conflict():
     d = compute_coordinates(chain(3))
     # stretch the cover edge x1-x2 into x1-x3 territory: replace the edge
     # list so that (x1, x3) is an edge and x2 sits on it exactly
-    return replace(d, cover_edges=(("x1", "x3"),))
+    return d.replace(cover_edges=(("x1", "x3"),))
 
 
 class TestDetectCollinear:
@@ -101,7 +100,7 @@ class TestDetectCollinear:
             d = compute_coordinates(o, strategy="anneal")
             eps = rng.choice([Fraction(3, 20), Fraction(1, 7), Fraction(2, 9)])
             monkeypatch.setattr(render, "_EPSILON", eps)
-            fixed = perturb(replace(d, cover_edges=comparabilities(o)))
+            fixed = perturb(d.replace(cover_edges=comparabilities(o)))
             assert detect_collinear(fixed) == oracle_conflicts(fixed) == []
             moved = perturbed_labels(fixed)
             if not moved:
@@ -111,7 +110,7 @@ class TestDetectCollinear:
             (mx, my), (ux, uy) = fixed.plane[m], fixed.plane[u]
             halfway = with_plane(fixed, {**fixed.plane, w: ((mx + ux) / 2, (my + uy) / 2)})
             pairs = tuple((a, b) for a in o.ground for b in o.ground if a != b)
-            every_pair = replace(halfway, cover_edges=pairs)
+            every_pair = halfway.replace(cover_edges=pairs)
             conflicts = detect_collinear(every_pair)
             assert conflicts == oracle_conflicts(every_pair)
             assert (w, (m, u)) in conflicts
@@ -143,7 +142,7 @@ class TestDetectCollinear:
         for label, other in data.draw(st.lists(st.tuples(
                 st.sampled_from(labels), st.sampled_from(labels)), max_size=3)):
             plane[label] = (plane[label][0], plane[other][1])
-        nudged = replace(with_plane(d, plane), cover_edges=tuple(edges))
+        nudged = with_plane(d, plane).replace(cover_edges=tuple(edges))
         assert detect_collinear(nudged) == oracle_conflicts(nudged)
 
     def test_agrees_with_oracle_on_every_comparability_of_2d_orders(self):
@@ -155,7 +154,7 @@ class TestDetectCollinear:
             o = blocked_two_dimensional(random.Random(seed).randint(4, 30), 1, seed)
             d = compute_coordinates(o)
             assert {c.denominator for p in d.plane.values() for c in p} == {1}
-            every = replace(d, cover_edges=comparabilities(o))
+            every = d.replace(cover_edges=comparabilities(o))
             conflicts = detect_collinear(every)
             assert conflicts == oracle_conflicts(every)
             found += len(conflicts)
@@ -169,7 +168,7 @@ class TestDetectCollinear:
         plane = {"x1": (Fraction(0), Fraction(0)), "x4": (Fraction(4), Fraction(2)),
                  "x2": (Fraction(2), Fraction(1)), "x3": (Fraction(2), Fraction(1))}
         for edges in ((("x1", "x4"),), (("x4", "x1"),)):
-            doubled = replace(with_plane(d, plane), cover_edges=edges)
+            doubled = with_plane(d, plane).replace(cover_edges=edges)
             (edge,) = edges
             assert detect_collinear(doubled) == oracle_conflicts(doubled) \
                 == [("x2", edge), ("x3", edge)]
@@ -201,7 +200,7 @@ class TestDetectCollinear:
             plane[w] = (ux + (vx - ux) / 3 + shift, uy + (vy - uy) / 3)
             placed.append((w, (a, b)))
             used |= {a, b, w}
-        fined = replace(with_plane(d, plane), cover_edges=edges)
+        fined = with_plane(d, plane).replace(cover_edges=edges)
         _, scale = render._integer_plane(fined)
         assert scale >= 1000
         with failing_after(20.0):
@@ -215,9 +214,9 @@ class TestDetectCollinear:
         d = compute_coordinates(antichain(4))
         assert len({y for _, y in d.plane.values()}) == 1
         for edge in (("x1", "x4"), ("x4", "x1"), ("x2", "x3")):
-            doctored = replace(d, cover_edges=(edge,))
+            doctored = d.replace(cover_edges=(edge,))
             assert detect_collinear(doctored) == oracle_conflicts(doctored)
-        doctored = replace(d, cover_edges=(("x1", "x4"),))
+        doctored = d.replace(cover_edges=(("x1", "x4"),))
         assert detect_collinear(doctored) == [("x2", ("x1", "x4")), ("x3", ("x1", "x4"))]
         # a point just off the line, or level but beyond an end, is clear
         shifted = with_plane(doctored, {**d.plane, "x2": (d.plane["x2"][0], Fraction(1, 3)),
@@ -232,7 +231,7 @@ class TestDetectCollinear:
             zero = with_plane(d, {**d.plane, "x3": d.plane["x1"], "x2": x2})
             assert detect_collinear(zero) == oracle_conflicts(zero) == []
         # a loop edge is zero-length too; the real edge x1-x3 still catches x2
-        loop = replace(d, cover_edges=(("x1", "x3"), ("x2", "x2")))
+        loop = d.replace(cover_edges=(("x1", "x3"), ("x2", "x2")))
         assert detect_collinear(loop) == oracle_conflicts(loop) == [("x2", ("x1", "x3"))]
 
     def test_conflicts_are_sorted(self):
