@@ -38,11 +38,13 @@ class OctResult(Record):
     """
 
     __slots__ = ("removed", "method", "optimal", "stats")
-    _compared = ("removed", "method", "optimal")
 
     def __init__(self, removed: frozenset[int], method: str, optimal: bool,
                  stats: dict | None = None):
         self._fill(removed, method, optimal, {} if stats is None else stats)
+
+    def _key(self) -> tuple:
+        return self.removed, self.method, self.optimal
 
 
 def _checked(g: SimpleGraph, removed: frozenset[int], method: str,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -26,11 +27,20 @@ def _read_text(path: str) -> str:
     """The input text, less one leading byte-order mark.
 
     Standard input is read as a file is, as UTF-8 with universal newlines,
-    whatever encoding the locale or PYTHONIOENCODING gives `sys.stdin`.
+    whatever encoding the locale or PYTHONIOENCODING gives `sys.stdin`; a
+    text-only `sys.stdin` with no byte buffer (an `io.StringIO`, say) is
+    read as it is.
     """
     if path == "-":
-        text = sys.stdin.buffer.read().decode("utf-8")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        binary = getattr(sys.stdin, "buffer", None)
+        if binary is None:
+            text = sys.stdin.read()
+        else:
+            stream = io.TextIOWrapper(binary, encoding="utf-8")
+            try:
+                text = stream.read()
+            finally:
+                stream.detach()  # closing the wrapper would close sys.stdin.buffer
     else:
         text = Path(path).read_text(encoding="utf-8")
     return text.removeprefix("\ufeff")

@@ -15,19 +15,15 @@ class Record:
     """A frozen record whose fields are its class's own `__slots__`.
 
     Assigning or deleting an attribute raises AttributeError.  Two records
-    are equal when they are of the same class and agree on the fields
-    named in `_compared` (every field, unless the class says otherwise),
-    and the hash is taken over the same fields.  `replace(**changes)`
+    are equal when they are of the same class and agree on `_key()`, every
+    field unless the class overrides it, and the hash is taken over the
+    same key.  `replace(**changes)`
     copies a record with some fields changed; it calls `__init__` again
     with every field by keyword, so each `__init__` names its parameters
     after the fields.  Copying and pickling also go through `__init__`.
     """
 
     __slots__ = ()
-    _compared: tuple[str, ...]
-
-    def __init_subclass__(cls):
-        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
 
     def _fill(self, *values) -> None:
         """Stores the fields, in `__slots__` order."""
@@ -38,7 +34,8 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        """What equality and hash compare."""
+        return self._fields()
 
     def replace(self, **changes):
         """A copy with the named fields changed."""

@@ -160,6 +160,12 @@ class TestDraw:
         fake_stdin(monkeypatch, DIAMOND_TEXT)
         assert main(["draw", "-i", "-"]) == 0
         assert "n=4 inc=2 passes=0" in capsys.readouterr().out
+        assert not sys.stdin.buffer.closed
+
+    def test_a_text_only_stdin_is_read_as_it_is(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(DIAMOND_TEXT))
+        assert main(["draw", "-i", "-"]) == 0
+        assert "n=4 inc=2 passes=0" in capsys.readouterr().out
 
     def test_heuristic_solvers_run(self, s3_file, capsys):
         for solver in sorted(STRATEGIES.keys() - {"sat"}):
@@ -236,6 +242,7 @@ class TestDraw:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a < \xff\n")))
         assert main(["draw", "-i", "-"]) == 1
         assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert not sys.stdin.buffer.closed
 
 
 class TestDrawErrors:

@@ -1,6 +1,6 @@
 """Import time of `orddraw` and `orddraw.cli` in fresh interpreters.
 
-    python tools/import_cost.py [CHECKOUT] [--runs 15] [--top 10]
+    python tools/import_cost.py [CHECKOUT] [--runs 15]
 
 Times `import orddraw, orddraw.cli` inside N fresh interpreters started
 with the current one, the package taken from CHECKOUT's `src/` (by default
@@ -19,7 +19,7 @@ in milliseconds for two cases:
 The two cases alternate child by child, so a drift of the machine's speed
 touches both alike.  Times are wall times, not scaled for the machine's
 speed.  Then it runs N more children without a cache under
-`-X importtime` and prints the `--top` modules with the largest median
+`-X importtime` and prints the ten modules with the largest median
 cumulative import time among those the import statement loads, the
 package's own modules included; what start-up has loaded already (`site`
 and what its `.pth` files import) is not listed.
@@ -41,6 +41,7 @@ PROBE = ("import time; t = time.perf_counter(); import orddraw, orddraw.cli; "
 # the imports start-up makes (site and its .pth files) log before the mark
 MARK = "-- import orddraw --"
 LISTED = f"import sys; print({MARK!r}, file=sys.stderr); import orddraw, orddraw.cli"
+TOP = 10  # modules listed by cumulative time
 
 
 def child(env: dict[str, str], *options: str, probe: str = PROBE) -> subprocess.CompletedProcess:
@@ -71,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("checkout", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--runs", type=int, default=15, help="fresh interpreters per case")
-    parser.add_argument("--top", type=int, default=10, help="modules listed by cumulative time")
     args = parser.parse_args(argv)
     src = args.checkout.resolve() / "src"
     if not (src / "orddraw" / "__init__.py").is_file():
@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     medians = {name: statistics.median(listing.get(name, 0) for listing in listings)
                for name in set().union(*listings)}
     print(f"largest cumulative -X importtime entries, no cache, median of {args.runs}:")
-    for name, us in sorted(medians.items(), key=lambda item: -item[1])[:args.top]:
+    for name, us in sorted(medians.items(), key=lambda item: -item[1])[:TOP]:
         print(f"  {us / 1e3:8.2f} ms  {name}")
     return 0
 
