@@ -20,7 +20,7 @@ from .errors import (BackendFailure, CycleError, GroundMismatch, NotLinear,
                      UnknownLabel, Unresolvable)
 from .graphs import SimpleGraph, is_bipartite_without, two_coloring
 from .ingest import (FormalContext, concept_lattice, parse_cxt,
-                     parse_order_text, serialize_order)
+                     parse_order_text, read_order, serialize_order)
 from .orders import (GroundSet, LinearExtension, OrderRelation, antichain,
                      boolean_lattice, build_order, chain, cover_relation,
                      grid, incomparable_pairs, intersect_linear,
@@ -46,8 +46,8 @@ __all__ = [
     "emit_tikz", "encode_oct", "grid", "incomparable_pairs",
     "intersect_linear", "is_bipartite_without", "linear_from_sequence",
     "min_oct_exact", "oct_anneal",
-    "parse_cxt", "parse_order_text", "peel_to_minimal",
-    "perturb", "realizer_from_conjugate", "serialize_order", "solve_cnf",
+    "parse_cxt", "parse_order_text", "peel_to_minimal", "perturb",
+    "read_order", "realizer_from_conjugate", "serialize_order", "solve_cnf",
     "standard_example", "two_coloring",
     "two_dimension_extension",
 ]

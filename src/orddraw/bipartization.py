@@ -166,33 +166,27 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
 
 def _lazy_product(sources: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
     """The tuples of itertools.product(*sources), in its order (the last
-    source varies fastest), drawing each source only as far as needed.
-    A run of sources is its first half's product times its second's, so
-    the generators nest only log2(len(sources)) deep."""
-    drawn: list[list[int | None]] = [[] for _ in sources]
-
-    def item(i: int, j: int) -> int | None:
-        """Item j of source i, drawn on the first request; None past its end."""
-        if j == len(drawn[i]):
-            drawn[i].append(next(sources[i], None))
-        return drawn[i][j]
-
-    def product(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            for head in product(lo, mid):
-                for tail in product(mid, hi):
-                    yield head + tail
-        elif hi > lo:
-            j = 0
-            while (head := item(lo, j)) is not None:
-                yield (head,)
-                j += 1
+    source varies fastest), drawing each source only as far as needed:
+    an odometer that draws a source's next item only when it first moves
+    past the last item drawn, and stops at the first empty source."""
+    drawn = []
+    for source in sources:
+        first = next(source, None)
+        if first is None:
+            return
+        drawn.append([first])
+    at = [0] * len(sources)
+    while True:
+        yield tuple(items[j] for items, j in zip(drawn, at))
+        for i in reversed(range(len(sources))):
+            at[i] += 1
+            if at[i] == len(drawn[i]):
+                drawn[i].append(next(sources[i], None))  # None ends it, drawn once
+            if drawn[i][at[i]] is not None:
+                break
+            at[i] = 0
         else:
-            yield ()
-
-    if all(item(i, 0) is not None for i in range(len(sources))):
-        yield from product(0, len(sources))
+            return
 
 
 # A transversal search lists at most this many sets.

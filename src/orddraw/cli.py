@@ -13,8 +13,8 @@ from .engine import (STRATEGIES, compute_coordinates, drawing_to_json,
                      perturbed_labels)
 from .errors import (CycleError, ParseError, OrderViolation, TooLarge,
                      UnknownLabel, Unresolvable)
-from .ingest import concept_lattice, parse_cxt, parse_order_text
-from .orders import OrderRelation, incomparable_masks
+from .ingest import read_order
+from .orders import incomparable_masks
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
 
@@ -24,7 +24,7 @@ _INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
 def _read_text(path: str) -> str:
-    """The input text, less one leading byte-order mark.
+    """The input text.
 
     Standard input is read as a file is, as UTF-8 with universal newlines,
     whatever encoding the locale or PYTHONIOENCODING gives `sys.stdin`; a
@@ -34,26 +34,13 @@ def _read_text(path: str) -> str:
     if path == "-":
         binary = getattr(sys.stdin, "buffer", None)
         if binary is None:
-            text = sys.stdin.read()
-        else:
-            stream = io.TextIOWrapper(binary, encoding="utf-8")
-            try:
-                text = stream.read()
-            finally:
-                stream.detach()  # closing the wrapper would close sys.stdin.buffer
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return text.removeprefix("\ufeff")
-
-
-def _load_order(ns: argparse.Namespace) -> OrderRelation:
-    fmt = ns.input_format
-    if fmt == "auto":
-        fmt = "cxt" if ns.input.lower().endswith(".cxt") else "order"
-    text = _read_text(ns.input)
-    if fmt == "cxt":
-        return concept_lattice(parse_cxt(text))
-    return parse_order_text(text)
+            return sys.stdin.read()
+        stream = io.TextIOWrapper(binary, encoding="utf-8")
+        try:
+            return stream.read()
+        finally:
+            stream.detach()  # closing the wrapper would close sys.stdin.buffer
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -84,7 +71,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
         if ns.summary_json and Path(ns.summary_json).resolve() == Path(ns.output).resolve():
             raise ValueError(f"-o/--output {ns.output!r} and --summary-json "
                              f"{ns.summary_json!r} name the same file")
-    order = _load_order(ns)
+    order = read_order(_read_text(ns.input))
     drawing = compute_coordinates(order, strategy=ns.solver, seed=ns.seed)
     if ns.verbose:
         for i, removed in enumerate(drawing.trace.per_pass_removed, start=1):
@@ -102,11 +89,10 @@ def cmd_draw(ns: argparse.Namespace) -> int:
         _write_bytes(ns.output, emit(drawing))
     elapsed = time.perf_counter() - started
     inc = sum(mask.bit_count() for mask in incomparable_masks(order))
-    false_count = len(drawing.trace.inserted) + len(drawing.trace.closure_added)
     # with the summary on stdout the line goes to stderr, so stdout is JSON
     print(f"n={order.n} inc={inc} "
           f"passes={drawing.trace.passes} inserted={len(drawing.trace.inserted)} "
-          f"false_comparabilities={false_count} time={elapsed:.3f}s",
+          f"false_comparabilities={drawing.trace.false_comparabilities} time={elapsed:.3f}s",
           file=sys.stderr if ns.summary_json == "-" else sys.stdout)
     if ns.summary_json:
         summary = {
@@ -115,7 +101,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
             "passes": drawing.trace.passes,
             "inserted": len(drawing.trace.inserted),
             "inserted_pairs": [list(p) for p in drawing.trace.inserted_labels()],
-            "false_comparabilities": false_count,
+            "false_comparabilities": drawing.trace.false_comparabilities,
             "strategy": drawing.trace.strategy,
             "seed": ns.seed,
             "perturbed": list(perturbed_labels(drawing)),
@@ -126,7 +112,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
 
 
 def cmd_dim(ns: argparse.Namespace) -> int:
-    order = _load_order(ns)
+    order = read_order(_read_text(ns.input))
     conj = compute_conjugate_order(order)
     if conj is None:
         print("dim<=2: no")
@@ -147,10 +133,8 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("-i", "--input", required=True,
-                       help="input file ('-' for stdin)")
-        p.add_argument("--input-format", choices=("order", "cxt", "auto"),
-                       default="auto",
-                       help="input kind; auto picks cxt for .cxt files")
+                       help="input file ('-' for stdin): order text, or a "
+                            "Burmeister context when its first line is 'B'")
 
     draw = sub.add_parser("draw", help="compute and export a diagram")
     common(draw)

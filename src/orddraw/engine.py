@@ -50,16 +50,25 @@ class ExtensionTrace(Record):
     Together they are the drawing's false comparabilities, the incomparable
     pairs that the grid orders: the grid holds each element's ranks in a
     realizer of the extended order, so grid dominance is that order.
+    `false_comparabilities` and `passes` are counted off these fields.
     """
 
-    __slots__ = ("inserted", "closure_added", "passes", "per_pass_removed",
+    __slots__ = ("inserted", "closure_added", "per_pass_removed",
                  "extended", "conjugate", "strategy")
 
     def __init__(self, inserted: frozenset[IdPair], closure_added: frozenset[IdPair],
-                 passes: int, per_pass_removed: tuple[frozenset[IdPair], ...],
+                 per_pass_removed: tuple[frozenset[IdPair], ...],
                  extended: OrderRelation, conjugate: OrderRelation, strategy: str):
-        self._fill(inserted, closure_added, passes, per_pass_removed,
+        self._fill(inserted, closure_added, per_pass_removed,
                    extended, conjugate, strategy)
+
+    @property
+    def passes(self) -> int:
+        return len(self.per_pass_removed)
+
+    @property
+    def false_comparabilities(self) -> int:
+        return len(self.inserted) + len(self.closure_added)
 
     def inserted_labels(self) -> tuple[Pair, ...]:
         lab = self.extended.ground.label
@@ -189,7 +198,7 @@ def two_dimension_extension(o: OrderRelation, strategy: str | Strategy = "sat",
         closure_added |= added
         per_pass.append(removed_pairs)
     trace = ExtensionTrace(frozenset(inserted), frozenset(closure_added),
-                           len(per_pass), tuple(per_pass), current, conj, name)
+                           tuple(per_pass), current, conj, name)
     _check_trace(o, trace)
     return trace
 
@@ -228,10 +237,6 @@ def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
                         if d.plane[label] != (c2 - c1, c1 + c2)))
 
 
-def with_plane(d: GridDrawing, plane: dict[str, tuple[Fraction, Fraction]]) -> GridDrawing:
-    return d.replace(plane=dict(plane))
-
-
 def _json_list(items: list[str], pad: str) -> str:
     """Encoded items as the JSON array json.dumps(indent=2) lays out when
     the array's own line starts at `pad`."""
@@ -249,7 +254,6 @@ def drawing_to_json(d: GridDrawing) -> str:
     `false_comparabilities` counts the trace's added pairs (ExtensionTrace).
     """
     text = encode_basestring_ascii
-    false_count = len(d.trace.inserted) + len(d.trace.closure_added)
     elements = []
     for label in d.order.ground:
         c1, c2 = d.coords[label]
@@ -270,6 +274,6 @@ def drawing_to_json(d: GridDrawing) -> str:
             f'  "inserted_pairs": {pairs(d.trace.inserted_labels())},\n'
             f'  "passes": {d.trace.passes!r},\n'
             f'  "strategy": {text(d.trace.strategy)},\n'
-            f'  "false_comparabilities": {false_count!r},\n'
+            f'  "false_comparabilities": {d.trace.false_comparabilities!r},\n'
             f'  "perturbed": {_json_list([text(p) for p in perturbed_labels(d)], "  ")}\n'
             "}\n")

@@ -210,3 +210,18 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
     order = OrderRelation(ground, up, down)
     order.validate()
     return order
+
+
+def read_order(text: str) -> OrderRelation:
+    """The order that order text or a Burmeister context describes.
+
+    One leading byte-order mark is dropped.  Text whose first non-blank
+    line is `B` is a context, drawn as its concept lattice; any other text
+    is order text.  The rule is exact on valid input: a Burmeister file
+    must begin with `B`, and `B` alone is never a valid order-text line.
+    """
+    text = text.removeprefix("\ufeff")
+    first = next((line.strip() for line in text.splitlines() if line.strip()), "")
+    if first == "B":
+        return concept_lattice(parse_cxt(text))
+    return parse_order_text(text)

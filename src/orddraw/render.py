@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .engine import GridDrawing, with_plane
+from .engine import GridDrawing
 from .errors import Unresolvable
 from .orders import Pair
 
@@ -123,7 +123,7 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
             step = _EPSILON * ((k + 1) // 2) * (1 if k % 2 else -1)
             x, y = base[label]
             plane[label] = (x + step, y)
-        current = with_plane(d, plane)
+        current = d.replace(plane=dict(plane))  # plane changes in the next round
         conflicts = detect_collinear(current)
         if not conflicts:
             return current
@@ -131,6 +131,7 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 
 
 def _screen_geometry(d: GridDrawing):
+    """Canvas width and height, and each element's screen point in ground order."""
     # int true division is correctly rounded, so (X - min X) / D is the
     # float of the rational x - min x, as float(Fraction) gives it
     pts, denom = _integer_plane(d)
@@ -140,11 +141,10 @@ def _screen_geometry(d: GridDrawing):
     min_y, max_y = min(ys), max(ys)
     width = (max_x - min_x) / denom * _SCALE + 2 * _MARGIN
     height = (max_y - min_y) / denom * _SCALE + 2 * _MARGIN
-    # one screen point per element, looked up once per edge end and label
-    screen = {label: ((x - min_x) / denom * _SCALE + _MARGIN,
-                      (max_y - y) / denom * _SCALE + _MARGIN)
-              for label, (x, y) in pts.items()}
-    return width, height, screen.__getitem__
+    screen = {label: ((pts[label][0] - min_x) / denom * _SCALE + _MARGIN,
+                      (max_y - pts[label][1]) / denom * _SCALE + _MARGIN)
+              for label in d.order.ground}
+    return width, height, screen
 
 
 def emit_svg(d: GridDrawing) -> bytes:
@@ -158,10 +158,9 @@ def emit_svg(d: GridDrawing) -> bytes:
         if not _NOT_XML_CHARS.isdisjoint(label):
             raise ValueError(f"label {label!r} holds a character that SVG (XML 1.0) "
                              "cannot carry")
-    width, height, place = _screen_geometry(d)
+    width, height, points = _screen_geometry(d)
     # each screen coordinate is formatted once, for its circle and for
     # every edge end at it: one float always gives the same text
-    points = {label: place(label) for label in d.order.ground}
     text = {label: (f"{x:.2f}", f"{y:.2f}") for label, (x, y) in points.items()}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

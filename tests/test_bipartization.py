@@ -355,7 +355,7 @@ class TestTransversalSearch:
         assert search.k == 4 and search.lower_bound == 4
 
     def test_thousands_of_blocks_stay_under_the_recursion_limit(self):
-        # the product of the blocks' searches nests about log2(5000) deep
+        # one search per block, 5000 sources of one product
         search = TransversalSearch(union([cycle_graph(3)] * 5000))
         assert len(next(iter(search))) == search.k == 5000
 

@@ -190,11 +190,21 @@ class TestDraw:
         assert main(["draw", "-i", str(path), "-o", str(out)]) == 0
         assert sorted(e["label"] for e in json.loads(out.read_text())["elements"]) == labels
 
-    def test_cxt_format_override(self, tmp_path, capsys):
-        path = tmp_path / "context.txt"
-        path.write_text(CXT_TEXT)
-        assert main(["draw", "-i", str(path), "--input-format", "cxt"]) == 0
-        assert "n=4" in capsys.readouterr().out
+    # the file name plays no part: a context in a .order or .txt file and
+    # order text in a .cxt file draw, and so does a context on stdin
+    @pytest.mark.parametrize("name, text", [
+        ("-", CXT_TEXT), ("context.order", CXT_TEXT), ("context.txt", CXT_TEXT),
+        ("diamond.cxt", DIAMOND_TEXT)],
+        ids=["cxt-on-stdin", "cxt-as-order", "cxt-as-txt", "order-as-cxt"])
+    def test_the_text_names_its_format(self, name, text, tmp_path, capsys, monkeypatch):
+        path = tmp_path / name
+        path.write_text(text)
+        source = name if name == "-" else str(path)
+        for command in ("draw", "dim"):
+            fake_stdin(monkeypatch, text)
+            assert main([command, "-i", source]) == 0
+        out = capsys.readouterr().out
+        assert "n=4 inc=2 passes=0" in out and "dim<=2: yes" in out
 
     # without the drop, the .cxt header fails to parse and the .order text
     # draws with "\ufeffbot" as its first label
@@ -205,12 +215,10 @@ class TestDraw:
                                                   capsys, monkeypatch):
         path = tmp_path / name
         path.write_text("\ufeff" + text, encoding="utf-8")
-        fmt = Path(name).suffix[1:]
         for source in (str(path), "-"):
             fake_stdin(monkeypatch, "\ufeff" + text)
             out = tmp_path / "drawing.json"
-            assert main(["draw", "-i", source, "--input-format", fmt,
-                         "-o", str(out)]) == 0
+            assert main(["draw", "-i", source, "-o", str(out)]) == 0
             assert "n=4 inc=2 passes=0" in capsys.readouterr().out
             labels = [e["label"] for e in json.loads(out.read_text())["elements"]]
             assert not any("\ufeff" in label for label in labels)
@@ -231,7 +239,7 @@ class TestDraw:
         for source, stdin in ((str(path), b""), ("-", data)):
             out = tmp_path / f"drawing{len(outputs)}.json"
             done = subprocess.run([sys.executable, "-m", "orddraw.cli", "draw", "-i", source,
-                                   "--input-format", fmt, "-o", str(out)],
+                                   "-o", str(out)],
                                   input=stdin, env=env, capture_output=True, timeout=60)
             assert done.returncode == 0, done.stderr
             outputs.append(out.read_bytes())
@@ -255,6 +263,12 @@ class TestDrawErrors:
         bad.write_text("a !! b\n")
         assert main(["draw", "-i", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_empty_input(self, tmp_path, capsys):
+        empty = tmp_path / "empty.cxt"
+        empty.write_text("")
+        assert main(["draw", "-i", str(empty)]) == 1
+        assert "no elements found" in capsys.readouterr().err
 
     def test_cycle_error(self, tmp_path, capsys):
         bad = tmp_path / "cyclic.order"
@@ -335,6 +349,13 @@ class TestDrawErrors:
                 main(["draw", "-i", s3_file, "--solver", solver])
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
+
+    def test_removed_input_format_is_a_usage_error(self, cxt_file, capsys):
+        for command in ("draw", "dim"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-i", cxt_file, "--input-format", "cxt"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --input-format" in capsys.readouterr().err
 
     def test_removed_cnf_command_is_a_usage_error(self, s3_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from orddraw.bipartization import OctResult, TransversalSearch, min_oct_exact
 from orddraw import engine
 from orddraw.engine import (STRATEGIES, _ends_in_this_pass, _insert, compute_coordinates,
-                            drawing_to_json, perturbed_labels, two_dimension_extension,
-                            with_plane)
+                            drawing_to_json, perturbed_labels, two_dimension_extension)
 from orddraw.errors import OrderViolation
 from orddraw.ingest import parse_order_text
 from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
@@ -483,13 +482,13 @@ class TestPlaneEdits:
     def test_fresh_drawing_has_no_perturbed_labels(self):
         assert perturbed_labels(compute_coordinates(boolean_lattice(2))) == ()
 
-    def test_with_plane_flags_moved_labels(self):
+    def test_a_moved_plane_point_is_flagged(self):
         d = compute_coordinates(boolean_lattice(2))
         plane = dict(d.plane)
         label = d.order.ground.labels[1]
         x, y = plane[label]
         plane[label] = (x + Fraction(1, 7), y)
-        moved = with_plane(d, plane)
+        moved = d.replace(plane=plane)
         assert perturbed_labels(moved) == (label,)
         assert perturbed_labels(d) == ()
 
@@ -532,5 +531,5 @@ class TestJson:
         for label, k in zip(labels, steps):
             x, y = plane[label]
             plane[label] = (x + Fraction(3 * k, 20), y)
-        for drawing in (d, with_plane(d, plane)):
+        for drawing in (d, d.replace(plane=plane)):
             assert drawing_to_json(drawing) == drawing_to_json_by_dumps(drawing)

@@ -27,10 +27,15 @@ search started at a clique-packing bound and searched bridge blocks in
 place on masks.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
+
+The benchmark corpora at seed 1007 are pinned too, as the lines that
+`tools/corpus_digest.py --seeds 1007` prints.
 """
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +166,23 @@ def digest(d) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_are_unchanged(name):
     assert digest(CASES[name]()) == GOLDEN[name]
+
+
+# `python tools/corpus_digest.py --seeds 1007`, recorded when the input
+# reader started telling formats apart by content
+CORPUS_DIGEST_1007 = [
+    "exact 1007 59 6f5549d6c911c1482202a106242b6459e700b99ef38c988cf089777d1f5962a3",
+    "exact 1007 search k=201 lower_bound=178 branch_nodes=1236 examined=60",
+    "heuristic 1007 52 086cfb6c5121ed55d20def165575175374384acdaf7201d7e23a5c772e5db36d",
+    "two_dim 1007 64 f70b9679dc691270847ac9ecc6b107ecb66524f359d4067477763ee7959e71db",
+]
+
+
+def test_benchmark_corpora_are_unchanged_at_seed_1007():
+    path = Path(__file__).resolve().parents[1] / "tools" / "corpus_digest.py"
+    spec = importlib.util.spec_from_file_location("corpus_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = [line for workload in tool.corpus.WORKLOADS
+             for line in tool.digest_lines(workload, 1007)]
+    assert lines == CORPUS_DIGEST_1007, "the tool now prints:\n" + "\n".join(lines)

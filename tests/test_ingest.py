@@ -9,10 +9,18 @@ from hypothesis import given, settings, strategies as st
 from orddraw import ingest
 from orddraw.errors import CycleError, ParseError, TooLarge, UnknownLabel
 from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
-                            parse_order_text, serialize_order)
+                            parse_order_text, read_order, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
 from oracles import brute_concepts, random_order
+
+
+def order_like_texts():
+    """Order-text tokens, separators and line breaks of every kind, joined."""
+    return st.lists(st.sampled_from(["a", "b", "c", "é", "{a,b}", "<", "<<", "elements:",
+                                     "#", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
+                                     "\x85", "\u2028", "\x00", "B"]),
+                    max_size=40).map("".join)
 
 
 class TestOrderText:
@@ -62,12 +70,7 @@ class TestOrderText:
             parse_order_text("a < b\nb < a\n")
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(
-        st.text(max_size=80),
-        st.lists(st.sampled_from(["a", "b", "c", "é", "{a,b}", "<", "<<", "elements:",
-                                  "#", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
-                                  "\x85", "\u2028", "\x00"]),
-                 max_size=40).map("".join)))
+    @given(st.one_of(st.text(max_size=80), order_like_texts()))
     def test_fuzzed_text_raises_only_the_documented_errors(self, text):
         try:
             o = parse_order_text(text)
@@ -102,7 +105,7 @@ class TestOrderText:
                    or lab.startswith("elements:") or any(ch.isspace() for ch in lab)]
             assert bad and repr(bad[0]) in str(exc)
             return
-        assert parse_order_text(text) == o
+        assert parse_order_text(text) == o == read_order(text)
 
     @pytest.mark.parametrize("labels, bad", [
         (["a b", "c"], "a b"), (["x#1"], "x#1"), (["ok", "elements:"], "elements:"),
@@ -355,3 +358,37 @@ class TestConceptLattice:
             got = {o.ground.label(i): {o.ground.label(j) for j in range(o.n) if o.up[i] >> j & 1}
                    for i in range(o.n)}
             assert got == expected
+
+
+class TestReadOrder:
+    @pytest.mark.parametrize("text", [
+        "B\n2\n2\ng0\ng1\nm0\nm1\nX.\n.X\n",
+        "\n  \n B \nname\n1\n1\n\na\nx\nX\n",
+        "\ufeffB\r\n1\r\n1\r\na\r\nx\r\nX\r\n",
+    ], ids=["plain", "blank-lines-first", "bom-crlf"])
+    def test_a_first_line_b_is_a_context(self, text):
+        assert read_order(text) == concept_lattice(parse_cxt(text.removeprefix("\ufeff")))
+
+    @pytest.mark.parametrize("text", [
+        "a < b\n", "\ufeffa < b\n", "elements: B\n", "B < C\n", "# B\na < b\n",
+    ])
+    def test_any_other_text_is_order_text(self, text):
+        assert read_order(text) == parse_order_text(text.removeprefix("\ufeff"))
+
+    @pytest.mark.parametrize("text", ["", "\ufeff", " \n\n", "B # note\n", "B\n"])
+    def test_empty_text_and_a_bare_b_are_parse_errors(self, text):
+        # `B` alone is no order-text line, with or without a comment
+        with pytest.raises(ParseError):
+            read_order(text)
+        with pytest.raises(ParseError):
+            parse_order_text(text.removeprefix("\ufeff"))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.text(max_size=80), order_like_texts(), cxt_like_texts()))
+    def test_text_valid_in_either_format_is_read_in_that_format(self, text):
+        for parse in (parse_order_text, lambda t: concept_lattice(parse_cxt(t))):
+            try:
+                want = parse(text)
+            except (ParseError, CycleError, ValueError):
+                continue
+            assert read_order(text) == want

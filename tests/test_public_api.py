@@ -43,6 +43,7 @@ def test_retired_names_are_gone():
                         (cli, "cmd_cnf"), (engine, "_insert_checked"),
                         (engine, "_insert_one_by_one"), (engine, "_greater"),
                         (engine, "weak_dominance_stats"), (engine, "DominanceReport"),
+                        (engine, "with_plane"), (cli, "_load_order"),
                         (sat.CnfInstance(0, ()), "var_map"),
                         (sat.CnfInstance(0, ()), "to_dimacs"),
                         (bipartization, "decode_removed"),

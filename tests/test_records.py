@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from orddraw.bipartization import OctResult
-from orddraw.engine import GridDrawing, compute_coordinates, with_plane
+from orddraw.engine import GridDrawing, compute_coordinates
 from orddraw.ingest import FormalContext
 from orddraw.orders import standard_example
 from orddraw.sat import CnfInstance
@@ -69,6 +69,14 @@ class TestFrozen:
                 record.extra = 1
             assert not hasattr(record, "__dict__")
 
+    def test_trace_counts_are_read_off_its_pairs(self, drawing):
+        trace = drawing.trace
+        assert trace.passes == len(trace.per_pass_removed) == 1
+        assert trace.false_comparabilities == len(trace.inserted | trace.closure_added) == 1
+        with pytest.raises(TypeError):  # no stored copy to set apart from the pairs
+            trace.replace(passes=2)
+        assert trace.replace(per_pass_removed=()).passes == 0
+
 
 class TestEquality:
     def test_oct_results_compare_without_stats(self):
@@ -111,12 +119,6 @@ class TestCopies:
         assert ctx.replace(incidence=[[0]]).incidence == ((False,),)
         with pytest.raises(ValueError):
             ctx.replace(objects=("a", "b"))
-
-    def test_with_plane_copies_the_plane(self, drawing):
-        plane = dict(drawing.plane)
-        moved = with_plane(drawing, plane)
-        assert moved == drawing and moved.plane is not plane
-        assert moved.coords is drawing.coords
 
     def test_copy_and_pickle_round_trip(self, drawing):
         for record in records(drawing):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.engine import compute_coordinates, perturbed_labels, with_plane
+from orddraw.engine import compute_coordinates, perturbed_labels
 from orddraw.errors import Unresolvable
 from orddraw.ingest import parse_order_text
 from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
@@ -108,7 +108,7 @@ class TestDetectCollinear:
             m = moved[0]
             u, w = [label for label in o.ground if label != m][:2]
             (mx, my), (ux, uy) = fixed.plane[m], fixed.plane[u]
-            halfway = with_plane(fixed, {**fixed.plane, w: ((mx + ux) / 2, (my + uy) / 2)})
+            halfway = fixed.replace(plane={**fixed.plane, w: ((mx + ux) / 2, (my + uy) / 2)})
             pairs = tuple((a, b) for a in o.ground for b in o.ground if a != b)
             every_pair = halfway.replace(cover_edges=pairs)
             conflicts = detect_collinear(every_pair)
@@ -142,7 +142,7 @@ class TestDetectCollinear:
         for label, other in data.draw(st.lists(st.tuples(
                 st.sampled_from(labels), st.sampled_from(labels)), max_size=3)):
             plane[label] = (plane[label][0], plane[other][1])
-        nudged = with_plane(d, plane).replace(cover_edges=tuple(edges))
+        nudged = d.replace(plane=plane, cover_edges=tuple(edges))
         assert detect_collinear(nudged) == oracle_conflicts(nudged)
 
     def test_agrees_with_oracle_on_every_comparability_of_2d_orders(self):
@@ -168,7 +168,7 @@ class TestDetectCollinear:
         plane = {"x1": (Fraction(0), Fraction(0)), "x4": (Fraction(4), Fraction(2)),
                  "x2": (Fraction(2), Fraction(1)), "x3": (Fraction(2), Fraction(1))}
         for edges in ((("x1", "x4"),), (("x4", "x1"),)):
-            doubled = with_plane(d, plane).replace(cover_edges=edges)
+            doubled = d.replace(plane=plane, cover_edges=edges)
             (edge,) = edges
             assert detect_collinear(doubled) == oracle_conflicts(doubled) \
                 == [("x2", edge), ("x3", edge)]
@@ -200,7 +200,7 @@ class TestDetectCollinear:
             plane[w] = (ux + (vx - ux) / 3 + shift, uy + (vy - uy) / 3)
             placed.append((w, (a, b)))
             used |= {a, b, w}
-        fined = with_plane(d, plane).replace(cover_edges=edges)
+        fined = d.replace(plane=plane, cover_edges=edges)
         _, scale = render._integer_plane(fined)
         assert scale >= 1000
         with failing_after(20.0):
@@ -219,8 +219,8 @@ class TestDetectCollinear:
         doctored = d.replace(cover_edges=(("x1", "x4"),))
         assert detect_collinear(doctored) == [("x2", ("x1", "x4")), ("x3", ("x1", "x4"))]
         # a point just off the line, or level but beyond an end, is clear
-        shifted = with_plane(doctored, {**d.plane, "x2": (d.plane["x2"][0], Fraction(1, 3)),
-                                        "x3": (d.plane["x1"][0] + 1, d.plane["x1"][1])})
+        shifted = doctored.replace(plane={**d.plane, "x2": (d.plane["x2"][0], Fraction(1, 3)),
+                                          "x3": (d.plane["x1"][0] + 1, d.plane["x1"][1])})
         assert detect_collinear(shifted) == oracle_conflicts(shifted) == []
 
     def test_doctored_zero_length_edge(self):
@@ -228,7 +228,7 @@ class TestDetectCollinear:
         # x3 moved onto x1: the edge x1-x3 has no open segment, so nothing
         # sits on it, neither x2 where it was nor x2 on the same spot
         for x2 in (d.plane["x2"], d.plane["x1"]):
-            zero = with_plane(d, {**d.plane, "x3": d.plane["x1"], "x2": x2})
+            zero = d.replace(plane={**d.plane, "x3": d.plane["x1"], "x2": x2})
             assert detect_collinear(zero) == oracle_conflicts(zero) == []
         # a loop edge is zero-length too; the real edge x1-x3 still catches x2
         loop = d.replace(cover_edges=(("x1", "x3"), ("x2", "x2")))
@@ -344,16 +344,15 @@ class TestSvg:
         offsets = st.fractions(min_value=-3, max_value=3, max_denominator=97)
         plane = {label: (x + data.draw(offsets), y + data.draw(offsets))
                  for label, (x, y) in d.plane.items()}
-        moved = with_plane(d, plane)
+        moved = d.replace(plane=plane)
         scale = data.draw(st.sampled_from([48.0, 7.3, 100.0]))
         margin = data.draw(st.sampled_from([40.0, 0.0, 2.5]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(render, "_SCALE", scale)
             mp.setattr(render, "_MARGIN", margin)
-            width, height, place = _screen_geometry(moved)
-        want_w, want_h, want = screen_geometry_by_fractions(moved, scale, margin)
-        assert (width, height) == (want_w, want_h)
-        assert {label: place(label) for label in want} == want
+            got = _screen_geometry(moved)
+        assert got == screen_geometry_by_fractions(moved, scale, margin)
+        assert list(got[2]) == list(moved.order.ground)  # the SVG's element order
 
     def test_byte_determinism(self):
         a = emit_svg(compute_coordinates(boolean_lattice(3)))
@@ -420,9 +419,9 @@ class TestPipelineIntegration:
             out = emitter(fixed)
             assert isinstance(out, bytes) and len(out) > 100
 
-    def test_with_plane_round_trip_preserves_everything_else(self):
+    def test_plane_replace_preserves_everything_else(self):
         d = compute_coordinates(boolean_lattice(2))
-        moved = with_plane(d, {k: (v[0] + 1, v[1]) for k, v in d.plane.items()})
-        assert moved.coords == d.coords
+        moved = d.replace(plane={k: (v[0] + 1, v[1]) for k, v in d.plane.items()})
+        assert moved.coords is d.coords
         assert moved.cover_edges == d.cover_edges
         assert moved.trace is d.trace
