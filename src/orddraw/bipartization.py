@@ -22,8 +22,8 @@ import random
 from itertools import islice
 from typing import Callable, Iterator
 
-from .graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_layers,
-                     is_bipartite_without, odd_blocks)
+from .graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
+                     odd_cycles)
 from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
 from .records import Record
@@ -126,8 +126,7 @@ def _clique_bound(g: SimpleGraph, block: int) -> int:
 
 
 def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
-                         known: dict[int, tuple[int, ...] | None],
-                         parent: list[int]) -> list[tuple[int, ...]]:
+                         known: dict[int, tuple[int, ...] | None]) -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
@@ -142,9 +141,8 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
     two_coloring's cycle for g minus it, None when none is left, or the
     empty tuple when a last step found one: the search meets the same sets
     again, at other nodes and at each larger k, and works a cycle out when
-    a step that is not the last first needs it.  The other steps colour
-    with `_colour_conflicts` into `parent`, a list the caller allocates
-    once, so a call costs the vertices it colours, not a list as long as g."""
+    a step that is not the last first needs it.  The other steps take the
+    first cycle of `graphs.odd_cycles`, which keeps its own BFS parents."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
@@ -154,8 +152,7 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
             if last:
                 cycle = () if any(clash for _, _, clash in bfs_layers(g, gone)) else None
             else:
-                cycle = next((_tree_cycle(parent, u, w) for u, w
-                              in _colour_conflicts(g, gone, parent)), None)
+                cycle = next(odd_cycles(g, gone), None)
             known[gone] = cycle
         if cycle is None:
             break
@@ -203,16 +200,16 @@ class TransversalSearch:
     its greedy clique packing bound.  No transversal is smaller than
     either, so the rounds this skips would have found nothing.  A node
     removes a vertex set and branches on the vertices of one odd cycle of
-    the rest, since every transversal contains one of them; it fails when
-    more disjoint odd cycles remain than its budget; the count's last step
-    only tests whether an odd cycle is left (see _disjoint_odd_cycles).
-    A node already
-    searched at the current k is not searched again: before the first set
-    this skips exactly the nodes that failed, and after it a repeat could
-    only yield sets already yielded.  The first k that yields anything is
-    the block's minimum, and the block's sets come in depth-first order.
-    Vertex sets are held as masks while the search runs.  The sets of g
-    are unions of one set per block, in product order.
+    the rest, the first of `graphs.odd_cycles`, since every transversal
+    contains one of them; it fails when more disjoint odd cycles remain
+    than its budget; the count's last step only tests whether an odd cycle
+    is left (see _disjoint_odd_cycles).  A node already searched at the
+    current k is not searched again: before the first set this skips
+    exactly the nodes that failed, and after it a repeat could only yield
+    sets already yielded.  The first k that yields anything is the block's
+    minimum, and the block's sets come in depth-first order.  Vertex sets
+    are held as masks while the search runs.  The sets of g are unions of
+    one set per block, in product order.
 
     After the first set, `k` is the minimum size; `lower_bound` sums the
     blocks' starting bounds and `branch_nodes` counts the nodes searched
@@ -223,7 +220,6 @@ class TransversalSearch:
     def __init__(self, g: SimpleGraph):
         self.g = g
         self.k = self.lower_bound = self.branch_nodes = 0
-        self._parent = [-1] * g.n
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         per_block = [self._block(block) for block in odd_blocks(self.g)]
@@ -234,7 +230,7 @@ class TransversalSearch:
         g = self.g
         outside = ((1 << g.n) - 1) ^ block
         known: dict[int, tuple[int, ...] | None] = {}
-        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known, self._parent)),
+        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known)),
                     _clique_bound(g, block))
         self.lower_bound += lower
         k = lower
@@ -244,7 +240,7 @@ class TransversalSearch:
             def search(removed: int, budget: int) -> Iterator[int]:
                 searched.add(removed)
                 self.branch_nodes += 1
-                cycles = _disjoint_odd_cycles(g, removed, budget, known, self._parent)
+                cycles = _disjoint_odd_cycles(g, removed, budget, known)
                 if not cycles:
                     yield removed ^ outside
                 elif len(cycles) <= budget:

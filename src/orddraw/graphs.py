@@ -2,21 +2,19 @@
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  Two breadth-first searches colour a graph minus a vertex set,
-each advancing a whole layer per step.  `bfs_layers` only colours: the
-next layer is the OR of the layer's neighbour masks less the vertices
-already seen, and a vertex's colour is its layer's parity.  It serves
+each advancing a whole layer per step, and a vertex's colour is its
+layer's parity.  `bfs_layers` only colours: the next layer is the OR of
+the layer's neighbour masks less the vertices already seen.  It serves
 `is_bipartite_without`, the last steps of the exact search's cycle
 counts, which only ask whether an odd cycle is left, and, in
 `bipartization`, the start of `oct_anneal`'s local search and the
-union-find that `peel_to_minimal` starts from.  `_colour_conflicts` walks
-each layer vertex by vertex in queue order, writes only the BFS parents
-and yields each edge inside a layer as it meets it, so the edge's tree
-cycle can be read off: it serves `two_coloring` (the first such edge
-closes an odd walk), `odd_cycle_census` (each such edge counts its
-BFS-tree cycle) and the odd cycles of the exact search, which keeps one
-parent list and reuses it, since a call reads only the entries it has
-written itself.  Both searches start each component at its lowest kept
-vertex, so they walk the same layers.  `odd_blocks` finds the
+union-find that `peel_to_minimal` starts from.  `odd_cycles` walks each
+layer vertex by vertex in queue order, keeps the BFS parents of the
+vertices it reaches, and yields the tree cycle of each edge inside a
+layer as it meets it from either end: it serves `two_coloring` (the
+first cycle), `odd_cycle_census` (each edge's cycle once) and the odd
+cycles of the exact search.  Both searches start each component at its
+lowest kept vertex, so they walk the same layers.  `odd_blocks` finds the
 non-bipartite blocks between the bridges in one depth-first search on
 masks.
 """
@@ -167,7 +165,7 @@ def odd_blocks(g: SimpleGraph) -> list[int]:
     return sorted(blocks, key=lambda block: block & -block)
 
 
-def _tree_cycle(parent: list[int], u: int, w: int) -> tuple[int, ...]:
+def _tree_cycle(parent: dict[int, int], u: int, w: int) -> tuple[int, ...]:
     """The odd closed walk of a monochromatic BFS edge (u, w): both ends
     lie in one layer, so it climbs from both in lockstep to their common
     ancestor and comes back down w's side."""
@@ -180,27 +178,29 @@ def _tree_cycle(parent: list[int], u: int, w: int) -> tuple[int, ...]:
     return tuple(up + down[-2::-1])
 
 
-def _colour_conflicts(g: SimpleGraph, gone: int, parent: list[int]) -> Iterator[tuple[int, int]]:
-    """The monochromatic edges of the BFS 2-colouring of g minus the
-    vertices in the mask `gone`, each as (u, w) from u's side, in the
-    order the per-vertex search meets them: by u in queue order, then w
-    ascending, so each edge comes once from each end.
+def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
+    """The BFS-tree cycles of the monochromatic edges of the BFS
+    2-colouring of g minus the vertices in the mask `gone`, in the order
+    the per-vertex search meets the edges: by u in queue order, then w
+    ascending, so each edge comes once from each end.  The cycle of (u, w)
+    runs from u up to the ends' common ancestor and down to w, an odd
+    closed walk with no repeated endpoint; from w's end it comes reversed.
 
     The search walks one layer per step, its vertices in queue order; the
     next layer is their undiscovered neighbours, each the child of the
     first of them it is next to.  Under the colouring by layer parity only
     a vertex's own layer shares its colour among its neighbours, and the
     layer is complete before any of its vertices is walked, so u's
-    conflicts are its neighbour mask AND its layer's mask.  Only the
-    caller's `parent` list is written: when an edge is yielded, the
-    parents of both ends and of their ancestors are final, so its tree
-    cycle is fixed.  The list may hold stale entries, since only those of
-    the vertices reached so far are read.  A step costs two ANDs per
-    vertex of the layer and a step per newly reached vertex, not a step
-    per edge.
+    monochromatic edges are its neighbour mask AND its layer's mask.  When
+    an edge is met, the parents of both ends and of their ancestors are
+    final, so its tree cycle is fixed.  The parents live in a dict that
+    holds only the vertices reached, so a call costs the vertices it
+    colours, not a list as long as g; a step costs two ANDs per vertex of
+    the layer and a step per newly reached vertex, not a step per edge.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
+    parent: dict[int, int] = {}
     while unseen:
         layer = unseen & -unseen
         unseen ^= layer
@@ -213,7 +213,7 @@ def _colour_conflicts(g: SimpleGraph, gone: int, parent: list[int]) -> Iterator[
                 while clash:
                     low = clash & -clash
                     clash ^= low
-                    yield u, low.bit_length() - 1
+                    yield _tree_cycle(parent, u, low.bit_length() - 1)
                 new = nbrs & unseen
                 if new:
                     unseen ^= new
@@ -238,9 +238,8 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     edge the BFS meets.
     """
     gone = mask_of(removed)
-    parent = [-1] * g.n
-    for u, w in _colour_conflicts(g, gone, parent):
-        return None, _tree_cycle(parent, u, w)
+    for cycle in odd_cycles(g, gone):
+        return None, cycle
     color: list[int | None] = [None] * g.n
     for depth, layer, _ in bfs_layers(g, gone):
         for v in bits(layer):
@@ -255,7 +254,7 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, bool]]
     Each component starts at its lowest kept vertex, which alone is its
     layer at depth 0; the next layer is the OR of the current layer's
     neighbour masks less the vertices seen so far.  Colouring each vertex
-    with its layer's parity is the colouring `_colour_conflicts` gives,
+    with its layer's parity is the colouring `odd_cycles` walks,
     since a vertex's layer is its distance from the start.  An edge joins
     two vertices of one layer or of adjacent layers, so the colouring has a
     monochromatic edge exactly when some layer's `clash` is true: the
@@ -293,13 +292,12 @@ def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
     No strategy calls it; the benchmark's tracer hooks it in bipartization.
 
     Every monochromatic edge under the BFS colouring that pushes past
-    conflicts contributes one BFS-tree cycle.  Returns None when the
-    remainder is bipartite.
+    conflicts contributes its BFS-tree cycle from `odd_cycles`.  Returns
+    None when the remainder is bipartite.
     """
-    parent = [-1] * g.n
     counts: dict[int, int] = {}
-    for u, w in _colour_conflicts(g, mask_of(removed), parent):
-        if u < w:  # each edge once
-            for x in _tree_cycle(parent, u, w):
+    for cycle in odd_cycles(g, mask_of(removed)):
+        if cycle[0] < cycle[-1]:  # each edge once
+            for x in cycle:
                 counts[x] = counts.get(x, 0) + 1
     return counts or None

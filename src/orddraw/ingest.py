@@ -95,17 +95,16 @@ def parse_cxt(text: str) -> FormalContext:
     `B` and the counts that is not an integer is the context's name, and
     is skipped.  A blank line after the counts is skipped when the file
     holds exactly one line more than the names and rows need, as in the
-    common layout; otherwise it is a name, which may be empty.
+    common layout; otherwise it is a name, which may be empty.  Lines end
+    in LF, CRLF or CR alone, as `str.splitlines` splits them.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = text.splitlines()
     pos = 0
 
     def next_content() -> tuple[int, str]:
         nonlocal pos
         while pos < len(lines):
-            line = lines[pos].rstrip("\r")
+            line = lines[pos]
             pos += 1
             if line.strip():
                 return pos, line
@@ -131,14 +130,14 @@ def parse_cxt(text: str) -> FormalContext:
     if n_objects < 0 or n_attributes < 0:
         raise ParseError(lineno, "counts must be non-negative")
     if (len(lines) - pos == 2 * n_objects + n_attributes + 1
-            and not lines[pos].rstrip("\r").strip()):
+            and not lines[pos].strip()):
         pos += 1  # the blank line of the common layout
 
     def take_name(kind: str) -> str:
         nonlocal pos
         if pos >= len(lines):
             raise ParseError(len(lines), f"missing {kind} name")
-        name = lines[pos].rstrip("\r")
+        name = lines[pos]
         pos += 1
         return name
 
@@ -150,7 +149,7 @@ def parse_cxt(text: str) -> FormalContext:
     for i in range(n_objects):
         if pos >= len(lines):
             raise ParseError(len(lines), f"missing incidence row for {objects[i]!r}")
-        row = lines[pos].rstrip("\r")
+        row = lines[pos]
         pos += 1
         if len(row) != n_attributes:
             raise ParseError(pos, f"row for {objects[i]!r} has {len(row)} cells, "

@@ -288,11 +288,11 @@ class TestDisjointOddCycles:
         marks = 0
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.2, 0.4]))
-            known, parent = {}, [-1] * g.n
+            known = {}
             pool = [0] + [1 << rng.randrange(g.n) for _ in range(2)]
             for limit in (0, 2, 1, 4, 0, 3):
                 removed = rng.choice(pool)
-                cycles = bipartization._disjoint_odd_cycles(g, removed, limit, known, parent)
+                cycles = bipartization._disjoint_odd_cycles(g, removed, limit, known)
                 want, gone = [], removed
                 while len(want) <= limit:
                     cycle = first_odd_cycle(g, bits(gone))

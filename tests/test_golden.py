@@ -29,7 +29,8 @@ orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 
 The benchmark corpora at seed 1007 are pinned too, as the lines that
-`tools/corpus_digest.py --seeds 1007` prints.
+`tools/corpus_digest.py --seeds 1007` prints, and so is the exact search's
+line at seed 0.
 """
 
 import hashlib
@@ -178,11 +179,22 @@ CORPUS_DIGEST_1007 = [
 ]
 
 
-def test_benchmark_corpora_are_unchanged_at_seed_1007():
+def corpus_digest_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "corpus_digest.py"
     spec = importlib.util.spec_from_file_location("corpus_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_benchmark_corpora_are_unchanged_at_seed_1007():
+    tool = corpus_digest_tool()
     lines = [line for workload in tool.corpus.WORKLOADS
              for line in tool.digest_lines(workload, 1007)]
     assert lines == CORPUS_DIGEST_1007, "the tool now prints:\n" + "\n".join(lines)
+
+
+def test_exact_search_figures_are_unchanged_at_seed_0():
+    # the search line of `python tools/corpus_digest.py --seeds 0`
+    totals = corpus_digest_tool().search_totals("exact", 0)
+    assert totals == {"k": 201, "lower_bound": 178, "branch_nodes": 1047, "examined": 59}

@@ -1,16 +1,19 @@
 """Tests for the undirected-graph layer and its coloring primitives."""
 
+import importlib
 import random
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.graphs import (SimpleGraph, _colour_conflicts, _tree_cycle, bfs_layers,
-                            is_bipartite_without, odd_blocks, odd_cycle_census,
-                            two_coloring)
+from orddraw.graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
+                            odd_cycle_census, odd_cycles, two_coloring)
+from orddraw.ingest import read_order
 from orddraw.orders import bits
+from orddraw.tig import build_tig
 from oracles import (bipartite_without, first_odd_cycle, forced_coloring,
                      monochromatic_edges, odd_cycle_census_after_coloring, row_masks,
                      tree_cycle)
@@ -251,32 +254,36 @@ def random_removed(rng, g):
     return {v for v in range(g.n) if rng.random() < share}
 
 
-class TestColourConflicts:
+class TestOddCycles:
     def test_yields_each_monochromatic_edge_from_both_ends(self):
+        """One cycle per end of each monochromatic edge of the forced
+        colouring, in dequeue order and then neighbour order; each is the
+        edge's tree cycle in the oracle's BFS tree, from that end."""
         rng = random.Random(37)
         met_some = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
             removed = random_removed(rng, g)
-            parent = [-1] * g.n
-            met = list(_colour_conflicts(g, sum(1 << v for v in removed), parent))
-            color, ref_parent, _ = forced_coloring(g, removed)
-            assert parent == ref_parent
+            cycles = list(odd_cycles(g, sum(1 << v for v in removed)))
+            visits = []
+            color, parent, depth = forced_coloring(g, removed, visits)
             mono = [(u, v) for u, v in g.edges
                     if color[u] is not None and color[u] == color[v]]
-            assert sorted(met) == sorted(mono + [(v, u) for u, v in mono])
-            met_some += bool(met)
+            ends = [(cycle[0], cycle[-1]) for cycle in cycles]
+            assert sorted(ends) == sorted(mono + [(v, u) for u, v in mono])
+            assert ends == [(u, w) for u in visits for w in g.neighbors(u)
+                            if w not in removed and color[w] == color[u]]
+            assert cycles == [tree_cycle(parent, depth, u, w) for u, w in ends]
+            met_some += bool(cycles)
         assert met_some > 100
 
     def test_matches_the_oracles_on_random_graphs(self):
         """two_coloring stops at the first monochromatic edge of the BFS
         (dequeue order, then neighbour order) and returns its tree cycle,
-        also when the search writes into a parent list that earlier graphs
-        left behind, as the exact search does; the census equals the one
-        read off a finished forced colouring."""
+        the first that odd_cycles yields; the census equals the one read
+        off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
-        stale = [-1] * 40
         for _ in range(1500):
             g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
             removed = random_removed(rng, g)
@@ -286,11 +293,7 @@ class TestColourConflicts:
             first = next(((u, w) for u in visits for w in g.neighbors(u)
                           if w not in removed and ref[w] == ref[u]), None)
             colors, cycle = two_coloring(g, removed)
-            met = list(_colour_conflicts(g, sum(1 << v for v in removed), stale))
-            below = [v for v in range(g.n) if v not in removed and depth[v]]
-            assert [stale[v] for v in below] == [parent[v] for v in below]
-            assert met[:1] == ([first] if first else [])
-            assert (_tree_cycle(stale, *met[0]) if met else None) == cycle
+            assert next(odd_cycles(g, sum(1 << v for v in removed)), None) == cycle
             if first is None:
                 assert (colors, cycle) == (ref, None)
             else:
@@ -299,33 +302,53 @@ class TestColourConflicts:
         assert odd > 500
 
 
+class TestOnTheExactCorpus:
+    def test_odd_cycles_match_the_oracles_on_the_corpus_tigs(self, monkeypatch):
+        """The tigs the exact search walks, of the seed-0 `exact` corpus of
+        perfbench/corpus.py (18 to 128 vertices), each minus a few seeded
+        random removed sets: the first cycle is the oracle's first odd
+        cycle and the census is the one read off a forced colouring."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        rng = random.Random(59)
+        sizes, odd = [], 0
+        for item in corpus.build_corpus("exact", 0):
+            g = build_tig(read_order(item.text)).graph
+            sizes.append(g.n)
+            for share in (0.0, 0.05, 0.1, 0.2):
+                removed = {v for v in range(g.n) if rng.random() < share}
+                first = next(odd_cycles(g, sum(1 << v for v in removed)), None)
+                assert first == first_odd_cycle(g, removed), item.name
+                assert odd_cycle_census(g, removed) \
+                    == odd_cycle_census_after_coloring(g, removed), item.name
+                odd += first is not None
+        assert (len(sizes), min(sizes), max(sizes)) == (59, 18, 128)
+        assert 150 < odd < 4 * len(sizes)
+
+
 class TestFirstOddCycle:
-    """The first conflict's tree cycle, as the exact search reads it,
+    """The first cycle of odd_cycles, as the exact search reads it,
     against the deque BFS of the oracle."""
 
     @staticmethod
-    def check(g, removed, parent):
-        cycle = next((_tree_cycle(parent, u, w) for u, w
-                      in _colour_conflicts(g, sum(1 << v for v in removed), parent)), None)
+    def check(g, removed):
+        cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
         assert cycle == first_odd_cycle(g, removed)
         assert cycle == two_coloring(g, removed)[1]
         return cycle
 
     def test_matches_the_oracle_on_random_graphs(self):
-        # one parent list for every graph, as the exact search keeps it
         rng = random.Random(43)
-        parent = [rng.randrange(60) for _ in range(60)]
         odd = 0
         for _ in range(1500):
             g = random_graph(rng, rng.randint(1, 60), rng.choice([0.02, 0.05, 0.1, 0.3, 0.6]))
-            odd += self.check(g, random_removed(rng, g), parent) is not None
+            odd += self.check(g, random_removed(rng, g)) is not None
         assert 300 < odd < 1400
 
     def test_disconnected_graphs(self):
         # disjoint copies with shuffled ids: odd components come after
         # bipartite ones, or lose a vertex to the removed set
         rng = random.Random(47)
-        parent = [-1] * 60
         odd = 0
         for _ in range(300):
             edges, total = [], 0
@@ -337,19 +360,19 @@ class TestFirstOddCycle:
             ids = list(range(total))
             rng.shuffle(ids)
             g = SimpleGraph(total, [(ids[u], ids[v]) for u, v in edges])
-            odd += self.check(g, random_removed(rng, g), parent) is not None
+            odd += self.check(g, random_removed(rng, g)) is not None
         assert 100 < odd < 290
 
     def test_long_odd_cycle(self):
         g = cycle_graph(2001)
-        cycle = self.check(g, (), [-1] * g.n)
+        cycle = self.check(g, ())
         assert sorted(cycle) == list(range(2001))
-        assert self.check(g, {1000}, [-1] * g.n) is None
+        assert self.check(g, {1000}) is None
 
     def test_empty_graphs(self):
-        assert self.check(SimpleGraph(0), (), []) is None
-        assert self.check(SimpleGraph(5), (), [-1] * 5) is None
-        assert self.check(cycle_graph(3), {0, 1, 2}, [-1] * 3) is None
+        assert self.check(SimpleGraph(0), ()) is None
+        assert self.check(SimpleGraph(5), ()) is None
+        assert self.check(cycle_graph(3), {0, 1, 2}) is None
 
 
 def path_graph(k):

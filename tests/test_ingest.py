@@ -383,6 +383,15 @@ class TestReadOrder:
         with pytest.raises(ParseError):
             parse_order_text(text.removeprefix("\ufeff"))
 
+    @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_a_context_reads_alike_under_every_line_end(self, brk):
+        # the common layout: a blank name line after `B`, a blank line
+        # after the counts
+        text = "B\n\n3\n2\n\na\nb\nc\nx\ny\nX.\n.X\nXX\n"
+        want = read_order(text)
+        assert want.n == 4
+        assert read_order(text.replace("\n", brk)) == want
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.text(max_size=80), order_like_texts(), cxt_like_texts()))
     def test_text_valid_in_either_format_is_read_in_that_format(self, text):

@@ -50,7 +50,7 @@ def test_retired_names_are_gone():
                         (bipartization, "decode_partition"), (cli, "RunConfig"),
                         (orders.OrderRelation, "le_ids"),
                         (orders.LinearExtension, "position_of"),
-                        (tig.TigGraph, "index")):
+                        (tig.TigGraph, "index"), (graphs, "_colour_conflicts")):
         assert not hasattr(owner, name), name
     for name in ("oct_greedy", "_repair", "_cold_steps", "_OTHER_LABELS",
                  "_T0", "_ALPHA", "_STEPS", "_HOT", "_QUIET"):
