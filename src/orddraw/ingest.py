@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ParseError, TooLarge
-from .orders import GroundSet, OrderRelation, bits, build_order, cover_relation
+from .orders import (GroundSet, OrderRelation, _close_generators, bits,
+                     cover_relation)
 from .records import Record
 
 
@@ -15,26 +16,32 @@ def parse_order_text(text: str) -> OrderRelation:
     Blank lines and `#` comments are skipped.  An optional
     `elements: a b c` line declares labels up front (useful for isolated
     elements); otherwise labels are collected in order of appearance.
-    `a < a` lines are allowed and add nothing.
+    `a < a` lines are allowed and add nothing.  The generator masks are
+    built while the lines are read, through one label -> id dict, and are
+    closed by the same step as `build_order`'s, so the result, and any
+    CycleError, is that of `build_order` on the labels and pairs read.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
-    pairs: list[tuple[str, str]] = []
+    index: dict[str, int] = {}  # label -> id, in order of appearance
+    generators: list[int] = []  # bit j of generators[i]: a line i < j
+    reversed_generators: list[int] = []  # bit i of reversed_generators[j]
 
-    def note(label: str) -> None:
-        if label not in seen:
-            seen.add(label)
-            labels.append(label)
+    def note(labels: Iterable[str]) -> None:
+        """Give each label not seen before the next id, with no pairs yet."""
+        for label in labels:
+            index.setdefault(label, len(index))
+        grow = [0] * (len(index) - len(generators))
+        generators.extend(grow)
+        reversed_generators.extend(grow)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("elements:"):
-            for label in line[len("elements:"):].split():
-                if label == "<":
-                    raise ParseError(lineno, "'<' cannot be used as a label")
-                note(label)
+            labels = line[len("elements:"):].split()
+            if "<" in labels:
+                raise ParseError(lineno, "'<' cannot be used as a label")
+            note(labels)
             continue
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] != "<":
@@ -42,13 +49,17 @@ def parse_order_text(text: str) -> OrderRelation:
         a, _, b = tokens
         if a == "<" or b == "<":
             raise ParseError(lineno, "'<' cannot be used as a label")
-        note(a)
-        note(b)
-        if a != b:
-            pairs.append((a, b))
-    if not labels:
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            note((a, b))
+            i, j = index[a], index[b]
+        if i != j:
+            generators[i] |= 1 << j
+            reversed_generators[j] |= 1 << i
+    if not index:
         raise ParseError(0, "no elements found")
-    return build_order(labels, pairs)
+    return _close_generators(GroundSet(index), generators, reversed_generators)
 
 
 def serialize_order(o: OrderRelation) -> str:

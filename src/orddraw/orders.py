@@ -253,7 +253,9 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     The pairs are generators, not the full relation: the reflexive-transitive
     closure is applied.  Raises CycleError (with a witness cycle) if the
     pairs are cyclic, UnknownLabel if a pair mentions an undeclared element,
-    and ValueError for an empty or duplicated ground set.
+    and ValueError for an empty or duplicated ground set.  The closure, the
+    cycle check and the down masks are `_close_generators`, which
+    `orddraw.ingest.parse_order_text` calls on the masks it builds itself.
     """
     labels = list(labels)
     if not labels:
@@ -265,6 +267,16 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
         i, j = ground.id(a), ground.id(b)
         generators[i] |= 1 << j
         reversed_generators[j] |= 1 << i
+    return _close_generators(ground, generators, reversed_generators)
+
+
+def _close_generators(ground: GroundSet, generators: list[int],
+                      reversed_generators: list[int]) -> OrderRelation:
+    """The order generated on `ground` by the generator masks (bit j of
+    generators[i] and bit i of reversed_generators[j]: a pair i < j).
+    Raises CycleError with a witness cycle through the first two elements,
+    by id, that reach each other."""
+    n = len(ground)
     up = transitive_closure(generators)
     # in a closed relation two elements reach each other exactly when their
     # rows are equal, so n distinct rows mean no cycle

@@ -17,8 +17,16 @@ id, and is then removed from the graph; a class that forces some edge both
 ways means there is no transitive orientation.  A class is the closure of
 its seed under forcing, so the order in which forced arcs are visited does
 not change it.  Every vertex set is a Python int with one bit per vertex:
-the edges not yet in a class at each vertex, and the arcs forced so far
-leaving and entering it, so one forcing step is a few word operations.
+the edges not yet in a class at each vertex (rem), and the arcs forced so
+far leaving (out) and entering (into) it.  The arcs that a queued arc
+a -> b forces and that are not forced yet are one mask expression at each
+end, rem[a] & ~rem[b] & ~out[a] leaving a and rem[b] & ~rem[a] & ~into[b]
+entering b, and only those are tested for a conflict, against into[a] and
+out[b].  That finds every conflict: an arc is registered at both of its
+ends at once and is tested when it is, so no vertex ever has a neighbour
+in both out[v] and into[v].  An arc forced before therefore never meets
+into[a] or out[b], and testing the whole of rem[a] & ~rem[b] and
+rem[b] & ~rem[a] would find a conflict exactly when the new arcs do.
 A finished class is removed from the graph at each vertex it touches, in
 one mask operation per vertex: the arcs forced so far at that vertex are
 the class's own and those of classes already removed.
@@ -64,29 +72,38 @@ def _force_classes(adj: list[int]) -> tuple[list[int], list[int]] | None:
             queue = [(s, t)]
             for a, b in queue:  # walks the arcs appended below too
                 # a->b and edge {a,c} with b,c non-adjacent: both must leave a;
-                # edge {c,b} with a,c non-adjacent: both must enter b.  leave
-                # holds b and enter holds a, which a->b already accounts for;
-                # arcs of settled classes lie outside rem, so out and into
-                # meet leave and enter only in the current class
+                # edge {c,b} with a,c non-adjacent: both must enter b.  Only
+                # the arcs not forced yet can conflict (module docstring);
+                # b and a, forced by a->b itself, are not among them.  Arcs
+                # of settled classes lie outside rem, so a conflict is
+                # always within the current class
                 ra, rb = rem[a], rem[b]
-                leave = ra & ~rb
-                enter = rb & ~ra
-                if leave & into[a] or enter & out[b]:
-                    return None
-                new = leave & ~out[a]
+                new = ra & ~rb & ~out[a]
                 if new:
+                    if new & into[a]:
+                        return None
                     out[a] |= new
                     touched |= new
-                    for c in bits(new):
-                        into[c] |= 1 << a
+                    bit = 1 << a
+                    while new:
+                        low = new & -new
+                        c = low.bit_length() - 1
+                        into[c] |= bit
                         queue.append((a, c))
-                new = enter & ~into[b]
+                        new ^= low
+                new = rb & ~ra & ~into[b]
                 if new:
+                    if new & out[b]:
+                        return None
                     into[b] |= new
                     touched |= new
-                    for c in bits(new):
-                        out[c] |= 1 << b
+                    bit = 1 << b
+                    while new:
+                        low = new & -new
+                        c = low.bit_length() - 1
+                        out[c] |= bit
                         queue.append((c, b))
+                        new ^= low
             # settle the class at each of its vertices: the class's arcs at v
             # are all in out[v] | into[v], and every other arc there belongs
             # to a settled class, already gone from rem

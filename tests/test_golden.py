@@ -28,9 +28,8 @@ place on masks.  Any refactor of render,
 orientation, bipartization or the engine that moves a byte of these
 drawings fails here.
 
-The benchmark corpora at seed 1007 are pinned too, as the lines that
-`tools/corpus_digest.py --seeds 1007` prints, and so is the exact search's
-line at seed 0.
+The benchmark corpora at seeds 0 and 1007 are pinned too, as the lines
+that `tools/corpus_digest.py --seeds 0 1007` prints.
 """
 
 import hashlib
@@ -192,6 +191,22 @@ def test_benchmark_corpora_are_unchanged_at_seed_1007():
     lines = [line for workload in tool.corpus.WORKLOADS
              for line in tool.digest_lines(workload, 1007)]
     assert lines == CORPUS_DIGEST_1007, "the tool now prints:\n" + "\n".join(lines)
+
+
+# the digest lines of `python tools/corpus_digest.py --seeds 0`; the search
+# line is pinned by the next test
+CORPUS_DIGEST_0 = [
+    "exact 0 59 265db3979e1c18f7e4712d422521631a0d028a8f8002f37d5f8aeefb2426baf6",
+    "heuristic 0 52 f8c0b8ee8a718a58dac318a6b46457853abb526ef4d44f14dafbaf1c8b1c4950",
+    "two_dim 0 64 b0dc3d99c99c6b25bfe5ea220cae62e0e8c5830870b4b400190858171f15829a",
+]
+
+
+def test_benchmark_corpora_are_unchanged_at_seed_0():
+    tool = corpus_digest_tool()
+    # the first line of each workload is its digest; the search is not run
+    lines = [next(tool.digest_lines(workload, 0)) for workload in tool.corpus.WORKLOADS]
+    assert lines == CORPUS_DIGEST_0, "the tool now prints:\n" + "\n".join(lines)
 
 
 def test_exact_search_figures_are_unchanged_at_seed_0():

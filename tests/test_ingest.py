@@ -126,6 +126,86 @@ class TestOrderText:
         assert text == "elements: x1 x2 x3\nx1 < x2\nx2 < x3\n"
 
 
+def order_text_case(rng: random.Random):
+    """(text, labels, pairs, error) of a random order text built line by
+    line: the labels in order of appearance and the pairs of its lines, and
+    the (line, reason) of its first malformed line, if it has one.  The
+    texts mix comments, blank lines, `elements:` lines that repeat labels,
+    `a < a` lines and, among few labels, cycles; one text uses one line
+    end, LF, CRLF or CR alone."""
+    pool = [f"v{k}" for k in range(rng.randint(1, 7))] + ["{a,b}", "é"]
+    labels, pairs, lines, error = [], [], [], None
+
+    def note(label):
+        if label not in labels:
+            labels.append(label)
+
+    for lineno in range(1, rng.randint(0, 14) + 1):
+        kind = rng.choices(["pair", "self", "elements", "comment", "blank", "bad"],
+                           [8, 1, 1, 1, 1, 0.3])[0]
+        if kind in ("pair", "self"):
+            a = rng.choice(pool)
+            b = a if kind == "self" else rng.choice(pool)
+            lines.append(rng.choice(["{} < {}", "  {}\t<  {} ", "{} < {}  # {} < x"]
+                                    ).format(a, b, a))
+            note(a)
+            note(b)
+            if a != b:
+                pairs.append((a, b))
+        elif kind == "elements":
+            declared = rng.choices(pool, k=rng.randint(0, 4))  # repeats too
+            lines.append(" ".join(["elements:", *declared]))
+            for label in declared:
+                note(label)
+        elif kind == "comment":
+            lines.append(rng.choice(["# a < b", "   #", "#elements: z"]))
+        elif kind == "blank":
+            lines.append(rng.choice(["", "   ", "\t"]))
+        else:
+            line, reason = rng.choice([
+                ("a b", "expected 'a < b', got 'a b'"),
+                ("a <= b", "expected 'a < b', got 'a <= b'"),
+                ("a < b < c", "expected 'a < b', got 'a < b < c'"),
+                ("< < b", "'<' cannot be used as a label"),
+                ("a < <", "'<' cannot be used as a label"),
+                ("elements: a < b", "'<' cannot be used as a label")])
+            lines.append(line)
+            if error is None:
+                error = (lineno, reason)
+    if error is None and not labels:
+        error = (0, "no elements found")
+    end = rng.choice(["\n", "\r\n", "\r"])
+    text = end.join(lines) + rng.choice(["", end])
+    return text, labels, pairs, error
+
+
+def test_the_reader_agrees_with_build_order_on_random_texts():
+    rng = random.Random(3001)
+    outcomes = set()
+    for _ in range(400):
+        text, labels, pairs, error = order_text_case(rng)
+        if error is not None:
+            with pytest.raises(ParseError) as err:
+                parse_order_text(text)
+            assert (err.value.line, err.value.reason) == error, text
+            outcomes.add("ParseError")
+            continue
+        try:
+            expected = build_order(labels, pairs)
+        except CycleError as exc:
+            with pytest.raises(CycleError) as err:
+                parse_order_text(text)
+            assert err.value.cycle == exc.cycle, text
+            outcomes.add("CycleError")
+            continue
+        o = parse_order_text(text)
+        # OrderRelation's == compares the ground and up only
+        assert (o.ground.labels, o.up, o.down) == \
+            (expected.ground.labels, expected.up, expected.down), text
+        outcomes.add("order")
+    assert outcomes == {"ParseError", "CycleError", "order"}
+
+
 CXT_SQUARE = """B
 
 2
