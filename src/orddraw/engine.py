@@ -22,7 +22,6 @@ to the point (c2 - c1, c1 + c2), so "greater" always means "higher".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -78,15 +77,18 @@ class ExtensionTrace(Record):
 class GridDrawing(Record):
     """Grid and plane coordinates for an order, plus the trace behind them.
 
+    Each plane point is the int pair plane[label] over `denominator`, a
+    positive int all points share: 1 until render.perturb refines it.
     `d.replace(cover_edges=...)` copies a drawing with fields changed.
     """
 
-    __slots__ = ("order", "coords", "plane", "cover_edges", "trace")
+    __slots__ = ("order", "coords", "plane", "cover_edges", "trace", "denominator")
 
     def __init__(self, order: OrderRelation, coords: dict[str, tuple[int, int]],
-                 plane: dict[str, tuple[Fraction, Fraction]],
-                 cover_edges: tuple[Pair, ...], trace: ExtensionTrace):
-        self._fill(order, coords, plane, cover_edges, trace)
+                 plane: dict[str, tuple[int, int]],
+                 cover_edges: tuple[Pair, ...], trace: ExtensionTrace,
+                 denominator: int = 1):
+        self._fill(order, coords, plane, cover_edges, trace, denominator)
 
 
 # The named strategies, called with the tig and the seed: the one list of
@@ -221,20 +223,20 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     trace = two_dimension_extension(o, strategy, seed)
     l1, l2 = realizer_from_conjugate(trace.extended, trace.conjugate)
     coords: dict[str, tuple[int, int]] = {}
-    plane: dict[str, tuple[Fraction, Fraction]] = {}
+    plane: dict[str, tuple[int, int]] = {}
     for i, label in enumerate(o.ground):
         c1, c2 = l1.ranks[i], l2.ranks[i]
         coords[label] = (c1, c2)
-        plane[label] = (Fraction(c2 - c1), Fraction(c1 + c2))
+        plane[label] = (c2 - c1, c1 + c2)
     covers = tuple(sorted(cover_relation(o)))
     return GridDrawing(o, coords, plane, covers, trace)
 
 
 def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
     """Elements whose plane point no longer sits on the exact embedding."""
-    # a Fraction compares equal to an int without building a Fraction for it
+    den = d.denominator
     return tuple(sorted(label for label, (c1, c2) in d.coords.items()
-                        if d.plane[label] != (c2 - c1, c1 + c2)))
+                        if d.plane[label] != ((c2 - c1) * den, (c1 + c2) * den)))
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -251,9 +253,12 @@ def drawing_to_json(d: GridDrawing) -> str:
     The schema is fixed, so the text is written directly: byte for byte
     what json.dumps(doc, indent=2) + "\n" writes (strings escaped to ASCII,
     numbers by repr), without the pure-Python encoder that indent selects.
+    A plane coordinate X / denominator is an int true division, correctly
+    rounded: the float of the rational coordinate.
     `false_comparabilities` counts the trace's added pairs (ExtensionTrace).
     """
     text = encode_basestring_ascii
+    den = d.denominator
     elements = []
     for label in d.order.ground:
         c1, c2 = d.coords[label]
@@ -261,7 +266,7 @@ def drawing_to_json(d: GridDrawing) -> str:
         elements.append(
             f'{{\n      "label": {text(label)},\n'
             f'      "grid": [\n        {c1!r},\n        {c2!r}\n      ],\n'
-            f'      "plane": [\n        {float(x)!r},\n        {float(y)!r}\n      ]\n'
+            f'      "plane": [\n        {x / den!r},\n        {y / den!r}\n      ]\n'
             '    }')
 
     def pairs(ps: tuple[Pair, ...]) -> str:

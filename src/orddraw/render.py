@@ -1,17 +1,16 @@
 """SVG, TikZ, and graphviz output for grid drawings.
 
-All geometry is done on the exact rational plane coordinates carried by the
-drawing, scaled to integers over their common denominator; floats only
-appear in the emitted text.  Cover edges rise strictly
-(an extension never reverses a comparability), so flipping the y axis for
-screen coordinates keeps greater elements higher.
+All geometry is done on the drawing's integer plane, whose points share
+one denominator; floats only appear in the emitted text, as correctly
+rounded int true divisions by it.  Cover edges rise strictly (an extension
+never reverses a comparability), so flipping the y axis for screen
+coordinates keeps greater elements higher.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 
 from .engine import GridDrawing
 from .errors import Unresolvable
@@ -27,41 +26,29 @@ _MARGIN = 40.0
 _NODE_RADIUS = 5.0
 _FONT_SIZE = 12.0
 
-_EPSILON = Fraction(3, 20)
+# the perturbation step, 3/20 of a grid unit, as (numerator, denominator)
+_EPSILON = (3, 20)
 _MAX_ROUNDS = 20
-
-
-def _integer_plane(d: GridDrawing) -> tuple[dict[str, tuple[int, int]], int]:
-    """The plane scaled by the common denominator of all its coordinates,
-    and that denominator.
-
-    Scaling every point by one positive factor keeps the collinearity test
-    exact: cross products stay zero or non-zero, and dot products and
-    squared lengths scale alike.
-    """
-    scale = math.lcm(*(c.denominator for p in d.plane.values() for c in p))
-    return {label: (x.numerator * (scale // x.denominator),
-                    y.numerator * (scale // y.denominator))
-            for label, (x, y) in d.plane.items()}, scale
 
 
 def detect_collinear(d: GridDrawing) -> list[Conflict]:
     """Elements sitting on the open segment of a non-incident cover edge.
 
-    Exact, on integers (the plane scaled by its common denominator).  With
+    Exact, on the integer plane: the shared denominator scales every point
+    alike, so it changes no collinearity and is never read.  With
     u, v the edge endpoints, e = v - u and g = gcd(e_x, e_y), a lattice
     point w is on the open segment iff w = u + k * (e / g) for an integer
     1 <= k < g: e / g is primitive, so every lattice point of the line
     through u and v is an integer step along it.  So each edge either
     looks up those g - 1 points in a map from point to labels, or, when
-    fewer elements lie in its height band (perturbed planes have large
-    denominators), tests each of them: w is on the open segment iff
+    fewer elements lie in its height band (a large denominator makes g
+    large), tests each of them: w is on the open segment iff
     cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.  The band of a
     non-horizontal edge is the elements strictly between its endpoints'
     heights, of a horizontal one the elements at its height.  An edge costs
     min(g - 1, band size) tests; a zero-length edge has no open segment.
     """
-    pts, _ = _integer_plane(d)
+    pts = d.plane
     at: dict[tuple[int, int], list[str]] = {}
     for label, p in pts.items():
         at.setdefault(p, []).append(label)
@@ -106,24 +93,26 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 
     Each offending point is tried at x + eps, x - eps, x + 2*eps, ... from
     its original x, with eps = _EPSILON; y never changes, so edges keep
-    rising.  Raises Unresolvable if conflicts survive _MAX_ROUNDS rounds.
+    rising.  The returned drawing's denominator is d's times eps's, and x
+    moves by integer multiples of eps's numerator; no other point moves.
+    Raises Unresolvable if conflicts survive _MAX_ROUNDS rounds.
     """
     if conflicts is None:
         conflicts = detect_collinear(d)
     if not conflicts:
         return d
-    base = dict(d.plane)
-    plane = dict(d.plane)
+    step, refine = _EPSILON
+    den = d.denominator * refine
+    base = {label: (x * refine, y * refine) for label, (x, y) in d.plane.items()}
+    plane = dict(base)
     attempts: dict[str, int] = {}
-    current = d
     for _ in range(_MAX_ROUNDS):
         for label in sorted({lab for lab, _ in conflicts}):
             k = attempts.get(label, 0) + 1
             attempts[label] = k
-            step = _EPSILON * ((k + 1) // 2) * (1 if k % 2 else -1)
             x, y = base[label]
-            plane[label] = (x + step, y)
-        current = d.replace(plane=dict(plane))  # plane changes in the next round
+            plane[label] = (x + step * ((k + 1) // 2) * (1 if k % 2 else -1), y)
+        current = d.replace(plane=dict(plane), denominator=den)  # plane changes next round
         conflicts = detect_collinear(current)
         if not conflicts:
             return current
@@ -133,8 +122,8 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 def _screen_geometry(d: GridDrawing):
     """Canvas width and height, and each element's screen point in ground order."""
     # int true division is correctly rounded, so (X - min X) / D is the
-    # float of the rational x - min x, as float(Fraction) gives it
-    pts, denom = _integer_plane(d)
+    # float of the rational x - min x
+    pts, denom = d.plane, d.denominator
     xs = [p[0] for p in pts.values()]
     ys = [p[1] for p in pts.values()]
     min_x, max_x = min(xs), max(xs)
@@ -221,16 +210,17 @@ def emit_tikz(d: GridDrawing) -> bytes:
         r"\begin{document}",
         r"\begin{tikzpicture}[x=1.000cm,y=1.000cm]",
     ]
+    den = d.denominator
     for a, b in d.cover_edges:
         ax, ay = d.plane[a]
         bx, by = d.plane[b]
         out.append(r"\draw[thick] (%.3f,%.3f) -- (%.3f,%.3f);"
-                   % (float(ax), float(ay), float(bx), float(by)))
+                   % (ax / den, ay / den, bx / den, by / den))
     for label in d.order.ground:
         x, y = d.plane[label]
         out.append(r"\node[circle,fill=blue!60,draw=blue!80!black,inner sep=1.6pt,"
                    r"label=right:{%s}] (%s) at (%.3f,%.3f) {};"
-                   % (_tex_escape(label), ids[label], float(x), float(y)))
+                   % (_tex_escape(label), ids[label], x / den, y / den))
     out.append(r"\end{tikzpicture}")
     out.append(r"\end{document}")
     return ("\n".join(out) + "\n").encode("utf-8")
@@ -246,10 +236,11 @@ def emit_dot(d: GridDrawing) -> bytes:
     """Graphviz digraph of the cover relation with pinned positions."""
     ids = {label: f"n{i}" for i, label in enumerate(d.order.ground)}
     out = ["digraph diagram {", "  rankdir=BT;", '  node [shape=circle];']
+    den = d.denominator
     for label in d.order.ground:
         x, y = d.plane[label]
         out.append('  %s [label="%s", pos="%.3f,%.3f!"];'
-                   % (ids[label], _dot_escape(label), float(x), float(y)))
+                   % (ids[label], _dot_escape(label), x / den, y / den))
     for a, b in d.cover_edges:
         out.append(f"  {ids[a]} -> {ids[b]};")
     out.append("}")

@@ -6,8 +6,10 @@ paths, so the two can disagree only when one of them is wrong.
 
 import itertools
 import json
+import math
 import random
 from collections import defaultdict, deque
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -135,15 +137,32 @@ def warshall_closure(matrix) -> np.ndarray:
     return m
 
 
+def rational_plane(d) -> dict:
+    """The drawing's plane points as exact rationals, plane / denominator."""
+    return {label: (Fraction(x, d.denominator), Fraction(y, d.denominator))
+            for label, (x, y) in d.plane.items()}
+
+
+def with_rational_plane(d, plane: dict, **changes):
+    """A copy of d whose points are the rationals `plane`, held as integers
+    over their least common denominator, with other fields changed too."""
+    den = math.lcm(*(Fraction(c).denominator for p in plane.values() for c in p))
+    return d.replace(plane={label: (int(x * den), int(y * den))
+                            for label, (x, y) in plane.items()},
+                     denominator=den, **changes)
+
+
 def drawing_to_json_by_dumps(d) -> str:
-    """The drawing document built as a dict and written by json.dumps."""
+    """The drawing document built as a dict and written by json.dumps,
+    each plane coordinate the float of its exact rational."""
     from orddraw.engine import perturbed_labels
+    plane = rational_plane(d)
     doc = {
         "elements": [
             {
                 "label": label,
                 "grid": list(d.coords[label]),
-                "plane": [float(d.plane[label][0]), float(d.plane[label][1])],
+                "plane": [float(plane[label][0]), float(plane[label][1])],
             }
             for label in d.order.ground
         ],
@@ -369,7 +388,6 @@ def brute_orientation_exists(n: int, edges: list[tuple[int, int]]) -> bool:
 
 def collinear_points(u, v, w) -> bool:
     """Exact rational oracle: w strictly inside segment uv via parametric t."""
-    from fractions import Fraction
     ux, uy = u
     vx, vy = v
     wx, wy = w
@@ -837,12 +855,13 @@ def screen_geometry_by_fractions(d, scale, margin):
     """SVG width, height and screen point per label at `scale` units per
     grid step inside `margin`, each float taken of the exact rational
     distance to the plane's left or top edge."""
-    xs = [p[0] for p in d.plane.values()]
-    ys = [p[1] for p in d.plane.values()]
+    plane = rational_plane(d)
+    xs = [p[0] for p in plane.values()]
+    ys = [p[1] for p in plane.values()]
     min_x, max_y = min(xs), max(ys)
     width = float(max(xs) - min_x) * scale + 2 * margin
     height = float(max_y - min(ys)) * scale + 2 * margin
     screen = {label: (float(x - min_x) * scale + margin,
                       float(max_y - y) * scale + margin)
-              for label, (x, y) in d.plane.items()}
+              for label, (x, y) in plane.items()}
     return width, height, screen

@@ -394,10 +394,13 @@ class TestInProcessBackend:
 class TestImport:
     def test_cli_import_leaves_subprocess_and_urllib_out(self):
         # a fresh interpreter, since this one has imported them already
-        # nor dataclasses, whose import loads inspect, dis and ast
+        # nor dataclasses, whose import loads inspect, dis and ast, nor
+        # fractions with the decimal and numbers it loads: the plane is
+        # integers over one shared denominator
         script = ("import sys, orddraw, orddraw.cli\n"
                   "print(sorted({'subprocess', 'shlex', 'urllib.request',"
-                  " 'xml.sax.saxutils', 'dataclasses', 'inspect', 'dis', 'ast'}"
+                  " 'xml.sax.saxutils', 'dataclasses', 'inspect', 'dis', 'ast',"
+                  " 'fractions', 'decimal', 'numbers'}"
                   " & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", script], env=env,

@@ -25,7 +25,8 @@ from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
                      brute_min_extension, dense, dense_false_pairs,
                      drawing_to_json_by_dumps,
                      literally_an_order, multipass_order, random_order,
-                     scripted_then_exact, warshall_closure)
+                     rational_plane, scripted_then_exact, warshall_closure,
+                     with_rational_plane)
 
 
 # random_order(n=10)#13 of the benchmark's exact corpus at seed 32
@@ -431,8 +432,10 @@ class TestCoordinates:
 
     def test_plane_projection_formula(self):
         d = compute_coordinates(grid(2, 3))
+        assert d.denominator == 1
         for label, (c1, c2) in d.coords.items():
-            assert d.plane[label] == (Fraction(c2 - c1), Fraction(c1 + c2))
+            assert d.plane[label] == (c2 - c1, c1 + c2)
+            assert {type(c) for c in d.plane[label]} == {int}
 
     def test_cover_edges_come_from_the_original_order(self):
         o = standard_example(3)
@@ -484,13 +487,21 @@ class TestPlaneEdits:
 
     def test_a_moved_plane_point_is_flagged(self):
         d = compute_coordinates(boolean_lattice(2))
-        plane = dict(d.plane)
+        plane = rational_plane(d)
         label = d.order.ground.labels[1]
         x, y = plane[label]
         plane[label] = (x + Fraction(1, 7), y)
-        moved = d.replace(plane=plane)
+        moved = with_rational_plane(d, plane)
+        assert moved.denominator == 7
         assert perturbed_labels(moved) == (label,)
         assert perturbed_labels(d) == ()
+
+    def test_a_finer_denominator_alone_moves_nothing(self):
+        d = compute_coordinates(boolean_lattice(2))
+        finer = d.replace(plane={label: (7 * x, 7 * y) for label, (x, y) in d.plane.items()},
+                          denominator=7)
+        assert perturbed_labels(finer) == ()
+        assert drawing_to_json(finer) == drawing_to_json(d)
 
 
 class TestJson:
@@ -523,13 +534,14 @@ class TestJson:
     def test_writer_matches_json_dumps(self, labels, seed, steps):
         # labels with quotes, backslashes, control and non-ASCII characters
         # and set braces; points moved by multiples of 3/20 (repr 1.15, ...)
+        # on a plane over 20, unreduced as perturb leaves it
         rng = random.Random(seed)
         pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
                  if rng.random() < 0.4]
         d = compute_coordinates(build_order(labels, pairs))
-        plane = dict(d.plane)
+        plane = {label: (20 * x, 20 * y) for label, (x, y) in d.plane.items()}
         for label, k in zip(labels, steps):
             x, y = plane[label]
-            plane[label] = (x + Fraction(3 * k, 20), y)
-        for drawing in (d, d.replace(plane=plane)):
+            plane[label] = (x + 3 * k, y)
+        for drawing in (d, d.replace(plane=plane, denominator=20)):
             assert drawing_to_json(drawing) == drawing_to_json_by_dumps(drawing)

@@ -44,7 +44,7 @@ from orddraw.ingest import FormalContext, concept_lattice
 from orddraw.orders import (GroundSet, boolean_lattice, chain, grid,
                             intersect_linear, linear_from_sequence,
                             standard_example)
-from orddraw.render import emit_svg, perturb
+from orddraw.render import emit_dot, emit_svg, emit_tikz, perturb
 from oracles import blocked_two_dimensional, random_order
 
 
@@ -166,6 +166,51 @@ def digest(d) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_are_unchanged(name):
     assert digest(CASES[name]()) == GOLDEN[name]
+
+
+# TikZ and dot bytes of the same cases, after the same collinearity repair;
+# recorded while the plane still held `Fraction` coordinates, before it
+# became integers over one shared denominator
+GOLDEN_TIKZ_DOT = {
+    "blocked_two_dimensional_120_sat":
+        "a6d0a81c0af0ba3d3ebdea92115ceb5957d6e0eb39b0dabe902d9211b1d34e8e",
+    "boolean_lattice_3_sat":
+        "4b7f32381b2576d32dc8db0a37fd7fbbcc0242e12871ec3cd1073eb3c333664a",
+    "boolean_lattice_4_sat":
+        "a5698918401236c39ccf5b6b0619f667990767292c1cdcf80632ab9b1b9f7ba3",
+    "doctored_chain_perturbed":
+        "c465b54f37d15191f2267fd34d4e954682c597936c7ddd85e4c7bd616a2cbbf7",
+    "grid_10x10":
+        "08263877f000c49c823faf1f5318e2369b1d03acdc54140cff8966a5ff1e7b60",
+    "grid_8x8_lattice_flipped_anneal":
+        "ba70e204ce99e3bcceaaae17670b93eac2f4d7fb31de0a4149435546bb87ef5f",
+    "intersect_linear_100":
+        "73ee9f0b09a8af2ff7376a7137059e874585b456b7ffd3215734d620b2a865b7",
+    "intersect_linear_150":
+        "1eab7c3df6050472780835647baf69fe979937a0fdd0dd13cfa4b4db9a44314a",
+    "random_order_10_anneal_perturbed":
+        "583c65f243b4bdfa43ff6c081ffb4f8a1de07120b42ccabf7abd268da3b7ba20",
+    "random_order_12_sat":
+        "72d225fdc910113a8958d84770037d3cf1ef5f0ad3b2e3a9aeb254ffc2aa5a25",
+    "random_order_130_anneal":
+        "b6ea81222a105b802eb4cc1a0d601e54dfe8252757343550ac4bfe29f7953e44",
+    "random_order_30_anneal":
+        "4cc1d07feaa1329dc5b48bb59a73bfaea29a1e1138a4312b6b297bf77e0a5fba",
+    "random_order_30b_anneal":
+        "a63fb02a0c482f939a2175de6afc3e8798c5be1f1656c6cbdfcbd2e0f5529654",
+    "standard_example_10_sat":
+        "c97b19258f147eab50b4dcb54982df37a08df7d8afbbc8924f592b576e5e9e79",
+    "standard_example_4_sat":
+        "ba945c283042883bc12a5a05acaee25c305bcc0358065be1623731f6cf69875e",
+    "standard_example_6_sat":
+        "fe48e97713900d736cd4b73e5f9df940dea961a6d5bf395006170ea1910ec370",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tikz_and_dot_bytes_are_unchanged(name):
+    d = perturb(CASES[name]())
+    assert hashlib.sha256(emit_tikz(d) + emit_dot(d)).hexdigest() == GOLDEN_TIKZ_DOT[name]
 
 
 # `python tools/corpus_digest.py --seeds 1007`, recorded when the input

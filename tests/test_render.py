@@ -18,14 +18,17 @@ from orddraw import render
 from orddraw.render import (_screen_geometry, detect_collinear, emit_dot,
                             emit_svg, emit_tikz, perturb)
 from oracles import (blocked_two_dimensional, collinear_points, random_order,
-                     screen_geometry_by_fractions, strict_pairs)
+                     rational_plane, screen_geometry_by_fractions, strict_pairs,
+                     with_rational_plane)
 
 
 def oracle_conflicts(d):
-    """Every (element, edge) pair tested with the parametric oracle."""
+    """Every (element, edge) pair tested with the parametric oracle on the
+    exact rational points."""
+    plane = rational_plane(d)
     return sorted((label, (a, b)) for a, b in d.cover_edges for label in d.order.ground
                   if label not in (a, b)
-                  and collinear_points(d.plane[a], d.plane[b], d.plane[label]))
+                  and collinear_points(plane[a], plane[b], plane[label]))
 
 
 @contextlib.contextmanager
@@ -90,25 +93,29 @@ class TestDetectCollinear:
 
     def test_agrees_with_oracle_after_perturb(self, monkeypatch):
         # every comparability as an edge puts points on long segments, so
-        # perturb has work to do and leaves Fraction planes (multiples of
-        # its step off the grid); a point then put halfway between a moved
-        # point and another sits on their edge, at a finer denominator
+        # perturb has work to do and refines the denominator (points move
+        # by multiples of its step off the grid); a point then put halfway
+        # between a moved point and another sits on their edge, at a finer
+        # denominator
         rng = random.Random(167)
         checked = 0
         for _ in range(40):
             o = random_order(rng, rng.randint(4, 9))
             d = compute_coordinates(o, strategy="anneal")
-            eps = rng.choice([Fraction(3, 20), Fraction(1, 7), Fraction(2, 9)])
+            eps = rng.choice([(3, 20), (1, 7), (2, 9)])
             monkeypatch.setattr(render, "_EPSILON", eps)
             fixed = perturb(d.replace(cover_edges=comparabilities(o)))
             assert detect_collinear(fixed) == oracle_conflicts(fixed) == []
             moved = perturbed_labels(fixed)
             if not moved:
                 continue
+            assert fixed.denominator == eps[1]
             m = moved[0]
             u, w = [label for label in o.ground if label != m][:2]
-            (mx, my), (ux, uy) = fixed.plane[m], fixed.plane[u]
-            halfway = fixed.replace(plane={**fixed.plane, w: ((mx + ux) / 2, (my + uy) / 2)})
+            plane = rational_plane(fixed)
+            (mx, my), (ux, uy) = plane[m], plane[u]
+            halfway = with_rational_plane(
+                fixed, {**plane, w: ((mx + ux) / 2, (my + uy) / 2)})
             pairs = tuple((a, b) for a in o.ground for b in o.ground if a != b)
             every_pair = halfway.replace(cover_edges=pairs)
             conflicts = detect_collinear(every_pair)
@@ -125,7 +132,7 @@ class TestDetectCollinear:
         d = compute_coordinates(o, strategy="anneal")
         labels = list(o.ground)
         offsets = st.fractions(min_value=-2, max_value=2, max_denominator=12)
-        plane = dict(d.plane)
+        plane = rational_plane(d)
         for label in data.draw(st.lists(st.sampled_from(labels), max_size=len(labels))):
             x, y = plane[label]
             plane[label] = (x + data.draw(offsets), y + data.draw(offsets))
@@ -142,7 +149,7 @@ class TestDetectCollinear:
         for label, other in data.draw(st.lists(st.tuples(
                 st.sampled_from(labels), st.sampled_from(labels)), max_size=3)):
             plane[label] = (plane[label][0], plane[other][1])
-        nudged = d.replace(plane=plane, cover_edges=tuple(edges))
+        nudged = with_rational_plane(d, plane, cover_edges=tuple(edges))
         assert detect_collinear(nudged) == oracle_conflicts(nudged)
 
     def test_agrees_with_oracle_on_every_comparability_of_2d_orders(self):
@@ -153,20 +160,20 @@ class TestDetectCollinear:
         for seed in range(32):
             o = blocked_two_dimensional(random.Random(seed).randint(4, 30), 1, seed)
             d = compute_coordinates(o)
-            assert {c.denominator for p in d.plane.values() for c in p} == {1}
+            assert d.denominator == 1
+            assert {type(c) for p in d.plane.values() for c in p} == {int}
             every = d.replace(cover_edges=comparabilities(o))
             conflicts = detect_collinear(every)
             assert conflicts == oracle_conflicts(every)
             found += len(conflicts)
             for _, (a, b) in conflicts:
                 (ux, uy), (vx, vy) = every.plane[a], every.plane[b]
-                long_found += math.gcd(int(vx - ux), int(vy - uy)) >= 3
+                long_found += math.gcd(vx - ux, vy - uy) >= 3
         assert found > 60 and long_found > 40, "the suite should hit lattice points"
 
     def test_two_labels_at_one_point_are_both_reported(self):
         d = compute_coordinates(chain(4))
-        plane = {"x1": (Fraction(0), Fraction(0)), "x4": (Fraction(4), Fraction(2)),
-                 "x2": (Fraction(2), Fraction(1)), "x3": (Fraction(2), Fraction(1))}
+        plane = {"x1": (0, 0), "x4": (4, 2), "x2": (2, 1), "x3": (2, 1)}
         for edges in ((("x1", "x4"),), (("x4", "x1"),)):
             doubled = d.replace(plane=plane, cover_edges=edges)
             (edge,) = edges
@@ -180,7 +187,7 @@ class TestDetectCollinear:
         o = blocked_two_dimensional(14, 1, 5)
         d = compute_coordinates(o)
         labels = list(o.ground)
-        plane = dict(d.plane)
+        plane = rational_plane(d)
         fine = Fraction(1, 10**30 + 57)
         for k, label in enumerate(labels[:3]):
             x, y = plane[label]
@@ -200,9 +207,8 @@ class TestDetectCollinear:
             plane[w] = (ux + (vx - ux) / 3 + shift, uy + (vy - uy) / 3)
             placed.append((w, (a, b)))
             used |= {a, b, w}
-        fined = d.replace(plane=plane, cover_edges=edges)
-        _, scale = render._integer_plane(fined)
-        assert scale >= 1000
+        fined = with_rational_plane(d, plane, cover_edges=edges)
+        assert fined.denominator % (10**30 + 57) == 0
         with failing_after(20.0):
             conflicts = detect_collinear(fined)
         assert conflicts == oracle_conflicts(fined)
@@ -219,8 +225,9 @@ class TestDetectCollinear:
         doctored = d.replace(cover_edges=(("x1", "x4"),))
         assert detect_collinear(doctored) == [("x2", ("x1", "x4")), ("x3", ("x1", "x4"))]
         # a point just off the line, or level but beyond an end, is clear
-        shifted = doctored.replace(plane={**d.plane, "x2": (d.plane["x2"][0], Fraction(1, 3)),
-                                          "x3": (d.plane["x1"][0] + 1, d.plane["x1"][1])})
+        plane = rational_plane(d)
+        shifted = with_rational_plane(doctored, {**plane, "x2": (plane["x2"][0], Fraction(1, 3)),
+                                                 "x3": (plane["x1"][0] + 1, plane["x1"][1])})
         assert detect_collinear(shifted) == oracle_conflicts(shifted) == []
 
     def test_doctored_zero_length_edge(self):
@@ -250,8 +257,9 @@ class TestPerturb:
         assert detect_collinear(fixed) == []
         assert perturbed_labels(fixed) == ("x2",)
         # y coordinates never move, so the drawing stays upward
+        before, after = rational_plane(d), rational_plane(fixed)
         for label in d.order.ground:
-            assert fixed.plane[label][1] == d.plane[label][1]
+            assert after[label][1] == before[label][1]
 
     def test_boolean_lattices_come_out_clean(self):
         for n, strategy in ((2, "sat"), (3, "sat"), (4, "anneal")):
@@ -272,14 +280,18 @@ class TestPerturb:
 
     def test_nudges_step_by_three_twentieths(self):
         d = forced_conflict()
-        (x, y), (fx, fy) = d.plane["x2"], perturb(d).plane["x2"]
+        fixed = perturb(d)
+        # the plane stays integers, over a denominator 20 times finer
+        assert fixed.denominator == 20 * d.denominator
+        assert {type(c) for p in fixed.plane.values() for c in p} == {int}
+        (x, y), (fx, fy) = rational_plane(d)["x2"], rational_plane(fixed)["x2"]
         assert fy == y and fx - x in (Fraction(3, 20), Fraction(-3, 20))
 
     def test_unmoved_points_keep_exact_coordinates(self):
         d = forced_conflict()
-        fixed = perturb(d)
+        before, after = rational_plane(d), rational_plane(perturb(d))
         for label in ("x1", "x3"):
-            assert fixed.plane[label] == d.plane[label]
+            assert after[label] == before[label]
 
 
 class TestSvg:
@@ -343,8 +355,8 @@ class TestSvg:
                                              data.draw(st.integers(1, 8))))
         offsets = st.fractions(min_value=-3, max_value=3, max_denominator=97)
         plane = {label: (x + data.draw(offsets), y + data.draw(offsets))
-                 for label, (x, y) in d.plane.items()}
-        moved = d.replace(plane=plane)
+                 for label, (x, y) in rational_plane(d).items()}
+        moved = with_rational_plane(d, plane)
         scale = data.draw(st.sampled_from([48.0, 7.3, 100.0]))
         margin = data.draw(st.sampled_from([40.0, 0.0, 2.5]))
         with pytest.MonkeyPatch.context() as mp:
