@@ -18,7 +18,6 @@ the edges left monochromatic and peels the cover to inclusion-minimality.
 from __future__ import annotations
 
 import heapq
-import random
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -345,26 +344,31 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     return frozenset(bits(gone))
 
 
-def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
+def oct_anneal(g: SimpleGraph) -> OctResult:
     """A small removal set, not always a minimum one: a vertex cover of the
     monochromatic edges of a 2-colouring found by local search.
 
     It starts from the breadth-first colouring of `bfs_layers`, each vertex
     coloured with its layer's parity, which is the colouring `two_coloring`
-    runs.  Sweeps in an order shuffled by random.Random(seed) move each
-    vertex with more neighbours on its side than on the other, until a
-    sweep moves none (each move loses monochromatic edges, so the descent
-    ends).  A sweep checks only the vertices that are due, those with a
-    neighbour moved since their last check (every vertex before the first
-    sweep): a vertex checked and left, or just moved, has fewer than half
-    its neighbours on its side until a neighbour moves, so a sweep over
-    every vertex would make the same moves in the same order.  Then the
-    vertex on the most monochromatic edges left, the lowest on ties, is
-    removed until none is left, with the counts in a heap whose stale
-    entries are refreshed when they surface, and the cover is peeled.  The
-    result is valid and inclusion-minimal, and `optimal` only when it is
-    empty.  No annealing runs: the benchmark in perfbench/ selects and
-    traces it by this name.
+    runs.  Sweeps in ascending vertex order move each vertex with more
+    neighbours on its side than on the other, until a sweep moves none
+    (each move loses monochromatic edges, so the descent ends).  A sweep
+    checks only the vertices that are due, those with a neighbour moved
+    since their last check (every vertex before the first sweep): a vertex
+    checked and left, or just moved, has fewer than half its neighbours on
+    its side until a neighbour moves, so a sweep over every vertex would
+    make the same moves in the same order.  The due vertices are held as two
+    masks, those above the last one checked and the others; the walk takes
+    the lowest of the first, and when none is left there it goes on from
+    the lowest of the others, which starts the next sweep.  Each check
+    records the vertex's neighbours on its side after the check; when no
+    vertex is due, no neighbour moved since any vertex's last check, so the
+    records are the monochromatic edges left.  Then the vertex on the most
+    of those, the lowest on ties, is removed until none is left, with the
+    counts in a heap whose stale entries are refreshed when they surface,
+    and the cover is peeled.  The result is valid and inclusion-minimal, and
+    `optimal` only when it is empty.  No annealing runs: the benchmark in
+    perfbench/ selects and traces it by this name.
     """
     n, masks = g.n, g.masks
     ones = 0  # the vertices coloured 1
@@ -372,37 +376,42 @@ def oct_anneal(g: SimpleGraph, seed: int = 0) -> OctResult:
         if depth & 1:
             ones |= layer
     zeros = ((1 << n) - 1) ^ ones
-    degrees = [mask.bit_count() for mask in masks]
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    due = (1 << n) - 1
-    while due:
-        for v in order:
-            bit = 1 << v
-            if due & bit:
-                due ^= bit
-                nbrs = masks[v]
-                same = nbrs & (ones if ones & bit else zeros)
-                if 2 * same.bit_count() > degrees[v]:
-                    ones ^= bit
-                    zeros ^= bit
-                    due |= nbrs
-    conflicts = [mask & ones if ones >> v & 1 else mask & zeros
-                 for v, mask in enumerate(masks)]
-    degree = [mask.bit_count() for mask in conflicts]
-    heap = [(-d, v) for v, d in enumerate(degree) if d]
+    degrees = list(map(int.bit_count, masks))
+    conflicts = [0] * n  # each vertex's same-side neighbours at its last check
+    degree = [0] * n  # and their count
+    ahead, behind = (1 << n) - 1, 0  # the due vertices above the last check, the others
+    while ahead:
+        bit = ahead & -ahead
+        ahead ^= bit
+        v = bit.bit_length() - 1
+        nbrs = masks[v]
+        same = nbrs & (ones if ones & bit else zeros)
+        count = same.bit_count()
+        if 2 * count > degrees[v]:
+            ones ^= bit
+            zeros ^= bit
+            below = nbrs & (bit - 1)
+            behind |= below
+            ahead |= nbrs ^ below
+            same ^= nbrs
+            count = degrees[v] - count
+        conflicts[v] = same
+        degree[v] = count
+        if not ahead:  # the sweep ends; the next starts at the lowest due vertex
+            ahead, behind = behind, 0
+    # v - d * n orders by most conflicts d first, then lowest vertex v
+    heap = [v - d * n for v, d in enumerate(degree) if d]
     heapq.heapify(heap)
     cover = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if -d != degree[v]:
+    while heap:  # a vertex has at most one entry, so a covered one has none
+        key = heapq.heappop(heap)
+        v = key % n
+        if key != v - degree[v] * n:
             if degree[v]:  # stale: counts only fall, so push the current one
-                heapq.heappush(heap, (-degree[v], v))
+                heapq.heappush(heap, v - degree[v] * n)
             continue
         cover.append(v)
-        degree[v] = 0
-        for w in bits(conflicts[v]):
-            conflicts[w] ^= 1 << v
+        for w in bits(conflicts[v]):  # a covered w's count is never read again
             degree[w] -= 1
     final = peel_to_minimal(g, frozenset(cover))
     return _checked(g, final, "anneal", not final, {"covered": len(cover)})

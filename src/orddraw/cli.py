@@ -72,7 +72,7 @@ def cmd_draw(ns: argparse.Namespace) -> int:
             raise ValueError(f"-o/--output {ns.output!r} and --summary-json "
                              f"{ns.summary_json!r} name the same file")
     order = read_order(_read_text(ns.input))
-    drawing = compute_coordinates(order, strategy=ns.solver, seed=ns.seed)
+    drawing = compute_coordinates(order, strategy=ns.solver)
     if ns.verbose:
         for i, removed in enumerate(drawing.trace.per_pass_removed, start=1):
             names = " ".join(sorted(
@@ -103,7 +103,6 @@ def cmd_draw(ns: argparse.Namespace) -> int:
             "inserted_pairs": [list(p) for p in drawing.trace.inserted_labels()],
             "false_comparabilities": drawing.trace.false_comparabilities,
             "strategy": drawing.trace.strategy,
-            "seed": ns.seed,
             "perturbed": list(perturbed_labels(drawing)),
         }
         payload = (json.dumps(summary, indent=2) + "\n").encode("utf-8")
@@ -145,8 +144,6 @@ def _parser() -> argparse.ArgumentParser:
                            "(.svg .tikz .tex .json .dot)")
     draw.add_argument("--solver", choices=tuple(STRATEGIES), default="sat",
                       help="bipartization strategy")
-    draw.add_argument("--seed", type=int, default=0,
-                      help="seed for randomized strategies")
     draw.add_argument("--no-perturb", action="store_true",
                       help="skip collinearity postprocessing")
     draw.add_argument("--summary-json",

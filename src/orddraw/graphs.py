@@ -58,11 +58,13 @@ class SimpleGraph:
         """
         masks = list(masks)
         n = len(masks)
-        for u, mask in enumerate(masks):
-            if mask < 0 or mask >> n:
-                raise ValueError(f"neighbour mask of vertex {u} out of range")
-            if mask >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
+        if masks and (min(masks) < 0 or max(masks) >> n
+                      or any(map(int.__and__, masks, map((1).__lshift__, range(n))))):
+            for u, mask in enumerate(masks):  # name the first bad vertex
+                if mask < 0 or mask >> n:
+                    raise ValueError(f"neighbour mask of vertex {u} out of range")
+                if mask >> u & 1:
+                    raise ValueError(f"loop at vertex {u}")
         g = cls.__new__(cls)
         g._set(masks)
         return g
@@ -70,7 +72,7 @@ class SimpleGraph:
     def _set(self, masks: list[int]) -> None:
         self.n = len(masks)
         self.masks: tuple[int, ...] = tuple(masks)
-        self.m = sum(mask.bit_count() for mask in masks) // 2
+        self.m = sum(map(int.bit_count, masks)) // 2
         self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property

@@ -748,24 +748,30 @@ def peel_to_minimal_by_bfs(g, removed):
     return frozenset(cur)
 
 
-def anneal_cover_by_recount(g, seed=0):
-    """The cover that oct_anneal peels, on plain lists: start from
-    forced_coloring, sweep the vertices in the order random.Random(seed)
-    shuffles, recounting a vertex's same-side and other-side neighbours
-    before each move, until a sweep moves none; then, until no
-    monochromatic edge is left, rescan every kept vertex's count of
-    same-side kept neighbours and remove the highest (lowest id on ties)."""
+def ascending_sweeps_by_recount(g):
+    """(colours, the vertices each sweep moved) of oct_anneal's descent on
+    plain lists: start from forced_coloring and sweep every vertex in
+    ascending order, recounting a vertex's same-side and other-side
+    neighbours before each move, until a sweep moves none (the last list
+    is empty)."""
     color = forced_coloring(g)[0]
-    order = list(range(g.n))
-    random.Random(seed).shuffle(order)
-    moved = True
-    while moved:
-        moved = False
-        for v in order:
+    sweeps = []
+    while not sweeps or sweeps[-1]:
+        sweeps.append([])
+        for v in range(g.n):
             same = sum(1 for w in g.neighbors(v) if color[w] == color[v])
             if same > len(g.neighbors(v)) - same:
                 color[v] = 1 - color[v]
-                moved = True
+                sweeps[-1].append(v)
+    return color, sweeps
+
+
+def anneal_cover_by_recount(g):
+    """The cover that oct_anneal peels, on plain lists: the colouring of
+    ascending_sweeps_by_recount; then, until no monochromatic edge is left,
+    rescan every kept vertex's count of same-side kept neighbours and
+    remove the highest (lowest id on ties)."""
+    color = ascending_sweeps_by_recount(g)[0]
     cover = set()
     while True:
         degree = {v: sum(1 for w in g.neighbors(v)
@@ -777,10 +783,10 @@ def anneal_cover_by_recount(g, seed=0):
         cover.add(best)
 
 
-def anneal_by_recount(g, seed=0):
+def anneal_by_recount(g):
     """The removal set of oct_anneal: anneal_cover_by_recount peeled by
     rounds of two-colourings; the reference for oct_anneal."""
-    return peel_to_minimal_by_bfs(g, anneal_cover_by_recount(g, seed))
+    return peel_to_minimal_by_bfs(g, anneal_cover_by_recount(g))
 
 
 def transitive_orientation_by_sets(g):

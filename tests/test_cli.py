@@ -127,8 +127,11 @@ class TestDraw:
         assert doc["inserted"] == 1
         assert doc["false_comparabilities"] == 1
         assert doc["strategy"] == "sat"
-        assert doc["seed"] == 0
         assert doc["perturbed"] == []
+        # every strategy is deterministic, so no seed is reported
+        assert list(doc) == ["n", "incomparable_pairs", "passes", "inserted",
+                             "inserted_pairs", "false_comparabilities", "strategy",
+                             "perturbed"]
 
     def test_summary_json_is_byte_stable(self, s3_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -169,8 +172,7 @@ class TestDraw:
 
     def test_heuristic_solvers_run(self, s3_file, capsys):
         for solver in sorted(STRATEGIES.keys() - {"sat"}):
-            assert main(["draw", "-i", s3_file, "--solver", solver,
-                         "--seed", "7"]) == 0
+            assert main(["draw", "-i", s3_file, "--solver", solver]) == 0
             assert "inserted=" in capsys.readouterr().out
 
     def test_cxt_input(self, cxt_file, capsys):
@@ -357,6 +359,13 @@ class TestDrawErrors:
             assert exc.value.code == 2
             assert "unrecognized arguments: --input-format" in capsys.readouterr().err
 
+    def test_removed_seed_is_a_usage_error(self, s3_file, capsys):
+        for solver in sorted(STRATEGIES):
+            with pytest.raises(SystemExit) as exc:
+                main(["draw", "-i", s3_file, "--solver", solver, "--seed", "7"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
     def test_removed_cnf_command_is_a_usage_error(self, s3_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cnf", "-i", s3_file, "-k", "1"])
@@ -396,14 +405,16 @@ class TestImport:
         # a fresh interpreter, since this one has imported them already
         # nor dataclasses, whose import loads inspect, dis and ast, nor
         # fractions with the decimal and numbers it loads: the plane is
-        # integers over one shared denominator
+        # integers over one shared denominator; nor random, since no
+        # strategy draws a random number.  -S keeps the site module's .pth
+        # files, which may import any of these, out of the count
         script = ("import sys, orddraw, orddraw.cli\n"
                   "print(sorted({'subprocess', 'shlex', 'urllib.request',"
                   " 'xml.sax.saxutils', 'dataclasses', 'inspect', 'dis', 'ast',"
-                  " 'fractions', 'decimal', 'numbers'}"
+                  " 'fractions', 'decimal', 'numbers', 'random'}"
                   " & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"

@@ -147,7 +147,7 @@ class TestExtensionLoop:
                                rng.choice([0.35, 0.45, 0.55]))
             if compute_conjugate_order(o) is not None:
                 continue
-            tr = two_dimension_extension(o, strategy=strategy, seed=9)
+            tr = two_dimension_extension(o, strategy=strategy)
             assert tr.strategy == strategy
             assert_valid_trace(o, tr)
             ran += 1
@@ -271,12 +271,12 @@ class TestBooleanLattice5:
 
 class TestLargeInput:
     def test_anneal_draws_a_random_order_of_200(self):
-        # the bound is the count measured with the conflict-cover heuristic;
-        # the drawing takes about a second
+        # the bound is the count measured with the conflict-cover heuristic
+        # sweeping in ascending order; the drawing takes about a second
         o = random_order(random.Random(1), 200, 0.1)
         d = compute_coordinates(o, strategy="anneal")
         assert_valid_trace(o, d.trace)
-        assert len(d.trace.inserted) + len(d.trace.closure_added) <= 1_532
+        assert len(d.trace.inserted) + len(d.trace.closure_added) <= 1_544
 
 
 class TestCycleClosingReversal:

@@ -127,6 +127,14 @@ class TestFromMatrix:
             SimpleGraph.from_masks([-1, 0])
         with pytest.raises(ValueError, match="loop at vertex 2"):
             SimpleGraph.from_masks([0, 0, 0b100])
+        # the lowest malformed vertex is named, and a mask out of range is
+        # reported as such even when it also holds its own bit
+        for masks, message in [([0b1, 0b100], "loop at vertex 0"),
+                               ([0b10, 0b1000, -1], "vertex 1 out of range"),
+                               ([0, 0b1110, 0], "vertex 1 out of range"),
+                               ([0, 0, 0b110], "loop at vertex 2")]:
+            with pytest.raises(ValueError, match=message):
+                SimpleGraph.from_masks(masks)
 
 
 def networkx_odd_blocks(g):

@@ -2,8 +2,8 @@
 
 Each item of `perfbench/corpus.py` is drawn by the bench's own attempt,
 `perfbench/measure.draw`, which does what `orddraw draw` does: parse,
-`compute_coordinates` with the workload's strategy and seed 0, collinearity
-repair, then `emit_svg` and `drawing_to_json`.  One digest per workload and
+`compute_coordinates` with the workload's strategy, collinearity repair,
+then `emit_svg` and `drawing_to_json`.  One digest per workload and
 seed takes each item's SVG bytes and then its JSON text, in corpus order.
 A change that must keep every drawing's bytes prints the same lines as its
 parent:
@@ -58,7 +58,7 @@ def search_totals(workload: str, seed: int) -> dict[str, int]:
     totals = dict.fromkeys(SEARCH_STATS, 0)
 
     def recording(tg):
-        result = STRATEGIES["sat"](tg, 0)
+        result = STRATEGIES["sat"](tg)
         for name in SEARCH_STATS:
             totals[name] += result.stats[name]
         return result
