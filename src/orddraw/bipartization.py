@@ -282,66 +282,63 @@ def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:
     One ascending pass returns each vertex whose return leaves the rest
     bipartite.  A vertex the pass keeps stays needed: the set only shrinks
     afterwards, so the graph it would rejoin only grows and keeps its odd
-    cycle; a second pass would drop nothing.  The kept graph is held as a
-    union-find in which each vertex stores its colour relative to its
-    parent.  It starts flat, from the layers of `bfs_layers`: a root (the
-    lowest kept vertex of its component) has parent -1, and every other
-    kept vertex next to the set hangs off its root with its layer's
-    parity.  The others are never read: a find starts at a kept neighbour
-    of a vertex of the set and climbs only to roots and to vertices of the
-    set that have returned.  A vertex may return when, within each
-    component, its kept neighbours all have one colour; it then joins those
-    components with the other colour, so each check costs its degree
-    rather than a two-colouring of the graph.  The
-    colours relative to a component's root are fixed by the bipartite kept
-    graph, whatever the forest's shape, so every check, and the result,
-    depends only on the graph and the set.  A set whose rest is not
-    bipartite comes back unchanged.
+    cycle; a second pass would drop nothing.  The kept graph is held as the
+    vertex masks of its components of more than one vertex and one mask of
+    the vertices coloured 1, built from the layers of `bfs_layers`: a
+    component is the OR of its layers, and its odd layers are coloured 1.
+    A kept vertex outside those masks is alone in its component, so it
+    can take either colour.  A vertex may return when, within each
+    component, its kept neighbours all have one colour: one AND per
+    component gives its neighbours there, and one more those coloured 1.
+    It then joins those components, and the kept neighbours alone in
+    theirs, into one component in which it is coloured 0: a component whose
+    neighbours of it are coloured 0 has its colours flipped, and the lone
+    neighbours are coloured 1.  So a check costs an AND per component of
+    more than one vertex, rather than a two-colouring of the graph.  A
+    bipartite component has two colourings, one the flip of the other, so
+    every check, and the result, depends only on the graph and the set.
+    A set whose rest is not bipartite comes back unchanged.
     """
     removed = frozenset(removed)
     masks = g.masks
     gone = mask_of(removed)
-    parent = [-1] * g.n
-    parity = [0] * g.n  # colour relative to the parent, read only below a root
-    reached = 0  # the set's neighbours
-    for v in removed:
-        reached |= masks[v]
+    comps = []  # the components of more than one vertex
+    ones = 0  # the kept vertices coloured 1
     for depth, layer, clash in bfs_layers(g, gone):
         if clash:
             return removed  # a monochromatic kept edge
         if not depth:
-            root = layer.bit_length() - 1
-            continue
-        for v in bits(layer & reached):
-            parent[v] = root
-            parity[v] = depth & 1
-
-    def find(v: int) -> tuple[int, int]:
-        """(root, colour relative to the root) of v, compressing its path."""
-        path = []
-        while parent[v] >= 0:
-            path.append(v)
-            v = parent[v]
-        colour = 0
-        for x in reversed(path):
-            colour ^= parity[x]
-            parity[x], parent[x] = colour, v
-        return v, colour
-
-    for v in sorted(removed):
-        sides: dict[int, int] = {}  # root -> colour of v's neighbours there
-        kept = masks[v] & ~gone
-        while kept:
-            low = kept & -kept
-            kept ^= low
-            root, colour = find(low.bit_length() - 1)
-            if sides.setdefault(root, colour) != colour:
-                break
+            root = layer
+        elif depth == 1:
+            comps.append(root | layer)
         else:
-            gone ^= 1 << v
-            for root, colour in sides.items():
-                parent[root], parity[root] = v, colour ^ 1
-    return frozenset(bits(gone))
+            comps[-1] |= layer
+        if depth & 1:
+            ones |= layer
+    kept = ((1 << g.n) - 1) ^ gone
+    needed = []
+    for v in sorted(removed):
+        rest = masks[v] & kept  # v's kept neighbours not yet met in comps
+        merged = bit = 1 << v
+        flip = 0
+        for comp in comps:
+            part = rest & comp
+            if part:
+                side = part & ones
+                if side != part:
+                    if side:  # both colours: v would close an odd cycle
+                        needed.append(v)
+                        break
+                    flip |= comp
+                merged |= comp
+                rest ^= part
+        else:
+            kept |= bit
+            ones = ones ^ flip | rest
+            if merged != bit or rest:
+                comps = [comp for comp in comps if not comp & merged]
+                comps.append(merged | rest)
+    return frozenset(needed)
 
 
 def oct_anneal(g: SimpleGraph) -> OctResult:
@@ -354,10 +351,13 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
     neighbours on its side than on the other, until a sweep moves none
     (each move loses monochromatic edges, so the descent ends).  A sweep
     checks only the vertices that are due, those with a neighbour moved
-    since their last check (every vertex before the first sweep): a vertex
-    checked and left, or just moved, has fewer than half its neighbours on
-    its side until a neighbour moves, so a sweep over every vertex would
-    make the same moves in the same order.  The due vertices are held as two
+    since their last check: a vertex checked and left, or just moved, has
+    fewer than half its neighbours on its side until a neighbour moves, so
+    a sweep over every vertex would make the same moves in the same order.
+    Before the first sweep the due vertices are those of the layers' clash
+    masks, the vertices on a monochromatic edge: any other vertex has no
+    neighbour on its side until a neighbour moves, and that move makes it
+    due.  The due vertices are held as two
     masks, those above the last one checked and the others; the walk takes
     the lowest of the first, and when none is left there it goes on from
     the lowest of the others, which starts the next sweep.  Each check
@@ -372,14 +372,16 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
     """
     n, masks = g.n, g.masks
     ones = 0  # the vertices coloured 1
-    for depth, layer, _ in bfs_layers(g):
+    ahead = 0  # the due vertices above the last check: first those on a monochromatic edge
+    for depth, layer, clash in bfs_layers(g):
         if depth & 1:
             ones |= layer
+        ahead |= clash
     zeros = ((1 << n) - 1) ^ ones
     degrees = list(map(int.bit_count, masks))
     conflicts = [0] * n  # each vertex's same-side neighbours at its last check
     degree = [0] * n  # and their count
-    ahead, behind = (1 << n) - 1, 0  # the due vertices above the last check, the others
+    behind = 0  # the other due vertices
     while ahead:
         bit = ahead & -ahead
         ahead ^= bit

@@ -4,11 +4,14 @@ Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  Two breadth-first searches colour a graph minus a vertex set,
 each advancing a whole layer per step, and a vertex's colour is its
 layer's parity.  `bfs_layers` only colours: the next layer is the OR of
-the layer's neighbour masks less the vertices already seen.  It serves
+the layer's neighbour masks, read a byte of the layer at a time, less the
+vertices already seen, and each layer comes with its clash mask, the
+vertices of the layer on an edge inside it.  It serves
 `is_bipartite_without`, the last steps of the exact search's cycle
 counts, which only ask whether an odd cycle is left, and, in
-`bipartization`, the start of `oct_anneal`'s local search and the
-union-find that `peel_to_minimal` starts from.  `odd_cycles` walks each
+`bipartization`, the start of `oct_anneal`'s local search (its colouring
+and its first due vertices) and the component masks that
+`peel_to_minimal` starts from.  `odd_cycles` walks each
 layer vertex by vertex in queue order, keeps the BFS parents of the
 vertices it reaches, and yields the tree cycle of each edge inside a
 layer as it meets it from either end: it serves `two_coloring` (the
@@ -21,6 +24,7 @@ masks.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .orders import bits, mask_of
@@ -33,7 +37,7 @@ class SimpleGraph:
     tuples and the edge tuples are read off these masks.
     """
 
-    __slots__ = ("n", "m", "masks", "_edges")
+    __slots__ = ("n", "masks", "_m", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -72,8 +76,15 @@ class SimpleGraph:
     def _set(self, masks: list[int]) -> None:
         self.n = len(masks)
         self.masks: tuple[int, ...] = tuple(masks)
-        self.m = sum(map(int.bit_count, masks)) // 2
+        self._m: int | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def m(self) -> int:
+        """The edge count, counted on first read."""
+        if self._m is None:
+            self._m = sum(map(int.bit_count, self.masks)) // 2
+        return self._m
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -249,41 +260,64 @@ def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
     return color, None
 
 
-def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, bool]]:
+def _bit_offsets() -> tuple[tuple[int, ...], ...]:
+    """The positions of the set bits of each byte value, lowest first.  The
+    entries of the values below 2 ** (bit + 1) are those below 2 ** bit,
+    then each of them with `bit` added."""
+    table: tuple[tuple[int, ...], ...] = ((),)
+    for bit in range(8):
+        table += tuple(offsets + (bit,) for offsets in table)
+    return table
+
+
+_OFFSETS = _bit_offsets()
+
+
+def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
     """The breadth-first layers of g minus the vertices in the mask `gone`,
-    as (depth, layer mask, clash), component by component.
+    as (depth, layer mask, clash mask), component by component.
 
     Each component starts at its lowest kept vertex, which alone is its
     layer at depth 0; the next layer is the OR of the current layer's
     neighbour masks less the vertices seen so far.  Colouring each vertex
     with its layer's parity is the colouring `odd_cycles` walks,
     since a vertex's layer is its distance from the start.  An edge joins
-    two vertices of one layer or of adjacent layers, so the colouring has a
-    monochromatic edge exactly when some layer's `clash` is true: the
-    layer meets its own neighbour masks.  A step costs an OR per vertex of
-    the layer, not a step per edge.
+    two vertices of one layer or of adjacent layers, so a kept vertex's
+    neighbours of its own colour are those in its own layer, and the clash
+    mask, the layer AND the OR of its neighbour masks, holds the vertices
+    of the layer on a monochromatic edge: the colouring has one exactly
+    when some clash mask is not 0.  A layer of one vertex reads that
+    vertex's mask.  A wider layer is walked a byte at a time: its bytes
+    come from `int.to_bytes`, `itertools.compress` skips the zero bytes in
+    C, and a 256-entry table gives the set bits of each other byte.  So a
+    step costs an OR per vertex of the layer, not a step per edge, and no
+    operation as wide as g per vertex of the layer.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
+    bases = range(0, g.n, 8)  # the first vertex of each byte
     while unseen:
         layer = unseen & -unseen
         unseen ^= layer
         depth = 0
         while layer:
-            reach = 0
-            rest = layer
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                reach |= masks[low.bit_length() - 1]
-            yield depth, layer, bool(reach & layer)
+            if layer.bit_count() == 1:
+                reach = masks[layer.bit_length() - 1]
+            else:
+                reach = 0
+                data = layer.to_bytes((layer.bit_length() + 7) >> 3, "little")
+                for base, byte in compress(zip(bases, data), data):
+                    for offset in _OFFSETS[byte]:
+                        reach |= masks[base + offset]
+            yield depth, layer, reach & layer
             layer = reach & unseen
             unseen ^= layer
             depth += 1
 
 
 def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
-    """Whether g minus `removed` is bipartite: no BFS layer holds an edge."""
+    """Whether g minus `removed` is bipartite: every clash mask of
+    `bfs_layers` is 0, so no BFS layer holds an edge."""
     return not any(clash for _, _, clash in bfs_layers(g, mask_of(removed)))
 
 

@@ -7,6 +7,7 @@ import sys
 from itertools import combinations, islice, product
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,40 @@ FAMILIES = {
     # consecutive C5s share one vertex, which hits two cycles at most
     "9 C5 cactus": (union([cycle_graph(5)] * 9, chain_links(9, 2, 0), shared=True), 5),
 }
+
+
+def heuristic_shaped(rng, n):
+    """(g, cover): a graph of n vertices and a valid removal set that leave
+    the kept graph the shape the heuristic's covers leave in the tigs of the
+    benchmark corpus: one large bipartite component, a few small ones and
+    many isolated vertices.  Each cover vertex reaches a random share of
+    the kept vertices and about half of the other cover vertices, so some
+    cover vertices are needed and some can return."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cover, kept = order[:n // 8], order[n // 8:]
+    big, at = kept[:len(kept) // 3], len(kept) // 3
+    groups = [big]
+    for _ in range(rng.randint(3, 6)):
+        size = rng.randint(2, 6)
+        groups.append(kept[at:at + size])
+        at += size
+    edges = []
+    for group in groups:  # a random tree coloured by depth parity, plus even-cycle chords
+        side = {group[0]: 0}
+        for i, u in enumerate(group[1:], 1):
+            w = rng.choice(group[:i])
+            side[u] = side[w] ^ 1
+            edges.append((u, w))
+        for _ in range(len(group)):
+            u, w = rng.sample(group, 2)
+            if side[u] != side[w]:
+                edges.append((u, w))
+    for i, u in enumerate(cover):
+        share = rng.choice([0.005, 0.02, 0.1, 0.3])
+        edges += [(u, w) for w in kept if rng.random() < share]
+        edges += [(u, w) for w in cover[:i] if rng.random() < 0.5]
+    return SimpleGraph(n, edges), frozenset(cover)
 
 
 class TestEncoding:
@@ -447,7 +482,7 @@ class TestPeeling:
         assert peel_to_minimal(g, frozenset([2])) == frozenset([2])
 
     def test_matches_the_bfs_rounds(self):
-        """One union-find pass peels exactly as rounds of two-colourings do,
+        """One pass over component masks peels exactly as rounds of two-colourings do,
         for valid sets (a random set joined to the heuristic's cover), for
         arbitrary sets and for sets whose rest is not bipartite (which both
         return unchanged)."""
@@ -470,7 +505,7 @@ class TestPeeling:
     @given(st.integers(1, 30), st.sampled_from([0.05, 0.15, 0.3, 0.6]),
            st.sampled_from([0.1, 0.3, 0.6, 0.9]), st.integers(0, 2 ** 32 - 1))
     def test_matches_the_bfs_rounds_on_any_set(self, n, density, share, seed):
-        """The BFS-seeded union-find peels as rounds of two-colourings do,
+        """The peel on BFS-built component masks does as rounds of two-colourings do,
         also from sets whose rest is not bipartite, which come back whole."""
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
@@ -480,6 +515,28 @@ class TestPeeling:
         assert peeled == peel_to_minimal_by_bfs(g, removed)
         if not bipartite_without(g, removed):
             assert peeled == removed
+
+    def test_matches_the_bfs_rounds_on_heuristic_shaped_graphs(self):
+        """Wide graphs whose kept graph has one large component, a few small
+        ones and many isolated vertices, peeled from the cover and from the
+        cover with random vertices added: returns into several components
+        at once, and the colour flips they need, peel as rounds of
+        two-colourings do."""
+        rng = random.Random(167)
+        returned = 0
+        for _ in range(10):
+            g, cover = heuristic_shaped(rng, rng.randint(100, 320))
+            kept = nx.Graph()
+            kept.add_nodes_from(v for v in range(g.n) if v not in cover)
+            kept.add_edges_from(e for e in g.edges if not cover & set(e))
+            sizes = sorted(map(len, nx.connected_components(kept)))
+            assert sizes[-1] >= g.n // 4 and len(sizes) - sizes.count(1) >= 4
+            assert sizes.count(1) >= g.n // 5
+            for start in (cover, cover | {v for v in range(g.n) if rng.random() < 0.1}):
+                peeled = peel_to_minimal(g, start)
+                assert peeled == peel_to_minimal_by_bfs(g, start)
+                returned += len(start - peeled)
+        assert returned > 200
 
     def test_long_odd_cycle_keeps_its_last_vertex(self):
         # an odd cycle of 2001 vertices with every vertex removed: each
@@ -532,13 +589,23 @@ class TestHeuristics:
            st.integers(0, 2 ** 32 - 1))
     def test_anneal_matches_the_recounting_loop(self, n, density, graph_seed):
         """The walk over the due vertices, the conflicts recorded at each
-        check, the heap of conflict counts and the union-find peel remove
+        check, the heap of conflict counts and the component-mask peel remove
         exactly the vertices that full ascending sweeps recounting on plain
         lists, a full rescan per pick and rounds of two-colourings remove."""
         rng = np.random.default_rng(graph_seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
         g = SimpleGraph.from_masks(row_masks(upper | upper.T))
         assert oct_anneal(g).removed == anneal_by_recount(g)
+
+    def test_anneal_matches_the_recounting_loop_on_heuristic_shaped_graphs(self):
+        """On wide graphs of the shape the heuristic meets the first sweep,
+        started from the vertices on a monochromatic edge of the
+        breadth-first colouring, and the peel remove what full sweeps,
+        rescans and rounds of two-colourings remove."""
+        rng = random.Random(173)
+        for _ in range(6):
+            g, _ = heuristic_shaped(rng, rng.randint(100, 240))
+            assert oct_anneal(g).removed == anneal_by_recount(g)
 
     @pytest.mark.parametrize("n, edges, sweeps, removed", [
         # the breadth-first colouring puts 1 and 4 on one side and 2, 3 and

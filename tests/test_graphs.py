@@ -394,9 +394,10 @@ class TestBfsLayers:
     def check(g, removed):
         """Depths and colours equal forced_coloring's on every kept vertex,
         the layers partition the kept vertices, each component starts at
-        its lowest kept vertex, the clash flags say whether that colouring
-        has a monochromatic edge, and is_bipartite_without agrees with
-        networkx on the kept subgraph.  Returns whether some layer clashed."""
+        its lowest kept vertex, each layer's clash mask holds exactly its
+        vertices with a neighbour of their own colour under that colouring,
+        and is_bipartite_without agrees with networkx on the kept subgraph.
+        Returns whether some layer clashed."""
         ref, _, ref_depth = forced_coloring(g, removed)
         colours, depth = [None] * g.n, [0] * g.n
         clash = False
@@ -409,7 +410,9 @@ class TestBfsLayers:
             seen |= layer
             for v in bits(layer):
                 colours[v], depth[v] = d & 1, d
-            clash |= layer_clash
+            assert layer_clash == sum(1 << v for v in bits(layer)
+                                      if any(ref[w] == ref[v] for w in g.neighbors(v)))
+            clash |= layer_clash != 0
         assert colours == ref
         assert [depth[v] for v in range(g.n) if v not in removed] \
             == [ref_depth[v] for v in range(g.n) if v not in removed]
@@ -427,6 +430,25 @@ class TestBfsLayers:
             g = random_graph(rng, rng.randint(0, 40), rng.choice([0.02, 0.05, 0.1, 0.2, 0.4, 0.7]))
             clashes += self.check(g, random_removed(rng, g))
         assert 200 < clashes < 700
+
+    def test_matches_the_oracles_on_wide_sparse_graphs(self):
+        """Graphs of 65 to 700 vertices and one to six edges per vertex, so
+        the byte walk meets layers over many bytes with zero bytes between
+        their set bits, and layers of a single vertex."""
+        rng = random.Random(47)
+        clashes = gapped = single = 0
+        for _ in range(24):
+            n = rng.randint(65, 700)
+            edges = [rng.sample(range(n), 2) for _ in range(rng.randint(n // 2, 3 * n))]
+            g = SimpleGraph(n, edges)
+            removed = random_removed(rng, g)
+            clashes += self.check(g, removed)
+            for _, layer, _ in bfs_layers(g, sum(1 << v for v in removed)):
+                inner = layer.to_bytes((layer.bit_length() + 7) // 8, "little").lstrip(b"\0")
+                gapped += 0 in inner
+                single += layer.bit_count() == 1
+        assert 0 < clashes < 24
+        assert gapped > 100 and single > 100
 
     def test_long_odd_cycle(self):
         g = cycle_graph(2001)
