@@ -137,22 +137,22 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
     first cycle only when the count is at most `limit`), so it asks
     `bfs_layers` whether a layer holds an edge and lists the empty tuple in
     the cycle's place.  `known` maps each vertex mask already tried to
-    two_coloring's cycle for g minus it, None when none is left, or the
-    empty tuple when a last step found one: the search meets the same sets
-    again, at other nodes and at each larger k, and works a cycle out when
-    a step that is not the last first needs it.  The other steps take the
-    first cycle of `graphs.odd_cycles`, which keeps its own BFS parents."""
+    two_coloring's cycle for g minus it, or to None when none is left: the
+    search meets the same sets again, at other nodes and at each larger k.
+    A last step that finds a cycle left stores nothing, so every stored
+    cycle is a real one.  The other steps take the first cycle of
+    `graphs.odd_cycles`, which keeps its own BFS parents."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
-        last = len(cycles) == limit
-        cycle = known.get(gone, False)  # False: not tried
-        if cycle is False or (cycle == () and not last):
-            if last:
-                cycle = () if any(clash for _, _, clash in bfs_layers(g, gone)) else None
-            else:
-                cycle = next(odd_cycles(g, gone), None)
-            known[gone] = cycle
+        if gone in known:
+            cycle = known[gone]
+        elif len(cycles) < limit:
+            cycle = known[gone] = next(odd_cycles(g, gone), None)
+        elif any(clash for _, _, clash in bfs_layers(g, gone)):
+            cycle = ()
+        else:
+            cycle = known[gone] = None
         if cycle is None:
             break
         cycles.append(cycle)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -24,23 +23,18 @@ _INVARIANT_ERRORS = (OrderViolation, Unresolvable, AssertionError)
 
 
 def _read_text(path: str) -> str:
-    """The input text.
+    """The input text, its bytes decoded as UTF-8.
 
-    Standard input is read as a file is, as UTF-8 with universal newlines,
-    whatever encoding the locale or PYTHONIOENCODING gives `sys.stdin`; a
-    text-only `sys.stdin` with no byte buffer (an `io.StringIO`, say) is
-    read as it is.
+    Standard input is read as a file is, whatever encoding the locale or
+    PYTHONIOENCODING gives `sys.stdin`; a text-only `sys.stdin` with no
+    byte buffer (an `io.StringIO`, say) is read as it is.  Newlines stay
+    as they come: every reader splits lines with `str.splitlines`, which
+    ends a line at CRLF or CR alone as at LF.
     """
-    if path == "-":
-        binary = getattr(sys.stdin, "buffer", None)
-        if binary is None:
-            return sys.stdin.read()
-        stream = io.TextIOWrapper(binary, encoding="utf-8")
-        try:
-            return stream.read()
-        finally:
-            stream.detach()  # closing the wrapper would close sys.stdin.buffer
-    return Path(path).read_text(encoding="utf-8")
+    if path != "-":
+        return Path(path).read_bytes().decode("utf-8")
+    binary = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if binary is None else binary.read().decode("utf-8")
 
 
 def _write_bytes(path: str, data: bytes) -> None:

@@ -10,9 +10,10 @@ already holds, closes the rest in and records the pairs the closure added
 apart from the inserted ones.  The exact strategy prefers, among the
 minimum sets its search lists, one whose reversal goes in whole, is
 already closed and leaves an order with a conjugate, so it finishes in
-one pass with nothing added by closure.  New incompatibilities can appear
-after an insertion, so more than one pass may be needed; the trace
-records how many were.
+one pass with nothing added by closure; the check and the pass share one
+memoized step (_extend), so the accepted set is worked out once.  New
+incompatibilities can appear after an insertion, so more than one pass may
+be needed; the trace records how many were.
 
 Coordinates come from the realizer of the extended order: each element's
 position in the two linear extensions.  The plane embedding maps grid
@@ -22,6 +23,7 @@ to the point (c2 - c1, c1 + c2), so "greater" always means "higher".
 
 from __future__ import annotations
 
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -108,18 +110,24 @@ def _strategy_for(name_or_fn: str | Strategy) -> tuple[Strategy, str]:
 
 def _ends_in_this_pass(tg: TigGraph) -> Callable[[frozenset[int]], bool]:
     """Accepts a removal set of tg whose whole reversal goes into tg.order,
-    is already transitively closed and leaves an order with a conjugate.
-    An accepted set is kept in tg.accepted with its insertion and that
-    conjugate, (removed, extended, kept, added, conjugate), so the pass
-    that inserts it does not work them out again."""
+    is already transitively closed and leaves an order with a conjugate."""
     def accept(removed: frozenset[int]) -> bool:
         reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
-        extended, kept, added = _insert(tg.order, reversal)
-        conj = None if kept != reversal or added else compute_conjugate_order(extended)
-        if conj is not None:
-            tg.accepted = (removed, extended, kept, added, conj)
-        return conj is not None
+        _, kept, added, conj = _extend(tg.order, reversal)
+        return kept == reversal and not added and conj is not None
     return accept
+
+
+@lru_cache(maxsize=1)
+def _extend(current: OrderRelation, reversal: frozenset[IdPair]
+            ) -> tuple[OrderRelation, frozenset[IdPair], frozenset[IdPair],
+                       OrderRelation | None]:
+    """The insertion of `reversal` into `current` (see _insert) and the
+    extended order's conjugate, or None.  It keeps its last answer, keyed
+    by `current` itself (an OrderRelation compares by identity), so a pass
+    that inserts the set its accept check just took reads that answer."""
+    extended, kept, added = _insert(current, reversal)
+    return extended, kept, added, compute_conjugate_order(extended)
 
 
 def _insert(current: OrderRelation, pairs: frozenset[IdPair]
@@ -186,15 +194,10 @@ def two_dimension_extension(o: OrderRelation,
         if len(per_pass) >= max_passes:
             raise OrderViolation(f"no two-dimension extension after {max_passes} passes")
         tg = build_tig(current)
-        removed = run(tg).removed
-        removed_pairs = frozenset(tg.vertices[v] for v in removed)
+        removed_pairs = frozenset(tg.vertices[v] for v in run(tg).removed)
         if not removed_pairs:
             raise OrderViolation("strategy removed nothing although no conjugate exists")
-        if tg.accepted is not None and tg.accepted[0] == removed:
-            _, current, kept, added, conj = tg.accepted
-        else:
-            current, kept, added = _insert(current, frozenset((b, a) for a, b in removed_pairs))
-            conj = compute_conjugate_order(current)
+        current, kept, added, conj = _extend(current, frozenset((b, a) for a, b in removed_pairs))
         inserted |= kept
         closure_added |= added
         per_pass.append(removed_pairs)

@@ -58,17 +58,16 @@ class SimpleGraph:
 
         The masks must be symmetric (v in masks[u] iff u in masks[v]); that
         is the caller's to keep, since checking it costs a pass over every
-        edge.  A loop or a neighbour out of range raises ValueError.
+        edge.  A neighbour out of range or a loop raises ValueError naming
+        the first vertex that has one, in one pass over the masks.
         """
         masks = list(masks)
         n = len(masks)
-        if masks and (min(masks) < 0 or max(masks) >> n
-                      or any(map(int.__and__, masks, map((1).__lshift__, range(n))))):
-            for u, mask in enumerate(masks):  # name the first bad vertex
-                if mask < 0 or mask >> n:
-                    raise ValueError(f"neighbour mask of vertex {u} out of range")
-                if mask >> u & 1:
-                    raise ValueError(f"loop at vertex {u}")
+        for u, mask in enumerate(masks):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"neighbour mask of vertex {u} out of range")
+            if mask >> u & 1:
+                raise ValueError(f"loop at vertex {u}")
         g = cls.__new__(cls)
         g._set(masks)
         return g

@@ -37,21 +37,15 @@ MAX_TIG_VERTICES = 40_000
 
 class TigGraph:
     """Incompatibility graph of an order; vertex i is the incomparable id
-    pair vertices[i], in lexicographic order.
+    pair vertices[i], in lexicographic order."""
 
-    `accepted` is None until a check on this graph accepts a removal set;
-    it then holds that set with what the check worked out for it, which
-    the engine's pass reuses when the strategy returns the same set.
-    """
-
-    __slots__ = ("order", "vertices", "graph", "accepted")
+    __slots__ = ("order", "vertices", "graph")
 
     def __init__(self, order: OrderRelation, vertices: tuple[IncPair, ...],
                  graph: SimpleGraph):
         self.order = order
         self.vertices = vertices
         self.graph = graph
-        self.accepted: tuple | None = None
 
     def __repr__(self) -> str:
         return f"TigGraph({len(self.vertices)} pairs, {self.graph.m} conflicts)"

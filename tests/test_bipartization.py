@@ -319,7 +319,8 @@ class TestDisjointOddCycles:
         # every cycle but a last step's is the oracle's first odd cycle of g
         # minus the set and the cycles before it; a last step may give ()
         # in its place.  Sets repeat under falling and rising limits, so
-        # one `known` serves marks of last steps to steps that need cycles.
+        # one `known` meets sets that a last step tried before a step
+        # that needs their cycles.
         rng = random.Random(53)
         marks = 0
         for _ in range(200):

@@ -159,6 +159,25 @@ class TestDraw:
         err = capsys.readouterr().err
         assert "pass 1: removed 1 tig vertices" in err
 
+    def test_no_perturb_keeps_the_exact_embedding(self, tmp_path, capsys):
+        # anneal's extension of this order puts x1 on a cover edge it is
+        # not an end of (the golden random_order_10_anneal_perturbed case)
+        path = tmp_path / "ro10.order"
+        path.write_text(serialize_order(random_order(random.Random(134), 10)))
+        docs = []
+        for flags in ([], ["--no-perturb"]):
+            out = tmp_path / f"drawing{len(docs)}.json"
+            assert main(["draw", "-i", str(path), "--solver", "anneal",
+                         "-o", str(out), *flags]) == 0
+            docs.append(json.loads(out.read_text()))
+        perturbed, kept = docs
+        assert perturbed["perturbed"] != []
+        assert kept["perturbed"] == []
+        for element in kept["elements"]:
+            c1, c2 = element["grid"]
+            assert element["plane"] == [c2 - c1, c1 + c2]
+        assert perturbed["elements"] != kept["elements"]
+
     def test_stdin_input(self, capsys, monkeypatch):
         fake_stdin(monkeypatch, DIAMOND_TEXT)
         assert main(["draw", "-i", "-"]) == 0
@@ -231,7 +250,7 @@ class TestDraw:
     ], ids=["crlf-order", "cr-cxt"])
     def test_stdin_is_read_as_utf8_whatever_the_locale(self, fmt, text, labels, tmp_path):
         # the same bytes through -i - and through a file, in a child whose
-        # sys.stdin decodes latin-1: both read UTF-8 with universal newlines
+        # sys.stdin decodes latin-1: both read UTF-8, CRLF and CR ending lines
         data = text.encode("utf-8")
         path = tmp_path / f"café.{fmt}"
         path.write_bytes(data)

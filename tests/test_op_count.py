@@ -1,5 +1,6 @@
 """tools/op_count.py: bytecode counts repeat exactly."""
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ def test_two_counts_of_one_input_are_equal():
     draw()  # warm-up, as the tool makes before it counts
     previous = sys.gettrace()
     first, second = tool.count_opcodes(draw), tool.count_opcodes(draw)
-    assert sys.gettrace() is previous
+    assert sys.gettrace() is previous and gc.isenabled()
     assert first == second
     names = {code.co_name for code in first}
     assert {"draw", "parse_order_text", "_force_classes", "emit_svg"} <= names

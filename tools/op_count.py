@@ -18,6 +18,7 @@ imported from the checkout that holds this file.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from collections.abc import Callable
@@ -31,7 +32,13 @@ import measure  # noqa: E402
 
 
 def count_opcodes(fn: Callable[[], object]) -> Counter:
-    """Bytecodes that fn() executes, keyed by the code object that ran them."""
+    """Bytecodes that fn() executes, keyed by the code object that ran them.
+
+    The garbage collector is off while fn runs: a collection runs the
+    Python functions in `gc.callbacks` (a test run's `hypothesis` installs
+    one) in the traced frame, whenever an allocation count crosses its
+    threshold, so one count could take in a callback that the next does
+    not."""
     counts: Counter = Counter()
 
     def local(frame, event, arg):
@@ -43,12 +50,15 @@ def count_opcodes(fn: Callable[[], object]) -> Counter:
         frame.f_trace_opcodes = True
         return local
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return counts
 
 
