@@ -18,13 +18,13 @@ from .engine import (ExtensionTrace, GridDrawing, compute_coordinates,
 from .errors import (BackendFailure, CycleError, GroundMismatch, NotLinear,
                      OrderDrawError, OrderViolation, ParseError, TooLarge,
                      UnknownLabel, Unresolvable)
-from .graphs import SimpleGraph, is_bipartite_without, two_coloring
+from .graphs import SimpleGraph, is_bipartite_without
 from .ingest import (FormalContext, concept_lattice, parse_cxt,
                      parse_order_text, read_order, serialize_order)
 from .orders import (GroundSet, LinearExtension, OrderRelation, antichain,
                      boolean_lattice, build_order, chain, cover_relation,
-                     grid, incomparable_pairs, intersect_linear,
-                     linear_from_sequence, standard_example)
+                     grid, intersect_linear, linear_from_sequence,
+                     standard_example)
 from .orientation import compute_conjugate_order, realizer_from_conjugate
 from .render import detect_collinear, emit_dot, emit_svg, emit_tikz, perturb
 from .sat import CnfInstance, solve_cnf
@@ -43,11 +43,11 @@ __all__ = [
     "chain", "compute_conjugate_order",
     "compute_coordinates", "concept_lattice", "cover_relation",
     "detect_collinear", "drawing_to_json", "emit_dot", "emit_svg",
-    "emit_tikz", "encode_oct", "grid", "incomparable_pairs",
+    "emit_tikz", "encode_oct", "grid",
     "intersect_linear", "is_bipartite_without", "linear_from_sequence",
     "min_oct_exact", "oct_anneal",
     "parse_cxt", "parse_order_text", "peel_to_minimal", "perturb",
     "read_order", "realizer_from_conjugate", "serialize_order", "solve_cnf",
-    "standard_example", "two_coloring",
+    "standard_example",
     "two_dimension_extension",
 ]

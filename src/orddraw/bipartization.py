@@ -129,16 +129,17 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
-    is the cycle that two_coloring reports for g minus `removed`, and each
+    is the first cycle of `odd_cycles` for g minus `removed`, and each
     later one is that cycle for g minus the cycles before it too.
 
     The step that would find cycle limit + 1 is the last: only whether an
     odd cycle is left matters there (the caller reads the count, and the
     first cycle only when the count is at most `limit`), so it asks
     `bfs_layers` whether a layer holds an edge and lists the empty tuple in
-    the cycle's place.  `known` maps each vertex mask already tried to
-    two_coloring's cycle for g minus it, or to None when none is left: the
-    search meets the same sets again, at other nodes and at each larger k.
+    the cycle's place.  `known` maps each vertex mask already tried to the
+    first cycle of `odd_cycles` for g minus it, or to None when none is
+    left: the search meets the same sets again, at other nodes and at each
+    larger k.
     A last step that finds a cycle left stores nothing, so every stored
     cycle is a real one.  The other steps take the first cycle of
     `graphs.odd_cycles`, which keeps its own BFS parents."""
@@ -346,8 +347,8 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
     monochromatic edges of a 2-colouring found by local search.
 
     It starts from the breadth-first colouring of `bfs_layers`, each vertex
-    coloured with its layer's parity, which is the colouring `two_coloring`
-    runs.  Sweeps in ascending vertex order move each vertex with more
+    coloured with its layer's parity, which is the colouring `odd_cycles`
+    walks.  Sweeps in ascending vertex order move each vertex with more
     neighbours on its side than on the other, until a sweep moves none
     (each move loses monochromatic edges, so the descent ends).  A sweep
     checks only the vertices that are due, those with a neighbour moved

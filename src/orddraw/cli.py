@@ -29,16 +29,21 @@ def _read_text(path: str) -> str:
     PYTHONIOENCODING gives `sys.stdin`; a text-only `sys.stdin` with no
     byte buffer (an `io.StringIO`, say) is read as it is.  Newlines stay
     as they come: every reader splits lines with `str.splitlines`, which
-    ends a line at CRLF or CR alone as at LF.
+    ends a line at CRLF or CR alone as at LF.  A closed standard input
+    (`sys.stdin` is None) is an input error.
     """
     if path != "-":
         return Path(path).read_bytes().decode("utf-8")
+    if sys.stdin is None:
+        raise OSError("cannot read standard input: it is closed")
     binary = getattr(sys.stdin, "buffer", None)
     return sys.stdin.read() if binary is None else binary.read().decode("utf-8")
 
 
 def _write_bytes(path: str, data: bytes) -> None:
     if path == "-":
+        if sys.stdout is None:
+            raise OSError("cannot write standard output: it is closed")
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
     else:

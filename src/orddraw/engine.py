@@ -124,8 +124,9 @@ def _extend(current: OrderRelation, reversal: frozenset[IdPair]
                        OrderRelation | None]:
     """The insertion of `reversal` into `current` (see _insert) and the
     extended order's conjugate, or None.  It keeps its last answer, keyed
-    by `current` itself (an OrderRelation compares by identity), so a pass
-    that inserts the set its accept check just took reads that answer."""
+    by the values of its arguments (an OrderRelation compares its ground
+    set and up masks), so a pass that inserts the set its accept check
+    just took reads that answer, as does an equal order built anew."""
     extended, kept, added = _insert(current, reversal)
     return extended, kept, added, compute_conjugate_order(extended)
 

@@ -1,4 +1,4 @@
-"""Undirected simple graphs, their two-colourings and their odd blocks.
+"""Undirected simple graphs, their BFS two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  Two breadth-first searches colour a graph minus a vertex set,
@@ -14,12 +14,11 @@ and its first due vertices) and the component masks that
 `peel_to_minimal` starts from.  `odd_cycles` walks each
 layer vertex by vertex in queue order, keeps the BFS parents of the
 vertices it reaches, and yields the tree cycle of each edge inside a
-layer as it meets it from either end: it serves `two_coloring` (the
-first cycle), `odd_cycle_census` (each edge's cycle once) and the odd
-cycles of the exact search.  Both searches start each component at its
-lowest kept vertex, so they walk the same layers.  `odd_blocks` finds the
-non-bipartite blocks between the bridges in one depth-first search on
-masks.
+layer as it meets it from either end: it serves `odd_cycle_census` (each
+edge's cycle once) and the exact search, which takes its first cycle.
+Both searches start each component at its lowest kept vertex, so they
+walk the same layers.  `odd_blocks` finds the non-bipartite blocks
+between the bridges in one depth-first search on masks.
 """
 
 from __future__ import annotations
@@ -33,48 +32,24 @@ from .orders import bits, mask_of
 class SimpleGraph:
     """Immutable undirected graph without loops or parallel edges.
 
-    `masks[u]` has bit v set when u and v are adjacent; the neighbour
-    tuples and the edge tuples are read off these masks.
+    `masks[u]` has bit v set when u and v are adjacent; the edge tuples are
+    read off these masks.  The masks must be symmetric (v in masks[u] iff u
+    in masks[v]); that is the caller's to keep, since checking it costs a
+    pass over every edge.  A neighbour out of range or a loop raises
+    ValueError naming the first vertex that has one, in one pass over the
+    masks.
     """
 
     __slots__ = ("n", "masks", "_m", "_edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        masks = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self._set(masks)
-
-    @classmethod
-    def from_masks(cls, masks: Iterable[int]) -> SimpleGraph:
-        """The graph whose vertex u has the neighbours in masks[u].
-
-        The masks must be symmetric (v in masks[u] iff u in masks[v]); that
-        is the caller's to keep, since checking it costs a pass over every
-        edge.  A neighbour out of range or a loop raises ValueError naming
-        the first vertex that has one, in one pass over the masks.
-        """
-        masks = list(masks)
-        n = len(masks)
-        for u, mask in enumerate(masks):
+    def __init__(self, masks: Iterable[int]):
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.n = n = len(self.masks)
+        for u, mask in enumerate(self.masks):
             if mask < 0 or mask >> n:
                 raise ValueError(f"neighbour mask of vertex {u} out of range")
             if mask >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        g = cls.__new__(cls)
-        g._set(masks)
-        return g
-
-    def _set(self, masks: list[int]) -> None:
-        self.n = len(masks)
-        self.masks: tuple[int, ...] = tuple(masks)
         self._m: int | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
 
@@ -92,10 +67,6 @@ class SimpleGraph:
             self._edges = tuple((u, v) for u, mask in enumerate(self.masks)
                                 for v in bits(mask & ~((2 << u) - 1)))
         return self._edges
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Neighbours of u in ascending order."""
-        return tuple(bits(self.masks[u]))
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.n} vertices, {self.m} edges)"
@@ -237,26 +208,6 @@ def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
                         parent[w] = u
                         after.append(w)
             queue, layer = after, reach
-
-
-def two_coloring(g: SimpleGraph, removed: Iterable[int] = ()) \
-        -> tuple[list[int | None] | None, tuple[int, ...] | None]:
-    """BFS 2-coloring of g minus `removed`.
-
-    Returns (colors, None) on success, where colors[v] is 0 or 1 (its BFS
-    layer's parity) and None for removed vertices; or (None, cycle) where
-    cycle is an odd closed walk (vertex tuple, no repeated endpoint)
-    witnessing non-bipartiteness: the tree cycle of the first monochromatic
-    edge the BFS meets.
-    """
-    gone = mask_of(removed)
-    for cycle in odd_cycles(g, gone):
-        return None, cycle
-    color: list[int | None] = [None] * g.n
-    for depth, layer, _ in bfs_layers(g, gone):
-        for v in bits(layer):
-            color[v] = depth & 1
-    return color, None
 
 
 def _bit_offsets() -> tuple[tuple[int, ...], ...]:

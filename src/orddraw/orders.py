@@ -178,17 +178,11 @@ class OrderRelation:
         n = self.n
         return tuple(tuple(row >> j & 1 == 1 for j in range(n)) for row in self.up)
 
-    def le(self, a: str, b: str) -> bool:
-        return self.up[self.ground.id(a)] >> self.ground.id(b) & 1 == 1
-
     def lt(self, a: str, b: str) -> bool:
         return self.lt_ids(self.ground.id(a), self.ground.id(b))
 
     def lt_ids(self, i: int, j: int) -> bool:
         return i != j and self.up[i] >> j & 1 == 1
-
-    def incomparable(self, a: str, b: str) -> bool:
-        return self.incomparable_ids(self.ground.id(a), self.ground.id(b))
 
     def incomparable_ids(self, i: int, j: int) -> bool:
         return i != j and not (self.up[i] >> j & 1 or self.up[j] >> i & 1)
@@ -329,12 +323,6 @@ def incomparable_masks(o: OrderRelation) -> list[int]:
     """Per element a, the mask of the elements incomparable to it."""
     full = (1 << o.n) - 1
     return [full & ~(u | d) for u, d in zip(o.up, o.down)]
-
-
-def incomparable_pairs(o: OrderRelation) -> frozenset[Pair]:
-    """All ordered pairs (a, b), a != b, with neither a <= b nor b <= a."""
-    lab = o.ground.label
-    return frozenset((lab(i), lab(j)) for i, j in inc_id_pairs(o))
 
 
 def inc_id_pairs(o: OrderRelation) -> list[IdPair]:

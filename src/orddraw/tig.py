@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from .errors import TooLarge
 from .graphs import SimpleGraph
-from .orders import OrderRelation, bits, incomparable_masks
-
-IncPair = tuple[int, int]
+from .orders import IdPair, OrderRelation, bits, incomparable_masks
 
 # The most incomparable pairs (tig vertices) build_tig accepts.  A
 # neighbour mask holds up to one bit per vertex, so at this bound the
@@ -41,7 +39,7 @@ class TigGraph:
 
     __slots__ = ("order", "vertices", "graph")
 
-    def __init__(self, order: OrderRelation, vertices: tuple[IncPair, ...],
+    def __init__(self, order: OrderRelation, vertices: tuple[IdPair, ...],
                  graph: SimpleGraph):
         self.order = order
         self.vertices = vertices
@@ -62,7 +60,7 @@ def build_tig(o: OrderRelation) -> TigGraph:
     if size > MAX_TIG_VERTICES:
         raise TooLarge(f"{size} incomparable pairs; the incompatibility graph "
                        f"takes at most {MAX_TIG_VERTICES}")
-    verts: list[IncPair] = []
+    verts: list[IdPair] = []
     firsts = [0] * o.n  # F[c]
     seconds = [0] * o.n  # S[d]
     for a, mask in enumerate(inc):
@@ -84,4 +82,4 @@ def build_tig(o: OrderRelation) -> TigGraph:
             acc |= seconds[d]
         below_seconds.append(acc)
     nbrs = [above_firsts[b] & below_seconds[a] for a, b in verts]
-    return TigGraph(o, tuple(verts), SimpleGraph.from_masks(nbrs))
+    return TigGraph(o, tuple(verts), SimpleGraph(nbrs))

@@ -14,13 +14,24 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from orddraw.orders import (GroundSet, OrderRelation, intersect_linear,
+from orddraw.graphs import SimpleGraph
+from orddraw.orders import (GroundSet, OrderRelation, bits, intersect_linear,
                             linear_from_sequence)
 
 
 def dense(o: OrderRelation) -> np.ndarray:
     """The boolean incidence matrix of o; dense(o)[i, j] means i <= j."""
     return np.array(o.matrix, dtype=bool).reshape(o.n, o.n)
+
+
+def graph_from_edges(n: int, edges=()) -> SimpleGraph:
+    """The graph on vertices 0..n-1 with the given undirected edges; an
+    edge may come in either direction and more than once."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return SimpleGraph(masks)
 
 
 def row_masks(matrix) -> list[int]:
@@ -532,11 +543,10 @@ def build_tig_by_edge_list(o: OrderRelation):
     """Incompatibility graph of o from the dense adjacency of `dense_tig`
     and a Python list of its upper-triangle edges; the reference for
     build_tig."""
-    from orddraw.graphs import SimpleGraph
     from orddraw.tig import TigGraph
     verts, adjacency = dense_tig(o)
     edges = [(int(i), int(j)) for i, j in np.argwhere(np.triu(adjacency, 1))]
-    return TigGraph(o, verts, SimpleGraph(len(verts), edges))
+    return TigGraph(o, verts, graph_from_edges(len(verts), edges))
 
 
 def brute_force_oct(g, max_vertices=20):
@@ -563,13 +573,12 @@ def reference_transversals(g):
     every block's sets are listed in full, and the first MAX_TRANSVERSALS
     tuples of their itertools.product give the unions."""
     from orddraw.bipartization import MAX_TRANSVERSALS
-    from orddraw.graphs import SimpleGraph
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
     cut = {(min(u, w), max(u, w)) for u, w in nx.bridges(ref)}
-    rest = [[w for w in g.neighbors(u) if (min(u, w), max(u, w)) not in cut]
+    rest = [[w for w in bits(g.masks[u]) if (min(u, w), max(u, w)) not in cut]
             for u in range(g.n)]
     seen = [False] * g.n
     blocks = []
@@ -585,8 +594,8 @@ def reference_transversals(g):
                     found.append(w)
         vertices = tuple(sorted(found))
         local = {v: i for i, v in enumerate(vertices)}
-        h = SimpleGraph(len(found), [(local[u], local[w]) for u in found
-                                     for w in rest[u] if u < w])
+        h = graph_from_edges(len(found), [(local[u], local[w]) for u in found
+                                          for w in rest[u] if u < w])
         if not bipartite_without(h):
             blocks.append((h, vertices))
 
@@ -646,7 +655,7 @@ def forced_coloring(g, removed=(), visits=None):
             u = queue.popleft()
             if visits is not None:
                 visits.append(u)
-            for w in g.neighbors(u):
+            for w in bits(g.masks[u]):
                 if w in gone or color[w] is not None:
                     continue
                 color[w] = 1 - color[u]
@@ -691,7 +700,7 @@ def first_odd_cycle(g, removed=()):
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in bits(g.masks[u]):
                 if w in gone:
                     continue
                 if color[w] is None:
@@ -714,7 +723,7 @@ def odd_cycle_census_after_coloring(g, removed=()):
     for u in range(g.n):
         if color[u] is None:
             continue
-        for v in g.neighbors(u):
+        for v in bits(g.masks[u]):
             if v > u and color[v] == color[u]:
                 for x in tree_cycle(parent, depth, u, v):
                     counts[x] = counts.get(x, 0) + 1
@@ -759,8 +768,8 @@ def ascending_sweeps_by_recount(g):
     while not sweeps or sweeps[-1]:
         sweeps.append([])
         for v in range(g.n):
-            same = sum(1 for w in g.neighbors(v) if color[w] == color[v])
-            if same > len(g.neighbors(v)) - same:
+            same = sum(1 for w in bits(g.masks[v]) if color[w] == color[v])
+            if same > g.masks[v].bit_count() - same:
                 color[v] = 1 - color[v]
                 sweeps[-1].append(v)
     return color, sweeps
@@ -774,7 +783,7 @@ def anneal_cover_by_recount(g):
     color = ascending_sweeps_by_recount(g)[0]
     cover = set()
     while True:
-        degree = {v: sum(1 for w in g.neighbors(v)
+        degree = {v: sum(1 for w in bits(g.masks[v])
                          if w not in cover and color[w] == color[v])
                   for v in range(g.n) if v not in cover}
         best = max(degree, key=lambda v: (degree[v], -v), default=None)
@@ -794,7 +803,7 @@ def transitive_orientation_by_sets(g):
     one Python set per vertex, or None when a class forces an edge both
     ways; the reference for orientation's bitset forcing.  No final check.
     """
-    remaining = [set(g.neighbors(v)) for v in range(g.n)]
+    remaining = [set(bits(g.masks[v])) for v in range(g.n)]
     arcs = []
     for seed in g.edges:
         s, t = seed

@@ -14,15 +14,15 @@ import pytest
 from orddraw.bipartization import encode_oct, min_oct_exact
 from orddraw.engine import (compute_coordinates, drawing_to_json,
                             two_dimension_extension)
-from orddraw.graphs import SimpleGraph, is_bipartite_without
+from orddraw.graphs import is_bipartite_without
 from orddraw.orders import (boolean_lattice, build_order, grid, inc_id_pairs,
                             intersect_linear, standard_example)
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, emit_svg, perturb
 from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
-                     brute_min_extension, brute_two_realizer, has_cycle_with,
-                     multipass_order, naturally_labeled_posets,
+                     brute_min_extension, brute_two_realizer, graph_from_edges,
+                     has_cycle_with, multipass_order, naturally_labeled_posets,
                      order_from_downsets, poset_canonical_form,
                      poset_is_lattice, random_order, scripted_then_exact)
 
@@ -84,7 +84,7 @@ def test_criterion_2_cnf_size_identities():
         k = rng.randint(1, 8)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.2]
-        g = SimpleGraph(n, edges)
+        g = graph_from_edges(n, edges)
         cnf = encode_oct(g, k)
         assert cnf.num_vars == (n - 1) * (k + 3) + 3, (n, k)
         assert len(cnf.clauses) == 2 * g.m + 2 * n * k + 2 * n - 3 * k - 1, (n, k)
@@ -99,7 +99,7 @@ def test_criterion_3_exact_bipartization_against_brute_force():
         p = rng.choice([0.15, 0.3, 0.5, 0.7])
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        g = SimpleGraph(n, edges)
+        g = graph_from_edges(n, edges)
         exact = min_oct_exact(g)
         brute = brute_force_oct(g)
         assert len(exact.removed) == len(brute.removed), (n, edges)
@@ -128,11 +128,11 @@ def test_criterion_5_incompatibility_test_matches_cycle_creation():
     for o in suite:
         tg = build_tig(o)
         for i, p in enumerate(tg.vertices):
-            nbrs = set(tg.graph.neighbors(i))
+            nbrs = tg.graph.masks[i]
             for j, q in enumerate(tg.vertices):
                 if i == j:
                     continue
-                assert (j in nbrs) == has_cycle_with(o, p, q), (o, p, q)
+                assert (nbrs >> j & 1 == 1) == has_cycle_with(o, p, q), (o, p, q)
                 checked += 1
     assert checked > 10_000
 

@@ -23,7 +23,7 @@ from orddraw.orders import bits, mask_of, standard_example
 from orddraw.tig import build_tig
 from oracles import (anneal_by_recount, anneal_cover_by_recount,
                      ascending_sweeps_by_recount, bipartite_without, brute_force_oct,
-                     first_odd_cycle, peel_to_minimal_by_bfs, random_order,
+                     first_odd_cycle, graph_from_edges, peel_to_minimal_by_bfs, random_order,
                      reference_transversals, removal_set, row_masks, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,17 +38,17 @@ def min_oct_size(g):
 
 
 def cycle_graph(k):
-    return SimpleGraph(k, [(i, (i + 1) % k) for i in range(k)])
+    return graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
-    return SimpleGraph(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def two_triangles():
-    return SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 def union(parts, links=(), shared=False):
@@ -71,11 +71,11 @@ def union(parts, links=(), shared=False):
     edges = [(rename[ident[o + u]], rename[ident[o + v]])
              for h, o in zip(parts, offset) for u, v in h.edges]
     edges += [(rename[ident[u]], rename[ident[v]]) for u, v in extra]
-    return SimpleGraph(len(keep), edges)
+    return graph_from_edges(len(keep), edges)
 
 
 def complete_graph(k):
-    return SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    return graph_from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def chain_links(count, a, b):
@@ -128,7 +128,7 @@ def heuristic_shaped(rng, n):
         share = rng.choice([0.005, 0.02, 0.1, 0.3])
         edges += [(u, w) for w in kept if rng.random() < share]
         edges += [(u, w) for w in cover[:i] if rng.random() < 0.5]
-    return SimpleGraph(n, edges), frozenset(cover)
+    return graph_from_edges(n, edges), frozenset(cover)
 
 
 class TestEncoding:
@@ -152,7 +152,7 @@ class TestEncoding:
     def test_variable_numbering(self):
         # the documented numbering: sides i+1 and n+i+1, removal 2n+i+1,
         # counter register (i, j) at 3n+(i-1)k+j
-        g = SimpleGraph(3, [(0, 1)])
+        g = graph_from_edges(3, [(0, 1)])
         cnf = encode_oct(g, 1)
         assert cnf.clauses[:3] == ((1, 4, 7), (2, 5, 8), (3, 6, 9))
         assert cnf.clauses[3:5] == ((-1, -2), (-4, -5))
@@ -220,7 +220,7 @@ class TestExactSearch:
         assert len(min_oct_exact(cycle_graph(5)).removed) == 1
         assert len(min_oct_exact(two_triangles()).removed) == 2
         # K4: removing one vertex leaves a triangle, so the minimum is 2
-        k4 = SimpleGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert len(min_oct_exact(k4).removed) == 2
 
     def test_agrees_with_brute_force(self):
@@ -462,10 +462,10 @@ class TestBruteForce:
 
     def test_size_guard(self):
         with pytest.raises(TooLarge):
-            brute_force_oct(SimpleGraph(21), max_vertices=20)
+            brute_force_oct(graph_from_edges(21), max_vertices=20)
 
     def test_trivial_graphs(self):
-        assert brute_force_oct(SimpleGraph(0)).removed == frozenset()
+        assert brute_force_oct(graph_from_edges(0)).removed == frozenset()
         assert brute_force_oct(cycle_graph(4)).removed == frozenset()
 
 
@@ -510,7 +510,7 @@ class TestPeeling:
         also from sets whose rest is not bipartite, which come back whole."""
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
-        g = SimpleGraph.from_masks(row_masks(upper | upper.T))
+        g = SimpleGraph(row_masks(upper | upper.T))
         removed = frozenset(np.flatnonzero(rng.random(n) < share).tolist())
         peeled = peel_to_minimal(g, removed)
         assert peeled == peel_to_minimal_by_bfs(g, removed)
@@ -595,7 +595,7 @@ class TestHeuristics:
         lists, a full rescan per pick and rounds of two-colourings remove."""
         rng = np.random.default_rng(graph_seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
-        g = SimpleGraph.from_masks(row_masks(upper | upper.T))
+        g = SimpleGraph(row_masks(upper | upper.T))
         assert oct_anneal(g).removed == anneal_by_recount(g)
 
     def test_anneal_matches_the_recounting_loop_on_heuristic_shaped_graphs(self):
@@ -625,7 +625,7 @@ class TestHeuristics:
          [[3], [2, 4], []], {1, 2, 5}),
     ], ids=["wrap-to-a-lower-vertex", "a-higher-vertex-in-the-same-sweep"])
     def test_a_move_makes_its_neighbours_due_in_sweep_order(self, n, edges, sweeps, removed):
-        g = SimpleGraph(n, edges)
+        g = graph_from_edges(n, edges)
         assert ascending_sweeps_by_recount(g)[1] == sweeps
         assert oct_anneal(g).removed == anneal_by_recount(g) == frozenset(removed)
 

@@ -279,6 +279,20 @@ class TestDrawErrors:
         assert main(["draw", "-i", "/no/such/file.order"]) == 1
         assert "orddraw:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["draw", "dim"])
+    def test_a_closed_stdin_exits_1(self, command, capsys, monkeypatch):
+        # a process started with fd 0 closed has sys.stdin None
+        monkeypatch.setattr("sys.stdin", None)
+        assert main([command, "-i", "-"]) == 1
+        assert capsys.readouterr().err == "orddraw: cannot read standard input: it is closed\n"
+
+    def test_a_closed_stdout_for_the_summary_exits_1(self, s3_file, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(["draw", "-i", s3_file, "--summary-json", "-"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("n=6 inc=18 ")
+        assert err[1:] == ["orddraw: cannot write standard output: it is closed"]
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.order"
         bad.write_text("a !! b\n")

@@ -204,6 +204,17 @@ class TestExtensionLoop:
         assert tr.conjugate == real(tr.extended)
         assert_valid_trace(o, tr)
 
+    def test_the_extension_is_kept_by_value(self):
+        # an equal order built anew reads the kept answer: the key is the
+        # order's ground set and masks, not the object
+        first, second = standard_example(3), standard_example(3)
+        assert first is not second and first == second
+        reversal = frozenset({(3, 0)})
+        engine._extend.cache_clear()
+        kept = engine._extend(first, reversal)
+        assert engine._extend(second, reversal) is kept
+        assert engine._extend.cache_info().hits == 1
+
     def test_unknown_strategy_name(self):
         for name in ("psychic", "genetic", "brute"):
             with pytest.raises(ValueError):

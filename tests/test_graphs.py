@@ -10,65 +10,72 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
-                            odd_cycle_census, odd_cycles, two_coloring)
+                            odd_cycle_census, odd_cycles)
 from orddraw.ingest import read_order
 from orddraw.orders import bits
 from orddraw.tig import build_tig
 from oracles import (bipartite_without, first_odd_cycle, forced_coloring,
-                     monochromatic_edges, odd_cycle_census_after_coloring, row_masks,
-                     tree_cycle)
+                     graph_from_edges, monochromatic_edges,
+                     odd_cycle_census_after_coloring, row_masks, tree_cycle)
 
 
 def cycle_graph(k):
-    return SimpleGraph(k, [(i, (i + 1) % k) for i in range(k)])
+    return graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def neighbour_matrix(g):
-    """The dense boolean adjacency matrix read off g's neighbour lists."""
+    """The dense boolean adjacency matrix read off g's neighbour masks."""
     adj = np.zeros((g.n, g.n), dtype=bool)
     for u in range(g.n):
-        adj[u, list(g.neighbors(u))] = True
+        adj[u, bits(g.masks[u])] = True
     return adj
 
 
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
-    return SimpleGraph(n, edges)
+    return graph_from_edges(n, edges)
+
+
+def layer_colours(g, removed=()):
+    """Each kept vertex's BFS layer parity from bfs_layers, None for the
+    removed ones; these are forced_coloring's colours."""
+    colours = [None] * g.n
+    for depth, layer, _ in bfs_layers(g, sum(1 << v for v in removed)):
+        for v in bits(layer):
+            colours[v] = depth & 1
+    assert colours == forced_coloring(g, removed)[0]
+    return colours
+
+
+def is_odd_closed_walk(g, cycle):
+    return len(cycle) % 2 == 1 and all(
+        g.masks[a] >> b & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 class TestSimpleGraph:
     def test_normalizes_and_deduplicates_edges(self):
-        g = SimpleGraph(3, [(2, 1), (1, 2), (0, 1)])
+        g = graph_from_edges(3, [(2, 1), (1, 2), (0, 1)])
         assert g.edges == ((0, 1), (1, 2))
         assert g.m == 2
-        assert 1 in g.neighbors(2) and 2 not in g.neighbors(0)
-        assert g.neighbors(1) == (0, 2)
-
-    def test_rejects_loops_and_range_errors(self):
-        with pytest.raises(ValueError):
-            SimpleGraph(3, [(1, 1)])
-        with pytest.raises(ValueError):
-            SimpleGraph(3, [(0, 3)])
-        with pytest.raises(ValueError):
-            SimpleGraph(-1)
+        assert g.masks == (0b010, 0b101, 0b010)
 
     def test_adjacency_is_read_only(self):
         # the graph holds its adjacency as a tuple of neighbour masks and
-        # hands out neighbours and edges as tuples
-        for g in (SimpleGraph(2, [(0, 1)]), SimpleGraph.from_masks([0b10, 0b01])):
-            assert g.masks == (0b10, 0b01)
-            assert isinstance(g.neighbors(0), tuple) and isinstance(g.edges, tuple)
-            with pytest.raises(TypeError):
-                g.masks[0] = 0
+        # hands out its edges as a tuple
+        g = SimpleGraph([0b10, 0b01])
+        assert g.masks == (0b10, 0b01)
+        assert isinstance(g.edges, tuple)
+        with pytest.raises(TypeError):
+            g.masks[0] = 0
 
     def test_neighbors_and_adjacency_match_the_edges(self):
         rng = random.Random(19)
         for _ in range(50):
             g = random_graph(rng, rng.randint(0, 12), 0.4)
             for u in range(g.n):
-                assert g.neighbors(u) == tuple(
-                    w for w in range(g.n) if (min(u, w), max(u, w)) in g.edges)
+                assert bits(g.masks[u]) == [
+                    w for w in range(g.n) if (min(u, w), max(u, w)) in g.edges]
             adj = neighbour_matrix(g)
             assert np.array_equal(adj, adj.T)
 
@@ -84,19 +91,18 @@ def symmetric_matrices(draw):
 
 
 class TestFromMatrix:
-    """SimpleGraph.from_masks on the row masks of a symmetric matrix."""
+    """SimpleGraph on the row masks of a symmetric matrix."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(symmetric_matrices())
     def test_matches_the_edge_list_constructor(self, adj):
         n = len(adj)
-        g = SimpleGraph.from_masks(row_masks(adj))
-        ref = SimpleGraph(n, [(int(u), int(v)) for u, v in np.argwhere(adj)])
+        g = SimpleGraph(row_masks(adj))
+        ref = graph_from_edges(n, [(int(u), int(v)) for u, v in np.argwhere(adj)])
         assert g.n == ref.n == n
         assert g.edges == ref.edges
         assert all(type(u) is int and type(v) is int for u, v in g.edges)
-        for u in range(n):
-            assert g.neighbors(u) == ref.neighbors(u)
+        assert g.masks == ref.masks
         assert np.array_equal(neighbour_matrix(g), adj)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -104,7 +110,7 @@ class TestFromMatrix:
     def test_edges_m_and_adjacency_agree_before_and_after_the_lazy_build(self, adj):
         n = len(adj)
         edges = tuple((int(u), int(v)) for u, v in np.argwhere(np.triu(adj, 1)))
-        for g in (SimpleGraph(n, edges), SimpleGraph.from_masks(row_masks(adj))):
+        for g in (graph_from_edges(n, edges), SimpleGraph(row_masks(adj))):
             # m and the neighbours come before the first read of edges,
             # which builds the tuples, and must not change after it
             for _ in range(2):
@@ -114,19 +120,19 @@ class TestFromMatrix:
                 assert g.edges == edges
 
     def test_empty_and_edgeless(self):
-        assert SimpleGraph.from_masks([]).n == 0
-        g = SimpleGraph.from_masks([0] * 4)
+        assert SimpleGraph([]).n == 0
+        g = SimpleGraph([0] * 4)
         assert (g.n, g.m, g.edges) == (4, 0, ())
-        assert all(g.neighbors(u) == () for u in range(4))
+        assert g.masks == (0, 0, 0, 0)
 
     def test_rejects_malformed_matrices(self):
         # a neighbour beyond the last vertex, a negative mask, a loop
         with pytest.raises(ValueError, match="vertex 1 out of range"):
-            SimpleGraph.from_masks([0b10, 0b101])
+            SimpleGraph([0b10, 0b101])
         with pytest.raises(ValueError, match="vertex 0 out of range"):
-            SimpleGraph.from_masks([-1, 0])
+            SimpleGraph([-1, 0])
         with pytest.raises(ValueError, match="loop at vertex 2"):
-            SimpleGraph.from_masks([0, 0, 0b100])
+            SimpleGraph([0, 0, 0b100])
         # the lowest malformed vertex is named, and a mask out of range is
         # reported as such even when it also holds its own bit
         for masks, message in [([0b1, 0b100], "loop at vertex 0"),
@@ -134,7 +140,7 @@ class TestFromMatrix:
                                ([0, 0b1110, 0], "vertex 1 out of range"),
                                ([0, 0, 0b110], "loop at vertex 2")]:
             with pytest.raises(ValueError, match=message):
-                SimpleGraph.from_masks(masks)
+                SimpleGraph(masks)
 
 
 def networkx_odd_blocks(g):
@@ -160,7 +166,7 @@ def bridged_chain(rng, parts):
         total += h.n
     ids = list(range(total))
     rng.shuffle(ids)
-    return SimpleGraph(total, [(ids[u], ids[v]) for u, v in edges])
+    return graph_from_edges(total, [(ids[u], ids[v]) for u, v in edges])
 
 
 class TestOddBlocks:
@@ -173,7 +179,7 @@ class TestOddBlocks:
 
     def test_match_networkx_on_bridged_cliques_and_cycles(self):
         rng = random.Random(37)
-        families = ([SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        families = ([graph_from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
                      for k in range(3, 7)] + [cycle_graph(k) for k in range(3, 7)])
         for _ in range(200):
             parts = [rng.choice(families) for _ in range(rng.randint(1, 6))]
@@ -185,7 +191,7 @@ class TestOddBlocks:
 
     def test_path_of_triangles(self):
         # two triangles joined by the bridge 2-3
-        g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+        g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
         assert odd_blocks(g) == [0b000111, 0b111000]
         assert odd_blocks(cycle_graph(5)) == [0b11111]
 
@@ -197,47 +203,49 @@ class TestOddBlocks:
 
 
 class TestTwoColoring:
+    """The BFS two-colouring: the layer parities of bfs_layers when
+    odd_cycles yields nothing, else the first cycle of odd_cycles."""
+
     def test_even_cycle_is_bipartite(self):
-        colors, cyc = two_coloring(cycle_graph(6))
-        assert cyc is None
-        assert all(colors[u] != colors[v] for u, v in cycle_graph(6).edges)
+        g = cycle_graph(6)
+        assert next(odd_cycles(g), None) is None
+        colors = layer_colours(g)
+        assert all(colors[u] != colors[v] for u, v in g.edges)
 
     def test_odd_cycle_witness_is_an_odd_closed_walk(self):
         g = cycle_graph(5)
-        colors, cyc = two_coloring(g)
-        assert colors is None
-        assert len(cyc) % 2 == 1
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert b in g.neighbors(a)
+        assert any(clash for _, _, clash in bfs_layers(g))
+        cyc = next(odd_cycles(g))
+        assert is_odd_closed_walk(g, cyc)
+        assert cyc == first_odd_cycle(g)
 
     def test_witness_on_random_nonbipartite_graphs(self):
         rng = random.Random(23)
         found = 0
         for _ in range(200):
             g = random_graph(rng, rng.randint(3, 9), 0.4)
-            colors, cyc = two_coloring(g)
-            if colors is not None:
+            cyc = next(odd_cycles(g), None)
+            assert cyc == first_odd_cycle(g)
+            if cyc is None:
+                colors = layer_colours(g)
                 for u, v in g.edges:
                     assert colors[u] != colors[v]
             else:
                 found += 1
-                assert len(cyc) % 2 == 1
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    assert b in g.neighbors(a)
+                assert is_odd_closed_walk(g, cyc)
         assert found > 20, "suite should include non-bipartite samples"
 
     def test_removed_vertices_are_skipped(self):
         g = cycle_graph(5)
         assert not is_bipartite_without(g)
         assert is_bipartite_without(g, removed=[0])
-        colors, cyc = two_coloring(g, removed=[0])
-        assert cyc is None and colors[0] is None
+        assert next(odd_cycles(g, 0b1), None) is None
+        assert layer_colours(g, removed=[0])[0] is None
 
     def test_disconnected_components_all_colored(self):
-        g = SimpleGraph(5, [(0, 1), (2, 3)])
-        colors, cyc = two_coloring(g)
-        assert cyc is None
-        assert all(c in (0, 1) for c in colors)
+        g = graph_from_edges(5, [(0, 1), (2, 3)])
+        assert next(odd_cycles(g), None) is None
+        assert all(c in (0, 1) for c in layer_colours(g))
 
 
 class TestForcedColoring:
@@ -279,17 +287,17 @@ class TestOddCycles:
                     if color[u] is not None and color[u] == color[v]]
             ends = [(cycle[0], cycle[-1]) for cycle in cycles]
             assert sorted(ends) == sorted(mono + [(v, u) for u, v in mono])
-            assert ends == [(u, w) for u in visits for w in g.neighbors(u)
+            assert ends == [(u, w) for u in visits for w in bits(g.masks[u])
                             if w not in removed and color[w] == color[u]]
             assert cycles == [tree_cycle(parent, depth, u, w) for u, w in ends]
             met_some += bool(cycles)
         assert met_some > 100
 
     def test_matches_the_oracles_on_random_graphs(self):
-        """two_coloring stops at the first monochromatic edge of the BFS
-        (dequeue order, then neighbour order) and returns its tree cycle,
-        the first that odd_cycles yields; the census equals the one read
-        off a finished forced colouring."""
+        """The first cycle of odd_cycles is the tree cycle of the first
+        monochromatic edge of the BFS (dequeue order, then neighbour order),
+        with no edge the layers of bfs_layers colour the graph; the census
+        equals the one read off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
         for _ in range(1500):
@@ -298,15 +306,14 @@ class TestOddCycles:
             assert odd_cycle_census(g, removed) == odd_cycle_census_after_coloring(g, removed)
             visits = []
             ref, parent, depth = forced_coloring(g, removed, visits)
-            first = next(((u, w) for u in visits for w in g.neighbors(u)
+            first = next(((u, w) for u in visits for w in bits(g.masks[u])
                           if w not in removed and ref[w] == ref[u]), None)
-            colors, cycle = two_coloring(g, removed)
-            assert next(odd_cycles(g, sum(1 << v for v in removed)), None) == cycle
+            cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
             if first is None:
-                assert (colors, cycle) == (ref, None)
+                assert cycle is None and layer_colours(g, removed) == ref
             else:
                 odd += 1
-                assert (colors, cycle) == (None, tree_cycle(parent, depth, *first))
+                assert cycle == tree_cycle(parent, depth, *first)
         assert odd > 500
 
 
@@ -342,7 +349,7 @@ class TestFirstOddCycle:
     def check(g, removed):
         cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
         assert cycle == first_odd_cycle(g, removed)
-        assert cycle == two_coloring(g, removed)[1]
+        assert (cycle is None) == is_bipartite_without(g, removed)
         return cycle
 
     def test_matches_the_oracle_on_random_graphs(self):
@@ -362,12 +369,12 @@ class TestFirstOddCycle:
             edges, total = [], 0
             for _ in range(rng.randint(2, 6)):
                 h = rng.choice([cycle_graph(4), cycle_graph(5), path_graph(3),
-                                SimpleGraph(1), cycle_graph(7), random_graph(rng, 8, 0.3)])
+                                graph_from_edges(1), cycle_graph(7), random_graph(rng, 8, 0.3)])
                 edges += [(total + u, total + v) for u, v in h.edges]
                 total += h.n
             ids = list(range(total))
             rng.shuffle(ids)
-            g = SimpleGraph(total, [(ids[u], ids[v]) for u, v in edges])
+            g = graph_from_edges(total, [(ids[u], ids[v]) for u, v in edges])
             odd += self.check(g, random_removed(rng, g)) is not None
         assert 100 < odd < 290
 
@@ -378,13 +385,13 @@ class TestFirstOddCycle:
         assert self.check(g, {1000}) is None
 
     def test_empty_graphs(self):
-        assert self.check(SimpleGraph(0), ()) is None
-        assert self.check(SimpleGraph(5), ()) is None
+        assert self.check(graph_from_edges(0), ()) is None
+        assert self.check(graph_from_edges(5), ()) is None
         assert self.check(cycle_graph(3), {0, 1, 2}) is None
 
 
 def path_graph(k):
-    return SimpleGraph(k, [(i, i + 1) for i in range(k - 1)])
+    return graph_from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
 class TestBfsLayers:
@@ -411,7 +418,7 @@ class TestBfsLayers:
             for v in bits(layer):
                 colours[v], depth[v] = d & 1, d
             assert layer_clash == sum(1 << v for v in bits(layer)
-                                      if any(ref[w] == ref[v] for w in g.neighbors(v)))
+                                      if any(ref[w] == ref[v] for w in bits(g.masks[v])))
             clash |= layer_clash != 0
         assert colours == ref
         assert [depth[v] for v in range(g.n) if v not in removed] \
@@ -440,7 +447,7 @@ class TestBfsLayers:
         for _ in range(24):
             n = rng.randint(65, 700)
             edges = [rng.sample(range(n), 2) for _ in range(rng.randint(n // 2, 3 * n))]
-            g = SimpleGraph(n, edges)
+            g = graph_from_edges(n, edges)
             removed = random_removed(rng, g)
             clashes += self.check(g, removed)
             for _, layer, _ in bfs_layers(g, sum(1 << v for v in removed)):
@@ -464,10 +471,10 @@ class TestBfsLayers:
         assert [layer for _, layer, _ in bfs_layers(g)] == [1 << v for v in range(3000)]
 
     def test_empty_graphs(self):
-        assert list(bfs_layers(SimpleGraph(0))) == []
-        assert not self.check(SimpleGraph(0), set())
-        assert list(bfs_layers(SimpleGraph(4))) == [(0, 1 << v, False) for v in range(4)]
-        assert not self.check(SimpleGraph(4), {2})
+        assert list(bfs_layers(graph_from_edges(0))) == []
+        assert not self.check(graph_from_edges(0), set())
+        assert list(bfs_layers(graph_from_edges(4))) == [(0, 1 << v, False) for v in range(4)]
+        assert not self.check(graph_from_edges(4), {2})
         assert list(bfs_layers(cycle_graph(5), 0b11111)) == []
 
 
@@ -477,7 +484,7 @@ class TestOddCycleCensus:
         assert odd_cycle_census(cycle_graph(5), removed=[3]) is None
 
     def test_counts_cover_the_triangle(self):
-        g = SimpleGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         census = odd_cycle_census(g)
         assert census is not None
         assert set(census) <= {0, 1, 2}

@@ -36,7 +36,7 @@ class TestOrderText:
     def test_elements_line_declares_isolated_labels(self):
         o = parse_order_text("elements: a b c lonely\na < b\n")
         assert o.n == 4
-        assert o.incomparable("lonely", "a")
+        assert not o.lt("lonely", "a") and not o.lt("a", "lonely")
 
     def test_labels_collected_in_appearance_order(self):
         o = parse_order_text("z < m\na < z\n")

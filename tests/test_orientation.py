@@ -16,12 +16,12 @@ from orddraw.orders import incomparable_masks, transpose
 from orddraw.orientation import (_force_classes, compute_conjugate_order,
                                  realizer_from_conjugate)
 from oracles import (blocked_two_dimensional, brute_orientation_exists,
-                     order_from_matrix, random_order, strict_pairs,
+                     graph_from_edges, order_from_matrix, random_order, strict_pairs,
                      transitive_orientation_by_sets)
 
 
 def cycle_graph(k):
-    return SimpleGraph(k, [(i, (i + 1) % k) for i in range(k)])
+    return graph_from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def transitive_orientation(g):
@@ -45,7 +45,7 @@ def is_transitive_orientation(g, arcs):
 
 
 def cocomparability_graph(o):
-    return SimpleGraph.from_masks(incomparable_masks(o))
+    return SimpleGraph(incomparable_masks(o))
 
 
 def lexicographic_sum(skeleton, parts):
@@ -88,14 +88,14 @@ class TestTransitiveOrientation:
         assert transitive_orientation(cycle_graph(5)) is None
         assert transitive_orientation(cycle_graph(7)) is None
         for g in (cycle_graph(3), cycle_graph(4), cycle_graph(6),
-                  SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])):
+                  graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])):
             arcs = transitive_orientation(g)
             assert arcs is not None
             assert is_transitive_orientation(g, arcs)
 
     def test_empty_and_edgeless(self):
-        assert transitive_orientation(SimpleGraph(0)) == frozenset()
-        assert transitive_orientation(SimpleGraph(5)) == frozenset()
+        assert transitive_orientation(graph_from_edges(0)) == frozenset()
+        assert transitive_orientation(graph_from_edges(5)) == frozenset()
 
     def test_agrees_with_exhaustive_search(self):
         rng = random.Random(37)
@@ -105,7 +105,7 @@ class TestTransitiveOrientation:
             p = rng.choice([0.25, 0.35, 0.5, 0.75])
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < p]
-            g = SimpleGraph(n, edges)
+            g = graph_from_edges(n, edges)
             arcs = transitive_orientation(g)
             expect = brute_orientation_exists(n, edges)
             assert (arcs is not None) == expect, f"n={n} edges={edges}"
@@ -122,8 +122,8 @@ class TestTransitiveOrientation:
         for _ in range(400):
             n = rng.randint(1, 12)
             p = rng.uniform(0.25, 0.75)
-            g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                                if rng.random() < p])
+            g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
             expect = transitive_orientation_by_sets(g)
             assert transitive_orientation(g) == expect, g.edges
             yes += expect is not None

@@ -1,6 +1,7 @@
 """The package's public surface: `orddraw.__all__` against what `__init__`
-imports, so a stale export or a forgotten one fails here, and the README's
-library example against the package."""
+imports, so a stale export or a forgotten one fails here, the modules'
+imports against their use, and the README's library example against the
+package."""
 
 import ast
 import re
@@ -35,7 +36,8 @@ def test_retired_names_are_gone():
                  "comparability_graph", "enforces", "incompatible",
                  "transitive_orientation", "verify_orientation",
                  "ExternalSolver", "parse_dimacs", "oct_greedy",
-                 "weak_dominance_stats", "DominanceReport"):
+                 "weak_dominance_stats", "DominanceReport",
+                 "two_coloring", "incomparable_pairs"):
         assert not hasattr(orddraw, name), name
     from orddraw import bipartization, cli, engine, graphs, orders, sat, tig
     for owner, name in ((sat, "ExternalSolver"), (sat, "parse_dimacs"),
@@ -50,11 +52,43 @@ def test_retired_names_are_gone():
                         (bipartization, "decode_partition"), (cli, "RunConfig"),
                         (orders.OrderRelation, "le_ids"),
                         (orders.LinearExtension, "position_of"),
-                        (tig.TigGraph, "index"), (graphs, "_colour_conflicts")):
+                        (tig.TigGraph, "index"), (graphs, "_colour_conflicts"),
+                        (graphs, "two_coloring"), (orders, "incomparable_pairs"),
+                        (graphs.SimpleGraph, "from_masks"),
+                        (graphs.SimpleGraph, "neighbors"), (graphs.SimpleGraph, "_set"),
+                        (orders.OrderRelation, "le"),
+                        (orders.OrderRelation, "incomparable"), (tig, "IncPair")):
         assert not hasattr(owner, name), name
     for name in ("oct_greedy", "_repair", "_cold_steps", "_OTHER_LABELS",
                  "_T0", "_ALPHA", "_STEPS", "_HOT", "_QUIET"):
         assert not hasattr(bipartization, name), name
+
+
+def test_no_unused_import_in_the_package():
+    """Every name a module of `src/orddraw` imports at module level is used
+    in that module.  `__init__` is left out, since its imports are its
+    exports (checked above), and so are the lines marked as kept for
+    `perfbench/tracing.py`, whose hooks `test_bench_hooks` checks."""
+    unused = []
+    for path in sorted(Path(orddraw.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "perfbench/tracing.py hooks it here" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_readme_quick_tour_runs(tmp_path, monkeypatch):

@@ -8,13 +8,13 @@ import pytest
 from orddraw.cli import main
 from orddraw.errors import TooLarge
 from orddraw.ingest import FormalContext, concept_lattice, serialize_order
-from orddraw.orders import (antichain, boolean_lattice, chain,
-                            grid, inc_id_pairs, standard_example)
-from orddraw.graphs import is_bipartite_without, two_coloring
+from orddraw.orders import (antichain, bits, boolean_lattice, chain,
+                            grid, inc_id_pairs, mask_of, standard_example)
+from orddraw.graphs import bfs_layers, is_bipartite_without, odd_cycles
 from orddraw import tig
 from orddraw.tig import MAX_TIG_VERTICES, build_tig
-from oracles import (build_tig_by_edge_list, has_cycle_with, incompatible,
-                     random_order)
+from oracles import (build_tig_by_edge_list, first_odd_cycle, forced_coloring,
+                     has_cycle_with, incompatible, random_order)
 
 
 class TestPairPredicates:
@@ -96,7 +96,7 @@ class TestBuildTig:
             for i, p in enumerate(g.vertices):
                 for j in range(i + 1, len(g.vertices)):
                     q = g.vertices[j]
-                    assert (j in g.graph.neighbors(i)) == incompatible(p, q, o)
+                    assert (g.graph.masks[i] >> j & 1 == 1) == incompatible(p, q, o)
 
     def test_matches_the_edge_list_build(self):
         rng = random.Random(173)
@@ -112,16 +112,21 @@ class TestBuildTig:
             tg, ref = build_tig(o), build_tig_by_edge_list(o)
             assert tg.vertices == ref.vertices
             assert tg.graph.edges == ref.graph.edges
-            assert [tg.graph.neighbors(v) for v in range(len(tg.vertices))] \
-                == [ref.graph.neighbors(v) for v in range(len(ref.vertices))]
+            assert tg.graph.masks == ref.graph.masks
 
 
 def sides(tg):
-    """The two colour classes of a bipartite tig, as vertex pairs."""
-    colors, cycle = two_coloring(tg.graph)
-    assert cycle is None
-    return tuple(frozenset(p for p, c in zip(tg.vertices, colors) if c == side)
-                 for side in (0, 1))
+    """The two colour classes of a bipartite tig, as vertex pairs: its even
+    and its odd BFS layers, which are forced_coloring's colour classes."""
+    assert next(odd_cycles(tg.graph), None) is None
+    classes = [0, 0]
+    for depth, layer, clash in bfs_layers(tg.graph):
+        assert not clash
+        classes[depth & 1] |= layer
+    colors = forced_coloring(tg.graph)[0]
+    assert classes == [mask_of(v for v, c in enumerate(colors) if c == side)
+                       for side in (0, 1)]
+    return tuple(frozenset(tg.vertices[v] for v in bits(mask)) for mask in classes)
 
 
 class TestBipartiteCheck:
@@ -140,8 +145,8 @@ class TestBipartiteCheck:
 
     def test_standard_example_odd_cycle(self):
         g = build_tig(standard_example(3))
-        colors, cycle = two_coloring(g.graph)
-        assert colors is None
+        cycle = next(odd_cycles(g.graph))
+        assert cycle == first_odd_cycle(g.graph)
         cyc = [g.vertices[v] for v in cycle]
         assert len(cyc) % 2 == 1
         o = g.order
