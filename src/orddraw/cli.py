@@ -28,8 +28,8 @@ def _read_text(path: str) -> str:
     Standard input is read as a file is, whatever encoding the locale or
     PYTHONIOENCODING gives `sys.stdin`; a text-only `sys.stdin` with no
     byte buffer (an `io.StringIO`, say) is read as it is.  Newlines stay
-    as they come: every reader splits lines with `str.splitlines`, which
-    ends a line at CRLF or CR alone as at LF.  A closed standard input
+    as they come: every reader of `orddraw.ingest` ends a line at LF, CRLF
+    or CR alone, and at no other character.  A closed standard input
     (`sys.stdin` is None) is an input error.
     """
     if path != "-":

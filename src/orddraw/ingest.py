@@ -6,8 +6,17 @@ from typing import Iterable
 
 from .errors import ParseError, TooLarge
 from .orders import (GroundSet, OrderRelation, _close_generators, bits,
-                     cover_relation)
+                     cover_relation, mask_of)
 from .records import Record
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, as every reader of this module splits it: a
+    line ends at LF, CRLF or CR alone, and at no other character that
+    `str.splitlines` breaks at.  As there, a final line break ends the
+    last line and starts no empty one."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def parse_order_text(text: str) -> OrderRelation:
@@ -23,17 +32,14 @@ def parse_order_text(text: str) -> OrderRelation:
     """
     index: dict[str, int] = {}  # label -> id, in order of appearance
     generators: list[int] = []  # bit j of generators[i]: a line i < j
-    reversed_generators: list[int] = []  # bit i of reversed_generators[j]
 
     def note(labels: Iterable[str]) -> None:
         """Give each label not seen before the next id, with no pairs yet."""
         for label in labels:
             index.setdefault(label, len(index))
-        grow = [0] * (len(index) - len(generators))
-        generators.extend(grow)
-        reversed_generators.extend(grow)
+        generators.extend([0] * (len(index) - len(generators)))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -54,12 +60,10 @@ def parse_order_text(text: str) -> OrderRelation:
         except KeyError:
             note((a, b))
             i, j = index[a], index[b]
-        if i != j:
-            generators[i] |= 1 << j
-            reversed_generators[j] |= 1 << i
+        generators[i] |= 1 << j
     if not index:
         raise ParseError(0, "no elements found")
-    return _close_generators(GroundSet(index), generators, reversed_generators)
+    return _close_generators(GroundSet(index), generators)
 
 
 def serialize_order(o: OrderRelation) -> str:
@@ -107,9 +111,9 @@ def parse_cxt(text: str) -> FormalContext:
     is skipped.  A blank line after the counts is skipped when the file
     holds exactly one line more than the names and rows need, as in the
     common layout; otherwise it is a name, which may be empty.  Lines end
-    in LF, CRLF or CR alone, as `str.splitlines` splits them.
+    in LF, CRLF or CR alone, so a name may hold any other character.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     pos = 0
 
     def next_content() -> tuple[int, str]:
@@ -191,7 +195,10 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
     ValueError.  More than MAX_CONCEPTS concepts raise TooLarge.  Every
     intent held during the fold is an intent of the whole context, so the
     check after each row raises only when the lattice is too large, and
-    the fold never holds more than twice MAX_CONCEPTS masks.
+    the fold never holds more than twice MAX_CONCEPTS masks.  The rows of
+    extent containment go through the step that closes every order of the
+    package; containment is already closed, and distinct extents form no
+    cycle, so that step gives them back as `up`, with their transpose.
     """
     rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
     intents = {(1 << len(ctx.attributes)) - 1}
@@ -208,18 +215,10 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
             raise ValueError(f"two concepts share the label {label!r}: "
                              "object names repeat, contain ',' or are empty")
         seen.add(label)
-    ground = GroundSet(labels)
-    up = [0] * len(extents)
-    down = [0] * len(extents)
-    for i, ext_i in enumerate(extents):
-        # sorted by size, so only later extents can contain ext_i
-        for j in range(i, len(extents)):
-            if ext_i & extents[j] == ext_i:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    order = OrderRelation(ground, up, down)
-    order.validate()
-    return order
+    # sorted by size, so only later extents can contain ext_i
+    containing = [mask_of(j for j in range(i, len(extents)) if ext_i & extents[j] == ext_i)
+                  for i, ext_i in enumerate(extents)]
+    return _close_generators(GroundSet(labels), containing)
 
 
 def read_order(text: str) -> OrderRelation:
@@ -231,7 +230,7 @@ def read_order(text: str) -> OrderRelation:
     must begin with `B`, and `B` alone is never a valid order-text line.
     """
     text = text.removeprefix("\ufeff")
-    first = next((line.strip() for line in text.splitlines() if line.strip()), "")
+    first = next((line.strip() for line in _lines(text) if line.strip()), "")
     if first == "B":
         return concept_lattice(parse_cxt(text))
     return parse_order_text(text)

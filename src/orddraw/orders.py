@@ -5,11 +5,12 @@ when i <= j (the elements above i, i included) and `down[j]` has bit i set
 when i <= j (the elements below j).  Both are always transitively closed,
 so the set operations of the pipeline (incomparable pairs, inserting a
 pair, the conjugate test) are a few word operations per element.
-Construction always applies the reflexive-transitive closure to the given
-generator pairs and rejects cycles, so every `OrderRelation` in the system
-is a genuine order.  Elements are referred to by string label at the API
-surface and by dense integer id (position in the ground set) in the
-algorithmic code paths.
+The builders (`build_order`, `linear_from_sequence` and the readers of
+`orddraw.ingest`) all hand their generator rows to one step,
+`_close_generators`, which closes the rows and their transpose and rejects
+cycles, so every order they build is a genuine order.  Elements are
+referred to by string label at the API surface and by dense integer id
+(position in the ground set) in the algorithmic code paths.
 """
 
 from __future__ import annotations
@@ -247,29 +248,26 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     The pairs are generators, not the full relation: the reflexive-transitive
     closure is applied.  Raises CycleError (with a witness cycle) if the
     pairs are cyclic, UnknownLabel if a pair mentions an undeclared element,
-    and ValueError for an empty or duplicated ground set.  The closure, the
-    cycle check and the down masks are `_close_generators`, which
-    `orddraw.ingest.parse_order_text` calls on the masks it builds itself.
+    and ValueError for an empty or duplicated ground set.
     """
     labels = list(labels)
     if not labels:
         raise ValueError("ground set must not be empty")
     ground = GroundSet(labels)
-    n = len(ground)
-    generators, reversed_generators = [0] * n, [0] * n
+    generators = [0] * len(ground)
     for a, b in pairs:
-        i, j = ground.id(a), ground.id(b)
-        generators[i] |= 1 << j
-        reversed_generators[j] |= 1 << i
-    return _close_generators(ground, generators, reversed_generators)
+        generators[ground.id(a)] |= 1 << ground.id(b)
+    return _close_generators(ground, generators)
 
 
-def _close_generators(ground: GroundSet, generators: list[int],
-                      reversed_generators: list[int]) -> OrderRelation:
-    """The order generated on `ground` by the generator masks (bit j of
-    generators[i] and bit i of reversed_generators[j]: a pair i < j).
-    Raises CycleError with a witness cycle through the first two elements,
-    by id, that reach each other."""
+def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation:
+    """The order generated on `ground` by the generator rows (bit j of
+    generators[i]: a pair i < j; bit i of generators[i] adds nothing).
+
+    Every builder that starts from generators returns through this step:
+    `up` is the closure of the rows and `down` the closure of their
+    transpose.  Raises CycleError with a witness cycle through the first
+    two elements, by id, that reach each other."""
     n = len(ground)
     up = transitive_closure(generators)
     # in a closed relation two elements reach each other exactly when their
@@ -281,15 +279,7 @@ def _close_generators(ground: GroundSet, generators: list[int],
         adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
         walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
         raise CycleError([ground.label(v) for v in walk])
-    # sorted by the number of elements above, the elements come in a linear
-    # extension, so each one's predecessors are closed before it
-    down = [0] * n
-    for v in sorted(range(n), key=lambda v: up[v].bit_count(), reverse=True):
-        col = 1 << v
-        for u in bits(reversed_generators[v]):
-            col |= down[u]
-        down[v] = col
-    return OrderRelation(ground, up, down)
+    return OrderRelation(ground, up, transitive_closure(transpose(generators)))
 
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
@@ -357,18 +347,15 @@ class LinearExtension:
 
 def linear_from_sequence(ground: GroundSet,
                          seq: Sequence[int | str]) -> LinearExtension:
-    """Linear extension placing elements (ids or labels) bottom to top."""
+    """Linear extension placing elements (ids or labels) bottom to top: the
+    order that the chain of each element below the next one generates."""
     ids = [ground.id(x) if isinstance(x, str) else x for x in seq]
     if sorted(ids) != list(range(len(ground))):
         raise ValueError("sequence must mention every element exactly once")
-    up, down = [0] * len(ids), [0] * len(ids)
-    above = below = 0
-    for i, j in zip(ids, reversed(ids)):
-        below |= 1 << i
-        down[i] = below
-        above |= 1 << j
-        up[j] = above
-    return LinearExtension(OrderRelation(ground, up, down))
+    successors = [0] * len(ids)
+    for i, j in zip(ids, ids[1:]):
+        successors[i] = 1 << j
+    return LinearExtension(_close_generators(ground, successors))
 
 
 def intersect_linear(extensions: Iterable[LinearExtension]) -> OrderRelation:

@@ -353,6 +353,76 @@ def brute_min_extension(o: OrderRelation, dim2_test) -> int:
     raise AssertionError("some extension must reach dimension <= 2")
 
 
+def downset_steps(o: OrderRelation) -> list[tuple[int, int]]:
+    """Every step (S, x) from a down-set S of o to the down-set S + x, as
+    (mask, element), the down-sets by size from the empty one, so all the
+    steps into S come before the steps out of it.  A linear extension is a
+    walk of n steps from the empty set."""
+    n = o.n
+    m = dense(o)
+    below = [sum(1 << i for i in range(n) if i != j and m[i, j]) for j in range(n)]
+    steps, downsets, seen = [], [0], {0}
+    for s in downsets:  # grows while it is walked
+        for x in range(n):
+            if not s >> x & 1 and not below[x] & ~s:
+                steps.append((s, x))
+                if s | 1 << x not in seen:
+                    seen.add(s | 1 << x)
+                    downsets.append(s | 1 << x)
+    return steps
+
+
+def count_linear_extensions(o: OrderRelation) -> int:
+    """The number of linear extensions of o: walks over its down-sets."""
+    walks = defaultdict(int, {0: 1})
+    for s, x in downset_steps(o):
+        walks[s | 1 << x] += walks[s]
+    return walks[(1 << o.n) - 1]
+
+
+def min_false_comparabilities(o: OrderRelation) -> int:
+    """The fewest false comparabilities of any two-dimensional extension of
+    o: the least number of incomparable pairs of o that two linear
+    extensions L1 and L2 of o order alike.  Their intersection is then the
+    extension, and every two-dimensional extension is such an intersection.
+
+    For each L1, the best L2 comes from a dynamic program over the
+    down-sets of o: L2 is laid from the bottom up, and placing x right
+    after the down-set S costs the elements of S that are incomparable to
+    x and lie below x in L1.  The work is the number of linear extensions
+    times the number of down-set steps, so keep o small.
+    """
+    n = o.n
+    m = dense(o)
+    incomparable = [sum(1 << i for i in range(n) if not m[i, j] and not m[j, i])
+                    for j in range(n)]
+    steps = downset_steps(o)
+    nexts = defaultdict(list)
+    for s, x in steps:
+        nexts[s].append(x)
+    full = (1 << n) - 1
+
+    def extensions(s: int, seq: list[int]):
+        if s == full:
+            yield seq
+        for x in nexts[s]:
+            yield from extensions(s | 1 << x, seq + [x])
+
+    def best_partner(l1: list[int]) -> int:
+        charged, lower = [0] * n, 0  # lower: the elements before x in L1
+        for x in l1:
+            charged[x] = incomparable[x] & lower
+            lower |= 1 << x
+        cost = {0: 0}
+        for s, x in steps:
+            c = cost[s] + (s & charged[x]).bit_count()
+            if c < cost.get(s | 1 << x, c + 1):
+                cost[s | 1 << x] = c
+        return cost[full]
+
+    return min(best_partner(l1) for l1 in extensions(0, []))
+
+
 def brute_orientation_exists(n: int, edges: list[tuple[int, int]]) -> bool:
     """Backtracking search for a transitive orientation of the given graph."""
     adj = [[False] * n for _ in range(n)]

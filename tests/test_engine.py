@@ -21,10 +21,11 @@ from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, perturb
 from orddraw.tig import build_tig
-from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
-                     brute_min_extension, dense, dense_false_pairs,
-                     drawing_to_json_by_dumps,
-                     literally_an_order, multipass_order, random_order,
+from oracles import (MULTIPASS_SCRIPTED_REMOVAL, all_linear_extensions,
+                     brute_force_oct, brute_min_extension,
+                     count_linear_extensions, dense, dense_false_pairs,
+                     drawing_to_json_by_dumps, literally_an_order,
+                     min_false_comparabilities, multipass_order, random_order,
                      rational_plane, scripted_then_exact, warshall_closure,
                      with_rational_plane)
 
@@ -166,6 +167,44 @@ class TestExtensionLoop:
             assert len(tr.inserted) == brute_min_extension(o, dim2)
             checked += 1
         assert checked >= 80
+
+    def test_sat_reaches_the_global_minimum_and_anneal_no_lower(self):
+        # on orders that are not two-dimensional, small enough for the DP
+        # over linear extensions and down-sets; the first pass's bounds hold
+        # over every two-dimensional extension, not only this pipeline's
+        rng = random.Random(401)
+        checked = 0
+        while checked < 150:
+            o = random_order(rng, rng.randint(6, 8), rng.uniform(0.25, 0.6))
+            if (compute_conjugate_order(o) is not None
+                    or count_linear_extensions(o) > 200):
+                continue
+            best = min_false_comparabilities(o)
+            first_pass = []
+
+            def sat(tg):
+                result = STRATEGIES["sat"](tg)
+                first_pass.append(result.stats)
+                return result
+
+            assert two_dimension_extension(o, sat).false_comparabilities == best
+            assert two_dimension_extension(o, "anneal").false_comparabilities >= best
+            assert first_pass[0]["lower_bound"] <= first_pass[0]["k"] <= best
+            checked += 1
+
+    def test_the_global_minimum_oracle_agrees_with_brute_force(self):
+        dim2 = lambda o: compute_conjugate_order(o) is not None
+        rng = random.Random(409)
+        positive = 0
+        for k in range(300):
+            o = random_height1(rng, 3, rng.randint(3, 4), rng.choice([0.35, 0.45, 0.55]))
+            if dim2(o) and k % 4:  # most are; a quarter of them is enough
+                continue
+            assert count_linear_extensions(o) == len(list(all_linear_extensions(o)))
+            best = min_false_comparabilities(o)
+            assert best == brute_min_extension(o, dim2)
+            positive += best > 0
+        assert positive >= 8
 
     def test_callable_strategy_and_name(self):
         def tiny(tg):

@@ -433,11 +433,14 @@ class TestConceptLattice:
                 return "{" + ",".join(sorted(ctx.objects[g] for g in extent)) + "}"
 
             extents = brute_concepts(ctx)
-            expected = {label(e): {label(f) for f in extents if e <= f} for e in extents}
+            above = {label(e): {label(f) for f in extents if e <= f} for e in extents}
+            below = {label(e): {label(f) for f in extents if f <= e} for e in extents}
             o = concept_lattice(ctx)
-            got = {o.ground.label(i): {o.ground.label(j) for j in range(o.n) if o.up[i] >> j & 1}
-                   for i in range(o.n)}
-            assert got == expected
+            o.validate()  # an order: the closing step alone makes it one
+            for masks, expected in ((o.up, above), (o.down, below)):
+                got = {o.ground.label(i): {o.ground.label(j) for j in range(o.n)
+                                           if masks[i] >> j & 1} for i in range(o.n)}
+                assert got == expected
 
 
 class TestReadOrder:
@@ -481,3 +484,45 @@ class TestReadOrder:
             except (ParseError, CycleError, ValueError):
                 continue
             assert read_order(text) == want
+
+
+# the characters that `str.splitlines` breaks lines at besides LF, CRLF and CR
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """Every reader ends a line at LF, CRLF or CR alone, and nowhere else."""
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+    def test_a_context_name_holding_any_other_separator_is_one_name(self, sep):
+        name = f"a{sep}b"
+        text = f"B\n\n2\n1\n\n{name}\nc\nx\nX\n.\n"
+        ctx = parse_cxt(text)
+        assert (ctx.objects, ctx.attributes, ctx.incidence) == \
+            ((name, "c"), ("x",), ((True,), (False,)))
+        assert read_order(text).ground.labels == ("{" + name + "}", "{" + name + ",c}")
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+    def test_in_order_text_any_other_separator_is_whitespace(self, sep):
+        # at a line break, the comment would end and `c < a` would count
+        text = f"elements:{sep}a b{sep}c\na{sep}<{sep}b{sep}# a note{sep}c < a\n"
+        want = parse_order_text("elements: a b c\na < b\n")
+        for got in (parse_order_text(text), read_order(text)):
+            assert (got.ground, got.up, got.down) == (want.ground, want.up, want.down)
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_a_lone_cr_read_as_lf(self, brk):
+        for parse, text in [
+                (parse_order_text, "# c\nelements: a b\n\na < b\nb < c\n"),
+                (parse_cxt, "B\n\n2\n2\n\na\nb\nx\ny\nX.\n.X\n"),
+                (parse_cxt, "B\n1\n1\n\nx\nX\n"),  # the blank line is a name
+                (read_order, "B\nname\n1\n2\n\no\np\nq\n.X\n")]:
+            for variant in (text, text.removesuffix("\n")):
+                assert parse(variant.replace("\n", brk)) == parse(variant)
+        for parse, text, line in [(parse_order_text, "a < b\n\nbad\n", 3),
+                                  (parse_cxt, "B\n1\n1\no\na\n?\n", 6),
+                                  (parse_cxt, "B\n2\n2\nonly\n", 4)]:
+            for variant in (text, text.replace("\n", brk)):
+                with pytest.raises(ParseError) as err:
+                    parse(variant)
+                assert err.value.line == line

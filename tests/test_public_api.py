@@ -91,6 +91,33 @@ def test_no_unused_import_in_the_package():
     assert unused == []
 
 
+def test_no_unread_private_name_in_the_package():
+    """Every module-level function, class or assignment of `src/orddraw`
+    whose name starts with a single `_` is read by some other top-level
+    statement of the package, so a private helper cannot outlive its last
+    caller."""
+    statements = [node for path in sorted(Path(orddraw.__file__).parent.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [{node.id for node in ast.walk(statement)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for statement in statements]
+    private, unread = [], []
+    for k, statement in enumerate(statements):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names = [statement.name]
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            names = [node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                private.append(name)
+                if not any(name in read for i, read in enumerate(reads) if i != k):
+                    unread.append(name)
+    assert private and unread == []
+
+
 def test_readme_quick_tour_runs(tmp_path, monkeypatch):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```",
