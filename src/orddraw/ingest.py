@@ -198,7 +198,8 @@ def concept_lattice(ctx: FormalContext) -> OrderRelation:
     the fold never holds more than twice MAX_CONCEPTS masks.  The rows of
     extent containment go through the step that closes every order of the
     package; containment is already closed, and distinct extents form no
-    cycle, so that step gives them back as `up`, with their transpose.
+    cycle, so that step's one sweep gives them back as `up` and builds
+    `down` beside them.
     """
     rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
     intents = {(1 << len(ctx.attributes)) - 1}

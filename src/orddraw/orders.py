@@ -7,8 +7,8 @@ so the set operations of the pipeline (incomparable pairs, inserting a
 pair, the conjugate test) are a few word operations per element.
 The builders (`build_order`, `linear_from_sequence` and the readers of
 `orddraw.ingest`) all hand their generator rows to one step,
-`_close_generators`, which closes the rows and their transpose and rejects
-cycles, so every order they build is a genuine order.  Elements are
+`_close_generators`, which closes the rows into both masks in one sweep and
+rejects cycles, so every order they build is a genuine order.  Elements are
 referred to by string label at the API surface and by dense integer id
 (position in the ground set) in the algorithmic code paths.
 """
@@ -90,14 +90,19 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-def transitive_closure(rows: Sequence[int]) -> list[int]:
+def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reflexive-transitive closure of a relation given by row masks (bit j
-    of rows[i]: i relates to j), as row masks.
+    of rows[i]: i relates to j), as `(up, down)`: the closure's row masks
+    and its column masks (bit i of down[j]: i relates to j).
 
-    An acyclic relation is closed in one sweep against a topological order
-    (Kahn's algorithm): each row is its own bit ORed with the closed rows of
-    its successors, about one OR per generator pair.  A relation with a
-    cycle falls back to Warshall's n^2 sweep, which closes any relation.
+    An acyclic relation is closed against one topological order (Kahn's
+    algorithm), with each row walked once: `down` is pushed forward while
+    the order is built (an element's column is complete once it is
+    reached, so it is ORed into each successor's), and `up` is closed in
+    reverse order (each row is its own bit ORed with the closed rows of
+    its successors).  That is about one OR per generator pair and
+    direction.  A relation with a cycle falls back to Warshall's n^2
+    sweep, which closes any relation, and its transpose.
     """
     n = len(rows)
     succ = [bits(row & ~(1 << i)) for i, row in enumerate(rows)]
@@ -106,26 +111,29 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
         for w in heads:
             indegree[w] += 1
     order = [v for v in range(n) if not indegree[v]]
+    down = [1 << v for v in range(n)]
     for v in order:  # grows while it is walked
+        col = down[v]
         for w in succ[v]:
+            down[w] |= col
             indegree[w] -= 1
             if not indegree[w]:
                 order.append(w)
     if len(order) == n:
-        closed = [0] * n
+        up = [0] * n
         for v in reversed(order):
             row = 1 << v
             for w in succ[v]:
-                row |= closed[w]
-            closed[v] = row
-        return closed
+                row |= up[w]
+            up[v] = row
+        return up, down
     closed = [row | 1 << i for i, row in enumerate(rows)]
     for k in range(n):
         bit, row_k = 1 << k, closed[k]
         for i in range(n):
             if closed[i] & bit:
                 closed[i] |= row_k
-    return closed
+    return closed, transpose(closed)
 
 
 def is_linear_order(rows: Sequence[int]) -> bool:
@@ -137,7 +145,8 @@ def is_linear_order(rows: Sequence[int]) -> bool:
     bit.  Checking that takes O(n log n) work and no closure.
     """
     above = 0
-    for i in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+    sizes = list(map(int.bit_count, rows))
+    for i in sorted(range(len(rows)), key=sizes.__getitem__):
         above |= 1 << i
         if rows[i] != above:
             return False
@@ -265,11 +274,11 @@ def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation
     generators[i]: a pair i < j; bit i of generators[i] adds nothing).
 
     Every builder that starts from generators returns through this step:
-    `up` is the closure of the rows and `down` the closure of their
-    transpose.  Raises CycleError with a witness cycle through the first
-    two elements, by id, that reach each other."""
+    one `transitive_closure` sweep, against one topological order, gives
+    both `up` and `down`.  Raises CycleError with a witness cycle through
+    the first two elements, by id, that reach each other."""
     n = len(ground)
-    up = transitive_closure(generators)
+    up, down = transitive_closure(generators)
     # in a closed relation two elements reach each other exactly when their
     # rows are equal, so n distinct rows mean no cycle
     if len(set(up)) < n:
@@ -279,7 +288,7 @@ def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation
         adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
         walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
         raise CycleError([ground.label(v) for v in walk])
-    return OrderRelation(ground, up, transitive_closure(transpose(generators)))
+    return OrderRelation(ground, up, down)
 
 
 def cover_relation(o: OrderRelation) -> frozenset[Pair]:
@@ -330,8 +339,8 @@ class LinearExtension:
             raise NotLinear("relation is not a linear order")
         self.order = order
         # rank = number of strictly smaller elements
-        n = order.n
-        self.ranks: tuple[int, ...] = tuple(n - row.bit_count() for row in order.up)
+        sizes = map(int.bit_count, order.up)
+        self.ranks: tuple[int, ...] = tuple(map(order.n.__sub__, sizes))
 
     def sequence(self) -> tuple[str, ...]:
         """Labels from bottom to top."""

@@ -39,7 +39,9 @@ that `tools/corpus_digest.py --seeds 0 1007` prints.
 
 import hashlib
 import importlib.util
+import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,27 @@ def test_benchmark_corpora_are_unchanged_at_seed_1007():
     lines = [line for workload in tool.corpus.WORKLOADS
              for line in tool.digest_lines(workload, 1007)]
     assert lines == CORPUS_DIGEST_1007, "the tool now prints:\n" + "\n".join(lines)
+
+
+def test_corpus_digest_stops_quietly_when_stdout_closes(monkeypatch):
+    # `corpus_digest.py | head -3`: the fourth line meets a closed pipe
+    tool = corpus_digest_tool()
+    drawn = []
+
+    def digest_lines(workload, seed):
+        drawn.append((workload, seed))
+        yield f"{workload} {seed}"
+
+    monkeypatch.setattr(tool, "digest_lines", digest_lines)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(BrokenPipeError):
+            print("unread", file=stdout, flush=True)
+        assert tool.main(["--seeds", "0", "1007"]) == 1
+        assert drawn == [(tool.corpus.WORKLOADS[0], 0)]
+        print("after the close", file=stdout, flush=True)  # to devnull now
 
 
 # the digest lines of `python tools/corpus_digest.py --seeds 0`; the search

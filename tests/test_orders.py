@@ -82,32 +82,37 @@ class TestClosure:
                 for j in range(n):
                     if i != j and rng.random() < 0.3:
                         raw[i, j] = True
-            assert transitive_closure(row_masks(raw)) == row_masks(naive_closure(raw))
+            closed = naive_closure(raw)
+            assert transitive_closure(row_masks(raw)) == (row_masks(closed),
+                                                          row_masks(closed.T))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(boolean_relations())
     def test_matches_warshall(self, raw):
         rows = row_masks(raw)
         before = list(rows)
-        got = transitive_closure(rows)
-        assert len(got) == len(raw) and all(type(row) is int for row in got)
-        assert got == row_masks(warshall_closure(raw))
+        up, down = transitive_closure(rows)
+        assert len(up) == len(down) == len(raw)
+        assert all(type(row) is int for row in up + down)
+        closed = warshall_closure(raw)
+        assert (up, down) == (row_masks(closed), row_masks(closed.T))
         assert rows == before
 
     def test_small_and_cyclic_relations(self):
-        assert transitive_closure([]) == []
-        assert transitive_closure([0]) == [1]
+        assert transitive_closure([]) == ([], [])
+        assert transitive_closure([0]) == ([1], [1])
         # a directed 5-cycle closes to the full relation
-        assert transitive_closure([1 << (i + 1) % 5 for i in range(5)]) == [31] * 5
+        assert transitive_closure([1 << (i + 1) % 5 for i in range(5)]) == ([31] * 5, [31] * 5)
         # a path of 130 arcs closes to every later element, across words
-        path = transitive_closure([1 << (i + 1) if i < 129 else 0 for i in range(130)])
-        assert path == [((1 << 130) - 1) & ~((1 << i) - 1) for i in range(130)]
+        up, down = transitive_closure([1 << (i + 1) if i < 129 else 0 for i in range(130)])
+        assert up == [((1 << 130) - 1) & ~((1 << i) - 1) for i in range(130)]
+        assert down == [(1 << (i + 1)) - 1 for i in range(130)]
 
     def test_idempotent(self):
         rng = random.Random(12)
         for _ in range(20):
             o = random_order(rng, rng.randint(1, 8))
-            assert transitive_closure(o.up) == list(o.up)
+            assert transitive_closure(o.up) == (list(o.up), list(o.down))
 
 
 class TestBuildOrder:

@@ -6,15 +6,17 @@ import tracemalloc
 import pytest
 
 from orddraw.cli import main
+from orddraw.engine import STRATEGIES, _insert
 from orddraw.errors import TooLarge
 from orddraw.ingest import FormalContext, concept_lattice, serialize_order
-from orddraw.orders import (antichain, bits, boolean_lattice, chain,
+from orddraw.orders import (antichain, bits, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, mask_of, standard_example)
 from orddraw.graphs import bfs_layers, is_bipartite_without, odd_cycles
 from orddraw import tig
 from orddraw.tig import MAX_TIG_VERTICES, build_tig
-from oracles import (build_tig_by_edge_list, first_odd_cycle, forced_coloring,
-                     has_cycle_with, incompatible, random_order)
+from oracles import (all_linear_extensions, build_tig_by_edge_list,
+                     first_odd_cycle, forced_coloring, has_cycle_with,
+                     incompatible, random_order, strict_pairs)
 
 
 class TestPairPredicates:
@@ -113,6 +115,68 @@ class TestBuildTig:
             assert tg.vertices == ref.vertices
             assert tg.graph.edges == ref.graph.edges
             assert tg.graph.masks == ref.graph.masks
+
+
+def assert_matches_the_edge_list_build(o):
+    tg, ref = build_tig(o), build_tig_by_edge_list(o)
+    assert tg.vertices == ref.vertices
+    assert tg.graph.masks == ref.graph.masks
+
+
+def relabelled(o, ids):
+    """o with element ids[k] of the input as element k of the result."""
+    labels = [o.ground.label(v) for v in ids]
+    return build_order(labels, [(o.ground.label(a), o.ground.label(b))
+                                for a, b in strict_pairs(o)])
+
+
+class TestFoldSweep:
+    """build_tig's UF and DS folds sweep by up-set and down-set size, not by
+    id, so they must hold however the ids run against the order."""
+
+    def test_ids_along_every_linear_extension(self):
+        # ids running top-down along an extension put every element's
+        # down-set at higher ids, bottom-up ones its up-set: a fold that
+        # swept in id order would read unfinished rows one way or the other
+        rng = random.Random(181)
+        orders = [standard_example(3), boolean_lattice(2), grid(2, 3)]
+        orders += [random_order(rng, rng.randint(3, 6)) for _ in range(12)]
+        checked = 0
+        for o in orders:
+            for ext in all_linear_extensions(o, limit=40):
+                bottom_up = [o.ground.id(label) for label in ext.sequence()]
+                for ids in (bottom_up[::-1], bottom_up):
+                    assert_matches_the_edge_list_build(relabelled(o, ids))
+                    checked += 1
+        assert checked > 300
+
+    def test_extended_orders_of_a_first_pass(self):
+        # the orders a drawing's later passes build their tigs on: random
+        # orders of dimension 3 or more, extended by the reversals of the
+        # pairs a first anneal pass removes
+        rng = random.Random(191)
+        extended = 0
+        for _ in range(300):
+            o = random_order(rng, rng.randint(8, 16), rng.choice([0.1, 0.2, 0.3]))
+            tg = build_tig(o)
+            removed = STRATEGIES["anneal"](tg).removed
+            if not removed:
+                continue
+            reversal = frozenset((b, a) for a, b in (tg.vertices[v] for v in removed))
+            current, kept, _ = _insert(o, reversal)
+            assert kept
+            assert_matches_the_edge_list_build(current)
+            extended += 1
+            if extended == 30:
+                break
+        assert extended == 30
+
+    def test_masks_wider_than_one_word(self):
+        rng = random.Random(197)
+        for _ in range(6):
+            o = random_order(rng, rng.randint(65, 70), rng.choice([0.15, 0.3]))
+            assert o.n > 64
+            assert_matches_the_edge_list_build(o)
 
 
 def sides(tg):

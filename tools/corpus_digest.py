@@ -18,13 +18,16 @@ searches).  They come from a second, undigested run of the extension
 alone on the orders `orddraw.ingest.read_order` reads, through a
 callable strategy that runs `sat` and records its stats, so a change
 that must keep the search prints the same totals too.  The package and
-the corpus are imported from the checkout that holds this file.
+the corpus are imported from the checkout that holds this file.  A reader
+that closes the pipe early (`| head -3`) ends the run: the tool stops
+drawing and exits with status 1, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -84,10 +87,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1007],
                         help="corpus seeds (default: 0 1007)")
     ns = parser.parse_args(argv)
-    for workload in corpus.WORKLOADS:
-        for seed in ns.seeds:
-            for line in digest_lines(workload, seed):
-                print(line, flush=True)
+    try:
+        for workload in corpus.WORKLOADS:
+            for seed in ns.seeds:
+                for line in digest_lines(workload, seed):
+                    print(line, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -3` does): stop, and point
+        # stdout at devnull so that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
