@@ -6,10 +6,10 @@ the whole graph, by branching on the vertices of an odd cycle.  The
 search starts from the larger of two lower bounds, a greedy count of
 vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
 cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
-there.  A node's count stops one cycle past its budget, and that last
-step only asks whether an odd cycle is left, with no cycle worked out.
-It lists minimum removal sets in a fixed order and the caller may
-pick among them.  encode_oct builds the CNF reduction for a backend that
+there.  A node's count stops one cycle past its budget, and each cycle
+is the first that `graphs.odd_cycles` reads off the BFS layers.  It
+lists minimum removal sets in a fixed order and the caller may pick
+among them.  encode_oct builds the CNF reduction for a backend that
 the caller runs through sat.solve_cnf.  One heuristic, oct_anneal, trades
 optimality for speed: it improves a 2-colouring by local search, covers
 the edges left monochromatic and peels the cover to inclusion-minimality.
@@ -129,31 +129,17 @@ def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
-    is the first cycle of `odd_cycles` for g minus `removed`, and each
-    later one is that cycle for g minus the cycles before it too.
-
-    The step that would find cycle limit + 1 is the last: only whether an
-    odd cycle is left matters there (the caller reads the count, and the
-    first cycle only when the count is at most `limit`), so it asks
-    `bfs_layers` whether a layer holds an edge and lists the empty tuple in
-    the cycle's place.  `known` maps each vertex mask already tried to the
-    first cycle of `odd_cycles` for g minus it, or to None when none is
-    left: the search meets the same sets again, at other nodes and at each
-    larger k.
-    A last step that finds a cycle left stores nothing, so every stored
-    cycle is a real one.  The other steps take the first cycle of
-    `graphs.odd_cycles`, which keeps its own BFS parents."""
+    is the first cycle of `graphs.odd_cycles` for g minus `removed`, and
+    each later one is that cycle for g minus the cycles before it too.
+    `known` maps each vertex mask already tried to that first cycle, or to
+    None when none is left: the search meets the same sets again, at other
+    nodes and at each larger k."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
-        if gone in known:
-            cycle = known[gone]
-        elif len(cycles) < limit:
-            cycle = known[gone] = next(odd_cycles(g, gone), None)
-        elif any(clash for _, _, clash in bfs_layers(g, gone)):
-            cycle = ()
-        else:
-            cycle = known[gone] = None
+        if gone not in known:
+            known[gone] = next(odd_cycles(g, gone), None)
+        cycle = known[gone]
         if cycle is None:
             break
         cycles.append(cycle)
@@ -202,11 +188,10 @@ class TransversalSearch:
     removes a vertex set and branches on the vertices of one odd cycle of
     the rest, the first of `graphs.odd_cycles`, since every transversal
     contains one of them; it fails when more disjoint odd cycles remain
-    than its budget; the count's last step only tests whether an odd cycle
-    is left (see _disjoint_odd_cycles).  A node already searched at the
-    current k is not searched again: before the first set this skips
-    exactly the nodes that failed, and after it a repeat could only yield
-    sets already yielded.  The first k that yields anything is the block's
+    than its budget (see _disjoint_odd_cycles).  A node already searched
+    at the current k is not searched again: before the first set this
+    skips exactly the nodes that failed, and after it a repeat could only
+    yield sets already yielded.  The first k that yields anything is the block's
     minimum, and the block's sets come in depth-first order.  Vertex sets
     are held as masks while the search runs.  The sets of g are unions of
     one set per block, in product order.
@@ -347,10 +332,10 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
     monochromatic edges of a 2-colouring found by local search.
 
     It starts from the breadth-first colouring of `bfs_layers`, each vertex
-    coloured with its layer's parity, which is the colouring `odd_cycles`
-    walks.  Sweeps in ascending vertex order move each vertex with more
-    neighbours on its side than on the other, until a sweep moves none
-    (each move loses monochromatic edges, so the descent ends).  A sweep
+    coloured with its layer's parity.  Sweeps in ascending vertex order
+    move each vertex with more neighbours on its side than on the other,
+    until a sweep moves none (each move loses monochromatic edges, so the
+    descent ends).  A sweep
     checks only the vertices that are due, those with a neighbour moved
     since their last check: a vertex checked and left, or just moved, has
     fewer than half its neighbours on its side until a neighbour moves, so

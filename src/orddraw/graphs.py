@@ -1,24 +1,19 @@
 """Undirected simple graphs, their BFS two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
-over them.  Two breadth-first searches colour a graph minus a vertex set,
-each advancing a whole layer per step, and a vertex's colour is its
-layer's parity.  `bfs_layers` only colours: the next layer is the OR of
-the layer's neighbour masks, read a byte of the layer at a time, less the
-vertices already seen, and each layer comes with its clash mask, the
-vertices of the layer on an edge inside it.  It serves
-`is_bipartite_without`, the last steps of the exact search's cycle
-counts, which only ask whether an odd cycle is left, and, in
-`bipartization`, the start of `oct_anneal`'s local search (its colouring
-and its first due vertices) and the component masks that
-`peel_to_minimal` starts from.  `odd_cycles` walks each
-layer vertex by vertex in queue order, keeps the BFS parents of the
-vertices it reaches, and yields the tree cycle of each edge inside a
-layer as it meets it from either end: it serves `odd_cycle_census` (each
-edge's cycle once) and the exact search, which takes its first cycle.
-Both searches start each component at its lowest kept vertex, so they
-walk the same layers.  `odd_blocks` finds the non-bipartite blocks
-between the bridges in one depth-first search on masks.
+over them.  One breadth-first search, `bfs_layers`, colours a graph minus
+a vertex set a whole layer per step, and a vertex's colour is its layer's
+parity: the next layer is the OR of the layer's neighbour masks, read a
+byte of the layer at a time, less the vertices already seen, and each
+layer comes with its clash mask, the vertices of the layer on an edge
+inside it.  It serves `is_bipartite_without` and, in `bipartization`, the
+start of `oct_anneal`'s local search (its colouring and its first due
+vertices) and the component masks that `peel_to_minimal` starts from.
+`odd_cycles` reads an odd cycle off those layers for each edge inside a
+layer, climbing from both ends to their lowest neighbours one layer up:
+it serves `odd_cycle_census` and the exact search, which takes its first
+cycle.  `odd_blocks` finds the non-bipartite blocks between the bridges
+in one depth-first search on masks.
 """
 
 from __future__ import annotations
@@ -148,68 +143,6 @@ def odd_blocks(g: SimpleGraph) -> list[int]:
     return sorted(blocks, key=lambda block: block & -block)
 
 
-def _tree_cycle(parent: dict[int, int], u: int, w: int) -> tuple[int, ...]:
-    """The odd closed walk of a monochromatic BFS edge (u, w): both ends
-    lie in one layer, so it climbs from both in lockstep to their common
-    ancestor and comes back down w's side."""
-    up, down = [u], [w]
-    while u != w:
-        u, w = parent[u], parent[w]
-        up.append(u)
-        down.append(w)
-    # up ends at the common ancestor; down's copy of it is dropped
-    return tuple(up + down[-2::-1])
-
-
-def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
-    """The BFS-tree cycles of the monochromatic edges of the BFS
-    2-colouring of g minus the vertices in the mask `gone`, in the order
-    the per-vertex search meets the edges: by u in queue order, then w
-    ascending, so each edge comes once from each end.  The cycle of (u, w)
-    runs from u up to the ends' common ancestor and down to w, an odd
-    closed walk with no repeated endpoint; from w's end it comes reversed.
-
-    The search walks one layer per step, its vertices in queue order; the
-    next layer is their undiscovered neighbours, each the child of the
-    first of them it is next to.  Under the colouring by layer parity only
-    a vertex's own layer shares its colour among its neighbours, and the
-    layer is complete before any of its vertices is walked, so u's
-    monochromatic edges are its neighbour mask AND its layer's mask.  When
-    an edge is met, the parents of both ends and of their ancestors are
-    final, so its tree cycle is fixed.  The parents live in a dict that
-    holds only the vertices reached, so a call costs the vertices it
-    colours, not a list as long as g; a step costs two ANDs per vertex of
-    the layer and a step per newly reached vertex, not a step per edge.
-    """
-    masks = g.masks
-    unseen = ((1 << g.n) - 1) & ~gone
-    parent: dict[int, int] = {}
-    while unseen:
-        layer = unseen & -unseen
-        unseen ^= layer
-        queue = [layer.bit_length() - 1]
-        while queue:
-            after, reach = [], 0
-            for u in queue:
-                nbrs = masks[u]
-                clash = nbrs & layer
-                while clash:
-                    low = clash & -clash
-                    clash ^= low
-                    yield _tree_cycle(parent, u, low.bit_length() - 1)
-                new = nbrs & unseen
-                if new:
-                    unseen ^= new
-                    reach |= new
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        w = low.bit_length() - 1
-                        parent[w] = u
-                        after.append(w)
-            queue, layer = after, reach
-
-
 def _bit_offsets() -> tuple[tuple[int, ...], ...]:
     """The positions of the set bits of each byte value, lowest first.  The
     entries of the values below 2 ** (bit + 1) are those below 2 ** bit,
@@ -229,19 +162,20 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
 
     Each component starts at its lowest kept vertex, which alone is its
     layer at depth 0; the next layer is the OR of the current layer's
-    neighbour masks less the vertices seen so far.  Colouring each vertex
-    with its layer's parity is the colouring `odd_cycles` walks,
-    since a vertex's layer is its distance from the start.  An edge joins
-    two vertices of one layer or of adjacent layers, so a kept vertex's
-    neighbours of its own colour are those in its own layer, and the clash
-    mask, the layer AND the OR of its neighbour masks, holds the vertices
-    of the layer on a monochromatic edge: the colouring has one exactly
-    when some clash mask is not 0.  A layer of one vertex reads that
-    vertex's mask.  A wider layer is walked a byte at a time: its bytes
-    come from `int.to_bytes`, `itertools.compress` skips the zero bytes in
-    C, and a 256-entry table gives the set bits of each other byte.  So a
-    step costs an OR per vertex of the layer, not a step per edge, and no
-    operation as wide as g per vertex of the layer.
+    neighbour masks less the vertices seen so far, so a vertex's layer is
+    its distance from the start, and each vertex is coloured with its
+    layer's parity.  An edge joins two vertices of one layer or of adjacent
+    layers, so a kept vertex's neighbours of its own colour are those in
+    its own layer, and the clash mask, the layer AND the OR of its
+    neighbour masks, holds the vertices of the layer on a monochromatic
+    edge: the colouring has one exactly when some clash mask is not 0, and
+    `odd_cycles` reads an odd cycle off the layers for each such edge.  A
+    layer of one vertex reads that vertex's mask.  A wider layer is walked
+    a byte at a time: its bytes come from `int.to_bytes`,
+    `itertools.compress` skips the zero bytes in C, and a 256-entry table
+    gives the set bits of each other byte.  So a step costs an OR per
+    vertex of the layer, not a step per edge, and no operation as wide as
+    g per vertex of the layer.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
@@ -265,6 +199,44 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
             depth += 1
 
 
+def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
+    """One odd cycle per edge inside a layer of `bfs_layers` for g minus
+    the vertices in the mask `gone`, in the order of the layers, then of
+    the edge's lower end u, then of its upper end w; each edge comes once.
+
+    Both ends lie in one layer, so the cycle steps up from both in
+    lockstep, each to its lowest neighbour in the layer above, until the
+    two meet: it runs from u up to the meeting vertex and down to w, an
+    odd cycle with no repeated vertex.  Every vertex below depth 0 has a
+    neighbour in the layer above, so a step is one AND and a lowest bit.
+    The layers of the current component are kept, so a cycle costs a
+    step per layer it climbs, and the first one costs the layers up to
+    the first that clashes.
+    """
+    masks = g.masks
+    for depth, layer, clash in bfs_layers(g, gone):
+        if not depth:
+            layers = []
+        layers.append(layer)
+        while clash:
+            low = clash & -clash
+            clash ^= low
+            u = low.bit_length() - 1
+            ends = masks[u] & layer & -(low << 1)  # u's neighbours above it in the layer
+            while ends:
+                high = ends & -ends
+                ends ^= high
+                up, down, above = [u], [high.bit_length() - 1], depth
+                while up[-1] != down[-1]:
+                    above -= 1
+                    a = masks[up[-1]] & layers[above]
+                    b = masks[down[-1]] & layers[above]
+                    up.append((a & -a).bit_length() - 1)
+                    down.append((b & -b).bit_length() - 1)
+                # up ends at the meeting vertex; down's copy of it is dropped
+                yield tuple(up + down[-2::-1])
+
+
 def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
     """Whether g minus `removed` is bipartite: every clash mask of
     `bfs_layers` is 0, so no BFS layer holds an edge."""
@@ -278,12 +250,11 @@ def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
     No strategy calls it; the benchmark's tracer hooks it in bipartization.
 
     Every monochromatic edge under the BFS colouring that pushes past
-    conflicts contributes its BFS-tree cycle from `odd_cycles`.  Returns
-    None when the remainder is bipartite.
+    conflicts contributes its cycle from `odd_cycles`, which yields each
+    such edge once.  Returns None when the remainder is bipartite.
     """
     counts: dict[int, int] = {}
     for cycle in odd_cycles(g, mask_of(removed)):
-        if cycle[0] < cycle[-1]:  # each edge once
-            for x in cycle:
-                counts[x] = counts.get(x, 0) + 1
+        for x in cycle:
+            counts[x] = counts.get(x, 0) + 1
     return counts or None

@@ -707,31 +707,33 @@ def reference_transversals(g):
             itertools.islice(itertools.product(*per_block), MAX_TRANSVERSALS)]
 
 
-def forced_coloring(g, removed=(), visits=None):
-    """(colors, parent, depth) of a BFS colouring of g minus `removed` that
-    pushes past conflicts: every kept vertex gets a 0/1 colour from its BFS
-    tree, removed vertices stay None, monochromatic edges are left as they
-    fall.  A `visits` list receives the vertices in dequeue order."""
+def kept_graph(g, removed=()):
+    """g minus `removed` as a networkx graph on the kept vertex ids."""
     gone = set(removed)
+    kept = nx.Graph()
+    kept.add_nodes_from(v for v in range(g.n) if v not in gone)
+    kept.add_edges_from((u, v) for u, v in g.edges if u not in gone and v not in gone)
+    return kept
+
+
+def forced_coloring(g, removed=()):
+    """(colors, parent, depth) of a BFS colouring of g minus `removed` that
+    pushes past conflicts, read off networkx distances: each component is
+    measured from its lowest kept vertex, a kept vertex's depth is its
+    distance and its colour the distance's parity, and its parent is its
+    lowest neighbour one step closer (-1 at the start).  Removed vertices
+    stay None; monochromatic edges are left as they fall."""
+    kept = kept_graph(g, removed)
     color = [None] * g.n
     parent = [-1] * g.n
     depth = [0] * g.n
-    for start in range(g.n):
-        if start in gone or color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if visits is not None:
-                visits.append(u)
-            for w in bits(g.masks[u]):
-                if w in gone or color[w] is not None:
-                    continue
-                color[w] = 1 - color[u]
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                queue.append(w)
+    for component in nx.connected_components(kept):
+        distances = nx.single_source_shortest_path_length(kept, min(component))
+        for v, d in distances.items():
+            color[v], depth[v] = d & 1, d
+    for v in kept:
+        if depth[v]:
+            parent[v] = min(w for w in kept[v] if depth[w] == depth[v] - 1)
     return color, parent, depth
 
 
@@ -750,37 +752,27 @@ def tree_cycle(parent, depth, u, w):
     return tuple(up + down[-2::-1])
 
 
-def first_odd_cycle(g, removed=()):
-    """The odd closed walk a plain BFS 2-colouring of g minus `removed`
-    meets first, or None when that graph is bipartite.
+def odd_cycles_by_distance(g, removed=()):
+    """The odd cycles of g minus `removed` that odd_cycles yields, in its
+    order: one per kept edge whose ends lie at one depth of forced_coloring,
+    its tree cycle from the lower end, ordered by the lowest vertex of the
+    component, then the depth, then the lower end, then the upper end."""
+    color, parent, depth = forced_coloring(g, removed)
+    root = list(range(g.n))
+    for v in sorted(range(g.n), key=depth.__getitem__):
+        if parent[v] >= 0:
+            root[v] = root[parent[v]]
+    clashes = sorted((root[u], depth[u], u, w) for u, w in g.edges
+                     if color[u] is not None and color[u] == color[w])
+    return [tree_cycle(parent, depth, u, w) for _, _, u, w in clashes]
 
-    Each component starts at its lowest kept vertex; a deque gives the
-    dequeue order, and each dequeued vertex u takes its neighbours in
-    ascending order.  The first neighbour already coloured like u closes
-    the walk, the tree cycle of that edge in the queue-order BFS tree.
-    """
-    gone = set(removed)
-    color = [None] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for start in range(g.n):
-        if start in gone or color[start] is not None:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in bits(g.masks[u]):
-                if w in gone:
-                    continue
-                if color[w] is None:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return tree_cycle(parent, depth, u, w)
-    return None
+
+def first_odd_cycle(g, removed=()):
+    """The first cycle of odd_cycles_by_distance, None when g minus
+    `removed` is bipartite: the lowest clash vertex u of the first layer
+    that holds an edge and u's lowest neighbour in that layer, each
+    climbing to its lowest neighbour one layer up until the two meet."""
+    return next(iter(odd_cycles_by_distance(g, removed)), None)
 
 
 def odd_cycle_census_after_coloring(g, removed=()):

@@ -47,30 +47,22 @@ x7 < x9
 x8 < x9
 """
 
-# random_order(n=15)#18 of the same corpus at seed 1007: the first of the 4
-# minimum sets of its tig leaves an order that needs a second pass
+# random_order(n=11)#21 of the same corpus at seed 1007: the first of the
+# 14 minimum sets of its tig leaves an order that needs a second pass
 SECOND_PASS_ORDER = """\
-elements: x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14
-x0 < x1
-x10 < x14
-x10 < x8
-x11 < x8
-x11 < x9
-x12 < x10
-x12 < x4
-x13 < x1
-x13 < x11
-x2 < x13
-x3 < x10
-x3 < x7
-x4 < x11
-x4 < x6
-x5 < x13
-x5 < x4
-x6 < x0
-x7 < x1
-x7 < x11
-x9 < x14
+elements: x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10
+x0 < x5
+x0 < x7
+x1 < x10
+x2 < x1
+x3 < x5
+x4 < x3
+x4 < x8
+x6 < x1
+x6 < x4
+x7 < x10
+x9 < x10
+x9 < x3
 """
 
 
@@ -300,7 +292,7 @@ class TestMultiPass:
         o = parse_order_text(SECOND_PASS_ORDER)
         first = two_dimension_extension(
             o, strategy=lambda tg: min_oct_exact(tg.graph))
-        assert [len(r) for r in first.per_pass_removed] == [3, 1]
+        assert [len(r) for r in first.per_pass_removed] == [3, 2]
         tr = two_dimension_extension(o, strategy="sat")
         assert tr.passes == 1 and len(tr.inserted) == 3
         assert_valid_trace(o, tr)

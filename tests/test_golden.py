@@ -2,9 +2,14 @@
 
 The digests were recorded before the integer collinearity detector and the
 set-based orientation replaced their predecessors, and the exact-path ones
-(`*_sat`) before the branch search replaced the growing-k SAT loop; only
-`random_order_12_sat` was re-recorded since, when the removal set stopped
-coming from a SAT call (see its case).  The strategies pinned are `sat`
+(`*_sat`) before the branch search replaced the growing-k SAT loop;
+`random_order_12_sat` was re-recorded when the removal set stopped coming
+from a SAT call (see its case).  `boolean_lattice_3_sat`,
+`boolean_lattice_4_sat` and `random_order_12_sat` were re-recorded, in
+both their SVG/JSON and their TikZ/dot digests, when the search began to
+branch on the odd cycles of `graphs.odd_cycles` read off the BFS layers:
+each inserts another minimum set, with the same false comparabilities
+(1, 11 and 3) in one pass.  The strategies pinned are `sat`
 (the `*_sat` cases) and `anneal` (five), named after the strategy, plus
 the two-dimensional path, which calls no strategy.  The five `anneal`
 digests were recorded when the local search with a greedy conflict cover
@@ -99,10 +104,9 @@ CASES = {
     # disjoint-cycle bound alone started at k = 3 and searched five rounds
     # that found nothing
     "standard_example_10_sat": lambda: compute_coordinates(standard_example(10), strategy="sat"),
-    # one pass, k = 3 on a tig of 68 vertices and 156 edges; re-recorded when
-    # the branch search replaced the SAT call: it inserts another minimum
-    # set, x10 < x1, x3 < x1, x7 < x5 instead of x10 < x1, x10 < x7,
-    # x11 < x3, still with 3 false comparabilities
+    # one pass, k = 3 on a tig of 68 vertices and 156 edges; it now inserts
+    # x10 < x1, x7 < x5, x9 < x3 (x10 < x1, x3 < x1, x7 < x5 before the
+    # search read its cycles off the BFS layers), 3 false comparabilities
     "random_order_12_sat":
         lambda: compute_coordinates(random_order(random.Random(18), 12, 0.3), strategy="sat"),
     # k = 11 on a tig of 110 vertices: the headline exact input
@@ -133,9 +137,9 @@ GOLDEN = {
     "blocked_two_dimensional_120_sat":
         "8daa0bba63336a18b1e4d573db15205123d5da9b711a8d8d0de92f04a6db24b2",
     "boolean_lattice_3_sat":
-        "ae55a684fcdac2536f4305db1040f36076997d6c738ce2647a7ec6c8394d161e",
+        "d497ae6f65d9004bd395a02746e53c5bdac74317887acadb2e653c5aba783890",
     "boolean_lattice_4_sat":
-        "f957ff93491542ad64e382aee325cfab761e9208b32007dc29aa9ec963c5bffc",
+        "fed435fe9a8a794d52a659ffc16f75a1b53a5a36659662a8f7df9aa0d0fa2b5a",
     "doctored_chain_perturbed":
         "1a9b3cbd724fba4114c29149651aa2d3dbcad1943cbd5a749dba680bfd6b18a3",
     "grid_8x8_lattice_flipped_anneal":
@@ -153,7 +157,7 @@ GOLDEN = {
     "random_order_30b_anneal":
         "1fe71de0d4bef3cd1b7d3bf7c6fb0e194b3123986c94b03b362e5f3ba92cd7ce",
     "random_order_12_sat":
-        "f9d2dc488055a1bbe38ab992d059b9d71a29de8ebfccf2bf3f8440f6947c3142",
+        "8ab0313a4d0730f3701ca954f4910c98da3c074083de61769d6913e363ee0a9a",
     "random_order_130_anneal":
         "b111539205c4250bc686b29e6a1df773b0bb0967d0a76dcbb4a135be23d757ad",
     "standard_example_4_sat":
@@ -182,9 +186,9 @@ GOLDEN_TIKZ_DOT = {
     "blocked_two_dimensional_120_sat":
         "a6d0a81c0af0ba3d3ebdea92115ceb5957d6e0eb39b0dabe902d9211b1d34e8e",
     "boolean_lattice_3_sat":
-        "4b7f32381b2576d32dc8db0a37fd7fbbcc0242e12871ec3cd1073eb3c333664a",
+        "8fb7b425c7b2efeaa53d251f3e1a6726cf6bb64a66f5b42864f2c794ed2e28e8",
     "boolean_lattice_4_sat":
-        "a5698918401236c39ccf5b6b0619f667990767292c1cdcf80632ab9b1b9f7ba3",
+        "65f90a5743ed251cfb8b1fdf9fd274e8d6d28aa7b7b5f1fd3992156aafb573d4",
     "doctored_chain_perturbed":
         "c465b54f37d15191f2267fd34d4e954682c597936c7ddd85e4c7bd616a2cbbf7",
     "grid_10x10":
@@ -198,7 +202,7 @@ GOLDEN_TIKZ_DOT = {
     "random_order_10_anneal_perturbed":
         "583c65f243b4bdfa43ff6c081ffb4f8a1de07120b42ccabf7abd268da3b7ba20",
     "random_order_12_sat":
-        "72d225fdc910113a8958d84770037d3cf1ef5f0ad3b2e3a9aeb254ffc2aa5a25",
+        "b38e908d26ccebae39170dd054b47ab05bc5eee8aa377bde8813965f5622fae7",
     "random_order_130_anneal":
         "6786dd9728f32ea115ecba8eed1dba022771466ef818c8ff2311a7bf3e9c0e91",
     "random_order_30_anneal":
@@ -223,10 +227,11 @@ def test_tikz_and_dot_bytes_are_unchanged(name):
 # `python tools/corpus_digest.py --seeds 1007`, recorded when the input
 # reader started telling formats apart by content; the `heuristic` line at
 # both seeds was re-recorded when the local search began to sweep in
-# ascending order
+# ascending order, and the `exact` lines at both seeds when the exact
+# search began to read its odd cycles off the BFS layers
 CORPUS_DIGEST_1007 = [
-    "exact 1007 59 6f5549d6c911c1482202a106242b6459e700b99ef38c988cf089777d1f5962a3",
-    "exact 1007 search k=201 lower_bound=178 branch_nodes=1236 examined=60",
+    "exact 1007 59 c8a8a360934a510a0d4b1a44f642e6b459f78cfcbd4c6853e27828a31423130c",
+    "exact 1007 search k=201 lower_bound=182 branch_nodes=903 examined=60",
     "heuristic 1007 52 92dce5a67cf9da442e13dd2b614e85ca01440270adfb4da1d339233859ed47f8",
     "two_dim 1007 64 f70b9679dc691270847ac9ecc6b107ecb66524f359d4067477763ee7959e71db",
 ]
@@ -271,7 +276,7 @@ def test_corpus_digest_stops_quietly_when_stdout_closes(monkeypatch):
 # the digest lines of `python tools/corpus_digest.py --seeds 0`; the search
 # line is pinned by the next test
 CORPUS_DIGEST_0 = [
-    "exact 0 59 265db3979e1c18f7e4712d422521631a0d028a8f8002f37d5f8aeefb2426baf6",
+    "exact 0 59 3497664c331939870f331374c1528706eb5548f2d12335a63ac35081e7682245",
     "heuristic 0 52 ce934bb575346ec6b8395cb21421078864e3a76594cf57d0667b81be774b8816",
     "two_dim 0 64 b0dc3d99c99c6b25bfe5ea220cae62e0e8c5830870b4b400190858171f15829a",
 ]
@@ -287,4 +292,4 @@ def test_benchmark_corpora_are_unchanged_at_seed_0():
 def test_exact_search_figures_are_unchanged_at_seed_0():
     # the search line of `python tools/corpus_digest.py --seeds 0`
     totals = corpus_digest_tool().search_totals("exact", 0)
-    assert totals == {"k": 201, "lower_bound": 178, "branch_nodes": 1047, "examined": 59}
+    assert totals == {"k": 201, "lower_bound": 179, "branch_nodes": 1071, "examined": 59}

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from orddraw.graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
                             odd_cycle_census, odd_cycles)
 from orddraw.ingest import read_order
-from orddraw.orders import bits
+from orddraw.orders import bits, mask_of
 from orddraw.tig import build_tig
 from oracles import (bipartite_without, first_odd_cycle, forced_coloring,
-                     graph_from_edges, monochromatic_edges,
-                     odd_cycle_census_after_coloring, row_masks, tree_cycle)
+                     graph_from_edges, kept_graph, monochromatic_edges,
+                     odd_cycle_census_after_coloring, odd_cycles_by_distance, row_masks,
+                     tree_cycle)
 
 
 def cycle_graph(k):
@@ -271,32 +272,28 @@ def random_removed(rng, g):
 
 
 class TestOddCycles:
-    def test_yields_each_monochromatic_edge_from_both_ends(self):
-        """One cycle per end of each monochromatic edge of the forced
-        colouring, in dequeue order and then neighbour order; each is the
-        edge's tree cycle in the oracle's BFS tree, from that end."""
+    def test_yields_each_clash_edge_once_from_its_lower_end(self):
+        """One cycle per monochromatic edge of the forced colouring, from
+        its lower end, in the oracle's order (component, depth, lower end,
+        upper end); each is the edge's tree cycle in the oracle's BFS tree
+        of lowest parents."""
         rng = random.Random(37)
         met_some = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
             removed = random_removed(rng, g)
             cycles = list(odd_cycles(g, sum(1 << v for v in removed)))
-            visits = []
-            color, parent, depth = forced_coloring(g, removed, visits)
+            color = forced_coloring(g, removed)[0]
             mono = [(u, v) for u, v in g.edges
                     if color[u] is not None and color[u] == color[v]]
-            ends = [(cycle[0], cycle[-1]) for cycle in cycles]
-            assert sorted(ends) == sorted(mono + [(v, u) for u, v in mono])
-            assert ends == [(u, w) for u in visits for w in bits(g.masks[u])
-                            if w not in removed and color[w] == color[u]]
-            assert cycles == [tree_cycle(parent, depth, u, w) for u, w in ends]
+            assert sorted((cycle[0], cycle[-1]) for cycle in cycles) == mono
+            assert cycles == odd_cycles_by_distance(g, removed)
             met_some += bool(cycles)
         assert met_some > 100
 
     def test_matches_the_oracles_on_random_graphs(self):
-        """The first cycle of odd_cycles is the tree cycle of the first
-        monochromatic edge of the BFS (dequeue order, then neighbour order),
-        with no edge the layers of bfs_layers colour the graph; the census
+        """The first cycle of odd_cycles is the oracle's first odd cycle,
+        with none the layers of bfs_layers colour the graph; the census
         equals the one read off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
@@ -304,17 +301,31 @@ class TestOddCycles:
             g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
             removed = random_removed(rng, g)
             assert odd_cycle_census(g, removed) == odd_cycle_census_after_coloring(g, removed)
-            visits = []
-            ref, parent, depth = forced_coloring(g, removed, visits)
-            first = next(((u, w) for u in visits for w in bits(g.masks[u])
-                          if w not in removed and ref[w] == ref[u]), None)
             cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
-            if first is None:
-                assert cycle is None and layer_colours(g, removed) == ref
+            assert cycle == first_odd_cycle(g, removed)
+            if cycle is None:
+                assert layer_colours(g, removed) == forced_coloring(g, removed)[0]
             else:
                 odd += 1
-                assert cycle == tree_cycle(parent, depth, *first)
         assert odd > 500
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(symmetric_matrices(), st.integers(0, 2 ** 60 - 1))
+    def test_cycles_are_odd_kept_and_one_per_clash_edge(self, adj, gone):
+        """Each cycle is an odd closed walk with no repeated vertex over
+        the kept vertices, its ends the two ends of a clash edge; each
+        clash edge comes once; and there is none exactly when the kept
+        graph is bipartite."""
+        g = SimpleGraph(row_masks(adj))
+        gone &= (1 << g.n) - 1
+        cycles = list(odd_cycles(g, gone))
+        for cycle in cycles:
+            assert is_odd_closed_walk(g, cycle)
+            assert len(set(cycle)) == len(cycle) and not mask_of(cycle) & gone
+        color = forced_coloring(g, bits(gone))[0]
+        clashes = [(u, w) for u, w in g.edges if color[u] is not None and color[u] == color[w]]
+        assert sorted((cycle[0], cycle[-1]) for cycle in cycles) == clashes
+        assert (not cycles) == is_bipartite_without(g, bits(gone))
 
 
 class TestOnTheExactCorpus:
@@ -343,7 +354,7 @@ class TestOnTheExactCorpus:
 
 class TestFirstOddCycle:
     """The first cycle of odd_cycles, as the exact search reads it,
-    against the deque BFS of the oracle."""
+    against the oracle built from networkx distances."""
 
     @staticmethod
     def check(g, removed):
@@ -395,7 +406,7 @@ def path_graph(k):
 
 
 class TestBfsLayers:
-    """The layer-per-step colouring against the per-vertex BFS oracle."""
+    """The layer-per-step colouring against the networkx-distance oracle."""
 
     @staticmethod
     def check(g, removed):
@@ -424,10 +435,8 @@ class TestBfsLayers:
         assert [depth[v] for v in range(g.n) if v not in removed] \
             == [ref_depth[v] for v in range(g.n) if v not in removed]
         assert clash == (monochromatic_edges(g, ref) > 0)
-        kept = nx.Graph()
-        kept.add_nodes_from(v for v in range(g.n) if v not in removed)
-        kept.add_edges_from((u, v) for u, v in g.edges if u not in removed and v not in removed)
-        assert is_bipartite_without(g, removed) == nx.is_bipartite(kept) == (not clash)
+        assert is_bipartite_without(g, removed) == nx.is_bipartite(kept_graph(g, removed)) \
+            == (not clash)
         return clash
 
     def test_matches_the_oracles_on_random_graphs(self):

@@ -1,12 +1,16 @@
 """tools/sloc.py: blank, comment and docstring lines are not code."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "sloc.py"
 
 
 def sloc_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "sloc.py"
-    spec = importlib.util.spec_from_file_location("sloc", path)
+    spec = importlib.util.spec_from_file_location("sloc", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -42,3 +46,13 @@ def test_the_package_total_is_the_sum_of_its_modules(capsys):
     total = int(counts.pop("total"))
     assert "engine.py" in counts and lines[-1].startswith("total ")
     assert total == sum(map(int, counts.values())) > 0
+
+
+def test_stops_quietly_when_stdout_closes():
+    # `sloc.py | head -1` once head has exited: the first line meets a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "wb") as stdout:
+        run = subprocess.run([sys.executable, str(TOOL)], stdout=stdout,
+                             stderr=subprocess.PIPE, timeout=60)
+    assert (run.returncode, run.stderr) == (1, b"")

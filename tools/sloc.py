@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -54,11 +56,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="the checkout to count (default: this one)")
     ns = parser.parse_args(argv)
     total = 0
-    for path in sorted((ns.checkout / "src" / "orddraw").glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name} {count}")
-    print(f"total {total}")
+    try:
+        for path in sorted((ns.checkout / "src" / "orddraw").glob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{path.name} {count}", flush=True)
+        print(f"total {total}", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does): stop, and point
+        # stdout at devnull so that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
