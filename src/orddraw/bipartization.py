@@ -1,8 +1,9 @@
 """Vertex bipartization (minimum odd cycle transversal).
 
 The exact route is combinatorial: odd cycles never cross a bridge, so each
-odd block of `graphs.odd_blocks` is searched in place, on vertex masks of
-the whole graph, by branching on the vertices of an odd cycle.  The
+odd block is searched in place, on vertex masks of the whole graph, by
+branching on the vertices of an odd cycle; `graphs.odd_blocks` reads the
+blocks off the breadth-first layers that every walk here uses.  The
 search starts from the larger of two lower bounds, a greedy count of
 vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
 cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
@@ -12,7 +13,8 @@ lists minimum removal sets in a fixed order and the caller may pick
 among them.  encode_oct builds the CNF reduction for a backend that
 the caller runs through sat.solve_cnf.  One heuristic, oct_anneal, trades
 optimality for speed: it improves a 2-colouring by local search, covers
-the edges left monochromatic and peels the cover to inclusion-minimality.
+the edges left monochromatic, recounting a vertex's edges only when it
+comes up for the cover, and peels the cover to inclusion-minimality.
 """
 
 from __future__ import annotations
@@ -335,26 +337,30 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
     coloured with its layer's parity.  Sweeps in ascending vertex order
     move each vertex with more neighbours on its side than on the other,
     until a sweep moves none (each move loses monochromatic edges, so the
-    descent ends).  A sweep
-    checks only the vertices that are due, those with a neighbour moved
-    since their last check: a vertex checked and left, or just moved, has
-    fewer than half its neighbours on its side until a neighbour moves, so
-    a sweep over every vertex would make the same moves in the same order.
-    Before the first sweep the due vertices are those of the layers' clash
-    masks, the vertices on a monochromatic edge: any other vertex has no
-    neighbour on its side until a neighbour moves, and that move makes it
-    due.  The due vertices are held as two
-    masks, those above the last one checked and the others; the walk takes
-    the lowest of the first, and when none is left there it goes on from
-    the lowest of the others, which starts the next sweep.  Each check
-    records the vertex's neighbours on its side after the check; when no
-    vertex is due, no neighbour moved since any vertex's last check, so the
-    records are the monochromatic edges left.  Then the vertex on the most
-    of those, the lowest on ties, is removed until none is left, with the
-    counts in a heap whose stale entries are refreshed when they surface,
-    and the cover is peeled.  The result is valid and inclusion-minimal, and
-    `optimal` only when it is empty.  No annealing runs: the benchmark in
-    perfbench/ selects and traces it by this name.
+    descent ends).  A sweep checks only the vertices that are due, those
+    with a neighbour moved onto their side since their last check: a
+    vertex checked and left, or just moved, has fewer than half its
+    neighbours on its side until a neighbour joins it, and a neighbour that
+    leaves only lowers that count, so a sweep over every vertex would make
+    the same moves in the same order.  Before the first sweep the due
+    vertices are those of the layers' clash masks, the vertices on a
+    monochromatic edge: any other vertex has no neighbour on its side
+    until a neighbour joins it, and that move makes it due.  The due
+    vertices are held as two masks, those above the last one checked and
+    the others; the walk takes the lowest of the first, and when none is
+    left there it goes on from the lowest of the others, which starts the
+    next sweep.  Each check keeps the vertex's count of neighbours on its
+    side after the check.  A count only falls until the vertex's next
+    check, so when no vertex is due each count bounds the vertex's
+    monochromatic edges from above.  Then the vertex on the most of those,
+    the lowest on ties, is removed until none is left: the bounds key a
+    heap, and a popped vertex is recounted against the final colouring
+    less the removed vertices and pushed back with its count unless that
+    matches its key.  Counts only fall, so a vertex whose count matches its
+    key is on the most edges.  The cover is then peeled.  The result is
+    valid and inclusion-minimal, and `optimal` only when it is empty.  No
+    annealing runs: the benchmark in perfbench/ selects and traces it by
+    this name.
     """
     n, masks = g.n, g.masks
     ones = 0  # the vertices coloured 1
@@ -365,8 +371,7 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
         ahead |= clash
     zeros = ((1 << n) - 1) ^ ones
     degrees = list(map(int.bit_count, masks))
-    conflicts = [0] * n  # each vertex's same-side neighbours at its last check
-    degree = [0] * n  # and their count
+    counts = [0] * n  # each vertex's count of same-side neighbours at its last check
     behind = 0  # the other due vertices
     while ahead:
         bit = ahead & -ahead
@@ -378,28 +383,29 @@ def oct_anneal(g: SimpleGraph) -> OctResult:
         if 2 * count > degrees[v]:
             ones ^= bit
             zeros ^= bit
-            below = nbrs & (bit - 1)
+            joined = nbrs ^ same  # only the neighbours on v's new side gain
+            below = joined & (bit - 1)
             behind |= below
-            ahead |= nbrs ^ below
-            same ^= nbrs
+            ahead |= joined ^ below
             count = degrees[v] - count
-        conflicts[v] = same
-        degree[v] = count
+        counts[v] = count
         if not ahead:  # the sweep ends; the next starts at the lowest due vertex
             ahead, behind = behind, 0
     # v - d * n orders by most conflicts d first, then lowest vertex v
-    heap = [v - d * n for v, d in enumerate(degree) if d]
+    heap = [v - d * n for v, d in enumerate(counts) if d]
     heapq.heapify(heap)
     cover = []
     while heap:  # a vertex has at most one entry, so a covered one has none
         key = heapq.heappop(heap)
         v = key % n
-        if key != v - degree[v] * n:
-            if degree[v]:  # stale: counts only fall, so push the current one
-                heapq.heappush(heap, v - degree[v] * n)
+        bit = 1 << v
+        count = (masks[v] & (ones if ones & bit else zeros)).bit_count()
+        if key != v - count * n:
+            if count:  # stale: counts only fall, so push the current one
+                heapq.heappush(heap, v - count * n)
             continue
         cover.append(v)
-        for w in bits(conflicts[v]):  # a covered w's count is never read again
-            degree[w] -= 1
+        ones &= ~bit  # a covered vertex is on neither side
+        zeros &= ~bit
     final = peel_to_minimal(g, frozenset(cover))
     return _checked(g, final, "anneal", not final, {"covered": len(cover)})

@@ -3,17 +3,18 @@
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  One breadth-first search, `bfs_layers`, colours a graph minus
 a vertex set a whole layer per step, and a vertex's colour is its layer's
-parity: the next layer is the OR of the layer's neighbour masks, read a
-byte of the layer at a time, less the vertices already seen, and each
-layer comes with its clash mask, the vertices of the layer on an edge
-inside it.  It serves `is_bipartite_without` and, in `bipartization`, the
-start of `oct_anneal`'s local search (its colouring and its first due
+parity: the next layer is the OR of the layer's neighbour masks less the
+vertices already seen, and each layer comes with its clash mask, the
+vertices of the layer on an edge inside it.  Every other walk here reads
+those layers.  It serves `is_bipartite_without` and, in `bipartization`,
+the start of `oct_anneal`'s local search (its colouring and its first due
 vertices) and the component masks that `peel_to_minimal` starts from.
-`odd_cycles` reads an odd cycle off those layers for each edge inside a
+`odd_cycles` reads an odd cycle off the layers for each edge inside a
 layer, climbing from both ends to their lowest neighbours one layer up:
 it serves `odd_cycle_census` and the exact search, which takes its first
-cycle.  `odd_blocks` finds the non-bipartite blocks between the bridges
-in one depth-first search on masks.
+cycle.  `odd_blocks` reads the non-bipartite blocks between the bridges
+off the layers of the whole graph, from the deepest up, each vertex
+hanging off its highest neighbour one layer up.
 """
 
 from __future__ import annotations
@@ -75,71 +76,52 @@ def odd_blocks(g: SimpleGraph) -> list[int]:
     exactly when every block minus it is, and the minimum odd cycle
     transversals of g are the unions of one minimum transversal per block.
     No bridge joins two vertices of one block, so a block is g with every
-    vertex outside it removed.  One iterative Tarjan low-link search closes
-    each block once low[u] == order[u] at u's finish: the block is the
-    discovered vertices still open then less those open when u was found.
-    The search runs on masks, with no step per edge.  The next tree child
-    of u is the lowest undiscovered neighbour, the order of an ascending
-    neighbour walk.  A discovered neighbour of a vertex just found is an
-    ancestor, since an undirected depth-first search has no cross edges,
-    so only the edges into the path are walked, to set low[u].  The depth
-    parities colour the tree edges, so the block is odd when one of its
-    non-tree edges joins equal parities: u is marked when it has a
-    discovered neighbour of its own parity.
+    vertex outside it removed.  The blocks are read off the layers of
+    `bfs_layers` in one pass, from the deepest layer up.  Each vertex below
+    depth 0 hangs off its highest neighbour in the layer above, its parent
+    p, and ORs its subtree and that subtree's neighbours into p's.  A
+    bridge is a tree edge, and the tree edge (p, v) is one exactly when
+    the only neighbour of v's subtree outside it is p: an edge spans at
+    most one layer, so v is p's only neighbour in that subtree.  A root,
+    or a vertex below a bridge, closes its block: its subtree less the
+    blocks already closed, those below the bridges inside the subtree.
+    A block is odd exactly when it meets a clash mask: an edge inside a
+    layer closes an odd cycle and is no bridge, and the layer parities
+    colour the rest of the block properly.  Every mask of a component is
+    shifted down by its lowest vertex, its root, so a small component at
+    high ids costs no step per bit below it.
     """
     masks = g.masks
-    order = [0] * g.n  # discovery time
-    low = [0] * g.n
-    before = [0] * g.n  # the open vertices when each vertex was found
-    unseen = (1 << g.n) - 1
-    sides = [0, 0]  # the discovered vertices of even and of odd depth
-    path = 0  # the vertices on the depth-first path
-    open_ = 0  # discovered vertices whose block is still open
-    odd = 0  # the vertices with a discovered neighbour of their depth parity
-    blocks = []
-    clock = 0
-    while unseen:
-        bit = unseen & -unseen
-        u, above = bit.bit_length() - 1, 0  # above: the parent's bit
-        stack = []  # the path; a vertex's depth is its index
-        while True:
-            unseen ^= bit
-            order[u] = low[u] = clock
-            clock += 1
-            nbrs = masks[u]
-            parity = len(stack) & 1
-            if nbrs & sides[parity]:
-                odd |= bit
-            sides[parity] |= bit
-            back = nbrs & (path ^ above)  # the other ends of the edges into the path
-            while back:
-                end = back & -back
-                back ^= end
-                reached = order[end.bit_length() - 1]
-                if reached < low[u]:
-                    low[u] = reached
-            path |= bit
-            before[u] = open_
-            open_ |= bit
-            stack.append(u)
-            child = nbrs & unseen
-            while not child and stack:  # u finishes
-                stack.pop()
-                path ^= 1 << u
-                if low[u] == order[u]:
-                    if (open_ ^ before[u]) & odd:
-                        blocks.append(open_ ^ before[u])
-                    open_ = before[u]
-                if stack:
-                    parent = stack[-1]
-                    low[parent] = min(low[parent], low[u])
-                    u = parent
-                    child = masks[u] & unseen
-            if not child:
-                break
-            above = 1 << u
-            bit = child & -child
-            u = bit.bit_length() - 1
+    layers, blocks = [], []
+    for depth, layer, clash in bfs_layers(g):
+        if not depth:
+            s = layer.bit_length() - 1  # the component's root
+        layers.append((depth, layer >> s, clash >> s, s))
+    # each vertex's subtree so far and its neighbours, shifted as its component
+    tree, reach = [0] * g.n, [0] * g.n
+    odd = shut = 0  # the clash vertices and closed blocks of this component so far
+    for i in reversed(range(len(layers))):
+        depth, layer, clash, s = layers[i]
+        odd |= clash
+        while layer:
+            v = layer.bit_length() - 1
+            bit = 1 << v
+            layer ^= bit
+            below = tree[v + s] | bit
+            near = reach[v + s] | masks[v + s] >> s
+            if depth:
+                # v's subtree meets the layer above only through v
+                p = (near & layers[i - 1][1]).bit_length() - 1 + s
+                tree[p] |= below
+                reach[p] |= near
+                if (near & ~below).bit_count() > 1:
+                    continue  # (p, v) is no bridge: v's block goes on into p's
+            block = below & ~shut
+            shut |= block
+            if block & odd:
+                blocks.append(block << s)
+        if not depth:
+            odd = shut = 0  # the root closed the component
     return sorted(blocks, key=lambda block: block & -block)
 
 
@@ -170,12 +152,13 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
     neighbour masks, holds the vertices of the layer on a monochromatic
     edge: the colouring has one exactly when some clash mask is not 0, and
     `odd_cycles` reads an odd cycle off the layers for each such edge.  A
-    layer of one vertex reads that vertex's mask.  A wider layer is walked
-    a byte at a time: its bytes come from `int.to_bytes`,
-    `itertools.compress` skips the zero bytes in C, and a 256-entry table
-    gives the set bits of each other byte.  So a step costs an OR per
-    vertex of the layer, not a step per edge, and no operation as wide as
-    g per vertex of the layer.
+    layer of at most eight vertices is walked from its top bit, one
+    vertex's mask per step, so a small layer of high vertices costs no
+    step per byte below it.  A wider layer is walked a byte at a time: its
+    bytes come from `int.to_bytes`, `itertools.compress` skips the zero
+    bytes in C, and a 256-entry table gives the set bits of each other
+    byte.  So a step costs an OR per vertex of the layer, not a step per
+    edge.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
@@ -185,10 +168,14 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
         unseen ^= layer
         depth = 0
         while layer:
-            if layer.bit_count() == 1:
-                reach = masks[layer.bit_length() - 1]
+            reach = 0
+            if layer.bit_count() <= 8:
+                rest = layer
+                while rest:
+                    v = rest.bit_length() - 1
+                    rest ^= 1 << v
+                    reach |= masks[v]
             else:
-                reach = 0
                 data = layer.to_bytes((layer.bit_length() + 7) >> 3, "little")
                 for base, byte in compress(zip(bases, data), data):
                     for offset in _OFFSETS[byte]:

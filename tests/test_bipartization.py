@@ -586,14 +586,17 @@ class TestHeuristics:
     @given(st.integers(0, 40), st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7]),
            st.integers(0, 2 ** 32 - 1))
     def test_anneal_matches_the_recounting_loop(self, n, density, graph_seed):
-        """The walk over the due vertices, the conflicts recorded at each
-        check, the heap of conflict counts and the component-mask peel remove
-        exactly the vertices that full ascending sweeps recounting on plain
-        lists, a full rescan per pick and rounds of two-colourings remove."""
+        """The walk over the due vertices, the heap keyed by the counts of
+        the checks with a recount of each popped vertex, and the
+        component-mask peel cover and remove exactly the vertices that full
+        ascending sweeps recounting on plain lists, a full rescan per pick
+        and rounds of two-colourings cover and remove."""
         rng = np.random.default_rng(graph_seed)
         upper = np.triu(rng.random((n, n)) < density, 1)
         g = SimpleGraph(row_masks(upper | upper.T))
-        assert oct_anneal(g).removed == anneal_by_recount(g)
+        result = oct_anneal(g)
+        assert result.removed == anneal_by_recount(g)
+        assert result.stats["covered"] == len(anneal_cover_by_recount(g))
 
     def test_anneal_matches_the_recounting_loop_on_heuristic_shaped_graphs(self):
         """On wide graphs of the shape the heuristic meets the first sweep,

@@ -202,6 +202,34 @@ class TestOddBlocks:
         rng = random.Random(41)
         assert odd_blocks(bridged_chain(rng, [cycle_graph(4), cycle_graph(6)] * 3)) == []
 
+    def test_a_four_cycle_whose_deepest_vertex_reaches_two_parents(self):
+        """The 4-cycle 0-1-2-3 with the triangle 2-4-5: vertex 2, at depth
+        2, hangs off 3, its highest neighbour one layer up, and also reaches
+        1, so the subtree of 3 has a neighbour outside it besides 0 although
+        3 itself has none, and (0, 3) is no bridge.  The graph has no
+        bridge: it is one odd block."""
+        g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (2, 5)])
+        assert [layer for _, layer, _ in bfs_layers(g)] == [0b1, 0b1010, 0b100, 0b110000]
+        assert odd_blocks(g) == networkx_odd_blocks(g) == [0b111111]
+
+    def test_a_bridged_chain_of_odd_cycles_with_bridge_ends_mid_layer(self):
+        """The triangle 0-1-2 bridged from 1 and 2 to two 5-cycles, and
+        from the 5-cycle's vertex 8 to the triangle 12-15-16.  The bridge
+        (8, 12) joins a vertex inside the layer {6, 7, 8, 9} to one inside
+        the layer {10, 11, 12, 13, 14}, neither the lowest nor the highest
+        of its layer, and 8's own neighbours outside its subtree are only
+        its parent 3 while its child 10 reaches 13."""
+        g = graph_from_edges(17, [(0, 1), (0, 2), (1, 2),
+                                  (3, 8), (8, 10), (10, 13), (13, 7), (7, 3),
+                                  (4, 9), (9, 11), (11, 14), (14, 6), (6, 4),
+                                  (12, 15), (15, 16), (12, 16),
+                                  (1, 3), (2, 4), (8, 12)])
+        assert [layer for _, layer, _ in bfs_layers(g)][3:5] \
+            == [mask_of([6, 7, 8, 9]), mask_of([10, 11, 12, 13, 14])]
+        assert odd_blocks(g) == networkx_odd_blocks(g) == [
+            mask_of([0, 1, 2]), mask_of([3, 7, 8, 10, 13]),
+            mask_of([4, 6, 9, 11, 14]), mask_of([12, 15, 16])]
+
 
 class TestTwoColoring:
     """The BFS two-colouring: the layer parities of bfs_layers when
@@ -419,12 +447,13 @@ class TestBfsLayers:
         ref, _, ref_depth = forced_coloring(g, removed)
         colours, depth = [None] * g.n, [0] * g.n
         clash = False
-        seen = 0
-        for d, layer, layer_clash in bfs_layers(g, sum(1 << v for v in removed)):
+        gone = sum(1 << v for v in removed)
+        seen = gone
+        for d, layer, layer_clash in bfs_layers(g, gone):
             assert layer and not layer & seen
             if d == 0:
-                kept_unseen = [v for v in range(g.n) if v not in removed and not seen >> v & 1]
-                assert layer == 1 << kept_unseen[0]
+                kept_unseen = ((1 << g.n) - 1) ^ seen
+                assert layer == kept_unseen & -kept_unseen
             seen |= layer
             for v in bits(layer):
                 colours[v], depth[v] = d & 1, d
@@ -478,6 +507,26 @@ class TestBfsLayers:
         assert not self.check(g, set())
         assert not self.check(g, {0, 1500, 2999})
         assert [layer for _, layer, _ in bfs_layers(g)] == [1 << v for v in range(3000)]
+
+    def test_stars_at_the_walk_of_eight_vertices(self):
+        """A layer of at most eight vertices is walked from its top bit, a
+        wider one a byte at a time: the stars K1,8 and K1,9 put eight and
+        nine leaves in one layer, from the centre and from a leaf."""
+        for leaves in (8, 9):
+            for centre in (0, 4, leaves):
+                g = graph_from_edges(leaves + 1, [(centre, v) for v in range(leaves + 1)
+                                                  if v != centre])
+                assert not self.check(g, set())
+                widths = [layer.bit_count() for _, layer, _ in bfs_layers(g)]
+                assert widths == ([1, leaves] if centre == 0 else [1, 1, leaves - 1])
+            assert not self.check(g, {leaves})
+
+    def test_a_triangle_at_high_ids_among_isolated_vertices(self):
+        g = graph_from_edges(10_003, [(10_000, 10_001), (10_001, 10_002), (10_000, 10_002)])
+        assert self.check(g, set())
+        assert not self.check(g, {10_001})
+        assert list(bfs_layers(g, (1 << 10_000) - 1)) \
+            == [(0, 1 << 10_000, 0), (1, 0b110 << 10_000, 0b110 << 10_000)]
 
     def test_empty_graphs(self):
         assert list(bfs_layers(graph_from_edges(0))) == []

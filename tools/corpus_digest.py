@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import corpus  # noqa: E402
 import measure  # noqa: E402
+from closed_pipe import exits_on_closed_pipe  # noqa: E402
 from orddraw.engine import STRATEGIES, two_dimension_extension  # noqa: E402
 from orddraw.ingest import read_order  # noqa: E402
 
@@ -82,21 +82,16 @@ def digest_lines(workload: str, seed: int) -> Iterator[str]:
                + " ".join(f"{name}={totals[name]}" for name in SEARCH_STATS))
 
 
+@exits_on_closed_pipe
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1007],
                         help="corpus seeds (default: 0 1007)")
     ns = parser.parse_args(argv)
-    try:
-        for workload in corpus.WORKLOADS:
-            for seed in ns.seeds:
-                for line in digest_lines(workload, seed):
-                    print(line, flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout (as `| head -3` does): stop, and point
-        # stdout at devnull so that the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    for workload in corpus.WORKLOADS:
+        for seed in ns.seeds:
+            for line in digest_lines(workload, seed):
+                print(line, flush=True)
     return 0
 
 

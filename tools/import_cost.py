@@ -22,8 +22,9 @@ speed.  Then it runs N more children without a cache under
 `-X importtime` and prints the ten modules with the largest median
 cumulative import time among those the import statement loads, the
 package's own modules included; what start-up has loaded already (`site`
-and what its `.pth` files import) is not listed.
-Only the standard library is used.
+and what its `.pth` files import) is not listed.  A reader that closes
+the pipe early (`| head -1`) ends the run with status 1, without a
+traceback.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from closed_pipe import exits_on_closed_pipe  # noqa: E402
 
 PROBE = ("import time; t = time.perf_counter(); import orddraw, orddraw.cli; "
          "print(time.perf_counter() - t)")
@@ -67,6 +72,7 @@ def quartiles_ms(seconds: list[float]) -> str:
     return f"median {median * 1e3:7.2f} ms  quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
 
 
+@exits_on_closed_pipe
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path,

@@ -12,7 +12,8 @@ count is a property of the code and the corpus alone, so it repeats
 exactly from run to run: a change can be sized on a noisy host by
 comparing the counts of two checkouts.  Tracing makes the pass many times
 slower, so the count is no wall time.  The package and the corpus are
-imported from the checkout that holds this file.
+imported from the checkout that holds this file.  A reader that closes
+the pipe early (`| head -1`) ends it with status 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from collections.abc import Callable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import corpus  # noqa: E402
 import measure  # noqa: E402
+from closed_pipe import exits_on_closed_pipe  # noqa: E402
 
 
 def count_opcodes(fn: Callable[[], object]) -> Counter:
@@ -84,6 +86,7 @@ def describe(code) -> str:
     return f"{name} ({path}:{code.co_firstlineno})"
 
 
+@exits_on_closed_pipe
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=corpus.WORKLOADS)

@@ -22,7 +22,8 @@ less the parent's as a share of the parent's median, the parent's
 interquartile range as the same share, and in how many pairs the change
 did better (ties count for neither side).  It then prints each side's
 attempted and failed counts and how many of its runs reported a wrong
-drawing.
+drawing.  A reader that closes the pipe early (`| head -1`) ends the
+runs: the script stops and exits with status 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from closed_pipe import exits_on_closed_pipe  # noqa: E402
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,6 +70,7 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+@exits_on_closed_pipe
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")

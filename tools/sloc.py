@@ -9,7 +9,8 @@ module, class or function body).  A line of a multi-line string that is
 not a docstring counts.  It prints `module lines` per module, sorted by
 name, then `total lines`.  Run it on the parent and on a change to size
 the change's source delta without crediting deleted comments or
-docstrings as a reduction.
+docstrings as a reduction.  A reader that closes the pipe early
+(`| head -1`) ends it with status 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import os
 import sys
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from closed_pipe import exits_on_closed_pipe  # noqa: E402
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -50,23 +53,18 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+@exits_on_closed_pipe
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=ROOT,
                         help="the checkout to count (default: this one)")
     ns = parser.parse_args(argv)
     total = 0
-    try:
-        for path in sorted((ns.checkout / "src" / "orddraw").glob("*.py")):
-            count = code_lines(path.read_text(encoding="utf-8"))
-            total += count
-            print(f"{path.name} {count}", flush=True)
-        print(f"total {total}", flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout (as `| head -1` does): stop, and point
-        # stdout at devnull so that the flush at exit raises nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    for path in sorted((ns.checkout / "src" / "orddraw").glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{path.name} {count}")
+    print(f"total {total}")
     return 0
 
 
