@@ -3,18 +3,20 @@
 The exact route is combinatorial: odd cycles never cross a bridge, so each
 odd block is searched in place, on vertex masks of the whole graph, by
 branching on the vertices of an odd cycle; `graphs.odd_blocks` reads the
-blocks off the breadth-first layers that every walk here uses.  The
-search starts from the larger of two lower bounds, a greedy count of
+blocks off the breadth-first layers of `graphs.bfs_layers`.  The search
+starts from the larger of two lower bounds, a greedy count of
 vertex-disjoint odd cycles and a greedy packing of vertex-disjoint
-cliques K_t (t >= 4, each needing t - 2 removals), and deepens from
-there.  A node's count stops one cycle past its budget, and each cycle
-is the first that `graphs.odd_cycles` reads off the BFS layers.  It
-lists minimum removal sets in a fixed order and the caller may pick
-among them.  encode_oct builds the CNF reduction for a backend that
-the caller runs through sat.solve_cnf.  One heuristic, oct_anneal, trades
-optimality for speed: it improves a 2-colouring by local search, covers
-the edges left monochromatic, recounting a vertex's edges only when it
-comes up for the cover, and peels the cover to inclusion-minimality.
+cliques K_t (t >= 4, each needing t - 2 removals; a block without a K4
+skips the packing), and deepens from there.  A node's count stops one
+cycle past its budget, and each cycle, with its vertex mask, comes from
+`graphs.first_odd_cycle`, one plain loop over the same breadth-first
+layers that stops at the first layer holding an edge.  It lists minimum
+removal sets in a fixed order and the caller may pick among them.
+encode_oct builds the CNF reduction for a backend that the caller runs
+through sat.solve_cnf.  One heuristic, oct_anneal, trades optimality for
+speed: it improves a 2-colouring by local search, covers the edges left
+monochromatic, recounting a vertex's edges only when it comes up for the
+cover, and peels the cover to inclusion-minimality.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import heapq
 from itertools import islice
 from typing import Callable, Iterator
 
-from .graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
-                     odd_cycles)
+from .graphs import (SimpleGraph, bfs_layers, first_odd_cycle, is_bipartite_without,
+                     odd_blocks)
 from .graphs import odd_cycle_census  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .orders import bits, mask_of
 from .records import Record
@@ -86,18 +88,50 @@ def encode_oct(g: SimpleGraph, k: int) -> CnfInstance:
     return CnfInstance(3 * n + num_aux, tuple(clauses))
 
 
+def _has_k4(masks: tuple[int, ...], block: int) -> bool:
+    """Whether the vertices of the mask `block` hold a K4: an edge (u, w)
+    of the block, u < w, and an edge among their common neighbours
+    between u and w.  A K4 shows at its lowest and highest vertices, so
+    one pass over the block's edges, each from its lower end, finds one if
+    there is one.  A vertex with fewer than three neighbours above it is
+    the lowest of no K4, and an edge with fewer than two common neighbours
+    between its ends is passed over with one AND."""
+    rest = block
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ends = masks[low.bit_length() - 1] & rest  # u's neighbours above u
+        if ends.bit_count() < 3:
+            continue
+        while ends:
+            w = ends.bit_length() - 1
+            ends ^= 1 << w
+            common = ends & masks[w]  # between u and w
+            if common & (common - 1):
+                while common:
+                    top = common.bit_length() - 1
+                    common ^= 1 << top
+                    if masks[top] & common:
+                        return True
+    return False
+
+
 def _clique_bound(g: SimpleGraph, block: int) -> int:
     """The sum of t - 2 over vertex-disjoint cliques K_t with t >= 4 in
     the block, packed greedily.
 
     A K_t minus fewer than t - 2 of its vertices keeps a triangle, so every
-    transversal of the block holds at least this many vertices.  Each free
-    vertex in ascending order roots a clique, which grows by the common
-    neighbour with the most neighbours among the common neighbours (the
-    lowest on ties) until none is left; a clique of four or more vertices
-    is kept and its vertices are no longer free.
+    transversal of the block holds at least this many vertices.  A block
+    without a K4 has no such clique, and its bound is 0 without a packing
+    (see _has_k4).  Otherwise each free vertex in ascending order roots a
+    clique, which grows by the common neighbour with the most neighbours
+    among the common neighbours (the lowest on ties) until none is left; a
+    clique of four or more vertices is kept and its vertices are no longer
+    free.
     """
     masks = g.masks
+    if not _has_k4(masks, block):
+        return 0
     bound = 0
     free = block
     for v in bits(block):
@@ -127,25 +161,27 @@ def _clique_bound(g: SimpleGraph, block: int) -> int:
 
 
 def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
-                         known: dict[int, tuple[int, ...] | None]) -> list[tuple[int, ...]]:
+                         known: dict[int, tuple[tuple[int, ...], int] | None]) \
+        -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
     vertex of each, so their count bounds the minimum from below; the first
-    is the first cycle of `graphs.odd_cycles` for g minus `removed`, and
-    each later one is that cycle for g minus the cycles before it too.
-    `known` maps each vertex mask already tried to that first cycle, or to
+    is `graphs.first_odd_cycle` of g minus `removed`, and each later one is
+    that cycle for g minus the cycles before it too.  `known` maps each
+    vertex mask already tried to that cycle and its vertex mask, or to
     None when none is left: the search meets the same sets again, at other
     nodes and at each larger k."""
     gone = removed
     cycles: list[tuple[int, ...]] = []
     while len(cycles) <= limit:
-        if gone not in known:
-            known[gone] = next(odd_cycles(g, gone), None)
-        cycle = known[gone]
-        if cycle is None:
+        if gone in known:
+            found = known[gone]
+        else:
+            found = known[gone] = first_odd_cycle(g, gone)
+        if found is None:
             break
-        cycles.append(cycle)
-        gone |= mask_of(cycle)
+        cycles.append(found[0])
+        gone |= found[1]
     return cycles
 
 
@@ -188,7 +224,7 @@ class TransversalSearch:
     its greedy clique packing bound.  No transversal is smaller than
     either, so the rounds this skips would have found nothing.  A node
     removes a vertex set and branches on the vertices of one odd cycle of
-    the rest, the first of `graphs.odd_cycles`, since every transversal
+    the rest, `graphs.first_odd_cycle`, since every transversal
     contains one of them; it fails when more disjoint odd cycles remain
     than its budget (see _disjoint_odd_cycles).  A node already searched
     at the current k is not searched again: before the first set this

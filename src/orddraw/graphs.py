@@ -3,18 +3,20 @@
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
 over them.  One breadth-first search, `bfs_layers`, colours a graph minus
 a vertex set a whole layer per step, and a vertex's colour is its layer's
-parity: the next layer is the OR of the layer's neighbour masks less the
-vertices already seen, and each layer comes with its clash mask, the
-vertices of the layer on an edge inside it.  Every other walk here reads
-those layers.  It serves `is_bipartite_without` and, in `bipartization`,
-the start of `oct_anneal`'s local search (its colouring and its first due
-vertices) and the component masks that `peel_to_minimal` starts from.
-`odd_cycles` reads an odd cycle off the layers for each edge inside a
-layer, climbing from both ends to their lowest neighbours one layer up:
-it serves `odd_cycle_census` and the exact search, which takes its first
-cycle.  `odd_blocks` reads the non-bipartite blocks between the bridges
-off the layers of the whole graph, from the deepest up, each vertex
-hanging off its highest neighbour one layer up.
+parity: the next layer is the OR of the layer's neighbour masks
+(`_reach`) less the vertices already seen, and each layer comes with its
+clash mask, the vertices of the layer on an edge inside it.  It serves
+`is_bipartite_without` and, in `bipartization`, the start of
+`oct_anneal`'s local search (its colouring and its first due vertices)
+and the component masks that `peel_to_minimal` starts from.  `odd_cycles`
+reads an odd cycle off its layers for each edge inside a layer, climbing
+from both ends to their lowest neighbours one layer up (`_climb`): it
+serves `odd_cycle_census`.  The exact search wants only the first of
+those cycles, many times over, so `first_odd_cycle` walks the same layers
+in one plain loop, with the same `_reach` and `_climb`, and stops at the
+first layer that clashes.  `odd_blocks` reads the non-bipartite blocks
+between the bridges off the layers of the whole graph, from the deepest
+up, each vertex hanging off its highest neighbour one layer up.
 """
 
 from __future__ import annotations
@@ -138,52 +140,91 @@ def _bit_offsets() -> tuple[tuple[int, ...], ...]:
 _OFFSETS = _bit_offsets()
 
 
+def _reach(masks: tuple[int, ...], layer: int) -> int:
+    """The OR of the neighbour masks of the vertices in the mask `layer`.
+
+    A layer of at most eight vertices is walked from its top bit, one
+    vertex's mask per step, so a small layer of high vertices costs no step
+    per byte below it.  A wider layer is walked a byte at a time: its bytes
+    come from `int.to_bytes`, `itertools.compress` skips the zero bytes in
+    C, and a 256-entry table gives the set bits of each other byte.  So a
+    step costs an OR per vertex of the layer, not a step per edge.
+    """
+    reach = 0
+    if layer.bit_count() <= 8:
+        while layer:
+            v = layer.bit_length() - 1
+            layer ^= 1 << v
+            reach |= masks[v]
+    else:
+        data = layer.to_bytes((layer.bit_length() + 7) >> 3, "little")
+        for base, byte in compress(zip(range(0, len(data) << 3, 8), data), data):
+            for offset in _OFFSETS[byte]:
+                reach |= masks[base + offset]
+    return reach
+
+
 def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
     """The breadth-first layers of g minus the vertices in the mask `gone`,
     as (depth, layer mask, clash mask), component by component.
 
     Each component starts at its lowest kept vertex, which alone is its
     layer at depth 0; the next layer is the OR of the current layer's
-    neighbour masks less the vertices seen so far, so a vertex's layer is
-    its distance from the start, and each vertex is coloured with its
-    layer's parity.  An edge joins two vertices of one layer or of adjacent
-    layers, so a kept vertex's neighbours of its own colour are those in
-    its own layer, and the clash mask, the layer AND the OR of its
-    neighbour masks, holds the vertices of the layer on a monochromatic
-    edge: the colouring has one exactly when some clash mask is not 0, and
-    `odd_cycles` reads an odd cycle off the layers for each such edge.  A
-    layer of at most eight vertices is walked from its top bit, one
-    vertex's mask per step, so a small layer of high vertices costs no
-    step per byte below it.  A wider layer is walked a byte at a time: its
-    bytes come from `int.to_bytes`, `itertools.compress` skips the zero
-    bytes in C, and a 256-entry table gives the set bits of each other
-    byte.  So a step costs an OR per vertex of the layer, not a step per
-    edge.
+    neighbour masks (`_reach`) less the vertices seen so far, so a vertex's
+    layer is its distance from the start, and each vertex is coloured with
+    its layer's parity.  An edge joins two vertices of one layer or of
+    adjacent layers, so a kept vertex's neighbours of its own colour are
+    those in its own layer, and the clash mask, the layer AND the OR of
+    its neighbour masks, holds the vertices of the layer on a
+    monochromatic edge: the colouring has one exactly when some clash mask
+    is not 0, and `odd_cycles` reads an odd cycle off the layers for each
+    such edge.  A layer of one vertex has that vertex's mask as its OR,
+    read directly.
     """
     masks = g.masks
     unseen = ((1 << g.n) - 1) & ~gone
-    bases = range(0, g.n, 8)  # the first vertex of each byte
     while unseen:
         layer = unseen & -unseen
         unseen ^= layer
         depth = 0
         while layer:
-            reach = 0
-            if layer.bit_count() <= 8:
-                rest = layer
-                while rest:
-                    v = rest.bit_length() - 1
-                    rest ^= 1 << v
-                    reach |= masks[v]
-            else:
-                data = layer.to_bytes((layer.bit_length() + 7) >> 3, "little")
-                for base, byte in compress(zip(bases, data), data):
-                    for offset in _OFFSETS[byte]:
-                        reach |= masks[base + offset]
+            if layer & (layer - 1):
+                reach = _reach(masks, layer)
+            else:  # one vertex: its mask
+                reach = masks[layer.bit_length() - 1]
             yield depth, layer, reach & layer
             layer = reach & unseen
             unseen ^= layer
             depth += 1
+
+
+def _climb(masks: tuple[int, ...], layers: list[int], u: int, w: int) \
+        -> tuple[tuple[int, ...], int]:
+    """The odd cycle through the edge (u, w) inside the last of the BFS
+    layers `layers` of one component, and its vertex mask.
+
+    Both ends lie in one layer, so the cycle steps up from both in
+    lockstep, each to its lowest neighbour in the layer above, until the
+    two meet: it runs from u up to the meeting vertex and down to w, an
+    odd cycle with no repeated vertex.  Every vertex below depth 0 has a
+    neighbour in the layer above, so a step is one AND and a lowest bit.
+    """
+    up, down = [u], [w]
+    mask = 1 << u | 1 << w
+    depth = len(layers) - 1
+    while u != w:
+        depth -= 1
+        a = masks[u] & layers[depth]
+        b = masks[w] & layers[depth]
+        a &= -a
+        b &= -b
+        mask |= a | b
+        u = a.bit_length() - 1
+        w = b.bit_length() - 1
+        up.append(u)
+        down.append(w)
+    # up ends at the meeting vertex; down's copy of it is dropped
+    return tuple(up + down[-2::-1]), mask
 
 
 def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
@@ -191,14 +232,9 @@ def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
     the vertices in the mask `gone`, in the order of the layers, then of
     the edge's lower end u, then of its upper end w; each edge comes once.
 
-    Both ends lie in one layer, so the cycle steps up from both in
-    lockstep, each to its lowest neighbour in the layer above, until the
-    two meet: it runs from u up to the meeting vertex and down to w, an
-    odd cycle with no repeated vertex.  Every vertex below depth 0 has a
-    neighbour in the layer above, so a step is one AND and a lowest bit.
-    The layers of the current component are kept, so a cycle costs a
-    step per layer it climbs, and the first one costs the layers up to
-    the first that clashes.
+    Each cycle is the one `_climb` reads off the layers of the current
+    component, which are kept, so a cycle costs a step per layer it
+    climbs.
     """
     masks = g.masks
     for depth, layer, clash in bfs_layers(g, gone):
@@ -213,15 +249,40 @@ def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
             while ends:
                 high = ends & -ends
                 ends ^= high
-                up, down, above = [u], [high.bit_length() - 1], depth
-                while up[-1] != down[-1]:
-                    above -= 1
-                    a = masks[up[-1]] & layers[above]
-                    b = masks[down[-1]] & layers[above]
-                    up.append((a & -a).bit_length() - 1)
-                    down.append((b & -b).bit_length() - 1)
-                # up ends at the meeting vertex; down's copy of it is dropped
-                yield tuple(up + down[-2::-1])
+                yield _climb(masks, layers, u, high.bit_length() - 1)[0]
+
+
+def first_odd_cycle(g: SimpleGraph, gone: int = 0) -> tuple[tuple[int, ...], int] | None:
+    """The first cycle of `odd_cycles` for g minus the vertices in the mask
+    `gone` and its vertex mask, or None when that graph is bipartite.
+
+    One plain loop over the same layers as `bfs_layers`, which stops at
+    the first layer that holds an edge: its lowest vertex u on one and u's
+    lowest neighbour in the layer (all of them lie above u) are the ends
+    `_climb` starts from.  A layer of one vertex holds no edge, and its
+    next layer is that vertex's mask, read directly; a wider layer is
+    expanded by `_reach`.
+    """
+    masks = g.masks
+    unseen = ((1 << g.n) - 1) & ~gone
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        layers = []
+        while layer:
+            layers.append(layer)
+            if layer & (layer - 1):
+                reach = _reach(masks, layer)
+                clash = reach & layer
+                if clash:
+                    u = (clash & -clash).bit_length() - 1
+                    ends = masks[u] & layer
+                    return _climb(masks, layers, u, (ends & -ends).bit_length() - 1)
+            else:
+                reach = masks[layer.bit_length() - 1]
+            layer = reach & unseen
+            unseen ^= layer
+    return None
 
 
 def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:

@@ -716,6 +716,34 @@ def kept_graph(g, removed=()):
     return kept
 
 
+def greedy_clique_packing(g, block):
+    """The sum of t - 2 over the cliques K_t, t >= 4, of the greedy packing
+    in the vertex mask `block`, run on every block: each free vertex in
+    ascending order roots a clique that grows by the common neighbour with
+    the most neighbours among the common neighbours, the lowest on ties.
+    The reference for bipartization._clique_bound."""
+    free, bound = block, 0
+    for v in bits(block):
+        if not free >> v & 1:
+            continue
+        common, clique = bits(g.masks[v] & free), [v]
+        while common:
+            w = max(common, key=lambda u: (sum(g.masks[u] >> x & 1 for x in common), -u))
+            clique.append(w)
+            common = [x for x in common if g.masks[w] >> x & 1]
+        if len(clique) >= 4:
+            bound += len(clique) - 2
+            free &= ~sum(1 << x for x in clique)
+    return bound
+
+
+def has_k4_by_networkx(g, block):
+    """Whether the subgraph of g on the vertex mask `block` has clique
+    number at least 4, by networkx's maximal cliques."""
+    sub = kept_graph(g, [v for v in range(g.n) if not block >> v & 1])
+    return any(len(clique) >= 4 for clique in nx.find_cliques(sub))
+
+
 def forced_coloring(g, removed=()):
     """(colors, parent, depth) of a BFS colouring of g minus `removed` that
     pushes past conflicts, read off networkx distances: each component is

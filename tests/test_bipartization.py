@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orddraw.errors import TooLarge
-from orddraw.graphs import SimpleGraph
+from orddraw.graphs import SimpleGraph, odd_blocks
 from orddraw import bipartization
 from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
                                    encode_oct, min_oct_exact, oct_anneal,
@@ -23,7 +23,8 @@ from orddraw.orders import bits, mask_of, standard_example
 from orddraw.tig import build_tig
 from oracles import (anneal_by_recount, anneal_cover_by_recount,
                      ascending_sweeps_by_recount, bipartite_without, brute_force_oct,
-                     first_odd_cycle, graph_from_edges, peel_to_minimal_by_bfs, random_order,
+                     first_odd_cycle, graph_from_edges, greedy_clique_packing,
+                     has_k4_by_networkx, peel_to_minimal_by_bfs, random_order,
                      reference_transversals, removal_set, row_masks, solve_by_milp)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -318,7 +319,8 @@ class TestDisjointOddCycles:
     def test_greedy_cycles_are_the_oracles_first_cycles(self):
         # every cycle, the last one of a count past its limit too, is the
         # oracle's first odd cycle of g minus the set and the cycles before
-        # it, and `known` holds that cycle, or None, for every set it keys.
+        # it, and `known` holds that cycle and its vertex mask, or None, for
+        # every set it keys.
         # Sets repeat under falling and rising limits, so one `known` serves
         # steps that a count tried before.
         rng = random.Random(53)
@@ -339,7 +341,9 @@ class TestDisjointOddCycles:
                     gone |= mask_of(cycle)
                 assert cycles == want
                 past += len(want) > limit
-            assert all(cycle == first_odd_cycle(g, bits(gone)) for gone, cycle in known.items())
+            for gone, found in known.items():
+                cycle = first_odd_cycle(g, bits(gone))
+                assert found == (None if cycle is None else (cycle, mask_of(cycle)))
         assert past > 100
 
 
@@ -452,6 +456,53 @@ class TestLowerBound:
         starts the search at its minimum n - 2 and no round fails."""
         stats = min_oct_exact(build_tig(standard_example(n)).graph).stats
         assert stats["lower_bound"] == stats["k"] == n - 2
+
+
+class TestCliqueBound:
+    """The K4 gate of _clique_bound against networkx's clique number, and
+    the bound against the greedy packing run on every block."""
+
+    @staticmethod
+    def check(g, block):
+        """Returns whether the block holds a K4."""
+        k4 = has_k4_by_networkx(g, block)
+        assert bipartization._has_k4(g.masks, block) == k4
+        bound = bipartization._clique_bound(g, block)
+        assert bound == greedy_clique_packing(g, block)
+        assert k4 or bound == 0
+        return k4
+
+    def test_random_graphs_and_their_odd_blocks(self):
+        rng = random.Random(61)
+        with_k4 = without = 0
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(0, 24), rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]))
+            for block in [(1 << g.n) - 1, rng.getrandbits(g.n)] + odd_blocks(g):
+                if self.check(g, block):
+                    with_k4 += 1
+                else:
+                    without += 1
+        assert with_k4 > 200 and without > 200
+
+    def test_bridged_cliques(self):
+        rng = random.Random(67)
+        for _ in range(100):
+            sizes = [rng.randint(1, 7) for _ in range(rng.randint(1, 6))]
+            parts = [complete_graph(size) for size in sizes]
+            links = [(i, rng.randrange(sizes[i]), i + 1, rng.randrange(sizes[i + 1]))
+                     for i in range(len(parts) - 1)]
+            g = union(parts, links)
+            blocks = odd_blocks(g)
+            assert [self.check(g, block) for block in blocks] \
+                == [size >= 4 for size in sizes if size >= 3]
+            assert self.check(g, (1 << g.n) - 1) == (max(sizes) >= 4)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_standard_example_tigs(self, n):
+        """The tig of standard_example(n) holds a K_n: a K4 from n = 4 on."""
+        g = build_tig(standard_example(n)).graph
+        for block in odd_blocks(g):
+            assert self.check(g, block) == (n >= 4)
 
 
 class TestBruteForce:

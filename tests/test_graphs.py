@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orddraw import graphs
 from orddraw.graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
                             odd_cycle_census, odd_cycles)
 from orddraw.ingest import read_order
@@ -360,8 +361,9 @@ class TestOnTheExactCorpus:
     def test_odd_cycles_match_the_oracles_on_the_corpus_tigs(self, monkeypatch):
         """The tigs the exact search walks, of the seed-0 `exact` corpus of
         perfbench/corpus.py (18 to 128 vertices), each minus a few seeded
-        random removed sets: the first cycle is the oracle's first odd
-        cycle and the census is the one read off a forced colouring."""
+        random removed sets: the first cycle of odd_cycles is the oracle's
+        first odd cycle, graphs.first_odd_cycle returns it with its vertex
+        mask, and the census is the one read off a forced colouring."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         corpus = importlib.import_module("corpus")
         rng = random.Random(59)
@@ -371,8 +373,11 @@ class TestOnTheExactCorpus:
             sizes.append(g.n)
             for share in (0.0, 0.05, 0.1, 0.2):
                 removed = {v for v in range(g.n) if rng.random() < share}
-                first = next(odd_cycles(g, sum(1 << v for v in removed)), None)
+                gone = sum(1 << v for v in removed)
+                first = next(odd_cycles(g, gone), None)
                 assert first == first_odd_cycle(g, removed), item.name
+                assert graphs.first_odd_cycle(g, gone) \
+                    == (None if first is None else (first, mask_of(first))), item.name
                 assert odd_cycle_census(g, removed) \
                     == odd_cycle_census_after_coloring(g, removed), item.name
                 odd += first is not None
@@ -381,13 +386,16 @@ class TestOnTheExactCorpus:
 
 
 class TestFirstOddCycle:
-    """The first cycle of odd_cycles, as the exact search reads it,
-    against the oracle built from networkx distances."""
+    """graphs.first_odd_cycle, the walk the exact search reads, against the
+    first cycle of odd_cycles and the oracle built from networkx distances."""
 
     @staticmethod
     def check(g, removed):
-        cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
+        gone = sum(1 << v for v in removed)
+        cycle = next(odd_cycles(g, gone), None)
         assert cycle == first_odd_cycle(g, removed)
+        assert graphs.first_odd_cycle(g, gone) \
+            == (None if cycle is None else (cycle, mask_of(cycle)))
         assert (cycle is None) == is_bipartite_without(g, removed)
         return cycle
 
@@ -416,6 +424,30 @@ class TestFirstOddCycle:
             g = graph_from_edges(total, [(ids[u], ids[v]) for u, v in edges])
             odd += self.check(g, random_removed(rng, g)) is not None
         assert 100 < odd < 290
+
+    def test_layers_wider_than_eight_vertices(self):
+        """5-cycles with each vertex blown up into ten twins, at shuffled
+        ids and with a random share removed, so the walk expands layers of
+        one vertex (read directly), of two to eight (walked from the top
+        bit) and of more than eight (walked a byte at a time)."""
+        rng = random.Random(71)
+        widths = set()
+        odd = 0
+        for _ in range(60):
+            copies = rng.randint(1, 3)
+            ids = list(range(50 * copies))
+            rng.shuffle(ids)
+            edges = [(ids[50 * c + 10 * p + s], ids[50 * c + 10 * ((p + 1) % 5) + t])
+                     for c in range(copies) for p in range(5)
+                     for s in range(10) for t in range(10)]
+            g = graph_from_edges(50 * copies, edges)
+            share = rng.choice([0, 0.3, 0.95])
+            removed = {v for v in range(g.n) if rng.random() < share}
+            odd += self.check(g, removed) is not None
+            widths |= {layer.bit_count() for _, layer, _ in
+                       bfs_layers(g, sum(1 << v for v in removed))}
+        assert 10 < odd < 60
+        assert {1, 20} <= widths and any(2 <= w <= 8 for w in widths)
 
     def test_long_odd_cycle(self):
         g = cycle_graph(2001)

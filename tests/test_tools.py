@@ -78,7 +78,17 @@ def test_block_scaling_times_small_triangle_sets(capsys):
     tool = load_tool("block_scaling")
     assert tool.main(["--sizes", "3", "40"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["k", "blocks", "odd_blocks_s", "us_per_block",
+    assert header.split() == ["family", "k", "blocks", "odd_blocks_s", "us_per_block",
                               "min_oct_exact_s", "us_per_block"]
-    assert [row.split()[:2] for row in rows] == [["3", "3"], ["40", "40"]]
-    assert all(float(figure) >= 0 for row in rows for figure in row.split()[2:])
+    assert [row.split()[:3] for row in rows] == [
+        [family, k, k] for family in ("triangles", "twins") for k in ("3", "40")]
+    assert all(float(figure) >= 0 for row in rows for figure in row.split()[3:])
+
+
+def test_block_scaling_checks_each_familys_removal_set():
+    tool = load_tool("block_scaling")
+    assert tool.triangle_hit([0, 4, 8]) and not tool.triangle_hit([0, 1, 8])
+    assert tool.twins_hit(list(range(30, 40)) + list(range(50, 60)))
+    assert not tool.twins_hit(list(range(31, 41)))  # twins of two positions
+    assert not tool.twins_hit(list(range(30, 40)) + list(range(130, 140)))  # skips copy 1
+    assert not tool.twins_hit(list(range(30, 39)))
