@@ -124,9 +124,10 @@ def _extend(current: OrderRelation, reversal: frozenset[IdPair]
                        OrderRelation | None]:
     """The insertion of `reversal` into `current` (see _insert) and the
     extended order's conjugate, or None.  It keeps its last answer, keyed
-    by the values of its arguments (an OrderRelation compares its ground
-    set and up masks), so a pass that inserts the set its accept check
-    just took reads that answer, as does an equal order built anew."""
+    by the values of its arguments (an OrderRelation is a frozen record
+    that compares its ground set and up masks), so a pass that inserts the
+    set its accept check just took reads that answer, as does an equal
+    order built anew."""
     extended, kept, added = _insert(current, reversal)
     return extended, kept, added, compute_conjugate_order(extended)
 
@@ -136,29 +137,21 @@ def _insert(current: OrderRelation, pairs: frozenset[IdPair]
     """Add pairs and close them in, skipping each pair whose reverse holds;
     returns the order, the pairs that went in and the pairs closure added.
 
-    The pairs go into the closed order by their first element, in sorted
-    order: adding pairs (a, b1), (a, b2), ... to a closed order relates
-    every x <= a to every y above some bi, one OR per element on each side,
-    and the result is closed again.  That closes a cycle exactly when some
-    bi <= a already holds, so those ends are dropped first; the others
-    cannot come to lie below a by the group's own pairs.  The result is
-    the one-at-a-time insertion of the pairs in sorted order, and when no
-    pair is skipped it is the closure of the union whatever the order.  A
+    The pairs go into the closed order one at a time, in sorted order.  A
+    pair (a, b) whose reverse b <= a holds is skipped.  Any other relates
+    every x <= a to every y above b that is not above a already, one OR per
+    element on each side, and the result is closed again.  When no pair is
+    skipped the result is the closure of the union whatever the order.  A
     pair that earlier ones imply counts as inserted; the closure-added
     pairs are the new comparabilities beyond the inserted ones.
     """
-    heads: dict[int, int] = {}
-    for a, b in pairs:
-        heads[a] = heads.get(a, 0) | 1 << b
     up, down = list(current.up), list(current.down)
     kept: set[IdPair] = set()
-    for a in sorted(heads):
-        ends = heads[a] & ~down[a]
-        above = 0
-        for b in bits(ends):
-            kept.add((a, b))
-            above |= up[b]
-        above &= ~up[a]  # what is above a already is above everything below it
+    for a, b in sorted(pairs):
+        if down[a] >> b & 1:
+            continue
+        kept.add((a, b))
+        above = up[b] & ~up[a]
         if above:
             below = down[a]
             for x in bits(below):

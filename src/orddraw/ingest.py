@@ -128,20 +128,22 @@ def parse_cxt(text: str) -> FormalContext:
     lineno, header = next_content()
     if header.strip() != "B":
         raise ParseError(lineno, f"expected header 'B', got {header.strip()!r}")
+
+    def count(kind: str, lineno: int, raw: str) -> int:
+        text = raw.strip()
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(lineno, f"expected {kind} count, got {text!r}") from None
+
     lineno, raw = next_content()
     try:
         int(raw)
     except ValueError:  # the context's name
         lineno, raw = next_content()
-    try:
-        n_objects = int(raw.strip())
-    except ValueError:
-        raise ParseError(lineno, f"expected object count, got {raw.strip()!r}") from None
+    n_objects = count("object", lineno, raw)
     lineno, raw = next_content()
-    try:
-        n_attributes = int(raw.strip())
-    except ValueError:
-        raise ParseError(lineno, f"expected attribute count, got {raw.strip()!r}") from None
+    n_attributes = count("attribute", lineno, raw)
     if n_objects < 0 or n_attributes < 0:
         raise ParseError(lineno, "counts must be non-negative")
     if (len(lines) - pos == 2 * n_objects + n_attributes + 1

@@ -2,9 +2,11 @@
 
 An order on n elements is two tuples of Python ints: `up[i]` has bit j set
 when i <= j (the elements above i, i included) and `down[j]` has bit i set
-when i <= j (the elements below j).  Both are always transitively closed,
-so the set operations of the pipeline (incomparable pairs, inserting a
-pair, the conjugate test) are a few word operations per element.
+when i <= j (the elements below j).  An `OrderRelation` is a frozen
+record built as `OrderRelation(ground, up, down)` with both masks, which
+are always transitively closed, so the set operations of the pipeline
+(incomparable pairs, inserting a pair, the conjugate test) are a few word
+operations per element.
 The builders (`build_order`, `linear_from_sequence` and the readers of
 `orddraw.ingest`) all hand their generator rows to one step,
 `_close_generators`, which closes the rows into both masks in one sweep and
@@ -19,6 +21,7 @@ from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, GroundMismatch, NotLinear, UnknownLabel
+from .records import Record
 
 Pair = tuple[str, str]
 IdPair = tuple[int, int]
@@ -153,34 +156,28 @@ def is_linear_order(rows: Sequence[int]) -> bool:
     return True
 
 
-class OrderRelation:
+class OrderRelation(Record):
     """A reflexive, antisymmetric, transitive relation on a GroundSet.
 
-    Instances are immutable and always transitively closed: `up[i]` is the
-    mask of the elements j with i <= j, `down[j]` the mask of the i with
-    i <= j.  `down` is the transpose of `up`; a caller that has it passes it
-    in, otherwise it is computed on first use.  Use :func:`build_order` to
-    construct an order from generator pairs.
+    Built as `OrderRelation(ground, up, down)` with both masks, always
+    transitively closed: `up[i]` is the mask of the elements j with
+    i <= j, `down[j]` the mask of the i with i <= j, so `down` is the
+    transpose of `up`.  A frozen record; two orders are equal when their
+    ground sets and up masks are.  Use :func:`build_order` to construct an
+    order from generator pairs.
     """
 
-    __slots__ = ("ground", "up", "_down")
+    __slots__ = ("ground", "up", "down")
 
-    def __init__(self, ground: GroundSet, up: Iterable[int],
-                 down: Iterable[int] | None = None):
-        self.ground = ground
-        self.up: tuple[int, ...] = tuple(up)
-        self._down = None if down is None else tuple(down)
+    def __init__(self, ground: GroundSet, up: Iterable[int], down: Iterable[int]):
+        self._fill(ground, tuple(up), tuple(down))
+
+    def _key(self) -> tuple:
+        return self.ground, self.up
 
     @property
     def n(self) -> int:
         return len(self.ground)
-
-    @property
-    def down(self) -> tuple[int, ...]:
-        """down[j] has bit i set when i <= j."""
-        if self._down is None:
-            self._down = tuple(transpose(self.up))
-        return self._down
 
     @property
     def matrix(self) -> tuple[tuple[bool, ...], ...]:
@@ -203,31 +200,6 @@ class OrderRelation:
     def strict_pair_count(self) -> int:
         """Number of pairs a < b with a != b."""
         return sum(row.bit_count() for row in self.up) - self.n
-
-    def validate(self) -> None:
-        """Raise ValueError unless reflexive, antisymmetric and closed."""
-        n = self.n
-        up = self.up
-        if len(up) != n or any(row >> n for row in up):
-            raise ValueError("incidence shape does not match ground set")
-        down = tuple(transpose(up))
-        if self._down is not None and self._down != down:
-            raise ValueError("down masks are not the transpose of the up masks")
-        if not all(row >> i & 1 for i, row in enumerate(up)):
-            raise ValueError("relation is not reflexive")
-        # the diagonal is the only symmetric part of an order
-        if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
-            raise ValueError("relation is not antisymmetric")
-        # closed iff everything above an element above i is above i
-        if any(up[j] & ~row for row in up for j in bits(row)):
-            raise ValueError("relation is not transitively closed")
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, OrderRelation)
-                and self.ground == other.ground and self.up == other.up)
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.up))
 
     def __repr__(self) -> str:
         return f"OrderRelation({self.n} elements, {self.strict_pair_count()} strict pairs)"

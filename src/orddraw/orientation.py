@@ -141,5 +141,9 @@ def realizer_from_conjugate(o: OrderRelation, conj: OrderRelation) \
     """
     if o.ground != conj.ground:
         raise GroundMismatch("order and conjugate on different ground sets")
-    return (LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.up)])),
-            LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.down)])))
+    # the columns of <= | C and of <= | C^T are o's down masks ORed with
+    # C's columns and C's rows
+    return (LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.up)],
+                                          [a | b for a, b in zip(o.down, conj.down)])),
+            LinearExtension(OrderRelation(o.ground, [a | b for a, b in zip(o.up, conj.down)],
+                                          [a | b for a, b in zip(o.down, conj.up)])))

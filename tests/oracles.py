@@ -41,7 +41,8 @@ def row_masks(matrix) -> list[int]:
 
 def order_from_matrix(ground: GroundSet, matrix) -> OrderRelation:
     """The OrderRelation whose incidence is the given (closed) boolean matrix."""
-    return OrderRelation(ground, row_masks(matrix))
+    m = np.asarray(matrix, dtype=bool)
+    return OrderRelation(ground, row_masks(m), row_masks(m.T))
 
 
 def blas_closure(matrix) -> np.ndarray:
@@ -333,6 +334,18 @@ def literally_an_order(matrix: np.ndarray) -> bool:
     if ((matrix & matrix.T) & ~eye).any():
         return False
     return bool((warshall_closure(matrix) == matrix).all())
+
+
+def assert_order(o: OrderRelation) -> None:
+    """Asserts that o is a well-formed order: n up and n down masks within
+    the ground set, each down mask the column of the up masks, and the
+    incidence reflexive, antisymmetric and transitively closed."""
+    n = o.n
+    assert len(o.up) == len(o.down) == n, "mask count does not match the ground set"
+    assert not any(mask >> n for mask in o.up + o.down), "a mask reaches past the ground set"
+    m = dense(o)
+    assert o.down == tuple(row_masks(m.T)), "down masks are not the transpose of the up masks"
+    assert literally_an_order(m), "relation is not reflexive, antisymmetric and closed"
 
 
 def brute_min_extension(o: OrderRelation, dim2_test) -> int:

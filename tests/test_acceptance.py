@@ -20,10 +20,10 @@ from orddraw.orders import (boolean_lattice, build_order, grid, inc_id_pairs,
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, emit_svg, perturb
 from orddraw.tig import build_tig
-from oracles import (MULTIPASS_SCRIPTED_REMOVAL, brute_force_oct,
-                     brute_min_extension, brute_two_realizer, graph_from_edges,
-                     has_cycle_with, multipass_order, naturally_labeled_posets,
-                     order_from_downsets, poset_canonical_form,
+from oracles import (MULTIPASS_SCRIPTED_REMOVAL, assert_order,
+                     brute_force_oct, brute_min_extension, brute_two_realizer,
+                     graph_from_edges, has_cycle_with, multipass_order,
+                     naturally_labeled_posets, order_from_downsets, poset_canonical_form,
                      poset_is_lattice, random_order, scripted_then_exact)
 
 
@@ -51,7 +51,7 @@ def assert_valid_trace(o, tr):
     assert tr.inserted <= inc, "insertions must be incomparable pairs of the input"
     assert not tr.inserted & {(b, a) for a, b in tr.inserted}, \
         "no pair may be inserted in both directions"
-    tr.extended.validate()
+    assert_order(tr.extended)
     assert all(e & u == u for u, e in zip(o.up, tr.extended.up))
     l1, l2 = realizer_from_conjugate(tr.extended, tr.conjugate)
     assert intersect_linear([l1, l2]) == tr.extended

@@ -18,10 +18,10 @@ from orddraw.engine import _insert
 from orddraw.orders import (GroundSet, bits, cover_relation,
                             inc_id_pairs, intersect_linear, linear_from_sequence,
                             mask_of, transitive_closure, transpose)
-from orddraw.orientation import compute_conjugate_order
+from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.tig import build_tig
-from oracles import (blas_closure, cover_relation_by_blas, dense,
-                     dense_conjugate, dense_insert,
+from oracles import (assert_order, blas_closure, cover_relation_by_blas,
+                     dense, dense_conjugate, dense_insert,
                      dense_tig, random_order, row_masks)
 
 SIZES = (1, 2, 63, 64, 65, 127, 128, 150)
@@ -86,7 +86,7 @@ class TestClosure:
         m = dense(o)
         assert list(o.up) == row_masks(m)
         assert list(o.down) == row_masks(m.T)
-        o.validate()
+        assert_order(o)
 
 
 class TestOrderQueries:
@@ -137,7 +137,7 @@ class TestInsertion:
         assert dense(extended).tolist() == want.tolist()
         assert (kept, added) == (want_kept, want_added)
         assert not kept & added
-        extended.validate()
+        assert_order(extended)
 
     @SETTINGS
     @given(orders(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 20, 200]))
@@ -155,7 +155,7 @@ class TestInsertion:
         assert dense(extended).tolist() == closed.tolist()
         assert kept == chosen
         assert added == frozenset(map(tuple, np.argwhere(closed & ~union).tolist()))
-        extended.validate()
+        assert_order(extended)
 
     @SETTINGS
     @given(orders(), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 20, 60]))
@@ -182,4 +182,19 @@ class TestInsertion:
         extended, kept, added = _insert(o, chosen)
         assert extended.up == current.up and extended.down == current.down
         assert kept == want_kept and added == step_added - want_kept
-        extended.validate()
+        assert_order(extended)
+
+
+class TestDownMasks:
+    @SETTINGS
+    @given(two_dimensional(), st.integers(0, 2 ** 32 - 1))
+    def test_built_orders_carry_the_transpose_of_their_up_masks(self, o, seed):
+        # each of these builds its down masks beside its up masks, by ORs
+        # of columns, rather than by transposing them
+        conj = compute_conjugate_order(o)
+        l1, l2 = realizer_from_conjugate(o, conj)
+        pairs = inc_id_pairs(o)
+        chosen = frozenset(random.Random(seed).sample(pairs, min(20, len(pairs))))
+        extended, _, _ = _insert(o, chosen)
+        for built in (conj, l1.order, l2.order, extended):
+            assert built.down == tuple(transpose(built.up))

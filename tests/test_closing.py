@@ -11,7 +11,7 @@ import pytest
 from orddraw.errors import CycleError
 from orddraw.ingest import parse_order_text
 from orddraw.orders import GroundSet, build_order, linear_from_sequence
-from oracles import blas_closure, row_masks
+from oracles import assert_order, blas_closure, row_masks
 
 # sizes on both sides of the 64-bit word boundary and of the 128-bit one
 SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 130]
@@ -64,7 +64,7 @@ def test_both_readers_close_the_rows_as_the_dense_closure_does():
             assert o.ground.labels == tuple(labels)
             assert o.up == tuple(row_masks(closed))
             assert o.down == tuple(row_masks(closed.T))
-            o.validate()
+            assert_order(o)
         outcomes.add("order")
     assert outcomes == {"cycle", "order"}
 

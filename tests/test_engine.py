@@ -22,7 +22,7 @@ from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, perturb
 from orddraw.tig import build_tig
 from oracles import (MULTIPASS_SCRIPTED_REMOVAL, all_linear_extensions,
-                     brute_force_oct, brute_min_extension,
+                     assert_order, brute_force_oct, brute_min_extension,
                      count_linear_extensions, dense, dense_false_pairs,
                      drawing_to_json_by_dumps, literally_an_order,
                      min_false_comparabilities, multipass_order, random_order,
@@ -429,7 +429,7 @@ class TestDefensiveChecks:
         assert kept == {(a1, a2), (a2, a3)}
         assert (a1, a3) in added
         assert not extended.lt("a3", "a1")
-        extended.validate()
+        assert_order(extended)
 
     def test_closed_insertion_adds_nothing(self):
         o = standard_example(3)

@@ -12,7 +12,7 @@ from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, read_order, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
-from oracles import brute_concepts, random_order
+from oracles import assert_order, brute_concepts, random_order
 
 
 def order_like_texts():
@@ -374,7 +374,7 @@ class TestConceptLattice:
             ctx = FormalContext(tuple(f"g{i}" for i in range(n_obj)),
                                 tuple(f"m{j}" for j in range(n_att)), inc)
             o = concept_lattice(ctx)
-            o.validate()
+            assert_order(o)
             m = o.matrix
             for i in range(o.n):
                 for j in range(o.n):
@@ -436,7 +436,7 @@ class TestConceptLattice:
             above = {label(e): {label(f) for f in extents if e <= f} for e in extents}
             below = {label(e): {label(f) for f in extents if f <= e} for e in extents}
             o = concept_lattice(ctx)
-            o.validate()  # an order: the closing step alone makes it one
+            assert_order(o)  # an order: the closing step alone makes it one
             for masks, expected in ((o.up, above), (o.down, below)):
                 got = {o.ground.label(i): {o.ground.label(j) for j in range(o.n)
                                            if masks[i] >> j & 1} for i in range(o.n)}

@@ -13,9 +13,9 @@ from orddraw.orders import (GroundSet, LinearExtension, OrderRelation,
                             cover_relation, grid, inc_id_pairs, intersect_linear,
                             is_linear_order, linear_from_sequence,
                             standard_example, transitive_closure)
-from oracles import (all_linear_extensions, dense, literally_an_order,
-                     order_from_matrix, random_order, row_masks,
-                     warshall_closure)
+from oracles import (all_linear_extensions, assert_order, dense,
+                     literally_an_order, order_from_matrix, random_order,
+                     row_masks, warshall_closure)
 
 
 @st.composite
@@ -145,7 +145,7 @@ class TestBuildOrder:
     def test_validate_accepts_all_constructions(self):
         rng = random.Random(13)
         for _ in range(30):
-            random_order(rng, rng.randint(1, 8)).validate()
+            assert_order(random_order(rng, rng.randint(1, 8)))
 
     def test_matrix_is_read_only(self):
         # the masks and the matrix are tuples; the matrix is built anew on
@@ -157,6 +157,14 @@ class TestBuildOrder:
             o.up[0] = 0
         assert o.matrix == ((True, True, True), (False, True, True), (False, False, True))
         assert (o.up, o.down) == ((0b111, 0b110, 0b100), (0b001, 0b011, 0b111))
+
+    def test_fields_cannot_be_assigned(self):
+        o = chain(3)
+        for name, value in (("ground", GroundSet("xyz")), ("up", (0b111, 0b010, 0b100)),
+                            ("down", (0b001, 0b010, 0b100))):
+            with pytest.raises(AttributeError):
+                setattr(o, name, value)
+        assert o == chain(3) and o.down == (0b001, 0b011, 0b111)
 
 
 class TestQueries:

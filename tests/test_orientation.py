@@ -254,7 +254,8 @@ class TestRealizer:
 
     def test_non_conjugate_is_rejected(self):
         o = boolean_lattice(2)
-        trivial = OrderRelation(o.ground, [1 << i for i in range(o.n)])
+        diagonal = [1 << i for i in range(o.n)]
+        trivial = OrderRelation(o.ground, diagonal, diagonal)
         with pytest.raises(NotLinear):
             realizer_from_conjugate(o, trivial)
 

@@ -57,7 +57,8 @@ def test_retired_names_are_gone():
                         (graphs.SimpleGraph, "from_masks"),
                         (graphs.SimpleGraph, "neighbors"), (graphs.SimpleGraph, "_set"),
                         (orders.OrderRelation, "le"),
-                        (orders.OrderRelation, "incomparable"), (tig, "IncPair")):
+                        (orders.OrderRelation, "incomparable"), (tig, "IncPair"),
+                        (orders.OrderRelation, "validate")):
         assert not hasattr(owner, name), name
     for name in ("oct_greedy", "_repair", "_cold_steps", "_OTHER_LABELS",
                  "_T0", "_ALPHA", "_STEPS", "_HOT", "_QUIET"):

@@ -59,7 +59,7 @@ class TestPairPredicates:
         rng = random.Random(67)
         for _ in range(40):
             o = random_order(rng, rng.randint(2, 6))
-            dual = OrderRelation(o.ground, o.down)
+            dual = OrderRelation(o.ground, o.down, o.up)
             pairs = inc_id_pairs(o)
             for p in pairs:
                 for q in pairs:
