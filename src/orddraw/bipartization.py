@@ -10,7 +10,13 @@ cliques K_t (t >= 4, each needing t - 2 removals; a block without a K4
 skips the packing), and deepens from there.  A node's count stops one
 cycle past its budget, and each cycle, with its vertex mask, comes from
 `graphs.first_odd_cycle`, one plain loop over the same breadth-first
-layers that stops at the first layer holding an edge.  It lists minimum
+layers that stops at the first layer holding an edge, or from a pool of
+the cycles the block's last walks found: a pool cycle that misses the
+node's removed vertices is an odd cycle of the rest, so the count takes
+those before it walks, and a node the pool settles makes no walk.  The
+pool keeps POOL_SIZE cycles, so a count scans at most 2 * POOL_SIZE
+masks.  A node cut by any count could have yielded nothing, so the pool
+leaves the listed sets as they are.  It lists minimum
 removal sets in a fixed order and the caller may pick among them.
 encode_oct builds the CNF reduction for a backend that the caller runs
 through sat.solve_cnf.  One heuristic, oct_anneal, trades optimality for
@@ -22,6 +28,7 @@ cover, and peels the cover to inclusion-minimality.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -160,28 +167,66 @@ def _clique_bound(g: SimpleGraph, block: int) -> int:
     return bound
 
 
+def _take_pooled(pool: deque[tuple[tuple[int, ...], int]], gone: int, limit: int,
+                 cycles: list[tuple[int, ...]]) -> int:
+    """Append to `cycles` each cycle of `pool`, most recent first, whose
+    vertex mask misses `gone` and the cycles taken before it, until
+    `cycles` holds limit + 1; return `gone` with the cycles taken."""
+    for cycle, mask in reversed(pool):
+        if not mask & gone:
+            cycles.append(cycle)
+            gone |= mask
+            if len(cycles) > limit:
+                break
+    return gone
+
+
 def _disjoint_odd_cycles(g: SimpleGraph, removed: int, limit: int,
-                         known: dict[int, tuple[tuple[int, ...], int] | None]) \
-        -> list[tuple[int, ...]]:
+                         known: dict[int, tuple[tuple[int, ...], int] | None],
+                         pool: deque[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
     """Vertex-disjoint odd cycles of g minus the vertex mask `removed`,
     found greedily, at most limit + 1 of them.  Every transversal needs one
-    vertex of each, so their count bounds the minimum from below; the first
-    is `graphs.first_odd_cycle` of g minus `removed`, and each later one is
-    that cycle for g minus the cycles before it too.  `known` maps each
-    vertex mask already tried to that cycle and its vertex mask, or to
-    None when none is left: the search meets the same sets again, at other
-    nodes and at each larger k."""
-    gone = removed
+    vertex of each, so their count bounds the minimum from below.
+
+    `pool` holds the odd cycles, each with its vertex mask, of the last
+    POOL_SIZE walks that found one, and a pool cycle whose mask misses
+    `removed` is an odd cycle of g minus `removed`.  So the pool is
+    scanned first, most recent cycle first, taking each cycle that misses
+    `removed` and the cycles taken before it: when that gives limit + 1
+    cycles they are the count, and no walk is made.  Otherwise the first
+    cycle is `graphs.first_odd_cycle` of g minus `removed`, the one a
+    search node branches on; then the pool is scanned again from it, and
+    each later cycle is that first odd cycle for g minus the cycles
+    before it too, until none is left.  After a scan every pool cycle not
+    taken meets the cycles taken, and a walk's cycle lies in g minus
+    them, so a third scan would take nothing.  So a call scans the pool at
+    most twice: at most 2 * POOL_SIZE mask tests, however long the search
+    has run.  Each walk's cycle joins the pool, and the oldest leaves it
+    once it is full.
+
+    `known` maps each vertex mask already walked to that cycle and its
+    vertex mask, or to None when none is left: the search meets the same
+    sets again, at other nodes and at each larger k.  So it holds one key
+    per `first_odd_cycle` call."""
     cycles: list[tuple[int, ...]] = []
+    _take_pooled(pool, removed, limit, cycles)
+    if len(cycles) > limit:
+        return cycles
+    cycles = []
+    gone = removed
     while len(cycles) <= limit:
         if gone in known:
             found = known[gone]
         else:
             found = known[gone] = first_odd_cycle(g, gone)
+            if found is not None:
+                pool.append(found)
         if found is None:
             break
         cycles.append(found[0])
         gone |= found[1]
+        if len(cycles) == 1:
+            gone = _take_pooled(pool, gone, limit, cycles)
     return cycles
 
 
@@ -213,6 +258,14 @@ def _lazy_product(sources: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
 # A transversal search lists at most this many sets.
 MAX_TRANSVERSALS = 64
 
+# A block's search keeps the odd cycles of at most this many walks, the
+# most recent ones, to bound its nodes with (see _disjoint_odd_cycles).
+# On the 200 orders of tools/exact_fuzz.py under its 3 s cap, 128 left 11
+# capped against 13 for 48, and on nine slow ones of them 128 and 192 took
+# about 0.6 of the time of 48; an unbounded pool spent more time
+# scanning than its cuts saved.
+POOL_SIZE = 128
+
 
 class TransversalSearch:
     """Distinct minimum odd cycle transversals of g, lazily, at most
@@ -226,7 +279,15 @@ class TransversalSearch:
     removes a vertex set and branches on the vertices of one odd cycle of
     the rest, `graphs.first_odd_cycle`, since every transversal
     contains one of them; it fails when more disjoint odd cycles remain
-    than its budget (see _disjoint_odd_cycles).  A node already searched
+    than its budget (see _disjoint_odd_cycles).  Each block keeps a pool
+    of the odd cycles its walks found, and a node counts its disjoint
+    cycles from the pool before it walks, so a node that a sibling's or
+    an ancestor's cycles already settle fails without a walk.  A failed
+    node could have yielded nothing, whatever its count: its cycles are
+    odd cycles of the rest, so no set within its budget is a transversal.
+    So the pool changes which nodes fail, never the sets yielded or their
+    order; and a block's pool is empty while its starting count runs, so
+    that count, the lower bound, is the walks' alone.  A node already searched
     at the current k is not searched again: before the first set this
     skips exactly the nodes that failed, and after it a repeat could only
     yield sets already yielded.  The first k that yields anything is the block's
@@ -235,14 +296,22 @@ class TransversalSearch:
     one set per block, in product order.
 
     After the first set, `k` is the minimum size; `lower_bound` sums the
-    blocks' starting bounds and `branch_nodes` counts the nodes searched
-    so far; they accumulate, so iterate a search once.  A bipartite graph
+    blocks' starting bounds, `branch_nodes` counts the nodes searched so
+    far and `walks` the `first_odd_cycle` calls made so far; they
+    accumulate, so iterate a search once.  A bipartite graph
     yields the empty set alone.
     """
 
     def __init__(self, g: SimpleGraph):
         self.g = g
         self.k = self.lower_bound = self.branch_nodes = 0
+        self._known: list[dict[int, tuple[tuple[int, ...], int] | None]] = []
+
+    @property
+    def walks(self) -> int:
+        """The `graphs.first_odd_cycle` calls made so far: one per key of
+        the blocks' maps of the masks walked."""
+        return sum(map(len, self._known))
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         per_block = [self._block(block) for block in odd_blocks(self.g)]
@@ -252,8 +321,13 @@ class TransversalSearch:
     def _block(self, block: int) -> Iterator[int]:
         g = self.g
         outside = ((1 << g.n) - 1) ^ block
-        known: dict[int, tuple[int, ...] | None] = {}
-        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known)),
+        # one map per block: an int hashes modulo 2**61 - 1, so in one map
+        # for all blocks the masks of blocks a multiple of 61 vertices apart
+        # would hash alike, and each lookup would compare them bit by bit
+        known: dict[int, tuple[tuple[int, ...], int] | None] = {}
+        self._known.append(known)
+        pool: deque[tuple[tuple[int, ...], int]] = deque(maxlen=POOL_SIZE)
+        lower = max(len(_disjoint_odd_cycles(g, outside, g.n, known, pool)),
                     _clique_bound(g, block))
         self.lower_bound += lower
         k = lower
@@ -263,7 +337,7 @@ class TransversalSearch:
             def search(removed: int, budget: int) -> Iterator[int]:
                 searched.add(removed)
                 self.branch_nodes += 1
-                cycles = _disjoint_odd_cycles(g, removed, budget, known)
+                cycles = _disjoint_odd_cycles(g, removed, budget, known, pool)
                 if not cycles:
                     yield removed ^ outside
                 elif len(cycles) <= budget:
@@ -286,7 +360,8 @@ def min_oct_exact(g: SimpleGraph,
                   accept: Callable[[frozenset[int]], bool] | None = None) -> OctResult:
     """Minimum odd cycle transversal: the first set of the transversal
     search that `accept` takes, or its first set if `accept` is None or
-    takes none of them.  Stats count the sets examined."""
+    takes none of them.  Stats give the search's `k`, `lower_bound`,
+    `branch_nodes` and `walks`, and count the sets examined."""
     search = TransversalSearch(g)
     examined: list[frozenset[int]] = []
     for removed in search:
@@ -297,7 +372,8 @@ def min_oct_exact(g: SimpleGraph,
         removed = examined[0]
     return _checked(g, removed, "sat", True, {
         "k": search.k, "lower_bound": search.lower_bound,
-        "branch_nodes": search.branch_nodes, "examined": len(examined)})
+        "branch_nodes": search.branch_nodes, "walks": search.walks,
+        "examined": len(examined)})
 
 
 def peel_to_minimal(g: SimpleGraph, removed: frozenset[int]) -> frozenset[int]:

@@ -14,6 +14,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
+from orddraw import graphs
+from orddraw.bipartization import MAX_TRANSVERSALS, _clique_bound, _lazy_product
 from orddraw.graphs import SimpleGraph
 from orddraw.orders import (GroundSet, OrderRelation, bits, intersect_linear,
                             linear_from_sequence)
@@ -655,8 +657,6 @@ def reference_transversals(g):
     searched with frozenset keys from its disjoint-odd-cycle bound alone,
     every block's sets are listed in full, and the first MAX_TRANSVERSALS
     tuples of their itertools.product give the unions."""
-    from orddraw.bipartization import MAX_TRANSVERSALS
-
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
@@ -718,6 +718,68 @@ def reference_transversals(g):
     per_block = [block_sets(h, vertices) for h, vertices in blocks]
     return [frozenset().union(*parts) for parts in
             itertools.islice(itertools.product(*per_block), MAX_TRANSVERSALS)]
+
+
+class WalkOnlySearch:
+    """TransversalSearch as it was before its blocks kept a pool of found
+    odd cycles: each node counts its disjoint odd cycles by walks alone,
+    `graphs.first_odd_cycle` of g minus the removed mask and the cycles
+    before it, remembered per mask.  The reference for the pooled search:
+    a pool cycle only ever cuts a node that yields nothing, so both list
+    the same sets in the same order, with the same `k` and `lower_bound`;
+    only `branch_nodes` may differ."""
+
+    def __init__(self, g):
+        self.g = g
+        self.k = self.lower_bound = self.branch_nodes = 0
+
+    @staticmethod
+    def disjoint_odd_cycles(g, removed, limit, known):
+        gone, cycles = removed, []
+        while len(cycles) <= limit:
+            if gone not in known:
+                known[gone] = graphs.first_odd_cycle(g, gone)
+            if known[gone] is None:
+                break
+            cycles.append(known[gone][0])
+            gone |= known[gone][1]
+        return cycles
+
+    def __iter__(self):
+        per_block = [self.block(block) for block in graphs.odd_blocks(self.g)]
+        for parts in itertools.islice(_lazy_product(per_block), MAX_TRANSVERSALS):
+            yield frozenset(bits(sum(parts)))
+
+    def block(self, block):
+        g = self.g
+        outside = ((1 << g.n) - 1) ^ block
+        known = {}
+        k = max(len(self.disjoint_odd_cycles(g, outside, g.n, known)),
+                _clique_bound(g, block))
+        self.lower_bound += k
+        while True:
+            searched = set()
+
+            def search(removed, budget):
+                searched.add(removed)
+                self.branch_nodes += 1
+                cycles = self.disjoint_odd_cycles(g, removed, budget, known)
+                if not cycles:
+                    yield removed ^ outside
+                elif len(cycles) <= budget:
+                    for v in cycles[0]:
+                        child = removed | 1 << v
+                        if child not in searched:
+                            yield from search(child, budget - 1)
+
+            found = search(outside, k)
+            first = next(found, None)
+            if first is not None:
+                self.k += k
+                yield first
+                yield from found
+                return
+            k += 1
 
 
 def kept_graph(g, removed=()):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from orddraw.errors import TooLarge
 from orddraw.graphs import SimpleGraph, odd_blocks
 from orddraw import bipartization
-from orddraw.bipartization import (MAX_TRANSVERSALS, TransversalSearch,
+from orddraw.bipartization import (MAX_TRANSVERSALS, POOL_SIZE, TransversalSearch,
                                    encode_oct, min_oct_exact, oct_anneal,
                                    peel_to_minimal)
 from orddraw.engine import _ends_in_this_pass
@@ -25,7 +26,8 @@ from oracles import (anneal_by_recount, anneal_cover_by_recount,
                      ascending_sweeps_by_recount, bipartite_without, brute_force_oct,
                      first_odd_cycle, graph_from_edges, greedy_clique_packing,
                      has_k4_by_networkx, peel_to_minimal_by_bfs, random_order,
-                     reference_transversals, removal_set, row_masks, solve_by_milp)
+                     reference_transversals, removal_set, row_masks, solve_by_milp,
+                     WalkOnlySearch)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -215,7 +217,7 @@ class TestExactSearch:
         assert res.removed == frozenset()
         assert res.optimal
         assert res.stats == {"k": 0, "lower_bound": 0, "branch_nodes": 0,
-                             "examined": 1}
+                             "walks": 0, "examined": 1}
 
     def test_known_minima(self):
         assert len(min_oct_exact(cycle_graph(5)).removed) == 1
@@ -268,12 +270,24 @@ class TestExactSearch:
     def test_stats_report_the_search(self):
         g = union([complete_graph(4), cycle_graph(5)], [(0, 0, 1, 0)])
         res = min_oct_exact(g)
-        assert set(res.stats) == {"k", "lower_bound", "branch_nodes", "examined"}
+        assert set(res.stats) == {"k", "lower_bound", "branch_nodes", "walks", "examined"}
         assert res.stats["k"] == 3
         # the K4 block's clique bound 2 beats its one disjoint triangle; the C5 adds 1
         assert res.stats["lower_bound"] == 3
         assert res.stats["branch_nodes"] >= 1
         assert res.stats["examined"] == 1
+
+    def test_walks_count_the_odd_cycle_walks(self, monkeypatch):
+        calls = []
+        walk = bipartization.first_odd_cycle
+        monkeypatch.setattr(bipartization, "first_odd_cycle",
+                            lambda g, gone: calls.append(gone) or walk(g, gone))
+        rng = random.Random(173)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(3, 14), rng.choice([0.3, 0.5]))
+            calls.clear()
+            res = min_oct_exact(g, accept=lambda removed: False)  # every listed set
+            assert res.stats["walks"] == len(calls) == len(set(calls))
 
     def test_results_are_deterministic(self):
         g = random_graph(random.Random(97), 9, 0.5)
@@ -282,9 +296,11 @@ class TestExactSearch:
 
 # (k, lower_bound, branch_nodes, examined) of min_oct_exact with the
 # engine's one-pass check, on the first tig of standard_example(n) and of
-# random_order(Random(seed), 10 + seed % 7, 0.3), recorded when the
-# search first took its cycles off `bfs_layers`: a search that lists the
-# same sets in the same order keeps every figure.
+# random_order(Random(seed), 10 + seed % 7, 0.3).  k, lower_bound and
+# examined pin what the search finds, and were recorded when it first took
+# its cycles off `bfs_layers`: a search that lists the same sets in the
+# same order keeps them.  branch_nodes pins how much it searches, and was
+# re-recorded when each block began to keep a pool of found odd cycles.
 PINNED_SEARCHES = [
     ("standard_example", 3, (1, 1, 2, 1)),
     ("standard_example", 4, (2, 2, 3, 1)),
@@ -296,16 +312,16 @@ PINNED_SEARCHES = [
     ("random_order", 1, (0, 0, 0, 1)),
     ("random_order", 2, (1, 1, 5, 1)),
     ("random_order", 3, (2, 1, 22, 1)),
-    ("random_order", 4, (4, 3, 36, 1)),
-    ("random_order", 5, (5, 3, 68, 1)),
-    ("random_order", 6, (7, 6, 141, 1)),
+    ("random_order", 4, (4, 3, 30, 1)),
+    ("random_order", 5, (5, 3, 63, 1)),
+    ("random_order", 6, (7, 6, 148, 1)),
     ("random_order", 7, (0, 0, 0, 1)),
     ("random_order", 8, (0, 0, 0, 1)),
     ("random_order", 9, (0, 0, 0, 1)),
     ("random_order", 10, (2, 2, 8, 1)),
     ("random_order", 11, (3, 2, 34, 1)),
-    ("random_order", 12, (4, 4, 45, 1)),
-    ("random_order", 13, (7, 6, 102, 1)),
+    ("random_order", 12, (4, 4, 25, 1)),
+    ("random_order", 13, (7, 6, 74, 1)),
     ("random_order", 14, (0, 0, 0, 1)),
     ("random_order", 15, (1, 1, 2, 1)),
     ("random_order", 16, (0, 0, 0, 1)),
@@ -331,7 +347,8 @@ class TestDisjointOddCycles:
             pool = [0] + [1 << rng.randrange(g.n) for _ in range(2)]
             for limit in (0, 2, 1, 4, 0, 3):
                 removed = rng.choice(pool)
-                cycles = bipartization._disjoint_odd_cycles(g, removed, limit, known)
+                # an empty pool each time: every cycle comes from a walk
+                cycles = bipartization._disjoint_odd_cycles(g, removed, limit, known, deque())
                 want, gone = [], removed
                 while len(want) <= limit:
                     cycle = first_odd_cycle(g, bits(gone))
@@ -345,6 +362,45 @@ class TestDisjointOddCycles:
                 cycle = first_odd_cycle(g, bits(gone))
                 assert found == (None if cycle is None else (cycle, mask_of(cycle)))
         assert past > 100
+
+    def test_a_shared_pool_gives_a_valid_count(self):
+        # With one pool across calls, every cycle of a count is a cycle a
+        # walk found, and the cycles are disjoint and miss the set.  A count
+        # past its limit has limit + 1 of them; any other starts with the
+        # oracle's first odd cycle and leaves g minus the set and its cycles
+        # bipartite.  The pool holds the most recent walks' cycles, at most
+        # POOL_SIZE of them.
+        rng = random.Random(59)
+        differs = 0
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.2, 0.4]))
+            known, pool, walked = {}, deque(maxlen=POOL_SIZE), []
+            for _ in range(12):
+                removed = mask_of(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
+                limit = rng.randint(0, 4)
+                before = len(known)
+                cycles = bipartization._disjoint_odd_cycles(g, removed, limit, known, pool)
+                walked += [found for found in list(known.values())[before:] if found]
+                assert list(pool) == walked[-POOL_SIZE:]
+                gone = removed
+                for cycle in cycles:
+                    assert cycle in {found[0] for found in walked}
+                    assert not mask_of(cycle) & gone
+                    gone |= mask_of(cycle)
+                assert len(cycles) <= limit + 1
+                if len(cycles) <= limit:
+                    first = first_odd_cycle(g, bits(removed))
+                    assert cycles[:1] == ([] if first is None else [first])
+                    assert bipartite_without(g, bits(gone))
+                want, gone = [], removed  # the walks' count
+                while len(want) <= limit:
+                    cycle = first_odd_cycle(g, bits(gone))
+                    if cycle is None:
+                        break
+                    want.append(cycle)
+                    gone |= mask_of(cycle)
+                differs += cycles != want
+        assert differs > 100
 
 
 class TestPinnedSearch:
@@ -439,6 +495,37 @@ class TestTransversalSearch:
                  for i in range(len(parts) - 1)]
         g = union(parts, links)
         assert list(TransversalSearch(g)) == reference_transversals(g)
+
+
+class TestPooledSearch:
+    """A pool cycle only cuts a node that could have yielded nothing, so the
+    search lists the walk-only reference's sets in its order, with its `k`
+    and `lower_bound`; only `branch_nodes` may differ."""
+
+    @staticmethod
+    def branch_nodes(g):
+        """(pooled, walk-only) branch nodes, after checking the rest."""
+        search, reference = TransversalSearch(g), WalkOnlySearch(g)
+        assert list(search) == list(reference)
+        assert (search.k, search.lower_bound) == (reference.k, reference.lower_bound)
+        return search.branch_nodes, reference.branch_nodes
+
+    def test_random_graphs(self):
+        rng = random.Random(167)
+        pooled = walk_only = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 14), rng.choice([0.2, 0.3, 0.5, 0.7]))
+            nodes = self.branch_nodes(g)
+            pooled, walk_only = pooled + nodes[0], walk_only + nodes[1]
+        assert pooled < walk_only  # the pool cuts nodes: 12,811 against 13,367
+
+    def test_first_tigs_of_random_orders(self):
+        pooled = walk_only = 0
+        for seed in range(60):
+            o = random_order(random.Random(seed), 10 + seed % 9, 0.3)
+            nodes = self.branch_nodes(build_tig(o).graph)
+            pooled, walk_only = pooled + nodes[0], walk_only + nodes[1]
+        assert pooled < walk_only  # 6,044 against 9,676
 
 
 class TestLowerBound:

@@ -1,5 +1,5 @@
-"""tools/import_cost.py, tools/paired_bench.py, tools/op_count.py and
-tools/block_scaling.py."""
+"""tools/import_cost.py, tools/paired_bench.py, tools/op_count.py,
+tools/block_scaling.py and tools/exact_fuzz.py."""
 
 import importlib.util
 import json
@@ -92,3 +92,35 @@ def test_block_scaling_checks_each_familys_removal_set():
     assert not tool.twins_hit(list(range(31, 41)))  # twins of two positions
     assert not tool.twins_hit(list(range(30, 40)) + list(range(130, 140)))  # skips copy 1
     assert not tool.twins_hit(list(range(30, 39)))
+
+
+def test_exact_fuzz_prints_a_line_per_input_and_a_summary(capsys):
+    tool = load_tool("exact_fuzz")
+    assert tool.main(["--count", "4", "--cap", "2"]) == 0
+    header, *rows, summary = capsys.readouterr().out.splitlines()
+    assert header.split() == ["i", "n", "p", "status", "k", "lower_bound", "branch_nodes",
+                              "walks", "seconds", "removal"]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3"]
+    for row in rows:
+        i, n, p, status, *figures, seconds, removal = row.split()
+        size, density = tool.fuzz_input(int(i))
+        assert (int(n), p) == (size, f"{density:.3f}")
+        assert 12 <= size <= 30 and 0.1 <= density <= 0.45
+        assert status in ("done", "capped") and float(seconds) >= 0
+        if status == "done":
+            assert all(figure.isdigit() for figure in figures) and len(removal) == 12
+    words = summary.split()
+    assert words[:4] == ["finished", str(sum("done" in row for row in rows)),
+                         "capped", str(sum("capped" in row for row in rows))]
+
+
+def test_exact_fuzz_caps_an_input_and_stops_quietly_when_stdout_closes(monkeypatch, capsys):
+    tool = load_tool("exact_fuzz")
+    # input 0 takes about 0.1 s, so a cap of 1 ms stops it
+    assert tool.main(["--count", "1", "--cap", "0.001"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[3:8] == ["capped", "-", "-", "-", "-"] and row[-1] == "-"
+    with open(closed_pipe(), "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert tool.main(["--count", "1"]) == 1
+        print("after the close", file=stdout, flush=True)  # to devnull now
