@@ -24,7 +24,9 @@ to the point (c2 - c1, c1 + c2), so "greater" always means "higher".
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable
 
 from .bipartization import OctResult, min_oct_exact, oct_anneal
@@ -144,16 +146,24 @@ def _insert(current: OrderRelation, pairs: frozenset[IdPair]
     skipped the result is the closure of the union whatever the order.  A
     pair that earlier ones imply counts as inserted; the closure-added
     pairs are the new comparabilities beyond the inserted ones.
+
+    The sorted pairs that share a first element a are consecutive, and
+    inserting them one at a time is inserting their union at once: down[a]
+    changes only when a goes above some b, which a kept pair (a, b) never
+    does, so each pair of the run is skipped or kept on the same test, and
+    a kept b, not below a, keeps its up[b].  So a run ORs its kept pairs'
+    up masks and walks down[a] once.
     """
     up, down = list(current.up), list(current.down)
     kept: set[IdPair] = set()
-    for a, b in sorted(pairs):
-        if down[a] >> b & 1:
-            continue
-        kept.add((a, b))
-        above = up[b] & ~up[a]
+    for a, run in groupby(sorted(pairs), key=itemgetter(0)):
+        below, reach = down[a], 0
+        for _, b in run:
+            if not below >> b & 1:
+                kept.add((a, b))
+                reach |= up[b]
+        above = reach & ~up[a]
         if above:
-            below = down[a]
             for x in bits(below):
                 up[x] |= above
             for y in bits(above):
@@ -234,9 +244,9 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
 
 def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
     """Elements whose plane point no longer sits on the exact embedding."""
-    den = d.denominator
+    den, plane = d.denominator, d.plane
     return tuple(sorted(label for label, (c1, c2) in d.coords.items()
-                        if d.plane[label] != ((c2 - c1) * den, (c1 + c2) * den)))
+                        if plane[label] != ((c2 - c1) * den, (c1 + c2) * den)))
 
 
 def _json_list(items: list[str], pad: str) -> str:

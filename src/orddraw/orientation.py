@@ -31,6 +31,24 @@ A finished class is removed from the graph at each vertex it touches, in
 one mask operation per vertex: the arcs forced so far at that vertex are
 the class's own and those of classes already removed.
 
+Either test alone would also find every conflict, only later: with one of
+them dropped, the result is the same on every graph.  Both stay so that a
+class stops at its first conflict.  The proof for the entering test
+(the leaving test's is its mirror image): let a -> c be the first arc
+forced while c -> a is.  The entering test would catch it at c, so a -> c
+leaves a, forced by some a -> b with b, c non-adjacent.  Then c -> a
+forces b -> a, which is not forced before a -> c (that would be an earlier
+conflict).  The queue takes arcs in the order they are forced.  If it
+takes c -> a before a -> b, c -> a forces b -> a entering a: caught
+against a -> b if that is forced by then, and otherwise a -> b, forced
+later but before a -> c, is an earlier conflict.  If after, b -> a
+must have been forced in between, or c -> a would force it entering a,
+caught against a -> b.  It was not forced entering a (caught the same
+way), so some b -> z, taken before c -> a and so forced before a -> b
+was taken, forced it leaving b, with z, a non-adjacent.  But a -> b forces
+z -> b entering b, caught against b -> z, unless z -> b was forced before
+a -> b was taken: with b -> z, an earlier conflict.
+
 The conjugate found for an order is checked once, by `is_linear_order` on
 both unions L1 = <= | C and L2 = <= | C^T (the latter through its
 transpose >= | C, whose rows are the order's down masks ORed with C's

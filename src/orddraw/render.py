@@ -1,10 +1,12 @@
 """SVG, TikZ, and graphviz output for grid drawings.
 
-All geometry is done on the drawing's integer plane, whose points share
-one denominator; floats only appear in the emitted text, as correctly
-rounded int true divisions by it.  Cover edges rise strictly (an extension
-never reverses a comparability), so flipping the y axis for screen
-coordinates keeps greater elements higher.
+All geometry is exact, on ints.  A drawing with no perturbed label is
+checked on its grid ranks, any other on its integer plane, whose points
+share one denominator.  At denominator 1 the SVG's screen coordinates are
+ints as well; at any other, floats appear only in the emitted text, as
+correctly rounded int true divisions by it.  Cover edges rise strictly
+(an extension never reverses a comparability), so flipping the y axis for
+screen coordinates keeps greater elements higher.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .engine import GridDrawing
+from .engine import GridDrawing, perturbed_labels
 from .errors import Unresolvable
 from .orders import Pair
 
@@ -21,10 +23,19 @@ Conflict = tuple[str, Pair]
 
 # Canvas geometry in SVG user units: one grid step is _SCALE, the drawing
 # keeps a _MARGIN on every side, and each label sits right of its node.
-_SCALE = 48.0
-_MARGIN = 40.0
-_NODE_RADIUS = 5.0
-_FONT_SIZE = 12.0
+# They are ints, so a canvas at denominator 1 has int coordinates.
+_SCALE = 48
+_MARGIN = 40
+_NODE_RADIUS = 5
+_FONT_SIZE = 12
+# A label's anchor lies _FONT_SIZE * 0.35 (4.2) below its node: for an int
+# screen y, f"{y + _FONT_SIZE * 0.35:.2f}" is y + 4, then ".20"
+_LABEL_DY_TEXT = f"{_FONT_SIZE * 0.35:.2f}"
+_LABEL_DY_UNITS, _LABEL_DY_DECIMALS = int(_LABEL_DY_TEXT[:-3]), _LABEL_DY_TEXT[-3:]
+# A plane less than _EXACT_SPAN steps across has int screen coordinates
+# under 2**38, whose floats are exact and still print to two exact places
+# with a label offset added, so the int and the float texts agree
+_EXACT_SPAN = 1 << 32
 
 # the perturbation step, 3/20 of a grid unit, as (numerator, denominator)
 _EPSILON = (3, 20)
@@ -32,21 +43,59 @@ _MAX_ROUNDS = 20
 
 
 def detect_collinear(d: GridDrawing) -> list[Conflict]:
-    """Elements sitting on the open segment of a non-incident cover edge.
+    """Elements sitting on the open segment of a non-incident cover edge,
+    sorted.
 
-    Exact, on the integer plane: the shared denominator scales every point
-    alike, so it changes no collinearity and is never read.  With
-    u, v the edge endpoints, e = v - u and g = gcd(e_x, e_y), a lattice
-    point w is on the open segment iff w = u + k * (e / g) for an integer
-    1 <= k < g: e / g is primitive, so every lattice point of the line
-    through u and v is an integer step along it.  So each edge either
-    looks up those g - 1 points in a map from point to labels, or, when
-    fewer elements lie in its height band (a large denominator makes g
-    large), tests each of them: w is on the open segment iff
+    A drawing with no perturbed label is checked on its grid ranks: each
+    plane point is then the denominator times the image of its grid point
+    under the one-to-one linear map (c1, c2) -> (c2 - c1, c1 + c2), so an
+    element lies on an edge's open segment exactly when its grid point
+    lies on the open grid segment.  Each grid point there costs one lookup
+    in a map from c1 to the elements at that rank and one compare of c2.
+    Any other drawing, perturb's rounds among them, is checked on its
+    plane (_plane_conflicts).  Both tests are exact: with u, v the edge
+    endpoints, e = v - u and g = gcd(e), a lattice point w is on the open
+    segment iff w = u + k * (e / g) for an integer 1 <= k < g, since
+    e / g is primitive; a zero-length edge (g = 0) has no open segment.
+    """
+    if perturbed_labels(d):
+        return _plane_conflicts(d)
+    coords = d.coords
+    # c1 -> (c2, label) of each element at that rank; a realizer's ranks
+    # are distinct, but a drawing built by hand may repeat one
+    at: dict[int, list[tuple[int, str]]] = {}
+    for label, (c1, c2) in coords.items():
+        at.setdefault(c1, []).append((c2, label))
+    conflicts: list[Conflict] = []
+    for a, b in d.cover_edges:
+        u1, u2 = coords[a]
+        v1, v2 = coords[b]
+        e1, e2 = v1 - u1, v2 - u2
+        g = math.gcd(e1, e2)
+        if g < 2:  # no grid point on the open segment
+            continue
+        s1, s2 = e1 // g, e2 // g
+        for k in range(1, g):
+            w2 = u2 + k * s2
+            for c2, label in at.get(u1 + k * s1, ()):
+                if c2 == w2:
+                    conflicts.append((label, (a, b)))
+    conflicts.sort()
+    return conflicts
+
+
+def _plane_conflicts(d: GridDrawing) -> list[Conflict]:
+    """detect_collinear on the integer plane, for perturbed drawings.
+
+    The shared denominator scales every point alike, so it changes no
+    collinearity and is never read.  Each edge either looks up the g - 1
+    lattice points of its open segment in a map from point to labels, or,
+    when fewer elements lie in its height band (a large denominator makes
+    g large), tests each of them: w is on the open segment iff
     cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.  The band of a
     non-horizontal edge is the elements strictly between its endpoints'
-    heights, of a horizontal one the elements at its height.  An edge costs
-    min(g - 1, band size) tests; a zero-length edge has no open segment.
+    heights, of a horizontal one the elements at its height.  An edge
+    costs min(g - 1, band size) tests.
     """
     pts = d.plane
     at: dict[tuple[int, int], list[str]] = {}
@@ -60,7 +109,7 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
         vx, vy = pts[b]
         ex, ey = vx - ux, vy - uy
         g = math.gcd(ex, ey)
-        if g < 2:  # no lattice point on the open segment; g = 0: zero length
+        if g < 2:  # no lattice point on the open segment
             continue
         if ey:
             low = bisect_right(heights, min(uy, vy))
@@ -120,14 +169,25 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 
 
 def _screen_geometry(d: GridDrawing):
-    """Canvas width and height, and each element's screen point in ground order."""
-    # int true division is correctly rounded, so (X - min X) / D is the
-    # float of the rational x - min x
+    """Canvas width and height, and each element's screen point in ground order.
+
+    At denominator 1 (and a plane spanning under _EXACT_SPAN grid steps)
+    each is an int.  Otherwise each is a float: int true division is
+    correctly rounded, so (X - min X) / D is the float of the rational
+    x - min x.
+    """
     pts, denom = d.plane, d.denominator
     xs = [p[0] for p in pts.values()]
     ys = [p[1] for p in pts.values()]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
+    if denom == 1 and max(max_x - min_x, max_y - min_y) < _EXACT_SPAN:
+        width = (max_x - min_x) * _SCALE + 2 * _MARGIN
+        height = (max_y - min_y) * _SCALE + 2 * _MARGIN
+        screen = {label: ((pts[label][0] - min_x) * _SCALE + _MARGIN,
+                          (max_y - pts[label][1]) * _SCALE + _MARGIN)
+                  for label in d.order.ground}
+        return width, height, screen
     width = (max_x - min_x) / denom * _SCALE + 2 * _MARGIN
     height = (max_y - min_y) / denom * _SCALE + 2 * _MARGIN
     screen = {label: ((pts[label][0] - min_x) / denom * _SCALE + _MARGIN,
@@ -139,6 +199,11 @@ def _screen_geometry(d: GridDrawing):
 def emit_svg(d: GridDrawing) -> bytes:
     """Render as SVG: cover edges as lines below labelled node circles.
 
+    Every number has two decimals.  Where _screen_geometry gives ints (at
+    denominator 1), each is written as an int and ".00" (label anchors
+    8 and 4.2 away as y + 4 and ".20"), the same text the float path
+    writes for that drawing over any other denominator.
+
     Raises ValueError naming the first label that holds a character XML 1.0
     cannot carry, not even as a character reference (a C0 control other
     than tab, newline and carriage return, or U+FFFE, U+FFFF).
@@ -148,13 +213,23 @@ def emit_svg(d: GridDrawing) -> bytes:
             raise ValueError(f"label {label!r} holds a character that SVG (XML 1.0) "
                              "cannot carry")
     width, height, points = _screen_geometry(d)
-    # each screen coordinate is formatted once, for its circle and for
-    # every edge end at it: one float always gives the same text
-    text = {label: (f"{x:.2f}", f"{y:.2f}") for label, (x, y) in points.items()}
+    if type(width) is int:
+        # an int v prints as "{v}.00", the text f"{v:.2f}" gives its float
+        w, h = f"{width}.00", f"{height}.00"
+        text = {label: (f"{x}.00", f"{y}.00") for label, (x, y) in points.items()}
+        anchors = [(f"{x + _NODE_RADIUS + 3}.00", f"{y + _LABEL_DY_UNITS}{_LABEL_DY_DECIMALS}")
+                   for x, y in points.values()]
+    else:
+        # each screen coordinate is formatted once, for its circle and for
+        # every edge end at it: one float always gives the same text
+        w, h = f"{width:.2f}", f"{height:.2f}"
+        text = {label: (f"{x:.2f}", f"{y:.2f}") for label, (x, y) in points.items()}
+        anchors = [(f"{x + _NODE_RADIUS + 3.0:.2f}", f"{y + _FONT_SIZE * 0.35:.2f}")
+                   for x, y in points.values()]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
-        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+        f'height="{h}" viewBox="0 0 {w} {h}">',
         f'<g fill="none" stroke="#333333" stroke-width="1.5">',
     ]
     for a, b in d.cover_edges:
@@ -163,14 +238,14 @@ def emit_svg(d: GridDrawing) -> bytes:
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     out.append("</g>")
     out.append('<g fill="#1f5fbf" stroke="#0b2f66" stroke-width="1">')
+    radius = f"{_NODE_RADIUS:.2f}"
     for cx, cy in text.values():
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="{_NODE_RADIUS:.2f}"/>')
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}"/>')
     out.append("</g>")
     out.append(f'<g font-family="sans-serif" font-size="{_FONT_SIZE:.2f}" '
                'fill="#111111">')
-    for label, (cx, cy) in points.items():
-        tx, ty = cx + _NODE_RADIUS + 3.0, cy + _FONT_SIZE * 0.35
-        out.append(f'<text x="{tx:.2f}" y="{ty:.2f}">{_xml_escape(label)}</text>')
+    for label, (tx, ty) in zip(points, anchors):
+        out.append(f'<text x="{tx}" y="{ty}">{_xml_escape(label)}</text>')
     out.append("</g>")
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("utf-8")

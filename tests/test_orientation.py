@@ -116,6 +116,23 @@ class TestTransitiveOrientation:
                 assert is_transitive_orientation(g, arcs)
         assert yes > 50 and no > 20, "suite should exercise both outcomes"
 
+    def test_force_classes_on_every_graph_of_up_to_six_vertices(self):
+        # every labelling too, so classes are seeded and walked in every
+        # order the bit order allows: the masks the forcing returns are the
+        # set loop's arcs, and None comes exactly where the set loop meets
+        # a conflict.  Without both conflict tests this fails; without one
+        # of them it cannot (orientation's module docstring proves that
+        # either alone finds every conflict)
+        no = 0
+        for n in range(7):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for m in range(1 << len(pairs)):
+                g = graph_from_edges(n, [p for k, p in enumerate(pairs) if m >> k & 1])
+                expect = transitive_orientation_by_sets(g)
+                assert transitive_orientation(g) == expect, g.edges
+                no += expect is None
+        assert no > 2000, "suite should meet many conflicts"
+
     def test_matches_the_set_loop_on_random_graphs(self):
         rng = random.Random(53)
         yes = no = 0

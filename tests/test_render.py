@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orddraw.engine import compute_coordinates, perturbed_labels
+from orddraw.engine import compute_coordinates, drawing_to_json, perturbed_labels
 from orddraw.errors import Unresolvable
 from orddraw.ingest import parse_order_text
 from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
@@ -163,13 +163,56 @@ class TestDetectCollinear:
             assert d.denominator == 1
             assert {type(c) for p in d.plane.values() for c in p} == {int}
             every = d.replace(cover_edges=comparabilities(o))
+            assert perturbed_labels(every) == ()  # so the rank path checks it
             conflicts = detect_collinear(every)
-            assert conflicts == oracle_conflicts(every)
+            assert conflicts == render._plane_conflicts(every) == oracle_conflicts(every)
             found += len(conflicts)
             for _, (a, b) in conflicts:
                 (ux, uy), (vx, vy) = every.plane[a], every.plane[b]
                 long_found += math.gcd(vx - ux, vy - uy) >= 3
         assert found > 60 and long_found > 40, "the suite should hit lattice points"
+
+    def test_the_plane_test_runs_only_on_perturbed_drawings(self, monkeypatch):
+        plane_conflicts, checked = render._plane_conflicts, []
+
+        def spy(d):
+            checked.append(d)
+            return plane_conflicts(d)
+
+        monkeypatch.setattr(render, "_plane_conflicts", spy)
+        d = forced_conflict()
+        finer = d.replace(plane={label: (7 * x, 7 * y) for label, (x, y) in d.plane.items()},
+                          denominator=7)
+        for unperturbed in (d, finer, compute_coordinates(boolean_lattice(3))):
+            assert perturbed_labels(unperturbed) == ()
+            assert detect_collinear(unperturbed) == oracle_conflicts(unperturbed)
+        assert checked == []
+        # denominator 1, x3 moved off its grid image: its grid point still
+        # puts x2 mid-edge, its plane point does not (and then does again
+        # one third of the way along)
+        (x1, y1), (x2, y2) = d.plane["x1"], d.plane["x2"]
+        x3, y3 = d.plane["x3"]
+        beside = d.replace(plane={**d.plane, "x3": (x3 + 2, y3)})
+        third = d.replace(plane={**d.plane, "x3": (3 * x2 - 2 * x1, 3 * y2 - 2 * y1)})
+        for off_grid, want in ((beside, []), (third, [("x2", ("x1", "x3"))])):
+            assert off_grid.denominator == 1 and perturbed_labels(off_grid) == ("x3",)
+            assert detect_collinear(off_grid) == oracle_conflicts(off_grid) == want
+        assert checked == [beside, third]
+        fixed = perturb(d)  # d itself on its ranks, then each round's drawing
+        rounds = checked[2:]
+        assert rounds and all(perturbed_labels(c) for c in rounds)
+        assert rounds[-1] == fixed
+
+    def test_ranks_repeated_by_hand_are_told_apart_by_the_second_rank(self):
+        # x2 and x3 share the first rank 1; only x2's grid point is the
+        # midpoint of the grid segment x1-x4
+        d = compute_coordinates(chain(4))
+        coords = {"x1": (0, 0), "x2": (1, 1), "x3": (1, 2), "x4": (2, 2)}
+        hand = d.replace(coords=coords, plane={label: (c2 - c1, c1 + c2)
+                                               for label, (c1, c2) in coords.items()},
+                         cover_edges=(("x1", "x4"), ("x3", "x4")))
+        assert perturbed_labels(hand) == ()
+        assert detect_collinear(hand) == oracle_conflicts(hand) == [("x2", ("x1", "x4"))]
 
     def test_two_labels_at_one_point_are_both_reported(self):
         d = compute_coordinates(chain(4))
@@ -365,6 +408,34 @@ class TestSvg:
             got = _screen_geometry(moved)
         assert got == screen_geometry_by_fractions(moved, scale, margin)
         assert list(got[2]) == list(moved.order.ground)  # the SVG's element order
+
+    def test_an_int_canvas_writes_the_float_path_bytes(self):
+        # the same drawing over denominator 7 takes the float path
+        rng = random.Random(211)
+        drawings = [compute_coordinates(boolean_lattice(3)), compute_coordinates(grid(3, 4)),
+                    compute_coordinates(antichain(1))]
+        drawings += [compute_coordinates(random_order(rng, rng.randint(2, 12)))
+                     for _ in range(20)]
+        # den-1 planes that are no grid image: negative and large coordinates
+        drawings += [d.replace(plane={label: (x - 1000 * k, 3 * y + k * 10**8)
+                                      for k, (label, (x, y)) in enumerate(d.plane.items())})
+                     for d in drawings[3:8]]
+        for d in drawings:
+            sevenfold = d.replace(plane={label: (7 * x, 7 * y) for label, (x, y) in d.plane.items()},
+                                  denominator=7)
+            assert type(_screen_geometry(d)[0]) is int
+            assert type(_screen_geometry(sevenfold)[0]) is float
+            assert emit_svg(d) == emit_svg(sevenfold)
+            assert drawing_to_json(d) == drawing_to_json(sevenfold)
+
+    def test_a_canvas_too_wide_for_exact_floats_takes_the_float_path(self):
+        d = compute_coordinates(chain(3))
+        for span in (render._EXACT_SPAN - 1, render._EXACT_SPAN, 10**20):
+            wide = d.replace(plane={**d.plane, "x3": (span, d.plane["x3"][1])})
+            width, _, _ = _screen_geometry(wide)
+            assert type(width) is (int if span < render._EXACT_SPAN else float)
+            assert _screen_geometry(wide) == screen_geometry_by_fractions(
+                wide, render._SCALE, render._MARGIN)
 
     def test_byte_determinism(self):
         a = emit_svg(compute_coordinates(boolean_lattice(3)))

@@ -11,9 +11,13 @@ It prints the total count and the functions with the largest own counts
 count is a property of the code and the corpus alone, so it repeats
 exactly from run to run: a change can be sized on a noisy host by
 comparing the counts of two checkouts.  Tracing makes the pass many times
-slower, so the count is no wall time.  The package and the corpus are
-imported from the checkout that holds this file.  A reader that closes
-the pipe early (`| head -1`) ends it with status 1, without a traceback.
+slower, so the count is no wall time.  Nor does it see work done in C
+within one bytecode (float formatting, hashing tuple keys, bisection): a
+change that saves such work runs almost as many bytecodes as before, and
+is sized with `tools/paired_bench.py` instead.  The package and the
+corpus are imported from the checkout that holds this file.  A reader
+that closes the pipe early (`| head -1`) ends it with status 1, without a
+traceback.
 """
 
 from __future__ import annotations
