@@ -78,8 +78,8 @@ def cmd_draw(ns: argparse.Namespace) -> int:
                 f"{order.ground.label(a)},{order.ground.label(b)}" for a, b in removed))
             print(f"pass {i}: removed {len(removed)} tig vertices: {names}",
                   file=sys.stderr)
-    conflicts = detect_collinear(drawing)
-    if conflicts and not ns.no_perturb:
+    conflicts = [] if ns.no_perturb else detect_collinear(drawing)
+    if conflicts:
         drawing = perturb(drawing, conflicts)
         if ns.verbose:
             print(f"perturbation moved {len(perturbed_labels(drawing))} points "

@@ -19,6 +19,16 @@ def _lines(text: str) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
+def _first_line(text: str) -> str:
+    """The first line of `text` that is not blank, stripped, or "": the
+    first of `line.strip()` over _lines(text) that is not empty.  Leading
+    whitespace holds every blank line (LF and CR are whitespace), so only
+    the text up to the LF or CR after it is read."""
+    head = text.lstrip()
+    end = head.find("\n")
+    return head[:end if end >= 0 else None].partition("\r")[0].rstrip()
+
+
 def parse_order_text(text: str) -> OrderRelation:
     """Read an order from `a < b` lines.
 
@@ -233,7 +243,6 @@ def read_order(text: str) -> OrderRelation:
     must begin with `B`, and `B` alone is never a valid order-text line.
     """
     text = text.removeprefix("\ufeff")
-    first = next((line.strip() for line in _lines(text) if line.strip()), "")
-    if first == "B":
+    if _first_line(text) == "B":
         return concept_lattice(parse_cxt(text))
     return parse_order_text(text)

@@ -1,8 +1,9 @@
 """SVG, TikZ, and graphviz output for grid drawings.
 
-All geometry is exact, on ints.  A drawing with no perturbed label is
-checked on its grid ranks, any other on its integer plane, whose points
-share one denominator.  At denominator 1 the SVG's screen coordinates are
+All geometry is exact, on ints.  One bounded lattice walk checks every
+drawing for collinearity: a drawing with no perturbed label on its grid
+ranks, any other on its integer plane, whose points share one
+denominator.  At denominator 1 the SVG's screen coordinates are
 ints as well; at any other, floats appear only in the emitted text, as
 correctly rounded int true divisions by it.  Cover edges rise strictly
 (an extension never reverses a comparability), so flipping the y axis for
@@ -46,92 +47,77 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
     """Elements sitting on the open segment of a non-incident cover edge,
     sorted.
 
-    A drawing with no perturbed label is checked on its grid ranks: each
-    plane point is then the denominator times the image of its grid point
-    under the one-to-one linear map (c1, c2) -> (c2 - c1, c1 + c2), so an
-    element lies on an edge's open segment exactly when its grid point
-    lies on the open grid segment.  Each grid point there costs one lookup
-    in a map from c1 to the elements at that rank and one compare of c2.
-    Any other drawing, perturb's rounds among them, is checked on its
-    plane (_plane_conflicts).  Both tests are exact: with u, v the edge
-    endpoints, e = v - u and g = gcd(e), a lattice point w is on the open
-    segment iff w = u + k * (e / g) for an integer 1 <= k < g, since
-    e / g is primitive; a zero-length edge (g = 0) has no open segment.
+    One exact walk (_lattice_conflicts) checks every drawing, on one of
+    two integer inputs.  A drawing with no perturbed label passes its grid
+    ranks (c1, c2): each plane point is then the denominator times the
+    image of its grid point under the one-to-one linear map
+    (c1, c2) -> (c2 - c1, c1 + c2), so an element lies on an edge's open
+    segment exactly when its grid point lies on the open grid segment.
+    Any other drawing, perturb's rounds among them, passes its plane
+    points as (y, x): the shared denominator scales every point alike, so
+    it changes no collinearity and is never read.
     """
     if perturbed_labels(d):
-        return _plane_conflicts(d)
-    coords = d.coords
-    # c1 -> (c2, label) of each element at that rank; a realizer's ranks
-    # are distinct, but a drawing built by hand may repeat one
-    at: dict[int, list[tuple[int, str]]] = {}
-    for label, (c1, c2) in coords.items():
-        at.setdefault(c1, []).append((c2, label))
-    conflicts: list[Conflict] = []
-    for a, b in d.cover_edges:
-        u1, u2 = coords[a]
-        v1, v2 = coords[b]
-        e1, e2 = v1 - u1, v2 - u2
-        g = math.gcd(e1, e2)
-        if g < 2:  # no grid point on the open segment
-            continue
-        s1, s2 = e1 // g, e2 // g
-        for k in range(1, g):
-            w2 = u2 + k * s2
-            for c2, label in at.get(u1 + k * s1, ()):
-                if c2 == w2:
-                    conflicts.append((label, (a, b)))
-    conflicts.sort()
-    return conflicts
+        points = {label: (y, x) for label, (x, y) in d.plane.items()}
+    else:
+        points = d.coords
+    return _lattice_conflicts(points, d.cover_edges)
 
 
-def _plane_conflicts(d: GridDrawing) -> list[Conflict]:
-    """detect_collinear on the integer plane, for perturbed drawings.
+def _lattice_conflicts(points: dict[str, tuple[int, int]],
+                       edges: tuple[Pair, ...]) -> list[Conflict]:
+    """The labels whose point lies on the open segment of an edge that
+    does not end at it, sorted; the walk behind detect_collinear.
 
-    The shared denominator scales every point alike, so it changes no
-    collinearity and is never read.  Each edge either looks up the g - 1
-    lattice points of its open segment in a map from point to labels, or,
-    when fewer elements lie in its height band (a large denominator makes
-    g large), tests each of them: w is on the open segment iff
-    cross(v-u, w-u) = 0 and 0 < dot(v-u, w-u) < |v-u|^2.  The band of a
-    non-horizontal edge is the elements strictly between its endpoints'
-    heights, of a horizontal one the elements at its height.  An edge
-    costs min(g - 1, band size) tests.
+    With u, v an edge's endpoints, e = v - u and g = gcd(e), a lattice
+    point w is on the open segment iff w = u + k * (e / g) for an integer
+    1 <= k < g, since e / g is primitive; g < 2 leaves no lattice point
+    there, and a zero-length edge (g = 0) has no open segment.  While
+    g <= n and e_p != 0, the edge looks those g - 1 points up in a map
+    from p to the (q, label) of each point at that p (one p per k, so at
+    most n entries in all).  Otherwise it tests each point of its band,
+    found by bisection over the points sorted by p once: w is on the open
+    segment iff cross(e, w - u) = 0 and 0 < dot(e, w - u) < |e|^2.  The
+    band of an edge with e_p != 0 is the points strictly between its
+    endpoints' p, of one with e_p = 0 the points at its p.  So every edge
+    costs O(n) tests, and a realizer drawing (every rank below n) never
+    sorts.
     """
-    pts = d.plane
-    at: dict[tuple[int, int], list[str]] = {}
-    for label, p in pts.items():
-        at.setdefault(p, []).append(label)
-    by_height = sorted(d.order.ground, key=lambda label: pts[label][1])
-    heights = [pts[label][1] for label in by_height]
+    n = len(points)
+    # p -> (q, label) of each point at that p; a realizer's ranks are
+    # distinct, but drawings built by hand and moved points may share one
+    at: dict[int, list[tuple[int, str]]] = {}
+    for label, (p, q) in points.items():
+        at.setdefault(p, []).append((q, label))
+    by_p: list[tuple[int, int, str]] = []
     conflicts: list[Conflict] = []
-    for a, b in d.cover_edges:
-        ux, uy = pts[a]
-        vx, vy = pts[b]
-        ex, ey = vx - ux, vy - uy
-        g = math.gcd(ex, ey)
-        if g < 2:  # no lattice point on the open segment
+    for a, b in edges:
+        up, uq = points[a]
+        vp, vq = points[b]
+        ep, eq = vp - up, vq - uq
+        g = math.gcd(ep, eq)
+        if g < 2:
             continue
-        if ey:
-            low = bisect_right(heights, min(uy, vy))
-            high = bisect_left(heights, max(uy, vy))
-        else:
-            low, high = bisect_left(heights, uy), bisect_right(heights, uy)
-        if g - 1 <= high - low:
-            sx, sy = ex // g, ey // g
+        if g <= n and ep:
+            sp, sq = ep // g, eq // g
             for k in range(1, g):
-                for label in at.get((ux + k * sx, uy + k * sy), ()):
-                    conflicts.append((label, (a, b)))
+                wq = uq + k * sq
+                for q, label in at.get(up + k * sp, ()):
+                    if q == wq:
+                        conflicts.append((label, (a, b)))
             continue
-        length = ex * ex + ey * ey
-        for label in by_height[low:high]:
-            if label == a or label == b:
-                continue
-            wx, wy = pts[label]
-            px, py = wx - ux, wy - uy
-            if ex * py - ey * px != 0:
-                continue
-            t = ex * px + ey * py
-            if 0 < t < length:
+        if not by_p:
+            by_p = sorted((p, q, label) for label, (p, q) in points.items())
+            ps = [p for p, _, _ in by_p]
+        low, high = min(up, vp), max(up, vp)
+        if ep:
+            band = by_p[bisect_right(ps, low):bisect_left(ps, high)]
+        else:
+            band = by_p[bisect_left(ps, low):bisect_right(ps, high)]
+        length = ep * ep + eq * eq
+        for p, q, label in band:
+            dp, dq = p - up, q - uq
+            if ep * dq == eq * dp and 0 < ep * dp + eq * dq < length:
                 conflicts.append((label, (a, b)))
     conflicts.sort()
     return conflicts

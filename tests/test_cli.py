@@ -15,8 +15,9 @@ import pytest
 from orddraw import cli
 from orddraw.bipartization import OctResult, encode_oct
 from orddraw.cli import main
-from orddraw.engine import STRATEGIES, compute_coordinates
+from orddraw.engine import STRATEGIES, compute_coordinates, drawing_to_json
 from orddraw.ingest import parse_order_text, serialize_order
+from orddraw.render import detect_collinear, emit_svg
 from orddraw.sat import solve_cnf
 from orddraw.tig import build_tig
 from oracles import dense_false_pairs, random_order, removal_set, solve_by_milp
@@ -177,6 +178,23 @@ class TestDraw:
             c1, c2 = element["grid"]
             assert element["plane"] == [c2 - c1, c1 + c2]
         assert perturbed["elements"] != kept["elements"]
+
+    def test_no_perturb_runs_no_detection(self, tmp_path, capsys, monkeypatch):
+        # the same order: its drawing has a conflict, which --no-perturb keeps
+        order = random_order(random.Random(134), 10)
+        path = tmp_path / "ro10.order"
+        path.write_text(serialize_order(order))
+        raw = compute_coordinates(order, strategy="anneal")
+        assert detect_collinear(raw) != []
+        detected = []
+        monkeypatch.setattr(cli, "detect_collinear", detected.append)
+        for suffix, want in ((".svg", emit_svg(raw)), (".json", drawing_to_json(raw).encode())):
+            out = tmp_path / f"drawing{suffix}"
+            assert main(["draw", "-i", str(path), "--solver", "anneal", "-v",
+                         "-o", str(out), "--no-perturb"]) == 0
+            assert out.read_bytes() == want
+            assert "perturbation" not in capsys.readouterr().err
+        assert detected == []
 
     def test_stdin_input(self, capsys, monkeypatch):
         fake_stdin(monkeypatch, DIAMOND_TEXT)

@@ -230,10 +230,11 @@ def test_tikz_and_dot_bytes_are_unchanged(name):
 # ascending order, and the `exact` lines at both seeds when the exact
 # search began to read its odd cycles off the BFS layers; the search
 # line's branch_nodes was re-recorded when each block's search began to
-# keep a pool of the odd cycles it found
+# keep a pool of the odd cycles it found, and its walks were added when the
+# tool began to print the search's first_odd_cycle calls
 CORPUS_DIGEST_1007 = [
     "exact 1007 59 c8a8a360934a510a0d4b1a44f642e6b459f78cfcbd4c6853e27828a31423130c",
-    "exact 1007 search k=201 lower_bound=182 branch_nodes=833 examined=60",
+    "exact 1007 search k=201 lower_bound=182 branch_nodes=833 examined=60 walks=848",
     "heuristic 1007 52 92dce5a67cf9da442e13dd2b614e85ca01440270adfb4da1d339233859ed47f8",
     "two_dim 1007 64 f70b9679dc691270847ac9ecc6b107ecb66524f359d4067477763ee7959e71db",
 ]
@@ -294,4 +295,5 @@ def test_benchmark_corpora_are_unchanged_at_seed_0():
 def test_exact_search_figures_are_unchanged_at_seed_0():
     # the search line of `python tools/corpus_digest.py --seeds 0`
     totals = corpus_digest_tool().search_totals("exact", 0)
-    assert totals == {"k": 201, "lower_bound": 179, "branch_nodes": 958, "examined": 59}
+    assert totals == {"k": 201, "lower_bound": 179, "branch_nodes": 958, "examined": 59,
+                      "walks": 874}

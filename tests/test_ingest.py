@@ -476,6 +476,14 @@ class TestReadOrder:
         assert read_order(text.replace("\n", brk)) == want
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(["\r\n", "\r", "\n", " ", "\t", "\ufeff", "\x0c",
+                                     "\x85", "\u2028", "B", "a", "<", "#"]),
+                    max_size=24).map("".join))
+    def test_the_first_line_is_read_as_the_split_lines_give_it(self, text):
+        split = next((line.strip() for line in ingest._lines(text) if line.strip()), "")
+        assert ingest._first_line(text) == split
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.text(max_size=80), order_like_texts(), cxt_like_texts()))
     def test_text_valid_in_either_format_is_read_in_that_format(self, text):
         for parse in (parse_order_text, lambda t: concept_lattice(parse_cxt(t))):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,11 @@ def failing_after(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def on_plane_points(d):
+    """The points detect_collinear walks for a perturbed drawing: (y, x)."""
+    return {label: (y, x) for label, (x, y) in d.plane.items()}
 
 
 def comparabilities(o):
@@ -163,9 +169,10 @@ class TestDetectCollinear:
             assert d.denominator == 1
             assert {type(c) for p in d.plane.values() for c in p} == {int}
             every = d.replace(cover_edges=comparabilities(o))
-            assert perturbed_labels(every) == ()  # so the rank path checks it
+            assert perturbed_labels(every) == ()  # so the walk takes its ranks
             conflicts = detect_collinear(every)
-            assert conflicts == render._plane_conflicts(every) == oracle_conflicts(every)
+            on_plane = render._lattice_conflicts(on_plane_points(every), every.cover_edges)
+            assert conflicts == on_plane == oracle_conflicts(every)
             found += len(conflicts)
             for _, (a, b) in conflicts:
                 (ux, uy), (vx, vy) = every.plane[a], every.plane[b]
@@ -173,20 +180,21 @@ class TestDetectCollinear:
         assert found > 60 and long_found > 40, "the suite should hit lattice points"
 
     def test_the_plane_test_runs_only_on_perturbed_drawings(self, monkeypatch):
-        plane_conflicts, checked = render._plane_conflicts, []
+        walk, walked = render._lattice_conflicts, []
 
-        def spy(d):
-            checked.append(d)
-            return plane_conflicts(d)
+        def spy(points, edges):
+            walked.append(points)
+            return walk(points, edges)
 
-        monkeypatch.setattr(render, "_plane_conflicts", spy)
+        monkeypatch.setattr(render, "_lattice_conflicts", spy)
         d = forced_conflict()
         finer = d.replace(plane={label: (7 * x, 7 * y) for label, (x, y) in d.plane.items()},
                           denominator=7)
-        for unperturbed in (d, finer, compute_coordinates(boolean_lattice(3))):
+        lattice = compute_coordinates(boolean_lattice(3))
+        for unperturbed in (d, finer, lattice):
             assert perturbed_labels(unperturbed) == ()
             assert detect_collinear(unperturbed) == oracle_conflicts(unperturbed)
-        assert checked == []
+        assert walked == [d.coords, finer.coords, lattice.coords]
         # denominator 1, x3 moved off its grid image: its grid point still
         # puts x2 mid-edge, its plane point does not (and then does again
         # one third of the way along)
@@ -197,11 +205,16 @@ class TestDetectCollinear:
         for off_grid, want in ((beside, []), (third, [("x2", ("x1", "x3"))])):
             assert off_grid.denominator == 1 and perturbed_labels(off_grid) == ("x3",)
             assert detect_collinear(off_grid) == oracle_conflicts(off_grid) == want
-        assert checked == [beside, third]
+        assert walked[3:] == [on_plane_points(beside), on_plane_points(third)]
+        del walked[:]
         fixed = perturb(d)  # d itself on its ranks, then each round's drawing
-        rounds = checked[2:]
-        assert rounds and all(perturbed_labels(c) for c in rounds)
-        assert rounds[-1] == fixed
+        assert walked[0] == d.coords
+        # each round on its plane: (y, x), y twenty times d's and unmoved
+        heights = {label: 20 * y for label, (_, y) in d.plane.items()}
+        rounds = walked[1:]
+        assert rounds and all({label: p for label, (p, _) in points.items()} == heights
+                              for points in rounds)
+        assert rounds[-1] == on_plane_points(fixed)
 
     def test_ranks_repeated_by_hand_are_told_apart_by_the_second_rank(self):
         # x2 and x3 share the first rank 1; only x2's grid point is the
@@ -213,6 +226,27 @@ class TestDetectCollinear:
                          cover_edges=(("x1", "x4"), ("x3", "x4")))
         assert perturbed_labels(hand) == ()
         assert detect_collinear(hand) == oracle_conflicts(hand) == [("x2", ("x1", "x4"))]
+
+    def test_ranks_far_apart_cost_no_more_than_the_elements(self):
+        # chain(3) by hand with the one cover edge x1-x3: its grid segment
+        # holds gcd - 1 lattice points, 10^12 - 1 of them in the first
+        # drawing, so only a walk bounded by the elements can finish
+        d = compute_coordinates(chain(3))
+
+        def by_hand(coords):
+            return d.replace(coords=coords, cover_edges=(("x1", "x3"),),
+                             plane={label: (c2 - c1, c1 + c2)
+                                    for label, (c1, c2) in coords.items()})
+
+        far = by_hand({"x1": (0, 0), "x2": (1, 2), "x3": (10**12, 10**12)})
+        assert perturbed_labels(far) == ()
+        started = time.perf_counter()
+        with failing_after(5.0):
+            assert detect_collinear(far) == []
+        assert time.perf_counter() - started < 1.0
+        on = by_hand({"x1": (0, 0), "x2": (250_000, 500_000), "x3": (10**6, 2 * 10**6)})
+        assert perturbed_labels(on) == ()
+        assert detect_collinear(on) == oracle_conflicts(on) == [("x2", ("x1", "x3"))]
 
     def test_two_labels_at_one_point_are_both_reported(self):
         d = compute_coordinates(chain(4))

@@ -12,8 +12,8 @@ parent:
 
 prints `workload seed items sha256` per pair.  After each `exact` pair it
 prints one more line, `exact seed search k=.. lower_bound=..
-branch_nodes=.. examined=..`: the exact search's figures summed over
-every pass of the corpus (`two_dim` draws with `sat` too, but never
+branch_nodes=.. examined=.. walks=..`: the exact search's figures summed
+over every pass of the corpus, `walks` its `first_odd_cycle` calls (`two_dim` draws with `sat` too, but never
 searches).  They come from a second, undigested run of the extension
 alone on the orders `orddraw.ingest.read_order` reads, through a
 callable strategy that runs `sat` and records its stats, so a change
@@ -41,7 +41,7 @@ from orddraw.engine import STRATEGIES, two_dimension_extension  # noqa: E402
 from orddraw.ingest import read_order  # noqa: E402
 
 
-SEARCH_STATS = ("k", "lower_bound", "branch_nodes", "examined")
+SEARCH_STATS = ("k", "lower_bound", "branch_nodes", "examined", "walks")
 
 
 def corpus_digest(workload: str, seed: int) -> tuple[int, str]:
