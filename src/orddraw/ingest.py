@@ -111,6 +111,22 @@ class FormalContext(Record):
         self._fill(objects, attributes, rows)
 
 
+def _integer(line: str) -> int | None:
+    """The integer that `line` holds, as `int` reads it, or None."""
+    try:
+        return int(line)
+    except ValueError:
+        return None
+
+
+def _count(kind: str, lineno: int, text: str) -> int:
+    """The count that line `lineno` holds, stripped to `text`."""
+    count = _integer(text)
+    if count is None:
+        raise ParseError(lineno, f"expected {kind} count, got {text!r}")
+    return count
+
+
 def parse_cxt(text: str) -> FormalContext:
     """Read a context in Burmeister .cxt format.
 
@@ -118,74 +134,58 @@ def parse_cxt(text: str) -> FormalContext:
     tolerated), one line per object name, one per attribute name, then one
     row of `X`/`.` per object.  `x` is accepted for `X`.  A line between
     `B` and the counts that is not an integer is the context's name, and
-    is skipped.  A blank line after the counts is skipped when the file
-    holds exactly one line more than the names and rows need, as in the
-    common layout; otherwise it is a name, which may be empty.  Lines end
-    in LF, CRLF or CR alone, so a name may hold any other character.
+    is skipped.  So is an integer line there when the file has the common
+    layout with it as the name: two counts follow it, then a blank line,
+    then exactly the names and rows that those counts ask for.  A blank
+    line after the counts is skipped when the file holds exactly one line
+    more than the names and rows need, as in the common layout; otherwise
+    it is a name, which may be empty.  Lines end in LF, CRLF or CR alone,
+    so a name may hold any other character.
     """
     lines = _lines(text)
-    pos = 0
-
-    def next_content() -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos]
-            pos += 1
-            if line.strip():
-                return pos, line
-        raise ParseError(len(lines), "unexpected end of file")
-
-    lineno, header = next_content()
-    if header.strip() != "B":
-        raise ParseError(lineno, f"expected header 'B', got {header.strip()!r}")
-
-    def count(kind: str, lineno: int, raw: str) -> int:
-        text = raw.strip()
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError(lineno, f"expected {kind} count, got {text!r}") from None
-
-    lineno, raw = next_content()
+    # the number (from 1) and stripped text of each line that is not blank
+    filled = ((lineno, line.strip()) for lineno, line in enumerate(lines, 1) if line.strip())
     try:
-        int(raw)
-    except ValueError:  # the context's name
-        lineno, raw = next_content()
-    n_objects = count("object", lineno, raw)
-    lineno, raw = next_content()
-    n_attributes = count("attribute", lineno, raw)
+        lineno, header = next(filled)
+        if header != "B":
+            raise ParseError(lineno, f"expected header 'B', got {header!r}")
+        lineno, line = next(filled)
+        named = _integer(line) is None
+        if named:
+            lineno, line = next(filled)
+        n_objects = _count("object", lineno, line)
+        lineno, line = next(filled)
+        n_attributes = _count("attribute", lineno, line)
+    except StopIteration:
+        raise ParseError(len(lines), "unexpected end of file") from None
+    # with an integer name line, the line after the counts is a third count
+    after, line = next(filled, (0, ""))
+    third = _integer(line)
+    if (not named and third is not None and min(n_attributes, third) >= 0
+            and len(lines) - after - 1 == 2 * n_attributes + third and not lines[after].strip()):
+        n_objects, n_attributes, lineno = n_attributes, third, after
     if n_objects < 0 or n_attributes < 0:
         raise ParseError(lineno, "counts must be non-negative")
-    if (len(lines) - pos == 2 * n_objects + n_attributes + 1
-            and not lines[pos].strip()):
-        pos += 1  # the blank line of the common layout
-
-    def take_name(kind: str) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(len(lines), f"missing {kind} name")
-        name = lines[pos]
-        pos += 1
-        return name
-
-    objects = tuple(take_name("object") for _ in range(n_objects))
-    attributes = tuple(take_name("attribute") for _ in range(n_attributes))
-    # the table is built from rows already read, so the counts alone cannot
-    # make it allocate more than the text holds
-    rows = []
-    for i in range(n_objects):
-        if pos >= len(lines):
-            raise ParseError(len(lines), f"missing incidence row for {objects[i]!r}")
-        row = lines[pos]
-        pos += 1
+    if len(lines) - lineno == 2 * n_objects + n_attributes + 1 and not lines[lineno].strip():
+        lineno += 1  # the blank line of the common layout
+    # names and rows are slices of the lines read, so the counts alone
+    # cannot make the table allocate more than the text holds
+    names = lines[lineno:lineno + n_objects + n_attributes]
+    if len(names) < n_objects + n_attributes:
+        kind = "object" if len(names) < n_objects else "attribute"
+        raise ParseError(len(lines), f"missing {kind} name")
+    objects, attributes = tuple(names[:n_objects]), tuple(names[n_objects:])
+    first = lineno + len(names)  # the rows' first line, numbered from 0
+    rows = lines[first:first + n_objects]
+    for lineno, (name, row) in enumerate(zip(objects, rows), start=first + 1):
         if len(row) != n_attributes:
-            raise ParseError(pos, f"row for {objects[i]!r} has {len(row)} cells, "
-                                  f"expected {n_attributes}")
-        for cell in row:
-            if cell not in "Xx.":
-                raise ParseError(pos, f"unexpected cell {cell!r}")
-        rows.append([cell in "Xx" for cell in row])
-    return FormalContext(objects, attributes, rows)
+            raise ParseError(lineno, f"row for {name!r} has {len(row)} cells, "
+                                     f"expected {n_attributes}")
+        if bad := row.strip("Xx."):
+            raise ParseError(lineno, f"unexpected cell {bad[0]!r}")
+    if len(rows) < n_objects:
+        raise ParseError(len(lines), f"missing incidence row for {objects[len(rows)]!r}")
+    return FormalContext(objects, attributes, ([cell in "Xx" for cell in row] for row in rows))
 
 
 def _extent_label(ctx: FormalContext, extent_mask: int) -> str:

@@ -16,7 +16,9 @@ import numpy as np
 
 from orddraw import graphs
 from orddraw.bipartization import MAX_TRANSVERSALS, _clique_bound, _lazy_product
+from orddraw.errors import ParseError
 from orddraw.graphs import SimpleGraph
+from orddraw.ingest import FormalContext, _lines
 from orddraw.orders import (GroundSet, OrderRelation, bits, intersect_linear,
                             linear_from_sequence)
 
@@ -218,6 +220,87 @@ def brute_concepts(ctx) -> set[frozenset[int]]:
             extents.add(frozenset(g for g in objects
                                   if all(ctx.incidence[g][m] for m in shared)))
     return extents
+
+
+def parse_cxt_reference(text: str) -> FormalContext:
+    """Read a context in Burmeister .cxt format with one cursor that three
+    closures share, line by line: the reference that `ingest.parse_cxt` is
+    tested against.  It differs from parse_cxt on one shape of file only:
+    an integer name line before two counts, a blank line and exactly the
+    names and rows, which it reads as the object count.
+
+    The format is a `B` line, two counts (blank lines in between are
+    tolerated), one line per object name, one per attribute name, then one
+    row of `X`/`.` per object.  `x` is accepted for `X`.  A line between
+    `B` and the counts that is not an integer is the context's name, and
+    is skipped.  A blank line after the counts is skipped when the file
+    holds exactly one line more than the names and rows need, as in the
+    common layout; otherwise it is a name, which may be empty.  Lines end
+    in LF, CRLF or CR alone, so a name may hold any other character.
+    """
+    lines = _lines(text)
+    pos = 0
+
+    def next_content() -> tuple[int, str]:
+        nonlocal pos
+        while pos < len(lines):
+            line = lines[pos]
+            pos += 1
+            if line.strip():
+                return pos, line
+        raise ParseError(len(lines), "unexpected end of file")
+
+    lineno, header = next_content()
+    if header.strip() != "B":
+        raise ParseError(lineno, f"expected header 'B', got {header.strip()!r}")
+
+    def count(kind: str, lineno: int, raw: str) -> int:
+        text = raw.strip()
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(lineno, f"expected {kind} count, got {text!r}") from None
+
+    lineno, raw = next_content()
+    try:
+        int(raw)
+    except ValueError:  # the context's name
+        lineno, raw = next_content()
+    n_objects = count("object", lineno, raw)
+    lineno, raw = next_content()
+    n_attributes = count("attribute", lineno, raw)
+    if n_objects < 0 or n_attributes < 0:
+        raise ParseError(lineno, "counts must be non-negative")
+    if (len(lines) - pos == 2 * n_objects + n_attributes + 1
+            and not lines[pos].strip()):
+        pos += 1  # the blank line of the common layout
+
+    def take_name(kind: str) -> str:
+        nonlocal pos
+        if pos >= len(lines):
+            raise ParseError(len(lines), f"missing {kind} name")
+        name = lines[pos]
+        pos += 1
+        return name
+
+    objects = tuple(take_name("object") for _ in range(n_objects))
+    attributes = tuple(take_name("attribute") for _ in range(n_attributes))
+    # the table is built from rows already read, so the counts alone cannot
+    # make it allocate more than the text holds
+    rows = []
+    for i in range(n_objects):
+        if pos >= len(lines):
+            raise ParseError(len(lines), f"missing incidence row for {objects[i]!r}")
+        row = lines[pos]
+        pos += 1
+        if len(row) != n_attributes:
+            raise ParseError(pos, f"row for {objects[i]!r} has {len(row)} cells, "
+                                  f"expected {n_attributes}")
+        for cell in row:
+            if cell not in "Xx.":
+                raise ParseError(pos, f"unexpected cell {cell!r}")
+        rows.append([cell in "Xx" for cell in row])
+    return FormalContext(objects, attributes, rows)
 
 
 def blocked_two_dimensional(blocks: int, size: int, seed: int):

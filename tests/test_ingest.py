@@ -12,7 +12,7 @@ from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, read_order, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
-from oracles import assert_order, brute_concepts, random_order
+from oracles import assert_order, brute_concepts, parse_cxt_reference, random_order
 
 
 def order_like_texts():
@@ -241,6 +241,58 @@ def cxt_like_texts(draw):
     return brk.join(lines) + draw(st.sampled_from(["", brk]))
 
 
+@st.composite
+def cxt_layouts(draw):
+    """Contexts with up to 3 objects and attributes: with no name line or a
+    blank, word or integer one, with or without a blank line after the
+    counts, names that may be blank or integers and cells that may be `?`,
+    then up to 2 lines dropped, doubled, or replaced by `1` or a blank."""
+    g, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    name = draw(st.sampled_from([None, "", "ctx"]) | st.integers(-1, 2019).map(str))
+    lines = ["B"] + ([] if name is None else [name]) + [str(g), str(m)]
+    lines += [""] * draw(st.integers(0, 1))
+    lines += [draw(st.sampled_from(["", "a", "b", "0", "1", "2"])) for _ in range(g + m)]
+    lines += ["".join(draw(st.lists(st.sampled_from("Xx.?"), min_size=m, max_size=m)))
+              for _ in range(g)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = draw(st.sampled_from([[], [lines[i]] * 2, ["1"], [""]]))
+    brk = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
+
+
+def with_the_integer_name_as_a_word(text):
+    """`text` with its integer name line replaced by a word, if parse_cxt
+    reads that line as the name; otherwise None.  It does when the first
+    three lines after `B` that are not blank hold integers, the last two
+    of them counts g and m of at least 0, and a blank line then follows
+    with exactly 2g + m lines after it."""
+    lines = ingest._lines(text)
+    filled = [i for i, line in enumerate(lines) if line.strip()]
+    if len(filled) < 4 or lines[filled[0]].strip() != "B":
+        return None
+    name, g, m = filled[1:4]
+    try:
+        int(lines[name])
+        g, m = int(lines[g]), int(lines[m])
+    except ValueError:
+        return None
+    after = lines[filled[3] + 1:]
+    if min(g, m) < 0 or len(after) != 2 * g + m + 1 or after[0].strip():
+        return None
+    lines[name] = "ctx"
+    return "\n".join(lines) + "\n"
+
+
+def read_cxt(parse, text):
+    """The context that `parse` reads from text, or its ParseError's line
+    and reason."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line, err.reason
+
+
 class TestCxt:
     def test_parse_square(self):
         ctx = parse_cxt(CXT_SQUARE)
@@ -271,6 +323,24 @@ class TestCxt:
         # one line fewer than the common layout: the blank line names the object
         ctx = parse_cxt("B\n1\n1\n\nx\nX\n")
         assert (ctx.objects, ctx.attributes, ctx.incidence) == (("",), ("x",), ((True,),))
+
+    # an integer name line in the common layout
+    @pytest.mark.parametrize("text, objects, attributes, incidence", [
+        ("B\n2\n1\n1\n\na\nx\nX\n", ("a",), ("x",), ((True,),)),
+        ("B\n2019\n2\n1\n\na\nb\nx\nX\n.\n", ("a", "b"), ("x",), ((True,), (False,))),
+    ], ids=["2", "2019"])
+    def test_an_integer_line_is_the_name_when_the_common_layout_fits(
+            self, text, objects, attributes, incidence):
+        ctx = parse_cxt(text)
+        assert (ctx.objects, ctx.attributes, ctx.incidence) == (objects, attributes, incidence)
+        assert read_order(text).ground.labels[-1] == "{" + ",".join(objects) + "}"
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.text(max_size=80), cxt_like_texts(), cxt_layouts()))
+    def test_reads_as_the_reference_but_for_an_integer_name(self, text):
+        named = with_the_integer_name_as_a_word(text)
+        want = read_cxt(parse_cxt_reference, text if named is None else named)
+        assert read_cxt(parse_cxt, text) == want
 
     def test_header_must_be_b(self):
         with pytest.raises(ParseError) as err:

@@ -34,8 +34,10 @@ def oracle_conflicts(d):
 
 @contextlib.contextmanager
 def failing_after(seconds):
-    """Raise TimeoutError inside the block once `seconds` have passed (where
-    the platform has interval timers), so a runaway loop fails, not hangs."""
+    """Raise TimeoutError inside the block once `seconds` have passed, and
+    again every 10 ms until it ends (where the platform has interval
+    timers), so a runaway loop fails, not hangs, even when one alarm lands
+    in a gc callback, where the exception is only reported."""
     if not hasattr(signal, "setitimer"):
         yield
         return
@@ -44,7 +46,7 @@ def failing_after(seconds):
         raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.01)
     try:
         yield
     finally:

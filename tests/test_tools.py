@@ -1,12 +1,15 @@
 """tools/import_cost.py, tools/paired_bench.py, tools/op_count.py,
 tools/block_scaling.py and tools/exact_fuzz.py."""
 
+import gc
 import importlib.util
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,33 @@ def test_exact_fuzz_prints_a_line_per_input_and_a_summary(capsys):
     words = summary.split()
     assert words[:4] == ["finished", str(sum("done" in row for row in rows)),
                          "capped", str(sum("capped" in row for row in rows))]
+
+
+def test_exact_fuzz_caps_an_input_when_the_alarm_lands_in_a_gc_callback(monkeypatch, capsys):
+    tool = load_tool("exact_fuzz")
+    spun, reported = [], []
+    monkeypatch.setattr(sys, "unraisablehook", lambda raised: reported.append(raised.exc_type))
+
+    def spin(phase, info):
+        # the first collection under the cap outlasts it, so the alarm lands
+        # here, and Python only reports the exception it raises
+        if phase == "start" and not spun and signal.getitimer(signal.ITIMER_REAL)[0] > 0:
+            spun.append(phase)
+            end = time.perf_counter() + 0.02
+            while time.perf_counter() < end:
+                pass
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(spin)
+    gc.set_threshold(1)
+    try:
+        # input 0 takes about 0.1 s uncapped
+        assert tool.main(["--count", "1", "--cap", "0.005"]) == 0
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(spin)
+    assert tool.Capped in reported
+    assert capsys.readouterr().out.splitlines()[1].split()[3] == "capped"
 
 
 def test_exact_fuzz_caps_an_input_and_stops_quietly_when_stdout_closes(monkeypatch, capsys):

@@ -8,7 +8,10 @@ generator from its `perfbench/corpus.py` (by default the checkout that
 holds this file).  Input i is `corpus.random_order(Random(i), n, p)`,
 with n = randint(12, 30) and then p = uniform(0.1, 0.45) drawn from
 `Random(9000 + i)`.  Each extension runs under a `SIGALRM` cap of S
-seconds (default 3).
+seconds (default 3).  After the cap the alarm repeats every 10 ms until
+the extension stops, so the cap holds even when an alarm lands where its
+exception cannot propagate, such as a gc callback or a finalizer, which
+Python only reports.
 
 It prints a header, then one line per input:
 
@@ -99,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                 return result
 
             start = time.perf_counter()
-            signal.setitimer(signal.ITIMER_REAL, ns.cap)
+            signal.setitimer(signal.ITIMER_REAL, ns.cap, 0.01)  # repeats: see above
             try:
                 try:
                     trace = two_dimension_extension(order, strategy=recording)
