@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bipartization import OctResult, min_oct_exact, oct_anneal
 from .errors import OrderViolation
@@ -242,11 +242,18 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     return GridDrawing(o, coords, plane, covers, trace)
 
 
-def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
-    """Elements whose plane point no longer sits on the exact embedding."""
+def _moved_labels(d: GridDrawing) -> Iterator[str]:
+    """Elements whose plane point no longer sits on the exact embedding,
+    lazily, in coords order."""
     den, plane = d.denominator, d.plane
-    return tuple(sorted(label for label, (c1, c2) in d.coords.items()
-                        if plane[label] != ((c2 - c1) * den, (c1 + c2) * den)))
+    return (label for label, (c1, c2) in d.coords.items()
+            if plane[label] != ((c2 - c1) * den, (c1 + c2) * den))
+
+
+def perturbed_labels(d: GridDrawing) -> tuple[str, ...]:
+    """Elements whose plane point no longer sits on the exact embedding,
+    sorted."""
+    return tuple(sorted(_moved_labels(d)))
 
 
 def _json_list(items: list[str], pad: str) -> str:

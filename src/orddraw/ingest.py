@@ -35,20 +35,14 @@ def parse_order_text(text: str) -> OrderRelation:
     Blank lines and `#` comments are skipped.  An optional
     `elements: a b c` line declares labels up front (useful for isolated
     elements); otherwise labels are collected in order of appearance.
-    `a < a` lines are allowed and add nothing.  The generator masks are
-    built while the lines are read, through one label -> id dict, and are
-    closed by the same step as `build_order`'s, so the result, and any
-    CycleError, is that of `build_order` on the labels and pairs read.
+    `a < a` lines are allowed and add nothing.  Each label gets its id
+    from one label -> id dict as its line is read; the generator rows are
+    filled from the pairs read once the lines are done, and are closed by
+    the same step as `build_order`'s, so the result, and any CycleError,
+    is that of `build_order` on the labels and pairs read.
     """
     index: dict[str, int] = {}  # label -> id, in order of appearance
-    generators: list[int] = []  # bit j of generators[i]: a line i < j
-
-    def note(labels: Iterable[str]) -> None:
-        """Give each label not seen before the next id, with no pairs yet."""
-        for label in labels:
-            index.setdefault(label, len(index))
-        generators.extend([0] * (len(index) - len(generators)))
-
+    pairs: list[tuple[int, int]] = []  # (i, j) per line i < j
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,7 +51,8 @@ def parse_order_text(text: str) -> OrderRelation:
             labels = line[len("elements:"):].split()
             if "<" in labels:
                 raise ParseError(lineno, "'<' cannot be used as a label")
-            note(labels)
+            for label in labels:
+                index.setdefault(label, len(index))
             continue
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] != "<":
@@ -65,14 +60,12 @@ def parse_order_text(text: str) -> OrderRelation:
         a, _, b = tokens
         if a == "<" or b == "<":
             raise ParseError(lineno, "'<' cannot be used as a label")
-        try:
-            i, j = index[a], index[b]
-        except KeyError:
-            note((a, b))
-            i, j = index[a], index[b]
-        generators[i] |= 1 << j
+        pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
     if not index:
         raise ParseError(0, "no elements found")
+    generators = [0] * len(index)  # bit j of generators[i]: a line i < j
+    for i, j in pairs:
+        generators[i] |= 1 << j
     return _close_generators(GroundSet(index), generators)
 
 

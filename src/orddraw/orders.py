@@ -263,31 +263,41 @@ def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation
     return OrderRelation(ground, up, down)
 
 
-def cover_relation(o: OrderRelation) -> frozenset[Pair]:
-    """Pairs a < b with nothing strictly between (the diagram edges).
+def _upper_covers(o: OrderRelation) -> list[list[int]]:
+    """Per element id a, the ids of the elements that cover a.
 
     The covers of a are the minimal elements of the set strictly above a.
-    From any element of that set, stepping to an element of it strictly
-    below, while there is one, ends at a minimal one: a cover.  Everything
-    above that cover is then not minimal and leaves the candidates, so
-    each step either descends or finds a new cover.
+    From the highest-id candidate, stepping to the highest-id candidate
+    strictly below, while there is one, ends at a minimal one: a cover.
+    Everything above that cover is then not minimal and leaves the
+    candidates, so each step either descends or finds a new cover, and no
+    cover of a lies above another.  (An element above a and strictly below
+    a candidate is itself one: were it above a cover found, so would the
+    candidate be.)  This is the one cover walk of the package:
+    cover_relation names its pairs and build_tig folds along them.
     """
-    lab = o.ground.labels
     up = o.up
     strictly_below = [col & ~(1 << i) for i, col in enumerate(o.down)]
     covers = []
     for a, row in enumerate(up):
-        above = row & ~(1 << a)
-        rest = above
+        rest, found = row & ~(1 << a), []
         while rest:
-            c = (rest & -rest).bit_length() - 1
-            lower = strictly_below[c] & above
+            c = rest.bit_length() - 1
+            lower = strictly_below[c] & rest
             while lower:
-                c = (lower & -lower).bit_length() - 1
-                lower = strictly_below[c] & above
-            covers.append((lab[a], lab[c]))
+                c = lower.bit_length() - 1
+                lower = strictly_below[c] & rest
+            found.append(c)
             rest &= ~up[c]
-    return frozenset(covers)
+        covers.append(found)
+    return covers
+
+
+def cover_relation(o: OrderRelation) -> frozenset[Pair]:
+    """Pairs a < b with nothing strictly between (the diagram edges): the
+    labels of _upper_covers' id pairs."""
+    lab = o.ground.labels
+    return frozenset((x, lab[c]) for x, found in zip(lab, _upper_covers(o)) for c in found)
 
 
 def incomparable_masks(o: OrderRelation) -> list[int]:

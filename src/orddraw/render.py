@@ -3,9 +3,10 @@
 All geometry is exact, on ints.  One bounded lattice walk checks every
 drawing for collinearity: a drawing with no perturbed label on its grid
 ranks, any other on its integer plane, whose points share one
-denominator.  At denominator 1 the SVG's screen coordinates are
-ints as well; at any other, floats appear only in the emitted text, as
-correctly rounded int true divisions by it.  Cover edges rise strictly
+denominator, with every height divided by the heights' gcd.  At
+denominator 1 the SVG's screen coordinates are ints as well; at any
+other, floats appear only in the emitted text, as correctly rounded int
+true divisions by it.  Cover edges rise strictly
 (an extension never reverses a comparability), so flipping the y axis for
 screen coordinates keeps greater elements higher.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .engine import GridDrawing, perturbed_labels
+from .engine import GridDrawing, _moved_labels
 from .errors import Unresolvable
 from .orders import Pair
 
@@ -54,13 +55,19 @@ def detect_collinear(d: GridDrawing) -> list[Conflict]:
     (c1, c2) -> (c2 - c1, c1 + c2), so an element lies on an edge's open
     segment exactly when its grid point lies on the open grid segment.
     Any other drawing, perturb's rounds among them, passes its plane
-    points as (y, x): the shared denominator scales every point alike, so
-    it changes no collinearity and is never read.
+    points as (y / s, x), s the gcd of every plane y (1 if all are 0).
+    Scaling one axis of every point alike keeps every collinearity and
+    every betweenness, so neither s nor the shared denominator is read
+    again.  perturb moves x alone, so its rounds keep the heights of the
+    drawing it starts from, which s brings back down to small ints, and
+    the walk's lattice steps with them.  The frame is chosen by a lazy
+    test that stops at the first moved label.
     """
-    if perturbed_labels(d):
-        points = {label: (y, x) for label, (x, y) in d.plane.items()}
-    else:
+    if next(_moved_labels(d), None) is None:
         points = d.coords
+    else:
+        s = math.gcd(*(y for _, y in d.plane.values())) or 1
+        points = {label: (y // s, x) for label, (x, y) in d.plane.items()}
     return _lattice_conflicts(points, d.cover_edges)
 
 

@@ -16,19 +16,23 @@ the vertex ids.  With F[c] the vertices whose first element is c (one
 contiguous run, since the vertices come in lexicographic order) and S[d]
 those whose second element is d, let UF[b] be the OR of F[c] over all
 c >= b and DS[a] the OR of S[d] over all d <= a.  The neighbours of (a, b)
-are then UF[b] & DS[a]: one AND per vertex.  UF is built in one sweep
-from the top, each element ORing the UF of its covers only, since the UF
-of a cover already holds everything above it; DS likewise from the
-bottom.  That is one OR per cover of the order, not one per comparable
-pair.  The neighbour masks are the graph; the build holds no
-|inc| x |inc| matrix, and its size is known up front.
+are then UF[b] & DS[a]: one AND per vertex.  Both folds read the cover
+lists of orders' one cover walk, taken once per build, in one order of
+the elements by down-set size (an element below another has the smaller
+down-set).  UF is built in that order reversed, from the top, each
+element ORing the UF of its covers only, since the UF of a cover already
+holds everything above it; DS from the bottom, each element pushing its
+finished DS into the elements that cover it.  That is one OR per cover
+of the order and fold, not one per comparable pair.  The neighbour masks
+are the graph; the build holds no |inc| x |inc| matrix, and its size is
+known up front.
 """
 
 from __future__ import annotations
 
 from .errors import TooLarge
 from .graphs import SimpleGraph
-from .orders import IdPair, OrderRelation, bits, incomparable_masks
+from .orders import IdPair, OrderRelation, _upper_covers, bits, incomparable_masks
 
 # The most incomparable pairs (tig vertices) build_tig accepts.  A
 # neighbour mask holds up to one bit per vertex, so at this bound the
@@ -52,38 +56,6 @@ class TigGraph:
         return f"TigGraph({len(self.vertices)} pairs, {self.graph.m} conflicts)"
 
 
-def _fold_above(up: tuple[int, ...], down: tuple[int, ...],
-                leaf: list[int]) -> list[int]:
-    """Per element b, the OR of leaf[c] over the c in up[b].
-
-    The elements are swept from the top, sorted by the size of their up-set
-    (an element strictly below another has the larger one), so every c
-    above b is done before b.  Row b ORs the result of a minimal element c
-    of what is left of its strict up-set, found by stepping down within
-    it, and then drops all of up[c], which that result already covers.
-    Each pick is a cover of b, so a row pays one OR per cover, not one
-    per element above it; every element stepped over lies above the pick
-    and drops with it, so the steps of a row are at most its up-set.
-    With `up` and `down` swapped this folds over the down-sets, from the
-    bottom.
-    """
-    strictly_below = [col ^ 1 << i for i, col in enumerate(down)]
-    sizes = list(map(int.bit_count, up))
-    folded = [0] * len(up)
-    for b in sorted(range(len(up)), key=sizes.__getitem__):
-        acc, rest = leaf[b], up[b] ^ 1 << b
-        while rest:
-            c = rest.bit_length() - 1
-            lower = strictly_below[c] & rest
-            while lower:
-                c = lower.bit_length() - 1
-                lower = strictly_below[c] & rest
-            acc |= folded[c]
-            rest &= ~up[c]
-        folded[b] = acc
-    return folded
-
-
 def build_tig(o: OrderRelation) -> TigGraph:
     """Incompatibility graph of o.
 
@@ -104,7 +76,16 @@ def build_tig(o: OrderRelation) -> TigGraph:
             seconds[b] |= 1 << len(verts)
             verts.append((a, b))
         firsts[a] = ((1 << (len(verts) - start)) - 1) << start
-    above_firsts = _fold_above(o.up, o.down, firsts)  # UF[b]
-    below_seconds = _fold_above(o.down, o.up, seconds)  # DS[a]
-    nbrs = [above_firsts[b] & below_seconds[a] for a, b in verts]
+    covers = _upper_covers(o)
+    # an element below another has the smaller down-set: this order runs
+    # bottom-up, and reversed it runs top-down
+    down_sizes = list(map(int.bit_count, o.down))
+    ascending = sorted(range(o.n), key=down_sizes.__getitem__)
+    for b in reversed(ascending):  # UF[c] is done for each cover c of b
+        for c in covers[b]:
+            firsts[b] |= firsts[c]
+    for d in ascending:  # DS[d] is done; push it into each cover of d
+        for c in covers[d]:
+            seconds[c] |= seconds[d]
+    nbrs = [firsts[b] & seconds[a] for a, b in verts]
     return TigGraph(o, tuple(verts), SimpleGraph(nbrs))

@@ -19,8 +19,8 @@ from orddraw.bipartization import MAX_TRANSVERSALS, _clique_bound, _lazy_product
 from orddraw.errors import ParseError
 from orddraw.graphs import SimpleGraph
 from orddraw.ingest import FormalContext, _lines
-from orddraw.orders import (GroundSet, OrderRelation, bits, intersect_linear,
-                            linear_from_sequence)
+from orddraw.orders import (GroundSet, OrderRelation, _close_generators, bits,
+                            intersect_linear, linear_from_sequence)
 
 
 def dense(o: OrderRelation) -> np.ndarray:
@@ -220,6 +220,53 @@ def brute_concepts(ctx) -> set[frozenset[int]]:
             extents.add(frozenset(g for g in objects
                                   if all(ctx.incidence[g][m] for m in shared)))
     return extents
+
+
+def parse_order_text_reference(text: str) -> OrderRelation:
+    """Read an order from `a < b` lines, giving each label its id through a
+    `note` closure and a `try/except KeyError` around the lookup of a
+    line's two labels, and filling the generator rows as the lines are
+    read: the reference that `ingest.parse_order_text` is tested against.
+
+    Blank lines and `#` comments are skipped.  An optional
+    `elements: a b c` line declares labels up front (useful for isolated
+    elements); otherwise labels are collected in order of appearance.
+    `a < a` lines are allowed and add nothing.
+    """
+    index: dict[str, int] = {}  # label -> id, in order of appearance
+    generators: list[int] = []  # bit j of generators[i]: a line i < j
+
+    def note(labels) -> None:
+        """Give each label not seen before the next id, with no pairs yet."""
+        for label in labels:
+            index.setdefault(label, len(index))
+        generators.extend([0] * (len(index) - len(generators)))
+
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            labels = line[len("elements:"):].split()
+            if "<" in labels:
+                raise ParseError(lineno, "'<' cannot be used as a label")
+            note(labels)
+            continue
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[1] != "<":
+            raise ParseError(lineno, f"expected 'a < b', got {line!r}")
+        a, _, b = tokens
+        if a == "<" or b == "<":
+            raise ParseError(lineno, "'<' cannot be used as a label")
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            note((a, b))
+            i, j = index[a], index[b]
+        generators[i] |= 1 << j
+    if not index:
+        raise ParseError(0, "no elements found")
+    return _close_generators(GroundSet(index), generators)
 
 
 def parse_cxt_reference(text: str) -> FormalContext:

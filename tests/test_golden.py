@@ -231,11 +231,15 @@ def test_tikz_and_dot_bytes_are_unchanged(name):
 # search began to read its odd cycles off the BFS layers; the search
 # line's branch_nodes was re-recorded when each block's search began to
 # keep a pool of the odd cycles it found, and its walks were added when the
-# tool began to print the search's first_odd_cycle calls
+# tool began to print the search's first_odd_cycle calls; the tig lines were
+# added, as the tool printed them on the parent's tree too, when the tig
+# folds began to read the covers of the cover relation's walk
 CORPUS_DIGEST_1007 = [
     "exact 1007 59 c8a8a360934a510a0d4b1a44f642e6b459f78cfcbd4c6853e27828a31423130c",
     "exact 1007 search k=201 lower_bound=182 branch_nodes=833 examined=60 walks=848",
+    "exact 1007 tigs=59 6c86e0685228150e07a6847f30f74b4c84666ef855c7bd1d9678696c25494cee",
     "heuristic 1007 52 92dce5a67cf9da442e13dd2b614e85ca01440270adfb4da1d339233859ed47f8",
+    "heuristic 1007 tigs=71 e120c9a487f230cef639da6cb8ead81b6e69a2d675feaccf40fcdbe6c47a7c00",
     "two_dim 1007 64 f70b9679dc691270847ac9ecc6b107ecb66524f359d4067477763ee7959e71db",
 ]
 

@@ -12,7 +12,8 @@ from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, read_order, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
-from oracles import assert_order, brute_concepts, parse_cxt_reference, random_order
+from oracles import (assert_order, brute_concepts, parse_cxt_reference,
+                     parse_order_text_reference, random_order)
 
 
 def order_like_texts():
@@ -21,6 +22,43 @@ def order_like_texts():
                                      "#", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
                                      "\x85", "\u2028", "\x00", "B"]),
                     max_size=40).map("".join)
+
+
+@st.composite
+def order_text_layouts(draw):
+    """Up to 8 lines of order text over 4 labels, `<` and `<<`: pairs (which
+    often close a cycle), `elements:` lines, comments, blank lines and lines
+    with a wrong token count, each ended by LF, CRLF or CR."""
+    label = st.sampled_from(["a", "b", "c", "d"] * 4 + ["<", "<<"])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["pair"] * 8 + ["elements", "comment", "blank", "wrong"]))
+        if kind == "pair":
+            line = f"{draw(label)} < {draw(label)}"
+        elif kind == "elements":
+            line = "elements:" + " ".join(draw(st.lists(label, max_size=3)))
+        elif kind == "comment":
+            line = "# " + draw(st.sampled_from(["a < b", "", "elements: x"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            line = " ".join(draw(st.lists(st.sampled_from(["a", "<", "b", "<="]), max_size=5)))
+        if draw(st.booleans()):
+            line += "  # tail"
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+def read_order_text(parse, text):
+    """The order that `parse` reads from text, as its labels and masks, or
+    its ParseError's line and reason, or its CycleError's witness."""
+    try:
+        o = parse(text)
+    except ParseError as err:
+        return "ParseError", err.line, err.reason
+    except CycleError as err:
+        return "CycleError", err.cycle
+    return o.ground.labels, o.up, o.down
 
 
 class TestOrderText:
@@ -77,6 +115,12 @@ class TestOrderText:
         except (ParseError, CycleError):
             return
         assert o.n >= 1
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.text(max_size=80), order_like_texts(), order_text_layouts()))
+    def test_reads_as_the_reference(self, text):
+        assert (read_order_text(parse_order_text, text)
+                == read_order_text(parse_order_text_reference, text))
 
     def test_round_trip_through_serialization(self):
         rng = random.Random(151)

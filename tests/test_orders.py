@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from orddraw.errors import (CycleError, GroundMismatch, NotLinear,
                             UnknownLabel)
 from orddraw.orders import (GroundSet, LinearExtension, OrderRelation,
-                            antichain, boolean_lattice, build_order, chain,
+                            _upper_covers, antichain, boolean_lattice, build_order, chain,
                             cover_relation, grid, inc_id_pairs, intersect_linear,
                             is_linear_order, linear_from_sequence,
                             standard_example, transitive_closure)
-from oracles import (all_linear_extensions, assert_order, dense,
-                     literally_an_order, order_from_matrix, random_order,
+from oracles import (all_linear_extensions, assert_order, cover_relation_by_blas,
+                     dense, literally_an_order, order_from_matrix, random_order,
                      row_masks, warshall_closure)
 
 
@@ -228,6 +228,33 @@ class TestCovers:
             o = random_order(rng, rng.randint(1, 8))
             rebuilt = build_order(o.ground.labels, sorted(cover_relation(o)))
             assert rebuilt == o
+
+
+def assert_lists_the_covers(o):
+    """_upper_covers(o) lists each element's covers once each, exactly the
+    covers of the dense oracle, and no two of one list are comparable."""
+    covers = _upper_covers(o)
+    lab = o.ground.labels
+    pairs = [(lab[a], lab[c]) for a, found in enumerate(covers) for c in found]
+    assert len(covers) == o.n
+    assert len(pairs) == len(set(pairs)) and set(pairs) == cover_relation_by_blas(o)
+    for found in covers:
+        assert not any(o.lt_ids(c, other) for c in found for other in found)
+    return pairs
+
+
+class TestCoverWalk:
+    def test_families(self):
+        assert assert_lists_the_covers(chain(6)) == [(f"x{i}", f"x{i + 1}") for i in range(1, 6)]
+        assert assert_lists_the_covers(antichain(5)) == []
+        assert len(assert_lists_the_covers(boolean_lattice(4))) == 4 * 2 ** 3
+
+    def test_random_orders_up_to_three_words_wide(self):
+        rng = random.Random(211)
+        sizes = [1, 2, 7, 30, 63, 64, 65, 100, 128, 129, 130]
+        for n in sizes:
+            for density in (0.02, 0.1, 0.3):
+                assert_lists_the_covers(random_order(rng, n, density))
 
 
 class TestLinearExtensions:

@@ -55,8 +55,10 @@ def failing_after(seconds):
 
 
 def on_plane_points(d):
-    """The points detect_collinear walks for a perturbed drawing: (y, x)."""
-    return {label: (y, x) for label, (x, y) in d.plane.items()}
+    """The points detect_collinear walks for a perturbed drawing: (y / s, x),
+    s the gcd of every plane y."""
+    s = math.gcd(*(y for _, y in d.plane.values()))
+    return {label: (y // s, x) for label, (x, y) in d.plane.items()}
 
 
 def comparabilities(o):
@@ -211,11 +213,15 @@ class TestDetectCollinear:
         del walked[:]
         fixed = perturb(d)  # d itself on its ranks, then each round's drawing
         assert walked[0] == d.coords
-        # each round on its plane: (y, x), y twenty times d's and unmoved
-        heights = {label: 20 * y for label, (_, y) in d.plane.items()}
+        # each round on its plane: (y / s, x), y twenty times d's and
+        # unmoved, so each p is d's height over the gcd of d's heights, and
+        # the p that reach the walk share no factor
+        s = math.gcd(*(y for _, y in d.plane.values()))
+        heights = {label: y // s for label, (_, y) in d.plane.items()}
         rounds = walked[1:]
         assert rounds and all({label: p for label, (p, _) in points.items()} == heights
                               for points in rounds)
+        assert all(math.gcd(*(p for p, _ in points.values())) == 1 for points in rounds)
         assert rounds[-1] == on_plane_points(fixed)
 
     def test_ranks_repeated_by_hand_are_told_apart_by_the_second_rank(self):

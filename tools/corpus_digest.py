@@ -13,14 +13,19 @@ parent:
 prints `workload seed items sha256` per pair.  After each `exact` pair it
 prints one more line, `exact seed search k=.. lower_bound=..
 branch_nodes=.. examined=.. walks=..`: the exact search's figures summed
-over every pass of the corpus, `walks` its `first_odd_cycle` calls (`two_dim` draws with `sat` too, but never
-searches).  They come from a second, undigested run of the extension
-alone on the orders `orddraw.ingest.read_order` reads, through a
-callable strategy that runs `sat` and records its stats, so a change
-that must keep the search prints the same totals too.  The package and
-the corpus are imported from the checkout that holds this file.  A reader
-that closes the pipe early (`| head -3`) ends the run: the tool stops
-drawing and exits with status 1, without a traceback.
+over every pass of the corpus, `walks` its `first_odd_cycle` calls
+(`two_dim` draws with `sat` too, but never builds a tig).  After each
+`exact` and `heuristic` pair it prints `workload seed tigs=N sha256`: the
+number of incompatibility graphs (tigs) the passes build, and the hash
+of each one's vertex list and neighbour masks in build order.  Both
+come from a second, undigested run of the extension alone on the orders
+`orddraw.ingest.read_order` reads, through a callable strategy that
+records each tig, runs the workload's strategy and records its stats,
+so a change that must keep the search or the tigs prints the same
+lines too.  The package and the corpus are imported from the checkout
+that holds this file.  A reader that closes the pipe early (`| head -3`)
+ends the run: the tool stops drawing and exits with status 1, without a
+traceback.
 """
 
 from __future__ import annotations
@@ -55,31 +60,51 @@ def corpus_digest(workload: str, seed: int) -> tuple[int, str]:
     return len(items), h.hexdigest()
 
 
-def search_totals(workload: str, seed: int) -> dict[str, int]:
-    """The `sat` search's stats, summed over every pass of every item of
-    one workload's corpus at one seed."""
+def extension_run(workload: str, seed: int) -> tuple[dict[str, int], int, str]:
+    """One run of the extension alone, under the workload's strategy, on
+    the orders `read_order` reads from every item of one workload's corpus
+    at one seed: the search's stats summed over every pass (0 where the
+    strategy reports none), the number of tigs built and the hex SHA-256
+    of each tig's vertex list and neighbour masks, in build order."""
+    strategy = STRATEGIES[corpus.STRATEGY[workload]]
     totals = dict.fromkeys(SEARCH_STATS, 0)
+    tigs = hashlib.sha256()
+    count = 0
 
     def recording(tg):
-        result = STRATEGIES["sat"](tg)
+        nonlocal count
+        count += 1
+        masks = " ".join(format(mask, "x") for mask in tg.graph.masks)
+        tigs.update(f"{tg.vertices}\n{masks}\n".encode("ascii"))
+        result = strategy(tg)
         for name in SEARCH_STATS:
-            totals[name] += result.stats[name]
+            totals[name] += result.stats.get(name, 0)
         return result
 
     for item in corpus.build_corpus(workload, seed):
         two_dimension_extension(read_order(item.text), strategy=recording)
-    return totals
+    return totals, count, tigs.hexdigest()
+
+
+def search_totals(workload: str, seed: int) -> dict[str, int]:
+    """The search's stats, summed over every pass of every item of one
+    workload's corpus at one seed (`sat`'s, for `exact`)."""
+    return extension_run(workload, seed)[0]
 
 
 def digest_lines(workload: str, seed: int) -> Iterator[str]:
     """The printed lines of one workload and seed: the digest line, then
-    for `exact` the search line."""
+    for `exact` the search line, and for `exact` and `heuristic` the tig
+    line."""
     count, digest = corpus_digest(workload, seed)
     yield f"{workload} {seed} {count} {digest}"
+    if workload == "two_dim":
+        return
+    totals, tigs, tig_digest = extension_run(workload, seed)
     if workload == "exact":
-        totals = search_totals(workload, seed)
         yield (f"{workload} {seed} search "
                + " ".join(f"{name}={totals[name]}" for name in SEARCH_STATS))
+    yield f"{workload} {seed} tigs={tigs} {tig_digest}"
 
 
 @exits_on_closed_pipe
