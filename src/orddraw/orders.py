@@ -9,15 +9,16 @@ are always transitively closed, so the set operations of the pipeline
 operations per element.
 The builders (`build_order`, `linear_from_sequence` and the readers of
 `orddraw.ingest`) all hand their generator rows to one step,
-`_close_generators`, which closes the rows into both masks in one sweep and
-rejects cycles, so every order they build is a genuine order.  Elements are
+`_close_generators`, which closes the rows into both masks in one sweep of
+Kahn's topological sort.  A sort that cannot order every element has met a
+cycle, which one walk over the rows names, so every order they build is a
+genuine order and a cyclic input costs one sweep and one walk.  Elements are
 referred to by string label at the API surface and by dense integer id
 (position in the ground set) in the algorithmic code paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, GroundMismatch, NotLinear, UnknownLabel
@@ -43,16 +44,6 @@ def mask_of(positions: Iterable[int]) -> int:
     for i in positions:
         mask |= 1 << i
     return mask
-
-
-def transpose(rows: Sequence[int]) -> list[int]:
-    """Column masks of a square relation given by its row masks."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in bits(row):
-            cols[j] |= bit
-    return cols
 
 
 class GroundSet:
@@ -93,19 +84,20 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
     """Reflexive-transitive closure of a relation given by row masks (bit j
     of rows[i]: i relates to j), as `(up, down)`: the closure's row masks
-    and its column masks (bit i of down[j]: i relates to j).
+    and its column masks (bit i of down[j]: i relates to j).  None when the
+    relation has a cycle (loops i -> i aside), which no order contains.
 
-    An acyclic relation is closed against one topological order (Kahn's
+    The relation is closed against one topological order (Kahn's
     algorithm), with each row walked once: `down` is pushed forward while
     the order is built (an element's column is complete once it is
     reached, so it is ORed into each successor's), and `up` is closed in
     reverse order (each row is its own bit ORed with the closed rows of
     its successors).  That is about one OR per generator pair and
-    direction.  A relation with a cycle falls back to Warshall's n^2
-    sweep, which closes any relation, and its transpose.
+    direction.  The elements on a cycle, and those above one, never reach
+    indegree 0, so the sort orders fewer than n exactly when there is one.
     """
     n = len(rows)
     succ = [bits(row & ~(1 << i)) for i, row in enumerate(rows)]
@@ -122,21 +114,15 @@ def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]]:
             indegree[w] -= 1
             if not indegree[w]:
                 order.append(w)
-    if len(order) == n:
-        up = [0] * n
-        for v in reversed(order):
-            row = 1 << v
-            for w in succ[v]:
-                row |= up[w]
-            up[v] = row
-        return up, down
-    closed = [row | 1 << i for i, row in enumerate(rows)]
-    for k in range(n):
-        bit, row_k = 1 << k, closed[k]
-        for i in range(n):
-            if closed[i] & bit:
-                closed[i] |= row_k
-    return closed, transpose(closed)
+    if len(order) < n:
+        return None
+    up = [0] * n
+    for v in reversed(order):
+        row = 1 << v
+        for w in succ[v]:
+            row |= up[w]
+        up[v] = row
+    return up, down
 
 
 def is_linear_order(rows: Sequence[int]) -> bool:
@@ -205,24 +191,6 @@ class OrderRelation(Record):
         return f"OrderRelation({self.n} elements, {self.strict_pair_count()} strict pairs)"
 
 
-def _bfs_path(adj: list[list[int]], src: int, dst: int) -> list[int]:
-    """Shortest arc path src -> dst; assumes one exists."""
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            path = [u]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    raise AssertionError("no path despite closure hit")
-
-
 def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     """Order generated by `pairs` over `labels`.
 
@@ -247,20 +215,48 @@ def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation
 
     Every builder that starts from generators returns through this step:
     one `transitive_closure` sweep, against one topological order, gives
-    both `up` and `down`.  Raises CycleError with a witness cycle through
-    the first two elements, by id, that reach each other."""
-    n = len(ground)
-    up, down = transitive_closure(generators)
-    # in a closed relation two elements reach each other exactly when their
-    # rows are equal, so n distinct rows mean no cycle
-    if len(set(up)) < n:
-        first: dict[int, int] = {}
-        mutual = [(first.setdefault(row, j), j) for j, row in enumerate(up)]
-        i, j = min((i, j) for i, j in mutual if i != j)  # the first such pair
-        adj = [[w for w in bits(row) if w != v] for v, row in enumerate(generators)]
-        walk = _bfs_path(adj, i, j) + _bfs_path(adj, j, i)[1:]
-        raise CycleError([ground.label(v) for v in walk])
-    return OrderRelation(ground, up, down)
+    both `up` and `down`.  Raises CycleError with `_cycle_witness`'s cycle
+    when the sweep finds the rows cyclic."""
+    closed = transitive_closure(generators)
+    if closed is None:
+        raise CycleError([ground.label(v) for v in _cycle_witness(generators)])
+    return OrderRelation(ground, *closed)
+
+
+def _cycle_witness(generators: Sequence[int]) -> list[int]:
+    """A simple cycle along the generator pairs of cyclic rows, as ids
+    from its lowest element round to it again.
+
+    A depth-first search from the lowest id, taking each element's
+    successors lowest first, stops at the first successor that is on its
+    path: the path from there closes the cycle.  Each element is entered
+    once and each pair looked at once, so the walk takes O(n + pairs)
+    steps.  On rows with one cycle the witness is that cycle from its
+    lowest element."""
+    state = bytearray(len(generators))  # 0 unseen, 1 on the path, 2 finished
+    for root in range(len(generators)):
+        if state[root]:
+            continue
+        path, rests = [root], [generators[root] & ~(1 << root)]
+        state[root] = 1
+        while path:
+            rest = rests[-1]
+            if not rest:
+                state[path.pop()] = 2
+                rests.pop()
+                continue
+            low = rest & -rest
+            rests[-1] = rest ^ low
+            w = low.bit_length() - 1
+            if state[w] == 1:
+                cycle = path[path.index(w):]
+                k = cycle.index(min(cycle))
+                return cycle[k:] + cycle[:k + 1]
+            if not state[w]:
+                path.append(w)
+                rests.append(generators[w] & ~low)
+                state[w] = 1
+    raise AssertionError("no cycle in rows that Kahn's sort could not order")
 
 
 def _upper_covers(o: OrderRelation) -> list[list[int]]:

@@ -1,13 +1,16 @@
-"""Shared brute-force oracles and generators used across the test suite.
+"""Shared brute-force oracles and generators used across the test suite,
+and `failing_after`, the timer that caps a test's running time.
 
 Everything here is deliberately naive and independent of the library's fast
 paths, so the two can disagree only when one of them is wrong.
 """
 
+import contextlib
 import itertools
 import json
 import math
 import random
+import signal
 from collections import defaultdict, deque
 from fractions import Fraction
 
@@ -151,6 +154,39 @@ def warshall_closure(matrix) -> np.ndarray:
         # anything reaching k reaches everything k reaches
         m |= np.outer(m[:, k], m[k, :])
     return m
+
+
+def closure_masks(closed):
+    """What `transitive_closure` returns for a relation whose reflexive-
+    transitive closure is the boolean matrix `closed`: None when two
+    distinct elements reach each other (the relation has a cycle), else the
+    closure's row masks and column masks."""
+    closed = np.asarray(closed, dtype=bool)
+    if (closed & closed.T & ~np.eye(len(closed), dtype=bool)).any():
+        return None
+    return row_masks(closed), row_masks(closed.T)
+
+
+@contextlib.contextmanager
+def failing_after(seconds):
+    """Raise TimeoutError inside the block once `seconds` have passed, and
+    again every 10 ms until it ends (where the platform has interval
+    timers), so a runaway loop fails, not hangs, even when one alarm lands
+    in a gc callback, where the exception is only reported."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.01)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rational_plane(d) -> dict:

@@ -1,10 +1,8 @@
 """Tests for collinearity handling and the SVG/TikZ/graphviz emitters."""
 
-import contextlib
 import math
 import random
 import re
-import signal
 import time
 from fractions import Fraction
 
@@ -18,7 +16,7 @@ from orddraw.orders import antichain, boolean_lattice, build_order, chain, grid
 from orddraw import render
 from orddraw.render import (_screen_geometry, detect_collinear, emit_dot,
                             emit_svg, emit_tikz, perturb)
-from oracles import (blocked_two_dimensional, collinear_points, random_order,
+from oracles import (blocked_two_dimensional, collinear_points, failing_after, random_order,
                      rational_plane, screen_geometry_by_fractions, strict_pairs,
                      with_rational_plane)
 
@@ -30,28 +28,6 @@ def oracle_conflicts(d):
     return sorted((label, (a, b)) for a, b in d.cover_edges for label in d.order.ground
                   if label not in (a, b)
                   and collinear_points(plane[a], plane[b], plane[label]))
-
-
-@contextlib.contextmanager
-def failing_after(seconds):
-    """Raise TimeoutError inside the block once `seconds` have passed, and
-    again every 10 ms until it ends (where the platform has interval
-    timers), so a runaway loop fails, not hangs, even when one alarm lands
-    in a gc callback, where the exception is only reported."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds, 0.01)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def on_plane_points(d):

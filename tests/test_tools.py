@@ -1,5 +1,5 @@
 """tools/import_cost.py, tools/paired_bench.py, tools/op_count.py,
-tools/block_scaling.py and tools/exact_fuzz.py."""
+tools/block_scaling.py, tools/exact_fuzz.py and tools/bench_record.py."""
 
 import gc
 import importlib.util
@@ -154,3 +154,37 @@ def test_exact_fuzz_caps_an_input_and_stops_quietly_when_stdout_closes(monkeypat
         monkeypatch.setattr(sys, "stdout", stdout)
         assert tool.main(["--count", "1"]) == 1
         print("after the close", file=stdout, flush=True)  # to devnull now
+
+
+def test_bench_record_writes_its_schema_and_nothing_under_perfbench(tmp_path):
+    perfbench = ROOT / "perfbench"
+    before = {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")}
+    run = subprocess.run([sys.executable, str(TOOLS / "bench_record.py"), "--pr", "7",
+                          "--workload", "exact", "--seconds", "0.1", "--out", str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert {path: path.stat().st_mtime_ns for path in perfbench.rglob("*")} == before
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert set(record) == {"pr", "seconds", "host", "source", "workloads"}
+    assert (record["pr"], record["seconds"]) == (7, 0.1)
+    assert set(record["host"]) == {"cpus", "python", "load_start", "load_end"}
+    source = record["source"]
+    assert source["sloc_total"] == sum(source["sloc"].values()) > 0
+    assert "orders.py" in source["sloc"] and source["physical_total"] > source["sloc_total"]
+    (workload, found), = record["workloads"].items()
+    assert workload == "exact"
+    runs = found["runs"]
+    assert [(r["seed"], r["trace"]) for r in runs] == [(0, 0), (1007, 0), (0, 1)]
+    for r in runs:
+        assert set(r["result"]) == {"correct", "attempted", "failed", "metrics"}
+        assert r["result"]["correct"] and r["result"]["attempted"] >= 100
+    assert "drawings_per_s" in runs[0]["result"]["metrics"]
+    assert "engine.extension_s" in runs[2]["result"]["metrics"]
+    assert runs[2]["attribution"] and all(
+        line.startswith(("attribution holds: ", "attribution FAILS: "))
+        for line in runs[2]["attribution"])
+    counts = found["op_count"]
+    assert counts["seed"] == 0 and counts["total"] >= sum(f["count"] for f in counts["top"])
+    assert len(counts["top"]) == 10
+    assert [line.split()[:2] for line in found["digests"]] == \
+        [["exact", seed] for seed in ("0", "0", "0", "1007", "1007", "1007")]
