@@ -1,22 +1,22 @@
 """Undirected simple graphs, their BFS two-colourings and their odd blocks.
 
 Vertices are 0..n-1, and each vertex's neighbours are one Python-int mask
-over them.  One breadth-first search, `bfs_layers`, colours a graph minus
-a vertex set a whole layer per step, and a vertex's colour is its layer's
-parity: the next layer is the OR of the layer's neighbour masks
-(`_reach`) less the vertices already seen, and each layer comes with its
-clash mask, the vertices of the layer on an edge inside it.  It serves
-`is_bipartite_without` and, in `bipartization`, the start of
-`oct_anneal`'s local search (its colouring and its first due vertices)
-and the component masks that `peel_to_minimal` starts from.  `odd_cycles`
-reads an odd cycle off its layers for each edge inside a layer, climbing
-from both ends to their lowest neighbours one layer up (`_climb`): it
-serves `odd_cycle_census`.  The exact search wants only the first of
-those cycles, many times over, so `first_odd_cycle` walks the same layers
-in one plain loop, with the same `_reach` and `_climb`, and stops at the
-first layer that clashes.  `odd_blocks` reads the non-bipartite blocks
-between the bridges off the layers of the whole graph, from the deepest
-up, each vertex hanging off its highest neighbour one layer up.
+over them.  A breadth-first search colours a graph minus a vertex set a
+whole layer per step, and a vertex's colour is its layer's parity: the
+next layer is the OR of the layer's neighbour masks (`_reach`) less the
+vertices already seen.  Two walks run it, one per job.  `first_odd_cycle`
+is the bipartiteness test, which `is_bipartite_without` and the exact
+search read: one plain loop that stops at the first layer holding an edge
+and reads an odd cycle off the layers, climbing from both ends of the
+edge to their lowest neighbours one layer up (`_climb`).  `bfs_layers`
+yields every layer with its clash mask, the vertices of the layer on an
+edge inside it, for the callers that want the layers themselves:
+`odd_blocks`, `odd_cycle_census` (one `_climb` cycle per edge inside a
+layer) and, in `bipartization`, the start of `oct_anneal`'s local search
+(its colouring and its first due vertices) and the component masks that
+`peel_to_minimal` starts from.  `odd_blocks` reads the non-bipartite
+blocks between the bridges off the layers of the whole graph, from the
+deepest up, each vertex hanging off its highest neighbour one layer up.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def bfs_layers(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, int, int]]:
     those in its own layer, and the clash mask, the layer AND the OR of
     its neighbour masks, holds the vertices of the layer on a
     monochromatic edge: the colouring has one exactly when some clash mask
-    is not 0, and `odd_cycles` reads an odd cycle off the layers for each
-    such edge.  A layer of one vertex has that vertex's mask as its OR,
+    is not 0, and `odd_cycle_census` reads an odd cycle off the layers for
+    each such edge.  A layer of one vertex has that vertex's mask as its OR,
     read directly.
     """
     masks = g.masks
@@ -227,34 +227,9 @@ def _climb(masks: tuple[int, ...], layers: list[int], u: int, w: int) \
     return tuple(up + down[-2::-1]), mask
 
 
-def odd_cycles(g: SimpleGraph, gone: int = 0) -> Iterator[tuple[int, ...]]:
-    """One odd cycle per edge inside a layer of `bfs_layers` for g minus
-    the vertices in the mask `gone`, in the order of the layers, then of
-    the edge's lower end u, then of its upper end w; each edge comes once.
-
-    Each cycle is the one `_climb` reads off the layers of the current
-    component, which are kept, so a cycle costs a step per layer it
-    climbs.
-    """
-    masks = g.masks
-    for depth, layer, clash in bfs_layers(g, gone):
-        if not depth:
-            layers = []
-        layers.append(layer)
-        while clash:
-            low = clash & -clash
-            clash ^= low
-            u = low.bit_length() - 1
-            ends = masks[u] & layer & -(low << 1)  # u's neighbours above it in the layer
-            while ends:
-                high = ends & -ends
-                ends ^= high
-                yield _climb(masks, layers, u, high.bit_length() - 1)[0]
-
-
 def first_odd_cycle(g: SimpleGraph, gone: int = 0) -> tuple[tuple[int, ...], int] | None:
-    """The first cycle of `odd_cycles` for g minus the vertices in the mask
-    `gone` and its vertex mask, or None when that graph is bipartite.
+    """The first odd cycle of g minus the vertices in the mask `gone` and
+    its vertex mask, or None when that graph is bipartite.
 
     One plain loop over the same layers as `bfs_layers`, which stops at
     the first layer that holds an edge: its lowest vertex u on one and u's
@@ -286,23 +261,32 @@ def first_odd_cycle(g: SimpleGraph, gone: int = 0) -> tuple[tuple[int, ...], int
 
 
 def is_bipartite_without(g: SimpleGraph, removed: Iterable[int] = ()) -> bool:
-    """Whether g minus `removed` is bipartite: every clash mask of
-    `bfs_layers` is 0, so no BFS layer holds an edge."""
-    return not any(clash for _, _, clash in bfs_layers(g, mask_of(removed)))
+    """Whether g minus `removed` is bipartite: `first_odd_cycle` finds no
+    odd cycle in it."""
+    return first_odd_cycle(g, mask_of(removed)) is None
 
 
 def odd_cycle_census(g: SimpleGraph, removed: Iterable[int] = ()) \
         -> dict[int, int] | None:
-    """Count, per vertex, the BFS odd-cycle witnesses it lies on.
+    """Count, per vertex, the BFS odd-cycle witnesses it lies on, or None
+    when g minus `removed` is bipartite.
 
     No strategy calls it; the benchmark's tracer hooks it in bipartization.
 
-    Every monochromatic edge under the BFS colouring that pushes past
-    conflicts contributes its cycle from `odd_cycles`, which yields each
-    such edge once.  Returns None when the remainder is bipartite.
+    Each edge inside a layer of `bfs_layers` (a monochromatic edge of the
+    colouring by layer parity) is one witness, taken in the order of the
+    layers, then of its lower end u, then of its upper end w: the cycle
+    `_climb` reads off the layers of the current component, kept as they
+    come, so a witness costs a step per layer it climbs.
     """
+    masks = g.masks
     counts: dict[int, int] = {}
-    for cycle in odd_cycles(g, mask_of(removed)):
-        for x in cycle:
-            counts[x] = counts.get(x, 0) + 1
+    for depth, layer, clash in bfs_layers(g, mask_of(removed)):
+        if not depth:
+            layers = []
+        layers.append(layer)
+        for u in bits(clash):
+            for w in bits(masks[u] & layer & -(2 << u)):  # u's neighbours above it in the layer
+                for x in _climb(masks, layers, u, w)[0]:
+                    counts[x] = counts.get(x, 0) + 1
     return counts or None

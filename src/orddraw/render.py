@@ -34,10 +34,6 @@ _FONT_SIZE = 12
 # screen y, f"{y + _FONT_SIZE * 0.35:.2f}" is y + 4, then ".20"
 _LABEL_DY_TEXT = f"{_FONT_SIZE * 0.35:.2f}"
 _LABEL_DY_UNITS, _LABEL_DY_DECIMALS = int(_LABEL_DY_TEXT[:-3]), _LABEL_DY_TEXT[-3:]
-# A plane less than _EXACT_SPAN steps across has int screen coordinates
-# under 2**38, whose floats are exact and still print to two exact places
-# with a label offset added, so the int and the float texts agree
-_EXACT_SPAN = 1 << 32
 
 # the perturbation step, 3/20 of a grid unit, as (numerator, denominator)
 _EPSILON = (3, 20)
@@ -164,17 +160,16 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 def _screen_geometry(d: GridDrawing):
     """Canvas width and height, and each element's screen point in ground order.
 
-    At denominator 1 (and a plane spanning under _EXACT_SPAN grid steps)
-    each is an int.  Otherwise each is a float: int true division is
-    correctly rounded, so (X - min X) / D is the float of the rational
-    x - min x.
+    At denominator 1 each is an int, exact at any span.  Otherwise each is
+    a float: int true division is correctly rounded, so (X - min X) / D is
+    the float of the rational x - min x.
     """
     pts, denom = d.plane, d.denominator
     xs = [p[0] for p in pts.values()]
     ys = [p[1] for p in pts.values()]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    if denom == 1 and max(max_x - min_x, max_y - min_y) < _EXACT_SPAN:
+    if denom == 1:
         width = (max_x - min_x) * _SCALE + 2 * _MARGIN
         height = (max_y - min_y) * _SCALE + 2 * _MARGIN
         screen = {label: ((pts[label][0] - min_x) * _SCALE + _MARGIN,
@@ -194,8 +189,10 @@ def emit_svg(d: GridDrawing) -> bytes:
 
     Every number has two decimals.  Where _screen_geometry gives ints (at
     denominator 1), each is written as an int and ".00" (label anchors
-    8 and 4.2 away as y + 4 and ".20"), the same text the float path
-    writes for that drawing over any other denominator.
+    8 and 4.2 away as y + 4 and ".20"): the exact decimal, which is the
+    text the float path writes for that drawing over any other
+    denominator wherever its floats are exact (a plane under 2 ** 32 grid
+    steps across, as every realizer drawing is).
 
     Raises ValueError naming the first label that holds a character XML 1.0
     cannot carry, not even as a character reference (a C0 control other
@@ -207,7 +204,7 @@ def emit_svg(d: GridDrawing) -> bytes:
                              "cannot carry")
     width, height, points = _screen_geometry(d)
     if type(width) is int:
-        # an int v prints as "{v}.00", the text f"{v:.2f}" gives its float
+        # an int v prints exactly as "{v}.00"
         w, h = f"{width}.00", f"{height}.00"
         text = {label: (f"{x}.00", f"{y}.00") for label, (x, y) in points.items()}
         anchors = [(f"{x + _NODE_RADIUS + 3}.00", f"{y + _LABEL_DY_UNITS}{_LABEL_DY_DECIMALS}")

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import networkx as nx
 import numpy as np
+import pytest
 
 from orddraw import graphs
 from orddraw.bipartization import MAX_TRANSVERSALS, _clique_bound, _lazy_product
@@ -169,16 +170,18 @@ def closure_masks(closed):
 
 @contextlib.contextmanager
 def failing_after(seconds):
-    """Raise TimeoutError inside the block once `seconds` have passed, and
-    again every 10 ms until it ends (where the platform has interval
-    timers), so a runaway loop fails, not hangs, even when one alarm lands
-    in a gc callback, where the exception is only reported."""
+    """Fail the test inside the block once `seconds` have passed, and again
+    every 10 ms until it ends (where the platform has interval timers), so
+    a runaway loop fails, not hangs, even when one alarm lands in a gc
+    callback, where the exception is only reported.  The failure is
+    pytest's, with a plain message and no traceback: the frame the timer
+    lands in is not always one pytest can render."""
     if not hasattr(signal, "setitimer"):
         yield
         return
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds, 0.01)
@@ -1197,17 +1200,18 @@ def removal_set(n, model):
     return frozenset(i for i in range(n) if model[2 * n + i] > 0)
 
 
-def screen_geometry_by_fractions(d, scale, margin):
+def screen_geometry_by_fractions(d, scale, margin, number=float):
     """SVG width, height and screen point per label at `scale` units per
-    grid step inside `margin`, each float taken of the exact rational
-    distance to the plane's left or top edge."""
+    grid step inside `margin`, each taken as `number` (a float, or with
+    Fraction the exact rational) of the exact rational distance to the
+    plane's left or top edge."""
     plane = rational_plane(d)
     xs = [p[0] for p in plane.values()]
     ys = [p[1] for p in plane.values()]
     min_x, max_y = min(xs), max(ys)
-    width = float(max(xs) - min_x) * scale + 2 * margin
-    height = float(max_y - min(ys)) * scale + 2 * margin
-    screen = {label: (float(x - min_x) * scale + margin,
-                      float(max_y - y) * scale + margin)
+    width = number(max(xs) - min_x) * scale + 2 * margin
+    height = number(max_y - min(ys)) * scale + 2 * margin
+    screen = {label: (number(x - min_x) * scale + margin,
+                      number(max_y - y) * scale + margin)
               for label, (x, y) in plane.items()}
     return width, height, screen

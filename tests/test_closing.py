@@ -6,6 +6,7 @@ by every route in time linear in its pairs, with a simple cycle along its
 pairs as the witness."""
 
 import random
+import signal
 import time
 
 import numpy as np
@@ -124,17 +125,25 @@ def pairs_text(pairs) -> str:
 
 
 def within_a_second(run):
-    """run()'s value, checked to come within a second.  A run still going
-    then fails the test with a plain message: the traceback of wherever
-    the timer lands is not always one pytest can render."""
+    """run()'s value, checked to come within a second."""
     started = time.perf_counter()
-    try:
-        with failing_after(1.0):
-            value = run()
-    except TimeoutError:
-        pytest.fail("still running after 1 s", pytrace=False)
+    with failing_after(1.0):
+        value = run()
     assert time.perf_counter() - started < 1.0
     return value
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timers")
+def test_an_overrun_fails_the_test_without_a_traceback():
+    """The timer fails the test itself, with pytrace off, so pytest never
+    renders the frame it lands in."""
+    with pytest.raises(pytest.fail.Exception) as err:
+        with failing_after(0.05):
+            deadline = time.perf_counter() + 5.0
+            while time.perf_counter() < deadline:
+                pass
+    assert not err.value.pytrace
+    assert err.value.msg == "still running after 0.05 s"
 
 
 def cycle_of(build):

@@ -7,7 +7,7 @@ set-based orientation replaced their predecessors, and the exact-path ones
 from a SAT call (see its case).  `boolean_lattice_3_sat`,
 `boolean_lattice_4_sat` and `random_order_12_sat` were re-recorded, in
 both their SVG/JSON and their TikZ/dot digests, when the search began to
-branch on the odd cycles of `graphs.odd_cycles` read off the BFS layers:
+branch on odd cycles read off the BFS layers (`graphs.first_odd_cycle`):
 each inserts another minimum set, with the same false comparabilities
 (1, 11 and 3) in one pass.  The strategies pinned are `sat`
 (the `*_sat` cases) and `anneal` (five), named after the strategy, plus

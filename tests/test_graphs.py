@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from orddraw import graphs
 from orddraw.graphs import (SimpleGraph, bfs_layers, is_bipartite_without, odd_blocks,
-                            odd_cycle_census, odd_cycles)
+                            odd_cycle_census)
 from orddraw.ingest import read_order
 from orddraw.orders import bits, mask_of
 from orddraw.tig import build_tig
@@ -31,6 +31,13 @@ def neighbour_matrix(g):
     for u in range(g.n):
         adj[u, bits(g.masks[u])] = True
     return adj
+
+
+def walked_cycle(g, gone=0):
+    """The cycle of graphs.first_odd_cycle for g minus the vertices in the
+    mask `gone`, None when that graph is bipartite."""
+    found = graphs.first_odd_cycle(g, gone)
+    return found and found[0]
 
 
 def random_graph(rng, n, p):
@@ -234,18 +241,18 @@ class TestOddBlocks:
 
 class TestTwoColoring:
     """The BFS two-colouring: the layer parities of bfs_layers when
-    odd_cycles yields nothing, else the first cycle of odd_cycles."""
+    graphs.first_odd_cycle finds no cycle, else its cycle."""
 
     def test_even_cycle_is_bipartite(self):
         g = cycle_graph(6)
-        assert next(odd_cycles(g), None) is None
+        assert graphs.first_odd_cycle(g) is None
         colors = layer_colours(g)
         assert all(colors[u] != colors[v] for u, v in g.edges)
 
     def test_odd_cycle_witness_is_an_odd_closed_walk(self):
         g = cycle_graph(5)
         assert any(clash for _, _, clash in bfs_layers(g))
-        cyc = next(odd_cycles(g))
+        cyc = walked_cycle(g)
         assert is_odd_closed_walk(g, cyc)
         assert cyc == first_odd_cycle(g)
 
@@ -254,7 +261,7 @@ class TestTwoColoring:
         found = 0
         for _ in range(200):
             g = random_graph(rng, rng.randint(3, 9), 0.4)
-            cyc = next(odd_cycles(g), None)
+            cyc = walked_cycle(g)
             assert cyc == first_odd_cycle(g)
             if cyc is None:
                 colors = layer_colours(g)
@@ -269,12 +276,12 @@ class TestTwoColoring:
         g = cycle_graph(5)
         assert not is_bipartite_without(g)
         assert is_bipartite_without(g, removed=[0])
-        assert next(odd_cycles(g, 0b1), None) is None
+        assert graphs.first_odd_cycle(g, 0b1) is None
         assert layer_colours(g, removed=[0])[0] is None
 
     def test_disconnected_components_all_colored(self):
         g = graph_from_edges(5, [(0, 1), (2, 3)])
-        assert next(odd_cycles(g), None) is None
+        assert graphs.first_odd_cycle(g) is None
         assert all(c in (0, 1) for c in layer_colours(g))
 
 
@@ -301,36 +308,41 @@ def random_removed(rng, g):
 
 
 class TestOddCycles:
-    def test_yields_each_clash_edge_once_from_its_lower_end(self):
-        """One cycle per monochromatic edge of the forced colouring, from
-        its lower end, in the oracle's order (component, depth, lower end,
-        upper end); each is the edge's tree cycle in the oracle's BFS tree
-        of lowest parents."""
+    def test_census_counts_each_clash_edge_once_from_its_lower_end(self):
+        """The census counts one cycle per monochromatic edge of the forced
+        colouring, the edge's tree cycle in the oracle's BFS tree of lowest
+        parents, and graphs.first_odd_cycle walks the first of them in the
+        oracle's order (component, depth, lower end, upper end)."""
         rng = random.Random(37)
         met_some = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.3, 0.6]))
             removed = random_removed(rng, g)
-            cycles = list(odd_cycles(g, sum(1 << v for v in removed)))
+            cycles = odd_cycles_by_distance(g, removed)
             color = forced_coloring(g, removed)[0]
             mono = [(u, v) for u, v in g.edges
                     if color[u] is not None and color[u] == color[v]]
             assert sorted((cycle[0], cycle[-1]) for cycle in cycles) == mono
-            assert cycles == odd_cycles_by_distance(g, removed)
+            counts: dict[int, int] = {}
+            for cycle in cycles:
+                for x in cycle:
+                    counts[x] = counts.get(x, 0) + 1
+            assert odd_cycle_census(g, removed) == (counts or None)
+            assert walked_cycle(g, mask_of(removed)) == next(iter(cycles), None)
             met_some += bool(cycles)
         assert met_some > 100
 
     def test_matches_the_oracles_on_random_graphs(self):
-        """The first cycle of odd_cycles is the oracle's first odd cycle,
-        with none the layers of bfs_layers colour the graph; the census
-        equals the one read off a finished forced colouring."""
+        """The cycle of graphs.first_odd_cycle is the oracle's first odd
+        cycle, with none the layers of bfs_layers colour the graph; the
+        census equals the one read off a finished forced colouring."""
         rng = random.Random(41)
         odd = 0
         for _ in range(1500):
             g = random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
             removed = random_removed(rng, g)
             assert odd_cycle_census(g, removed) == odd_cycle_census_after_coloring(g, removed)
-            cycle = next(odd_cycles(g, sum(1 << v for v in removed)), None)
+            cycle = walked_cycle(g, mask_of(removed))
             assert cycle == first_odd_cycle(g, removed)
             if cycle is None:
                 assert layer_colours(g, removed) == forced_coloring(g, removed)[0]
@@ -340,30 +352,34 @@ class TestOddCycles:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(symmetric_matrices(), st.integers(0, 2 ** 60 - 1))
-    def test_cycles_are_odd_kept_and_one_per_clash_edge(self, adj, gone):
-        """Each cycle is an odd closed walk with no repeated vertex over
-        the kept vertices, its ends the two ends of a clash edge; each
-        clash edge comes once; and there is none exactly when the kept
-        graph is bipartite."""
+    def test_first_cycle_is_odd_kept_and_closed_by_a_clash_edge(self, adj, gone):
+        """The cycle of graphs.first_odd_cycle is an odd closed walk with no
+        repeated vertex over the kept vertices, its ends the two ends of a
+        clash edge; the census counts both ends of every clash edge; and
+        there is no cycle and no census exactly when the kept graph is
+        bipartite."""
         g = SimpleGraph(row_masks(adj))
         gone &= (1 << g.n) - 1
-        cycles = list(odd_cycles(g, gone))
-        for cycle in cycles:
-            assert is_odd_closed_walk(g, cycle)
-            assert len(set(cycle)) == len(cycle) and not mask_of(cycle) & gone
+        cycle = walked_cycle(g, gone)
+        census = odd_cycle_census(g, bits(gone))
         color = forced_coloring(g, bits(gone))[0]
         clashes = [(u, w) for u, w in g.edges if color[u] is not None and color[u] == color[w]]
-        assert sorted((cycle[0], cycle[-1]) for cycle in cycles) == clashes
-        assert (not cycles) == is_bipartite_without(g, bits(gone))
+        if cycle is not None:
+            assert is_odd_closed_walk(g, cycle)
+            assert len(set(cycle)) == len(cycle) and not mask_of(cycle) & gone
+            assert (cycle[0], cycle[-1]) in clashes
+        assert all(u in census and w in census for u, w in clashes)
+        assert (cycle is None) == (census is None) == (not clashes) \
+            == is_bipartite_without(g, bits(gone))
 
 
 class TestOnTheExactCorpus:
     def test_odd_cycles_match_the_oracles_on_the_corpus_tigs(self, monkeypatch):
         """The tigs the exact search walks, of the seed-0 `exact` corpus of
         perfbench/corpus.py (18 to 128 vertices), each minus a few seeded
-        random removed sets: the first cycle of odd_cycles is the oracle's
-        first odd cycle, graphs.first_odd_cycle returns it with its vertex
-        mask, and the census is the one read off a forced colouring."""
+        random removed sets: graphs.first_odd_cycle returns the oracle's
+        first odd cycle with its vertex mask, and the census is the one
+        read off a forced colouring."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         corpus = importlib.import_module("corpus")
         rng = random.Random(59)
@@ -374,8 +390,7 @@ class TestOnTheExactCorpus:
             for share in (0.0, 0.05, 0.1, 0.2):
                 removed = {v for v in range(g.n) if rng.random() < share}
                 gone = sum(1 << v for v in removed)
-                first = next(odd_cycles(g, gone), None)
-                assert first == first_odd_cycle(g, removed), item.name
+                first = first_odd_cycle(g, removed)
                 assert graphs.first_odd_cycle(g, gone) \
                     == (None if first is None else (first, mask_of(first))), item.name
                 assert odd_cycle_census(g, removed) \
@@ -386,14 +401,14 @@ class TestOnTheExactCorpus:
 
 
 class TestFirstOddCycle:
-    """graphs.first_odd_cycle, the walk the exact search reads, against the
-    first cycle of odd_cycles and the oracle built from networkx distances."""
+    """graphs.first_odd_cycle, the walk the exact search and
+    is_bipartite_without read, against the oracle built from networkx
+    distances."""
 
     @staticmethod
     def check(g, removed):
         gone = sum(1 << v for v in removed)
-        cycle = next(odd_cycles(g, gone), None)
-        assert cycle == first_odd_cycle(g, removed)
+        cycle = first_odd_cycle(g, removed)
         assert graphs.first_odd_cycle(g, gone) \
             == (None if cycle is None else (cycle, mask_of(cycle)))
         assert (cycle is None) == is_bipartite_without(g, removed)

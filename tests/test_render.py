@@ -446,14 +446,17 @@ class TestSvg:
             assert emit_svg(d) == emit_svg(sevenfold)
             assert drawing_to_json(d) == drawing_to_json(sevenfold)
 
-    def test_a_canvas_too_wide_for_exact_floats_takes_the_float_path(self):
+    def test_a_canvas_too_wide_for_exact_floats_keeps_exact_ints(self):
+        """At denominator 1 a plane of any span has int screen geometry,
+        the exact rational one, and the SVG writes its exact decimals."""
         d = compute_coordinates(chain(3))
-        for span in (render._EXACT_SPAN - 1, render._EXACT_SPAN, 10**20):
+        for span in ((1 << 32) - 1, 1 << 32, 10**20 + 1):
             wide = d.replace(plane={**d.plane, "x3": (span, d.plane["x3"][1])})
             width, _, _ = _screen_geometry(wide)
-            assert type(width) is (int if span < render._EXACT_SPAN else float)
+            assert type(width) is int
             assert _screen_geometry(wide) == screen_geometry_by_fractions(
-                wide, render._SCALE, render._MARGIN)
+                wide, render._SCALE, render._MARGIN, Fraction)
+            assert f'width="{width}.00"'.encode() in emit_svg(wide)
 
     def test_byte_determinism(self):
         a = emit_svg(compute_coordinates(boolean_lattice(3)))

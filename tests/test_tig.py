@@ -11,8 +11,8 @@ from orddraw.errors import TooLarge
 from orddraw.ingest import FormalContext, concept_lattice, serialize_order
 from orddraw.orders import (antichain, bits, boolean_lattice, build_order, chain,
                             grid, inc_id_pairs, mask_of, standard_example)
-from orddraw.graphs import bfs_layers, is_bipartite_without, odd_cycles
-from orddraw import tig
+from orddraw.graphs import bfs_layers, is_bipartite_without
+from orddraw import graphs, tig
 from orddraw.tig import MAX_TIG_VERTICES, build_tig
 from oracles import (all_linear_extensions, build_tig_by_edge_list,
                      first_odd_cycle, forced_coloring, has_cycle_with,
@@ -182,7 +182,7 @@ class TestFoldSweep:
 def sides(tg):
     """The two colour classes of a bipartite tig, as vertex pairs: its even
     and its odd BFS layers, which are forced_coloring's colour classes."""
-    assert next(odd_cycles(tg.graph), None) is None
+    assert graphs.first_odd_cycle(tg.graph) is None
     classes = [0, 0]
     for depth, layer, clash in bfs_layers(tg.graph):
         assert not clash
@@ -209,7 +209,7 @@ class TestBipartiteCheck:
 
     def test_standard_example_odd_cycle(self):
         g = build_tig(standard_example(3))
-        cycle = next(odd_cycles(g.graph))
+        cycle, _ = graphs.first_odd_cycle(g.graph)
         assert cycle == first_odd_cycle(g.graph)
         cyc = [g.vertices[v] for v in cycle]
         assert len(cyc) % 2 == 1
