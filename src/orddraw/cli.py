@@ -41,10 +41,23 @@ def _read_text(path: str) -> str:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
+    """Write the UTF-8 bytes `data` to the file `path`, or to standard
+    output for "-".
+
+    Standard output takes the bytes through its byte buffer, whatever
+    encoding the locale gives `sys.stdout`; a text-only `sys.stdout` with
+    no byte buffer (an `io.StringIO`, say) takes their decoded text, as
+    `_read_text` reads a text-only `sys.stdin`.  A closed standard output
+    (`sys.stdout` is None) is an input error.
+    """
     if path == "-":
         if sys.stdout is None:
             raise OSError("cannot write standard output: it is closed")
-        sys.stdout.buffer.write(data)
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:
+            sys.stdout.write(data.decode("utf-8"))
+        else:
+            binary.write(data)
         sys.stdout.flush()
     else:
         Path(path).write_bytes(data)

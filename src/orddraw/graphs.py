@@ -30,15 +30,16 @@ from .orders import bits, mask_of
 class SimpleGraph:
     """Immutable undirected graph without loops or parallel edges.
 
-    `masks[u]` has bit v set when u and v are adjacent; the edge tuples are
-    read off these masks.  The masks must be symmetric (v in masks[u] iff u
-    in masks[v]); that is the caller's to keep, since checking it costs a
-    pass over every edge.  A neighbour out of range or a loop raises
-    ValueError naming the first vertex that has one, in one pass over the
-    masks.
+    It holds `n` and `masks` and nothing else: `masks[u]` has bit v set
+    when u and v are adjacent, and the edge count and edge tuples are read
+    off these masks on each read.  The masks must be symmetric (v in
+    masks[u] iff u in masks[v]); that is the caller's to keep, since
+    checking it costs a pass over every edge.  A neighbour out of range or
+    a loop raises ValueError naming the first vertex that has one, in one
+    pass over the masks.
     """
 
-    __slots__ = ("n", "masks", "_m", "_edges")
+    __slots__ = ("n", "masks")
 
     def __init__(self, masks: Iterable[int]):
         self.masks: tuple[int, ...] = tuple(masks)
@@ -48,23 +49,20 @@ class SimpleGraph:
                 raise ValueError(f"neighbour mask of vertex {u} out of range")
             if mask >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        self._m: int | None = None
-        self._edges: tuple[tuple[int, int], ...] | None = None
 
     @property
     def m(self) -> int:
-        """The edge count, counted on first read."""
-        if self._m is None:
-            self._m = sum(map(int.bit_count, self.masks)) // 2
-        return self._m
+        """The edge count, half the masks' summed popcounts, counted on each
+        read.  No drawing reads it: `__repr__`, the tig's repr and the
+        benchmark's tig facts do."""
+        return sum(map(int.bit_count, self.masks)) // 2
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges (u, v) with u < v, sorted; built when encode_oct first reads them."""
-        if self._edges is None:
-            self._edges = tuple((u, v) for u, mask in enumerate(self.masks)
-                                for v in bits(mask & ~((2 << u) - 1)))
-        return self._edges
+        """Edges (u, v) with u < v, sorted, read off the masks on each read;
+        `encode_oct` reads them once per CNF, and no drawing reads them."""
+        return tuple((u, v) for u, mask in enumerate(self.masks)
+                     for v in bits(mask & ~((2 << u) - 1)))
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.n} vertices, {self.m} edges)"

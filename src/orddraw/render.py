@@ -160,26 +160,22 @@ def perturb(d: GridDrawing, conflicts: list[Conflict] | None = None) -> GridDraw
 def _screen_geometry(d: GridDrawing):
     """Canvas width and height, and each element's screen point in ground order.
 
-    At denominator 1 each is an int, exact at any span.  Otherwise each is
-    a float: int true division is correctly rounded, so (X - min X) / D is
-    the float of the rational x - min x.
+    One body for every denominator: `unit` turns a difference of plane
+    coordinates into grid steps, chosen once per drawing.  At denominator
+    1 it keeps the int, so every value is an int, exact at any span.
+    Otherwise it is the int's true division by the denominator, which is
+    correctly rounded, so (X - min X) / D is the float of the rational
+    x - min x, and every value is a float.
     """
     pts, denom = d.plane, d.denominator
+    unit = int.__pos__ if denom == 1 else denom.__rtruediv__
     xs = [p[0] for p in pts.values()]
     ys = [p[1] for p in pts.values()]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    if denom == 1:
-        width = (max_x - min_x) * _SCALE + 2 * _MARGIN
-        height = (max_y - min_y) * _SCALE + 2 * _MARGIN
-        screen = {label: ((pts[label][0] - min_x) * _SCALE + _MARGIN,
-                          (max_y - pts[label][1]) * _SCALE + _MARGIN)
-                  for label in d.order.ground}
-        return width, height, screen
-    width = (max_x - min_x) / denom * _SCALE + 2 * _MARGIN
-    height = (max_y - min_y) / denom * _SCALE + 2 * _MARGIN
-    screen = {label: ((pts[label][0] - min_x) / denom * _SCALE + _MARGIN,
-                      (max_y - pts[label][1]) / denom * _SCALE + _MARGIN)
+    min_x, max_y = min(xs), max(ys)
+    width = unit(max(xs) - min_x) * _SCALE + 2 * _MARGIN
+    height = unit(max_y - min(ys)) * _SCALE + 2 * _MARGIN
+    screen = {label: (unit(pts[label][0] - min_x) * _SCALE + _MARGIN,
+                      unit(max_y - pts[label][1]) * _SCALE + _MARGIN)
               for label in d.order.ground}
     return width, height, screen
 
@@ -266,26 +262,35 @@ def _tex_escape(s: str) -> str:
     return "".join(_TEX_SPECIALS.get(ch, ch) for ch in s)
 
 
+def _float_plane(d: GridDrawing) -> dict[str, tuple[float, float]]:
+    """Each element's plane point in grid steps, (X / D, Y / D), in ground
+    order: the floats that TikZ and DOT write, one division per coordinate
+    per drawing.  Int true division is correctly rounded, so each is the
+    float of the rational coordinate, as the JSON `plane` holds it."""
+    den = d.denominator
+    return {label: (d.plane[label][0] / den, d.plane[label][1] / den)
+            for label in d.order.ground}
+
+
 def emit_tikz(d: GridDrawing) -> bytes:
     """Render as a standalone TikZ picture (edges behind nodes), one
-    centimetre per grid step."""
-    ids = {label: f"n{i}" for i, label in enumerate(d.order.ground)}
+    centimetre per grid step.
+
+    Every point is read from `_float_plane` and written with three
+    decimals; node i of the ground order is named n{i}, as in DOT.
+    """
+    plane = _float_plane(d)
     out = [
         r"\documentclass[tikz,border=4pt]{standalone}",
         r"\begin{document}",
         r"\begin{tikzpicture}[x=1.000cm,y=1.000cm]",
     ]
-    den = d.denominator
     for a, b in d.cover_edges:
-        ax, ay = d.plane[a]
-        bx, by = d.plane[b]
-        out.append(r"\draw[thick] (%.3f,%.3f) -- (%.3f,%.3f);"
-                   % (ax / den, ay / den, bx / den, by / den))
-    for label in d.order.ground:
-        x, y = d.plane[label]
+        out.append(r"\draw[thick] (%.3f,%.3f) -- (%.3f,%.3f);" % (*plane[a], *plane[b]))
+    for i, (label, point) in enumerate(plane.items()):
         out.append(r"\node[circle,fill=blue!60,draw=blue!80!black,inner sep=1.6pt,"
-                   r"label=right:{%s}] (%s) at (%.3f,%.3f) {};"
-                   % (_tex_escape(label), ids[label], x / den, y / den))
+                   r"label=right:{%s}] (n%d) at (%.3f,%.3f) {};"
+                   % (_tex_escape(label), i, *point))
     out.append(r"\end{tikzpicture}")
     out.append(r"\end{document}")
     return ("\n".join(out) + "\n").encode("utf-8")
@@ -298,14 +303,17 @@ def _dot_escape(s: str) -> str:
 
 
 def emit_dot(d: GridDrawing) -> bytes:
-    """Graphviz digraph of the cover relation with pinned positions."""
-    ids = {label: f"n{i}" for i, label in enumerate(d.order.ground)}
+    """Graphviz digraph of the cover relation with pinned positions.
+
+    Node i of the ground order is n{i}, pinned at its `_float_plane` point
+    with three decimals, the point TikZ draws it at.
+    """
+    plane = _float_plane(d)
+    ids = {label: f"n{i}" for i, label in enumerate(plane)}
     out = ["digraph diagram {", "  rankdir=BT;", '  node [shape=circle];']
-    den = d.denominator
-    for label in d.order.ground:
-        x, y = d.plane[label]
+    for label, point in plane.items():
         out.append('  %s [label="%s", pos="%.3f,%.3f!"];'
-                   % (ids[label], _dot_escape(label), x / den, y / den))
+                   % (ids[label], _dot_escape(label), *point))
     for a, b in d.cover_edges:
         out.append(f"  {ids[a]} -> {ids[b]};")
     out.append("}")

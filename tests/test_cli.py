@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -154,6 +155,16 @@ class TestDraw:
         capsysbinary.readouterr()
         assert main(["draw", "-i", s3_file, "--summary-json", "-"]) == 0
         assert capsysbinary.readouterr().out == target.read_bytes()
+
+    def test_a_text_only_stdout_takes_the_summary_text(self, s3_file, tmp_path, capsys):
+        # a program that calls main() under redirect_stdout has no byte buffer
+        target = tmp_path / "summary.json"
+        assert main(["draw", "-i", s3_file, "--summary-json", str(target)]) == 0
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert main(["draw", "-i", s3_file, "--summary-json", "-"]) == 0
+        assert stream.getvalue() == target.read_text(encoding="utf-8")
+        assert capsys.readouterr().err.startswith("n=6 inc=18 ")
 
     def test_verbose_reports_passes(self, s3_file, capsys):
         assert main(["draw", "-i", s3_file, "-v"]) == 0

@@ -1,5 +1,6 @@
 """Tests for collinearity handling and the SVG/TikZ/graphviz emitters."""
 
+import json
 import math
 import random
 import re
@@ -522,6 +523,26 @@ class TestPipelineIntegration:
         for emitter in (emit_svg, emit_tikz, emit_dot):
             out = emitter(fixed)
             assert isinstance(out, bytes) and len(out) > 100
+
+    def test_outputs_share_one_plane(self):
+        """Each element's TikZ node, DOT pos and JSON plane are one point,
+        to the three decimals TikZ and DOT write, on unperturbed drawings
+        and on perturbed ones (denominator 20)."""
+        rng = random.Random(51)
+        drawings = [perturb(forced_conflict())]
+        for _ in range(12):
+            o = random_order(rng, rng.randint(4, 9))
+            d = compute_coordinates(o)
+            drawings += [d, perturb(d.replace(cover_edges=comparabilities(o)))]
+        assert sum(d.denominator == 20 for d in drawings) > 5
+        for d in drawings:
+            tikz = re.findall(r"label=right:\{(\w+)\}\] \((n\d+)\) at \(([^)]+)\)",
+                              emit_tikz(d).decode())
+            dot = [(label, name, point) for name, label, point in re.findall(
+                r'(n\d+) \[label="(\w+)", pos="([^!]+)!"', emit_dot(d).decode())]
+            plane = [(e["label"], f"n{i}", "%.3f,%.3f" % tuple(e["plane"]))
+                     for i, e in enumerate(json.loads(drawing_to_json(d))["elements"])]
+            assert tikz == dot == plane and len(plane) == d.order.n
 
     def test_plane_replace_preserves_everything_else(self):
         d = compute_coordinates(boolean_lattice(2))
