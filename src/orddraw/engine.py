@@ -31,10 +31,11 @@ from typing import Callable, Iterator
 
 from .bipartization import OctResult, min_oct_exact, oct_anneal
 from .errors import OrderViolation
-from .orders import (IdPair, OrderRelation, Pair, bits, cover_relation,
+from .orders import (IdPair, OrderRelation, Pair, _upper_covers, bits,
                      incomparable_masks)
 from .orders import transitive_closure  # noqa: F401  unused; perfbench/tracing.py hooks it here
-from .orientation import compute_conjugate_order, realizer_from_conjugate
+from .orientation import compute_conjugate_order
+from .orientation import realizer_from_conjugate  # noqa: F401  unused; perfbench/tracing.py hooks it here
 from .records import Record
 from .tig import TigGraph, build_tig
 
@@ -223,22 +224,30 @@ def compute_coordinates(o: OrderRelation, strategy: str | Strategy = "sat",
     """Grid and plane coordinates realizing all original comparabilities.
 
     Element x gets grid coordinates (rank in L1, rank in L2) for the
-    realizer (L1, L2) of the extended order, so x strictly dominates y in
-    the grid exactly when x is above y in the extension.
+    realizer L1 = <= | C, L2 = <= | C^T of the extended order and its
+    conjugate C, so x strictly dominates y in the grid exactly when x is
+    above y in the extension.  A rank is the number of elements strictly
+    below, n less the size of x's row in the union; compute_conjugate_order
+    has already checked both unions linear, so they are read as they are,
+    without the second check and the records that realizer_from_conjugate
+    builds.  The cover edges are the labels of _upper_covers' id pairs,
+    sorted.
 
     Every strategy is deterministic.  `seed` is ignored: it is kept only
     because the benchmark's `perfbench/measure.py` still passes `seed=0`,
     and it goes when the benchmark stops passing it.
     """
     trace = two_dimension_extension(o, strategy)
-    l1, l2 = realizer_from_conjugate(trace.extended, trace.conjugate)
+    n, lab = o.n, o.ground.labels
     coords: dict[str, tuple[int, int]] = {}
     plane: dict[str, tuple[int, int]] = {}
-    for i, label in enumerate(o.ground):
-        c1, c2 = l1.ranks[i], l2.ranks[i]
+    for label, row, c_up, c_down in zip(lab, trace.extended.up, trace.conjugate.up,
+                                        trace.conjugate.down):
+        c1, c2 = n - (row | c_up).bit_count(), n - (row | c_down).bit_count()
         coords[label] = (c1, c2)
         plane[label] = (c2 - c1, c1 + c2)
-    covers = tuple(sorted(cover_relation(o)))
+    covers = tuple(sorted([(lab[a], lab[c]) for a, found in enumerate(_upper_covers(o))
+                           for c in found]))
     return GridDrawing(o, coords, plane, covers, trace)
 
 

@@ -6,7 +6,7 @@ from typing import Iterable
 
 from .errors import ParseError, TooLarge
 from .orders import (GroundSet, OrderRelation, _close_generators, bits,
-                     cover_relation, mask_of)
+                     cover_relation)
 from .records import Record
 
 
@@ -36,10 +36,11 @@ def parse_order_text(text: str) -> OrderRelation:
     `elements: a b c` line declares labels up front (useful for isolated
     elements); otherwise labels are collected in order of appearance.
     `a < a` lines are allowed and add nothing.  Each label gets its id
-    from one label -> id dict as its line is read; the generator rows are
-    filled from the pairs read once the lines are done, and are closed by
-    the same step as `build_order`'s, so the result, and any CycleError,
-    is that of `build_order` on the labels and pairs read.
+    from one label -> id dict as its line is read; once the lines are
+    done, each pair i < j read with j != i appends j to i's successor
+    list, and the lists are closed by the same step as `build_order`'s,
+    so the result, and any CycleError, is that of `build_order` on the
+    labels and pairs read.
     """
     index: dict[str, int] = {}  # label -> id, in order of appearance
     pairs: list[tuple[int, int]] = []  # (i, j) per line i < j
@@ -63,10 +64,11 @@ def parse_order_text(text: str) -> OrderRelation:
         pairs.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
     if not index:
         raise ParseError(0, "no elements found")
-    generators = [0] * len(index)  # bit j of generators[i]: a line i < j
+    successors: list[list[int]] = [[] for _ in index]
     for i, j in pairs:
-        generators[i] |= 1 << j
-    return _close_generators(GroundSet(index), generators)
+        if i != j:
+            successors[i].append(j)
+    return _close_generators(GroundSet(index), successors)
 
 
 def serialize_order(o: OrderRelation) -> str:
@@ -191,39 +193,41 @@ MAX_CONCEPTS = 2 ** 14  # the most concepts concept_lattice builds
 def concept_lattice(ctx: FormalContext) -> OrderRelation:
     """The lattice of formal concepts of a context, ordered by extent.
 
-    The intents of a context are exactly the intersections of its object
-    intents (the empty intersection being all attributes), so they are
-    listed by a fold over the object rows: each row is intersected with
-    every intent held so far.  The result is the complete lattice of
+    The extents of a context are exactly the intersections of its
+    attribute extents, the columns of the cross table (the empty
+    intersection being all objects; Ganter & Wille 1999), so they are
+    listed by a fold over the columns: each column is intersected with
+    every extent held so far.  The result is the complete lattice of
     maximal object/attribute rectangles.  Labels are the sorted extents,
     e.g. ``{apple,pear}``; two concepts whose labels coincide raise
     ValueError.  More than MAX_CONCEPTS concepts raise TooLarge.  Every
-    intent held during the fold is an intent of the whole context, so the
-    check after each row raises only when the lattice is too large, and
-    the fold never holds more than twice MAX_CONCEPTS masks.  The rows of
-    extent containment go through the step that closes every order of the
-    package; containment is already closed, and distinct extents form no
-    cycle, so that step's one sweep gives them back as `up` and builds
-    `down` beside them.
+    extent held during the fold is an extent of the whole context, so the
+    check after each column raises only when the lattice is too large,
+    and the fold never holds more than twice MAX_CONCEPTS masks.  Sorted
+    by size, an extent can only be contained in later ones, so each
+    concept's successor list is the later extents that contain it.  The
+    lists go through the step that closes every order of the package;
+    containment is already closed, and distinct extents form no cycle, so
+    that step's one sweep gives the containment back as `up` and builds
+    `down` beside it.
     """
-    rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
-    intents = {(1 << len(ctx.attributes)) - 1}
-    for row in rows:
-        intents |= {row & intent for intent in intents}
-        if len(intents) > MAX_CONCEPTS:
+    columns = [sum(1 << i for i, row in enumerate(ctx.incidence) if row[j])
+               for j in range(len(ctx.attributes))]
+    extents = {(1 << len(ctx.objects)) - 1}
+    for column in columns:
+        extents |= {column & extent for extent in extents}
+        if len(extents) > MAX_CONCEPTS:
             raise TooLarge(f"context has more than {MAX_CONCEPTS} concepts")
-    extents = sorted((sum(1 << i for i, row in enumerate(rows) if row & intent == intent)
-                      for intent in intents), key=lambda ext: (bin(ext).count("1"), ext))
-    labels = [_extent_label(ctx, ext) for ext in extents]
+    ordered = sorted(extents, key=lambda ext: (ext.bit_count(), ext))
+    labels = [_extent_label(ctx, ext) for ext in ordered]
     seen: set[str] = set()
     for label in labels:
         if label in seen:
             raise ValueError(f"two concepts share the label {label!r}: "
                              "object names repeat, contain ',' or are empty")
         seen.add(label)
-    # sorted by size, so only later extents can contain ext_i
-    containing = [mask_of(j for j in range(i, len(extents)) if ext_i & extents[j] == ext_i)
-                  for i, ext_i in enumerate(extents)]
+    containing = [[j for j in range(i + 1, len(ordered)) if ext_i & ordered[j] == ext_i]
+                  for i, ext_i in enumerate(ordered)]
     return _close_generators(GroundSet(labels), containing)
 
 

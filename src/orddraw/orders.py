@@ -8,10 +8,11 @@ are always transitively closed, so the set operations of the pipeline
 (incomparable pairs, inserting a pair, the conjugate test) are a few word
 operations per element.
 The builders (`build_order`, `linear_from_sequence` and the readers of
-`orddraw.ingest`) all hand their generator rows to one step,
-`_close_generators`, which closes the rows into both masks in one sweep of
-Kahn's topological sort.  A sort that cannot order every element has met a
-cycle, which one walk over the rows names, so every order they build is a
+`orddraw.ingest`) all hand their generators, as each element's list of
+successor ids built while they read, to one step, `_close_generators`,
+which closes the lists into both masks in one sweep of Kahn's topological
+sort.  A sort that cannot order every element has met a cycle, which one
+walk over the generator pairs names, so every order they build is a
 genuine order and a cyclic input costs one sweep and one walk.  Elements are
 referred to by string label at the API surface and by dense integer id
 (position in the ground set) in the algorithmic code paths.
@@ -84,14 +85,15 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
-    """Reflexive-transitive closure of a relation given by row masks (bit j
-    of rows[i]: i relates to j), as `(up, down)`: the closure's row masks
-    and its column masks (bit i of down[j]: i relates to j).  None when the
-    relation has a cycle (loops i -> i aside), which no order contains.
+def transitive_closure(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]] | None:
+    """Reflexive-transitive closure of a relation given by successor id
+    lists (succ[i] lists the j that i relates to, j != i, repeats allowed),
+    as `(up, down)`: the closure's row masks and its column masks (bit j of
+    up[i] and bit i of down[j]: i relates to j).  None when the relation
+    has a cycle, which no order contains.
 
     The relation is closed against one topological order (Kahn's
-    algorithm), with each row walked once: `down` is pushed forward while
+    algorithm), with each list walked once: `down` is pushed forward while
     the order is built (an element's column is complete once it is
     reached, so it is ORed into each successor's), and `up` is closed in
     reverse order (each row is its own bit ORed with the closed rows of
@@ -99,8 +101,7 @@ def transitive_closure(rows: Sequence[int]) -> tuple[list[int], list[int]] | Non
     direction.  The elements on a cycle, and those above one, never reach
     indegree 0, so the sort orders fewer than n exactly when there is one.
     """
-    n = len(rows)
-    succ = [bits(row & ~(1 << i)) for i, row in enumerate(rows)]
+    n = len(succ)
     indegree = [0] * n
     for heads in succ:
         for w in heads:
@@ -203,22 +204,26 @@ def build_order(labels: Iterable[str], pairs: Iterable[Pair]) -> OrderRelation:
     if not labels:
         raise ValueError("ground set must not be empty")
     ground = GroundSet(labels)
-    generators = [0] * len(ground)
+    successors: list[list[int]] = [[] for _ in labels]
     for a, b in pairs:
-        generators[ground.id(a)] |= 1 << ground.id(b)
-    return _close_generators(ground, generators)
+        i, j = ground.id(a), ground.id(b)
+        if i != j:
+            successors[i].append(j)
+    return _close_generators(ground, successors)
 
 
-def _close_generators(ground: GroundSet, generators: list[int]) -> OrderRelation:
-    """The order generated on `ground` by the generator rows (bit j of
-    generators[i]: a pair i < j; bit i of generators[i] adds nothing).
+def _close_generators(ground: GroundSet, successors: list[list[int]]) -> OrderRelation:
+    """The order generated on `ground` by the successor id lists
+    (successors[i] lists the j of the pairs i < j, j != i).
 
     Every builder that starts from generators returns through this step:
     one `transitive_closure` sweep, against one topological order, gives
-    both `up` and `down`.  Raises CycleError with `_cycle_witness`'s cycle
-    when the sweep finds the rows cyclic."""
-    closed = transitive_closure(generators)
+    both `up` and `down`.  Only when the sweep finds the lists cyclic are
+    they turned into generator rows, for `_cycle_witness`, whose cycle
+    the CycleError names."""
+    closed = transitive_closure(successors)
     if closed is None:
+        generators = list(map(mask_of, successors))
         raise CycleError([ground.label(v) for v in _cycle_witness(generators)])
     return OrderRelation(ground, *closed)
 
@@ -339,9 +344,9 @@ def linear_from_sequence(ground: GroundSet,
     ids = [ground.id(x) if isinstance(x, str) else x for x in seq]
     if sorted(ids) != list(range(len(ground))):
         raise ValueError("sequence must mention every element exactly once")
-    successors = [0] * len(ids)
+    successors: list[list[int]] = [[] for _ in ids]
     for i, j in zip(ids, ids[1:]):
-        successors[i] = 1 << j
+        successors[i].append(j)
     return LinearExtension(_close_generators(ground, successors))
 
 

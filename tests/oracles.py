@@ -20,11 +20,11 @@ import pytest
 
 from orddraw import graphs
 from orddraw.bipartization import MAX_TRANSVERSALS, _clique_bound, _lazy_product
-from orddraw.errors import ParseError
+from orddraw.errors import ParseError, TooLarge
 from orddraw.graphs import SimpleGraph
-from orddraw.ingest import FormalContext, _lines
+from orddraw.ingest import MAX_CONCEPTS, FormalContext, _extent_label, _lines
 from orddraw.orders import (GroundSet, OrderRelation, _close_generators, bits,
-                            intersect_linear, linear_from_sequence)
+                            intersect_linear, linear_from_sequence, mask_of)
 
 
 def dense(o: OrderRelation) -> np.ndarray:
@@ -45,6 +45,14 @@ def graph_from_edges(n: int, edges=()) -> SimpleGraph:
 def row_masks(matrix) -> list[int]:
     """Row i of a square boolean matrix as an int with bit j = matrix[i, j]."""
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in np.asarray(matrix, dtype=bool)]
+
+
+def successor_lists(rows) -> list[list[int]]:
+    """The generators that `transitive_closure` and `_close_generators`
+    take for the relation with row masks `rows`: per i, the ids j != i of
+    the bits of rows[i], lowest first.  Loops i -> i, which a reflexive
+    closure adds anyway, are dropped."""
+    return [bits(row & ~(1 << i)) for i, row in enumerate(rows)]
 
 
 def order_from_matrix(ground: GroundSet, matrix) -> OrderRelation:
@@ -266,6 +274,7 @@ def parse_order_text_reference(text: str) -> OrderRelation:
     `note` closure and a `try/except KeyError` around the lookup of a
     line's two labels, and filling the generator rows as the lines are
     read: the reference that `ingest.parse_order_text` is tested against.
+    The rows go to the closing step as `successor_lists`.
 
     Blank lines and `#` comments are skipped.  An optional
     `elements: a b c` line declares labels up front (useful for isolated
@@ -305,7 +314,42 @@ def parse_order_text_reference(text: str) -> OrderRelation:
         generators[i] |= 1 << j
     if not index:
         raise ParseError(0, "no elements found")
-    return _close_generators(GroundSet(index), generators)
+    return _close_generators(GroundSet(index), successor_lists(generators))
+
+
+def concept_lattice_reference(ctx: FormalContext) -> OrderRelation:
+    """The lattice of formal concepts of a context, ordered by extent, from
+    a fold over the object rows that lists the intents, each extent then
+    read off by testing its intent against every object row: the reference
+    that `ingest.concept_lattice`, a fold over the attribute columns, is
+    tested against.  Its containment rows go to the closing step as
+    `successor_lists`.
+
+    The intents of a context are exactly the intersections of its object
+    intents (the empty intersection being all attributes).  Labels are the
+    sorted extents; two concepts whose labels coincide raise ValueError.
+    More than MAX_CONCEPTS concepts (this module's name, which a test
+    patches beside `ingest`'s) raise TooLarge, checked after each row.
+    """
+    rows = [sum(1 << j for j, cell in enumerate(row) if cell) for row in ctx.incidence]
+    intents = {(1 << len(ctx.attributes)) - 1}
+    for row in rows:
+        intents |= {row & intent for intent in intents}
+        if len(intents) > MAX_CONCEPTS:
+            raise TooLarge(f"context has more than {MAX_CONCEPTS} concepts")
+    extents = sorted((sum(1 << i for i, row in enumerate(rows) if row & intent == intent)
+                      for intent in intents), key=lambda ext: (bin(ext).count("1"), ext))
+    labels = [_extent_label(ctx, ext) for ext in extents]
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"two concepts share the label {label!r}: "
+                             "object names repeat, contain ',' or are empty")
+        seen.add(label)
+    # sorted by size, so only later extents can contain ext_i
+    containing = [mask_of(j for j in range(i, len(extents)) if ext_i & extents[j] == ext_i)
+                  for i, ext_i in enumerate(extents)]
+    return _close_generators(GroundSet(labels), successor_lists(containing))
 
 
 def parse_cxt_reference(text: str) -> FormalContext:

@@ -1,6 +1,6 @@
-"""The one step that closes generator rows into an order, through the
-builders that hand it rows, against dense references built from the rows
-alone.  `concept_lattice`, the fourth builder, is checked against the
+"""The one step that closes generators into an order, through the
+builders that hand it successor lists, against dense references built
+from the pairs alone.  `concept_lattice`, the fourth builder, is checked against the
 extents of its cross table in test_ingest.  A cyclic input is turned away
 by every route in time linear in its pairs, with a simple cycle along its
 pairs as the witness."""

@@ -15,9 +15,9 @@ from orddraw.engine import (STRATEGIES, _ends_in_this_pass, _insert, compute_coo
                             drawing_to_json, perturbed_labels, two_dimension_extension)
 from orddraw.errors import OrderViolation
 from orddraw.ingest import parse_order_text
-from orddraw.orders import (antichain, boolean_lattice, build_order, chain,
-                            grid, inc_id_pairs, intersect_linear,
-                            standard_example)
+from orddraw.orders import (GroundSet, antichain, boolean_lattice, build_order, chain,
+                            cover_relation, grid, inc_id_pairs, intersect_linear,
+                            linear_from_sequence, standard_example)
 from orddraw.orientation import compute_conjugate_order, realizer_from_conjugate
 from orddraw.render import detect_collinear, perturb
 from orddraw.tig import build_tig
@@ -479,10 +479,31 @@ class TestCoordinates:
             assert d.plane[label] == (c2 - c1, c1 + c2)
             assert {type(c) for c in d.plane[label]} == {int}
 
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_grid_is_the_realizers_ranks(self, strategy):
+        # intersections of two random linear orders have dimension 2, of
+        # three often 3, and random orders of up to 12 elements mix both
+        rng = random.Random(157)
+        orders = []
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            ground = GroundSet([f"v{i}" for i in range(n)])
+            orders.append(intersect_linear(linear_from_sequence(ground, rng.sample(range(n), n))
+                                           for _ in range(rng.choice([2, 3]))))
+            orders.append(random_order(rng, n))
+        passes = set()
+        for o in orders:
+            d = compute_coordinates(o, strategy=strategy)
+            l1, l2 = realizer_from_conjugate(d.trace.extended, d.trace.conjugate)
+            assert d.coords == {label: (l1.ranks[i], l2.ranks[i])
+                                for i, label in enumerate(o.ground)}
+            assert d.cover_edges == tuple(sorted(cover_relation(o)))
+            passes.add(min(d.trace.passes, 1))
+        assert passes == {0, 1}
+
     def test_cover_edges_come_from_the_original_order(self):
         o = standard_example(3)
         d = compute_coordinates(o)
-        from orddraw.orders import cover_relation
         assert d.cover_edges == tuple(sorted(cover_relation(o)))
         inserted = set(d.trace.inserted_labels())
         assert not inserted & set(d.cover_edges)

@@ -12,8 +12,9 @@ from orddraw.ingest import (FormalContext, concept_lattice, parse_cxt,
                             parse_order_text, read_order, serialize_order)
 from orddraw.orders import (boolean_lattice, build_order, chain, cover_relation,
                             grid, standard_example)
-from oracles import (assert_order, brute_concepts, parse_cxt_reference,
-                     parse_order_text_reference, random_order)
+import oracles
+from oracles import (assert_order, brute_concepts, concept_lattice_reference,
+                     parse_cxt_reference, parse_order_text_reference, random_order)
 
 
 def order_like_texts():
@@ -445,7 +446,57 @@ def contranominal_context(n):
                          tuple(f"m{i}" for i in range(n)), inc)
 
 
+@st.composite
+def cross_tables(draw):
+    """Contexts of 0-9 objects by 0-9 attributes at a drawn density, with
+    up to two rows and two columns emptied, and now and then object names
+    from a small pool, so that labels can collide."""
+    n_objects, n_attributes = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    table = [[rng.random() < density for _ in range(n_attributes)] for _ in range(n_objects)]
+    for i in rng.sample(range(n_objects), rng.randint(0, min(n_objects, 2))):
+        table[i] = [False] * n_attributes
+    for j in rng.sample(range(n_attributes), rng.randint(0, min(n_attributes, 2))):
+        for row in table:
+            row[j] = False
+    if rng.random() < 0.1:
+        objects = tuple(rng.choice(["a", "b", "a,b", ""]) for _ in range(n_objects))
+    else:
+        objects = tuple(f"g{i}" for i in range(n_objects))
+    return FormalContext(objects, tuple(f"m{j}" for j in range(n_attributes)), table)
+
+
+def lattice_outcome(build, ctx):
+    """What build(ctx) gives: the labels and both masks of the lattice, or
+    the type and message of the TooLarge or ValueError it raises."""
+    try:
+        o = build(ctx)
+    except (TooLarge, ValueError) as err:
+        return type(err), str(err)
+    return o.ground.labels, o.up, o.down
+
+
 class TestConceptLattice:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(cross_tables())
+    def test_matches_the_intent_fold(self, ctx):
+        want = lattice_outcome(concept_lattice_reference, ctx)
+        assert lattice_outcome(concept_lattice, ctx) == want
+        if want[0] is ValueError:
+            return
+        # exactly as many concepts as the cap still build; one more raises.
+        # Every context has a concept, so a cap is at least 1: below that,
+        # each fold checks only if it runs a step, over rows or columns
+        count = len(want[0])
+        for cap in {count, max(count - 1, 1)}:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "MAX_CONCEPTS", cap)
+                patch.setattr(oracles, "MAX_CONCEPTS", cap)
+                got = lattice_outcome(concept_lattice, ctx)
+                assert got == lattice_outcome(concept_lattice_reference, ctx)
+                assert (got[0] is TooLarge) == (cap < count)
+
     def test_identity_context_gives_a_diamond(self):
         # 2x2 identity: bottom, two atoms, top
         o = concept_lattice(identity_context(2))
